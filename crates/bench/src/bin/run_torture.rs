@@ -220,11 +220,12 @@ fn run_metrics(seed: u64, txns: usize) -> usize {
             Ok(r) => {
                 println!(
                     "  {:<8}  commits {:>4}  lock acquisitions {:>5}  wal records {:>5}  \
-                     pipeline batches {:>4}  violations {}",
+                     version folds {:>4}  pipeline batches {:>4}  violations {}",
                     label,
                     r.snapshot.counter_value("txn.commits").unwrap_or(0),
                     r.snapshot.counter_value("lock.acquired").unwrap_or(0),
                     r.snapshot.counter_value("wal.appended_records").unwrap_or(0),
+                    r.snapshot.counter_value("versions.folds").unwrap_or(0),
                     r.snapshot
                         .hist_value("txn.pipeline.batch_commits")
                         .map(|h| h.count())

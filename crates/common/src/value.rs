@@ -129,6 +129,23 @@ impl Value {
         }
     }
 
+    /// Encode an INT or FLOAT over the head of `slot`: the allocation-free
+    /// counterpart of [`Value::encode`] for same-width in-place patches
+    /// (both encode as the tag byte plus eight payload bytes).
+    pub fn encode_fixed(&self, slot: &mut [u8]) -> Result<()> {
+        let (ty, payload) = match self {
+            Value::Int(v) => (ValueType::Int, v.to_le_bytes()),
+            Value::Float(v) => (ValueType::Float, v.to_bits().to_le_bytes()),
+            other => return Err(Error::Schema(format!("no fixed-width encoding for {other:?}"))),
+        };
+        let slot = slot
+            .get_mut(..1 + payload.len())
+            .ok_or_else(|| Error::corruption("slot too short for a fixed-width value"))?;
+        slot[0] = ty.tag();
+        slot[1..].copy_from_slice(&payload);
+        Ok(())
+    }
+
     /// Decode one value from `r`.
     pub fn decode(r: &mut Reader<'_>) -> Result<Value> {
         let tag = r.u8()?;
@@ -292,6 +309,20 @@ mod tests {
         ] {
             assert_eq!(roundtrip(&v), v);
         }
+    }
+
+    #[test]
+    fn encode_fixed_matches_encode() {
+        for v in [Value::Int(-42), Value::Int(i64::MAX), Value::Float(2.25)] {
+            let mut w = Writer::new();
+            v.encode(&mut w);
+            let mut slot = [0xAAu8; 9];
+            v.encode_fixed(&mut slot).unwrap();
+            assert_eq!(&slot[..], &w.into_bytes()[..]);
+            assert!(v.encode_fixed(&mut slot[..8]).is_err(), "short slot");
+        }
+        assert!(Value::Null.encode_fixed(&mut [0u8; 9]).is_err());
+        assert!(Value::Str("x".into()).encode_fixed(&mut [0u8; 9]).is_err());
     }
 
     #[test]

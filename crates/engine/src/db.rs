@@ -416,9 +416,10 @@ impl Database {
     }
 
     /// Point-in-time metrics snapshot of the whole engine: `engine.*`
-    /// counters plus the `lock.*`, `wal.*`, `pool.*`, and `txn.*` sections
-    /// merged from each layer. Names stay sorted, so two snapshots of
-    /// identically-seeded deterministic runs compare equal structurally.
+    /// counters plus the `versions.*`, `lock.*`, `wal.*`, `pool.*`, and
+    /// `txn.*` sections merged from each layer. Names stay sorted, so two
+    /// snapshots of identically-seeded deterministic runs compare equal
+    /// structurally.
     pub fn metrics_snapshot(&self) -> Snapshot {
         let mut s = Snapshot::default();
         s.counter("engine.escrow_applies", self.obs.escrow_applies.get());
@@ -453,6 +454,7 @@ impl Database {
         s.counter("engine.health_writes_rejected", hs.writes_rejected);
         s.counter("engine.health_heals", hs.heals);
         s.counter("engine.health_fences", hs.fences);
+        s.merge(self.versions.obs_snapshot());
         s.merge(self.locks.obs_snapshot());
         s.merge(self.log.obs_snapshot());
         s.merge(self.pool.obs_snapshot());
@@ -1014,7 +1016,7 @@ impl Database {
                 Ok(force)
             },
             |commit_lsn| {
-            let touched = touched_cell.borrow();
+            let touched = touched_cell.take();
             self.watermark.set_lsn(ticket, commit_lsn);
             // Interleaving-explorer yield: the latch-free version-store
             // publish is a scheduling point (locks still held, commit
@@ -1025,27 +1027,34 @@ impl Database {
                 }
             }
             let cat = self.catalog.read();
-            for ((index, kb), touch) in touched.iter() {
-                let view = cat
-                    .views()
-                    .find(|v| v.index == *index)
-                    .ok_or_else(|| Error::NotFound(format!("view for index {}", index.0)))?;
-                let group = Key::from_bytes(kb.clone()).decode_values()?;
-                let horizon = self.watermark.fold_horizon(&self.log);
+            // One horizon for the whole commit: it only ever rises, so an
+            // earlier reading folds less, never too much.
+            let horizon = self.watermark.fold_horizon(&self.log);
+            // Each touched view is looked up once, not once per row.
+            let mut views: Vec<&ViewDef> = Vec::new();
+            for ((index, kb), touch) in touched {
+                let view = match views.iter().find(|v| v.index == index) {
+                    Some(view) => *view,
+                    None => {
+                        let view = cat
+                            .views()
+                            .find(|v| v.index == index)
+                            .ok_or_else(|| Error::NotFound(format!("view for index {}", index.0)))?;
+                        views.push(view);
+                        view
+                    }
+                };
+                let mat = |image, pairs: &[_]| materialize_view_row(view, &kb, image, pairs);
                 match touch {
                     Touch::Additive(pairs) => {
-                        let mat = view_materializer(view, &group);
-                        self.versions
-                            .publish_delta(*index, kb, commit_lsn, pairs.clone(), horizon, &mat)?;
+                        self.versions.publish_delta(index, &kb, commit_lsn, pairs, horizon, &mat)?;
                     }
                     Touch::Exclusive => {
-                        let tree = self.tree(*index)?;
-                        let key = Key::from_bytes(kb.clone());
-                        let value = match tree.get(&key)? {
+                        let value = match self.tree(index)?.get(&Key::from_bytes(kb.clone()))? {
                             Some((false, v)) => Some(v),
                             _ => None,
                         };
-                        self.versions.publish_full(*index, kb, commit_lsn, value, horizon);
+                        self.versions.publish_full(index, &kb, commit_lsn, value, horizon, &mat)?;
                     }
                 }
             }
@@ -1446,18 +1455,6 @@ impl Database {
         Ok(out)
     }
 
-    /// Is an encoded view row visible (COUNT_BIG > 0)?
-    pub(crate) fn view_row_visible(&self, index: IndexId, value: &[u8]) -> Result<bool> {
-        let cat = self.catalog.read();
-        let view = cat
-            .views()
-            .find(|v| v.index == index)
-            .ok_or_else(|| Error::NotFound(format!("view for index {}", index.0)))?;
-        let row = Row::from_bytes(value)?;
-        let count = row.get(row.arity() - 1 - view.aggs.len()).as_int()?;
-        Ok(count > 0)
-    }
-
     /// Apply one [`RowDelta`] to a view — the heart of the protocol.
     /// `base` is `None` for derived views (cascade applies): they are
     /// all-SUM by construction, so the MIN/MAX recompute path that needs
@@ -1793,7 +1790,7 @@ impl Database {
         self.locks.acquire(txn.id, row_name.clone(), LockMode::X)?;
         self.txns.note_read_dependency(txn, &row_name);
         let Some((_, value)) = tree.get(key)? else { return Ok(()) };
-        if self.view_row_visible(view.index, &value)? {
+        if row_visible(view, &value)? {
             return Ok(()); // somebody legitimately resurrected it before our X
         }
         let prev = txn.last_lsn;
@@ -2226,8 +2223,10 @@ impl Database {
                 Some((true, _)) => true, // base-table ghost
                 Some((false, value)) => {
                     // A view row is removable when its count settled at 0.
-                    let is_view = self.catalog.read().views().any(|v| v.index == index);
-                    is_view && !self.view_row_visible(index, &value)?
+                    match self.catalog.read().views().find(|v| v.index == index) {
+                        Some(view) => !row_visible(view, &value)?,
+                        None => false,
+                    }
                 }
             };
             if removable {
@@ -2264,40 +2263,83 @@ impl Database {
 
     /// Snapshot read of one view row at snapshot LSN `s`: reconstruct from
     /// the version chain, or read directly when the row was never modified.
-    /// Returns the full row bytes iff the group is visible at `s`.
-    pub(crate) fn snapshot_view_value(
-        &self,
-        view: &ViewDef,
-        kb: &[u8],
-        s: Lsn,
-    ) -> Result<Option<Vec<u8>>> {
-        let key = Key::from_bytes(kb.to_vec());
-        let group = key.decode_values()?;
-        let mat = view_materializer(view, &group);
-        let reconstructed = loop {
-            match self.versions.read_at(view.index, kb, s, &mat)? {
-                Some(v) => break v,
-                None => {
-                    // No chain: the physical image should be stable — but a
-                    // writer may create the chain and modify the row between
-                    // our check and the read. Re-check afterwards; a chain
-                    // that appeared means the bytes we read may carry an
-                    // uncommitted delta, so resolve through the chain.
-                    let tree = self.tree(view.index)?;
-                    let phys = match tree.get(&key)? {
-                        Some((false, v)) => Some(v),
-                        _ => None,
-                    };
-                    if !self.versions.has_chain(view.index, kb) {
-                        break phys;
-                    }
-                }
+    /// Returns the row iff the group is visible at `s`.
+    pub(crate) fn snapshot_view_row(&self, view: &ViewDef, kb: &[u8], s: Lsn) -> Result<Option<Row>> {
+        let mat = |image, pairs: &[_]| materialize_view_row(view, kb, image, pairs);
+        let image = match self.versions.read_at(view.index, kb, s, &mat)? {
+            Some(image) => image,
+            None => {
+                // No chain: the physical image should be stable — but a
+                // writer may create the chain and modify the row between
+                // our check and the read. Ask again afterwards; a chain
+                // that appeared means the bytes we read may carry an
+                // uncommitted delta, so the chain decides.
+                let phys = match self.tree(view.index)?.get(&Key::from_bytes(kb.to_vec()))? {
+                    Some((false, v)) => Some(v),
+                    _ => None,
+                };
+                self.versions.read_at(view.index, kb, s, &mat)?.unwrap_or(phys)
             }
         };
-        match reconstructed {
-            Some(v) if row_visible(view, &v)? => Ok(Some(v)),
-            _ => Ok(None),
+        image.map_or(Ok(None), |bytes| visible_row(view, &bytes))
+    }
+
+    /// Snapshot scan of a view over keys in `[lo, hi)` at snapshot LSN `s`:
+    /// the visible rows in key order.
+    pub(crate) fn snapshot_view_rows(
+        &self,
+        view: &ViewDef,
+        lo: Option<&Key>,
+        hi: Option<&Key>,
+        s: Lsn,
+    ) -> Result<Vec<Row>> {
+        let (items, _) = self.tree(view.index)?.scan(lo, hi, false)?;
+        self.resolve_scanned(view, items, lo, hi, s)
+    }
+
+    /// Merge physical rows `items`, scanned from `[lo, hi)` of the view's
+    /// tree *before this call*, with the version chains of that range. A
+    /// key with a chain takes the chain's image at `s`; a key without one
+    /// takes the scanned bytes. That order is what makes the second case
+    /// safe: a writer seeds the chain before it first modifies a row and
+    /// chains are never removed, so "no chain now" means nobody had touched
+    /// the row when the scan, earlier still, read it — the single-key rule
+    /// of [`Database::snapshot_view_row`], with the directory visit doubling
+    /// as the re-check.
+    pub(crate) fn resolve_scanned(
+        &self,
+        view: &ViewDef,
+        items: Vec<txview_btree::ScanItem>,
+        lo: Option<&Key>,
+        hi: Option<&Key>,
+        s: Lsn,
+    ) -> Result<Vec<Row>> {
+        let mat = |kb: &[u8], image, pairs: &[_]| materialize_view_row(view, kb, image, pairs);
+        let chains =
+            self.versions.range_at(view.index, lo.map(Key::as_bytes), hi.map(Key::as_bytes), s, &mat)?;
+        let mut out = Vec::with_capacity(items.len().max(chains.len()));
+        let mut push = |image: Option<Vec<u8>>| -> Result<()> {
+            if let Some(bytes) = image {
+                out.extend(visible_row(view, &bytes)?);
+            }
+            Ok(())
+        };
+        let mut chains = chains.into_iter().peekable();
+        for item in items {
+            // Chains sorting before the next physical row: rows that are
+            // not (or no longer) in the tree.
+            while let Some((_, image)) = chains.next_if(|(k, _)| *k < item.key) {
+                push(image)?;
+            }
+            match chains.next_if(|(k, _)| *k == item.key) {
+                Some((_, image)) => push(image)?,
+                None => push(Some(item.value))?,
+            }
         }
+        for (_, image) in chains {
+            push(image)?;
+        }
+        Ok(out)
     }
 
     // ---- crash & recovery --------------------------------------------
@@ -2324,31 +2366,43 @@ impl Database {
     }
 }
 
-/// Build the version-store materializer for one view row: applies forward
-/// escrow pairs to a (possibly absent) row image. Absent rows materialize
-/// from the invisible zero row of this group.
-#[allow(clippy::type_complexity)]
-fn view_materializer<'a>(
-    view: &'a ViewDef,
-    group: &'a [Value],
-) -> impl Fn(Option<Vec<u8>>, &[(u16, txview_wal::record::ValueDelta)]) -> Result<Option<Vec<u8>>> + 'a {
-    move |base, pairs| {
-        let mut value = match base {
-            Some(b) => b,
-            None => encode_view_row(group, 0, &escrow::zero_aggs(view))?,
-        };
-        let off = agg_region_offset(group);
-        let region = escrow::apply_forward_pairs(&value[off..], view.aggs.len(), pairs)?;
-        value[off..].copy_from_slice(&region);
-        Ok(Some(value))
-    }
+/// The version-store materializer for the row of `view` with key `kb`:
+/// applies forward escrow pairs to a (possibly absent) row image, patching
+/// the aggregate region — the row's tail — in place. An absent row
+/// materializes from the invisible zero row of its group, the only case
+/// that decodes the key.
+fn materialize_view_row(
+    view: &ViewDef,
+    kb: &[u8],
+    image: Option<Vec<u8>>,
+    pairs: &[(u16, txview_wal::record::ValueDelta)],
+) -> Result<Option<Vec<u8>>> {
+    let mut value = match image {
+        Some(bytes) => bytes,
+        None => {
+            let group = Key::from_bytes(kb.to_vec()).decode_values()?;
+            encode_view_row(&group, 0, &escrow::zero_aggs(view))?
+        }
+    };
+    let off = value
+        .len()
+        .checked_sub(escrow::agg_region_len(view.aggs.len()))
+        .ok_or_else(|| Error::corruption("view row shorter than its aggregate region"))?;
+    escrow::apply_forward_pairs(&mut value[off..], view.aggs.len(), pairs)?;
+    Ok(Some(value))
 }
 
-/// Is an encoded view row visible (COUNT_BIG > 0)? Catalog-free.
-fn row_visible(view: &ViewDef, value: &[u8]) -> Result<bool> {
+/// Decode an encoded view row iff it is visible (COUNT_BIG > 0).
+/// Catalog-free, and the only decode a reader pays per row.
+pub(crate) fn visible_row(view: &ViewDef, value: &[u8]) -> Result<Option<Row>> {
     let row = Row::from_bytes(value)?;
     let count = row.get(view.group_types.len()).as_int()?;
-    Ok(count > 0)
+    Ok((count > 0).then_some(row))
+}
+
+/// Is an encoded view row visible? See [`visible_row`].
+fn row_visible(view: &ViewDef, value: &[u8]) -> Result<bool> {
+    visible_row(view, value).map(|row| row.is_some())
 }
 
 impl UndoHandler for Database {

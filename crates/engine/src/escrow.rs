@@ -221,30 +221,26 @@ pub fn apply_undo_pairs(region: &[u8], n_aggs: usize, pairs: &[(u16, ValueDelta)
 }
 
 /// Apply *forward* escrow pairs (as logged / as published to the version
-/// store) to a region.
-pub fn apply_forward_pairs(region: &[u8], n_aggs: usize, pairs: &[(u16, ValueDelta)]) -> Result<Vec<u8>> {
-    let (mut count, mut aggs) = decode_agg_region(region, n_aggs)?;
-    for (pos, d) in pairs {
-        if *pos == 0 {
-            match d {
-                ValueDelta::Int(dc) => {
-                    count = count
-                        .checked_add(*dc)
-                        .ok_or_else(|| Error::invalid("COUNT_BIG overflow"))?;
-                }
-                ValueDelta::Float(_) => {
-                    return Err(Error::corruption("float delta on COUNT_BIG"));
-                }
-            }
-        } else {
-            let i = (*pos - 1) as usize;
-            if i >= aggs.len() {
-                return Err(Error::corruption("escrow position out of range"));
-            }
-            aggs[i] = apply_delta_checked(*d, &aggs[i])?;
-        }
+/// store) to a region, in place: every slot is fixed-width and
+/// [`apply_delta_checked`] keeps its type, so each pair rewrites only its
+/// own nine bytes. On error the region is left partly patched.
+pub fn apply_forward_pairs(region: &mut [u8], n_aggs: usize, pairs: &[(u16, ValueDelta)]) -> Result<()> {
+    if region.len() != agg_region_len(n_aggs) {
+        return Err(Error::corruption(format!(
+            "aggregate region is {} bytes, expected {}",
+            region.len(),
+            agg_region_len(n_aggs)
+        )));
     }
-    Ok(encode_agg_region(count, &aggs))
+    for (pos, d) in pairs {
+        let slot = region
+            .chunks_exact_mut(AGG_VALUE_BYTES)
+            .nth(*pos as usize)
+            .ok_or_else(|| Error::corruption("escrow position out of range"))?;
+        let stored = Value::decode(&mut Reader::new(slot))?;
+        apply_delta_checked(*d, &stored)?.encode_fixed(slot)?;
+    }
+    Ok(())
 }
 
 /// Merge two sets of forward pairs (a transaction touching the same view
@@ -571,12 +567,27 @@ mod tests {
     }
 
     #[test]
+    fn forward_pairs_patch_the_region_in_place() {
+        let mut region = encode_agg_region(2, &[Value::Int(10), Value::Float(1.5)]);
+        let pairs = [(0u16, ValueDelta::Int(3)), (2, ValueDelta::Float(0.25)), (1, ValueDelta::Int(-4))];
+        apply_forward_pairs(&mut region, 2, &pairs).unwrap();
+        assert_eq!(
+            decode_agg_region(&region, 2).unwrap(),
+            (5, vec![Value::Int(6), Value::Float(1.75)])
+        );
+        let one = [(0u16, ValueDelta::Int(1))];
+        assert!(apply_forward_pairs(&mut encode_agg_region(i64::MAX, &[]), 0, &one).is_err(), "overflow");
+        assert!(apply_forward_pairs(&mut region, 2, &[(3, ValueDelta::Int(1))]).is_err(), "position");
+        assert!(apply_forward_pairs(&mut region[1..], 2, &one).is_err(), "region length");
+    }
+
+    #[test]
     fn forward_and_undo_pairs_reject_mistyped_deltas() {
         let region = encode_agg_region(1, &[Value::Int(10)]);
         // Position 1 holds an Int aggregate; a Float pair must not coerce it.
         let bad = vec![(1u16, ValueDelta::Float(0.5))];
         assert!(matches!(
-            apply_forward_pairs(&region, 1, &bad),
+            apply_forward_pairs(&mut region.clone(), 1, &bad),
             Err(Error::TypeMismatch { .. })
         ));
         assert!(matches!(
@@ -585,13 +596,13 @@ mod tests {
         ));
         // Float on COUNT_BIG stays rejected (pre-existing guard).
         let bad_count = vec![(0u16, ValueDelta::Float(1.0))];
-        assert!(apply_forward_pairs(&region, 1, &bad_count).is_err());
+        assert!(apply_forward_pairs(&mut region.clone(), 1, &bad_count).is_err());
         assert!(apply_undo_pairs(&region, 1, &bad_count).is_err());
         // Int pair on a Float aggregate rejected symmetrically.
         let fregion = encode_agg_region(1, &[Value::Float(1.5)]);
         let bad_f = vec![(1u16, ValueDelta::Int(2))];
         assert!(matches!(
-            apply_forward_pairs(&fregion, 1, &bad_f),
+            apply_forward_pairs(&mut fregion.clone(), 1, &bad_f),
             Err(Error::TypeMismatch { .. })
         ));
     }

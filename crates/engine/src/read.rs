@@ -9,7 +9,7 @@
 //! * **Snapshot** — no locks at all: versions as of the transaction's
 //!   snapshot LSN. Escrow writers are never blocked by snapshot readers.
 
-use crate::db::Database;
+use crate::db::{visible_row, Database};
 use txview_common::{Error, Key, Result, Row, Value};
 use txview_lock::{LockMode, LockName};
 use txview_txn::{IsolationLevel, Transaction};
@@ -25,23 +25,16 @@ impl Database {
     ) -> Result<Option<Row>> {
         let view = self.catalog.read().view(view_name)?.clone();
         let key = Key::from_values(group);
-        let kb = key.as_bytes().to_vec();
-        let tree = self.tree(view.index)?;
-
         if txn.isolation == IsolationLevel::Snapshot {
-            return self
-                .snapshot_view_value(&view, &kb, txn.snapshot_lsn)?
-                .map(|bytes| Row::from_bytes(&bytes))
-                .transpose();
+            return self.snapshot_view_row(&view, key.as_bytes(), txn.snapshot_lsn);
         }
 
-        let name = LockName::key(view.index, kb.clone());
+        let tree = self.tree(view.index)?;
+        let name = LockName::key(view.index, key.as_bytes());
         self.locks.acquire(txn.id, name.clone(), LockMode::S)?;
         self.txns.note_read_dependency(txn, &name);
         let out = match tree.get(&key)? {
-            Some((false, bytes)) if self.view_row_visible(view.index, &bytes)? => {
-                Some(Row::from_bytes(&bytes)?)
-            }
+            Some((false, bytes)) => visible_row(&view, &bytes)?,
             _ => None,
         };
         match txn.isolation {
@@ -93,10 +86,8 @@ impl Database {
         self.locks.acquire(txn.id, name.clone(), LockMode::S)?;
         self.txns.note_read_dependency(txn, &name);
         let out = match hash.get(&kb)? {
-            Some(bytes) if self.view_row_visible(view.index, &bytes)? => {
-                Some(Row::from_bytes(&bytes)?)
-            }
-            _ => None,
+            Some(bytes) => visible_row(&view, &bytes)?,
+            None => None,
         };
         self.locks.release(txn.id, &name);
         self.obs.hash_point_reads.inc();
@@ -113,34 +104,16 @@ impl Database {
         hi_exclusive: Option<&[Value]>,
     ) -> Result<Vec<Row>> {
         let view = self.catalog.read().view(view_name)?.clone();
-        let tree = self.tree(view.index)?;
         let lo_key = lo.map(Key::from_values);
         let hi_key = hi_exclusive.map(Key::from_values);
 
         if txn.isolation == IsolationLevel::Snapshot {
-            // Union of live tree keys and version-chain keys in range.
-            let (items, _) = tree.scan(lo_key.as_ref(), hi_key.as_ref(), true)?;
-            let mut keys: Vec<Vec<u8>> = items.into_iter().map(|i| i.key).collect();
-            for k in self.versions.keys_for(view.index) {
-                let in_lo = lo_key.as_ref().is_none_or(|l| k.as_slice() >= l.as_bytes());
-                let in_hi = hi_key.as_ref().is_none_or(|h| k.as_slice() < h.as_bytes());
-                if in_lo && in_hi {
-                    keys.push(k);
-                }
-            }
-            keys.sort();
-            keys.dedup();
-            let mut out = Vec::new();
-            for kb in keys {
-                if let Some(bytes) = self.snapshot_view_value(&view, &kb, txn.snapshot_lsn)? {
-                    out.push(Row::from_bytes(&bytes)?);
-                }
-            }
-            return Ok(out);
+            return self.snapshot_view_rows(&view, lo_key.as_ref(), hi_key.as_ref(), txn.snapshot_lsn);
         }
 
         // Locking scans: enumerate physical keys first, then lock + re-read
         // each (values observed under the S lock are settled).
+        let tree = self.tree(view.index)?;
         let (items, next_key) = tree.scan(lo_key.as_ref(), hi_key.as_ref(), true)?;
         let serializable = txn.isolation == IsolationLevel::Serializable;
         let mut out = Vec::new();
@@ -154,9 +127,7 @@ impl Database {
             }
             let key = Key::from_bytes(item.key.clone());
             if let Some((false, bytes)) = tree.get(&key)? {
-                if self.view_row_visible(view.index, &bytes)? {
-                    out.push(Row::from_bytes(&bytes)?);
-                }
+                out.extend(visible_row(&view, &bytes)?);
             }
             if !serializable {
                 self.locks.release(txn.id, &name);
@@ -173,15 +144,13 @@ impl Database {
         Ok(out)
     }
 
-    /// Point lookup of a base-table row by primary key.
+    /// Point lookup of a base-table row by primary key. Base tables are not
+    /// versioned in this reproduction; snapshot reads of base rows degrade
+    /// to read-committed.
     pub fn get_row(&self, txn: &mut Transaction, table: &str, pk: &[Value]) -> Result<Option<Row>> {
         let def = self.catalog.read().table(table)?.clone();
         let key = Key::from_values(pk);
         let tree = self.tree(def.index)?;
-        if txn.isolation == IsolationLevel::Snapshot {
-            // Base tables are not versioned in this reproduction; snapshot
-            // reads of base rows degrade to read-committed.
-        }
         let name = LockName::key(def.index, key.as_bytes());
         self.locks.acquire(txn.id, name.clone(), LockMode::S)?;
         let out = match tree.get(&key)? {
@@ -285,9 +254,7 @@ impl Database {
         self.txns.note_read_dependency(txn, &name);
         let tree = self.tree(view.index)?;
         match tree.get(&key)? {
-            Some((false, bytes)) if self.view_row_visible(view.index, &bytes)? => {
-                Ok(Some(Row::from_bytes(&bytes)?))
-            }
+            Some((false, bytes)) => visible_row(&view, &bytes),
             _ => Ok(None),
         }
     }
@@ -300,9 +267,7 @@ impl Database {
         let (items, _) = tree.scan(None, None, false)?;
         let mut out = Vec::new();
         for item in items {
-            if self.view_row_visible(view.index, &item.value)? {
-                out.push(Row::from_bytes(&item.value)?);
-            }
+            out.extend(visible_row(&view, &item.value)?);
         }
         Ok(out)
     }
@@ -316,6 +281,71 @@ impl Database {
     }
 }
 
-// Keep Error in the prelude for doc examples referencing it.
-#[allow(unused_imports)]
-use Error as _ErrorAlias;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{AggSpec, MaintenanceMode, Predicate, ViewSource, ViewSpec};
+    use txview_common::row;
+    use txview_common::schema::{Column, Schema};
+    use txview_common::value::ValueType;
+
+    /// The scan-item shortcut of a Snapshot scan, with the writers placed by
+    /// hand on either side of the tree scan. Rows of a view built over
+    /// loaded data have no chains, so every group starts on the shortcut.
+    #[test]
+    fn scanned_bytes_yield_to_a_chain_that_appears_around_the_scan() {
+        let db = Database::new_in_memory(256);
+        let int = |name| Column::new(name, ValueType::Int);
+        let schema = Schema::new(vec![int("id"), int("branch"), int("balance")], vec![0]).unwrap();
+        let table = db.create_table("accounts", schema).unwrap();
+        let mut load = db.begin(IsolationLevel::ReadCommitted);
+        for branch in 0..4i64 {
+            db.insert(&mut load, "accounts", row![branch, branch, 100 * branch]).unwrap();
+        }
+        db.commit(&mut load).unwrap();
+        db.create_indexed_view(ViewSpec {
+            name: "by_branch".into(),
+            source: ViewSource::Single { table, group_by: vec![1] },
+            aggs: vec![AggSpec::SumInt { col: 2 }],
+            filter: Predicate::True,
+            maintenance: MaintenanceMode::Escrow,
+            deferred: false,
+            eager_group_delete: false,
+        })
+        .unwrap();
+        let view = db.catalog.read().view("by_branch").unwrap().clone();
+        let as_loaded: Vec<Row> = (0..4i64).map(|b| row![b, 1i64, 100 * b]).collect();
+        let chained = |branch: i64| {
+            db.versions.has_chain(view.index, Key::from_values(&[Value::Int(branch)]).as_bytes())
+        };
+
+        let mut reader = db.begin(IsolationLevel::Snapshot);
+        // Before the scan: a writer seeds branch 1's chain and adds its
+        // delta to the row, uncommitted — the scan will read dirty bytes.
+        let mut early = db.begin(IsolationLevel::ReadCommitted);
+        db.insert(&mut early, "accounts", row![10i64, 1i64, 5i64]).unwrap();
+        let (items, _) = db.tree(view.index).unwrap().scan(None, None, false).unwrap();
+        assert_eq!(Row::from_bytes(&items[1].value).unwrap(), row![1i64, 2i64, 105i64]);
+        // After the scan, before the directory is consulted: a writer
+        // seeds branch 2's chain, changes the row and commits past the
+        // reader's snapshot.
+        let mut late = db.begin(IsolationLevel::ReadCommitted);
+        db.insert(&mut late, "accounts", row![11i64, 2i64, 7i64]).unwrap();
+        db.commit(&mut late).unwrap();
+
+        let rows = db.resolve_scanned(&view, items, None, None, reader.snapshot_lsn).unwrap();
+        assert_eq!(rows, as_loaded, "neither the in-flight 5 nor the later 7");
+        assert!(chained(1) && chained(2), "both writers' rows resolved through their chains");
+        assert!(!chained(0) && !chained(3), "the untouched rows came from the scan items");
+
+        // The public path agrees, and a later snapshot sees what committed.
+        assert_eq!(db.view_scan(&mut reader, "by_branch", None, None).unwrap(), as_loaded);
+        db.commit(&mut reader).unwrap();
+        db.commit(&mut early).unwrap();
+        let mut fresh = db.begin(IsolationLevel::Snapshot);
+        let now = db.view_scan(&mut fresh, "by_branch", None, None).unwrap();
+        assert_eq!(now[1], row![1i64, 2i64, 105i64]);
+        assert_eq!(now[2], row![2i64, 2i64, 207i64]);
+        db.commit(&mut fresh).unwrap();
+    }
+}

@@ -1242,6 +1242,11 @@ pub fn run_metrics_check(cfg: &TortureConfig) -> Result<MetricsCheckReport> {
     {
         violations.push("no view maintenance recorded — engine counters not wired".into());
     }
+    if a.counter_value("versions.folds").unwrap_or(0) == 0
+        || a.gauge_value("versions.entries").unwrap_or(0) <= 0
+    {
+        violations.push("no version folds or entries recorded — version-store metrics not wired".into());
+    }
     match a.hist_value("txn.phase.commit_us") {
         Some(h) if h.count() > 0 => {}
         _ => violations.push("commit-phase histogram empty — phase timers not wired".into()),

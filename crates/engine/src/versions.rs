@@ -1,34 +1,40 @@
 //! A multiversion store for snapshot readers, built around the escrow
 //! insight: **committed increments commute**, so the version history of an
-//! aggregate row is a base image plus a set of commit-stamped *delta*
-//! entries. A snapshot at LSN `s` reconstructs the row by applying every
-//! delta with `commit_lsn <= s` to the newest full image at or below `s` —
-//! correct regardless of the order concurrent committers appended their
-//! entries, because addition is order-independent.
+//! aggregate row is a base image plus a tail of commit-stamped entries. A
+//! snapshot at LSN `s` reconstructs the row by replaying, over the base,
+//! every tail entry with `commit_lsn <= s` — a *delta* adds to the image, a
+//! *full image* replaces it — correct regardless of the order concurrent
+//! committers published their entries, because addition is
+//! order-independent.
 //!
 //! Full-image entries come from X-lock paths (MIN/MAX views, the X-lock
 //! baseline, eager group deletion): the X lock serializes those writers, so
 //! their physical row value *is* a clean committed image at publish time.
 //!
-//! Chains are folded (oldest deltas merged into the base) once they exceed
-//! [`MAX_CHAIN`], using a caller-supplied materializer — the store itself
-//! is agnostic to row encoding.
+//! **Fold rule (horizon-eager).** Every publish merges all entries of its
+//! chain with `commit_lsn <= horizon` into the base, using a caller-supplied
+//! materializer (the store is agnostic to row encoding). The horizon is the
+//! commit watermark clipped by the oldest active snapshot, so no present or
+//! future reader sits below it and no committer that has yet to publish
+//! sits at or below it: a fold is the replay of a chain prefix that every
+//! reader replays in full anyway, and nobody can tell it happened. A chain
+//! holds only the versions some live snapshot can still distinguish, and a
+//! read costs that many delta applications — there is no length threshold.
+//!
+//! **Directory layout.** Chains live under their index in one ordered map,
+//! probed by borrowed key bytes. The map is behind a reader-writer lock that
+//! is taken for writing only to add a chain; each chain has its own small
+//! mutex. Readers and committers therefore share the map, a range read
+//! walks it in key order, and a committer waits for a reader only while
+//! both are on the same chain.
 
-use parking_lot::Mutex;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use parking_lot::{Mutex, RwLock};
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::ops::Bound;
+use std::sync::Arc;
+use txview_common::obs::{Counter, Gauge, Histogram, Snapshot};
 use txview_common::{IndexId, Lsn, Result};
 use txview_wal::record::ValueDelta;
-
-/// Fold the chain once it exceeds this many entries.
-pub const MAX_CHAIN: usize = 16;
-
-/// Shard count for the chain map (power of two; selection is a mask).
-/// Chains are independent — every operation touches exactly one key — so
-/// partitioning them by key hash removes the store-wide serialization
-/// point without changing any per-chain semantics.
-const VS_SHARDS: usize = 32;
 
 /// Version stamp of the pre-modification base image.
 pub const BASE_VERSION: Lsn = Lsn(1);
@@ -52,28 +58,109 @@ struct VersionEntry {
 }
 
 /// Applies delta pairs to a (possibly absent) row image, producing the new
-/// image. Supplied by the engine, which knows the row encoding.
+/// image. Supplied by the engine, which knows the row encoding. The image
+/// is passed by value so the aggregates can be patched in place.
 pub type Materializer<'a> =
     dyn Fn(Option<Vec<u8>>, &[(u16, ValueDelta)]) -> Result<Option<Vec<u8>>> + 'a;
 
-type ChainKey = (IndexId, Vec<u8>);
+/// A [`Materializer`] for a range of rows: it is also told the row's key,
+/// which it needs only to build a row from absent.
+pub type RangeMaterializer<'a> =
+    dyn Fn(&[u8], Option<Vec<u8>>, &[(u16, ValueDelta)]) -> Result<Option<Vec<u8>>> + 'a;
 
-/// The version store, sharded by chain-key hash. Each shard owns a
-/// disjoint subset of the chains behind its own mutex; GC (folding and
-/// full-image pruning) happens per chain under the owning shard's lock.
-pub struct VersionStore {
-    shards: Box<[Mutex<HashMap<ChainKey, Vec<VersionEntry>>>]>,
+/// A chain's key and the row image a snapshot sees there (`None` = absent).
+pub type Resolved = (Vec<u8>, Option<Vec<u8>>);
+
+/// One row's history: the committed image as of `base_lsn` plus the entries
+/// not yet folded into it.
+struct Chain {
+    base_lsn: Lsn,
+    base: Option<Vec<u8>>,
+    /// Ordered by commit LSN, entries of one LSN in arrival order.
+    /// Concurrent committers publish in nondeterministic order, and a fold
+    /// absorbs a prefix: appending out of order would let it absorb a
+    /// *newer* sibling and hide the older delta behind the base LSN.
+    tail: Vec<VersionEntry>,
 }
 
-impl Default for VersionStore {
-    fn default() -> VersionStore {
-        VersionStore {
-            shards: (0..VS_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-        }
+impl Chain {
+    fn new(base: Option<Vec<u8>>) -> Chain {
+        Chain { base_lsn: BASE_VERSION, base, tail: Vec::new() }
     }
+
+    /// Entries including the base.
+    fn len(&self) -> usize {
+        1 + self.tail.len()
+    }
+
+    /// Add `entry` in LSN order, then fold every entry at or below
+    /// `horizon` into the base. Returns how many were folded.
+    fn publish(
+        &mut self,
+        entry: VersionEntry,
+        horizon: Lsn,
+        materialize: &Materializer<'_>,
+    ) -> Result<usize> {
+        let at = self.tail.partition_point(|e| e.commit_lsn <= entry.commit_lsn);
+        self.tail.insert(at, entry);
+        let folded = self.tail.partition_point(|e| e.commit_lsn <= horizon);
+        for e in self.tail.drain(..folded) {
+            self.base = match e.payload {
+                Payload::Full(image) => image,
+                Payload::Delta(pairs) => materialize(self.base.take(), &pairs)?,
+            };
+            self.base_lsn = self.base_lsn.max(e.commit_lsn);
+        }
+        Ok(folded)
+    }
+
+    /// The image visible at snapshot `s`: the base with the tail prefix at
+    /// or below `s` replayed over it. A snapshot that predates the base
+    /// (possible only below the fold horizon) sees the row as absent.
+    fn resolve(
+        &self,
+        s: Lsn,
+        materialize: impl Fn(Option<Vec<u8>>, &[(u16, ValueDelta)]) -> Result<Option<Vec<u8>>>,
+    ) -> Result<Option<Vec<u8>>> {
+        if s < self.base_lsn {
+            return Ok(None);
+        }
+        let mut image = self.base.clone();
+        for e in self.tail.iter().take_while(|e| e.commit_lsn <= s) {
+            image = match &e.payload {
+                Payload::Full(full) => full.clone(),
+                Payload::Delta(pairs) => materialize(image, pairs)?,
+            };
+        }
+        Ok(image)
+    }
+}
+
+/// The chains of one index. The write lock is taken only to add a chain
+/// (and held while its base image is read, see
+/// [`VersionStore::ensure_base_with`]).
+type Directory = RwLock<BTreeMap<Vec<u8>, Mutex<Chain>>>;
+
+/// What the store reports about itself (`versions.*` in the engine's
+/// metrics snapshot). An idle snapshot pinning the fold horizon shows as
+/// `entries` and `chain_len` growing while `folds` stands still.
+#[derive(Default)]
+struct VersionObs {
+    /// Entries held, bases included.
+    entries: Gauge,
+    /// Entries merged into their chain's base.
+    folds: Counter,
+    /// Chain length met by readers: one sample per point read, the longest
+    /// chain of the range per range read.
+    chain_len: Histogram,
+}
+
+/// The version store: one [`Directory`] per index. GC (folding) happens per
+/// chain at publish, under the chain's lock.
+#[derive(Default)]
+pub struct VersionStore {
+    indexes: RwLock<BTreeMap<IndexId, Arc<Directory>>>,
+    obs: VersionObs,
 }
 
 impl VersionStore {
@@ -82,62 +169,64 @@ impl VersionStore {
         VersionStore::default()
     }
 
-    /// The shard owning `(index, key)`.
-    fn shard(&self, index: IndexId, key: &[u8]) -> &Mutex<HashMap<ChainKey, Vec<VersionEntry>>> {
-        let mut h = DefaultHasher::new();
-        (index, key).hash(&mut h);
-        &self.shards[(h.finish() as usize) & (VS_SHARDS - 1)]
+    /// The directory of `index`, if any of its rows has a chain.
+    fn directory(&self, index: IndexId) -> Option<Arc<Directory>> {
+        self.indexes.read().get(&index).cloned()
+    }
+
+    /// Run `f` on the chain of `(index, key)`, seeding it with
+    /// `base()` first if the row has none.
+    fn with_chain<R>(
+        &self,
+        index: IndexId,
+        key: &[u8],
+        base: impl FnOnce() -> Result<Option<Vec<u8>>>,
+        f: impl FnOnce(&mut Chain) -> Result<R>,
+    ) -> Result<R> {
+        let dir = match self.directory(index) {
+            Some(dir) => dir,
+            None => self.indexes.write().entry(index).or_default().clone(),
+        };
+        if let Some(chain) = dir.read().get(key) {
+            return f(&mut chain.lock());
+        }
+        let mut chains = dir.write();
+        match chains.entry(key.to_vec()) {
+            Entry::Occupied(e) => f(e.into_mut().get_mut()),
+            Entry::Vacant(e) => {
+                let chain = e.insert(Mutex::new(Chain::new(base()?)));
+                self.obs.entries.add(1);
+                f(chain.get_mut())
+            }
+        }
     }
 
     /// True if the row already has a chain (its base image is safeguarded).
     pub fn has_chain(&self, index: IndexId, key: &[u8]) -> bool {
-        self.shard(index, key).lock().contains_key(&(index, key.to_vec()))
+        self.directory(index).is_some_and(|dir| dir.read().contains_key(key))
     }
 
     /// Record the pre-modification image of a row, computing it *inside*
-    /// the store's critical section (see the engine: under escrow
-    /// concurrency an unsynchronized read could capture another writer's
-    /// uncommitted delta).
+    /// the store's critical section — the directory's write lock (see the
+    /// engine: under escrow concurrency an unsynchronized read could
+    /// capture another writer's uncommitted delta).
     pub fn ensure_base_with<F>(&self, index: IndexId, key: &[u8], read: F) -> Result<()>
     where
         F: FnOnce() -> Result<Option<Vec<u8>>>,
     {
-        let mut chains = self.shard(index, key).lock();
-        if let std::collections::hash_map::Entry::Vacant(e) = chains.entry((index, key.to_vec())) {
-            let value = read()?;
-            e.insert(vec![VersionEntry { commit_lsn: BASE_VERSION, payload: Payload::Full(value) }]);
-        }
-        Ok(())
+        self.with_chain(index, key, read, |_| Ok(()))
     }
 
     /// Convenience base recording when the caller already has the clean
     /// image (row-creation path: the row did not exist).
     pub fn ensure_base(&self, index: IndexId, key: &[u8], value: Option<Vec<u8>>) {
-        let mut chains = self.shard(index, key).lock();
-        chains.entry((index, key.to_vec())).or_insert_with(|| {
-            vec![VersionEntry { commit_lsn: BASE_VERSION, payload: Payload::Full(value) }]
-        });
+        self.with_chain(index, key, || Ok(value), |_| Ok(())).expect("infallible closures");
     }
 
-    /// Insert an entry keeping the chain sorted by commit LSN. Concurrent
-    /// committers publish in nondeterministic order; folding and base
-    /// selection assume `chain[1]` is the oldest unfolded event, so the
-    /// chain must be maintained in LSN order (an out-of-order append would
-    /// let a fold absorb a *newer* sibling into the base, permanently
-    /// hiding the older delta behind the base LSN).
-    fn insert_sorted(chain: &mut Vec<VersionEntry>, entry: VersionEntry) {
-        let pos = chain
-            .iter()
-            .rposition(|e| e.commit_lsn <= entry.commit_lsn)
-            .map(|p| p + 1)
-            .unwrap_or(0);
-        chain.insert(pos, entry);
-    }
-
-    /// Publish a committed escrow delta. Folds the chain with `materialize`
-    /// if it grew too long — but never past `horizon` (the oldest active
-    /// snapshot): a folded base with `commit_lsn > s` would make a reader
-    /// at `s` see the row as absent.
+    /// Publish a committed escrow delta and fold the chain up to `horizon`
+    /// (the fold horizon of the commit watermark, never above it: a base
+    /// folded past a reader's snapshot would hide the row from it). A row
+    /// without a chain starts from an absent base.
     pub fn publish_delta(
         &self,
         index: IndexId,
@@ -147,16 +236,12 @@ impl VersionStore {
         horizon: Lsn,
         materialize: &Materializer<'_>,
     ) -> Result<()> {
-        let mut chains = self.shard(index, key).lock();
-        let chain = chains.entry((index, key.to_vec())).or_default();
-        Self::insert_sorted(chain, VersionEntry { commit_lsn, payload: Payload::Delta(pairs) });
-        if chain.len() > MAX_CHAIN {
-            Self::fold(chain, horizon, materialize)?;
-        }
-        Ok(())
+        let entry = VersionEntry { commit_lsn, payload: Payload::Delta(pairs) };
+        self.publish(index, key, entry, horizon, materialize)
     }
 
-    /// Publish a committed full image (X-lock paths; `None` = removed).
+    /// Publish a committed full image (X-lock paths; `None` = removed) and
+    /// fold the chain up to `horizon`.
     pub fn publish_full(
         &self,
         index: IndexId,
@@ -164,46 +249,24 @@ impl VersionStore {
         commit_lsn: Lsn,
         value: Option<Vec<u8>>,
         horizon: Lsn,
-    ) {
-        let mut chains = self.shard(index, key).lock();
-        let chain = chains.entry((index, key.to_vec())).or_default();
-        Self::insert_sorted(chain, VersionEntry { commit_lsn, payload: Payload::Full(value) });
-        // Full images supersede everything before them with smaller LSNs;
-        // cheap prune: drop entries strictly older than the newest full
-        // image once the chain is long — unless an active snapshot still
-        // needs them.
-        if chain.len() > MAX_CHAIN {
-            if let Some(pos) = chain.iter().rposition(|e| matches!(e.payload, Payload::Full(_))) {
-                let cutoff = chain[pos].commit_lsn;
-                if cutoff <= horizon && chain[..pos].iter().all(|e| e.commit_lsn <= cutoff) {
-                    chain.drain(..pos);
-                }
-            }
-        }
+        materialize: &Materializer<'_>,
+    ) -> Result<()> {
+        let entry = VersionEntry { commit_lsn, payload: Payload::Full(value) };
+        self.publish(index, key, entry, horizon, materialize)
     }
 
-    /// Fold the oldest entries into the base until the chain is bounded,
-    /// stopping at `horizon` (entries newer than the oldest active snapshot
-    /// must stay individually resolvable).
-    fn fold(chain: &mut Vec<VersionEntry>, horizon: Lsn, materialize: &Materializer<'_>) -> Result<()> {
-        while chain.len() > MAX_CHAIN && chain.len() > 1 && chain[1].commit_lsn <= horizon {
-            // Entry 0 is always a Full (the base); entry 1 gets absorbed.
-            let second = chain.remove(1);
-            let base = &mut chain[0];
-            match second.payload {
-                Payload::Full(v) => {
-                    base.payload = Payload::Full(v);
-                }
-                Payload::Delta(pairs) => {
-                    let cur = match &base.payload {
-                        Payload::Full(v) => v.clone(),
-                        Payload::Delta(_) => unreachable!("chain head is always Full"),
-                    };
-                    base.payload = Payload::Full(materialize(cur, &pairs)?);
-                }
-            }
-            base.commit_lsn = base.commit_lsn.max(second.commit_lsn);
-        }
+    fn publish(
+        &self,
+        index: IndexId,
+        key: &[u8],
+        entry: VersionEntry,
+        horizon: Lsn,
+        materialize: &Materializer<'_>,
+    ) -> Result<()> {
+        let folded =
+            self.with_chain(index, key, || Ok(None), |c| c.publish(entry, horizon, materialize))?;
+        self.obs.entries.add(1 - folded as i64);
+        self.obs.folds.add(folded as u64);
         Ok(())
     }
 
@@ -217,85 +280,93 @@ impl VersionStore {
         s: Lsn,
         materialize: &Materializer<'_>,
     ) -> Result<Option<Option<Vec<u8>>>> {
-        let chains = self.shard(index, key).lock();
-        let Some(chain) = chains.get(&(index, key.to_vec())) else {
+        let Some(dir) = self.directory(index) else {
             return Ok(None);
         };
-        // Newest full image at or below s (the base qualifies when s >= 1).
-        let mut base: Option<(Lsn, Option<Vec<u8>>)> = None;
-        for e in chain {
-            if e.commit_lsn <= s {
-                if let Payload::Full(v) = &e.payload {
-                    if base.as_ref().is_none_or(|(l, _)| e.commit_lsn >= *l) {
-                        base = Some((e.commit_lsn, v.clone()));
-                    }
-                }
-            }
-        }
-        let Some((base_lsn, mut value)) = base else {
-            // Chain exists but the snapshot predates even the base image
-            // (possible after folding): report "absent".
-            return Ok(Some(None));
+        let chains = dir.read();
+        let Some(chain) = chains.get(key) else {
+            return Ok(None);
         };
-        // Apply every delta in (base_lsn, s] — order-independent.
-        for e in chain {
-            if e.commit_lsn > base_lsn && e.commit_lsn <= s {
-                if let Payload::Delta(pairs) = &e.payload {
-                    value = materialize(value, pairs)?;
-                }
-            }
-        }
-        Ok(Some(value))
+        let chain = chain.lock();
+        self.obs.chain_len.record(chain.len() as u64);
+        chain.resolve(s, materialize).map(Some)
     }
 
-    /// All keys with chains for one index (snapshot scans union these with
-    /// the live tree keys). The scan visits shards one at a time in fixed
-    /// order — snapshot-consistent per shard, fuzzy across shards, which is
-    /// sound for recomputation reads because every returned key is
-    /// re-resolved through [`VersionStore::read_at`] at the reader's
-    /// snapshot LSN, and chains are never removed while readers exist.
-    pub fn keys_for(&self, index: IndexId) -> Vec<Vec<u8>> {
+    /// [`VersionStore::read_at`] for every chain of `index` with a key in
+    /// `[lo, hi)`, as `(key, image)` in key order. Chains are locked one
+    /// after the other — consistent per chain, fuzzy across chains, which
+    /// is sound because every image is resolved at the reader's snapshot
+    /// LSN and chains are never removed while readers exist.
+    pub fn range_at(
+        &self,
+        index: IndexId,
+        lo: Option<&[u8]>,
+        hi: Option<&[u8]>,
+        s: Lsn,
+        materialize: &RangeMaterializer<'_>,
+    ) -> Result<Vec<Resolved>> {
         let mut out = Vec::new();
-        for shard in self.shards.iter() {
-            let chains = shard.lock();
-            out.extend(
-                chains.keys().filter(|(i, _)| *i == index).map(|(_, k)| k.clone()),
-            );
+        let Some(dir) = self.directory(index) else {
+            return Ok(out);
+        };
+        if lo.zip(hi).is_some_and(|(lo, hi)| lo >= hi) {
+            return Ok(out);
         }
-        out
+        let bounds = (
+            lo.map_or(Bound::Unbounded, Bound::Included),
+            hi.map_or(Bound::Unbounded, Bound::Excluded),
+        );
+        let mut longest = 0;
+        for (key, chain) in dir.read().range::<[u8], _>(bounds) {
+            let chain = chain.lock();
+            longest = longest.max(chain.len());
+            let image = chain.resolve(s, |image, pairs| materialize(key, image, pairs))?;
+            out.push((key.clone(), image));
+        }
+        if longest > 0 {
+            self.obs.chain_len.record(longest as u64);
+        }
+        Ok(out)
+    }
+
+    /// All keys with chains for one index (tests and probes; readers use
+    /// [`VersionStore::range_at`]).
+    pub fn keys_for(&self, index: IndexId) -> Vec<Vec<u8>> {
+        self.directory(index).map_or_else(Vec::new, |dir| dir.read().keys().cloned().collect())
     }
 
     /// Drop everything (crash simulation: versions are volatile state).
     pub fn clear(&self) {
-        for shard in self.shards.iter() {
-            shard.lock().clear();
-        }
+        self.indexes.write().clear();
+        self.obs.entries.set(0);
     }
 
-    /// Debug dump of a chain: (commit_lsn, is_full, delta-pairs-if-any).
+    /// The `versions.*` metrics.
+    pub fn obs_snapshot(&self) -> Snapshot {
+        let mut s = Snapshot::default();
+        s.gauge("versions.entries", self.obs.entries.get());
+        s.counter("versions.folds", self.obs.folds.get());
+        s.hist("versions.chain_len", self.obs.chain_len.snapshot());
+        s
+    }
+
+    /// Debug dump of a chain, base first: (commit_lsn, is_full,
+    /// delta-pairs-if-any).
     #[doc(hidden)]
     pub fn debug_chain(&self, index: IndexId, key: &[u8]) -> Vec<(u64, bool, Option<DeltaPairs>)> {
-        self.shard(index, key)
-            .lock()
-            .get(&(index, key.to_vec()))
-            .map(|chain| {
-                chain
-                    .iter()
-                    .map(|e| match &e.payload {
-                        Payload::Full(_) => (e.commit_lsn.0, true, None),
-                        Payload::Delta(p) => (e.commit_lsn.0, false, Some(p.clone())),
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    #[cfg(test)]
-    fn chain_len(&self, index: IndexId, key: &[u8]) -> usize {
-        self.shard(index, key)
-            .lock()
-            .get(&(index, key.to_vec()))
-            .map_or(0, |c| c.len())
+        let Some(dir) = self.directory(index) else {
+            return Vec::new();
+        };
+        let chains = dir.read();
+        let Some(chain) = chains.get(key) else {
+            return Vec::new();
+        };
+        let chain = chain.lock();
+        let tail = chain.tail.iter().map(|e| match &e.payload {
+            Payload::Full(_) => (e.commit_lsn.0, true, None),
+            Payload::Delta(p) => (e.commit_lsn.0, false, Some(p.clone())),
+        });
+        std::iter::once((chain.base_lsn.0, true, None)).chain(tail).collect()
     }
 }
 
@@ -304,13 +375,13 @@ mod tests {
     use super::*;
 
     const IDX: IndexId = IndexId(1);
+    /// A horizon below every commit: some snapshot still needs everything.
+    const PINNED: Lsn = Lsn(0);
 
     /// Toy materializer: the "row" is one little-endian i64; deltas at
     /// position 0 add to it; absent rows materialize from 0.
     fn mat(base: Option<Vec<u8>>, pairs: &[(u16, ValueDelta)]) -> Result<Option<Vec<u8>>> {
-        let mut v = base
-            .map(|b| i64::from_le_bytes(b[..8].try_into().unwrap()))
-            .unwrap_or(0);
+        let mut v = base.map(|b| i64::from_le_bytes(b[..8].try_into().unwrap())).unwrap_or(0);
         for (pos, d) in pairs {
             assert_eq!(*pos, 0);
             if let ValueDelta::Int(x) = d {
@@ -320,25 +391,35 @@ mod tests {
         Ok(Some(v.to_le_bytes().to_vec()))
     }
 
+    fn img(v: i64) -> Option<Vec<u8>> {
+        Some(v.to_le_bytes().to_vec())
+    }
+
+    fn num(image: Option<Vec<u8>>) -> Option<i64> {
+        image.map(|b| i64::from_le_bytes(b[..8].try_into().unwrap()))
+    }
+
     fn read(vs: &VersionStore, s: u64) -> Option<i64> {
-        vs.read_at(IDX, b"k", Lsn(s), &mat)
-            .unwrap()
-            .expect("chain exists")
-            .map(|b| i64::from_le_bytes(b[..8].try_into().unwrap()))
+        num(vs.read_at(IDX, b"k", Lsn(s), &mat).unwrap().expect("chain exists"))
     }
 
     fn delta(x: i64) -> DeltaPairs {
         vec![(0, ValueDelta::Int(x))]
     }
 
+    fn gauge(vs: &VersionStore, name: &str) -> i64 {
+        vs.obs_snapshot().gauge_value(name).unwrap()
+    }
+
     #[test]
     fn deltas_commute_out_of_order_publish() {
         let vs = VersionStore::new();
-        vs.ensure_base(IDX, b"k", Some(100i64.to_le_bytes().to_vec()));
+        vs.ensure_base(IDX, b"k", img(100));
         // T2 (lsn 20) publishes BEFORE T1 (lsn 10) — the race that breaks
-        // value-based version chains.
-        vs.publish_delta(IDX, b"k", Lsn(20), delta(7), Lsn(u64::MAX), &mat).unwrap();
-        vs.publish_delta(IDX, b"k", Lsn(10), delta(5), Lsn(u64::MAX), &mat).unwrap();
+        // value-based version chains. Both tickets are live, so the
+        // horizon sits below both.
+        vs.publish_delta(IDX, b"k", Lsn(20), delta(7), Lsn(9), &mat).unwrap();
+        vs.publish_delta(IDX, b"k", Lsn(10), delta(5), Lsn(9), &mat).unwrap();
         assert_eq!(read(&vs, 5), Some(100));
         assert_eq!(read(&vs, 10), Some(105));
         assert_eq!(read(&vs, 19), Some(105));
@@ -350,8 +431,8 @@ mod tests {
     fn snapshot_between_commits_sees_prefix() {
         let vs = VersionStore::new();
         vs.ensure_base(IDX, b"k", None);
-        vs.publish_delta(IDX, b"k", Lsn(10), delta(1), Lsn(u64::MAX), &mat).unwrap();
-        vs.publish_delta(IDX, b"k", Lsn(30), delta(2), Lsn(u64::MAX), &mat).unwrap();
+        vs.publish_delta(IDX, b"k", Lsn(10), delta(1), PINNED, &mat).unwrap();
+        vs.publish_delta(IDX, b"k", Lsn(30), delta(2), PINNED, &mat).unwrap();
         assert_eq!(read(&vs, 15), Some(1)); // materialized from absent = 0
         assert_eq!(read(&vs, 30), Some(3));
     }
@@ -359,10 +440,10 @@ mod tests {
     #[test]
     fn full_image_supersedes_prior_deltas() {
         let vs = VersionStore::new();
-        vs.ensure_base(IDX, b"k", Some(0i64.to_le_bytes().to_vec()));
-        vs.publish_delta(IDX, b"k", Lsn(10), delta(5), Lsn(u64::MAX), &mat).unwrap();
-        vs.publish_full(IDX, b"k", Lsn(20), Some(1000i64.to_le_bytes().to_vec()), Lsn(u64::MAX));
-        vs.publish_delta(IDX, b"k", Lsn(30), delta(1), Lsn(u64::MAX), &mat).unwrap();
+        vs.ensure_base(IDX, b"k", img(0));
+        vs.publish_delta(IDX, b"k", Lsn(10), delta(5), PINNED, &mat).unwrap();
+        vs.publish_full(IDX, b"k", Lsn(20), img(1000), PINNED, &mat).unwrap();
+        vs.publish_delta(IDX, b"k", Lsn(30), delta(1), PINNED, &mat).unwrap();
         assert_eq!(read(&vs, 10), Some(5));
         assert_eq!(read(&vs, 20), Some(1000));
         assert_eq!(read(&vs, 30), Some(1001));
@@ -371,41 +452,68 @@ mod tests {
     #[test]
     fn removal_then_recreation() {
         let vs = VersionStore::new();
-        vs.ensure_base(IDX, b"k", Some(5i64.to_le_bytes().to_vec()));
-        vs.publish_full(IDX, b"k", Lsn(10), None, Lsn(u64::MAX)); // removed
-        vs.publish_delta(IDX, b"k", Lsn(20), delta(3), Lsn(u64::MAX), &mat).unwrap();
+        vs.ensure_base(IDX, b"k", img(5));
+        vs.publish_full(IDX, b"k", Lsn(10), None, PINNED, &mat).unwrap(); // removed
+        vs.publish_delta(IDX, b"k", Lsn(20), delta(3), PINNED, &mat).unwrap();
         assert_eq!(read(&vs, 5), Some(5));
         assert_eq!(read(&vs, 10), None, "absent at 10");
         assert_eq!(read(&vs, 20), Some(3)); // recreated from absent
     }
 
+    /// With the horizon trailing one commit behind (the steady state under
+    /// a write load without readers), a chain never holds more than its
+    /// base and the entry just published.
     #[test]
-    fn folding_preserves_newest_reads_and_bounds_memory() {
+    fn every_publish_folds_up_to_the_horizon() {
         let vs = VersionStore::new();
-        vs.ensure_base(IDX, b"k", Some(0i64.to_le_bytes().to_vec()));
-        for i in 0..(MAX_CHAIN as u64 + 20) {
-            vs.publish_delta(IDX, b"k", Lsn(10 + i), delta(1), Lsn(u64::MAX), &mat).unwrap();
+        vs.ensure_base(IDX, b"k", img(0));
+        for i in 0..100u64 {
+            vs.publish_delta(IDX, b"k", Lsn(10 + i), delta(1), Lsn(9 + i), &mat).unwrap();
+            assert!(vs.debug_chain(IDX, b"k").len() <= 2);
         }
-        assert_eq!(read(&vs, 1000), Some(MAX_CHAIN as i64 + 20));
-        assert!(vs.chain_len(IDX, b"k") <= MAX_CHAIN + 1);
+        assert_eq!(read(&vs, 1000), Some(100));
+        assert_eq!(gauge(&vs, "versions.entries"), 2);
+        assert_eq!(vs.obs_snapshot().counter_value("versions.folds"), Some(99));
+    }
+
+    /// A pinned horizon keeps every entry above it resolvable, however many
+    /// arrive; once it moves, one publish folds them all.
+    #[test]
+    fn pinned_horizon_holds_the_tail_until_released() {
+        let vs = VersionStore::new();
+        vs.ensure_base(IDX, b"k", img(0));
+        for i in 0..200u64 {
+            vs.publish_delta(IDX, b"k", Lsn(10 + i), delta(1), Lsn(50), &mat).unwrap();
+        }
+        assert_eq!(read(&vs, 50), Some(41), "the pinned snapshot's own view");
+        assert_eq!(read(&vs, 51), Some(42));
+        assert_eq!(read(&vs, 1000), Some(200));
+        assert_eq!(gauge(&vs, "versions.entries"), 1 + 200 - 41);
+        vs.publish_delta(IDX, b"k", Lsn(300), delta(1), Lsn(299), &mat).unwrap();
+        assert_eq!(vs.debug_chain(IDX, b"k").len(), 2);
+        assert_eq!(read(&vs, 299), Some(200));
+        assert_eq!(read(&vs, 300), Some(201));
+        let h = vs.obs_snapshot().hist_value("versions.chain_len").unwrap().clone();
+        assert_eq!(h.count(), 5, "one sample per read");
     }
 
     /// Regression: an out-of-order publish (older LSN arriving later) must
-    /// not be lost when folding kicks in — the chain is kept LSN-sorted so
-    /// folds always absorb the genuinely oldest entry.
+    /// not be lost to a fold — the tail is kept LSN-sorted so folds absorb
+    /// the genuinely oldest entries.
     #[test]
     fn fold_after_out_of_order_publish_loses_nothing() {
         let vs = VersionStore::new();
-        vs.ensure_base(IDX, b"k", Some(0i64.to_le_bytes().to_vec()));
+        vs.ensure_base(IDX, b"k", img(0));
         // Newer commit publishes first...
-        vs.publish_delta(IDX, b"k", Lsn(1000), delta(100), Lsn(u64::MAX), &mat).unwrap();
+        vs.publish_delta(IDX, b"k", Lsn(1000), delta(100), Lsn(998), &mat).unwrap();
         // ...then the older one lands...
-        vs.publish_delta(IDX, b"k", Lsn(999), delta(1), Lsn(u64::MAX), &mat).unwrap();
-        // ...and a burst forces folding, with an active snapshot at 999
+        vs.publish_delta(IDX, b"k", Lsn(999), delta(1), Lsn(998), &mat).unwrap();
+        // ...and later commits fold, with an active snapshot at 999
         // bounding the horizon.
-        for i in 0..MAX_CHAIN as u64 + 4 {
+        for i in 0..20 {
             vs.publish_delta(IDX, b"k", Lsn(2000 + i), delta(0), Lsn(999), &mat).unwrap();
         }
+        assert_eq!(read(&vs, 998), None, "below the fold horizon: nobody reads here");
         assert_eq!(read(&vs, 999), Some(1), "older delta resolvable at the protected snapshot");
         assert_eq!(read(&vs, 1000), Some(101));
         assert_eq!(read(&vs, 1_000_000), Some(101), "nothing lost to folding");
@@ -415,6 +523,8 @@ mod tests {
     fn no_chain_is_outer_none() {
         let vs = VersionStore::new();
         assert!(vs.read_at(IDX, b"nope", Lsn(5), &mat).unwrap().is_none());
+        vs.ensure_base(IDX, b"k", None);
+        assert!(vs.read_at(IDX, b"nope", Lsn(5), &mat).unwrap().is_none());
     }
 
     #[test]
@@ -423,12 +533,12 @@ mod tests {
         let mut calls = 0;
         vs.ensure_base_with(IDX, b"k", || {
             calls += 1;
-            Ok(Some(1i64.to_le_bytes().to_vec()))
+            Ok(img(1))
         })
         .unwrap();
         vs.ensure_base_with(IDX, b"k", || {
             calls += 1;
-            Ok(Some(2i64.to_le_bytes().to_vec()))
+            Ok(img(2))
         })
         .unwrap();
         assert_eq!(calls, 1);
@@ -441,32 +551,31 @@ mod tests {
         vs.ensure_base(IDX, b"a", None);
         vs.ensure_base(IndexId(2), b"b", None);
         assert_eq!(vs.keys_for(IDX), vec![b"a".to_vec()]);
+        assert!(vs.keys_for(IndexId(3)).is_empty());
     }
 
-    /// Many keys necessarily land on different shards; the cross-shard
-    /// scan must still return every one exactly once, and per-key reads
-    /// must be unaffected by which shard a neighbor lives on.
+    /// A range read returns each key in range exactly once, in key order,
+    /// resolved as a point read resolves it, and never a key of another
+    /// index.
     #[test]
-    fn chains_span_shards_without_loss() {
+    fn range_read_matches_point_reads_in_key_order() {
         let vs = VersionStore::new();
         for i in 0..200u64 {
             let key = i.to_be_bytes();
-            vs.ensure_base(IDX, &key, Some(0i64.to_le_bytes().to_vec()));
-            vs.publish_delta(IDX, &key, Lsn(10 + i), delta(i as i64), Lsn(u64::MAX), &mat)
-                .unwrap();
+            vs.ensure_base(IDX, &key, img(0));
+            vs.publish_delta(IDX, &key, Lsn(10 + i), delta(i as i64), PINNED, &mat).unwrap();
+            vs.ensure_base(IndexId(2), &key, img(-1));
         }
-        let mut keys = vs.keys_for(IDX);
-        keys.sort();
-        assert_eq!(keys.len(), 200);
-        keys.dedup();
-        assert_eq!(keys.len(), 200, "no key listed twice across shards");
-        for i in 0..200u64 {
-            let got = vs
-                .read_at(IDX, &i.to_be_bytes(), Lsn(10 + i), &mat)
-                .unwrap()
-                .unwrap()
-                .map(|b| i64::from_le_bytes(b[..8].try_into().unwrap()));
-            assert_eq!(got, Some(i as i64));
-        }
+        let keyed = |_: &[u8], b: Option<Vec<u8>>, p: &[(u16, ValueDelta)]| mat(b, p);
+        let (lo, hi) = (20u64.to_be_bytes(), 180u64.to_be_bytes());
+        let got = vs.range_at(IDX, Some(&lo), Some(&hi), Lsn(109), &keyed).unwrap();
+        let want: Vec<_> = (20..180u64)
+            .map(|i| (i.to_be_bytes().to_vec(), img(if i < 100 { i as i64 } else { 0 })))
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(vs.range_at(IDX, None, None, Lsn(109), &keyed).unwrap().len(), 200);
+        assert_eq!(vs.range_at(IDX, Some(&hi), Some(&lo), Lsn(109), &keyed).unwrap(), vec![]);
+        assert_eq!(vs.range_at(IndexId(3), None, None, Lsn(109), &keyed).unwrap(), vec![]);
+        assert_eq!(vs.keys_for(IDX).len(), 200);
     }
 }

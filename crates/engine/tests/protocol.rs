@@ -271,6 +271,55 @@ fn snapshot_reader_ignores_inflight_escrow() {
     db.commit(&mut snap2).unwrap();
 }
 
+/// A Snapshot transaction held open across 1,000 commits to one group pins
+/// the fold horizon: its own reads stay exactly what they were, the chain
+/// keeps every version above it (and says so in `versions.*`), and once it
+/// ends the next publish folds the lot.
+#[test]
+fn long_snapshot_keeps_its_row_and_releases_the_chain_when_it_ends() {
+    let (db, view) = setup(MaintenanceMode::Escrow);
+    load_accounts(&db, 2, 1, 100);
+    let g = [Value::Int(0)];
+    let versions = |db: &Database| {
+        let m = db.metrics_snapshot();
+        (m.gauge_value("versions.entries").unwrap(), m.counter_value("versions.folds").unwrap())
+    };
+
+    let mut held = db.begin(IsolationLevel::Snapshot);
+    let original = db.view_lookup(&mut held, view, &g).unwrap().unwrap();
+    assert_eq!(original, row![0i64, 2i64, 200i64]);
+    for i in 0..1000i64 {
+        let mut w = db.begin(IsolationLevel::ReadCommitted);
+        db.insert(&mut w, "accounts", row![100 + i, 0i64, 1i64]).unwrap();
+        db.commit(&mut w).unwrap();
+    }
+    assert_eq!(db.view_lookup(&mut held, view, &g).unwrap().unwrap(), original);
+    assert_eq!(db.view_scan(&mut held, view, None, None).unwrap(), vec![original]);
+    let mut fresh = db.begin(IsolationLevel::Snapshot);
+    assert_eq!(db.view_lookup(&mut fresh, view, &g).unwrap().unwrap(), row![0i64, 1002i64, 1200i64]);
+    db.commit(&mut fresh).unwrap();
+
+    // The load's own entry folded at the first later publish; the 1,000
+    // above the held snapshot cannot.
+    assert_eq!(db.debug_chain(view, &g).unwrap().len(), 1001);
+    assert_eq!(versions(&db), (1001, 1));
+    let seen = db.metrics_snapshot().hist_value("versions.chain_len").unwrap().clone();
+    assert!(seen.max_bound() >= 1001, "readers met the long chain: {seen:?}");
+
+    db.commit(&mut held).unwrap();
+    let mut w = db.begin(IsolationLevel::ReadCommitted);
+    db.insert(&mut w, "accounts", row![5000i64, 0i64, 1i64]).unwrap();
+    db.commit(&mut w).unwrap();
+    // Base plus the entry just published (its own commit ticket keeps the
+    // horizon below it).
+    assert_eq!(db.debug_chain(view, &g).unwrap().len(), 2);
+    assert_eq!(versions(&db), (2, 1001));
+    let mut fresh = db.begin(IsolationLevel::Snapshot);
+    assert_eq!(db.view_lookup(&mut fresh, view, &g).unwrap().unwrap(), row![0i64, 1003i64, 1201i64]);
+    db.commit(&mut fresh).unwrap();
+    db.verify_view(view).unwrap();
+}
+
 #[test]
 fn crash_recovery_committed_survives_losers_undone() {
     let (db, view) = setup(MaintenanceMode::Escrow);

@@ -1,16 +1,20 @@
-//! Differential equivalence battery for the sharded hot-path structures
-//! (PR 5). Each sharded implementation is driven op-for-op against a
-//! single-map, single-mutex reference model implementing the *pre-sharding*
-//! semantics, over randomized programs that exercise the interesting
-//! interleavings sequentially:
+//! Differential equivalence battery for the concurrent hot-path structures
+//! (PR 5; version store reworked in PR 12). Each implementation is driven
+//! op-for-op against a single-map, single-threaded reference model over
+//! randomized programs that exercise the interesting interleavings
+//! sequentially:
 //!
 //! * **publish-at-commit orderings** — version-chain entries arrive with
 //!   out-of-order commit LSNs (concurrent committers publish in
-//!   nondeterministic order), so `insert_sorted` placement and
-//!   base-selection logic are stressed;
-//! * **GC past the watermark** — fold/prune horizons strictly below the
-//!   newest commit LSN, so chains are compacted while "active snapshots"
-//!   still need the tail, and reads at every LSN in a grid must agree;
+//!   nondeterministic order), so sorted placement and prefix folds are
+//!   stressed;
+//! * **GC at the watermark** — every publish folds its chain up to a fold
+//!   horizon that trails the newest commit LSN by a random lag, while
+//!   "active snapshots" still need the tail; the reference never folds, so
+//!   reads at every LSN in a grid agreeing is the claim that a fold cannot
+//!   be observed;
+//! * **range reads** — the one-pass range call must equal per-key reads
+//!   over the chain keys in range, at random bounds and snapshots;
 //! * **registry churn** — interleaved insert/remove/update/with_entry on
 //!   the txn/touched-style [`ShardMap`], with the O(1) length gauge checked
 //!   against the reference after every op;
@@ -19,22 +23,28 @@
 //!   stripes is not part of the contract; set-equality and no-duplicates
 //!   are).
 //!
-//! Sharding is a pure partitioning of the key space: every one of these
-//! properties must hold exactly, not approximately.
+//! Sharding is a pure partitioning of the key space and folding a pure
+//! compaction of history: every one of these properties must hold exactly,
+//! not approximately.
 
 use proptest::prelude::*;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use txview_repro::common::sharded::ShardMap;
 use txview_repro::common::{IndexId, Lsn};
 use txview_repro::engine::ghosts::GhostQueue;
-use txview_repro::engine::versions::{DeltaPairs, VersionStore, MAX_CHAIN};
+use txview_repro::engine::versions::{DeltaPairs, VersionStore};
 use txview_repro::wal::record::ValueDelta;
 
 // ---- reference model for the version store ------------------------------
 //
-// A faithful reimplementation of the pre-sharding store: one HashMap, same
-// chain representation, same fold/prune rules. Kept deliberately close to
-// the production code so any divergence is a sharding bug, not a model bug.
+// The model keeps the whole history: every published entry, ordered by
+// commit LSN (arrival order within one LSN), and a read at `s` replays the
+// entries at or below `s` over the first base image — a delta adds, a full
+// image replaces. It never folds. All it knows about folding is how far a
+// chain's base has moved: `base_lsn`, the largest LSN at or below a horizon
+// handed to a publish on that chain. Below `base_lsn` the store answers
+// "absent" and so does the model; at or above it the store, which has
+// folded everything up to there, must agree with the full history.
 
 #[derive(Clone, Debug)]
 enum RefPayload {
@@ -50,9 +60,15 @@ struct RefEntry {
 
 const BASE_VERSION: Lsn = Lsn(1);
 
+struct RefChain {
+    base: Option<Vec<u8>>,
+    base_lsn: Lsn,
+    entries: Vec<RefEntry>,
+}
+
 #[derive(Default)]
 struct RefVersionStore {
-    chains: HashMap<(IndexId, Vec<u8>), Vec<RefEntry>>,
+    chains: BTreeMap<(IndexId, Vec<u8>), RefChain>,
 }
 
 fn materialize(cur: Option<Vec<u8>>, pairs: &[(u16, ValueDelta)]) -> txview_repro::common::Result<Option<Vec<u8>>> {
@@ -69,85 +85,38 @@ fn materialize(cur: Option<Vec<u8>>, pairs: &[(u16, ValueDelta)]) -> txview_repr
 }
 
 impl RefVersionStore {
-    fn insert_sorted(chain: &mut Vec<RefEntry>, entry: RefEntry) {
-        let pos = chain
-            .iter()
-            .rposition(|e| e.commit_lsn <= entry.commit_lsn)
-            .map(|p| p + 1)
-            .unwrap_or(0);
-        chain.insert(pos, entry);
-    }
-
     fn ensure_base(&mut self, index: IndexId, key: &[u8], value: Option<Vec<u8>>) {
-        self.chains.entry((index, key.to_vec())).or_insert_with(|| {
-            vec![RefEntry { commit_lsn: BASE_VERSION, payload: RefPayload::Full(value) }]
+        self.chains.entry((index, key.to_vec())).or_insert(RefChain {
+            base: value,
+            base_lsn: BASE_VERSION,
+            entries: Vec::new(),
         });
     }
 
-    fn publish_delta(&mut self, index: IndexId, key: &[u8], commit_lsn: Lsn, pairs: DeltaPairs, horizon: Lsn) {
-        let chain = self.chains.entry((index, key.to_vec())).or_default();
-        Self::insert_sorted(chain, RefEntry { commit_lsn, payload: RefPayload::Delta(pairs) });
-        if chain.len() > MAX_CHAIN {
-            Self::fold(chain, horizon);
-        }
-    }
-
-    fn publish_full(&mut self, index: IndexId, key: &[u8], commit_lsn: Lsn, value: Option<Vec<u8>>, horizon: Lsn) {
-        let chain = self.chains.entry((index, key.to_vec())).or_default();
-        Self::insert_sorted(chain, RefEntry { commit_lsn, payload: RefPayload::Full(value) });
-        if chain.len() > MAX_CHAIN {
-            if let Some(pos) = chain.iter().rposition(|e| matches!(e.payload, RefPayload::Full(_))) {
-                let cutoff = chain[pos].commit_lsn;
-                if cutoff <= horizon && chain[..pos].iter().all(|e| e.commit_lsn <= cutoff) {
-                    chain.drain(..pos);
-                }
-            }
-        }
-    }
-
-    fn fold(chain: &mut Vec<RefEntry>, horizon: Lsn) {
-        while chain.len() > MAX_CHAIN && chain.len() > 1 && chain[1].commit_lsn <= horizon {
-            let second = chain.remove(1);
-            let base = &mut chain[0];
-            match second.payload {
-                RefPayload::Full(v) => base.payload = RefPayload::Full(v),
-                RefPayload::Delta(pairs) => {
-                    let cur = match &base.payload {
-                        RefPayload::Full(v) => v.clone(),
-                        RefPayload::Delta(_) => unreachable!("chain head is always Full"),
-                    };
-                    base.payload = RefPayload::Full(materialize(cur, &pairs).unwrap());
-                }
-            }
-            base.commit_lsn = base.commit_lsn.max(second.commit_lsn);
-        }
+    fn publish(&mut self, index: IndexId, key: &[u8], entry: RefEntry, horizon: Lsn) {
+        let chain = self.chains.get_mut(&(index, key.to_vec())).expect("chain seeded by ensure_base");
+        let at = chain.entries.partition_point(|e| e.commit_lsn <= entry.commit_lsn);
+        chain.entries.insert(at, entry);
+        let folded = chain.entries.iter().map(|e| e.commit_lsn).filter(|l| *l <= horizon).max();
+        chain.base_lsn = chain.base_lsn.max(folded.unwrap_or(BASE_VERSION));
     }
 
     fn read_at(&self, index: IndexId, key: &[u8], s: Lsn) -> Option<Option<Vec<u8>>> {
         let chain = self.chains.get(&(index, key.to_vec()))?;
-        let mut base: Option<(Lsn, Option<Vec<u8>>)> = None;
-        for e in chain {
-            if e.commit_lsn <= s {
-                if let RefPayload::Full(v) = &e.payload {
-                    if base.as_ref().is_none_or(|(l, _)| e.commit_lsn >= *l) {
-                        base = Some((e.commit_lsn, v.clone()));
-                    }
-                }
-            }
-        }
-        let Some((base_lsn, mut value)) = base else {
+        if s < chain.base_lsn {
             return Some(None);
-        };
-        for e in chain {
-            if e.commit_lsn > base_lsn && e.commit_lsn <= s {
-                if let RefPayload::Delta(pairs) = &e.payload {
-                    value = materialize(value, pairs).unwrap();
-                }
-            }
+        }
+        let mut value = chain.base.clone();
+        for e in chain.entries.iter().filter(|e| e.commit_lsn <= s) {
+            value = match &e.payload {
+                RefPayload::Full(v) => v.clone(),
+                RefPayload::Delta(pairs) => materialize(value, pairs).unwrap(),
+            };
         }
         Some(value)
     }
 
+    /// Keys of one index, in key order.
     fn keys_for(&self, index: IndexId) -> Vec<Vec<u8>> {
         self.chains.keys().filter(|(i, _)| *i == index).map(|(_, k)| k.clone()).collect()
     }
@@ -166,8 +135,8 @@ enum VsOp {
 }
 
 fn arb_vs_op() -> impl Strategy<Value = VsOp> {
-    // 2 indexes x 4 keys concentrates ops so chains exceed MAX_CHAIN and
-    // fold/prune paths actually run.
+    // 2 indexes x 4 keys concentrates ops, so chains grow tails that later
+    // publishes fold and out-of-order siblings land in the same chain.
     prop_oneof![
         1 => (0u8..2, 0u8..4, prop_oneof![Just(None), (0i64..100).prop_map(Some)])
             .prop_map(|(idx, key, value)| VsOp::Base { idx, key, value }),
@@ -210,69 +179,77 @@ fn enc(v: Option<i64>) -> Option<Vec<u8>> {
     v.map(|x| x.to_be_bytes().to_vec())
 }
 
+/// Run `ops` against the store and the reference, returning both plus the
+/// snapshot LSNs worth probing: every boundary the program created.
+fn run_program(ops: &[VsOp]) -> (VersionStore, RefVersionStore, BTreeSet<u64>) {
+    let store = VersionStore::new();
+    let mut reference = RefVersionStore::default();
+    let mut wm = WatermarkModel { hwm: 1 };
+    let mut grid: BTreeSet<u64> = [0, 1, 2].into();
+    for op in ops {
+        let (idx, key, payload, lsn_jitter, hor_lag) = match op {
+            VsOp::Base { idx, key, value } => {
+                let (i, k) = (IndexId(*idx as u32), [*key]);
+                store.ensure_base(i, &k, enc(*value));
+                reference.ensure_base(i, &k, enc(*value));
+                continue;
+            }
+            VsOp::Delta { idx, key, lsn_jitter, delta, hor_lag } => {
+                (idx, key, RefPayload::Delta(vec![(0, ValueDelta::Int(*delta))]), lsn_jitter, hor_lag)
+            }
+            VsOp::Full { idx, key, lsn_jitter, value, hor_lag } => {
+                (idx, key, RefPayload::Full(enc(*value)), lsn_jitter, hor_lag)
+            }
+        };
+        let (i, k) = (IndexId(*idx as u32), [*key]);
+        // Engine protocol: the chain is seeded with the pre-modification
+        // image before any publish.
+        store.ensure_base(i, &k, None);
+        reference.ensure_base(i, &k, None);
+        let (commit_lsn, horizon) = wm.stamp(*lsn_jitter, *hor_lag);
+        grid.extend([commit_lsn.0.saturating_sub(1), commit_lsn.0, commit_lsn.0 + 1, horizon.0]);
+        match &payload {
+            RefPayload::Delta(pairs) => {
+                store.publish_delta(i, &k, commit_lsn, pairs.clone(), horizon, &materialize).unwrap()
+            }
+            RefPayload::Full(value) => {
+                store.publish_full(i, &k, commit_lsn, value.clone(), horizon, &materialize).unwrap()
+            }
+        }
+        reference.publish(i, &k, RefEntry { commit_lsn, payload }, horizon);
+    }
+    grid.insert(wm.hwm + 10);
+    (store, reference, grid)
+}
+
+fn arb_bound() -> impl Strategy<Value = Option<u8>> {
+    prop_oneof![1 => Just(None), 3 => (0u8..6).prop_map(Some)]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
-    /// The sharded version store and the single-map reference agree on
+    /// The horizon-eager store and the never-folding reference agree on
     /// every read at every snapshot LSN after every program, including
-    /// programs that fold and prune chains past a lagging watermark.
+    /// programs whose publishes arrive out of order around a lagging
+    /// horizon.
     #[test]
-    fn version_store_matches_single_map_reference(ops in prop::collection::vec(arb_vs_op(), 1..300)) {
-        let sharded = VersionStore::new();
-        let mut reference = RefVersionStore::default();
-        let mut wm = WatermarkModel { hwm: 1 };
-        // Snapshot LSNs worth probing: every boundary the program created.
-        let mut grid: std::collections::BTreeSet<u64> = [0, 1, 2].into();
-        for op in &ops {
-            match op {
-                VsOp::Base { idx, key, value } => {
-                    let (i, k) = (IndexId(*idx as u32), [*key]);
-                    sharded.ensure_base(i, &k, enc(*value));
-                    reference.ensure_base(i, &k, enc(*value));
-                }
-                VsOp::Delta { idx, key, lsn_jitter, delta, hor_lag } => {
-                    let (i, k) = (IndexId(*idx as u32), [*key]);
-                    // Engine protocol: the chain is seeded with the
-                    // pre-modification image before any publish (the fold
-                    // invariant "chain head is Full" depends on it).
-                    sharded.ensure_base(i, &k, None);
-                    reference.ensure_base(i, &k, None);
-                    let (commit_lsn, horizon) = wm.stamp(*lsn_jitter, *hor_lag);
-                    grid.extend([commit_lsn.0.saturating_sub(1), commit_lsn.0, commit_lsn.0 + 1, horizon.0]);
-                    let pairs: DeltaPairs = vec![(0, ValueDelta::Int(*delta))];
-                    sharded
-                        .publish_delta(i, &k, commit_lsn, pairs.clone(), horizon, &materialize)
-                        .unwrap();
-                    reference.publish_delta(i, &k, commit_lsn, pairs, horizon);
-                }
-                VsOp::Full { idx, key, lsn_jitter, value, hor_lag } => {
-                    let (i, k) = (IndexId(*idx as u32), [*key]);
-                    sharded.ensure_base(i, &k, None);
-                    reference.ensure_base(i, &k, None);
-                    let (commit_lsn, horizon) = wm.stamp(*lsn_jitter, *hor_lag);
-                    grid.extend([commit_lsn.0.saturating_sub(1), commit_lsn.0, commit_lsn.0 + 1, horizon.0]);
-                    sharded.publish_full(i, &k, commit_lsn, enc(*value), horizon);
-                    reference.publish_full(i, &k, commit_lsn, enc(*value), horizon);
-                }
-            }
-        }
-        grid.insert(wm.hwm + 10);
+    fn version_store_matches_unfolded_reference(ops in prop::collection::vec(arb_vs_op(), 1..300)) {
+        let (store, reference, grid) = run_program(&ops);
         // Key sets per index agree (order is not part of the contract).
         for idx in 0..2u32 {
-            let mut a = sharded.keys_for(IndexId(idx));
-            let mut b = reference.keys_for(IndexId(idx));
-            a.sort();
-            b.sort();
-            prop_assert_eq!(a, b, "keys_for({}) diverged", idx);
+            let mut keys = store.keys_for(IndexId(idx));
+            keys.sort();
+            prop_assert_eq!(keys, reference.keys_for(IndexId(idx)), "keys_for({}) diverged", idx);
         }
         // Every (index, key) read over a full LSN grid agrees — including
         // s = 0 (predates the base) and s past every published LSN.
         for idx in 0..2u32 {
             for key in 0..4u8 {
                 let (i, k) = (IndexId(idx), [key]);
-                prop_assert_eq!(sharded.has_chain(i, &k), reference.chains.contains_key(&(i, k.to_vec())));
+                prop_assert_eq!(store.has_chain(i, &k), reference.chains.contains_key(&(i, k.to_vec())));
                 for &s in &grid {
-                    let got = sharded.read_at(i, &k, Lsn(s), &materialize).unwrap();
+                    let got = store.read_at(i, &k, Lsn(s), &materialize).unwrap();
                     let want = reference.read_at(i, &k, Lsn(s));
                     prop_assert_eq!(
                         got, want,
@@ -280,6 +257,40 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+
+    /// The one-pass range read equals per-key reads over the chain keys in
+    /// `[lo, hi)`, in key order — against the store's own `read_at` and
+    /// against the reference — at random bounds (open, empty and inverted
+    /// ones included) and snapshots.
+    #[test]
+    fn range_read_equals_point_reads(
+        ops in prop::collection::vec(arb_vs_op(), 1..200),
+        probes in prop::collection::vec((0u32..2, arb_bound(), arb_bound(), 0usize..1000), 1..12),
+    ) {
+        let (store, reference, grid) = run_program(&ops);
+        let grid: Vec<u64> = grid.into_iter().collect();
+        let keyed = |_: &[u8], cur: Option<Vec<u8>>, pairs: &[(u16, ValueDelta)]| materialize(cur, pairs);
+        for (idx, lo, hi, pick) in probes {
+            let (i, s) = (IndexId(idx), Lsn(grid[pick % grid.len()]));
+            let (lo, hi) = (lo.map(|b| [b]), hi.map(|b| [b]));
+            let got = store
+                .range_at(i, lo.as_ref().map(|b| &b[..]), hi.as_ref().map(|b| &b[..]), s, &keyed)
+                .unwrap();
+            let mut keys = store.keys_for(i);
+            keys.sort();
+            keys.retain(|k| lo.is_none_or(|lo| k[..] >= lo[..]) && hi.is_none_or(|hi| k[..] < hi[..]));
+            let own: Vec<_> = keys
+                .iter()
+                .map(|k| (k.clone(), store.read_at(i, k, s, &materialize).unwrap().expect("listed key has a chain")))
+                .collect();
+            prop_assert_eq!(&got, &own, "range_at(idx={}, {:?}..{:?}, s={}) vs read_at", idx, lo, hi, s.0);
+            let model: Vec<_> = keys
+                .iter()
+                .map(|k| (k.clone(), reference.read_at(i, k, s).expect("listed key has a chain")))
+                .collect();
+            prop_assert_eq!(&got, &model, "range_at(idx={}, {:?}..{:?}, s={}) vs reference", idx, lo, hi, s.0);
         }
     }
 }
