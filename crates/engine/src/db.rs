@@ -1145,7 +1145,7 @@ impl Database {
     /// Write a fuzzy checkpoint. Checkpoint failures are classified like
     /// commit failures: I/O exhaustion degrades, corruption fences.
     pub fn checkpoint(&self) -> Result<Lsn> {
-        let result = self.txns.checkpoint(&self.pool);
+        let result = self.log.checkpoint(&self.pool);
         self.note_commit_result(result, "checkpoint")
     }
 
@@ -1235,7 +1235,6 @@ impl Database {
         }
         self.locks.release(txn.id, &gap);
         self.maintain_phased(txn, &def, &views, Some(&row), None)?;
-        self.txns.note_progress(txn);
         Ok(())
     }
 
@@ -1269,7 +1268,6 @@ impl Database {
         txn.push_undo(undo, prev);
         self.enqueue_ghost(def.index, key.as_bytes().to_vec());
         self.maintain_phased(txn, &def, &views, None, Some(&row))?;
-        self.txns.note_progress(txn);
         Ok(())
     }
 
@@ -1303,7 +1301,6 @@ impl Database {
         }
         txn.push_undo(undo, prev);
         self.maintain_phased(txn, &def, &views, Some(&new_row), Some(&old_row))?;
-        self.txns.note_progress(txn);
         Ok(())
     }
 

@@ -729,17 +729,26 @@ mod tests {
 
     #[test]
     fn fifo_fairness_no_starvation_overtake() {
+        // Poll until `n` requests have queued (a request counts as waited
+        // the moment it is enqueued, before it parks).
+        let queued = |m: &LockManager, n: u64| {
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while m.stats().waited < n {
+                assert!(std::time::Instant::now() < deadline, "request {n} never queued");
+                std::thread::yield_now();
+            }
+        };
         let m = mgr();
         m.acquire(TxnId(1), key(1), LockMode::S).unwrap();
         // Txn 2 queues for X.
         let m2 = Arc::clone(&m);
         let h2 = std::thread::spawn(move || m2.acquire(TxnId(2), key(1), LockMode::X));
-        std::thread::sleep(Duration::from_millis(50));
+        queued(&m, 1);
         // Txn 3 requests S: compatible with the holder but must NOT
         // overtake the queued X.
         let m3 = Arc::clone(&m);
         let h3 = std::thread::spawn(move || m3.acquire(TxnId(3), key(1), LockMode::S));
-        std::thread::sleep(Duration::from_millis(50));
+        queued(&m, 2);
         assert_eq!(m.held_mode(TxnId(3), &key(1)), None, "S must queue behind X");
         m.release_all(TxnId(1));
         h2.join().unwrap().unwrap();

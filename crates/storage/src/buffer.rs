@@ -209,15 +209,21 @@ impl BufferPool {
     fn write_frame(&self, base: usize, idx: usize, st: &mut PoolState) -> Result<()> {
         let pid = st.frames[idx].pid.expect("write_frame on empty frame");
         // Uncontended: pins == 0 or caller owns the only pin and no latch.
-        let mut page = self.latches[base + idx].write();
+        self.write_image(pid, &mut self.latches[base + idx].write())?;
+        st.frames[idx].dirty = false;
+        st.frames[idx].rec_lsn = Lsn::NULL;
+        Ok(())
+    }
+
+    /// Write `page` (latched by the caller) to disk as `pid`: WAL first,
+    /// then the data write, retried under the pool's policy.
+    fn write_image(&self, pid: PageId, page: &mut Page) -> Result<()> {
         let t0 = self.obs.clock.now();
         self.flush_wal_to(page.lsn())?;
         self.probe("buffer.write_frame.pre_data_write");
         let policy = *self.retry.lock();
-        policy.run(&self.retry_counters, || self.disk.write_page(pid, &mut page))?;
+        policy.run(&self.retry_counters, || self.disk.write_page(pid, page))?;
         self.obs.write_us.record(self.obs.clock.now().saturating_sub(t0));
-        st.frames[idx].dirty = false;
-        st.frames[idx].rec_lsn = Lsn::NULL;
         Ok(())
     }
 
@@ -396,6 +402,54 @@ impl BufferPool {
             }
         }
         self.disk.sync()
+    }
+
+    /// Write back every dirty frame whose recLSN is null: a page allocated
+    /// (or recreated) and not written since, whose first log record the
+    /// pool cannot name. A checkpoint calls this before its dirty-page
+    /// snapshot, so a null recLSN in that snapshot belongs to a page
+    /// dirtied after the checkpoint began.
+    ///
+    /// Unlike `flush_all`, this is safe beside running transactions: each
+    /// frame is pinned, then written under its exclusive latch taken
+    /// *before* the sub-pool mutex — the order `PinnedPage::write` uses —
+    /// so a frame a writer holds is waited for, not deadlocked on.
+    pub fn write_back_unanchored(self: &Arc<Self>) -> Result<()> {
+        let mut wrote = false;
+        for (sub, sub_pool) in self.subs.iter().enumerate() {
+            let unanchored: Vec<(usize, PageId)> = {
+                let st = sub_pool.state.lock();
+                (st.frames.iter().enumerate())
+                    .filter(|(_, f)| f.dirty && f.rec_lsn.is_null())
+                    .filter_map(|(local, f)| Some((local, f.pid?)))
+                    .collect()
+            };
+            for (local, pid) in unanchored {
+                let pinned = {
+                    let mut st = sub_pool.state.lock();
+                    if st.frames[local].pid != Some(pid) {
+                        continue; // evicted (and so written) meanwhile
+                    }
+                    st.frames[local].pins += 1;
+                    PinnedPage { pool: Arc::clone(self), sub, local, pid }
+                };
+                let mut page = pinned.latch().write();
+                let still_unanchored = {
+                    let st = sub_pool.state.lock();
+                    st.frames[local].dirty && st.frames[local].rec_lsn.is_null()
+                };
+                if still_unanchored {
+                    self.write_image(pid, &mut page)?;
+                    let mut st = sub_pool.state.lock();
+                    st.frames[local].dirty = false;
+                    wrote = true;
+                }
+            }
+        }
+        if wrote {
+            self.disk.sync()?;
+        }
+        Ok(())
     }
 
     /// (page, recLSN) of currently dirty resident pages — the dirty-page
@@ -604,6 +658,31 @@ mod tests {
         assert_eq!(p.dirty_pages().len(), 1);
         p.flush_all().unwrap();
         assert!(p.dirty_pages().is_empty());
+    }
+
+    #[test]
+    fn write_back_unanchored_writes_only_null_rec_lsn_frames() {
+        let disk = Arc::new(MemDisk::new());
+        let p = BufferPool::new(Arc::clone(&disk) as Arc<dyn DiskManager>, 4);
+        let (old, page) = p.new_page(PageType::BTreeLeaf).unwrap();
+        page.write().set_lsn(Lsn(5));
+        drop(page);
+        p.flush_all().unwrap();
+        p.fetch(old).unwrap().write().set_lsn(Lsn(6)); // recLSN 5
+        // A fresh page, still pinned by its allocator: null recLSN.
+        let (new, pinned) = p.new_page(PageType::BTreeLeaf).unwrap();
+        {
+            let mut g = pinned.write();
+            g.payload_mut()[0] = 0x42;
+            g.set_lsn(Lsn(3));
+        }
+        assert!(disk.read_page(new).is_err(), "no disk image yet");
+        p.write_back_unanchored().unwrap();
+        assert_eq!(p.dirty_pages(), vec![(old, Lsn(5))], "anchored frame untouched");
+        assert_eq!(disk.read_page(new).unwrap().payload()[0], 0x42);
+        // Dirtied again, it takes an ordinary recLSN: its pageLSN.
+        pinned.write().set_lsn(Lsn(7));
+        assert!(p.dirty_pages().contains(&(new, Lsn(3))));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The transaction manager: begin / commit / rollback / savepoint /
-//! system transactions / checkpoint.
+//! system transactions.
 
 use crate::deps::PredOutcome;
 use crate::pipeline::CommitPipeline;
@@ -10,31 +10,19 @@ use txview_common::obs::{Counter, Histogram, ObsClock, Snapshot};
 use txview_common::sharded::ShardMap;
 use txview_common::{Error, Lsn, Result, TxnId};
 use txview_lock::{LockManager, LockName};
-use txview_storage::buffer::BufferPool;
 use txview_wal::record::{RecordBody, TxnKind};
 use txview_wal::recovery::UndoHandler;
 use txview_wal::LogManager;
-
-/// Checkpoint-relevant state of one active user transaction.
-#[derive(Clone, Copy, Debug)]
-struct ActiveTxn {
-    /// LSN of the Begin record — fixed for the transaction's lifetime,
-    /// and what `oldest_active_lsn` aggregates over.
-    begin_lsn: Lsn,
-    /// Last known LSN (advanced by `note_progress`; checkpoint anchor).
-    last_lsn: Lsn,
-}
 
 /// Coordinates transactions over the log and lock managers.
 pub struct TxnManager {
     log: Arc<LogManager>,
     locks: Arc<LockManager>,
-    /// Active user transactions, sharded by txn id so begin/commit from
-    /// concurrent workers don't serialize on one registry mutex. The
-    /// `oldest_active_lsn` aggregate is folded from per-shard minima on
-    /// demand — active sets are small, and the fold takes each shard
-    /// lock only briefly.
-    active: ShardMap<TxnId, ActiveTxn>,
+    /// Active user transactions (diagnostics: `active_txns`, the
+    /// `txn.active` gauge), sharded by txn id so begin/commit from
+    /// concurrent workers don't serialize on one registry mutex. What a
+    /// checkpoint needs of them, the log manager tracks itself.
+    active: ShardMap<TxnId, ()>,
     /// Optional group-commit pipeline. When installed, forced commits go
     /// through leader-based batching instead of the strict per-commit
     /// `flush_strict`, and (with ELR) escrow locks drop at log-append time.
@@ -126,7 +114,7 @@ impl TxnManager {
         let id = self.log.alloc_txn_id();
         let snapshot_lsn = self.log.last_allocated_lsn();
         let last_lsn = self.log.append(id, Lsn::NULL, RecordBody::Begin { kind: TxnKind::User });
-        self.active.insert(id, ActiveTxn { begin_lsn: last_lsn, last_lsn });
+        self.active.insert(id, ());
         Transaction {
             id,
             isolation,
@@ -362,22 +350,6 @@ impl TxnManager {
         Ok(out)
     }
 
-    /// Write a fuzzy checkpoint: active transactions + dirty pages. The
-    /// active list is folded shard by shard (sorted by txn id so the
-    /// record is deterministic) — fuzzy across shards, exactly the
-    /// guarantee fuzzy checkpoints already live with.
-    pub fn checkpoint(&self, pool: &Arc<BufferPool>) -> Result<Lsn> {
-        let mut active = self
-            .active
-            .fold(Vec::new(), |mut acc, &t, a| {
-                acc.push((t, TxnKind::User, a.last_lsn));
-                acc
-            });
-        active.sort_by_key(|(t, _, _)| *t);
-        let dirty = pool.dirty_pages();
-        self.log.write_checkpoint(active, dirty)
-    }
-
     /// Forget all active-transaction bookkeeping (volatile state lost in a
     /// crash; recovery rebuilds what matters from the log).
     pub fn reset_active(&self) {
@@ -390,27 +362,6 @@ impl TxnManager {
         ids.sort();
         ids
     }
-
-    /// The Begin LSN of the oldest active transaction, or `None` when
-    /// idle — the log-truncation bound. Computed as a fold of per-shard
-    /// minima on demand rather than under one global registry lock.
-    pub fn oldest_active_lsn(&self) -> Option<Lsn> {
-        self.active.fold(None, |acc: Option<Lsn>, _, a| match acc {
-            Some(l) if l <= a.begin_lsn => Some(l),
-            _ => Some(a.begin_lsn),
-        })
-    }
-
-    /// Update the checkpoint-visible last LSN of an active transaction.
-    /// The engine calls this after each operation so fuzzy checkpoints
-    /// carry usable back-chain anchors.
-    pub fn note_progress(&self, txn: &Transaction) {
-        self.active.update(&txn.id, |slot| {
-            if let Some(a) = slot {
-                a.last_lsn = txn.last_lsn;
-            }
-        });
-    }
 }
 
 #[cfg(test)]
@@ -420,6 +371,7 @@ mod tests {
     use std::time::Duration;
     use txview_common::IndexId;
     use txview_lock::{LockMode, LockName};
+    use txview_storage::buffer::BufferPool;
     use txview_storage::disk::MemDisk;
     use txview_wal::record::UndoOp;
 
@@ -570,21 +522,49 @@ mod tests {
         assert!(matches!(recs[2].1.body, RecordBody::End));
     }
 
+    /// Byte offset of record `lsn` and the master checkpoint's `scan_from`.
+    fn offset_and_scan_from(log: &LogManager, lsn: Lsn) -> (u64, u64) {
+        let at = log.read_durable_from(0).unwrap().into_iter().find(|(_, r)| r.lsn == lsn).unwrap().0;
+        match log.read_record_at(log.master().unwrap().0).unwrap().unwrap().body {
+            RecordBody::Checkpoint { scan_from, .. } => (at, scan_from),
+            other => panic!("expected checkpoint, got {other:?}"),
+        }
+    }
+
+    /// A checkpoint covers the transactions open when it is taken: restart
+    /// reads from the oldest one's Begin.
     #[test]
     fn checkpoint_records_active_transactions() {
         let (log, _locks, mgr) = setup();
         let pool = BufferPool::new(Arc::new(MemDisk::new()), 4);
+        let mut t0 = mgr.begin(IsolationLevel::ReadCommitted);
+        mgr.commit(&mut t0).unwrap();
         let t1 = mgr.begin(IsolationLevel::Serializable);
-        let _ck = mgr.checkpoint(&pool).unwrap();
-        let (off, _) = log.master().unwrap();
-        let recs = log.read_durable_from(off).unwrap();
-        match &recs[0].1.body {
-            RecordBody::Checkpoint { active, .. } => {
-                assert_eq!(active.len(), 1);
-                assert_eq!(active[0].0, t1.id);
-            }
-            other => panic!("expected checkpoint, got {other:?}"),
-        }
+        let _t2 = mgr.begin(IsolationLevel::Serializable);
+        log.checkpoint(&pool).unwrap();
+        let (begin_at, scan_from) = offset_and_scan_from(&log, t1.last_lsn);
+        assert!(begin_at > 0, "t0 precedes t1");
+        assert_eq!(scan_from, begin_at);
+    }
+
+    /// System transactions never enter the user registry, yet a checkpoint
+    /// taken inside one still reads from its Begin.
+    #[test]
+    fn checkpoint_inside_a_system_transaction_scans_from_its_begin() {
+        let (log, _locks, mgr) = setup();
+        let pool = BufferPool::new(Arc::new(MemDisk::new()), 4);
+        let mut t0 = mgr.begin(IsolationLevel::ReadCommitted);
+        mgr.commit(&mut t0).unwrap();
+        let begin = mgr
+            .system(|_, last| {
+                let begin = *last;
+                log.checkpoint(&pool)?;
+                Ok(begin)
+            })
+            .unwrap();
+        assert!(mgr.active_txns().is_empty());
+        let (begin_at, scan_from) = offset_and_scan_from(&log, begin);
+        assert_eq!(scan_from, begin_at);
     }
 
     #[test]
@@ -608,28 +588,6 @@ mod tests {
         assert_eq!(s.hist_value("txn.phase.log_force_us").unwrap().count(), 1);
         assert_eq!(s.hist_value("txn.phase.commit_us").unwrap().count(), 1);
         s.validate().unwrap();
-    }
-
-    /// `oldest_active_lsn` must track the *Begin* LSN of the oldest live
-    /// transaction — unmoved by later progress — and retreat to the next
-    /// oldest when that transaction finishes.
-    #[test]
-    fn oldest_active_lsn_follows_begin_records() {
-        let (_log, _locks, mgr) = setup();
-        assert_eq!(mgr.oldest_active_lsn(), None, "idle manager has no bound");
-        let mut t1 = mgr.begin(IsolationLevel::ReadCommitted);
-        let t1_begin = t1.last_lsn;
-        let mut t2 = mgr.begin(IsolationLevel::ReadCommitted);
-        assert_eq!(mgr.oldest_active_lsn(), Some(t1_begin));
-        // Progress on t1 advances its checkpoint anchor but not the bound.
-        t1.last_lsn = Lsn(t1.last_lsn.0 + 100);
-        mgr.note_progress(&t1);
-        assert_eq!(mgr.oldest_active_lsn(), Some(t1_begin));
-        mgr.commit(&mut t1).unwrap();
-        let t2_begin = mgr.oldest_active_lsn().expect("t2 still active");
-        assert!(t2_begin > t1_begin);
-        mgr.commit(&mut t2).unwrap();
-        assert_eq!(mgr.oldest_active_lsn(), None);
     }
 
     #[test]

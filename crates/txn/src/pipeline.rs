@@ -92,6 +92,10 @@ pub struct PipelineObs {
     clock: Arc<ObsClock>,
     /// Commits resolved per leader sync (batch size).
     pub batch_commits: Histogram,
+    /// Commits an earlier sync had already made durable, acked without
+    /// joining any batch. With `batch_commits`' sum they count every
+    /// `commit_wait` exactly once.
+    pub fast_acks: Counter,
     /// Follower park-to-wake latency, µs (virtual ticks under torture).
     pub park_to_wake_us: Histogram,
     /// Lead rounds that reached the sync phase.
@@ -107,6 +111,7 @@ impl PipelineObs {
         PipelineObs {
             clock: Arc::new(ObsClock::new()),
             batch_commits: Histogram::default(),
+            fast_acks: Counter::default(),
             park_to_wake_us: Histogram::default(),
             leader_syncs: Counter::default(),
             follower_waits: Counter::default(),
@@ -167,6 +172,7 @@ impl CommitPipeline {
         hook: Option<&Arc<dyn SchedHook>>,
     ) -> Result<()> {
         if self.log.flushed_lsn() >= commit_lsn {
+            self.obs.fast_acks.inc();
             return Ok(());
         }
         {
@@ -472,6 +478,7 @@ impl CommitPipeline {
     pub fn obs_snapshot(&self) -> Snapshot {
         let mut s = Snapshot::default();
         s.hist("txn.pipeline.batch_commits", self.obs.batch_commits.snapshot());
+        s.counter("txn.pipeline.fast_acks", self.obs.fast_acks.get());
         s.hist("txn.pipeline.park_to_wake_us", self.obs.park_to_wake_us.snapshot());
         s.counter("txn.pipeline.leader_syncs", self.obs.leader_syncs.get());
         s.counter("txn.pipeline.follower_waits", self.obs.follower_waits.get());
@@ -547,8 +554,10 @@ mod tests {
         assert!(log.flushed_lsn().0 >= max_lsn.load(Ordering::SeqCst));
         let s = p.obs_snapshot();
         let batches = s.hist_value("txn.pipeline.batch_commits").unwrap();
-        // Every commit was resolved by exactly one round.
-        assert_eq!(batches.sum, (n * 20) as u64);
+        let fast_acks = s.counter_value("txn.pipeline.fast_acks").unwrap();
+        // Every commit was resolved exactly once: by one round, or on the
+        // fast path because an earlier sync already covered its LSN.
+        assert_eq!(batches.sum + fast_acks, (n * 20) as u64);
     }
 
     #[test]

@@ -185,6 +185,12 @@ impl LogStore for FaultLogStore {
         Ok(st.bytes[(offset as usize).min(st.bytes.len())..].to_vec())
     }
 
+    fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
+        let st = self.inner.live.lock();
+        let start = (offset as usize).min(st.bytes.len());
+        Ok(st.bytes[start..(start + len).min(st.bytes.len())].to_vec())
+    }
+
     fn set_master(&self, offset: u64, lsn: Lsn) -> Result<()> {
         let decision = self.inner.clock.tick(FaultPoint::MasterWrite);
         self.maybe_freeze();

@@ -18,9 +18,11 @@
 //!   modifications: short, redo-logged, physically undone if caught
 //!   in-flight by a crash, and never undone once committed — even if the
 //!   user transaction that triggered them rolls back;
-//! * **fuzzy checkpoints** recording the active-transaction table and the
-//!   dirty-page table;
-//! * the classic **analysis / redo / undo** recovery driver.
+//! * **fuzzy checkpoints** recording the dirty-page table and `scan_from`,
+//!   the byte offset restart reads from — at or before every open
+//!   bracket's Begin and every dirty page's recLSN;
+//! * the classic **analysis / redo / undo** recovery passes, reading the
+//!   log from the master checkpoint's `scan_from` only.
 
 pub mod fault;
 pub mod log;

@@ -1,22 +1,31 @@
-//! The log manager: LSN allocation, buffered append, group flush, and the
-//! master checkpoint pointer.
+//! The log manager: LSN allocation, buffered append, group flush,
+//! checkpoints and the master checkpoint pointer.
 //!
 //! Records are appended to an in-memory tail and become durable only when
 //! flushed (`flush_to` / `flush_all`). The buffer pool's WAL-before-data
 //! hook calls [`LogManager::flush_to`] with a pageLSN; commit calls it with
 //! the commit record's LSN. A simulated crash discards the un-flushed tail,
 //! exactly like a real power failure.
+//!
+//! Under the same mutex that allocates LSNs, the manager also knows every
+//! open bracket (a transaction's Begin without its End, user and system
+//! alike) and where each flushed batch starts in the store. That is what
+//! lets [`LogManager::checkpoint`] name the byte offset restart must read
+//! from, instead of restart reading the log from byte 0.
 
 use crate::record::{LogRecord, RecordBody};
 use parking_lot::{Mutex, RwLock};
+use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use txview_common::codec::Reader;
 use txview_common::obs::{Histogram, ObsClock, Snapshot};
 use txview_common::retry::{RetryCounters, RetryPolicy, RetryStatsSnapshot};
 use txview_common::{Lsn, Result, TxnId};
+use txview_storage::buffer::BufferPool;
 use txview_storage::fault::CrashProbe;
 
 /// Reserved payload-header bytes at the start of every slotted page payload
@@ -34,6 +43,8 @@ pub trait LogStore: Send + Sync {
     fn len_bytes(&self) -> Result<u64>;
     /// Read all durable bytes from `offset` to the end.
     fn read_from(&self, offset: u64) -> Result<Vec<u8>>;
+    /// Read at most `len` durable bytes starting at `offset`.
+    fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>>;
     /// Persist the master checkpoint pointer (byte offset, LSN).
     fn set_master(&self, offset: u64, lsn: Lsn) -> Result<()>;
     /// Read the master checkpoint pointer.
@@ -82,6 +93,12 @@ impl LogStore for MemLogStore {
     fn read_from(&self, offset: u64) -> Result<Vec<u8>> {
         let d = self.durable.lock();
         Ok(d[(offset as usize).min(d.len())..].to_vec())
+    }
+
+    fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
+        let d = self.durable.lock();
+        let start = (offset as usize).min(d.len());
+        Ok(d[start..(start + len).min(d.len())].to_vec())
     }
 
     fn set_master(&self, offset: u64, lsn: Lsn) -> Result<()> {
@@ -149,6 +166,16 @@ impl LogStore for FileLogStore {
         Ok(buf)
     }
 
+    fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>> {
+        let mut f = self.file.lock();
+        // `len` may come from a corrupt frame header: let the file's own
+        // length bound the buffer, not `len`.
+        let mut buf = Vec::new();
+        f.seek(SeekFrom::Start(offset))?;
+        (&mut *f).take(len as u64).read_to_end(&mut buf)?;
+        Ok(buf)
+    }
+
     fn set_master(&self, offset: u64, lsn: Lsn) -> Result<()> {
         let epoch = self.get_epoch()?;
         let mut bytes = Vec::with_capacity(24);
@@ -200,6 +227,38 @@ struct Pending {
 struct Tail {
     pending: Vec<Pending>,
     pending_bytes: usize,
+    /// Bytes handed to the store so far: where the next batch lands. A
+    /// pending record's offset is therefore `store_len` plus the pending
+    /// bytes queued ahead of it.
+    store_len: u64,
+    /// Open brackets: transaction → (Begin LSN, Begin byte offset). A
+    /// Begin opens one, an End closes it — user and system transactions
+    /// alike, since both append here.
+    open: HashMap<TxnId, (Lsn, u64)>,
+    /// (first LSN, byte offset) of each batch handed to the store, oldest
+    /// first, pruned below the latest checkpoint's `scan_from`. The first
+    /// entry also stands for every older LSN (see [`Tail::offset_of`]).
+    batches: VecDeque<(Lsn, u64)>,
+}
+
+impl Tail {
+    /// Byte offset of the next record appended.
+    fn end(&self) -> u64 {
+        self.store_len + self.pending_bytes as u64
+    }
+
+    /// A byte offset at or before record `lsn`: the start of the batch
+    /// that carried it. An LSN older than every kept batch resolves to the
+    /// oldest one. That is safe for the recLSNs a checkpoint resolves: a
+    /// page whose recLSN predates the kept batches was clean (or not
+    /// resident) when the checkpoint that pruned them took its dirty-page
+    /// snapshot — had it been dirty, its recLSN would have held the batch
+    /// back — so every change it carries now was made after that
+    /// checkpoint began, which is at or after the oldest kept batch.
+    fn offset_of(&self, lsn: Lsn) -> u64 {
+        let i = self.batches.partition_point(|&(first, _)| first <= lsn);
+        self.batches[i.saturating_sub(1)].1
+    }
 }
 
 /// The log manager.
@@ -247,17 +306,33 @@ impl LogManager {
     /// the LSN sequence after a restart.
     pub fn open(store: Box<dyn LogStore>) -> Result<LogManager> {
         let bytes = store.read_from(0)?;
+        let (master_off, master_lsn) = store.get_master()?;
         let mut max_lsn = 0u64;
         let mut max_txn = 0u64;
+        // Restart reads from the master checkpoint's `scan_from`, so every
+        // change restart redoes lies at or after it: that is the offset
+        // any older recLSN resolves to from here on.
+        let mut restart = 0u64;
         let mut off = 0usize;
         while let Some((rec, used)) = LogRecord::decode_framed(&bytes[off..])? {
+            if off as u64 == master_off && rec.lsn == master_lsn {
+                if let RecordBody::Checkpoint { scan_from, .. } = rec.body {
+                    restart = scan_from;
+                }
+            }
             max_lsn = max_lsn.max(rec.lsn.0);
             max_txn = max_txn.max(rec.txn.0);
             off += used;
         }
         Ok(LogManager {
             store,
-            tail: Mutex::new(Tail { pending: Vec::new(), pending_bytes: 0 }),
+            tail: Mutex::new(Tail {
+                pending: Vec::new(),
+                pending_bytes: 0,
+                store_len: bytes.len() as u64,
+                open: HashMap::new(),
+                batches: VecDeque::from([(Lsn::NULL, restart)]),
+            }),
             sync_lock: Mutex::new(()),
             next_lsn: AtomicU64::new(max_lsn + 1),
             flushed_lsn: AtomicU64::new(max_lsn),
@@ -320,7 +395,22 @@ impl LogManager {
     /// Append a record; returns its LSN. Not durable until flushed.
     pub fn append(&self, txn: TxnId, prev_lsn: Lsn, body: RecordBody) -> Lsn {
         let mut tail = self.tail.lock();
+        self.append_locked(&mut tail, txn, prev_lsn, body)
+    }
+
+    /// [`LogManager::append`] body; caller holds the tail mutex.
+    fn append_locked(&self, tail: &mut Tail, txn: TxnId, prev_lsn: Lsn, body: RecordBody) -> Lsn {
         let lsn = Lsn(self.next_lsn.fetch_add(1, Ordering::SeqCst));
+        match body {
+            RecordBody::Begin { .. } => {
+                let at = tail.end();
+                tail.open.insert(txn, (lsn, at));
+            }
+            RecordBody::End => {
+                tail.open.remove(&txn);
+            }
+            _ => {}
+        }
         let rec = LogRecord { lsn, prev_lsn, txn, body };
         let bytes = rec.encode_framed();
         self.appended_records.fetch_add(1, Ordering::Relaxed);
@@ -413,14 +503,17 @@ impl LogManager {
             for p in &tail.pending[..split] {
                 buf.extend_from_slice(&p.bytes);
             }
-            let last = tail.pending[split - 1].lsn;
+            let (first, last) = (tail.pending[0].lsn, tail.pending[split - 1].lsn);
             self.probe("wal.flush_to.pre_append");
             let t0 = self.obs.clock.now();
             policy.run(&self.retry_counters, || self.store.append(&buf))?;
             self.obs.append_us.record(self.obs.clock.now().saturating_sub(t0));
             self.obs.batch_records.record(split as u64);
+            let at = tail.store_len;
+            tail.batches.push_back((first, at));
+            tail.store_len += buf.len() as u64;
             tail.pending.drain(..split);
-            tail.pending_bytes = tail.pending.iter().map(|p| p.bytes.len()).sum();
+            tail.pending_bytes -= buf.len();
             self.appended_lsn.fetch_max(last.0, Ordering::SeqCst);
         }
         Ok(())
@@ -464,20 +557,59 @@ impl LogManager {
         self.flush_to(target)
     }
 
-    /// Write a checkpoint record: flushes first so the recorded byte offset
-    /// is exact, persists the master pointer, then flushes the checkpoint.
-    pub fn write_checkpoint(
-        &self,
-        active: Vec<(TxnId, crate::record::TxnKind, Lsn)>,
-        dirty: Vec<(txview_common::PageId, Lsn)>,
-    ) -> Result<Lsn> {
-        self.flush_all()?;
-        let offset = self.store.len_bytes()?;
-        let lsn = self.append(TxnId::NONE, Lsn::NULL, RecordBody::Checkpoint { active, dirty });
+    /// Take a fuzzy checkpoint of `pool` and make it the master: the
+    /// record names `scan_from`, the byte offset restart reads from, which
+    /// is the earliest of
+    ///
+    /// * where the checkpoint began — the oldest open bracket's Begin, or
+    ///   the log's end when none is open. Taken under the tail mutex, so no
+    ///   `begin` can slip between the snapshot and the LSNs after it; undo
+    ///   finds every loser's records from here on, and analysis adds the
+    ///   page of every record from here on to the DPT itself;
+    /// * the offset of each dirty page's recLSN, where its redo starts.
+    ///
+    /// Before the dirty-page snapshot, frames with a null recLSN (no disk
+    /// image since allocation) are written back. A null recLSN left in the
+    /// snapshot therefore belongs to a page dirtied after the checkpoint
+    /// began, so every change on it is logged at or after `begin` —
+    /// analysis adds such a page itself, and the snapshot leaves it out.
+    pub fn checkpoint(&self, pool: &Arc<BufferPool>) -> Result<Lsn> {
+        let (begin, begin_at) = {
+            let tail = self.tail.lock();
+            let end = (Lsn(self.next_lsn.load(Ordering::SeqCst)), tail.end());
+            tail.open.values().copied().fold(end, std::cmp::min)
+        };
+        pool.write_back_unanchored()?;
+        let mut dirty = pool.dirty_pages();
+        dirty.retain(|&(_, rec_lsn)| !rec_lsn.is_null());
+        let oldest_rec_lsn = dirty.iter().map(|&(_, l)| l).min();
+        let (lsn, offset, scan_from) = {
+            let mut tail = self.tail.lock();
+            // `offset_of` is monotone, so the oldest recLSN sets the bound.
+            let scan_from = oldest_rec_lsn.map_or(begin_at, |l| tail.offset_of(l).min(begin_at));
+            let offset = tail.end();
+            let body = RecordBody::Checkpoint { scan_from, begin, dirty };
+            (self.append_locked(&mut tail, TxnId::NONE, Lsn::NULL, body), offset, scan_from)
+        };
         self.flush_to(lsn)?;
         let policy = *self.retry.lock();
         policy.run(&self.retry_counters, || self.store.set_master(offset, lsn))?;
+        let mut tail = self.tail.lock();
+        let keep = tail.batches.partition_point(|&(_, at)| at <= scan_from);
+        tail.batches.drain(..keep.saturating_sub(1));
         Ok(lsn)
+    }
+
+    /// Decode the one durable record that starts at byte `offset`, or
+    /// `None` if no whole record does.
+    pub fn read_record_at(&self, offset: u64) -> Result<Option<LogRecord>> {
+        let head = self.store.read_at(offset, 4)?;
+        if head.len() < 4 {
+            return Ok(None);
+        }
+        let len = Reader::new(&head).u32()? as usize;
+        let bytes = self.store.read_at(offset, 12 + len)?;
+        Ok(LogRecord::decode_framed(&bytes)?.map(|(rec, _)| rec))
     }
 
     /// The persisted master checkpoint pointer (byte offset, LSN).
@@ -509,8 +641,9 @@ impl LogManager {
     /// framed encoding and must land verbatim (appending through the tail
     /// would re-frame and could interleave with local records).
     pub fn append_raw_durable(&self, bytes: &[u8]) -> Result<()> {
-        let _tail = self.tail.lock();
+        let mut tail = self.tail.lock();
         self.store.append(bytes)?;
+        tail.store_len += bytes.len() as u64;
         self.store.sync()
     }
 
@@ -527,6 +660,12 @@ impl LogManager {
     /// Snapshot of all durable records from byte `offset`, with the byte
     /// offset of each record. Stops cleanly at a torn tail.
     pub fn read_durable_from(&self, offset: u64) -> Result<Vec<(u64, LogRecord)>> {
+        Ok(self.scan_durable(offset)?.0)
+    }
+
+    /// [`LogManager::read_durable_from`], plus how many bytes the store
+    /// handed back for it.
+    pub fn scan_durable(&self, offset: u64) -> Result<(Vec<(u64, LogRecord)>, u64)> {
         let bytes = self.store.read_from(offset)?;
         let mut out = Vec::new();
         let mut off = 0usize;
@@ -534,16 +673,18 @@ impl LogManager {
             out.push((offset + off as u64, rec));
             off += used;
         }
-        Ok(out)
+        Ok((out, bytes.len() as u64))
     }
 
-    /// Simulate a crash: the un-flushed tail evaporates. LSN allocation
+    /// Simulate a crash: the un-flushed tail evaporates, and with it every
+    /// open bracket (restart closes the durable ones). LSN allocation
     /// continues (recovery reopens with a fresh manager in real use; tests
     /// may keep using this one).
     pub fn simulate_crash(&self) {
         let mut tail = self.tail.lock();
         tail.pending.clear();
         tail.pending_bytes = 0;
+        tail.open.clear();
     }
 
     /// Total records appended since open (durable or not).
@@ -590,6 +731,18 @@ mod tests {
 
     fn begin_body() -> RecordBody {
         RecordBody::Begin { kind: TxnKind::User }
+    }
+
+    fn pool() -> Arc<BufferPool> {
+        BufferPool::new(Arc::new(txview_storage::disk::MemDisk::new()), 4)
+    }
+
+    fn scan_from_of(log: &LogManager) -> u64 {
+        let (offset, _) = log.master().unwrap();
+        match log.read_record_at(offset).unwrap().unwrap().body {
+            RecordBody::Checkpoint { scan_from, .. } => scan_from,
+            other => panic!("master names {other:?}"),
+        }
     }
 
     #[test]
@@ -648,15 +801,61 @@ mod tests {
     #[test]
     fn checkpoint_sets_master_and_is_durable() {
         let log = LogManager::in_memory();
-        let a = log.append(TxnId(1), Lsn::NULL, begin_body());
-        let ck = log
-            .write_checkpoint(vec![(TxnId(1), TxnKind::User, a)], vec![])
-            .unwrap();
+        log.append(TxnId(1), Lsn::NULL, begin_body());
+        let ck = log.checkpoint(&pool()).unwrap();
         let (offset, lsn) = log.master().unwrap();
         assert_eq!(lsn, ck);
         let recs = log.read_durable_from(offset).unwrap();
         assert_eq!(recs.len(), 1);
         assert!(matches!(recs[0].1.body, RecordBody::Checkpoint { .. }));
+        assert_eq!(log.read_record_at(offset).unwrap().unwrap(), recs[0].1);
+        // Txn 1 is still open: restart must read from its Begin, byte 0.
+        assert_eq!(scan_from_of(&log), 0);
+    }
+
+    /// `scan_from` follows the oldest open bracket — user or system, both
+    /// append their Begin here — and falls back to the checkpoint itself
+    /// once every bracket has ended.
+    #[test]
+    fn scan_from_tracks_the_oldest_open_bracket() {
+        let log = LogManager::in_memory();
+        let p = pool();
+        let u = log.append(TxnId(1), Lsn::NULL, begin_body());
+        let s = log.append(TxnId(2), Lsn::NULL, RecordBody::Begin { kind: TxnKind::System });
+        log.flush_all().unwrap();
+        let offsets: Vec<u64> = log.read_durable_from(0).unwrap().iter().map(|(o, _)| *o).collect();
+        log.checkpoint(&p).unwrap();
+        assert_eq!(scan_from_of(&log), offsets[0], "user bracket opened first");
+        log.append(TxnId(1), u, RecordBody::End);
+        log.checkpoint(&p).unwrap();
+        assert_eq!(scan_from_of(&log), offsets[1], "the system bracket is still open");
+        log.append(TxnId(2), s, RecordBody::End);
+        log.checkpoint(&p).unwrap();
+        assert_eq!(scan_from_of(&log), log.master().unwrap().0, "nothing open: the checkpoint");
+    }
+
+    /// A dirty page holds `scan_from` back to the batch that carried its
+    /// recLSN, even after every bracket has ended.
+    #[test]
+    fn scan_from_covers_dirty_page_rec_lsns() {
+        use txview_storage::page::PageType;
+        let log = Arc::new(LogManager::in_memory());
+        let p = pool();
+        let l2 = Arc::clone(&log);
+        p.set_wal_flush(Arc::new(move |lsn| l2.flush_to(lsn)));
+        let (pid, page) = p.new_page(PageType::BTreeLeaf).unwrap();
+        let a = log.append(TxnId(1), Lsn::NULL, RecordBody::Commit);
+        page.write().set_lsn(a);
+        drop(page);
+        p.flush_all().unwrap();
+        let a_at = log.read_durable_from(0).unwrap()[0].0;
+        // Re-dirty the page: its recLSN is `a`, in the first batch.
+        let b = log.append(TxnId(2), Lsn::NULL, RecordBody::Commit);
+        log.flush_all().unwrap();
+        p.fetch(pid).unwrap().write().set_lsn(b);
+        log.checkpoint(&p).unwrap();
+        assert_eq!(p.dirty_pages(), vec![(pid, a)]);
+        assert_eq!(scan_from_of(&log), a_at);
     }
 
     #[test]
@@ -686,7 +885,7 @@ mod tests {
         {
             let log = LogManager::open(Box::new(FileLogStore::open(&path).unwrap())).unwrap();
             let a = log.append(TxnId(1), Lsn::NULL, begin_body());
-            log.write_checkpoint(vec![], vec![]).unwrap();
+            log.checkpoint(&pool()).unwrap();
             log.flush_to(a).unwrap();
         }
         {
@@ -696,6 +895,8 @@ mod tests {
             let (off, lsn) = log.master().unwrap();
             assert!(lsn > Lsn::NULL);
             assert_eq!(log.read_durable_from(off).unwrap()[0].1.lsn, lsn);
+            assert_eq!(log.read_record_at(off).unwrap().unwrap().lsn, lsn);
+            assert_eq!(scan_from_of(&log), 0, "txn 1 never ended");
         }
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(dir.join("test.wal.master"));
@@ -773,11 +974,12 @@ mod tests {
         let clock = FaultClock::new();
         let log = LogManager::open(Box::new(FaultLogStore::new(Arc::clone(&clock)))).unwrap();
         log.set_retry_policy(RetryPolicy::no_delay(5));
-        let a = log.append(TxnId(1), Lsn::NULL, RecordBody::Begin { kind: TxnKind::User });
-        // Checkpoint path: flush (append=0, sync=1), checkpoint record
-        // (append=2, sync=3), then the master write at event 4 — fault it.
-        clock.arm(&FaultSchedule { faults: vec![(4, FaultKind::Transient)] });
-        let ck = log.write_checkpoint(vec![(TxnId(1), TxnKind::User, a)], vec![]).unwrap();
+        log.append(TxnId(1), Lsn::NULL, RecordBody::Begin { kind: TxnKind::User });
+        // Checkpoint path: one flush carries the Begin and the checkpoint
+        // record (append=0, sync=1), then the master write at event 2 —
+        // fault it.
+        clock.arm(&FaultSchedule { faults: vec![(2, FaultKind::Transient)] });
+        let ck = log.checkpoint(&pool()).unwrap();
         assert_eq!(log.master().unwrap().1, ck);
         assert!(log.io_retry_stats().retries >= 1);
     }

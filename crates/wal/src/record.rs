@@ -352,10 +352,19 @@ pub enum RecordBody {
         /// Where undo continues after this compensation.
         undo_next: Lsn,
     },
-    /// Fuzzy checkpoint: active transactions and dirty pages.
+    /// Fuzzy checkpoint: where restart must start reading, and the
+    /// dirty-page table. The active-transaction table is not stored: the
+    /// scan starts at or before every bracket still open, so restart
+    /// rebuilds it from the records themselves.
     Checkpoint {
-        /// (txn, kind, last LSN) of each transaction active at checkpoint.
-        active: Vec<(TxnId, TxnKind, Lsn)>,
+        /// Byte offset restart reads the log from: the earliest of the
+        /// oldest open bracket's Begin, the dirty pages' recLSNs and the
+        /// point the checkpoint began.
+        scan_from: u64,
+        /// LSN the checkpoint began at. Page records from here on may
+        /// postdate the dirty-page snapshot, so analysis adds their pages
+        /// to the DPT itself; older ones are covered by `dirty`.
+        begin: Lsn,
         /// (page, recLSN) of each dirty page at checkpoint.
         dirty: Vec<(PageId, Lsn)>,
     },
@@ -405,17 +414,10 @@ impl LogRecord {
                 redo.encode(&mut w);
                 w.lsn(*undo_next);
             }
-            RecordBody::Checkpoint { active, dirty } => {
-                w.u8(7);
-                w.u32(active.len() as u32);
-                for (t, k, l) in active {
-                    w.txn(*t)
-                        .u8(match k {
-                            TxnKind::User => 0,
-                            TxnKind::System => 1,
-                        })
-                        .lsn(*l);
-                }
+            RecordBody::Checkpoint { scan_from, begin, dirty } => {
+                // Tag 7 was the retired layout that carried an active-
+                // transaction list; it decodes to corruption below.
+                w.u8(8).u64(*scan_from).lsn(*begin);
                 w.u32(dirty.len() as u32);
                 for (p, l) in dirty {
                     w.page(*p).lsn(*l);
@@ -470,21 +472,15 @@ impl LogRecord {
                 redo: RedoOp::decode(&mut r)?,
                 undo_next: r.lsn()?,
             },
-            7 => {
-                let na = r.u32()? as usize;
-                let mut active = Vec::with_capacity(na);
-                for _ in 0..na {
-                    let t = r.txn()?;
-                    let k = if r.u8()? == 0 { TxnKind::User } else { TxnKind::System };
-                    let l = r.lsn()?;
-                    active.push((t, k, l));
-                }
+            8 => {
+                let scan_from = r.u64()?;
+                let begin = r.lsn()?;
                 let nd = r.u32()? as usize;
                 let mut dirty = Vec::with_capacity(nd);
                 for _ in 0..nd {
                     dirty.push((r.page()?, r.lsn()?));
                 }
-                RecordBody::Checkpoint { active, dirty }
+                RecordBody::Checkpoint { scan_from, begin, dirty }
             }
             t => return Err(Error::corruption(format!("bad record tag {t}"))),
         };
@@ -531,7 +527,8 @@ mod tests {
                 undo_next: Lsn(17),
             },
             RecordBody::Checkpoint {
-                active: vec![(TxnId(5), TxnKind::User, Lsn(40))],
+                scan_from: 4096,
+                begin: Lsn(40),
                 dirty: vec![(PageId(1), Lsn(30)), (PageId(2), Lsn(35))],
             },
         ];
@@ -571,6 +568,20 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         assert!(LogRecord::decode_framed(&bytes).unwrap().is_none());
+    }
+
+    /// The retired checkpoint layout (tag 7: an active-transaction list,
+    /// then the DPT) is refused as corruption, not misread as the new one.
+    #[test]
+    fn retired_checkpoint_tag_is_corruption() {
+        let mut w = Writer::with_capacity(64);
+        w.lsn(Lsn(9)).lsn(Lsn::NULL).txn(TxnId::NONE);
+        w.u8(7).u32(1).txn(TxnId(5)).u8(0).lsn(Lsn(4)).u32(0);
+        let payload = w.into_bytes();
+        let mut framed = Writer::with_capacity(payload.len() + 12);
+        framed.u32(payload.len() as u32).u64(checksum64(&payload)).raw(&payload);
+        let err = LogRecord::decode_framed(&framed.into_bytes()).unwrap_err();
+        assert!(matches!(err, Error::Corruption(_)), "got {err:?}");
     }
 
     #[test]

@@ -1,7 +1,14 @@
-//! ARIES recovery: analysis, redo, undo.
+//! ARIES recovery: read, analysis, redo, undo.
 //!
-//! * **Analysis** starts at the master checkpoint and rebuilds the active-
-//!   transaction table (ATT) and dirty-page table (DPT).
+//! * **Read** decodes the durable log from the master checkpoint's
+//!   `scan_from` — at or before every bracket still open and every dirty
+//!   page's recLSN (see `LogManager::checkpoint`) — and nothing before it.
+//!   Without a master checkpoint it reads from byte 0.
+//! * **Analysis** rebuilds the active-transaction table (ATT) from those
+//!   records — a transaction's first record enters it as active — and the
+//!   dirty-page table (DPT): the checkpoint's snapshot, merged at the
+//!   checkpoint record, plus the page of every record from the
+//!   checkpoint's begin LSN on.
 //! * **Redo** repeats history from the earliest recLSN: every logged page
 //!   operation is re-applied iff the page is in the DPT, the record's LSN is
 //!   ≥ the page's recLSN, and `pageLSN < recordLSN`. Pages that never made
@@ -11,7 +18,8 @@
 //!   *physically* right here; logical descriptors (escrow deltas, index key
 //!   operations) are delegated to the engine through [`UndoHandler`], which
 //!   re-traverses the index and writes CLRs. CLRs encountered in the log
-//!   jump straight to their `undo_next`, so rollback never regresses.
+//!   jump straight to their `undo_next`, so rollback never regresses. Undo
+//!   finds each record by binary search over the LSN-sorted records read.
 //!
 //! Note on CLR back-chains: crash-undo CLRs use a null `prev_lsn` (only
 //! `undo_next` drives this algorithm), but *runtime* rollback CLRs are
@@ -20,7 +28,7 @@
 //! crash-undo skips the already-compensated work.
 
 use crate::log::{LogManager, PAYLOAD_HEADER_LEN};
-use crate::record::{LogRecord, RecordBody, TxnKind, UndoOp};
+use crate::record::{LogRecord, RecordBody, UndoOp};
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
@@ -45,7 +53,17 @@ pub trait UndoHandler {
 /// What recovery did, for assertions and the E5 experiment.
 #[derive(Debug, Default, Clone)]
 pub struct RecoveryReport {
-    /// Records scanned by the analysis pass (from the checkpoint).
+    /// Byte offset the log was read from (the master checkpoint's
+    /// `scan_from`, or 0 without one).
+    pub scan_from: u64,
+    /// Bytes the read phase took from the log store.
+    pub bytes_read: u64,
+    /// Records the read phase decoded.
+    pub records_read: u64,
+    /// Read phase (master lookup, log read and decode) wall-clock
+    /// microseconds.
+    pub read_us: u64,
+    /// Records scanned by the analysis pass (all records read).
     pub analysis_records: u64,
     /// Records examined by the redo pass.
     pub redo_examined: u64,
@@ -61,7 +79,7 @@ pub struct RecoveryReport {
     pub logical_undos: u64,
     /// Physical (system-transaction) undo actions applied here.
     pub physical_undos: u64,
-    /// Wall-clock microseconds per phase.
+    /// Analysis phase wall-clock microseconds.
     pub analysis_us: u64,
     /// Redo phase wall-clock microseconds.
     pub redo_us: u64,
@@ -100,12 +118,10 @@ enum TxnStatus {
     Ended,
 }
 
+/// One ATT entry. Undo treats user and system losers uniformly: system
+/// transactions' records carry physical `UndoOp::Page` descriptors.
 struct Att {
     status: TxnStatus,
-    /// Kept for diagnostics; undo treats user and system losers uniformly
-    /// because system-txn records carry physical `UndoOp::Page` descriptors.
-    #[allow(dead_code)]
-    kind: TxnKind,
     last_lsn: Lsn,
 }
 
@@ -117,97 +133,81 @@ pub fn recover(
 ) -> Result<RecoveryReport> {
     let mut report = RecoveryReport::default();
 
-    // Read the whole durable log once; analysis logically starts at the
-    // checkpoint (losers may have older records that undo still needs).
-    let all = log.read_durable_from(0)?;
-    let by_lsn: HashMap<Lsn, usize> =
-        all.iter().enumerate().map(|(i, (_, r))| (r.lsn, i)).collect();
-    let (_, master_lsn) = log.master()?;
-    let start_idx = if master_lsn.is_null() {
-        0
+    // ---- Read -----------------------------------------------------------
+    let t = Instant::now();
+    let (master_at, master_lsn) = log.master()?;
+    let (scan_from, begin) = if master_lsn.is_null() {
+        (0, Lsn::NULL)
     } else {
-        *by_lsn.get(&master_lsn).ok_or_else(|| {
-            Error::corruption("master checkpoint LSN not found in durable log")
-        })?
+        match log.read_record_at(master_at)? {
+            Some(LogRecord { lsn, body: RecordBody::Checkpoint { scan_from, begin, .. }, .. })
+                if lsn == master_lsn =>
+            {
+                (scan_from, begin)
+            }
+            _ => return Err(Error::corruption("master pointer does not name its checkpoint")),
+        }
     };
+    let (records, bytes_read) = log.scan_durable(scan_from)?;
+    report.scan_from = scan_from;
+    report.bytes_read = bytes_read;
+    report.records_read = records.len() as u64;
+    report.read_us = t.elapsed().as_micros() as u64;
 
     // ---- Analysis -------------------------------------------------------
     let t0 = Instant::now();
     let mut att: HashMap<TxnId, Att> = HashMap::new();
     let mut dpt: HashMap<PageId, Lsn> = HashMap::new();
-    for (_, rec) in &all[start_idx..] {
+    let mut prev = Lsn::NULL;
+    for (_, rec) in &records {
         report.analysis_records += 1;
+        // Undo's binary search needs the LSN order the log is written in.
+        if rec.lsn <= prev {
+            return Err(Error::corruption(format!("log out of LSN order at {:?}", rec.lsn)));
+        }
+        prev = rec.lsn;
         match &rec.body {
-            RecordBody::Checkpoint { active, dirty } => {
-                for (t, k, l) in active {
-                    att.entry(*t).or_insert(Att {
-                        status: TxnStatus::Active,
-                        kind: *k,
-                        last_lsn: *l,
-                    });
+            RecordBody::Checkpoint { dirty, .. } => {
+                if rec.lsn == master_lsn {
+                    for &(page, rec_lsn) in dirty {
+                        let l = dpt.entry(page).or_insert(rec_lsn);
+                        *l = (*l).min(rec_lsn);
+                    }
                 }
-                for (p, l) in dirty {
-                    dpt.entry(*p).or_insert(*l);
-                }
+                continue;
             }
-            RecordBody::Begin { kind } => {
-                att.insert(
-                    rec.txn,
-                    Att { status: TxnStatus::Active, kind: *kind, last_lsn: rec.lsn },
-                );
-            }
-            RecordBody::Commit => {
-                if let Some(a) = att.get_mut(&rec.txn) {
-                    a.status = TxnStatus::Committed;
-                    a.last_lsn = rec.lsn;
-                }
-            }
-            RecordBody::Abort => {
-                if let Some(a) = att.get_mut(&rec.txn) {
-                    a.last_lsn = rec.lsn;
-                }
-            }
-            RecordBody::End => {
-                if let Some(a) = att.get_mut(&rec.txn) {
-                    a.status = TxnStatus::Ended;
-                }
-            }
-            RecordBody::Update { page, .. } | RecordBody::Clr { page, .. } => {
-                if let Some(a) = att.get_mut(&rec.txn) {
-                    a.last_lsn = rec.lsn;
-                }
+            RecordBody::Update { page, .. } | RecordBody::Clr { page, .. } if rec.lsn >= begin => {
                 dpt.entry(*page).or_insert(rec.lsn);
             }
+            _ => {}
         }
+        // A transaction's first record enters it into the ATT as active —
+        // also when its Begin precedes the records read.
+        let a = att.entry(rec.txn).or_insert(Att { status: TxnStatus::Active, last_lsn: rec.lsn });
+        match rec.body {
+            RecordBody::Commit => a.status = TxnStatus::Committed,
+            RecordBody::End => a.status = TxnStatus::Ended,
+            _ => {}
+        }
+        a.last_lsn = rec.lsn;
     }
     report.analysis_us = t0.elapsed().as_micros() as u64;
 
     // ---- Redo -----------------------------------------------------------
     let t1 = Instant::now();
-    // A null recLSN means "dirty since before its first log record" (a
-    // freshly allocated page): redo for it starts at the log's beginning.
-    let redo_start = dpt.values().copied().min().unwrap_or(Lsn::NULL);
-    if !dpt.is_empty() {
-        let from_idx = all
-            .iter()
-            .position(|(_, r)| r.lsn >= redo_start)
-            .unwrap_or(all.len());
-        for (_, rec) in &all[from_idx..] {
-            let (page_id, redo) = match &rec.body {
-                RecordBody::Update { page, redo, .. } => (*page, redo),
-                RecordBody::Clr { page, redo, .. } => (*page, redo),
+    if let Some(&redo_from) = dpt.values().min() {
+        let from = records.partition_point(|(_, r)| r.lsn < redo_from);
+        for (_, rec) in &records[from..] {
+            let page = match &rec.body {
+                RecordBody::Update { page, .. } | RecordBody::Clr { page, .. } => page,
                 _ => continue,
             };
             report.redo_examined += 1;
-            let rec_lsn = match dpt.get(&page_id) {
-                Some(&l) if rec.lsn >= l => l,
-                _ => {
-                    report.redo_skipped += 1;
-                    continue;
-                }
+            let applied = match dpt.get(page) {
+                Some(&rec_lsn) if rec.lsn >= rec_lsn => redo_record(pool, rec)?,
+                _ => false,
             };
-            let _ = (rec_lsn, redo);
-            if redo_record(pool, rec)? {
+            if applied {
                 report.redo_applied += 1;
             } else {
                 report.redo_skipped += 1;
@@ -233,12 +233,14 @@ pub fn recover(
             log.append(txn, Lsn::NULL, RecordBody::End);
             continue;
         }
-        let idx = *by_lsn.get(&lsn).ok_or_else(|| {
-            Error::corruption(format!("undo chain points at missing {lsn:?}"))
-        })?;
-        let rec: &LogRecord = &all[idx].1;
+        let rec: &LogRecord = match records.binary_search_by_key(&lsn, |(_, r)| r.lsn) {
+            Ok(i) => &records[i].1,
+            Err(_) => {
+                return Err(Error::corruption(format!("undo chain points at missing {lsn:?}")))
+            }
+        };
         match &rec.body {
-            RecordBody::Update { page, undo, .. } => {
+            RecordBody::Update { undo, .. } => {
                 match undo {
                     UndoOp::None => {}
                     UndoOp::Page { page: upage, op } => {
@@ -266,7 +268,6 @@ pub fn recover(
                         handler.undo(txn, logical, rec.prev_lsn, &mut chain)?;
                     }
                 }
-                let _ = page;
                 heap.push((rec.prev_lsn, txn));
             }
             RecordBody::Clr { undo_next, .. } => {
@@ -291,7 +292,7 @@ pub fn recover(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::RedoOp;
+    use crate::record::{RedoOp, TxnKind};
     use parking_lot::Mutex;
     use txview_common::IndexId;
     use txview_storage::disk::MemDisk;
@@ -499,7 +500,7 @@ mod tests {
         let c1 = log.append(t1, l2, RecordBody::Commit);
         log.append(t1, c1, RecordBody::End);
         pool.flush_all().unwrap();
-        log.write_checkpoint(vec![], vec![]).unwrap();
+        log.checkpoint(&pool).unwrap();
         // Txn 2 after the checkpoint, unfinished.
         let t2 = TxnId(2);
         let b2 = log.append(t2, Lsn::NULL, RecordBody::Begin { kind: TxnKind::User });
@@ -516,5 +517,243 @@ mod tests {
         let mut g = page.write();
         let s = Slotted::wrap(&mut g.payload_mut()[PAYLOAD_HEADER_LEN..]);
         assert_eq!(s.count(), 1);
+    }
+
+    fn slot_count(pool: &Arc<BufferPool>, pid: PageId) -> usize {
+        let page = pool.fetch(pid).unwrap();
+        let mut g = page.write();
+        Slotted::wrap(&mut g.payload_mut()[PAYLOAD_HEADER_LEN..]).count()
+    }
+
+    /// A committed page to work on, written back so the crash keeps it.
+    fn committed_page(log: &LogManager, pool: &Arc<BufferPool>) -> PageId {
+        let t = log.alloc_txn_id();
+        let b = log.append(t, Lsn::NULL, RecordBody::Begin { kind: TxnKind::User });
+        let (pid, l) = format_page(log, pool, t, b);
+        let c = log.append(t, l, RecordBody::Commit);
+        log.append(t, c, RecordBody::End);
+        pool.flush_all().unwrap();
+        pid
+    }
+
+    fn crash(log: &LogManager, pool: &Arc<BufferPool>) {
+        let mut rng = txview_common::rng::Rng::new(1);
+        pool.simulate_crash(0.0, &mut rng).unwrap();
+        log.simulate_crash();
+    }
+
+    /// A system bracket (a page split, say) opens before a checkpoint and
+    /// never commits. Both its page operations — the one before the
+    /// checkpoint and the one after — must be undone, not only redone.
+    #[test]
+    fn system_bracket_open_across_checkpoint_is_undone() {
+        let (log, pool) = setup();
+        let pid = committed_page(&log, &pool);
+        let sys = log.alloc_txn_id();
+        let b = log.append(sys, Lsn::NULL, RecordBody::Begin { kind: TxnKind::System });
+        let undo0 = UndoOp::Page { page: pid, op: RedoOp::SlotRemove { idx: 0 } };
+        let l1 = do_insert(&log, &pool, sys, b, pid, 0, b"smo-1", undo0);
+        log.checkpoint(&pool).unwrap();
+        let undo1 = UndoOp::Page { page: pid, op: RedoOp::SlotRemove { idx: 1 } };
+        let l2 = do_insert(&log, &pool, sys, l1, pid, 1, b"smo-2", undo1);
+        log.flush_to(l2).unwrap();
+        crash(&log, &pool);
+
+        let report = recover(&log, &pool, &NoopHandler).unwrap();
+        assert_eq!(report.losers, 1);
+        assert_eq!(report.physical_undos, 2, "both page operations undone");
+        assert_eq!(slot_count(&pool, pid), 0);
+    }
+
+    /// A loser that began before the checkpoint and is still open when it
+    /// is taken holds the scan back to its Begin.
+    #[test]
+    fn loser_open_at_checkpoint_starts_the_scan_at_its_begin() {
+        let (log, pool) = setup();
+        let pid = committed_page(&log, &pool);
+        let loser = TxnId(50);
+        let b = log.append(loser, Lsn::NULL, RecordBody::Begin { kind: TxnKind::User });
+        let u1 = UndoOp::IndexInsert { index: IndexId(1), key: vec![1] };
+        let l1 = do_insert(&log, &pool, loser, b, pid, 0, b"k1", u1);
+        // Stolen to disk: no dirty page holds the scan back, only the loser.
+        pool.flush_all().unwrap();
+        let begin_at = log.read_durable_from(0).unwrap().iter().find(|(_, r)| r.lsn == b).unwrap().0;
+        log.checkpoint(&pool).unwrap();
+        let u2 = UndoOp::IndexInsert { index: IndexId(1), key: vec![2] };
+        let l2 = do_insert(&log, &pool, loser, l1, pid, 1, b"k2", u2);
+        log.flush_to(l2).unwrap();
+        crash(&log, &pool);
+        let durable = log.durable_len().unwrap();
+
+        let handler = RecordingHandler(Mutex::new(Vec::new()));
+        let report = recover(&log, &pool, &handler).unwrap();
+        assert!(begin_at > 0, "the committed set-up precedes the loser");
+        assert_eq!(report.scan_from, begin_at);
+        assert_eq!(report.bytes_read, durable - begin_at);
+        assert_eq!(report.losers, 1);
+        assert_eq!(report.logical_undos, 2, "pre- and post-checkpoint work undone");
+    }
+
+    /// A Begin appended (not yet flushed) just before the checkpoint, the
+    /// transaction's updates after it, then a crash: the updates are undone.
+    #[test]
+    fn begin_just_before_checkpoint_then_updates_are_undone() {
+        let (log, pool) = setup();
+        let pid = committed_page(&log, &pool);
+        let loser = TxnId(60);
+        let b = log.append(loser, Lsn::NULL, RecordBody::Begin { kind: TxnKind::User });
+        log.checkpoint(&pool).unwrap();
+        let l1 = do_insert(&log, &pool, loser, b, pid, 0, b"late", UndoOp::Page {
+            page: pid,
+            op: RedoOp::SlotRemove { idx: 0 },
+        });
+        log.flush_to(l1).unwrap();
+        crash(&log, &pool);
+
+        let report = recover(&log, &pool, &NoopHandler).unwrap();
+        assert_eq!(report.losers, 1);
+        assert_eq!(report.physical_undos, 1);
+        assert_eq!(slot_count(&pool, pid), 0);
+    }
+
+    /// A page allocated while a checkpoint is under way (here: from inside
+    /// the checkpoint's own write-back) has a null recLSN, so the snapshot
+    /// leaves it out. Its records precede the checkpoint record: analysis
+    /// must add it from the checkpoint's begin LSN on, not from the
+    /// checkpoint record on.
+    #[test]
+    fn page_allocated_during_checkpoint_is_redone() {
+        let (log, pool) = setup();
+        // An unanchored frame makes the write-back (and its probe) run.
+        let (_, fresh) = pool.new_page(PageType::BTreeLeaf).unwrap();
+        drop(fresh);
+        let mid: Arc<Mutex<Option<PageId>>> = Arc::new(Mutex::new(None));
+        let (l2, p2, m2) = (Arc::clone(&log), Arc::clone(&pool), Arc::clone(&mid));
+        pool.set_crash_probe(Arc::new(move |_| {
+            if m2.lock().is_some() {
+                return;
+            }
+            let t = l2.alloc_txn_id();
+            let b = l2.append(t, Lsn::NULL, RecordBody::Begin { kind: TxnKind::User });
+            let (pid, l) = format_page(&l2, &p2, t, b);
+            *m2.lock() = Some(pid);
+            let l = do_insert(&l2, &p2, t, l, pid, 0, b"mid", UndoOp::None);
+            let c = l2.append(t, l, RecordBody::Commit);
+            l2.append(t, c, RecordBody::End);
+        }));
+        let ck = log.checkpoint(&pool).unwrap();
+        let pid = mid.lock().expect("probe ran inside the checkpoint");
+        assert!(pool.dirty_pages().contains(&(pid, Lsn::NULL)));
+        log.flush_to(ck).unwrap();
+        crash(&log, &pool);
+
+        let report = recover(&log, &pool, &NoopHandler).unwrap();
+        assert_eq!(report.losers, 0);
+        assert_eq!(slot0(&pool, pid), b"mid");
+    }
+
+    /// A master checkpoint that does not cover an open bracket (hand-built
+    /// here: `scan_from` at the checkpoint itself) leaves the bracket's
+    /// Begin unread. Its later record still enters it into the ATT, so the
+    /// undo chain runs into the unread part and restart refuses the log —
+    /// instead of redoing the operation and never undoing it.
+    #[test]
+    fn uncovered_open_bracket_is_refused_not_half_undone() {
+        let (log, pool) = setup();
+        let pid = committed_page(&log, &pool);
+        let sys = log.alloc_txn_id();
+        let b = log.append(sys, Lsn::NULL, RecordBody::Begin { kind: TxnKind::System });
+        let undo0 = UndoOp::Page { page: pid, op: RedoOp::SlotRemove { idx: 0 } };
+        let l1 = do_insert(&log, &pool, sys, b, pid, 0, b"smo-1", undo0);
+        pool.flush_all().unwrap(); // stolen, so the empty DPT is truthful
+        let at = log.durable_len().unwrap();
+        let begin = Lsn(log.last_allocated_lsn().0 + 1);
+        let body = RecordBody::Checkpoint { scan_from: at, begin, dirty: vec![] };
+        let ck = log.append(TxnId::NONE, Lsn::NULL, body);
+        log.flush_to(ck).unwrap();
+        log.set_master_raw(at, ck).unwrap();
+        let undo1 = UndoOp::Page { page: pid, op: RedoOp::SlotRemove { idx: 1 } };
+        let l2 = do_insert(&log, &pool, sys, l1, pid, 1, b"smo-2", undo1);
+        log.flush_to(l2).unwrap();
+        crash(&log, &pool);
+
+        let err = recover(&log, &pool, &NoopHandler).unwrap_err();
+        assert!(matches!(err, Error::Corruption(_)), "got {err:?}");
+    }
+
+    /// Restart, then a checkpoint before any page is written back: pages
+    /// redo dirtied carry recLSNs from before the restart, older than any
+    /// batch this log manager appended. They must resolve to where the
+    /// restart's own scan began, or the next restart skips their redo.
+    #[test]
+    fn checkpoint_after_restart_covers_pages_redo_dirtied() {
+        use crate::fault::FaultLogStore;
+        use txview_storage::fault::FaultClock;
+        let store = FaultLogStore::new(FaultClock::new());
+        let disk = Arc::new(MemDisk::new());
+        let boot = || {
+            let log = Arc::new(LogManager::open(Box::new(store.clone())).unwrap());
+            let pool = BufferPool::new(Arc::clone(&disk) as Arc<dyn txview_storage::disk::DiskManager>, 16);
+            let l2 = Arc::clone(&log);
+            pool.set_wal_flush(Arc::new(move |lsn| l2.flush_to(lsn)));
+            (log, pool)
+        };
+        let pid = {
+            let (log, pool) = boot();
+            let t = log.alloc_txn_id();
+            let b = log.append(t, Lsn::NULL, RecordBody::Begin { kind: TxnKind::User });
+            let (pid, l) = format_page(&log, &pool, t, b);
+            let l = do_insert(&log, &pool, t, l, pid, 0, b"a", UndoOp::None);
+            log.append(t, l, RecordBody::Commit);
+            pool.flush_all().unwrap(); // the disk holds [a]
+            let t = log.alloc_txn_id();
+            let b = log.append(t, Lsn::NULL, RecordBody::Begin { kind: TxnKind::User });
+            let l = do_insert(&log, &pool, t, b, pid, 1, b"b", UndoOp::None);
+            let c = log.append(t, l, RecordBody::Commit);
+            log.append(t, c, RecordBody::End);
+            log.checkpoint(&pool).unwrap();
+            pid // crash: [a, b] never reaches the disk
+        };
+        {
+            let (log, pool) = boot();
+            recover(&log, &pool, &NoopHandler).unwrap();
+            assert_eq!(slot_count(&pool, pid), 2, "redo restored b in memory");
+            log.checkpoint(&pool).unwrap(); // crash again, still unwritten
+        }
+        let (log, pool) = boot();
+        recover(&log, &pool, &NoopHandler).unwrap();
+        assert_eq!(slot_count(&pool, pid), 2);
+    }
+
+    /// Without a master checkpoint, restart reads the whole log.
+    #[test]
+    fn master_less_log_scans_from_zero() {
+        let (log, pool) = setup();
+        committed_page(&log, &pool);
+        log.flush_all().unwrap();
+        let total = log.read_durable_from(0).unwrap().len() as u64;
+        crash(&log, &pool);
+        let durable = log.durable_len().unwrap();
+        let report = recover(&log, &pool, &NoopHandler).unwrap();
+        assert_eq!(report.scan_from, 0);
+        assert_eq!(report.records_read, total);
+        assert_eq!(report.bytes_read, durable);
+    }
+
+    /// A master pointer naming a retired-layout checkpoint (tag 7) is
+    /// refused as corruption.
+    #[test]
+    fn retired_checkpoint_layout_is_refused() {
+        use txview_common::codec::{checksum64, Writer};
+        let (log, pool) = setup();
+        let mut w = Writer::with_capacity(32);
+        w.lsn(Lsn(1)).lsn(Lsn::NULL).txn(TxnId::NONE).u8(7).u32(0).u32(0);
+        let payload = w.into_bytes();
+        let mut framed = Writer::with_capacity(payload.len() + 12);
+        framed.u32(payload.len() as u32).u64(checksum64(&payload)).raw(&payload);
+        log.append_raw_durable(&framed.into_bytes()).unwrap();
+        log.set_master_raw(0, Lsn(1)).unwrap();
+        let err = recover(&log, &pool, &NoopHandler).unwrap_err();
+        assert!(matches!(err, Error::Corruption(_)), "got {err:?}");
     }
 }
