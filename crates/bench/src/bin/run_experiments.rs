@@ -1,124 +1,35 @@
-//! Regenerates every table/figure of the reconstructed evaluation.
+//! Regenerates every table of the reconstructed evaluation.
 //!
 //! ```text
 //! cargo run -p txview-bench --release --bin run_experiments -- all
 //! cargo run -p txview-bench --release --bin run_experiments -- e1 e4
 //! cargo run -p txview-bench --release --bin run_experiments -- --quick all
 //! cargo run -p txview-bench --release --bin run_experiments -- --metrics e1
-//! cargo run -p txview-bench --release --bin run_experiments -- snapshot
+//! cargo run -p txview-bench --release --bin run_experiments -- --smoke-scale
 //! ```
 //!
-//! `snapshot` runs the E1/E2 headline cells and writes throughput +
-//! commit-latency percentiles to `BENCH_PR5.json` (override with
-//! `--out <path>`). `snapshot-pr6` additionally sweeps the group-commit
-//! pipeline (serial vs pipelined vs pipelined+ELR) and writes
-//! `BENCH_PR6.json`. `snapshot-pr7` measures the replication stack —
-//! follower read throughput vs held lag and promotion time vs shipped
-//! prefix — and writes `BENCH_PR7.json`. `snapshot-pr8` sweeps commit
-//! throughput against derived-chain depth (coalesced vs eager cascade
-//! propagation) and writes `BENCH_PR8.json`. `snapshot-pr9` runs the E16
-//! open-loop latency sweep over real TCP (serial vs pipelined+ELR commit
-//! paths under a seeded 50 µs WAL sync) plus the enforced pipeline gate,
-//! and writes `BENCH_PR9.json`. `snapshot-pr10` runs E17 — hash vs
-//! B-tree point reads and the mixed snapshot-scan HTAP cell — and writes
-//! `BENCH_PR10.json`. `--metrics` additionally runs a short
-//! contended deposit cell and prints the engine's full metrics table.
+//! `--metrics` additionally runs a short contended deposit cell and prints
+//! the engine's full metrics table. `--smoke-scale` runs only the CI gate
+//! and exits nonzero when it fails.
 
 use txview_bench::{
-    e1, e11, e12, e13, e2, e3, e4, e5, e6, e7, e8, metrics_demo, smoke_scale, snapshot_json,
-    snapshot_pr10_json, snapshot_pr6_json, snapshot_pr7_json, snapshot_pr8_json,
-    snapshot_pr9_json, ExpConfig,
+    e1, e11, e12, e13, e2, e3, e4, e5, e6, e7, e8, metrics_demo, smoke_scale, ExpConfig,
 };
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let metrics = args.iter().any(|a| a == "--metrics");
+    let cfg = if quick { ExpConfig::quick() } else { ExpConfig::default() };
     if args.iter().any(|a| a == "--smoke-scale") {
         // CI scaling gate: see `smoke_scale` for what is enforced where.
-        let cfg = if quick { ExpConfig::quick() } else { ExpConfig::default() };
         let (report, pass) = smoke_scale(&cfg);
         print!("{report}");
         std::process::exit(if pass { 0 } else { 1 });
     }
-    let want_pr6 = args.iter().any(|a| a == "snapshot-pr6");
-    let want_pr7 = args.iter().any(|a| a == "snapshot-pr7");
-    let want_pr8 = args.iter().any(|a| a == "snapshot-pr8");
-    let want_pr9 = args.iter().any(|a| a == "snapshot-pr9");
-    let want_pr10 = args.iter().any(|a| a == "snapshot-pr10");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| {
-            if want_pr10 {
-                "BENCH_PR10.json".to_string()
-            } else if want_pr9 {
-                "BENCH_PR9.json".to_string()
-            } else if want_pr8 {
-                "BENCH_PR8.json".to_string()
-            } else if want_pr7 {
-                "BENCH_PR7.json".to_string()
-            } else if want_pr6 {
-                "BENCH_PR6.json".to_string()
-            } else {
-                "BENCH_PR5.json".to_string()
-            }
-        });
-    let cfg = if quick { ExpConfig::quick() } else { ExpConfig::default() };
-
-    // Positional selections; flag values (the path after --out) are not
-    // experiment names.
-    let mut wanted: Vec<String> = Vec::new();
-    let mut skip_next = false;
-    for a in &args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if a == "--out" {
-            skip_next = true;
-            continue;
-        }
-        if a.starts_with("--") {
-            continue;
-        }
-        wanted.push(a.to_lowercase());
-    }
+    let wanted: Vec<String> =
+        args.iter().filter(|a| !a.starts_with("--")).map(|a| a.to_lowercase()).collect();
     let run_all = wanted.is_empty() || wanted.iter().any(|w| w == "all");
-
-    if wanted.iter().any(|w| {
-        w == "snapshot"
-            || w == "snapshot-pr6"
-            || w == "snapshot-pr7"
-            || w == "snapshot-pr8"
-            || w == "snapshot-pr9"
-            || w == "snapshot-pr10"
-    }) {
-        println!("writing bench snapshot (cell {:?}) to {out_path} ...", cfg.cell);
-        let t0 = std::time::Instant::now();
-        let json = if want_pr10 {
-            snapshot_pr10_json(&cfg)
-        } else if want_pr9 {
-            snapshot_pr9_json(&cfg)
-        } else if want_pr8 {
-            snapshot_pr8_json(&cfg)
-        } else if want_pr7 {
-            snapshot_pr7_json(&cfg)
-        } else if want_pr6 {
-            snapshot_pr6_json(&cfg)
-        } else {
-            snapshot_json(&cfg)
-        };
-        std::fs::write(&out_path, &json).expect("write bench snapshot");
-        print!("{json}");
-        println!("[snapshot done in {:.1}s]", t0.elapsed().as_secs_f64());
-        if metrics {
-            print!("{}", metrics_demo(&cfg));
-        }
-        return;
-    }
 
     type ExpFn = fn(&ExpConfig) -> txview_workload::report::Table;
     let experiments: [(&str, ExpFn); 11] = [
@@ -152,8 +63,7 @@ fn main() {
     }
     if ran == 0 && !metrics {
         eprintln!(
-            "unknown experiment selection {wanted:?}; use e1..e8, e11, e12, e13, snapshot, \
-             snapshot-pr6, snapshot-pr7, snapshot-pr8, snapshot-pr9, snapshot-pr10, or all"
+            "unknown experiment selection {wanted:?}; use e1..e8, e11, e12, e13, or all"
         );
         std::process::exit(2);
     }

@@ -1,14 +1,15 @@
-//! The eight experiments. See `DESIGN.md` §3 for the claim each one tests
-//! and `EXPERIMENTS.md` for recorded results.
+//! The experiments, the `--metrics` demo cell and the `--smoke-scale` CI
+//! gate. See `DESIGN.md` §3 for the claim each experiment tests and
+//! `EXPERIMENTS.md` for recorded results.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use txview_common::{row, Value};
+use txview_common::Value;
 use txview_engine::{IsolationLevel, MaintenanceMode};
 use txview_workload::bank::{Bank, BankConfig};
 use txview_workload::churn::{Churn, ChurnConfig};
-use txview_workload::driver::{run_for, WorkerSpec};
+use txview_workload::driver::{run_for, GroupResult, WorkerSpec};
 use txview_workload::report::{f, pct, Table};
 use txview_workload::sales::{Sales, SalesConfig};
 
@@ -376,45 +377,6 @@ pub fn e8(cfg: &ExpConfig) -> Table {
     table
 }
 
-/// One-row workload warmup used by the Criterion benches to amortize setup.
-pub fn bench_bank(mode: MaintenanceMode, branches: i64) -> Bank {
-    Bank::setup(BankConfig {
-        mode,
-        branches,
-        accounts: (branches * 4).max(1024),
-        ..Default::default()
-    })
-    .expect("bench setup")
-}
-
-/// A single deposit transaction against a prepared bank (bench body).
-pub fn bench_deposit(bank: &Bank, seq: i64) {
-    let db = &bank.db;
-    let id = seq.rem_euclid(bank.cfg.accounts);
-    db.run_txn(IsolationLevel::ReadCommitted, 5, |txn| {
-        db.update_with(txn, "accounts", &[Value::Int(id)], |r| {
-            let mut out = r.clone();
-            let bal = r.get(2).as_int().unwrap();
-            out.set(2, Value::Int(bal + 1));
-            out
-        })
-    })
-    .expect("bench deposit");
-}
-
-/// A single sale insert against a prepared sales db (bench body).
-pub fn bench_insert_sale(sales: &Sales, seq: i64) {
-    let db = &sales.db;
-    db.run_txn(IsolationLevel::ReadCommitted, 5, |txn| {
-        db.insert(
-            txn,
-            "sales",
-            row![seq, seq % sales.cfg.n_stores, seq % sales.cfg.n_products, 10i64],
-        )
-    })
-    .expect("bench insert");
-}
-
 /// One deposit cell's throughput (commits/s) — the E1/E12 workload: 8 hot
 /// view rows, 4-update transactions. `branches` sets the contention level
 /// (the smoke gate narrows to 4 to sharpen the escrow/xlock separation).
@@ -423,9 +385,14 @@ fn deposit_tput(cfg: &ExpConfig, mode: MaintenanceMode, threads: usize, branches
 }
 
 /// One deposit cell's throughput against an arbitrary bank configuration
-/// (the E13/pipeline cells toggle `pipeline`/`elr` on top of the E1
+/// (the E13 cells toggle `pipeline` and the sync latency on top of the E1
 /// workload).
 fn deposit_tput_cfg(cfg: &ExpConfig, bank_cfg: BankConfig, threads: usize) -> f64 {
+    deposit_cell(cfg, bank_cfg, threads).throughput()
+}
+
+/// One E1-workload deposit cell (4-update transactions), verified.
+fn deposit_cell(cfg: &ExpConfig, bank_cfg: BankConfig, threads: usize) -> GroupResult {
     let bank = Bank::setup(bank_cfg).expect("setup");
     let specs = [WorkerSpec {
         name: "deposit".into(),
@@ -435,7 +402,47 @@ fn deposit_tput_cfg(cfg: &ExpConfig, bank_cfg: BankConfig, threads: usize) -> f6
     }];
     let res = run_for(&bank.db, &specs, cfg.cell);
     bank.verify().expect("view consistent after deposit cell");
-    res[0].throughput()
+    res.into_iter().next().expect("one worker group")
+}
+
+/// E11 — what the commit-latency histograms show: escrow vs X-lock
+/// percentiles at full contention (max threads, 8 hot view rows), the
+/// evidence the mean in E1 hides.
+pub fn e11(cfg: &ExpConfig) -> Table {
+    let mut table = Table::new(
+        "E11: commit latency percentiles at max threads (4-update deposit txns), us",
+        &["mode", "threads", "commits/s", "mean", "p50", "p95", "p99"],
+    );
+    let t = cfg.max_threads;
+    for mode in [MaintenanceMode::Escrow, MaintenanceMode::XLock] {
+        let r = deposit_cell(cfg, BankConfig { mode, ..Default::default() }, t);
+        table.row(vec![
+            mode_name(mode).into(),
+            t.to_string(),
+            f(r.throughput()),
+            f(r.mean_latency_us()),
+            r.latency.p50().to_string(),
+            r.latency.p95().to_string(),
+            r.latency.p99().to_string(),
+        ]);
+    }
+    table
+}
+
+/// Run a short contended deposit cell and return the engine's
+/// human-readable metrics table (`Database::metrics_report`) — the
+/// `--metrics` output of `run_experiments`.
+pub fn metrics_demo(cfg: &ExpConfig) -> String {
+    let bank = Bank::setup(BankConfig::default()).expect("setup");
+    let specs = [WorkerSpec {
+        name: "deposit".into(),
+        threads: 4.min(cfg.max_threads).max(2),
+        isolation: IsolationLevel::ReadCommitted,
+        op: bank.batch_deposit_op(4),
+    }];
+    let _ = run_for(&bank.db, &specs, cfg.cell);
+    bank.verify().expect("view consistent after metrics demo cell");
+    bank.db.metrics_report()
 }
 
 /// E12 — scaling profile of the sharded hot path (PR 5): the E1 workload,
@@ -473,15 +480,11 @@ pub fn e12(cfg: &ExpConfig) -> Table {
     table
 }
 
-/// E13 — group commit and early lock release (PR 6): the E1 deposit
-/// workload in escrow mode through three commit paths — the serial
-/// per-committer `flush_to`, the leader-based group-commit pipeline, and
-/// the pipeline with escrow locks released at log-append time (ELR). The
-/// serial path forces one append+sync per committer, so under contention
-/// the WAL is the whole story; the pipeline amortizes the sync over the
-/// batch, and ELR additionally takes the escrow locks off the durability
-/// wait, leaving only the commit-dependency rule between readers of
-/// not-yet-durable increments and their predecessors.
+/// E13 — group commit: the E1 deposit workload in escrow mode through two
+/// commit paths — the serial per-committer flush and the leader-based
+/// group-commit pipeline. The serial path forces one append+sync per
+/// committer, so under contention the WAL is the whole story; the
+/// pipeline amortizes the sync over the batch.
 /// E13 additionally re-runs every cell with a seeded per-sync device
 /// latency injected into the log store: on a zero-latency in-memory WAL
 /// the sync is nearly free and batching can only show its locking
@@ -491,58 +494,41 @@ pub fn e12(cfg: &ExpConfig) -> Table {
 pub fn e13(cfg: &ExpConfig) -> Table {
     let mut table = Table::new(
         "E13: commit-path comparison — escrow deposit commits/s",
-        &[
-            "sync µs",
-            "threads",
-            "serial",
-            "pipeline",
-            "pipe vs serial",
-            "pipeline+elr",
-            "elr vs serial",
-        ],
+        &["sync µs", "threads", "serial", "pipeline", "pipe vs serial"],
     );
     let threads: Vec<usize> =
         [1usize, 2, 4, 8, 16].into_iter().filter(|&t| t <= cfg.max_threads).collect();
     for sync_us in [0u64, 50] {
         for &t in &threads {
-            let cell = |pipeline: bool, elr: bool| {
+            let cell = |pipeline: bool| {
                 deposit_tput_cfg(
                     cfg,
                     BankConfig {
                         mode: MaintenanceMode::Escrow,
                         pipeline,
-                        elr,
                         sync_latency_us: sync_us,
                         ..Default::default()
                     },
                     t,
                 )
             };
-            let serial = cell(false, false);
-            let piped = cell(true, false);
-            let elr = cell(true, true);
+            let serial = cell(false);
+            let piped = cell(true);
             table.row(vec![
                 sync_us.to_string(),
                 t.to_string(),
                 f(serial),
                 f(piped),
                 format!("{:.2}x", piped / serial.max(1e-9)),
-                f(elr),
-                format!("{:.2}x", elr / serial.max(1e-9)),
             ]);
         }
     }
     table
 }
 
-/// The escrow 16-thread E1 headline from `BENCH_PR5.json` — the baseline
-/// the PR 6 pipeline gate compares against.
-pub const PR5_ESCROW_16T: f64 = 25_838.3;
-
 /// Outcome of the sync-latency pipeline gate: strict-serial vs pipelined
 /// commit paths measured **on this host**, under a seeded 50 µs WAL sync
-/// latency. Serialised into `BENCH_PR9.json` so the gate's verdict — and
-/// whether it was actually enforced — is diffable across PRs.
+/// latency.
 #[derive(Clone, Copy, Debug)]
 pub struct PipelineGate {
     /// Best-of-3 commits/s through the strict serial commit path.
@@ -559,11 +545,10 @@ pub struct PipelineGate {
     pub pass: bool,
 }
 
-/// The PR 9 pipeline gate, replacing the vacuous PR 6 one. The old gate
-/// compared against an absolute `BENCH_PR5.json` throughput recorded on a
-/// 16-core box and therefore had to be skipped on small hosts — on the
-/// 1-core CI runner it never gated anything. This one removes both
-/// machine dependencies:
+/// The pipeline gate. It compares nothing against an absolute throughput
+/// recorded on another machine (such a gate has to be skipped on small
+/// hosts and then gates nothing); both of its machine dependencies are
+/// removed:
 ///
 /// * **relative, same-host** — serial and pipelined cells run back to
 ///   back on the same machine; no cross-machine constant.
@@ -581,9 +566,7 @@ pub struct PipelineGate {
 ///   commit path alone: N threads appending commit records and forcing
 ///   them through [`LogManager::flush_strict`] (serial) or
 ///   [`CommitPipeline::commit_wait`] (pipelined), over the same
-///   latency-seeded store. ELR is an engine-level lock policy with no
-///   WAL-layer analogue, so the pipelined arm is the bare pipeline —
-///   which only makes the bar higher.
+///   latency-seeded store.
 ///
 /// The serial baseline uses `flush_strict`, the same call the engine's
 /// non-pipelined commit makes: the split-lock `flush_to` lets blocked
@@ -636,7 +619,7 @@ fn commit_path_tput(cell: Duration, threads: usize, pipelined: bool, sync_us: u6
     let store = FaultLogStore::new(Arc::clone(&clock));
     store.set_sync_latency(sync_us, 0, 42);
     let log = Arc::new(LogManager::open(Box::new(store)).expect("open log"));
-    let pipe = Arc::new(CommitPipeline::new(Arc::clone(&log), false));
+    let pipe = Arc::new(CommitPipeline::new(Arc::clone(&log)));
     let stop = Arc::new(AtomicBool::new(false));
     let total = Arc::new(AtomicU64::new(0));
     let handles: Vec<_> = (0..threads)
@@ -686,15 +669,9 @@ fn commit_path_tput(cell: Duration, threads: usize, pipelined: bool, sync_us: u6
 ///   escrow untouched (its locks commute), pushing the true ratio to ~3x
 ///   (cf. E3) so short noisy cells still clear 2x with margin.
 ///
-/// * **pipeline sync gate (PR 9, always enforced)** — the group-commit
-///   pipeline must beat the strict serial commit path by ≥ 1.5x under a
-///   seeded 50 µs WAL sync latency ([`pipeline_sync_gate`]). This
-///   replaces the PR 6 gate, which compared against an absolute 16-core
-///   baseline and was therefore skipped — i.e. vacuous — on the small CI
-///   host.
-/// * **PR 6 absolute ratio (informational)** — the old pipelined-16t /
-///   `BENCH_PR5.json` comparison is still printed for cross-PR context,
-///   but no longer gates: it measures the host as much as the code.
+/// * **pipeline sync gate (always enforced)** — the group-commit pipeline
+///   must beat the strict serial commit path by ≥ 1.5x under a seeded
+///   50 µs WAL sync latency ([`pipeline_sync_gate`]).
 ///
 /// Returns `(report, pass)`; the binary exits nonzero on `!pass`.
 pub fn smoke_scale(cfg: &ExpConfig) -> (String, bool) {
@@ -712,21 +689,6 @@ pub fn smoke_scale(cfg: &ExpConfig) -> (String, bool) {
     let self_scale = escrow8 / escrow1.max(1e-9);
     let gap = escrow8 / xlock8.max(1e-9);
 
-    let pipe16 = (0..3)
-        .map(|_| {
-            deposit_tput_cfg(
-                cfg,
-                BankConfig {
-                    mode: MaintenanceMode::Escrow,
-                    pipeline: true,
-                    elr: true,
-                    ..Default::default()
-                },
-                16.min(cfg.max_threads.max(1)),
-            )
-        })
-        .fold(f64::MIN, f64::max);
-    let pipe_ratio = pipe16 / PR5_ESCROW_16T;
     let sync_gate = pipeline_sync_gate(cfg);
 
     let scale_enforced = cores >= 4;
@@ -762,10 +724,6 @@ pub fn smoke_scale(cfg: &ExpConfig) -> (String, bool) {
         sync_gate.threshold,
         if sync_gate.pass { "PASS" } else { "FAIL" }
     ));
-    report.push_str(&format!(
-        "  pipeline+elr 16t / PR5 16t = {pipe16:>9.0} / {PR5_ESCROW_16T:>9.0} = {pipe_ratio:.2}x \
-         (informational: absolute cross-host baseline)\n"
-    ));
     report.push_str(if pass { "smoke-scale: PASS\n" } else { "smoke-scale: FAIL\n" });
     (report, pass)
 }
@@ -790,6 +748,22 @@ mod tests {
             ("e8", e8(&cfg)),
         ] {
             assert!(!table.is_empty(), "{name} produced rows");
+        }
+    }
+
+    #[test]
+    fn e11_reports_percentiles_for_both_modes() {
+        let cfg = ExpConfig { cell: Duration::from_millis(80), max_threads: 2 };
+        assert_eq!(e11(&cfg).len(), 2);
+    }
+
+    #[test]
+    fn metrics_demo_shows_layered_metrics() {
+        let cfg = ExpConfig { cell: Duration::from_millis(80), max_threads: 2 };
+        let report = metrics_demo(&cfg);
+        for name in ["txn.commits", "lock.acquired", "wal.sync_us", "pool.hits", "engine.escrow_applies"]
+        {
+            assert!(report.contains(name), "metrics report missing {name}:\n{report}");
         }
     }
 }

@@ -52,7 +52,10 @@ impl Tree {
         ctx.append(RecordBody::Begin { kind: TxnKind::System });
         {
             let mut g = page.write();
-            let fmt = RedoOp::FormatPage { ty: 2, header_len: PAYLOAD_HEADER_LEN as u16 };
+            let fmt = RedoOp::FormatPage {
+                ty: PageType::BTreeLeaf.to_u8(),
+                header_len: PAYLOAD_HEADER_LEN as u16,
+            };
             fmt.apply(g.payload_mut(), PAYLOAD_HEADER_LEN)?;
             node::init_header(&mut g, 0, PageId::NULL);
             let lsn = ctx.append(RecordBody::Update { page: root, redo: fmt, undo: UndoOp::None });
@@ -742,16 +745,13 @@ impl Tree {
         let ty = if lvl == 0 { PageType::BTreeLeaf } else { PageType::BTreeInterior };
         let (pid, page) = self.pool.new_page(ty)?;
         let mut g = page.write();
-        let fmt = RedoOp::FormatPage {
-            ty: if lvl == 0 { 2 } else { 3 },
-            header_len: PAYLOAD_HEADER_LEN as u16,
-        };
+        let fmt = RedoOp::FormatPage { ty: ty.to_u8(), header_len: PAYLOAD_HEADER_LEN as u16 };
         fmt.apply(g.payload_mut(), PAYLOAD_HEADER_LEN)?;
         node::init_header(&mut g, lvl, PageId::NULL);
         let lsn = ctx.log_op(
             pid,
             fmt,
-            RedoOp::FormatPage { ty: 0, header_len: PAYLOAD_HEADER_LEN as u16 },
+            RedoOp::FormatPage { ty: PageType::Free.to_u8(), header_len: PAYLOAD_HEADER_LEN as u16 },
             &OpLog::System,
         );
         let hdr = RedoOp::Patch { off: 0, bytes: g.payload()[..PAYLOAD_HEADER_LEN].to_vec() };

@@ -65,16 +65,6 @@ pub enum Error {
         /// What actually arrived, e.g. `"Float(1.5)"`.
         got: String,
     },
-    /// Early-lock-release commit dependency failed: this transaction read
-    /// an escrow value whose writer released its E locks at log-append time
-    /// and then failed to make its commit record durable. The reader must
-    /// abort (it observed state that is being retracted) and may retry.
-    CommitDependency {
-        /// The aborting dependent transaction.
-        txn: TxnId,
-        /// The predecessor whose group flush failed.
-        pred: TxnId,
-    },
     /// The transaction was explicitly rolled back by the user or the engine.
     RolledBack {
         /// The rolled-back transaction.
@@ -109,7 +99,6 @@ impl Error {
                 | Error::SerializationConflict(_)
                 | Error::IoTransient(_)
                 | Error::Degraded { .. }
-                | Error::CommitDependency { .. }
         )
     }
 
@@ -161,9 +150,6 @@ impl fmt::Display for Error {
             Error::TypeMismatch { expected, got } => {
                 write!(f, "type mismatch: expected {expected}, got {got}")
             }
-            Error::CommitDependency { txn, pred } => {
-                write!(f, "transaction {txn} aborted: commit dependency on {pred} failed")
-            }
             Error::RolledBack { txn, reason } => {
                 write!(f, "transaction {txn} rolled back: {reason}")
             }
@@ -203,7 +189,6 @@ mod tests {
         }
         .is_retryable());
         assert!(Error::SerializationConflict("w".into()).is_retryable());
-        assert!(Error::CommitDependency { txn: TxnId(2), pred: TxnId(1) }.is_retryable());
         assert!(!Error::BufferExhausted.is_retryable());
         assert!(!Error::corruption("x").is_retryable());
     }

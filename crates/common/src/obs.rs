@@ -1,7 +1,7 @@
 //! Zero-dependency observability primitives: atomic counters, gauges,
 //! log₂-bucketed latency histograms with percentile snapshots, a shared
 //! clock that can be switched from wall time to a deterministic tick
-//! counter, and a small structured trace-event ring buffer.
+//! counter.
 //!
 //! Design constraints (see `DESIGN.md` §9):
 //!
@@ -19,8 +19,8 @@
 //! * **No dependencies.** `txview-common` stays dependency-free; only
 //!   `std::sync::atomic` and `std::time` are used.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Number of histogram buckets: bucket 0 holds exact zeros, bucket `k`
@@ -299,91 +299,6 @@ impl ObsClock {
             Some(t) => t.load(Ordering::Relaxed),
             None => self.base.elapsed().as_micros() as u64,
         }
-    }
-}
-
-/// One structured trace event. `a`/`b` are event-specific operands (a txn
-/// id, a byte count, ...) kept as raw integers so emission never allocates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Clock reading at emission.
-    pub at: u64,
-    /// Static event tag, e.g. `"lock.wait"`.
-    pub tag: &'static str,
-    /// First operand.
-    pub a: u64,
-    /// Second operand.
-    pub b: u64,
-}
-
-/// Fixed-capacity ring buffer of [`TraceEvent`]s, disabled by default.
-/// When disabled, [`TraceRing::emit`] is a single relaxed load.
-#[derive(Debug)]
-pub struct TraceRing {
-    enabled: AtomicBool,
-    next: AtomicUsize,
-    slots: Mutex<Vec<TraceEvent>>,
-    capacity: usize,
-}
-
-impl TraceRing {
-    /// New disabled ring holding up to `capacity` events.
-    pub fn new(capacity: usize) -> TraceRing {
-        TraceRing {
-            enabled: AtomicBool::new(false),
-            next: AtomicUsize::new(0),
-            slots: Mutex::new(Vec::new()),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Enable or disable tracing.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// True if tracing is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Append an event (overwrites the oldest once full). No-op while
-    /// disabled.
-    pub fn emit(&self, at: u64, tag: &'static str, a: u64, b: u64) {
-        if !self.is_enabled() {
-            return;
-        }
-        let ev = TraceEvent { at, tag, a, b };
-        let i = self.next.fetch_add(1, Ordering::Relaxed) % self.capacity;
-        let mut slots = self.slots.lock().expect("trace ring poisoned");
-        if slots.len() < self.capacity && i == slots.len() {
-            slots.push(ev);
-        } else if i < slots.len() {
-            slots[i] = ev;
-        } else {
-            // A racing writer reserved an earlier slot it has not filled
-            // yet; grow with placeholders so indexing stays in bounds.
-            while slots.len() < i {
-                slots.push(TraceEvent { at: 0, tag: "", a: 0, b: 0 });
-            }
-            slots.push(ev);
-        }
-    }
-
-    /// Drain all buffered events in ring order (oldest first) and reset.
-    pub fn drain(&self) -> Vec<TraceEvent> {
-        let mut slots = self.slots.lock().expect("trace ring poisoned");
-        let total = self.next.swap(0, Ordering::Relaxed);
-        let mut out = Vec::with_capacity(slots.len());
-        if total > slots.len() {
-            let head = total % self.capacity;
-            out.extend_from_slice(&slots[head..]);
-            out.extend_from_slice(&slots[..head]);
-        } else {
-            out.extend_from_slice(&slots);
-        }
-        slots.clear();
-        out
     }
 }
 
@@ -732,22 +647,5 @@ mod tests {
             s
         };
         assert_eq!(mk(), mk());
-    }
-
-    #[test]
-    fn trace_ring_disabled_by_default_and_wraps() {
-        let r = TraceRing::new(4);
-        r.emit(1, "x", 0, 0);
-        assert!(r.drain().is_empty(), "disabled ring records nothing");
-        r.set_enabled(true);
-        for i in 0..6u64 {
-            r.emit(i, "ev", i, 0);
-        }
-        let evs = r.drain();
-        assert_eq!(evs.len(), 4, "capacity bounds retention");
-        // Oldest-first ring order: events 2,3,4,5 survive.
-        assert_eq!(evs[0].a, 2);
-        assert_eq!(evs[3].a, 5);
-        assert!(r.drain().is_empty(), "drain resets");
     }
 }

@@ -294,11 +294,6 @@ pub struct ViewDef {
     pub root: PageId,
     /// Types of the group-by columns (for decoding view keys).
     pub group_types: Vec<ValueType>,
-    /// Optional hash point-read fast path: `(index id, directory page)` of
-    /// a redo-logged hash index mirroring every visible view row. The
-    /// B-tree stays the ordered/scan authority; the hash only accelerates
-    /// point reads on hot groups.
-    pub hash: Option<(IndexId, PageId)>,
 }
 
 impl ViewDef {
@@ -385,14 +380,6 @@ impl Catalog {
     pub fn view(&self, name: &str) -> Result<&ViewDef> {
         self.views
             .get(name)
-            .ok_or_else(|| Error::Schema(format!("unknown view '{name}'")))
-    }
-
-    /// Look up a view by name, mutably (DDL that amends a view in place,
-    /// e.g. attaching the hash point-read index).
-    pub fn view_mut(&mut self, name: &str) -> Result<&mut ViewDef> {
-        self.views
-            .get_mut(name)
             .ok_or_else(|| Error::Schema(format!("unknown view '{name}'")))
     }
 
@@ -616,14 +603,9 @@ impl Catalog {
             for &t in &v.group_types {
                 w.u8(encode_vt(t));
             }
-            match v.hash {
-                None => {
-                    w.u8(0);
-                }
-                Some((idx, dir)) => {
-                    w.u8(1).u32(idx.0).page(dir);
-                }
-            }
+            // Reserved tag byte, always 0. Tag 1 (an attached hash index)
+            // is retired and never reused.
+            w.u8(0);
         }
         w.u32(self.indexes.len() as u32);
         let mut indexes: Vec<_> = self.indexes.values().collect();
@@ -711,11 +693,10 @@ impl Catalog {
             for _ in 0..ng {
                 group_types.push(decode_vt(r.u8()?)?);
             }
-            let hash = match r.u8()? {
-                0 => None,
-                1 => Some((IndexId(r.u32()?), r.page()?)),
-                t => return Err(Error::corruption(format!("bad hash tag {t}"))),
-            };
+            match r.u8()? {
+                0 => {}
+                t => return Err(Error::corruption(format!("bad view tag {t}"))),
+            }
             cat.views.insert(
                 name.clone(),
                 ViewDef {
@@ -731,7 +712,6 @@ impl Catalog {
                     index,
                     root,
                     group_types,
-                    hash,
                 },
             );
         }
@@ -853,7 +833,6 @@ mod tests {
             index: c.alloc_index(),
             root: PageId(1),
             group_types: vec![ValueType::Int],
-            hash: None,
         };
         let v1 = mk(&mut c, "v1", ViewSource::Single { table: t1, group_by: vec![1] });
         let v2 = mk(
@@ -894,7 +873,6 @@ mod tests {
             index: c.alloc_index(),
             root: PageId(2),
             group_types: vec![ValueType::Int],
-            hash: None,
         };
         let pid = parent.id;
         let child = ViewDef {
@@ -910,7 +888,6 @@ mod tests {
             index: c.alloc_index(),
             root: PageId(3),
             group_types: vec![ValueType::Int],
-            hash: None,
         };
         let cid = child.id;
         c.add_view(parent).unwrap();

@@ -31,7 +31,6 @@ use crate::escrow::{
     encode_view_row, initial_aggs, RowDelta,
 };
 use crate::ghosts::GhostQueue;
-use crate::hashidx::{HashIndex, DEFAULT_BUCKETS};
 use crate::health::{HealthMonitor, HealthState, HealthStatsSnapshot};
 use crate::versions::VersionStore;
 use crate::watermark::CommitWatermark;
@@ -121,10 +120,6 @@ pub struct Database {
     pub(crate) txns: TxnManager,
     pub(crate) catalog: RwLock<Catalog>,
     trees: RwLock<HashMap<IndexId, Arc<Tree>>>,
-    /// Hash point-read indexes, keyed by the *view tree's* index id (the
-    /// id every maintenance site already has in hand when it writes the
-    /// tree and must mirror into the hash).
-    hashes: RwLock<HashMap<IndexId, Arc<HashIndex>>>,
     pub(crate) versions: VersionStore,
     watermark: CommitWatermark,
     /// View rows touched per transaction (for version publication at
@@ -182,8 +177,6 @@ pub struct EngineObs {
     /// group from base (the expensive fallback; non-extremal deletes fold
     /// in place and never touch base).
     pub minmax_recomputes: StripedCounter,
-    /// Point reads answered by a view's hash index (vs B-tree descent).
-    pub hash_point_reads: StripedCounter,
     /// Invisible group rows materialized by system transactions.
     pub group_creates: StripedCounter,
     /// Ghost rows physically removed by cleanup sweeps.
@@ -227,7 +220,7 @@ impl Database {
     /// Fully in-memory database whose log store spins for a seeded
     /// per-sync latency (`base_us` plus jitter in `[0, jitter_us]`
     /// microseconds) — a deterministic stand-in for a real device fsync,
-    /// making commit-path batching (group commit, ELR) measurable in
+    /// making commit-path batching (group commit) measurable in
     /// benches without touching a filesystem.
     pub fn new_in_memory_slow_sync(
         pool_pages: usize,
@@ -262,7 +255,6 @@ impl Database {
             txns,
             catalog: RwLock::new(Catalog::new()),
             trees: RwLock::new(HashMap::new()),
-            hashes: RwLock::new(HashMap::new()),
             versions: VersionStore::new(),
             watermark: CommitWatermark::new(),
             touched: ShardMap::with_default_shards(),
@@ -319,14 +311,6 @@ impl Database {
             trees.insert(i.index, Arc::new(Tree::open(&self.pool, i.index, i.root)));
         }
         drop(trees);
-        let mut hashes = self.hashes.write();
-        hashes.clear();
-        for v in cat.views() {
-            if let Some((hid, dir)) = v.hash {
-                hashes.insert(v.index, Arc::new(HashIndex::open(&self.pool, hid, dir)));
-            }
-        }
-        drop(hashes);
         // Rebuild the dependency DAG. View ids are allocated in DDL order,
         // so registering ascending guarantees each parent precedes its
         // children (DDL rejects forward references).
@@ -425,7 +409,6 @@ impl Database {
         s.counter("engine.escrow_applies", self.obs.escrow_applies.get());
         s.counter("engine.minmax_rewrites", self.obs.minmax_rewrites.get());
         s.counter("engine.minmax_recomputes", self.obs.minmax_recomputes.get());
-        s.counter("engine.hash_point_reads", self.obs.hash_point_reads.get());
         s.counter("engine.group_creates", self.obs.group_creates.get());
         s.counter("engine.ghosts_removed", self.obs.ghosts_removed.get());
         s.gauge("engine.ghost_backlog", self.ghost_queue.len() as i64);
@@ -486,11 +469,8 @@ impl Database {
     // ---- group commit ----------------------------------------------------
 
     /// Install the leader-based group-commit pipeline on the commit path.
-    /// With `elr = true`, escrow locks additionally release at log-append
-    /// time, with commit-dependency tracking protecting readers of
-    /// not-yet-durable escrow values.
-    pub fn enable_commit_pipeline(&self, elr: bool) {
-        self.txns.enable_pipeline(elr);
+    pub fn enable_commit_pipeline(&self) {
+        self.txns.enable_pipeline();
         if let Some(ticks) = self.metrics_ticks.lock().clone() {
             if let Some(p) = self.txns.pipeline() {
                 p.use_ticks(ticks);
@@ -513,13 +493,6 @@ impl Database {
             p.drain();
         }
         self.log.flush_all()
-    }
-
-    /// Recorded ELR dependency edges `(dependent, pred, pred commit LSN)`
-    /// — evidence the torture recovery oracle checks durable commit order
-    /// against. Empty without an ELR pipeline.
-    pub fn dep_edges(&self) -> Vec<(TxnId, TxnId, Lsn)> {
-        self.txns.pipeline().map(|p| p.deps.edges()).unwrap_or_default()
     }
 
     // ---- resilience ------------------------------------------------------
@@ -619,23 +592,6 @@ impl Database {
             .ok_or_else(|| Error::NotFound(format!("index {}", index.0)))
     }
 
-    /// The hash point-read mirror of a view's tree, if one is attached.
-    /// Keyed by the *tree's* index id so maintenance sites can mirror a
-    /// write without a catalog lookup. `None` for base tables, secondary
-    /// indexes, and views without the fast path.
-    pub(crate) fn hash_for(&self, index: IndexId) -> Option<Arc<HashIndex>> {
-        self.hashes.read().get(&index).cloned()
-    }
-
-    /// Resolve a hash index by its *own* catalog index id — how the undo
-    /// executor routes a logical undo whose record was logged against the
-    /// hash rather than the tree (each mirror record carries its own undo,
-    /// so a crash between the tree append and the hash append reverses
-    /// exactly the prefix that survived).
-    fn hash_by_own_id(&self, index: IndexId) -> Option<Arc<HashIndex>> {
-        self.hashes.read().values().find(|h| h.index_id() == index).cloned()
-    }
-
     // ---- DDL -------------------------------------------------------------
 
     /// Create a table with a clustered index on its primary key.
@@ -717,7 +673,6 @@ impl Database {
                 index,
                 root,
                 group_types,
-                hash: None,
             };
             cat.add_view(def.clone())?;
             def
@@ -739,58 +694,6 @@ impl Database {
         self.checkpoint()?;
         self.persist_catalog()?;
         Ok(def.id)
-    }
-
-    /// Attach a hash point-read index to an existing view and backfill it
-    /// from the view's B-tree. Like other DDL this assumes quiesced DML and
-    /// checkpoints before returning. Idempotent: a view that already has a
-    /// hash is left untouched. Deferred views are rejected — their refresh
-    /// path rebuilds rows wholesale and does not mirror single-row writes.
-    pub fn create_hash_index(&self, view_name: &str) -> Result<()> {
-        self.create_hash_index_sized(view_name, DEFAULT_BUCKETS)
-    }
-
-    /// [`create_hash_index`](Self::create_hash_index) with an explicit
-    /// directory size. Pick roughly `expected_groups / 100` so a bucket's
-    /// entries stay within one page and a point read costs exactly two
-    /// fetches (directory + bucket) regardless of how deep the view's
-    /// B-tree has grown.
-    pub fn create_hash_index_sized(&self, view_name: &str, nbuckets: usize) -> Result<()> {
-        if nbuckets == 0 {
-            return Err(Error::invalid("hash index needs at least one bucket"));
-        }
-        let (view_index, hid) = {
-            let mut cat = self.catalog.write();
-            let v = cat.view(view_name)?;
-            if v.hash.is_some() {
-                return Ok(());
-            }
-            if v.deferred {
-                return Err(Error::invalid("hash index unsupported on deferred views"));
-            }
-            let index = v.index;
-            let hid = cat.alloc_index();
-            (index, hid)
-        };
-        let hash = HashIndex::create(&self.pool, &self.log, hid, nbuckets)?;
-        let dir = hash.dir();
-        // Backfill every live (non-ghost) row in one transaction. Logical
-        // undo never reaches these records (UndoOp::None), but redo replays
-        // them — a crash mid-backfill leaves orphan pages, never a
-        // half-attached index, because the catalog update comes last.
-        let tree = self.tree(view_index)?;
-        let mut txn = self.begin(IsolationLevel::ReadCommitted);
-        let (items, _) = tree.scan(None, None, false)?;
-        for item in items {
-            let mut ctx = LogCtx { log: &self.log, txn: txn.id, last_lsn: &mut txn.last_lsn };
-            hash.put(&item.key, &item.value, &mut ctx, &OpLog::Update { undo: UndoOp::None })?;
-        }
-        self.txns.commit(&mut txn)?;
-        self.catalog.write().view_mut(view_name)?.hash = Some((hid, dir));
-        self.hashes.write().insert(view_index, Arc::new(hash));
-        self.checkpoint()?;
-        self.persist_catalog()?;
-        Ok(())
     }
 
     /// Create a **derived** indexed view — a view over another view — and
@@ -905,7 +808,6 @@ impl Database {
                 index,
                 root,
                 group_types,
-                hash: None,
             };
             cat.add_view(def.clone())?;
             def
@@ -944,9 +846,9 @@ impl Database {
     }
 
     /// Ablation toggle: `true` propagates every parent delta to children
-    /// immediately (one refresh per DML — the naive baseline BENCH_PR8
-    /// measures); `false` (default) coalesces per (view, group, txn) and
-    /// flushes once at commit.
+    /// immediately (one refresh per DML — the naive baseline the DAG
+    /// proptest compares against); `false` (default) coalesces per (view,
+    /// group, txn) and flushes once at commit.
     pub fn set_cascade_eager(&self, eager: bool) {
         self.cascade_eager.store(eager, Ordering::Relaxed);
     }
@@ -1005,8 +907,7 @@ impl Database {
                 // Flush coalesced derived-view deltas in dependency order
                 // *before* the commit record: the cascade's log records sit
                 // ahead of the Commit, so recovery and replication replay
-                // see them as ordinary redo — and under ELR they complete
-                // before any escrow lock drops.
+                // see them as ordinary redo.
                 self.flush_cascades(txn)?;
                 let touched = self.touched.remove(&txn.id).unwrap_or_default();
                 // Force is computed after the flush so cascade work
@@ -1505,12 +1406,7 @@ impl Database {
             }
             let mode = if view.is_escrow() && all_sums { LockMode::E } else { LockMode::X };
             let row_name = LockName::key(view.index, kb.clone());
-            self.locks.acquire(txn.id, row_name.clone(), mode)?;
-            if mode == LockMode::X {
-                // The X path reads the current row image — under ELR it may
-                // observe a predecessor's not-yet-durable escrow value.
-                self.txns.note_read_dependency(txn, &row_name);
-            }
+            self.locks.acquire(txn.id, row_name, mode)?;
             // Re-check under the lock (ghost cleanup may have removed it).
             let current = tree.get(&key)?;
             let Some((_, cur_value)) = current else { continue };
@@ -1602,8 +1498,7 @@ impl Database {
     /// `(depth, view, group)` — applying a level-*d* entry enqueues its own
     /// children at depth > *d*, which this same drain consumes. Runs in the
     /// pre-append commit hook, so every cascade log record precedes the
-    /// commit record (ordinary redo for recovery and replication) and, under
-    /// ELR, completes before any escrow lock drops.
+    /// commit record (ordinary redo for recovery and replication).
     fn flush_cascades(&self, txn: &mut Transaction) -> Result<()> {
         let entries = self.cascades.update(&txn.id, |slot| {
             slot.map(|q| q.len()).unwrap_or(0)
@@ -1662,11 +1557,7 @@ impl Database {
         let bytes = encode_view_row(group, 0, &escrow::zero_aggs(view))?;
         match self.txns.system(|id, last| {
             let mut ctx = LogCtx { log: &self.log, txn: id, last_lsn: last };
-            tree.insert(key, &bytes, &mut ctx, &OpLog::System)?;
-            if let Some(h) = self.hash_for(view.index) {
-                h.put(key.as_bytes(), &bytes, &mut ctx, &OpLog::System)?;
-            }
-            Ok(())
+            tree.insert(key, &bytes, &mut ctx, &OpLog::System)
         }) {
             Ok(()) => {
                 self.obs.group_creates.inc();
@@ -1728,7 +1619,6 @@ impl Database {
             deltas: delta.to_undo_pairs(),
         };
         let mut new_count = 0i64;
-        let mut hash_undo = None;
         {
             let mut ctx = LogCtx { log: &self.log, txn: txn.id, last_lsn: &mut txn.last_lsn };
             tree.modify_value_region(
@@ -1742,32 +1632,8 @@ impl Database {
                 &mut ctx,
                 &OpLog::Update { undo: undo.clone() },
             )?;
-            // Mirror the same commutative patch into the hash fast path.
-            // The mirror record carries its *own* logical undo keyed by the
-            // hash's index id: each record reverses only its own structure,
-            // so a crash that lands between the two appends (the probe
-            // window) undoes exactly the prefix that survived.
-            if let Some(h) = self.hash_for(view.index) {
-                let hu = UndoOp::Escrow {
-                    index: h.index_id(),
-                    key: key.as_bytes().to_vec(),
-                    deltas: delta.to_undo_pairs(),
-                };
-                let hprev = *ctx.last_lsn;
-                h.patch_region(
-                    key.as_bytes(),
-                    region_off,
-                    |old| apply_additive(old, view, delta),
-                    &mut ctx,
-                    &OpLog::Update { undo: hu.clone() },
-                )?;
-                hash_undo = Some((hu, hprev));
-            }
         }
         txn.push_undo(undo, prev);
-        if let Some((hu, hprev)) = hash_undo {
-            txn.push_undo(hu, hprev);
-        }
         if new_count == 0 {
             if view.eager_group_delete {
                 self.eager_delete_group(txn, view, tree, key)?;
@@ -1784,29 +1650,18 @@ impl Database {
     fn eager_delete_group(&self, txn: &mut Transaction, view: &ViewDef, tree: &Tree, key: &Key) -> Result<()> {
         let kb = key.as_bytes().to_vec();
         let row_name = LockName::key(view.index, kb.clone());
-        self.locks.acquire(txn.id, row_name.clone(), LockMode::X)?;
-        self.txns.note_read_dependency(txn, &row_name);
+        self.locks.acquire(txn.id, row_name, LockMode::X)?;
         let Some((_, value)) = tree.get(key)? else { return Ok(()) };
         if row_visible(view, &value)? {
             return Ok(()); // somebody legitimately resurrected it before our X
         }
         let prev = txn.last_lsn;
-        let undo = UndoOp::IndexDelete { index: view.index, key: kb.clone(), row: value.clone() };
-        let mut hash_undo = None;
+        let undo = UndoOp::IndexDelete { index: view.index, key: kb, row: value };
         {
             let mut ctx = LogCtx { log: &self.log, txn: txn.id, last_lsn: &mut txn.last_lsn };
             tree.remove_record(key, &mut ctx, &OpLog::Update { undo: undo.clone() })?;
-            if let Some(h) = self.hash_for(view.index) {
-                let hu = UndoOp::IndexDelete { index: h.index_id(), key: kb, row: value };
-                let hprev = *ctx.last_lsn;
-                h.remove(key.as_bytes(), &mut ctx, &OpLog::Update { undo: hu.clone() })?;
-                hash_undo = Some((hu, hprev));
-            }
         }
         txn.push_undo(undo, prev);
-        if let Some((hu, hprev)) = hash_undo {
-            txn.push_undo(hu, hprev);
-        }
         self.note_exclusive(txn.id, view.index, key.as_bytes());
         Ok(())
     }
@@ -1865,25 +1720,11 @@ impl Database {
             key: key.as_bytes().to_vec(),
             old_row: cur_value.to_vec(),
         };
-        let mut hash_undo = None;
         {
             let mut ctx = LogCtx { log: &self.log, txn: txn.id, last_lsn: &mut txn.last_lsn };
             tree.update_value(key, &new_value, &mut ctx, &OpLog::Update { undo: undo.clone() })?;
-            if let Some(h) = self.hash_for(view.index) {
-                let hu = UndoOp::IndexUpdate {
-                    index: h.index_id(),
-                    key: key.as_bytes().to_vec(),
-                    old_row: cur_value.to_vec(),
-                };
-                let hprev = *ctx.last_lsn;
-                h.put(key.as_bytes(), &new_value, &mut ctx, &OpLog::Update { undo: hu.clone() })?;
-                hash_undo = Some((hu, hprev));
-            }
         }
         txn.push_undo(undo, prev);
-        if let Some((hu, hprev)) = hash_undo {
-            txn.push_undo(hu, hprev);
-        }
         let count = escrow::decode_agg_region(&new_value[region_off..], view.aggs.len())?.0;
         if count == 0 {
             self.enqueue_ghost(view.index, key.as_bytes().to_vec());
@@ -2094,39 +1935,6 @@ impl Database {
                 expected.len()
             )));
         }
-        // Hash-mirror oracle: when the view carries a point-read index, its
-        // entry set must be byte-identical to the tree's live records
-        // (count-0 rows included — both structures drop them together at
-        // ghost cleanup). Runs inside every verify, so the crash and
-        // replication tortures audit the hash for free.
-        if let Some(h) = self.hash_for(view.index) {
-            let (items, _) = tree.scan(None, None, false)?;
-            let tree_rows: HashMap<Vec<u8>, Vec<u8>> =
-                items.into_iter().map(|i| (i.key, i.value)).collect();
-            let hash_rows = h.scan_all()?;
-            if hash_rows.len() != tree_rows.len() {
-                return Err(Error::corruption(format!(
-                    "view '{view_name}' hash has {} entries, tree has {}",
-                    hash_rows.len(),
-                    tree_rows.len()
-                )));
-            }
-            for (k, v) in hash_rows {
-                match tree_rows.get(&k) {
-                    Some(tv) if *tv == v => {}
-                    Some(_) => {
-                        return Err(Error::corruption(format!(
-                            "view '{view_name}' hash entry {k:?} differs from tree value"
-                        )))
-                    }
-                    None => {
-                        return Err(Error::corruption(format!(
-                            "view '{view_name}' hash has spurious entry {k:?}"
-                        )))
-                    }
-                }
-            }
-        }
         Ok(())
     }
 
@@ -2229,11 +2037,7 @@ impl Database {
             if removable {
                 self.txns.system(|id, last| {
                     let mut ctx = LogCtx { log: &self.log, txn: id, last_lsn: last };
-                    tree.remove_record(&key, &mut ctx, &OpLog::System)?;
-                    if let Some(h) = self.hash_for(index) {
-                        h.remove(key.as_bytes(), &mut ctx, &OpLog::System)?;
-                    }
-                    Ok(())
+                    tree.remove_record(&key, &mut ctx, &OpLog::System)
                 })?;
                 report.removed += 1;
                 self.obs.ghosts_removed.inc();
@@ -2355,9 +2159,6 @@ impl Database {
         self.watermark.clear_snapshots();
         self.locks.reset();
         self.txns.reset_active();
-        if let Some(p) = self.txns.pipeline() {
-            p.deps.clear();
-        }
         self.health.reset();
         recover(&self.log, &self.pool, self)
     }
@@ -2410,12 +2211,6 @@ impl UndoHandler for Database {
         let how = OpLog::Clr { undo_next };
         match op {
             UndoOp::IndexInsert { index, key } => {
-                // A hash-logged insert undoes by removing the entry.
-                if let Some(h) = self.hash_by_own_id(*index) {
-                    let mut ctx = LogCtx { log: &self.log, txn, last_lsn: last };
-                    h.remove(key, &mut ctx, &how)?;
-                    return Ok(());
-                }
                 // Undo a base-row insert: ghost it (X lock held by owner).
                 let tree = self.tree(*index)?;
                 let k = Key::from_bytes(key.clone());
@@ -2424,12 +2219,6 @@ impl UndoHandler for Database {
                 self.enqueue_ghost(*index, key.clone());
             }
             UndoOp::IndexDelete { index, key, row } => {
-                // A hash-logged remove undoes by re-inserting the entry.
-                if let Some(h) = self.hash_by_own_id(*index) {
-                    let mut ctx = LogCtx { log: &self.log, txn, last_lsn: last };
-                    h.put(key, row, &mut ctx, &how)?;
-                    return Ok(());
-                }
                 // Undo a base-row delete: resurrect the ghost.
                 let tree = self.tree(*index)?;
                 let k = Key::from_bytes(key.clone());
@@ -2438,43 +2227,18 @@ impl UndoHandler for Database {
                     Ok(_) => {}
                     Err(Error::NotFound(_)) => {
                         // Defensive: re-insert from the logged image.
-                        tree.insert(&k, &row_value_bytes(row)?, &mut ctx, &how_as_update(&how))?;
+                        tree.insert(&k, row, &mut ctx, &how)?;
                     }
                     Err(e) => return Err(e),
                 }
             }
             UndoOp::IndexUpdate { index, key, old_row } => {
-                // A hash-logged replace undoes by restoring the old entry.
-                if let Some(h) = self.hash_by_own_id(*index) {
-                    let mut ctx = LogCtx { log: &self.log, txn, last_lsn: last };
-                    h.put(key, old_row, &mut ctx, &how)?;
-                    return Ok(());
-                }
                 let tree = self.tree(*index)?;
                 let k = Key::from_bytes(key.clone());
                 let mut ctx = LogCtx { log: &self.log, txn, last_lsn: last };
                 tree.update_value(&k, old_row, &mut ctx, &how)?;
             }
             UndoOp::Escrow { index, key, deltas } => {
-                // A hash-logged escrow patch undoes by the inverse patch —
-                // commutative, so concurrent E-holders compose, exactly as
-                // on the tree. None of the tree arm's bookkeeping applies
-                // (the accumulator and cascade queues key the tree's id).
-                if let Some(h) = self.hash_by_own_id(*index) {
-                    let k = Key::from_bytes(key.clone());
-                    let group = k.decode_values()?;
-                    let region_off = agg_region_offset(&group);
-                    let n_aggs = deltas.iter().map(|(p, _)| *p as usize).max().unwrap_or(0);
-                    let mut ctx = LogCtx { log: &self.log, txn, last_lsn: last };
-                    h.patch_region(
-                        key,
-                        region_off,
-                        |old| apply_undo_pairs(old, n_aggs, deltas),
-                        &mut ctx,
-                        &how,
-                    )?;
-                    return Ok(());
-                }
                 let tree = self.tree(*index)?;
                 let k = Key::from_bytes(key.clone());
                 let group = k.decode_values()?;
@@ -2575,12 +2339,4 @@ impl UndoHandler for Database {
         }
         Ok(())
     }
-}
-
-fn row_value_bytes(row: &[u8]) -> Result<Vec<u8>> {
-    Ok(row.to_vec())
-}
-
-fn how_as_update(how: &OpLog) -> OpLog {
-    how.clone()
 }

@@ -263,7 +263,6 @@ mod tests {
             index: IndexId(2),
             root: PageId(1),
             group_types: vec![ValueType::Int],
-            hash: None,
         }
     }
 
@@ -353,7 +352,6 @@ mod tests {
             } else {
                 group_by.iter().map(|&c| parent.group_types[c]).collect()
             },
-            hash: None,
         }
     }
 

@@ -411,7 +411,6 @@ mod tests {
             index: IndexId(2),
             root: PageId(1),
             group_types: vec![ValueType::Int],
-            hash: None,
         }
     }
 

@@ -30,9 +30,6 @@ pub struct ExploreReport {
     /// leader (a `LogForceWait` in the history) — non-vacuity evidence for
     /// the pipeline fixtures.
     pub follower_wait_schedules: u64,
-    /// Episodes that recorded at least one ELR commit-dependency edge —
-    /// non-vacuity evidence for the ELR fixtures.
-    pub dep_schedules: u64,
     /// Episodes in which at least one committer flushed a non-empty
     /// cascade queue (a `CascadeFlush` yield in the history) — non-vacuity
     /// evidence for the derived-chain fixtures.
@@ -58,9 +55,6 @@ fn scan_episode(report: &mut ExploreReport, sc: &Scenario, ep: &Episode, choices
         )
     }) {
         report.follower_wait_schedules += 1;
-    }
-    if !ep.dep_edges.is_empty() {
-        report.dep_schedules += 1;
     }
     if ep.history.iter().any(|e| {
         matches!(

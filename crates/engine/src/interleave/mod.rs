@@ -58,7 +58,6 @@ pub fn escrow_vs_escrow(mode: MaintenanceMode) -> Scenario {
         ],
         groups: vec![1],
         pipeline: false,
-        elr: false,
         minmax: false,
         chain_depth: 0,
     }
@@ -82,7 +81,6 @@ pub fn escrow_vs_serializable_reader(mode: MaintenanceMode) -> Scenario {
         ],
         groups: vec![1],
         pipeline: false,
-        elr: false,
         minmax: false,
         chain_depth: 0,
     }
@@ -105,7 +103,6 @@ pub fn escrow_vs_snapshot_reader(mode: MaintenanceMode) -> Scenario {
         ],
         groups: vec![1],
         pipeline: false,
-        elr: false,
         minmax: false,
         chain_depth: 0,
     }
@@ -125,7 +122,6 @@ pub fn ghost_come_and_go(mode: MaintenanceMode) -> Scenario {
         ],
         groups: vec![1],
         pipeline: false,
-        elr: false,
         minmax: false,
         chain_depth: 0,
     }
@@ -158,7 +154,6 @@ pub fn deadlock_cycle(mode: MaintenanceMode) -> Scenario {
         ],
         groups: vec![1],
         pipeline: false,
-        elr: false,
         minmax: false,
         chain_depth: 0,
     }
@@ -195,7 +190,6 @@ pub fn fairness_scenario() -> Scenario {
         ],
         groups: vec![1],
         pipeline: false,
-        elr: false,
         minmax: false,
         chain_depth: 0,
     }
@@ -206,8 +200,8 @@ pub fn fairness_scenario() -> Scenario {
 /// committer arrives first leads; the others either join its batch or are
 /// promoted by the mid-round handoff / end-of-round promotion, in every
 /// possible order. All three must ack durable and sum their deltas.
-pub fn leader_handoff_race(elr: bool) -> Scenario {
-    escrow_vs_escrow_3().with_pipeline(elr)
+pub fn leader_handoff_race() -> Scenario {
+    escrow_vs_escrow_3().with_pipeline()
 }
 
 fn escrow_vs_escrow_3() -> Scenario {
@@ -222,7 +216,6 @@ fn escrow_vs_escrow_3() -> Scenario {
         ],
         groups: vec![1],
         pipeline: false,
-        elr: false,
         minmax: false,
         chain_depth: 0,
     }
@@ -233,7 +226,7 @@ fn escrow_vs_escrow_3() -> Scenario {
 /// where the second commit enqueues between the first leader's append and
 /// its sync exercise the two-deep pipeline (batch N+1 forms and appends
 /// while batch N's sync is in flight).
-pub fn two_batch_overlap(elr: bool) -> Scenario {
+pub fn two_batch_overlap() -> Scenario {
     Scenario {
         name: "two_batch_overlap/Escrow".into(),
         mode: MaintenanceMode::Escrow,
@@ -244,22 +237,20 @@ pub fn two_batch_overlap(elr: bool) -> Scenario {
         ],
         groups: vec![1, 2],
         pipeline: false,
-        elr: false,
         minmax: false,
         chain_depth: 0,
     }
-    .with_pipeline(elr)
+    .with_pipeline()
 }
 
-/// Pipeline scenario C — ELR read dependency: an escrow incrementer and an
-/// RC reader of the same group. With `elr`, schedules exist where the
-/// writer's escrow lock is released at log-append time and the reader
-/// observes the not-yet-durable increment; the reader's commit must then
-/// wait for (or abort with) the writer. The oracle treats the writer's
-/// `CommitPending` event as its visibility point.
-pub fn elr_read_dependency(elr: bool) -> Scenario {
+/// Pipeline scenario C — read race: an escrow incrementer committing
+/// through the pipeline and an RC reader of the same group. The writer
+/// holds its escrow lock until its commit record is durable, so the reader
+/// sees the group either before the increment or after the ack, never
+/// in between.
+pub fn pipeline_read_race() -> Scenario {
     Scenario {
-        name: "elr_read_dependency/Escrow".into(),
+        name: "pipeline_read_race/Escrow".into(),
         mode: MaintenanceMode::Escrow,
         initial: vec![(1, 1, 10)],
         scripts: vec![
@@ -268,23 +259,15 @@ pub fn elr_read_dependency(elr: bool) -> Scenario {
         ],
         groups: vec![1],
         pipeline: false,
-        elr: false,
         minmax: false,
         chain_depth: 0,
     }
-    .with_pipeline(elr)
+    .with_pipeline()
 }
 
-/// The six pipeline fixtures: the three pipeline scenarios, each in
-/// `elr = false` and `elr = true` mode.
+/// The three pipeline fixtures.
 pub fn pipeline_scenarios() -> Vec<Scenario> {
-    let mut out = Vec::new();
-    for elr in [false, true] {
-        out.push(leader_handoff_race(elr));
-        out.push(two_batch_overlap(elr));
-        out.push(elr_read_dependency(elr));
-    }
-    out
+    vec![leader_handoff_race(), two_batch_overlap(), pipeline_read_race()]
 }
 
 /// Chain fixture A — commit race across DAG depths: a 2-level derived
@@ -304,21 +287,19 @@ pub fn chain_commit_race(mode: MaintenanceMode) -> Scenario {
         ],
         groups: vec![1, 2],
         pipeline: false,
-        elr: false,
         minmax: false,
         chain_depth: 2,
     }
 }
 
-/// Chain fixture B — ELR vs an in-flight cascade: with the pipeline and
-/// early lock release on, an RC reader polls the *mid-chain* view `c0`
-/// twice while a writer's increment cascades through it at commit. The
-/// reader must never observe a half-propagated chain (the cascade flush
-/// completes before the writer's escrow locks — including the chain-row
-/// locks taken during the flush — are released at log-append time).
-pub fn cascade_elr() -> Scenario {
+/// Chain fixture B — a reader vs an in-flight cascade: with the pipeline
+/// on, an RC reader polls the *mid-chain* view `c0` twice while a writer's
+/// increment cascades through it at commit. The reader must never observe
+/// a half-propagated chain (the cascade flush runs before the commit
+/// record, under chain-row locks held until the commit is durable).
+pub fn cascade_reader() -> Scenario {
     Scenario {
-        name: "cascade_elr/Escrow".into(),
+        name: "cascade_reader/Escrow".into(),
         mode: MaintenanceMode::Escrow,
         initial: vec![(1, 1, 10)],
         scripts: vec![
@@ -330,20 +311,19 @@ pub fn cascade_elr() -> Scenario {
         ],
         groups: vec![1],
         pipeline: false,
-        elr: false,
         minmax: false,
         chain_depth: 2,
     }
-    .with_pipeline(true)
+    .with_pipeline()
 }
 
 /// The chain fixtures: the depth race in both maintenance modes, plus the
-/// ELR cascade reader.
+/// pipelined cascade reader.
 pub fn chain_scenarios() -> Vec<Scenario> {
     vec![
         chain_commit_race(MaintenanceMode::Escrow),
         chain_commit_race(MaintenanceMode::XLock),
-        cascade_elr(),
+        cascade_reader(),
     ]
 }
 
@@ -367,7 +347,6 @@ pub fn minmax_delete_race() -> Scenario {
         ],
         groups: vec![1],
         pipeline: false,
-        elr: false,
         minmax: true,
         chain_depth: 0,
     }
@@ -392,7 +371,6 @@ pub fn deadlock_cycle3(mode: MaintenanceMode) -> Scenario {
         ],
         groups: vec![1],
         pipeline: false,
-        elr: false,
         minmax: false,
         chain_depth: 0,
     }

@@ -83,21 +83,10 @@ fn digest<'a>(sc: &Scenario, ep: &'a Episode) -> Vec<TxnView<'a>> {
                     op_cursor += 1;
                     tv.actions.push((ev.seq, a, op));
                 }
-                // The transaction's visibility point: `CommitPending` when
-                // early lock release published its escrow deltas at
-                // log-append time, else the ordinary `Committed` event.
-                // First event wins — under ELR a reader may legitimately
-                // observe the deltas from the pending point on.
-                EventKind::Hook(
-                    SchedEvent::CommitPending { commit_lsn }
-                    | SchedEvent::Committed { commit_lsn },
-                ) => {
-                    if tv.committed_seq.is_none() {
-                        tv.committed_seq = Some(ev.seq);
-                    }
-                    if tv.commit_lsn.is_none() {
-                        tv.commit_lsn = Some(*commit_lsn);
-                    }
+                // The transaction's visibility point.
+                EventKind::Hook(SchedEvent::Committed { commit_lsn }) => {
+                    tv.committed_seq = Some(ev.seq);
+                    tv.commit_lsn.get_or_insert(*commit_lsn);
                 }
                 EventKind::Hook(_) => {}
             }

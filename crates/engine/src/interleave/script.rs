@@ -103,8 +103,6 @@ pub struct Scenario {
     pub groups: Vec<i64>,
     /// Route commits through the leader-based group-commit pipeline.
     pub pipeline: bool,
-    /// With the pipeline: early escrow-lock release at log-append time.
-    pub elr: bool,
     /// Give the view MIN/MAX aggregates (forcing X-mode maintenance with
     /// the recompute-on-extremum-delete fallback) in addition to the SUM.
     /// The view row grows to `(grp, count, sum, min, max)`; everything the
@@ -118,13 +116,11 @@ pub struct Scenario {
 
 impl Scenario {
     /// The same scenario with commits routed through the group-commit
-    /// pipeline (and, with `elr`, early escrow-lock release). The name
-    /// gains a `/pipeline` or `/elr` suffix so reports and replay commands
-    /// stay unambiguous.
-    pub fn with_pipeline(mut self, elr: bool) -> Scenario {
+    /// pipeline. The name gains a `/pipeline` suffix so reports and replay
+    /// commands stay unambiguous.
+    pub fn with_pipeline(mut self) -> Scenario {
         self.pipeline = true;
-        self.elr = elr;
-        self.name = format!("{}/{}", self.name, if elr { "elr" } else { "pipeline" });
+        self.name = format!("{}/pipeline", self.name);
         self
     }
 }
@@ -215,9 +211,6 @@ pub struct Episode {
     pub view_dump: BTreeMap<i64, (i64, i64)>,
     /// `verify_view` error text, if the engine's own invariant failed.
     pub verify_error: Option<String>,
-    /// ELR commit-dependency edges `(dependent, predecessor)` recorded
-    /// during the episode (empty without an ELR pipeline).
-    pub dep_edges: Vec<(u64, u64)>,
 }
 
 fn schema() -> Schema {
@@ -238,7 +231,7 @@ fn build_db(sc: &Scenario) -> Arc<Database> {
     // and the episode still terminates.
     let db = Database::new_in_memory_with(256, Duration::from_secs(2));
     if sc.pipeline {
-        db.enable_commit_pipeline(sc.elr);
+        db.enable_commit_pipeline();
     }
     let t = db.create_table("items", schema()).expect("create table");
     let aggs = if sc.minmax {
@@ -538,8 +531,6 @@ pub fn run_episode(scenario: &Scenario, chooser: Box<dyn Chooser>) -> Episode {
         view_dump.insert(grp, (count, sum));
     }
 
-    let dep_edges = db.dep_edges().iter().map(|&(d, p, _)| (d.0, p.0)).collect();
-
     Episode {
         decisions,
         history,
@@ -549,6 +540,5 @@ pub fn run_episode(scenario: &Scenario, chooser: Box<dyn Chooser>) -> Episode {
         base_dump,
         view_dump,
         verify_error,
-        dep_edges,
     }
 }

@@ -29,7 +29,6 @@ pub mod db;
 pub mod delta;
 pub mod escrow;
 pub mod ghosts;
-pub mod hashidx;
 pub mod health;
 pub mod interleave;
 pub mod read;

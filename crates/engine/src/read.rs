@@ -32,7 +32,6 @@ impl Database {
         let tree = self.tree(view.index)?;
         let name = LockName::key(view.index, key.as_bytes());
         self.locks.acquire(txn.id, name.clone(), LockMode::S)?;
-        self.txns.note_read_dependency(txn, &name);
         let out = match tree.get(&key)? {
             Some((false, bytes)) => visible_row(&view, &bytes)?,
             _ => None,
@@ -54,43 +53,6 @@ impl Database {
             }
             IsolationLevel::Snapshot => unreachable!("handled above"),
         }
-        Ok(out)
-    }
-
-    /// Point lookup of a view row through the hash fast path when the view
-    /// carries one — same contract as [`Database::view_lookup`], O(1) page
-    /// fetches instead of a root-to-leaf descent on hot groups.
-    ///
-    /// Only the read-committed path probes the hash: a snapshot read needs
-    /// the version store (the hash holds only the newest image), and a
-    /// serializable miss needs the B-tree to find the gap to range-lock.
-    /// Both, and views without a hash, fall back to `view_lookup` — the
-    /// fast path changes latency, never results (the differential proptest
-    /// pins byte-identical rows from both paths).
-    pub fn view_point_read(
-        &self,
-        txn: &mut Transaction,
-        view_name: &str,
-        group: &[Value],
-    ) -> Result<Option<Row>> {
-        let view = self.catalog.read().view(view_name)?.clone();
-        let Some(hash) = self.hash_for(view.index) else {
-            return self.view_lookup(txn, view_name, group);
-        };
-        if txn.isolation != IsolationLevel::ReadCommitted {
-            return self.view_lookup(txn, view_name, group);
-        }
-        let key = Key::from_values(group);
-        let kb = key.as_bytes().to_vec();
-        let name = LockName::key(view.index, kb.clone());
-        self.locks.acquire(txn.id, name.clone(), LockMode::S)?;
-        self.txns.note_read_dependency(txn, &name);
-        let out = match hash.get(&kb)? {
-            Some(bytes) => visible_row(&view, &bytes)?,
-            None => None,
-        };
-        self.locks.release(txn.id, &name);
-        self.obs.hash_point_reads.inc();
         Ok(out)
     }
 
@@ -120,7 +82,6 @@ impl Database {
         for item in items {
             let name = LockName::key(view.index, item.key.clone());
             self.locks.acquire(txn.id, name.clone(), LockMode::S)?;
-            self.txns.note_read_dependency(txn, &name);
             if serializable {
                 self.locks
                     .acquire(txn.id, LockName::gap(view.index, item.key.clone()), LockMode::S)?;
@@ -250,8 +211,7 @@ impl Database {
         let view = self.catalog.read().view(view_name)?.clone();
         let key = Key::from_values(group);
         let name = LockName::key(view.index, key.as_bytes());
-        self.locks.acquire(txn.id, name.clone(), LockMode::X)?;
-        self.txns.note_read_dependency(txn, &name);
+        self.locks.acquire(txn.id, name, LockMode::X)?;
         let tree = self.tree(view.index)?;
         match tree.get(&key)? {
             Some((false, bytes)) => visible_row(&view, &bytes),

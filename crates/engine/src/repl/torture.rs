@@ -936,11 +936,10 @@ mod tests {
     }
 
     #[test]
-    fn minmax_and_hash_redo_ship_as_ordinary_records() {
-        // MIN/MAX recompute rewrites and hash-bucket pages carry no special
-        // replication handling: with the gated workload on, the follower
-        // must still converge to byte-identical logs and an identical
-        // recovered fingerprint (which includes the hash-index pages).
+    fn minmax_redo_ships_as_ordinary_records() {
+        // MIN/MAX recompute rewrites carry no special replication handling:
+        // with the gated workload on, the follower must still converge to
+        // byte-identical logs and an identical recovered fingerprint.
         let cfg = TortureConfig { txns: 16, minmax: true, ..Default::default() };
         let rcfg = ReplConfig::default();
         let mut link = ReplLink::new(&cfg, &rcfg, 7).unwrap();

@@ -88,16 +88,12 @@ pub struct TortureConfig {
     pub seed: u64,
     /// Route commits through the leader-based group-commit pipeline.
     pub pipeline: bool,
-    /// With the pipeline: release escrow locks at log-append time (early
-    /// lock release), tracked by commit dependencies.
-    pub elr: bool,
     /// Depth of the derived-view chain over the bank view (0 = none):
     /// `chain_depth - 1` identity levels, then a global rollup whose single
     /// row must always equal `accounts × initial_balance` (transfers
     /// conserve money) — the conservation invariant the chain oracle pins.
     pub chain_depth: usize,
-    /// Build the MIN/MAX/AVG stats view over a `readings` table, attach
-    /// hash point-read indexes to it and to [`CHURN_VIEW`], and mix
+    /// Build the MIN/MAX/AVG stats view over a `readings` table and mix
     /// extremum-deleting churn into the workload. Off by default so
     /// existing horizons and pinned schedules stay byte-identical.
     pub minmax: bool,
@@ -115,7 +111,6 @@ impl Default for TortureConfig {
             pool_pages: 64,
             seed: 1,
             pipeline: false,
-            elr: false,
             chain_depth: 0,
             minmax: false,
         }
@@ -215,7 +210,7 @@ pub(crate) fn build(cfg: &TortureConfig) -> Result<(Arc<Database>, Parts)> {
     // comes from wall time.
     db.set_metrics_ticks(clock.events_handle());
     if cfg.pipeline {
-        db.enable_commit_pipeline(cfg.elr);
+        db.enable_commit_pipeline();
     }
 
     let accounts = db.create_table(
@@ -304,11 +299,6 @@ pub(crate) fn build(cfg: &TortureConfig) -> Result<(Arc<Database>, Parts)> {
             deferred: false,
             eager_group_delete: false,
         })?;
-        // Hash point-read mirrors: one over the X-lock stats view (put/
-        // remove mirrors) and one over the escrow churn view (patch_region
-        // mirrors), so both mirror flavors sit under the crash schedule.
-        db.create_hash_index(MINMAX_VIEW)?;
-        db.create_hash_index(CHURN_VIEW)?;
     }
     db.create_table(
         "ledger",
@@ -460,8 +450,8 @@ pub(crate) fn run_workload(db: &Database, cfg: &TortureConfig, clock: &FaultCloc
             }
         };
         // With minmax on, every transaction also touches the stats view, so
-        // extremum recomputes and hash-bucket writes interleave with the
-        // bank/churn traffic under the same crash schedule.
+        // extremum recomputes interleave with the bank/churn traffic under
+        // the same crash schedule.
         let body = body.and_then(|()| {
             if cfg.minmax {
                 do_reading(db, &mut txn, &mut live_readings, &mut next_reading, &mut rng)
@@ -522,9 +512,6 @@ pub(crate) fn check_oracle(
 ) {
     let mut views = vec![BANK_VIEW, CHURN_VIEW];
     if cfg.minmax {
-        // verify_view also audits any attached hash index byte-for-byte
-        // against the B-tree, so this one call covers MIN/MAX recompute
-        // correctness AND hash/tree coherence after recovery.
         views.push(MINMAX_VIEW);
     }
     for view in views {
@@ -615,51 +602,6 @@ pub(crate) fn check_oracle(
     }
 }
 
-/// ELR durable-ordering oracle: a transaction that read a predecessor's
-/// not-yet-durable escrow value (a recorded dependency edge) may itself be
-/// cleanly durable-committed only if that predecessor is too. "Cleanly
-/// committed" = a Commit record in the durable log and no Abort — a failed
-/// group flush can leave a retracted Commit record behind, and a dependent
-/// acked on top of it would be durability out of order.
-fn check_elr_ordering(
-    db: &Database,
-    edges: &[(txview_common::TxnId, txview_common::TxnId, txview_common::Lsn)],
-    violations: &mut Vec<String>,
-) {
-    if edges.is_empty() {
-        return;
-    }
-    let records = match db.log().read_durable_from(0) {
-        Ok(r) => r,
-        Err(e) => {
-            violations.push(format!("[elr] durable log unreadable: {e}"));
-            return;
-        }
-    };
-    let mut committed = HashSet::new();
-    let mut aborted = HashSet::new();
-    for (_, rec) in &records {
-        match rec.body {
-            txview_wal::RecordBody::Commit => {
-                committed.insert(rec.txn);
-            }
-            txview_wal::RecordBody::Abort => {
-                aborted.insert(rec.txn);
-            }
-            _ => {}
-        }
-    }
-    let clean = |t: &txview_common::TxnId| committed.contains(t) && !aborted.contains(t);
-    for (dependent, pred, lsn) in edges {
-        if clean(dependent) && !clean(pred) {
-            violations.push(format!(
-                "[elr] durability out of order: {dependent:?} committed durably but its \
-                 escrow predecessor {pred:?} (commit {lsn:?}) did not"
-            ));
-        }
-    }
-}
-
 /// Run one crash episode under `schedule` and interrogate the oracle.
 pub fn run_episode(cfg: &TortureConfig, schedule: &FaultSchedule) -> Result<EpisodeReport> {
     let (db, parts) = build(cfg)?;
@@ -667,7 +609,6 @@ pub fn run_episode(cfg: &TortureConfig, schedule: &FaultSchedule) -> Result<Epis
     parts.clock.arm(schedule);
     let trace = run_workload(&db, cfg, &parts.clock);
     let fault_stats = parts.clock.stats();
-    let elr_edges = db.dep_edges();
     drop(db);
 
     // Reboot: fall back to what actually reached stable storage.
@@ -684,7 +625,6 @@ pub fn run_episode(cfg: &TortureConfig, schedule: &FaultSchedule) -> Result<Epis
 
     let mut violations = Vec::new();
     check_oracle(&db, cfg, &trace, "recovered", &mut violations);
-    check_elr_ordering(&db, &elr_edges, &mut violations);
 
     // Idempotence: crash again immediately (full steal so every page is
     // durable) — redo must find nothing to do and undo no one.
@@ -778,8 +718,7 @@ pub fn run_sweep(cfg: &TortureConfig, max_points: usize) -> Result<SweepReport> 
 /// The group-commit pipeline's crash seams: mid-batch (commit records
 /// appended for some batch members but not all), post-append (the whole
 /// batch handed to the store, nothing synced, followers not yet woken),
-/// and pre-sync (the leader about to fsync — with ELR, escrow locks are
-/// already released here).
+/// and pre-sync (the leader about to fsync).
 pub const PIPELINE_PROBES: [&str; 3] = [
     "wal.pipeline.mid_batch",
     "wal.pipeline.post_append_pre_wake",
@@ -830,9 +769,9 @@ pub struct ProbeSweepReport {
 
 /// Crash exactly at the pipeline's seams: sample up to `per_probe`
 /// occurrences of each probe in [`PIPELINE_PROBES`], run one crash episode
-/// per sampled offset, and assert the full oracle (including the ELR
-/// durable-ordering check) on each. Requires `cfg.pipeline`; without it the
-/// probes never fire and the sweep reports zero episodes.
+/// per sampled offset, and assert the full oracle on each. Requires
+/// `cfg.pipeline`; without it the probes never fire and the sweep reports
+/// zero episodes.
 pub fn run_pipeline_probe_sweep(
     cfg: &TortureConfig,
     per_probe: usize,
@@ -856,18 +795,15 @@ pub fn run_cascade_probe_sweep(
     run_probe_sweep(cfg, &CASCADE_PROBES, per_probe)
 }
 
-/// The two seams this PR's maintenance paths open: the window between the
-/// MIN/MAX recomputer's X-lock grant and the view-row rewrite, and every
-/// redo-logged hash-bucket write (mirror inserts, escrow patches, removes).
-pub const MINMAX_PROBES: [&str; 2] = ["view.minmax.recompute", "hash.bucket.write"];
+/// The seam the MIN/MAX maintenance path opens: the window between the
+/// recomputer's X-lock grant and the view-row rewrite.
+pub const MINMAX_PROBES: [&str; 1] = ["view.minmax.recompute"];
 
-/// Crash exactly inside the MIN/MAX recompute window and on hash-bucket
-/// writes: sample up to `per_probe` occurrences of [`MINMAX_PROBES`], run
-/// one crash episode per sampled offset, and assert the full oracle — the
-/// recomputed extremum must land atomically with its group row, and the
-/// hash index must replay to byte-equality with the B-tree. Requires
-/// `cfg.minmax`; without it the probes never fire and the sweep reports
-/// zero episodes.
+/// Crash exactly inside the MIN/MAX recompute window: sample up to
+/// `per_probe` occurrences of [`MINMAX_PROBES`], run one crash episode per
+/// sampled offset, and assert the full oracle — the recomputed extremum
+/// must land atomically with its group row. Requires `cfg.minmax`; without
+/// it the probe never fires and the sweep reports zero episodes.
 pub fn run_minmax_probe_sweep(
     cfg: &TortureConfig,
     per_probe: usize,
@@ -1375,54 +1311,38 @@ mod tests {
         assert!(report.resilience.health_counters.writes_rejected > 0);
     }
 
-    fn pipeline_cfg(elr: bool) -> TortureConfig {
-        TortureConfig { txns: 12, pipeline: true, elr, ..Default::default() }
+    fn pipeline_cfg() -> TortureConfig {
+        TortureConfig { txns: 12, pipeline: true, ..Default::default() }
     }
 
     #[test]
     fn pipelined_fault_free_episode_passes_oracle() {
-        let ep = run_episode(&pipeline_cfg(false), &FaultSchedule::crash_at(1_000_000)).unwrap();
+        let ep = run_episode(&pipeline_cfg(), &FaultSchedule::crash_at(1_000_000)).unwrap();
         assert!(ep.violations.is_empty(), "{:?}", ep.violations);
         assert_eq!(ep.trace.acked_commits, 11);
         assert_eq!(ep.recovery.losers, 0);
     }
 
     #[test]
-    fn elr_fault_free_episode_passes_oracle() {
-        let ep = run_episode(&pipeline_cfg(true), &FaultSchedule::crash_at(1_000_000)).unwrap();
-        assert!(ep.violations.is_empty(), "{:?}", ep.violations);
-        assert_eq!(ep.trace.acked_commits, 11);
-    }
-
-    #[test]
     fn pipelined_mini_sweep_is_clean() {
-        let report = run_sweep(&pipeline_cfg(false), 6).unwrap();
-        assert_eq!(report.episodes, 6);
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
-    }
-
-    #[test]
-    fn elr_mini_sweep_is_clean() {
-        let report = run_sweep(&pipeline_cfg(true), 6).unwrap();
+        let report = run_sweep(&pipeline_cfg(), 6).unwrap();
         assert_eq!(report.episodes, 6);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
     }
 
     #[test]
     fn pipeline_probe_sweep_covers_all_three_seams() {
-        for elr in [false, true] {
-            let report = run_pipeline_probe_sweep(&pipeline_cfg(elr), 3).unwrap();
-            assert!(report.violations.is_empty(), "elr={elr}: {:?}", report.violations);
-            assert_eq!(report.per_probe.len(), 3);
-            for &(name, ran) in &report.per_probe {
-                assert!(ran >= 1, "elr={elr}: probe {name} never got a crash episode");
-            }
+        let report = run_pipeline_probe_sweep(&pipeline_cfg(), 3).unwrap();
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert_eq!(report.per_probe.len(), 3);
+        for &(name, ran) in &report.per_probe {
+            assert!(ran >= 1, "probe {name} never got a crash episode");
         }
     }
 
     #[test]
     fn pipelined_storm_episode_is_absorbed() {
-        let cfg = pipeline_cfg(true);
+        let cfg = pipeline_cfg();
         let horizon = measure_horizon(&cfg).unwrap();
         let ep = run_storm_episode(&cfg, &FaultSchedule::storm(9, horizon)).unwrap();
         assert!(ep.violations.is_empty(), "{:?}", ep.violations);
@@ -1431,7 +1351,7 @@ mod tests {
 
     #[test]
     fn pipelined_metrics_check_is_deterministic() {
-        let report = run_metrics_check(&pipeline_cfg(true)).unwrap();
+        let report = run_metrics_check(&pipeline_cfg()).unwrap();
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert!(report.snapshot.counter_value("txn.pipeline.leader_syncs").unwrap_or(0) > 0);
     }
@@ -1455,14 +1375,8 @@ mod tests {
     }
 
     #[test]
-    fn deep_chain_elr_episode_passes_oracle() {
-        let cfg = TortureConfig {
-            txns: 12,
-            chain_depth: 4,
-            pipeline: true,
-            elr: true,
-            ..Default::default()
-        };
+    fn deep_chain_pipelined_episode_passes_oracle() {
+        let cfg = TortureConfig { txns: 12, chain_depth: 4, pipeline: true, ..Default::default() };
         let ep = run_episode(&cfg, &FaultSchedule::crash_at(1_000_000)).unwrap();
         assert!(ep.violations.is_empty(), "{:?}", ep.violations);
     }
@@ -1501,10 +1415,10 @@ mod tests {
     }
 
     #[test]
-    fn minmax_probe_sweep_covers_both_seams() {
+    fn minmax_probe_sweep_covers_the_recompute_seam() {
         let report = run_minmax_probe_sweep(&minmax_cfg(), 3).unwrap();
         assert!(report.violations.is_empty(), "{:?}", report.violations);
-        assert_eq!(report.per_probe.len(), 2);
+        assert_eq!(report.per_probe.len(), 1);
         for &(name, ran) in &report.per_probe {
             assert!(ran >= 1, "probe {name} never got a crash episode");
         }
@@ -1512,9 +1426,9 @@ mod tests {
 
     #[test]
     fn minmax_gate_actually_changes_the_workload() {
-        // Non-vacuity: with the gate on, both new probes must occur in the
+        // Non-vacuity: with the gate on, the probe must occur in the
         // fault-free schedule (otherwise the sweep above proves nothing),
-        // and with it off they must never fire — the off-path draws no
+        // and with it off it must never fire — the off-path draws no
         // extra rng and emits no extra events, keeping pinned horizons.
         let on = measure_probe_offsets(&minmax_cfg(), &MINMAX_PROBES).unwrap();
         for name in MINMAX_PROBES {

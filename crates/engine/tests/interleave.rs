@@ -143,29 +143,19 @@ fn fifo_fairness_exhaustive() {
     assert!(report.schedules >= 10, "only {} schedules", report.schedules);
 }
 
-/// Pipeline fixture: ELR read dependency, exhaustively explored in both
-/// elr modes with exact admitted-schedule drift gates (the same canary
-/// idea as the `escrow_vs_escrow` gates in `run_torture --interleave`:
-/// any drift means the yield-point set or the pipeline protocol changed).
+/// Pipeline fixture: an escrow writer racing an RC reader of its group,
+/// exhaustively explored with an exact admitted-schedule drift gate (the
+/// same canary idea as the `escrow_vs_escrow` gates in `run_torture
+/// --interleave`: any drift means the yield-point set or the pipeline
+/// protocol changed). Escrow locks are held to durability, so the reader
+/// never observes a not-yet-durable increment.
 #[test]
-fn pipeline_elr_read_dependency_exhaustive() {
-    // elr=false: escrow locks are held to durability, so the reader can
-    // never observe a not-yet-durable increment — no dependency edges.
-    let sc = interleave::elr_read_dependency(false);
+fn pipeline_read_race_exhaustive() {
+    let sc = interleave::pipeline_read_race();
     let r = explore_dfs(&sc, CAP);
     assert!(!r.truncated, "[{}] truncated", sc.name);
     assert!(r.violations.is_empty(), "[{}] first: {}", sc.name, r.violations[0].1);
     assert_eq!(r.schedules, 556, "[{}] schedule-count drift", sc.name);
-    assert_eq!(r.dep_schedules, 0, "[{}] dep edges without ELR", sc.name);
-
-    // elr=true: schedules exist where the reader sees the writer's value
-    // before the writer is durable and must record a commit dependency.
-    let sc = interleave::elr_read_dependency(true);
-    let r = explore_dfs(&sc, CAP);
-    assert!(!r.truncated, "[{}] truncated", sc.name);
-    assert!(r.violations.is_empty(), "[{}] first: {}", sc.name, r.violations[0].1);
-    assert_eq!(r.schedules, 1_141, "[{}] schedule-count drift", sc.name);
-    assert_eq!(r.dep_schedules, 675, "[{}] dep-schedule drift", sc.name);
 }
 
 /// Pipeline fixture: two-batch overlap (disjoint groups, the pipeline is
@@ -177,15 +167,13 @@ fn pipeline_elr_read_dependency_exhaustive() {
 /// the self-lead branches and turns them into follower parks.)
 #[test]
 fn pipeline_two_batch_overlap_capped() {
-    for elr in [false, true] {
-        let sc = interleave::two_batch_overlap(elr);
-        let r = explore_dfs(&sc, 4_000);
-        assert!(r.truncated, "[{}] tree shrank below the cap", sc.name);
-        assert!(r.violations.is_empty(), "[{}] first: {}", sc.name, r.violations[0].1);
-        // Non-vacuity + drift gate: schedules where a committer parks
-        // behind an active leader must exist, in a deterministic count.
-        assert_eq!(r.follower_wait_schedules, 1_760, "[{}] follower drift", sc.name);
-    }
+    let sc = interleave::two_batch_overlap();
+    let r = explore_dfs(&sc, 4_000);
+    assert!(r.truncated, "[{}] tree shrank below the cap", sc.name);
+    assert!(r.violations.is_empty(), "[{}] first: {}", sc.name, r.violations[0].1);
+    // Non-vacuity + drift gate: schedules where a committer parks behind an
+    // active leader must exist, in a deterministic count.
+    assert_eq!(r.follower_wait_schedules, 1_760, "[{}] follower drift", sc.name);
 }
 
 /// Pipeline fixture: 3-committer leader handoff race. The full tree is
@@ -193,17 +181,15 @@ fn pipeline_two_batch_overlap_capped() {
 /// cover it, with a follower-count drift gate on the prefix.
 #[test]
 fn pipeline_leader_handoff_race_capped() {
-    for elr in [false, true] {
-        let sc = interleave::leader_handoff_race(elr);
-        let r = explore_dfs(&sc, 1_500);
-        assert!(r.truncated, "[{}] tree shrank below the cap", sc.name);
-        assert!(r.violations.is_empty(), "[{}] first: {}", sc.name, r.violations[0].1);
-        assert_eq!(r.follower_wait_schedules, 500, "[{}] follower drift", sc.name);
+    let sc = interleave::leader_handoff_race();
+    let r = explore_dfs(&sc, 1_500);
+    assert!(r.truncated, "[{}] tree shrank below the cap", sc.name);
+    assert!(r.violations.is_empty(), "[{}] first: {}", sc.name, r.violations[0].1);
+    assert_eq!(r.follower_wait_schedules, 500, "[{}] follower drift", sc.name);
 
-        let p = interleave::explore_pct(&sc, 0xC0FFEE, 50, 3);
-        assert!(p.violations.is_empty(), "[{}] PCT first: {}", sc.name, p.violations[0].1);
-        assert!(p.follower_wait_schedules > 0, "[{}] PCT saw no followers", sc.name);
-    }
+    let p = interleave::explore_pct(&sc, 0xC0FFEE, 50, 3);
+    assert!(p.violations.is_empty(), "[{}] PCT first: {}", sc.name, p.violations[0].1);
+    assert!(p.follower_wait_schedules > 0, "[{}] PCT saw no followers", sc.name);
 }
 
 /// Chain fixture: two incrementers on disjoint base groups whose cascades
@@ -232,21 +218,17 @@ fn chain_commit_race_capped() {
     }
 }
 
-/// Chain fixture: ELR vs an in-flight cascade, exhaustively explored with
-/// exact drift gates. An RC reader polls the mid-chain view while a
-/// writer's increment cascades through it at commit; with ELR the chain
-/// rows become visible at log-append time, so dependency edges must be
-/// recorded in a deterministic share of the schedules.
+/// Chain fixture: a pipelined writer's in-flight cascade vs an RC reader
+/// of the mid-chain view, exhaustively explored with exact drift gates.
 #[test]
-fn cascade_elr_exhaustive() {
-    let sc = interleave::cascade_elr();
+fn cascade_reader_exhaustive() {
+    let sc = interleave::cascade_reader();
     let r = explore_dfs(&sc, CAP);
     assert!(!r.truncated, "[{}] truncated at {CAP}", sc.name);
     assert!(r.violations.is_empty(), "[{}] first: {}", sc.name, r.violations[0].1);
-    assert_eq!(r.schedules, 4_420, "[{}] schedule-count drift", sc.name);
-    assert_eq!(r.dep_schedules, 2_181, "[{}] dep-schedule drift", sc.name);
+    assert_eq!(r.schedules, 2_446, "[{}] schedule-count drift", sc.name);
     assert_eq!(
-        r.cascade_flush_schedules, 4_420,
+        r.cascade_flush_schedules, 2_446,
         "[{}] flush non-vacuity: every schedule cascades",
         sc.name
     );
@@ -286,18 +268,17 @@ fn minmax_delete_race_exhaustive() {
 }
 
 /// Replay determinism through the pipeline code path: same choices must
-/// reproduce the same decisions, history, and state with group commit and
-/// ELR enabled.
+/// reproduce the same decisions, history, and state with group commit
+/// enabled.
 #[test]
 fn pipeline_replay_is_deterministic() {
-    let sc = interleave::elr_read_dependency(true);
+    let sc = interleave::pipeline_read_race();
     let choices = vec![1, 1, 0, 1, 0, 1, 1, 0];
     let (a, va) = replay(&sc, &choices);
     let (b, vb) = replay(&sc, &choices);
     assert_eq!(va, vb);
     assert_eq!(a.decisions, b.decisions);
     assert_eq!(a.history.len(), b.history.len());
-    assert_eq!(a.dep_edges, b.dep_edges);
     assert_eq!(a.base_dump, b.base_dump);
     assert_eq!(a.view_dump, b.view_dump);
 }

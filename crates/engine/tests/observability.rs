@@ -1,7 +1,7 @@
 //! Observability contract for the group-commit pipeline: batch-size and
 //! park-to-wake metrics flow into the database snapshot, and the torture
-//! harness's metrics-determinism check holds with the pipeline (and ELR)
-//! enabled — identically-seeded runs on the event-tick clock must produce
+//! harness's metrics-determinism check holds with the pipeline enabled —
+//! identically-seeded runs on the event-tick clock must produce
 //! byte-identical snapshots, pipeline counters included.
 
 use std::time::Duration;
@@ -25,9 +25,9 @@ fn items_schema() -> Schema {
     .unwrap()
 }
 
-fn pipelined_db(elr: bool) -> std::sync::Arc<Database> {
+fn pipelined_db() -> std::sync::Arc<Database> {
     let db = Database::new_in_memory_with(64, Duration::from_secs(10));
-    db.enable_commit_pipeline(elr);
+    db.enable_commit_pipeline();
     let t = db.create_table("items", items_schema()).unwrap();
     db.create_indexed_view(ViewSpec {
         name: "totals".into(),
@@ -47,7 +47,7 @@ fn pipelined_db(elr: bool) -> std::sync::Arc<Database> {
 /// ever parks behind a leader.
 #[test]
 fn pipeline_batch_and_park_metrics_single_threaded() {
-    let db = pipelined_db(false);
+    let db = pipelined_db();
     let commits = 9i64;
     for i in 0..commits {
         let mut txn = db.begin(IsolationLevel::ReadCommitted);
@@ -66,63 +66,29 @@ fn pipeline_batch_and_park_metrics_single_threaded() {
         "every committer self-led"
     );
     assert_eq!(s.counter_value("txn.pipeline.follower_waits"), Some(0));
+    assert_eq!(s.counter_value("txn.pipeline.fast_acks"), Some(0), "no commit was pre-flushed");
     let park = s.hist_value("txn.pipeline.park_to_wake_us").expect("park hist missing");
     assert_eq!(park.count(), 0, "nobody parked single-threaded");
 }
 
-/// ELR mode additionally counts early escrow releases; without readers of
-/// the stained values, no dependencies are recorded or waited on.
-#[test]
-fn elr_release_metrics_without_readers() {
-    let db = pipelined_db(true);
-    for i in 0..6i64 {
-        let mut txn = db.begin(IsolationLevel::ReadCommitted);
-        db.insert(&mut txn, "items", row![i, 1i64, 5i64]).unwrap();
-        db.commit(&mut txn).unwrap();
-    }
-    let s = db.metrics_snapshot();
-    let elr = s.counter_value("txn.pipeline.elr_releases").unwrap_or(0);
-    assert!(elr > 0, "escrow-holding commits must release early under ELR");
-    assert_eq!(s.counter_value("txn.pipeline.dep_recorded"), Some(0));
-    assert_eq!(s.counter_value("txn.pipeline.dep_waits"), Some(0));
-    assert_eq!(s.counter_value("txn.pipeline.dep_aborts"), Some(0));
-}
-
 /// The torture metrics-determinism contract (`run_torture --metrics`)
-/// must hold with the pipeline enabled, in both elr modes: structurally
-/// valid snapshots, identical across identically-seeded runs, with the
-/// pipeline's own instruments live.
+/// must hold with the pipeline enabled: structurally valid snapshots,
+/// identical across identically-seeded runs, with the pipeline's own
+/// instruments live.
 #[test]
 fn pipelined_torture_metrics_deterministic() {
-    for elr in [false, true] {
-        let cfg = TortureConfig {
-            txns: 18,
-            pipeline: true,
-            elr,
-            ..Default::default()
-        };
-        let r = run_metrics_check(&cfg).unwrap();
-        assert!(
-            r.violations.is_empty(),
-            "elr={elr}: {:?}",
-            r.violations
-        );
-        let batches = r
-            .snapshot
-            .hist_value("txn.pipeline.batch_commits")
-            .expect("pipeline batch hist missing from torture snapshot");
-        assert!(batches.count() > 0, "elr={elr}: no pipeline rounds recorded");
-        let commits = r.snapshot.counter_value("txn.commits").unwrap_or(0);
-        assert!(
-            batches.sum <= commits,
-            "elr={elr}: more batch resolutions ({}) than commits ({commits})",
-            batches.sum
-        );
-        if elr {
-            assert!(
-                r.snapshot.counter_value("txn.pipeline.elr_releases").unwrap_or(0) > 0,
-                "ELR torture run released no escrow locks early"
-            );
-        }
-    }
+    let cfg = TortureConfig { txns: 18, pipeline: true, ..Default::default() };
+    let r = run_metrics_check(&cfg).unwrap();
+    assert!(r.violations.is_empty(), "{:?}", r.violations);
+    let batches = r
+        .snapshot
+        .hist_value("txn.pipeline.batch_commits")
+        .expect("pipeline batch hist missing from torture snapshot");
+    assert!(batches.count() > 0, "no pipeline rounds recorded");
+    let commits = r.snapshot.counter_value("txn.commits").unwrap_or(0);
+    assert!(
+        batches.sum <= commits,
+        "more batch resolutions ({}) than commits ({commits})",
+        batches.sum
+    );
 }

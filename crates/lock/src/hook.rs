@@ -89,15 +89,6 @@ pub enum SchedEvent {
     /// The committing transaction is about to publish multiversion entries
     /// for the view rows it touched (latch-free version-store publish).
     VersionPublish,
-    /// A commit record reached the log with its escrow locks released
-    /// early (ELR, pipeline mode). Durability is still pending, but the
-    /// transaction's effects are visible to later lockers from this point
-    /// — for the serializability oracle this, not the later
-    /// [`SchedEvent::Committed`], is the serialization point.
-    CommitPending {
-        /// The commit record's LSN.
-        commit_lsn: u64,
-    },
     /// A committer enqueued its commit LSN on the group-commit pipeline
     /// and is about to park until the batch outcome resolves it
     /// (`on_block` event, mirroring [`SchedEvent::LockBlocked`]).
@@ -136,19 +127,6 @@ pub enum SchedEvent {
         /// Number of coalesced (view, group) entries queued at flush start.
         /// Deeper levels enqueued *during* the flush are not counted.
         entries: u64,
-    },
-    /// An ELR reader depends on a predecessor whose commit record is not
-    /// yet durable and is about to park until the predecessor's fate is
-    /// known (`on_block` event).
-    DepWait {
-        /// The predecessor's commit record LSN.
-        commit_lsn: u64,
-    },
-    /// A parked ELR dependent was released from the predecessor's thread
-    /// (`on_grant` event): the predecessor became durable or failed.
-    DepGrant {
-        /// The predecessor's commit record LSN.
-        commit_lsn: u64,
     },
 }
 

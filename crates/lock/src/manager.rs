@@ -554,36 +554,6 @@ impl LockManager {
         self.waits.lock().remove(&txn);
     }
 
-    /// Names on which `txn` currently holds exactly mode E (escrow), in
-    /// acquisition order. The registry stores no mode, so names are
-    /// snapshotted first and each one re-checked under its shard —
-    /// preserving the shard → registry lock order used everywhere else.
-    /// Sound for the single thread driving `txn`: nobody else changes its
-    /// holds between the snapshot and the check.
-    pub fn held_escrow(&self, txn: TxnId) -> Vec<LockName> {
-        let names: Vec<LockName> = self
-            .registry
-            .lock()
-            .get(&txn)
-            .map(|v| v.iter().map(|(n, _)| n.clone()).collect())
-            .unwrap_or_default();
-        names
-            .into_iter()
-            .filter(|n| self.held_mode(txn, n) == Some(LockMode::E))
-            .collect()
-    }
-
-    /// Early escrow release (ELR): drop the given E locks at log-append
-    /// time, before the commit record is durable. Callers pass the result
-    /// of [`LockManager::held_escrow`] and must have published commit
-    /// dependencies for these names *before* calling, so a reader granted
-    /// by the release observes the stain.
-    pub fn release_escrow(&self, txn: TxnId, names: &[LockName]) {
-        for name in names {
-            self.release(txn, name);
-        }
-    }
-
     /// Discard every lock and wait-queue entry. Locks are volatile state:
     /// a (simulated) crash erases them; recovery runs lock-free and new
     /// transactions start clean. Callers must have quiesced all workers.
@@ -801,29 +771,6 @@ mod tests {
         assert!(m.try_acquire(TxnId(3), key(1), LockMode::X).unwrap());
         // Covered re-request is a cheap true.
         assert!(m.try_acquire(TxnId(3), key(1), LockMode::S).unwrap());
-    }
-
-    #[test]
-    fn held_escrow_selects_only_e_locks_and_release_wakes_readers() {
-        let m = mgr();
-        m.acquire(TxnId(1), key(1), LockMode::E).unwrap();
-        m.acquire(TxnId(1), key(2), LockMode::E).unwrap();
-        m.acquire(TxnId(1), key(3), LockMode::X).unwrap();
-        m.acquire(TxnId(1), LockName::Object(txview_common::ObjectId(9)), LockMode::IX).unwrap();
-        let escrow = m.held_escrow(TxnId(1));
-        assert_eq!(escrow, vec![key(1), key(2)], "acquisition order, E only");
-        // A reader queued on one of the escrow names is granted by the
-        // early release while the X lock stays held.
-        let m2 = Arc::clone(&m);
-        let h = std::thread::spawn(move || m2.acquire(TxnId(2), key(1), LockMode::S));
-        std::thread::sleep(Duration::from_millis(50));
-        m.release_escrow(TxnId(1), &escrow);
-        h.join().unwrap().unwrap();
-        assert_eq!(m.held_mode(TxnId(1), &key(1)), None);
-        assert_eq!(m.held_mode(TxnId(1), &key(3)), Some(LockMode::X), "X survives ELR");
-        assert_eq!(m.held_count(TxnId(1)), 2, "X + IX remain registered");
-        m.release_all(TxnId(1));
-        m.release_all(TxnId(2));
     }
 
     #[test]

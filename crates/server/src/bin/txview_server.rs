@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! txview_server --port 0 --addr-file /tmp/addr --serve-secs 10 \
-//!     --pipeline --elr --sync-us 50
+//!     --pipeline --sync-us 50
 //! ```
 //!
 //! `--port 0` binds an ephemeral port; `--addr-file` publishes the bound
@@ -34,14 +34,12 @@ fn main() {
     let max_sessions: usize = arg_num(&args, "--max-sessions", 64);
     let queue_depth: usize = arg_num(&args, "--queue-depth", 128);
     let pipeline = args.iter().any(|a| a == "--pipeline");
-    let elr = args.iter().any(|a| a == "--elr");
     let addr_file = arg_val(&args, "--addr-file");
 
     let bank = Bank::setup(BankConfig {
         accounts,
         branches,
         pipeline,
-        elr,
         sync_latency_us: sync_us,
         ..Default::default()
     })
@@ -56,7 +54,7 @@ fn main() {
     let server = Server::start(bank.db.clone(), &format!("127.0.0.1:{port}"), cfg)
         .expect("server start");
     let addr = server.local_addr();
-    println!("txview_server listening on {addr} (pipeline={pipeline} elr={elr} sync_us={sync_us})");
+    println!("txview_server listening on {addr} (pipeline={pipeline} sync_us={sync_us})");
     if let Some(path) = addr_file {
         // Write via a temp file + rename so a polling reader never sees a
         // partial address.

@@ -83,7 +83,9 @@ pub fn decode_frame(buf: &[u8]) -> Result<Option<(Vec<u8>, usize)>> {
 
 /// Stable wire error codes. Retryable codes are `< 100`; fatal codes are
 /// `>= 100`. The numeric values are part of the protocol and must never be
-/// reused or renumbered — add new codes at the end of each band.
+/// reused or renumbered — add new codes at the end of each band. Code 6
+/// (a retired commit-dependency abort) is never reused: `from_u16` refuses
+/// it like any other unknown code.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u16)]
 pub enum WireErrorCode {
@@ -97,8 +99,6 @@ pub enum WireErrorCode {
     LockTimeout = 4,
     /// Snapshot-rule conflict with a committed peer; retry.
     SerializationConflict = 5,
-    /// ELR commit dependency failed; reader aborts and may retry.
-    CommitDependency = 6,
     /// Server-side admission control shed this request/connection; retry
     /// (ideally after backoff) — the engine itself is healthy.
     Overloaded = 7,
@@ -147,7 +147,6 @@ impl WireErrorCode {
             3 => DeadlockVictim,
             4 => LockTimeout,
             5 => SerializationConflict,
-            6 => CommitDependency,
             7 => Overloaded,
             100 => Fenced,
             101 => TypeMismatch,
@@ -176,7 +175,6 @@ impl WireErrorCode {
             Error::DeadlockVictim { .. } => WireErrorCode::DeadlockVictim,
             Error::LockTimeout { .. } => WireErrorCode::LockTimeout,
             Error::SerializationConflict(_) => WireErrorCode::SerializationConflict,
-            Error::CommitDependency { .. } => WireErrorCode::CommitDependency,
             Error::Fenced { .. } => WireErrorCode::Fenced,
             Error::TypeMismatch { .. } => WireErrorCode::TypeMismatch,
             Error::Schema(_) => WireErrorCode::Schema,
@@ -534,6 +532,7 @@ mod tests {
             }
         }
         assert!(WireErrorCode::from_u16(0).is_none());
+        assert!(WireErrorCode::from_u16(6).is_none(), "retired code 6 is never reused");
         assert!(WireErrorCode::from_u16(99).is_none());
     }
 
@@ -546,7 +545,6 @@ mod tests {
             Error::DeadlockVictim { txn: TxnId(1) },
             Error::LockTimeout { txn: TxnId(1), what: "k".into() },
             Error::SerializationConflict("w".into()),
-            Error::CommitDependency { txn: TxnId(2), pred: TxnId(1) },
             Error::Fenced { reason: "corrupt".into() },
             Error::type_mismatch("SumInt", "Float"),
             Error::Schema("no such view".into()),

@@ -15,7 +15,6 @@ fn start_bank_server(accounts: i64, branches: i64, cfg: ServerConfig) -> (Bank, 
         accounts,
         branches,
         pipeline: true,
-        elr: true,
         ..Default::default()
     })
     .expect("bank setup");

@@ -51,7 +51,6 @@ fn graceful_drain_loses_no_acked_commit() {
         accounts: CLIENTS as i64,
         branches: CLIENTS as i64,
         pipeline: true,
-        elr: true,
         sync_latency_us: 100, // widen batch windows so the drain has work
         ..Default::default()
     })
@@ -134,7 +133,7 @@ fn kill_episode(kill_at: u64) -> (u64, u64, u64) {
         Duration::from_secs(2),
     )
     .expect("with_parts");
-    db.enable_commit_pipeline(true);
+    db.enable_commit_pipeline();
 
     let accounts = db
         .create_table(

@@ -40,6 +40,9 @@ fn request_from(op: u8, a: i64, b: i64, tag_bytes: &[u8]) -> Request {
     }
 }
 
+/// Every assigned error code, both bands (6 is retired).
+const CODES: [u16; 10] = [1, 2, 3, 4, 5, 7, 100, 103, 111, 112];
+
 fn response_from(op: u8, a: i64, tag_bytes: &[u8]) -> Response {
     match op % 7 {
         0 => Response::Pong,
@@ -49,7 +52,8 @@ fn response_from(op: u8, a: i64, tag_bytes: &[u8]) -> Response {
         4 => Response::Avg { present: a % 2 == 0, value: a as f64 / 7.0 },
         5 => Response::Metrics { text: format!("k={a}\n") },
         _ => Response::Err {
-            code: WireErrorCode::from_u16(1 + a.rem_euclid(7) as u16).unwrap(),
+            code: WireErrorCode::from_u16(CODES[a.rem_euclid(CODES.len() as i64) as usize])
+                .unwrap(),
             msg: format!("e{a}"),
         },
     }
@@ -170,6 +174,22 @@ proptest! {
         let (p2, used2) = decode_frame(&buf[used1..]).unwrap().unwrap();
         prop_assert_eq!(Request::decode(&p2).unwrap(), r2);
         prop_assert_eq!(used1 + used2, buf.len());
+    }
+}
+
+/// Wire code 6 is retired: `from_u16` does not know it, and a well-framed
+/// error response carrying it is refused as a protocol violation.
+#[test]
+fn retired_error_code_is_a_protocol_error() {
+    assert_eq!(WireErrorCode::from_u16(6), None);
+    let mut payload =
+        Response::Err { code: WireErrorCode::Overloaded, msg: "x".into() }.encode();
+    assert_eq!(&payload[1..3], &7u16.to_le_bytes(), "code sits after the opcode");
+    payload[1..3].copy_from_slice(&6u16.to_le_bytes());
+    let (framed, _) = decode_frame(&encode_frame(&payload)).unwrap().unwrap();
+    match Response::decode(&framed) {
+        Err(Error::Corruption(m)) => assert!(m.contains("unknown error code 6"), "{m}"),
+        other => panic!("code 6 decoded: {other:?}"),
     }
 }
 

@@ -46,30 +46,31 @@ pub enum PageType {
     BTreeInterior,
     /// Catalog page.
     Catalog,
-    /// Hash-index page (directory or bucket; the point-read fast path).
-    HashBucket,
 }
 
+/// The one page-type table: the header byte, the `FormatPage` redo tag and
+/// every decoder go through these two functions. Retired tags (5, the
+/// removed hash-index page) are never reused and decode as corruption.
 impl PageType {
-    fn to_u8(self) -> u8 {
+    /// The tag stored in the header and in `FormatPage` records.
+    pub fn to_u8(self) -> u8 {
         match self {
             PageType::Free => 0,
             PageType::Super => 1,
             PageType::BTreeLeaf => 2,
             PageType::BTreeInterior => 3,
             PageType::Catalog => 4,
-            PageType::HashBucket => 5,
         }
     }
 
-    fn from_u8(v: u8) -> Result<PageType> {
+    /// Decode a tag; anything outside the table is corruption.
+    pub fn from_u8(v: u8) -> Result<PageType> {
         Ok(match v {
             0 => PageType::Free,
             1 => PageType::Super,
             2 => PageType::BTreeLeaf,
             3 => PageType::BTreeInterior,
             4 => PageType::Catalog,
-            5 => PageType::HashBucket,
             t => return Err(Error::corruption(format!("bad page type {t}"))),
         })
     }
@@ -89,7 +90,7 @@ impl Page {
         p
     }
 
-    /// Wrap raw bytes read from disk, verifying magic and checksum.
+    /// Wrap raw bytes read from disk, verifying magic, checksum and type.
     pub fn from_disk(bytes: [u8; PAGE_SIZE]) -> Result<Page> {
         let p = Page { bytes: Box::new(bytes) };
         let magic = u16::from_le_bytes(p.bytes[OFF_MAGIC..OFF_MAGIC + 2].try_into().unwrap());
@@ -103,6 +104,7 @@ impl Page {
                 "page checksum mismatch: stored {stored:#x}, computed {computed:#x}"
             )));
         }
+        p.page_type()?;
         Ok(p)
     }
 
@@ -225,5 +227,41 @@ mod tests {
         p.reformat(PageType::Free);
         assert_eq!(p.payload()[10], 0);
         assert_eq!(p.page_type().unwrap(), PageType::Free);
+    }
+
+    #[test]
+    fn page_type_table_round_trips_and_refuses_unknown_tags() {
+        for ty in [
+            PageType::Free,
+            PageType::Super,
+            PageType::BTreeLeaf,
+            PageType::BTreeInterior,
+            PageType::Catalog,
+        ] {
+            assert_eq!(PageType::from_u8(ty.to_u8()).unwrap(), ty);
+        }
+        for tag in [5u8, 6, 9, 255] {
+            assert!(matches!(PageType::from_u8(tag), Err(Error::Corruption(_))), "tag {tag}");
+        }
+    }
+
+    /// A correctly sealed page whose header says type 5 (the retired
+    /// hash-index page) is refused by `fetch`, not handed to a caller.
+    #[test]
+    fn fetch_refuses_a_page_of_a_retired_type() {
+        use crate::buffer::BufferPool;
+        use crate::disk::{DiskManager, MemDisk};
+        use std::sync::Arc;
+        let disk = Arc::new(MemDisk::new());
+        let pid = disk.allocate().unwrap();
+        let mut p = Page::new(PageType::BTreeLeaf);
+        p.bytes[OFF_TYPE] = 5;
+        disk.write_page(pid, &mut p).unwrap();
+        let pool = BufferPool::new(disk, 4);
+        match pool.fetch(pid) {
+            Err(Error::Corruption(m)) => assert!(m.contains("bad page type 5"), "{m}"),
+            Err(e) => panic!("expected corruption, got {e}"),
+            Ok(_) => panic!("a type-5 page was fetched"),
+        }
     }
 }

@@ -10,12 +10,10 @@
 //! transaction state (log back-chain, in-memory undo list, held locks via
 //! the lock manager) and drives commit / rollback / checkpoint.
 
-pub mod deps;
 pub mod manager;
 pub mod pipeline;
 pub mod txn;
 
-pub use deps::{Dep, DepTable, PredOutcome, PredState};
 pub use manager::TxnManager;
 pub use pipeline::CommitPipeline;
 pub use txn::{IsolationLevel, Transaction, TxnState};

@@ -1,7 +1,6 @@
 //! The transaction manager: begin / commit / rollback / savepoint /
 //! system transactions.
 
-use crate::deps::PredOutcome;
 use crate::pipeline::CommitPipeline;
 use crate::txn::{IsolationLevel, Transaction, TxnState};
 use parking_lot::RwLock;
@@ -9,7 +8,7 @@ use std::sync::Arc;
 use txview_common::obs::{Counter, Histogram, ObsClock, Snapshot};
 use txview_common::sharded::ShardMap;
 use txview_common::{Error, Lsn, Result, TxnId};
-use txview_lock::{LockManager, LockName};
+use txview_lock::LockManager;
 use txview_wal::record::{RecordBody, TxnKind};
 use txview_wal::recovery::UndoHandler;
 use txview_wal::LogManager;
@@ -25,7 +24,7 @@ pub struct TxnManager {
     active: ShardMap<TxnId, ()>,
     /// Optional group-commit pipeline. When installed, forced commits go
     /// through leader-based batching instead of the strict per-commit
-    /// `flush_strict`, and (with ELR) escrow locks drop at log-append time.
+    /// `flush_strict`.
     pipeline: RwLock<Option<Arc<CommitPipeline>>>,
     obs: TxnObs,
 }
@@ -63,13 +62,11 @@ impl TxnManager {
         }
     }
 
-    /// Install the leader-based group-commit pipeline. `elr` additionally
-    /// enables early escrow-lock release at log-append time, backed by
-    /// commit-dependency tracking. Idempotent for the same `elr` setting;
-    /// re-installation replaces the pipeline (tests only — production
-    /// installs once at startup).
-    pub fn enable_pipeline(&self, elr: bool) {
-        *self.pipeline.write() = Some(Arc::new(CommitPipeline::new(Arc::clone(&self.log), elr)));
+    /// Install the leader-based group-commit pipeline. Re-installation
+    /// replaces the pipeline (tests only — production installs once at
+    /// startup).
+    pub fn enable_pipeline(&self) {
+        *self.pipeline.write() = Some(Arc::new(CommitPipeline::new(Arc::clone(&self.log))));
     }
 
     /// The installed group-commit pipeline, if any.
@@ -124,23 +121,6 @@ impl TxnManager {
             undo: Vec::new(),
             phase_acquire_us: 0,
             phase_maintain_us: 0,
-            deps: Vec::new(),
-        }
-    }
-
-    /// The engine calls this after granting `txn` an S/X/U lock on `name`:
-    /// if ELR is active and a predecessor released `name` at append time
-    /// without being durable yet, record commit dependencies so this
-    /// transaction's own commit waits for (or aborts with) the
-    /// predecessor. A no-op without an ELR pipeline.
-    pub fn note_read_dependency(&self, txn: &mut Transaction, name: &LockName) {
-        let Some(p) = self.pipeline() else { return };
-        if !p.elr() {
-            return;
-        }
-        let deps = p.deps.deps_for(txn.id, name);
-        if !deps.is_empty() {
-            txn.record_deps(deps);
         }
     }
 
@@ -180,11 +160,11 @@ impl TxnManager {
     /// after the commit decision but **before the commit record is
     /// appended** — the engine flushes its cascade queue there, so derived
     /// views are refreshed by ordinary logged maintenance that the commit
-    /// record then covers (and, under ELR, before any escrow lock drops at
-    /// append time). It returns the log-force flag, computed *after* its
-    /// own work so a cascade flush upgrades a would-be no-force commit. On
-    /// error the transaction is left Active for the caller to roll back —
-    /// nothing has been appended yet.
+    /// record then covers. It returns the log-force flag, computed *after*
+    /// its own work so a cascade flush upgrades a would-be no-force commit.
+    /// On error the transaction is left Active for the caller to roll back
+    /// — nothing has been appended yet. Then: append → wait/flush →
+    /// `pre_release` → release.
     pub fn commit_with_hooks(
         &self,
         txn: &mut Transaction,
@@ -201,66 +181,18 @@ impl TxnManager {
         let force = pre_append(txn)?;
         let commit_t0 = self.obs.clock.now();
         let commit_lsn = self.log.append(txn.id, txn.last_lsn, RecordBody::Commit);
-        let pipeline = if force { self.pipeline() } else { None };
-        // ELR: stain the escrow names and drop their E locks at *append*
-        // time — before the group flush. The stain goes in first so any
-        // reader the release unblocks finds the dependency.
-        let mut own_stain = None;
-        if let Some(p) = &pipeline {
-            if p.elr() {
-                let names = self.locks.held_escrow(txn.id);
-                if !names.is_empty() {
-                    own_stain = Some(p.deps.stain(txn.id, commit_lsn, &names));
-                    if let Some(h) = &hook {
-                        h.observe(
-                            txn.id,
-                            &txview_lock::SchedEvent::CommitPending { commit_lsn: commit_lsn.0 },
-                        );
-                    }
-                    p.obs.elr_releases.inc();
-                    self.locks.release_escrow(txn.id, &names);
-                }
-            }
-        }
-        let result: Result<()> = (|| {
-            if let Some(p) = &pipeline {
-                let force_t0 = self.obs.clock.now();
-                p.commit_wait(txn.id, commit_lsn, hook.as_ref())?;
-                self.obs.log_force_us.record(self.obs.clock.now().saturating_sub(force_t0));
-            } else if force {
+        if force {
+            let force_t0 = self.obs.clock.now();
+            match self.pipeline() {
+                Some(p) => p.commit_wait(txn.id, commit_lsn, hook.as_ref())?,
                 // Strict per-commit flush: the serial baseline must not
                 // piggyback on concurrent committers' syncs — that sharing
                 // is the pipeline's job (see `LogManager::flush_strict`).
-                let force_t0 = self.obs.clock.now();
-                self.log.flush_strict(commit_lsn)?;
-                self.obs.log_force_us.record(self.obs.clock.now().saturating_sub(force_t0));
+                None => self.log.flush_strict(commit_lsn)?,
             }
-            // Resolve ELR read dependencies recorded during execution —
-            // even a non-forced (read-only) commit must not ack having
-            // read a predecessor's not-yet-durable escrow value.
-            if !txn.deps.is_empty() {
-                if let Some(p) = self.pipeline() {
-                    let deps = std::mem::take(&mut txn.deps);
-                    p.resolve_deps(txn.id, &deps, hook.as_ref())?;
-                }
-            }
-            pre_release(commit_lsn)
-        })();
-        if let Err(e) = result {
-            // Dependents that read our early-released values must abort:
-            // our commit did not go through and we are about to roll back.
-            if let Some(ps) = &own_stain {
-                ps.set_outcome(PredOutcome::Failed, hook.as_ref());
-            }
-            return Err(e);
+            self.obs.log_force_us.record(self.obs.clock.now().saturating_sub(force_t0));
         }
-        if let Some(ps) = &own_stain {
-            ps.set_outcome(PredOutcome::Durable, hook.as_ref());
-            if let Some(p) = &pipeline {
-                p.deps.remove_stains(txn.id);
-            }
-        }
-        txn.deps.clear();
+        pre_release(commit_lsn)?;
         self.locks.release_all(txn.id);
         txn.last_lsn = self.log.append(txn.id, commit_lsn, RecordBody::End);
         txn.state = TxnState::Committed;
@@ -292,13 +224,6 @@ impl TxnManager {
         txn.last_lsn = self.log.append(txn.id, txn.last_lsn, RecordBody::End);
         txn.state = TxnState::Aborted;
         self.locks.release_all(txn.id);
-        // ELR: the undo above retracted our escrow deltas, so the stains
-        // (kept Failed since the commit attempt) can finally go — readers
-        // granted from here on see fully clean values.
-        if let Some(p) = self.pipeline() {
-            p.deps.remove_stains(txn.id);
-        }
-        txn.deps.clear();
         self.active.remove(&txn.id);
         self.obs.rollbacks.inc();
         if let Some(h) = &hook {
@@ -593,83 +518,13 @@ mod tests {
     #[test]
     fn pipeline_commit_is_durable_and_counted() {
         let (log, _locks, mgr) = setup();
-        mgr.enable_pipeline(false);
+        mgr.enable_pipeline();
         let mut t = mgr.begin(IsolationLevel::ReadCommitted);
         let commit_lsn = mgr.commit(&mut t).unwrap();
         assert!(log.flushed_lsn() >= commit_lsn, "pipelined commit is durable");
         let s = mgr.obs_snapshot();
         assert_eq!(s.counter_value("txn.pipeline.leader_syncs"), Some(1));
-        assert_eq!(s.counter_value("txn.pipeline.elr_releases"), Some(0));
         s.validate().unwrap();
-    }
-
-    #[test]
-    fn elr_commit_drops_escrow_locks_and_cleans_stains() {
-        let (_log, locks, mgr) = setup();
-        mgr.enable_pipeline(true);
-        let p = mgr.pipeline().unwrap();
-        let name = LockName::key(IndexId(1), vec![7]);
-        let mut t = mgr.begin(IsolationLevel::ReadCommitted);
-        locks.acquire(t.id, name.clone(), LockMode::E).unwrap();
-        mgr.commit(&mut t).unwrap();
-        assert_eq!(locks.held_count(t.id), 0);
-        assert!(p.deps.is_empty(), "durable commit removes its stains");
-        assert_eq!(p.obs.elr_releases.get(), 1);
-        // A later reader of the same name records no dependency.
-        let mut r = mgr.begin(IsolationLevel::ReadCommitted);
-        locks.acquire(r.id, name.clone(), LockMode::S).unwrap();
-        mgr.note_read_dependency(&mut r, &name);
-        assert_eq!(r.dep_count(), 0);
-        mgr.commit(&mut r).unwrap();
-    }
-
-    #[test]
-    fn elr_dependent_commit_waits_for_predecessor_outcome() {
-        let (log, locks, mgr) = setup();
-        mgr.enable_pipeline(true);
-        let p = mgr.pipeline().unwrap();
-        let name = LockName::key(IndexId(1), vec![8]);
-        // Fake an ELR predecessor: stained, outcome still pending.
-        let pred_lsn = log.append(TxnId(900), Lsn::NULL, RecordBody::Commit);
-        let ps = p.deps.stain(TxnId(900), pred_lsn, std::slice::from_ref(&name));
-        let mut t = mgr.begin(IsolationLevel::ReadCommitted);
-        locks.acquire(t.id, name.clone(), LockMode::S).unwrap();
-        mgr.note_read_dependency(&mut t, &name);
-        mgr.note_read_dependency(&mut t, &name);
-        assert_eq!(t.dep_count(), 1, "re-reads dedupe by predecessor");
-        let ps2 = Arc::clone(&ps);
-        let waker = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(50));
-            ps2.set_outcome(crate::deps::PredOutcome::Durable, None);
-        });
-        mgr.commit(&mut t).unwrap();
-        waker.join().unwrap();
-        assert_eq!(p.deps.dep_waits.get(), 1);
-    }
-
-    #[test]
-    fn elr_dependent_aborts_when_predecessor_failed() {
-        let (log, locks, mgr) = setup();
-        mgr.enable_pipeline(true);
-        let p = mgr.pipeline().unwrap();
-        let name = LockName::key(IndexId(1), vec![9]);
-        let pred_lsn = log.append(TxnId(901), Lsn::NULL, RecordBody::Commit);
-        let ps = p.deps.stain(TxnId(901), pred_lsn, std::slice::from_ref(&name));
-        let mut t = mgr.begin(IsolationLevel::ReadCommitted);
-        locks.acquire(t.id, name.clone(), LockMode::S).unwrap();
-        mgr.note_read_dependency(&mut t, &name);
-        ps.set_outcome(crate::deps::PredOutcome::Failed, None);
-        let err = mgr.commit(&mut t).unwrap_err();
-        match &err {
-            Error::CommitDependency { pred, .. } => assert_eq!(*pred, TxnId(901)),
-            other => panic!("expected CommitDependency, got {other}"),
-        }
-        assert!(err.is_retryable(), "dependents retry");
-        // The transaction is still active and rolls back normally.
-        assert!(t.is_active());
-        let h = Recording(Mutex::new(Vec::new()));
-        mgr.rollback(&mut t, &h).unwrap();
-        assert_eq!(p.deps.dep_aborts.get(), 1);
     }
 
     #[test]

@@ -20,7 +20,6 @@
 //! matches the serial `flush_to` retry semantics. A successful later sync
 //! prunes stale failure records.
 
-use crate::deps::{Dep, DepTable, PredOutcome};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -102,8 +101,6 @@ pub struct PipelineObs {
     pub leader_syncs: Counter,
     /// Committers that parked behind a leader.
     pub follower_waits: Counter,
-    /// ELR: escrow-lock sets released at append time.
-    pub elr_releases: Counter,
 }
 
 impl PipelineObs {
@@ -115,7 +112,6 @@ impl PipelineObs {
             park_to_wake_us: Histogram::default(),
             leader_syncs: Counter::default(),
             follower_waits: Counter::default(),
-            elr_releases: Counter::default(),
         }
     }
 }
@@ -125,18 +121,13 @@ pub struct CommitPipeline {
     log: Arc<LogManager>,
     state: Mutex<State>,
     cv: Condvar,
-    elr: bool,
-    /// Commit-dependency table (only consulted when `elr` is on, but
-    /// always present so debug accessors stay simple).
-    pub deps: DepTable,
     /// Metrics.
     pub obs: PipelineObs,
 }
 
 impl CommitPipeline {
-    /// New pipeline over `log`. `elr` enables early escrow-lock release
-    /// at append time plus commit-dependency tracking.
-    pub fn new(log: Arc<LogManager>, elr: bool) -> CommitPipeline {
+    /// New pipeline over `log`.
+    pub fn new(log: Arc<LogManager>) -> CommitPipeline {
         CommitPipeline {
             log,
             state: Mutex::new(State {
@@ -146,15 +137,8 @@ impl CommitPipeline {
                 failures: Vec::new(),
             }),
             cv: Condvar::new(),
-            elr,
-            deps: DepTable::new(),
             obs: PipelineObs::new(),
         }
-    }
-
-    /// Whether early escrow-lock release is enabled.
-    pub fn elr(&self) -> bool {
-        self.elr
     }
 
     /// Switch the metrics clock to virtual ticks (torture determinism).
@@ -439,41 +423,6 @@ impl CommitPipeline {
         }
     }
 
-    /// Resolve the commit dependencies recorded by `deps` (ELR): ensure
-    /// the log is flushed through each predecessor's commit LSN (usually
-    /// free — the dependent's own commit flush covers the prefix), then
-    /// wait for each predecessor's *definite* outcome.
-    pub fn resolve_deps(
-        &self,
-        me: TxnId,
-        deps: &[Dep],
-        hook: Option<&Arc<dyn SchedHook>>,
-    ) -> Result<()> {
-        for dep in deps {
-            match dep.state.outcome() {
-                PredOutcome::Durable => continue,
-                PredOutcome::Failed => {
-                    self.deps.dep_aborts.inc();
-                    return Err(Error::CommitDependency { txn: me, pred: dep.pred });
-                }
-                PredOutcome::Pending => {}
-            }
-            // Push the log far enough that the predecessor's outcome can
-            // resolve, then park on it.
-            self.log.flush_to(dep.lsn).ok();
-            self.deps.dep_waits.inc();
-            match dep.state.wait_outcome(me, hook) {
-                PredOutcome::Durable => {}
-                PredOutcome::Failed => {
-                    self.deps.dep_aborts.inc();
-                    return Err(Error::CommitDependency { txn: me, pred: dep.pred });
-                }
-                PredOutcome::Pending => unreachable!("wait_outcome returns definite"),
-            }
-        }
-        Ok(())
-    }
-
     /// Metrics snapshot under the `txn.pipeline.*` namespace.
     pub fn obs_snapshot(&self) -> Snapshot {
         let mut s = Snapshot::default();
@@ -482,10 +431,6 @@ impl CommitPipeline {
         s.hist("txn.pipeline.park_to_wake_us", self.obs.park_to_wake_us.snapshot());
         s.counter("txn.pipeline.leader_syncs", self.obs.leader_syncs.get());
         s.counter("txn.pipeline.follower_waits", self.obs.follower_waits.get());
-        s.counter("txn.pipeline.elr_releases", self.obs.elr_releases.get());
-        s.counter("txn.pipeline.dep_recorded", self.deps.dep_recorded.get());
-        s.counter("txn.pipeline.dep_waits", self.deps.dep_waits.get());
-        s.counter("txn.pipeline.dep_aborts", self.deps.dep_aborts.get());
         s
     }
 }
@@ -507,7 +452,7 @@ mod tests {
     #[test]
     fn single_committer_self_leads() {
         let log = mgr();
-        let p = CommitPipeline::new(Arc::clone(&log), false);
+        let p = CommitPipeline::new(Arc::clone(&log));
         let lsn = append_commit(&log, 1);
         p.commit_wait(TxnId(1), lsn, None).unwrap();
         assert!(log.flushed_lsn() >= lsn);
@@ -520,7 +465,7 @@ mod tests {
     #[test]
     fn already_flushed_lsn_is_a_noop() {
         let log = mgr();
-        let p = CommitPipeline::new(Arc::clone(&log), false);
+        let p = CommitPipeline::new(Arc::clone(&log));
         let lsn = append_commit(&log, 1);
         log.flush_to(lsn).unwrap();
         p.commit_wait(TxnId(1), lsn, None).unwrap();
@@ -530,7 +475,7 @@ mod tests {
     #[test]
     fn many_threads_group_commit_all_ack() {
         let log = mgr();
-        let p = Arc::new(CommitPipeline::new(Arc::clone(&log), false));
+        let p = Arc::new(CommitPipeline::new(Arc::clone(&log)));
         let n = 16;
         let barrier = Arc::new(std::sync::Barrier::new(n));
         let max_lsn = Arc::new(AtomicU64::new(0));
@@ -563,14 +508,14 @@ mod tests {
     #[test]
     fn drain_on_idle_pipeline_returns_immediately() {
         let log = mgr();
-        let p = CommitPipeline::new(Arc::clone(&log), false);
+        let p = CommitPipeline::new(Arc::clone(&log));
         p.drain(); // must not block
     }
 
     #[test]
     fn drain_waits_for_in_flight_batches() {
         let log = mgr();
-        let p = Arc::new(CommitPipeline::new(Arc::clone(&log), false));
+        let p = Arc::new(CommitPipeline::new(Arc::clone(&log)));
         let n = 8;
         let barrier = Arc::new(std::sync::Barrier::new(n + 1));
         let mut handles = Vec::new();
@@ -597,12 +542,5 @@ mod tests {
         assert!(!st.leader_active);
         assert!(st.queue.is_empty());
         assert!(st.waiters.values().all(|w| !matches!(w, WaiterSlot::Pending)));
-    }
-
-    #[test]
-    fn elr_flag_round_trips() {
-        let log = mgr();
-        assert!(!CommitPipeline::new(Arc::clone(&log), false).elr());
-        assert!(CommitPipeline::new(log, true).elr());
     }
 }

@@ -1,6 +1,5 @@
 //! Per-transaction state.
 
-use crate::deps::Dep;
 use txview_common::{Lsn, TxnId};
 use txview_wal::record::UndoOp;
 
@@ -71,10 +70,6 @@ pub struct Transaction {
     pub phase_acquire_us: u64,
     /// Accumulated view-maintenance time (µs or ticks), same protocol.
     pub phase_maintain_us: u64,
-    /// ELR commit dependencies recorded while acquiring locks on names a
-    /// predecessor released at log-append time. Resolved at commit; see
-    /// [`crate::pipeline::CommitPipeline::resolve_deps`].
-    pub(crate) deps: Vec<Dep>,
 }
 
 impl Transaction {
@@ -102,21 +97,6 @@ impl Transaction {
     pub fn is_active(&self) -> bool {
         self.state == TxnState::Active
     }
-
-    /// Record ELR commit dependencies on the given predecessors, deduped
-    /// by predecessor id (re-reading the same stained name is common).
-    pub fn record_deps(&mut self, new: Vec<Dep>) {
-        for d in new {
-            if !self.deps.iter().any(|e| e.pred == d.pred) {
-                self.deps.push(d);
-            }
-        }
-    }
-
-    /// Number of distinct ELR predecessors this transaction depends on.
-    pub fn dep_count(&self) -> usize {
-        self.deps.len()
-    }
 }
 
 #[cfg(test)]
@@ -133,7 +113,6 @@ mod tests {
             undo: Vec::new(),
             phase_acquire_us: 0,
             phase_maintain_us: 0,
-            deps: Vec::new(),
         }
     }
 

@@ -29,7 +29,7 @@ enum Step {
 #[derive(Clone, Copy, Debug)]
 enum Mode {
     Serial,
-    Pipelined { elr: bool },
+    Pipelined,
 }
 
 /// Everything observable about one run, in comparable form.
@@ -62,10 +62,7 @@ fn run(mode: Mode, steps: &[Step], schedule: &FaultSchedule) -> RunResult {
     let store = FaultLogStore::new(Arc::clone(&clock));
     let log = Arc::new(LogManager::open(Box::new(store.clone())).unwrap());
     clock.arm(schedule);
-    let pipeline = CommitPipeline::new(
-        Arc::clone(&log),
-        matches!(mode, Mode::Pipelined { elr: true }),
-    );
+    let pipeline = CommitPipeline::new(Arc::clone(&log));
 
     let mut acks = Vec::new();
     let mut acked_durable = Vec::new();
@@ -77,7 +74,7 @@ fn run(mode: Mode, steps: &[Step], schedule: &FaultSchedule) -> RunResult {
                 let pre_crash = !clock.fired();
                 let ok = match mode {
                     Mode::Serial => log.flush_to(lsn).is_ok(),
-                    Mode::Pipelined { .. } => pipeline.commit_wait(txn, lsn, None).is_ok(),
+                    Mode::Pipelined => pipeline.commit_wait(txn, lsn, None).is_ok(),
                 };
                 acks.push((txn.0, ok));
                 // Recovery oracle: an ack granted while the durable image
@@ -152,21 +149,12 @@ fn fault_strategy() -> impl Strategy<Value = FaultSchedule> {
 }
 
 proptest! {
-    /// Pipelined (elr off) vs serial: identical durable bytes, records,
+    /// Pipelined vs serial: identical durable bytes, records,
     /// and ack sets under random schedules and random faults.
     #[test]
     fn pipelined_matches_serial(steps in step_strategy(), faults in fault_strategy()) {
         let serial = run(Mode::Serial, &steps, &faults);
-        let piped = run(Mode::Pipelined { elr: false }, &steps, &faults);
-        prop_assert_eq!(serial, piped);
-    }
-
-    /// The elr flag changes lock-release timing in the engine, never the
-    /// WAL protocol: the pipelined run must stay identical to serial.
-    #[test]
-    fn pipelined_elr_matches_serial(steps in step_strategy(), faults in fault_strategy()) {
-        let serial = run(Mode::Serial, &steps, &faults);
-        let piped = run(Mode::Pipelined { elr: true }, &steps, &faults);
+        let piped = run(Mode::Pipelined, &steps, &faults);
         prop_assert_eq!(serial, piped);
     }
 
@@ -176,7 +164,7 @@ proptest! {
     fn storm_is_absorbed_identically(steps in step_strategy(), seed in 0u64..1_000) {
         let storm = FaultSchedule::storm(seed, 200);
         let serial = run(Mode::Serial, &steps, &storm);
-        let piped = run(Mode::Pipelined { elr: false }, &steps, &storm);
+        let piped = run(Mode::Pipelined, &steps, &storm);
         prop_assert!(!serial.crashed);
         prop_assert!(serial.acks.iter().all(|&(_, ok)| ok),
             "storm bursts exceed the retry budget: {:?}", serial.acks);

@@ -146,17 +146,12 @@ impl RedoOp {
     }
 
     /// The page type a `FormatPage` op creates (needed when redo must
-    /// recreate a never-flushed page).
-    pub fn format_type(&self) -> Option<PageType> {
+    /// recreate a never-flushed page); `None` for every other op. A tag
+    /// outside [`PageType`]'s table is corruption, never a Free page.
+    pub fn format_type(&self) -> Result<Option<PageType>> {
         match self {
-            RedoOp::FormatPage { ty, .. } => match ty {
-                2 => Some(PageType::BTreeLeaf),
-                3 => Some(PageType::BTreeInterior),
-                4 => Some(PageType::Catalog),
-                5 => Some(PageType::HashBucket),
-                _ => Some(PageType::Free),
-            },
-            _ => None,
+            RedoOp::FormatPage { ty, .. } => PageType::from_u8(*ty).map(Some),
+            _ => Ok(None),
         }
     }
 
@@ -631,9 +626,17 @@ mod tests {
     #[test]
     fn format_type_mapping() {
         assert_eq!(
-            RedoOp::FormatPage { ty: 2, header_len: 0 }.format_type(),
+            RedoOp::FormatPage { ty: 2, header_len: 0 }.format_type().unwrap(),
             Some(PageType::BTreeLeaf)
         );
-        assert_eq!(RedoOp::SlotRemove { idx: 0 }.format_type(), None);
+        assert_eq!(
+            RedoOp::FormatPage { ty: 0, header_len: 0 }.format_type().unwrap(),
+            Some(PageType::Free)
+        );
+        assert_eq!(RedoOp::SlotRemove { idx: 0 }.format_type().unwrap(), None);
+        for ty in [5u8, 9] {
+            let err = RedoOp::FormatPage { ty, header_len: 0 }.format_type().unwrap_err();
+            assert!(matches!(err, Error::Corruption(_)), "tag {ty}: {err}");
+        }
     }
 }

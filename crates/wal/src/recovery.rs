@@ -99,7 +99,7 @@ pub fn redo_record(pool: &Arc<BufferPool>, rec: &LogRecord) -> Result<bool> {
         RecordBody::Clr { page, redo, .. } => (*page, redo),
         _ => return Ok(false),
     };
-    let ty = redo.format_type().unwrap_or(PageType::Free);
+    let ty = redo.format_type()?.unwrap_or(PageType::Free);
     let page = pool.fetch_or_recreate(page_id, ty)?;
     let mut guard = page.write();
     if guard.lsn() < rec.lsn {
@@ -361,6 +361,28 @@ mod tests {
         let mut g = page.write();
         let s = Slotted::wrap(&mut g.payload_mut()[PAYLOAD_HEADER_LEN..]);
         s.get(0).to_vec()
+    }
+
+    /// A `FormatPage` whose page-type byte is not in the table (9, never
+    /// assigned; 5, the retired hash-index page) is corruption: redo must
+    /// refuse it rather than format a Free page from it.
+    #[test]
+    fn redo_refuses_a_format_of_an_unknown_page_type() {
+        let (log, pool) = setup();
+        for ty in [9u8, 5] {
+            let pid = PageId(40 + u32::from(ty));
+            let redo = RedoOp::FormatPage { ty, header_len: PAYLOAD_HEADER_LEN as u16 };
+            let lsn =
+                log.append(TxnId(1), Lsn::NULL, RecordBody::Update { page: pid, redo, undo: UndoOp::None });
+            log.flush_to(lsn).unwrap();
+            let (_, rec) = log.read_durable_from(0).unwrap().into_iter().find(|(_, r)| r.lsn == lsn).unwrap();
+            match redo_record(&pool, &rec) {
+                Err(Error::Corruption(m)) => assert!(m.contains(&format!("bad page type {ty}")), "{m}"),
+                Err(e) => panic!("tag {ty}: expected corruption, got {e}"),
+                Ok(applied) => panic!("tag {ty}: redo accepted the record (applied = {applied})"),
+            }
+            assert!(pool.fetch(pid).is_err(), "tag {ty}: no page was created");
+        }
     }
 
     #[test]

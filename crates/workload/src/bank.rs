@@ -56,9 +56,6 @@ pub struct BankConfig {
     pub lock_timeout: Duration,
     /// Commit through the leader-based group-commit pipeline.
     pub pipeline: bool,
-    /// With `pipeline`, additionally release escrow locks at log-append
-    /// time (early lock release with commit-dependency tracking).
-    pub elr: bool,
     /// Per-sync log-device latency in microseconds (0 = off). Injected
     /// through the fault log store's seeded latency model, so the WAL
     /// behaves like a device with a real fsync cost and commit-path
@@ -82,7 +79,6 @@ impl Default for BankConfig {
             pool_pages: 4096,
             lock_timeout: Duration::from_secs(5),
             pipeline: false,
-            elr: false,
             sync_latency_us: 0,
             chain_depth: 0,
         }
@@ -115,7 +111,7 @@ impl Bank {
             Database::new_in_memory_with(cfg.pool_pages, cfg.lock_timeout)
         };
         if cfg.pipeline {
-            db.enable_commit_pipeline(cfg.elr);
+            db.enable_commit_pipeline();
         }
         let t = db.create_table(
             "accounts",
@@ -445,14 +441,8 @@ mod tests {
     }
 
     #[test]
-    fn chained_bank_survives_pipelined_elr_commits() {
-        let bank = Bank::setup(BankConfig {
-            chain_depth: 3,
-            pipeline: true,
-            elr: true,
-            ..small()
-        })
-        .unwrap();
+    fn chained_bank_survives_pipelined_commits() {
+        let bank = Bank::setup(BankConfig { chain_depth: 3, pipeline: true, ..small() }).unwrap();
         let specs = [WorkerSpec {
             name: "transfer".into(),
             threads: 3,

@@ -331,15 +331,12 @@ fn follower_replays_cascaded_chains_byte_identically() {
     }
 }
 
-// ---- MIN/MAX recompute & hash-index crash matrix ----------------------
+// ---- MIN/MAX recompute crash matrix -------------------------------------
 //
 // The recompute-on-delete fallback rewrites a MIN/MAX view row from a base
-// rescan under the deleter's X lock, and every hash-index mirror is a
-// redo-logged bucket-page write. Two probes pin the seams: one between the
-// recomputer's lock grant and the view-row rewrite, one immediately before
-// each logged bucket write. Crashes at both must recover a view equal to
-// recomputation AND a hash byte-identical to the B-tree (the verify oracle
-// audits the hash on every episode).
+// rescan under the deleter's X lock. A probe pins the seam between the
+// recomputer's lock grant and the view-row rewrite; crashes there must
+// recover a view equal to recomputation.
 
 use txview_engine::torture::run_minmax_probe_sweep;
 
@@ -348,37 +345,37 @@ fn minmax_cfg() -> TortureConfig {
 }
 
 #[test]
-fn minmax_and_hash_views_survive_every_crash_point() {
+fn minmax_views_survive_every_crash_point() {
     let report = run_sweep(&minmax_cfg(), 32).unwrap();
     assert!(report.episodes >= 24, "episodes {}", report.episodes);
     assert!(
         report.violations.is_empty(),
-        "minmax/hash oracle violations: {:#?}",
+        "minmax oracle violations: {:#?}",
         report.violations
     );
     assert!(report.losers_undone > 0, "no crash point caught a durable loser");
 }
 
 #[test]
-fn crashes_in_recompute_window_and_bucket_writes_recover() {
+fn crashes_in_the_recompute_window_recover() {
     let report = run_minmax_probe_sweep(&minmax_cfg(), 8).unwrap();
-    assert_eq!(report.per_probe.len(), 2);
+    assert_eq!(report.per_probe.len(), 1);
     for &(name, ran) in &report.per_probe {
         assert!(ran >= 3, "only {ran} crash episodes landed on probe {name}");
     }
     assert!(
         report.violations.is_empty(),
-        "recompute/bucket-write crash violations: {:#?}",
+        "recompute-window crash violations: {:#?}",
         report.violations
     );
 }
 
 #[test]
-fn follower_replays_minmax_and_hash_redo_byte_identically() {
-    // Recompute rewrites and hash-bucket pages are ordinary redo records:
-    // a follower crashing mid-replay must still reopen onto its durable
-    // prefix and reconverge to the leader's exact bytes, hash pages
-    // included (the episode oracle compares full fingerprints).
+fn follower_replays_minmax_redo_byte_identically() {
+    // Recompute rewrites are ordinary redo records: a follower crashing
+    // mid-replay must still reopen onto its durable prefix and reconverge
+    // to the leader's exact bytes (the episode oracle compares full
+    // fingerprints).
     let cfg = minmax_cfg();
     let rcfg = ReplConfig::default();
     let horizon = measure_follower_horizon(&cfg, &rcfg).unwrap();

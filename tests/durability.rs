@@ -152,3 +152,48 @@ fn checkpoint_shrinks_recovery_work() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Every view in the catalog sidecar carries one reserved tag byte, always
+/// 0. Tag 1 once attached a hash index; that structure is gone and the tag
+/// is never reused, so a catalog carrying any nonzero tag is refused as
+/// corruption by the catalog decoder. A catalog with the byte at 0 — the
+/// layout every catalog without a hash index was written in — still opens.
+#[test]
+fn catalog_view_tag_is_reserved_zero() {
+    let dir = fresh_dir("viewtag");
+    {
+        let (db, _) = Database::open_dir(&dir, 64, Duration::from_secs(5)).unwrap();
+        let t = db.create_table("orders", schema()).unwrap();
+        db.create_indexed_view(ViewSpec {
+            name: "by_grp".into(),
+            source: ViewSource::Single { table: t, group_by: vec![1] },
+            aggs: vec![AggSpec::SumInt { col: 2 }],
+            filter: Predicate::True,
+            maintenance: MaintenanceMode::Escrow,
+            deferred: false,
+            eager_group_delete: false,
+        })
+        .unwrap();
+    }
+    let path = dir.join("catalog.bin");
+    let written = std::fs::read(&path).unwrap();
+    // The last view's tag byte sits just before the secondary-index count
+    // (a 4-byte zero: this catalog has no secondary index).
+    let tag_at = written.len() - 5;
+    assert_eq!(&written[tag_at..], &[0, 0, 0, 0, 0], "reserved tag, then no indexes");
+    {
+        let (db, _) = Database::open_dir(&dir, 64, Duration::from_secs(5)).unwrap();
+        db.verify_view("by_grp").unwrap();
+    }
+    for tag in [1u8, 2, 255] {
+        let mut bytes = written.clone();
+        bytes[tag_at] = tag;
+        std::fs::write(&path, &bytes).unwrap();
+        match Database::open_dir(&dir, 64, Duration::from_secs(5)) {
+            Err(Error::Corruption(m)) => assert!(m.contains(&format!("bad view tag {tag}")), "{m}"),
+            Err(e) => panic!("tag {tag}: expected corruption, got {e}"),
+            Ok(_) => panic!("tag {tag}: a catalog with a nonzero view tag opened"),
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

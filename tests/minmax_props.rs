@@ -1,14 +1,12 @@
-//! Differential property tests for MIN/MAX view maintenance and the hash
-//! point-read fast path.
+//! Differential property tests for MIN/MAX view maintenance.
 //!
 //! A random stream of inserts / updates / deletes (with the delete mix
 //! deliberately biased toward the current extremum, the expensive
 //! recompute-from-base path) runs against a MIN/MAX/AVG view while a plain
 //! in-process `BTreeMap` model tracks the committed base rows. After the
 //! stream the stored view must be byte-identical to a full recomputation —
-//! both the engine's own (`verify_view`, which also audits the hash mirror
-//! against the B-tree) and an *independent* one computed here from the
-//! model. Streams include transaction rollbacks, savepoint partial
+//! both the engine's own (`verify_view`) and an *independent* one computed
+//! here from the model. Streams include transaction rollbacks, savepoint partial
 //! rollbacks, and (in the second property) a hard crash at an arbitrary
 //! durable event followed by recovery.
 
@@ -71,8 +69,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// readings(id, grp, val) + a MIN/MAX/AVG view in XLock maintenance with a
-/// hash point-read index on top.
+/// readings(id, grp, val) + a MIN/MAX/AVG view in XLock maintenance.
 fn setup(db: &Arc<Database>) {
     let t = db
         .create_table(
@@ -103,7 +100,6 @@ fn setup(db: &Arc<Database>) {
         eager_group_delete: false,
     })
     .unwrap();
-    db.create_hash_index(VIEW).unwrap();
 }
 
 /// Pick the live row id holding the extremum of `grp` (ties broken by
@@ -255,11 +251,10 @@ fn model_rows(model: &Model) -> Vec<Row> {
 }
 
 /// Independent full recomputation: derive every group's COUNT/SUM/MIN/MAX
-/// from `model` in plain Rust and compare against what the view answers,
-/// through both the B-tree (`view_lookup` via `view_aggregates`) and the
-/// hash fast path (`view_point_read`).
+/// from `model` in plain Rust and compare against what the view answers
+/// (`view_lookup` via `view_aggregates`).
 fn check_against_model(db: &Arc<Database>, model: &Model) {
-    db.verify_view(VIEW).unwrap(); // engine recompute + hash-vs-btree audit
+    db.verify_view(VIEW).unwrap(); // the engine's own recompute
     let mut txn = db.begin(IsolationLevel::ReadCommitted);
     for g in 0..GROUPS {
         let vals: Vec<i64> =
@@ -288,13 +283,6 @@ fn check_against_model(db: &Arc<Database>, model: &Model) {
                 Value::Float(sum as f64 / vals.len() as f64)
             );
         }
-        // Hash fast path answers byte-identically to the B-tree.
-        assert_eq!(
-            db.view_point_read(&mut txn, VIEW, &group).unwrap(),
-            db.view_lookup(&mut txn, VIEW, &group).unwrap(),
-            "hash/btree divergence on group {}",
-            g
-        );
     }
     db.commit(&mut txn).unwrap();
 }
@@ -304,8 +292,7 @@ proptest! {
 
     /// Fault-free streams: after any mix of inserts, extremum deletes,
     /// updates, rollbacks, and savepoint partial rollbacks, the stored
-    /// MIN/MAX/AVG view equals a full recomputation and the hash index
-    /// agrees with the B-tree on every group.
+    /// MIN/MAX/AVG view equals a full recomputation on every group.
     #[test]
     fn minmax_stream_matches_full_recompute(
         ops in prop::collection::vec(arb_op(), 1..200),
@@ -316,31 +303,6 @@ proptest! {
         prop_assert!(out.completed, "fault-free stream hit an engine error");
         prop_assert_eq!(db.dump_table("readings").unwrap(), model_rows(&out.acked));
         check_against_model(&db, &out.acked);
-    }
-
-    /// Point reads through the hash index are byte-identical to B-tree
-    /// lookups for present, absent, and emptied-out groups alike, at the
-    /// isolation level the fast path serves (read committed).
-    #[test]
-    fn hash_point_reads_match_btree(
-        ops in prop::collection::vec(arb_op(), 1..120),
-        probes in prop::collection::vec(-2i64..GROUPS + 3, 1..24),
-    ) {
-        let db = Database::new_in_memory(1024);
-        setup(&db);
-        let out = drive(&db, &ops, None);
-        prop_assert!(out.completed);
-        let mut txn = db.begin(IsolationLevel::ReadCommitted);
-        for g in probes {
-            let group = [Value::Int(g)];
-            prop_assert_eq!(
-                db.view_point_read(&mut txn, VIEW, &group).unwrap(),
-                db.view_lookup(&mut txn, VIEW, &group).unwrap(),
-                "hash/btree divergence on probe {}",
-                g
-            );
-        }
-        db.commit(&mut txn).unwrap();
     }
 }
 
@@ -353,8 +315,7 @@ proptest! {
     /// run the stream into it, recover, and require (a) the recovered base
     /// is exactly the acked state — or the one commit that was in flight
     /// when the crash hit, atomically — and (b) the recovered view equals
-    /// an independent full recomputation from that base, through both read
-    /// paths, hash mirror included.
+    /// an independent full recomputation from that base.
     #[test]
     fn crash_mid_stream_recovers_to_a_recomputable_state(
         ops in prop::collection::vec(arb_op(), 1..80),

@@ -260,7 +260,6 @@ fn concurrent_scenario(mode: MaintenanceMode, s1: Script, s2: Script) -> Scenari
         scripts: vec![s1, s2],
         groups: vec![0, 1, 2],
         pipeline: false,
-        elr: false,
         minmax: false,
         chain_depth: 0,
     }
