@@ -50,7 +50,7 @@
 use txview_engine::interleave;
 use txview_engine::repl::{run_repl_metrics_check, run_replication_sweep};
 use txview_engine::torture::{
-    run_cascade_probe_sweep, run_episode, run_metrics_check, run_persistent_episode,
+    run_episode, run_probe_sweep, CASCADE_PROBES, run_metrics_check, run_persistent_episode,
     run_storm_sweep, run_sweep, SweepReport, TortureConfig,
 };
 use txview_engine::MaintenanceMode;
@@ -395,90 +395,70 @@ fn run_interleave(quick: bool, seed: u64) -> usize {
         }
     };
 
-    println!("exhaustive DFS (five scenarios x two maintenance modes):");
-    for mode in [MaintenanceMode::Escrow, MaintenanceMode::XLock] {
-        for sc in interleave::canned_scenarios(mode) {
-            let r = interleave::explore_dfs(&sc, dfs_cap);
+    let canned = [MaintenanceMode::Escrow, MaintenanceMode::XLock]
+        .into_iter()
+        .flat_map(interleave::canned_scenarios)
+        .collect();
+    // Each group prints one extra column: the canned scenarios count
+    // deadlocked schedules, the pipeline fixtures follower parks, and the
+    // chain fixtures cascade flushes.
+    let groups: [(&str, Vec<interleave::Scenario>, &str, usize); 3] = [
+        ("five scenarios x two maintenance modes", canned, "deadlocked", 5),
+        ("pipeline fixtures", interleave::pipeline_scenarios(), "followers", 6),
+        ("derived-chain fixtures", interleave::chain_scenarios(), "flushes", 6),
+    ];
+    for (title, scenarios, column, width) in groups {
+        println!("exhaustive DFS ({title}):");
+        for sc in scenarios {
+            // Two trees are astronomically large: the 3-committer handoff
+            // race, and the depth race (each commit's cascade flush adds
+            // escrow acquires at every chain level). Explore a deterministic
+            // prefix of each; the other fixtures run to completion and are
+            // gated exactly above.
+            let cap = if sc.name.starts_with("leader_handoff_race") {
+                if quick { 500 } else { 20_000 }
+            } else if sc.name.starts_with("chain_commit_race") {
+                if quick { 500 } else { 4_000 }
+            } else {
+                dfs_cap
+            };
+            let r = interleave::explore_dfs(&sc, cap);
+            let extra = match column {
+                "deadlocked" => r.aborted_schedules,
+                "followers" => r.follower_wait_schedules,
+                _ => r.cascade_flush_schedules,
+            };
             println!(
-                "  {:<42} schedules {:>6}{}  max decisions {:>3}  deadlocked {:>5}  violations {}",
+                "  {:<42} schedules {:>6}{}  max decisions {:>3}  {column} {extra:>width$}  violations {}",
                 sc.name,
                 r.schedules,
                 if r.truncated { "+" } else { " " },
                 r.max_decisions,
-                r.aborted_schedules,
                 r.violations.len(),
             );
             print_interleave_violations(&sc.name, &r.violations);
             failures += r.violations.len() + usize::from(drifted(&sc.name, r.schedules));
             schedules += r.schedules;
-        }
-    }
-
-    println!("exhaustive DFS (pipeline fixtures):");
-    for sc in interleave::pipeline_scenarios() {
-        // The 3-committer handoff race has an astronomically large tree;
-        // explore a deterministic prefix. The 2-txn fixtures run to
-        // completion and are gated exactly above.
-        let cap = if sc.name.starts_with("leader_handoff_race") {
-            if quick { 500 } else { 20_000 }
-        } else {
-            dfs_cap
-        };
-        let r = interleave::explore_dfs(&sc, cap);
-        println!(
-            "  {:<42} schedules {:>6}{}  max decisions {:>3}  followers {:>6}  violations {}",
-            sc.name,
-            r.schedules,
-            if r.truncated { "+" } else { " " },
-            r.max_decisions,
-            r.follower_wait_schedules,
-            r.violations.len(),
-        );
-        print_interleave_violations(&sc.name, &r.violations);
-        failures += r.violations.len() + usize::from(drifted(&sc.name, r.schedules));
-        schedules += r.schedules;
-        // Non-vacuity: the multi-committer fixtures must actually exercise
-        // the follower park they were built for (the read race has one
-        // committer, so nobody can park behind a leader).
-        let wants_followers = !sc.name.starts_with("pipeline_read_race");
-        if !quick && wants_followers && r.follower_wait_schedules == 0 {
-            println!("  VACUOUS: {} explored no follower parks", sc.name);
-            failures += 1;
-        }
-    }
-
-    println!("exhaustive DFS (derived-chain fixtures):");
-    for sc in interleave::chain_scenarios() {
-        // The depth-race tree is enormous (each commit's cascade flush
-        // adds escrow acquires at every chain level): explore a
-        // deterministic prefix. The cascade reader fixture runs to
-        // completion and is gated exactly above.
-        let cap = if sc.name.starts_with("chain_commit_race") {
-            if quick { 500 } else { 4_000 }
-        } else {
-            dfs_cap
-        };
-        let r = interleave::explore_dfs(&sc, cap);
-        println!(
-            "  {:<42} schedules {:>6}{}  max decisions {:>3}  flushes {:>6}  violations {}",
-            sc.name,
-            r.schedules,
-            if r.truncated { "+" } else { " " },
-            r.max_decisions,
-            r.cascade_flush_schedules,
-            r.violations.len(),
-        );
-        print_interleave_violations(&sc.name, &r.violations);
-        failures += r.violations.len() + usize::from(drifted(&sc.name, r.schedules));
-        schedules += r.schedules;
-        // Non-vacuity: both transactions write through the chain, so every
-        // committing schedule must flush a non-empty cascade queue.
-        if r.cascade_flush_schedules != r.schedules {
-            println!(
-                "  VACUOUS: {} flushed cascades in only {} of {} schedules",
-                sc.name, r.cascade_flush_schedules, r.schedules
-            );
-            failures += 1;
+            // Non-vacuity: the multi-committer pipeline fixtures must
+            // exercise the follower park they were built for (the read race
+            // has one committer, so nobody can park behind a leader), and
+            // every committing chain schedule must flush a non-empty
+            // cascade queue.
+            if column == "followers"
+                && !quick
+                && !sc.name.starts_with("pipeline_read_race")
+                && r.follower_wait_schedules == 0
+            {
+                println!("  VACUOUS: {} explored no follower parks", sc.name);
+                failures += 1;
+            }
+            if column == "flushes" && r.cascade_flush_schedules != r.schedules {
+                println!(
+                    "  VACUOUS: {} flushed cascades in only {} of {} schedules",
+                    sc.name, r.cascade_flush_schedules, r.schedules
+                );
+                failures += 1;
+            }
         }
     }
 
@@ -611,42 +591,31 @@ fn main() {
     let mut failures = 0usize;
     let mut total_points = 0usize;
 
-    // Part 1: systematic crash-point sweep, both maintenance modes.
-    println!("crash-point sweep:");
-    for mode in [MaintenanceMode::Escrow, MaintenanceMode::XLock] {
-        let cfg = TortureConfig { mode, txns, seed, ..Default::default() };
-        match run_sweep(&cfg, points) {
-            Ok(r) => {
-                failures += r.violations.len();
-                total_points += r.crash_events.len();
-                print_sweep(mode, &r);
-            }
-            Err(e) => {
-                failures += 1;
-                println!("  {:<6}  SWEEP ERROR: {e}", mode_name(mode));
-            }
-        }
-    }
-
-    // Part 2: derived-chain cascade torture — the same crash-point sweep
-    // with a view chain (bank_balance → identity level → global rollup)
-    // stacked on the bank view, judged by the chain oracle (every level
-    // equals recomputation from base *and* a fold of its immediate parent,
-    // and the terminal rollup conserves total balance). Then targeted
-    // crashes exactly between cascade levels via the mid-flush probe.
-    println!("derived-chain sweep (chain depth 2):");
-    let chain_points = points / 2;
-    for mode in [MaintenanceMode::Escrow, MaintenanceMode::XLock] {
-        let cfg = TortureConfig { mode, txns, seed, chain_depth: 2, ..Default::default() };
-        match run_sweep(&cfg, chain_points) {
-            Ok(r) => {
-                failures += r.violations.len();
-                total_points += r.crash_events.len();
-                print_sweep(mode, &r);
-            }
-            Err(e) => {
-                failures += 1;
-                println!("  {:<6}  CHAIN SWEEP ERROR: {e}", mode_name(mode));
+    // Part 1: systematic crash-point sweep, both maintenance modes. Part 2:
+    // derived-chain cascade torture — the same sweep with a view chain
+    // (bank_balance → identity level → global rollup) stacked on the bank
+    // view, judged by the chain oracle (every level equals recomputation
+    // from base *and* a fold of its immediate parent, and the terminal
+    // rollup conserves total balance). Then targeted crashes exactly
+    // between cascade levels via the mid-flush probe.
+    let sweeps = [
+        ("crash-point sweep:", 0, points, "SWEEP"),
+        ("derived-chain sweep (chain depth 2):", 2, points / 2, "CHAIN SWEEP"),
+    ];
+    for (title, chain_depth, budget, what) in sweeps {
+        println!("{title}");
+        for mode in [MaintenanceMode::Escrow, MaintenanceMode::XLock] {
+            let cfg = TortureConfig { mode, txns, seed, chain_depth, ..Default::default() };
+            match run_sweep(&cfg, budget) {
+                Ok(r) => {
+                    failures += r.violations.len();
+                    total_points += r.crash_events.len();
+                    print_sweep(mode, &r);
+                }
+                Err(e) => {
+                    failures += 1;
+                    println!("  {:<6}  {what} ERROR: {e}", mode_name(mode));
+                }
             }
         }
     }
@@ -654,7 +623,7 @@ fn main() {
     {
         let per_probe = if quick { 6 } else { 16 };
         let cfg = TortureConfig { txns, seed, chain_depth: 4, ..Default::default() };
-        match run_cascade_probe_sweep(&cfg, per_probe) {
+        match run_probe_sweep(&cfg, &CASCADE_PROBES, per_probe) {
             Ok(r) => {
                 for (name, ran) in &r.per_probe {
                     println!("  {:<20} {:>3} episodes", name, ran);

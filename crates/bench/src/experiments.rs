@@ -280,9 +280,9 @@ pub fn e6(cfg: &ExpConfig) -> Table {
         }];
         let res = run_for(&sales.db, &specs, cfg.cell);
         let (staleness, refresh_ms) = if deferred {
-            let staleness = sales.db.deferred_staleness("sales_by_product_0").unwrap();
+            let staleness = sales.db.harness().deferred_staleness("sales_by_product_0").unwrap();
             let t0 = Instant::now();
-            sales.db.refresh_deferred_view("sales_by_product_0").unwrap();
+            sales.db.harness().refresh_deferred_view("sales_by_product_0").unwrap();
             (staleness, t0.elapsed().as_secs_f64() * 1000.0)
         } else {
             (0, 0.0)
@@ -430,7 +430,7 @@ pub fn e11(cfg: &ExpConfig) -> Table {
 }
 
 /// Run a short contended deposit cell and return the engine's
-/// human-readable metrics table (`Database::metrics_report`) — the
+/// human-readable metrics table (`Snapshot::report`) — the
 /// `--metrics` output of `run_experiments`.
 pub fn metrics_demo(cfg: &ExpConfig) -> String {
     let bank = Bank::setup(BankConfig::default()).expect("setup");
@@ -442,7 +442,7 @@ pub fn metrics_demo(cfg: &ExpConfig) -> String {
     }];
     let _ = run_for(&bank.db, &specs, cfg.cell);
     bank.verify().expect("view consistent after metrics demo cell");
-    bank.db.metrics_report()
+    bank.db.metrics_snapshot().report()
 }
 
 /// E12 — scaling profile of the sharded hot path (PR 5): the E1 workload,

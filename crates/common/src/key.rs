@@ -34,11 +34,6 @@ impl Key {
         Key(Vec::new())
     }
 
-    /// Build a key from one value.
-    pub fn from_value(v: &Value) -> Key {
-        Key::from_values(std::slice::from_ref(v))
-    }
-
     /// Build a composite key from values in order.
     pub fn from_values(values: &[Value]) -> Key {
         let mut out = Vec::with_capacity(values.len() * 10);

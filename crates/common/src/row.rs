@@ -35,11 +35,6 @@ impl Row {
         &self.values[i]
     }
 
-    /// Checked column accessor.
-    pub fn try_get(&self, i: usize) -> Option<&Value> {
-        self.values.get(i)
-    }
-
     /// Mutable column accessor.
     pub fn get_mut(&mut self, i: usize) -> &mut Value {
         &mut self.values[i]
@@ -58,11 +53,6 @@ impl Row {
     /// All values, in order.
     pub fn values(&self) -> &[Value] {
         &self.values
-    }
-
-    /// Consume into the underlying values.
-    pub fn into_values(self) -> Vec<Value> {
-        self.values
     }
 
     /// Project the row onto the given column positions.

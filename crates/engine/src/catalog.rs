@@ -297,10 +297,6 @@ pub struct ViewDef {
 }
 
 impl ViewDef {
-    /// Number of stored aggregate columns (count + user aggregates).
-    pub fn stored_agg_count(&self) -> usize {
-        1 + self.aggs.len()
-    }
 
     /// True if maintained with escrow locks.
     pub fn is_escrow(&self) -> bool {

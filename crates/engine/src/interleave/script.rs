@@ -504,7 +504,7 @@ pub fn run_episode(scenario: &Scenario, chooser: Box<dyn Chooser>) -> Episode {
     // Ghost cleanup so the view dump reflects visible rows only, then the
     // engine's own cross-check.
     let _ = db.run_ghost_cleanup();
-    let mut verify_error = db.verify_view("v").err().map(|e| e.to_string());
+    let mut verify_error = db.harness().verify_view("v").err().map(|e| e.to_string());
     // Chain views must match both a full recomputation from the base table
     // and a one-level fold of their immediate parent.
     for name in chain_names(scenario.chain_depth) {
@@ -512,21 +512,21 @@ pub fn run_episode(scenario: &Scenario, chooser: Box<dyn Chooser>) -> Episode {
             break;
         }
         verify_error = db
-            .verify_view(&name)
-            .and_then(|()| db.verify_view_from_parent(&name))
+            .harness().verify_view(&name)
+            .and_then(|()| db.harness().verify_view_from_parent(&name))
             .err()
             .map(|e| format!("chain view {name}: {e}"));
     }
 
     let mut base_dump = BTreeMap::new();
-    for r in db.dump_table("items").expect("dump table") {
+    for r in db.harness().dump_table("items").expect("dump table") {
         let id = r.get(0).as_int().expect("id");
         let grp = r.get(1).as_int().expect("grp");
         let amount = r.get(2).as_int().expect("amount");
         base_dump.insert(id, (grp, amount));
     }
     let mut view_dump = BTreeMap::new();
-    for r in db.dump_view("v").expect("dump view") {
+    for r in db.harness().dump_view("v").expect("dump view") {
         let (grp, count, sum) = row_to_group(&r);
         view_dump.insert(grp, (count, sum));
     }

@@ -7,9 +7,11 @@
 //!
 //! Public surface:
 //!
-//! * [`db::Database`] — tables (clustered B-trees), indexed-view DDL, DML
-//!   with immediate view maintenance, commit/rollback, crash + recovery,
-//!   ghost cleanup, and verification helpers;
+//! * [`db::Database`] — tables (clustered B-trees), indexed-view DDL
+//!   ([`ddl`]), DML with immediate view maintenance ([`dml`],
+//!   [`maintain`]), commit/rollback, crash + recovery, ghost cleanup;
+//! * [`harness`] — verification oracles and ablation switches, reached
+//!   through [`db::Database::harness`];
 //! * [`catalog`] — table / view definitions ([`catalog::ViewSpec`]), the
 //!   aggregate list ([`catalog::AggSpec`]), filters, join views, and the
 //!   maintenance-mode switch (escrow vs the X-lock baseline);
@@ -26,11 +28,15 @@
 
 pub mod catalog;
 pub mod db;
+pub mod ddl;
 pub mod delta;
+pub mod dml;
 pub mod escrow;
 pub mod ghosts;
+pub mod harness;
 pub mod health;
 pub mod interleave;
+pub mod maintain;
 pub mod read;
 pub mod repl;
 pub mod secondary;
@@ -43,5 +49,6 @@ pub use catalog::{
     ViewSpec,
 };
 pub use db::{Database, DbStats, GhostCleanupReport, ResilienceStats};
+pub use harness::Harness;
 pub use health::{HealthMonitor, HealthState, HealthStatsSnapshot};
 pub use txview_txn::{IsolationLevel, Transaction};

@@ -9,8 +9,11 @@
 //! * **Snapshot** — no locks at all: versions as of the transaction's
 //!   snapshot LSN. Escrow writers are never blocked by snapshot readers.
 
-use crate::db::{visible_row, Database};
-use txview_common::{Error, Key, Result, Row, Value};
+use crate::catalog::ViewDef;
+use crate::db::Database;
+use crate::maintain::{materialize_view_row, visible_row};
+use txview_common::{Error, Key, Lsn, Result, Row, Value};
+use txview_btree::Tree;
 use txview_lock::{LockMode, LockName};
 use txview_txn::{IsolationLevel, Transaction};
 
@@ -44,10 +47,7 @@ impl Database {
                 // Phantom protection for a missing/invisible group: lock the
                 // gap the group would occupy.
                 if out.is_none() {
-                    let gap = match tree.next_geq(&key.successor())? {
-                        Some((next, _)) => LockName::gap(view.index, next),
-                        None => LockName::EndGap(view.index),
-                    };
+                    let gap = self.gap_after(&tree, view.index, &key)?;
                     self.locks.acquire(txn.id, gap, LockMode::S)?;
                 }
             }
@@ -69,26 +69,47 @@ impl Database {
         let lo_key = lo.map(Key::from_values);
         let hi_key = hi_exclusive.map(Key::from_values);
 
+        let tree = self.tree(view.index)?;
         if txn.isolation == IsolationLevel::Snapshot {
-            return self.snapshot_view_rows(&view, lo_key.as_ref(), hi_key.as_ref(), txn.snapshot_lsn);
+            let (lo, hi) = (lo_key.as_ref(), hi_key.as_ref());
+            let (items, _) = tree.scan(lo, hi, false)?;
+            return self.resolve_scanned(&view, items, lo, hi, txn.snapshot_lsn);
         }
 
-        // Locking scans: enumerate physical keys first, then lock + re-read
-        // each (values observed under the S lock are settled).
-        let tree = self.tree(view.index)?;
-        let (items, next_key) = tree.scan(lo_key.as_ref(), hi_key.as_ref(), true)?;
-        let serializable = txn.isolation == IsolationLevel::Serializable;
         let mut out = Vec::new();
+        self.locked_scan(txn, &tree, lo_key.as_ref(), hi_key.as_ref(), true, |_, bytes| {
+            out.extend(visible_row(&view, &bytes)?);
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// Locking range scan of `tree` over `[lo, hi)`: enumerate the keys
+    /// (ghosts too with `ghosts`), then S-lock each one and hand its live
+    /// value, re-read under the lock and so settled, to `visit`. Below
+    /// Serializable each lock is released at once; Serializable also locks
+    /// the gap before each key and the one past the range, so the range is
+    /// phantom-protected until commit.
+    pub(crate) fn locked_scan(
+        &self,
+        txn: &mut Transaction,
+        tree: &Tree,
+        lo: Option<&Key>,
+        hi: Option<&Key>,
+        ghosts: bool,
+        mut visit: impl FnMut(&mut Transaction, Vec<u8>) -> Result<()>,
+    ) -> Result<()> {
+        let index = tree.index_id();
+        let (items, next_key) = tree.scan(lo, hi, ghosts)?;
+        let serializable = txn.isolation == IsolationLevel::Serializable;
         for item in items {
-            let name = LockName::key(view.index, item.key.clone());
+            let name = LockName::key(index, item.key.clone());
             self.locks.acquire(txn.id, name.clone(), LockMode::S)?;
             if serializable {
-                self.locks
-                    .acquire(txn.id, LockName::gap(view.index, item.key.clone()), LockMode::S)?;
+                self.locks.acquire(txn.id, LockName::gap(index, item.key.clone()), LockMode::S)?;
             }
-            let key = Key::from_bytes(item.key.clone());
-            if let Some((false, bytes)) = tree.get(&key)? {
-                out.extend(visible_row(&view, &bytes)?);
+            if let Some((false, bytes)) = tree.get(&Key::from_bytes(item.key))? {
+                visit(txn, bytes)?;
             }
             if !serializable {
                 self.locks.release(txn.id, &name);
@@ -97,12 +118,12 @@ impl Database {
         if serializable {
             // Close the range: lock the gap beyond the last key.
             let end = match next_key {
-                Some(k) => LockName::gap(view.index, k),
-                None => LockName::EndGap(view.index),
+                Some(k) => LockName::gap(index, k),
+                None => LockName::EndGap(index),
             };
             self.locks.acquire(txn.id, end, LockMode::S)?;
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Point lookup of a base-table row by primary key. Base tables are not
@@ -122,23 +143,6 @@ impl Database {
             self.locks.release(txn.id, &name);
         }
         Ok(out)
-    }
-
-    /// Full scan of a base table (S object lock; long for serializable).
-    pub fn scan_table(&self, txn: &mut Transaction, table: &str) -> Result<Vec<Row>> {
-        let def = self.catalog.read().table(table)?.clone();
-        let tree = self.tree(def.index)?;
-        let name = LockName::Object(def.id);
-        self.locks.acquire(txn.id, name.clone(), LockMode::S)?;
-        let (items, _) = tree.scan(None, None, false)?;
-        let rows = items
-            .into_iter()
-            .map(|i| Row::from_bytes(&i.value))
-            .collect::<Result<Vec<_>>>()?;
-        if txn.isolation != IsolationLevel::Serializable {
-            self.locks.release(txn.id, &name);
-        }
-        Ok(rows)
     }
 
     /// Convenience: the aggregate values of one group — `(COUNT_BIG,
@@ -199,45 +203,72 @@ impl Database {
         }
     }
 
-    /// A transaction reading a row it has escrow-incremented must convert
-    /// E → X (it cannot know concurrent increments). This helper makes the
-    /// conversion explicit for callers that need read-back semantics.
-    pub fn view_lookup_for_update(
-        &self,
-        txn: &mut Transaction,
-        view_name: &str,
-        group: &[Value],
-    ) -> Result<Option<Row>> {
-        let view = self.catalog.read().view(view_name)?.clone();
-        let key = Key::from_values(group);
-        let name = LockName::key(view.index, key.as_bytes());
-        self.locks.acquire(txn.id, name, LockMode::X)?;
-        let tree = self.tree(view.index)?;
-        match tree.get(&key)? {
-            Some((false, bytes)) => visible_row(&view, &bytes),
-            _ => Ok(None),
-        }
+    /// Snapshot read of one view row at snapshot LSN `s`: reconstruct from
+    /// the version chain, or read directly when the row was never modified.
+    /// Returns the row iff the group is visible at `s`.
+    fn snapshot_view_row(&self, view: &ViewDef, kb: &[u8], s: Lsn) -> Result<Option<Row>> {
+        let mat = |image, pairs: &[_]| materialize_view_row(view, kb, image, pairs);
+        let image = match self.versions.read_at(view.index, kb, s, &mat)? {
+            Some(image) => image,
+            None => {
+                // No chain: the physical image should be stable — but a
+                // writer may create the chain and modify the row between
+                // our check and the read. Ask again afterwards; a chain
+                // that appeared means the bytes we read may carry an
+                // uncommitted delta, so the chain decides.
+                let phys = match self.tree(view.index)?.get(&Key::from_bytes(kb.to_vec()))? {
+                    Some((false, v)) => Some(v),
+                    _ => None,
+                };
+                self.versions.read_at(view.index, kb, s, &mat)?.unwrap_or(phys)
+            }
+        };
+        image.map_or(Ok(None), |bytes| visible_row(view, &bytes))
     }
 
-    /// Quiesced, lock-free view dump (tests and verification): all visible
-    /// rows in key order.
-    pub fn dump_view(&self, view_name: &str) -> Result<Vec<Row>> {
-        let view = self.catalog.read().view(view_name)?.clone();
-        let tree = self.tree(view.index)?;
-        let (items, _) = tree.scan(None, None, false)?;
-        let mut out = Vec::new();
+    /// Merge physical rows `items`, scanned from `[lo, hi)` of the view's
+    /// tree *before this call*, with the version chains of that range. A
+    /// key with a chain takes the chain's image at `s`; a key without one
+    /// takes the scanned bytes. That order is what makes the second case
+    /// safe: a writer seeds the chain before it first modifies a row and
+    /// chains are never removed, so "no chain now" means nobody had touched
+    /// the row when the scan, earlier still, read it — the single-key rule
+    /// of [`Database::snapshot_view_row`], with the directory visit doubling
+    /// as the re-check.
+    fn resolve_scanned(
+        &self,
+        view: &ViewDef,
+        items: Vec<txview_btree::ScanItem>,
+        lo: Option<&Key>,
+        hi: Option<&Key>,
+        s: Lsn,
+    ) -> Result<Vec<Row>> {
+        let mat = |kb: &[u8], image, pairs: &[_]| materialize_view_row(view, kb, image, pairs);
+        let chains =
+            self.versions.range_at(view.index, lo.map(Key::as_bytes), hi.map(Key::as_bytes), s, &mat)?;
+        let mut out = Vec::with_capacity(items.len().max(chains.len()));
+        let mut push = |image: Option<Vec<u8>>| -> Result<()> {
+            if let Some(bytes) = image {
+                out.extend(visible_row(view, &bytes)?);
+            }
+            Ok(())
+        };
+        let mut chains = chains.into_iter().peekable();
         for item in items {
-            out.extend(visible_row(&view, &item.value)?);
+            // Chains sorting before the next physical row: rows that are
+            // not (or no longer) in the tree.
+            while let Some((_, image)) = chains.next_if(|(k, _)| *k < item.key) {
+                push(image)?;
+            }
+            match chains.next_if(|(k, _)| *k == item.key) {
+                Some((_, image)) => push(image)?,
+                None => push(Some(item.value))?,
+            }
+        }
+        for (_, image) in chains {
+            push(image)?;
         }
         Ok(out)
-    }
-
-    /// Quiesced, lock-free table dump (tests): all live rows in key order.
-    pub fn dump_table(&self, table: &str) -> Result<Vec<Row>> {
-        let def = self.catalog.read().table(table)?.clone();
-        let tree = self.tree(def.index)?;
-        let (items, _) = tree.scan(None, None, false)?;
-        items.into_iter().map(|i| Row::from_bytes(&i.value)).collect()
     }
 }
 

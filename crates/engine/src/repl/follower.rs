@@ -207,11 +207,6 @@ impl Follower {
         self.epoch
     }
 
-    /// Has this follower been promoted to leader?
-    pub fn is_promoted(&self) -> bool {
-        self.promoted
-    }
-
     /// Committed-state fingerprint of the follower database (the oracle
     /// compares this against the leader's historical state at the same
     /// watermark).

@@ -30,7 +30,7 @@ use super::leader::ReplicationStream;
 use super::{ReplConfig, ShipMode};
 use crate::db::Database;
 use crate::health::HealthState;
-use crate::torture::{self, TortureConfig, WorkloadTrace};
+use crate::torture::{self, Outcome, Step, TortureConfig, Transfer, WorkloadTrace};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
@@ -39,7 +39,6 @@ use txview_common::rng::Rng;
 use txview_common::{Lsn, Result};
 use txview_storage::fault::FaultSchedule;
 use txview_storage::MemDisk;
-use txview_txn::IsolationLevel;
 use txview_wal::{LogRecord, LogStore, MemLogStore};
 
 /// Which seam an episode tortures.
@@ -176,6 +175,51 @@ impl ReplLink {
         }
         Ok(self.follower.watermark() >= self.db.log().flushed_lsn())
     }
+
+    /// Flush the leader and converge within `budget` rounds; then the
+    /// follower's log must be byte-identical to the leader's and its state
+    /// fingerprint-equal. `failure` names a link that never converged.
+    fn check_converged(
+        &mut self,
+        budget: usize,
+        failure: &str,
+        violations: &mut Vec<String>,
+    ) -> Result<()> {
+        self.db.log().flush_all()?;
+        if !self.converge(budget)? {
+            violations.push(failure.into());
+            return Ok(());
+        }
+        if self.follower.store().durable_bytes() != self.parts.store.durable_bytes() {
+            violations.push("[converged] follower log not byte-identical to the leader's".into());
+        }
+        if self.follower.fingerprint()? != torture::fingerprint(&self.db)? {
+            violations.push("[converged] follower state != leader state".into());
+        }
+        Ok(())
+    }
+
+    /// The report of an episode that neither promoted nor fenced anyone.
+    fn report(
+        &self,
+        kind: ReplEpisodeKind,
+        crash_event: Option<u64>,
+        violations: Vec<String>,
+        trace: &ReplTrace,
+    ) -> ReplEpisodeReport {
+        ReplEpisodeReport {
+            kind,
+            crash_event,
+            violations,
+            repl_acked_commits: trace.repl_acked_commits,
+            sync_ack_timeouts: trace.sync_ack_timeouts,
+            max_lag_lsns: trace.max_lag_lsns,
+            reconnects: self.stream.reconnects(),
+            snapshot_fallbacks: self.stream.snapshot_fallbacks(),
+            fenced_stale_leader: false,
+            promotion_losers: 0,
+        }
+    }
 }
 
 /// What a replicated workload observed, over and above the base trace.
@@ -183,9 +227,9 @@ impl ReplLink {
 struct ReplTrace {
     base: WorkloadTrace,
     /// `(commit LSN, transfer)` for every locally-acked transfer.
-    transfers: Vec<(Lsn, (i64, i64, i64, i64))>,
+    transfers: Vec<(Lsn, Transfer)>,
     /// Transfers acknowledged under the ship-mode contract.
-    repl_acked: Vec<(i64, i64, i64, i64)>,
+    repl_acked: Vec<Transfer>,
     repl_acked_commits: usize,
     sync_ack_timeouts: usize,
     max_lag_lsns: u64,
@@ -203,121 +247,46 @@ fn wait_for_ack(link: &mut ReplLink, lsn: Lsn) -> Result<bool> {
     Ok(link.stream.acked_lsn() >= lsn)
 }
 
-/// The torture workload (same transaction mix, same seeding, therefore the
-/// same leader event horizon as [`torture::run_workload`]) interleaved
-/// with replication rounds. `plan` toggles the partition at transaction
-/// boundaries: `(t, on)` sets the link state just before transaction `t`.
+/// The torture workload (same loop, therefore the same leader event horizon
+/// as [`torture::run_workload`]) with a replication round after every
+/// transaction. `plan` toggles the partition at transaction boundaries:
+/// `(t, on)` sets the link state just before transaction `t`.
 fn run_repl_workload(link: &mut ReplLink, plan: &[(usize, bool)]) -> Result<ReplTrace> {
-    let cfg = link.cfg.clone();
-    let db = Arc::clone(&link.db);
-    let mut rng = Rng::new(cfg.seed ^ 0x9E37_79B9_7F4A_7C15);
+    let (cfg, db, clock) = (link.cfg.clone(), Arc::clone(&link.db), Arc::clone(&link.parts.clock));
     let mut trace = ReplTrace::default();
-    let mut seq = 0i64;
-    // Mirrors run_workload's shadow of the seeded readings rows; only
-    // consulted when cfg.minmax is on (same rng discipline, same horizon).
-    let mut next_reading = 12i64;
-    let mut live_readings: Vec<(i64, i64)> = (0..4i64)
-        .flat_map(|g| (0..3i64).map(move |k| (g * 3 + k, 10 * (k + 1))))
-        .collect();
-    for t in 0..cfg.txns {
-        for &(at, on) in plan {
-            if at == t {
-                link.channel.set_partitioned(on);
+    trace.base = torture::run_workload_observed(&db, &cfg, &clock, |step| {
+        let (outcome, transfer, acked) = match step {
+            Step::Begin(t) => {
+                for &(_, on) in plan.iter().filter(|(at, _)| *at == t) {
+                    link.channel.set_partitioned(on);
+                }
+                return Ok(());
             }
-        }
-        trace.base.attempted += 1;
-        let mut txn = db.begin(IsolationLevel::ReadCommitted);
-        let transfer = if t % 3 == 2 {
-            None
-        } else {
-            let from = rng.below(cfg.accounts as u64) as i64;
-            let mut to = rng.below(cfg.accounts as u64) as i64;
-            if to == from {
-                to = (to + 1) % cfg.accounts;
-            }
-            seq += 1;
-            Some((seq, from, to, rng.range_inclusive(1, 9)))
+            Step::End { outcome, transfer, acked } => (outcome, transfer, acked),
         };
-        let body = match transfer {
-            Some((s, from, to, amount)) => torture::do_transfer(&db, &mut txn, s, from, to, amount),
-            None => {
-                let a = rng.below(cfg.churn_groups as u64) as i64;
-                let b = rng.below(cfg.churn_groups as u64) as i64;
-                torture::do_toggle(&db, &mut txn, a).and_then(|()| {
-                    if b != a {
-                        torture::do_toggle(&db, &mut txn, b)
-                    } else {
-                        Ok(())
-                    }
-                })
+        if let Outcome::Committed(lsn) = outcome {
+            if acked {
+                trace.transfers.extend(transfer.map(|tr| (lsn, tr)));
             }
-        };
-        let body = body.and_then(|()| {
-            if cfg.minmax {
-                torture::do_reading(&db, &mut txn, &mut live_readings, &mut next_reading, &mut rng)
-            } else {
-                Ok(())
-            }
-        });
-        let body = body.and_then(|()| {
-            if t % 4 == 1 {
-                db.log().flush_all()?;
-            }
-            Ok(())
-        });
-        if body.is_ok() && t % 12 == 5 {
-            if db.rollback(&mut txn).is_ok() {
-                trace.base.rolled_back += 1;
-            } else {
-                trace.base.abandoned += 1;
-                std::mem::forget(txn);
-            }
-            link.tick()?;
-            continue;
-        }
-        match body.and_then(|()| db.commit(&mut txn)) {
-            Ok(lsn) => {
-                let locally_acked = !link.parts.clock.fired();
-                if locally_acked {
-                    trace.base.acked_commits += 1;
-                    if let Some(tr) = transfer {
-                        trace.base.acked_transfers.push(tr);
-                        trace.transfers.push((lsn, tr));
-                    }
+            let repl_acked = match link.rcfg.ship_mode {
+                ShipMode::Sync => {
+                    let ok = wait_for_ack(link, lsn)?;
+                    trace.sync_ack_timeouts += usize::from(!ok);
+                    ok
                 }
-                match link.rcfg.ship_mode {
-                    ShipMode::Sync => {
-                        if wait_for_ack(link, lsn)? {
-                            trace.repl_acked_commits += 1;
-                            if let Some(tr) = transfer {
-                                trace.repl_acked.push(tr);
-                            }
-                        } else {
-                            trace.sync_ack_timeouts += 1;
-                        }
-                    }
-                    ShipMode::Async => {
-                        if locally_acked {
-                            trace.repl_acked_commits += 1;
-                            if let Some(tr) = transfer {
-                                trace.repl_acked.push(tr);
-                            }
-                        }
-                    }
-                }
-            }
-            Err(_) => {
-                if txn.is_active() && db.rollback(&mut txn).is_ok() {
-                    trace.base.rolled_back += 1;
-                } else {
-                    trace.base.abandoned += 1;
-                    std::mem::forget(txn);
-                }
+                ShipMode::Async => acked,
+            };
+            if repl_acked {
+                trace.repl_acked_commits += 1;
+                trace.repl_acked.extend(transfer);
             }
         }
         link.tick()?;
-        trace.max_lag_lsns = trace.max_lag_lsns.max(link.stream.lag_lsns());
-    }
+        if !matches!(outcome, Outcome::RolledBack) {
+            trace.max_lag_lsns = trace.max_lag_lsns.max(link.stream.lag_lsns());
+        }
+        Ok(())
+    })?;
     Ok(trace)
 }
 
@@ -439,18 +408,7 @@ pub fn run_leader_crash_episode(
         ..Default::default()
     };
     torture::check_oracle(follower.db(), cfg, &oracle_trace, "promoted", &mut violations);
-    // The promoted database accepts new work.
-    let mut txn = follower.db().begin(IsolationLevel::ReadCommitted);
-    let post = torture::do_transfer(follower.db(), &mut txn, i64::MAX, 0, cfg.accounts - 1, 1)
-        .and_then(|()| follower.db().commit(&mut txn).map(|_| ()));
-    match post {
-        Ok(()) => {
-            if let Err(e) = follower.db().verify_view(torture::BANK_VIEW) {
-                violations.push(format!("[post-promotion] view diverged: {e}"));
-            }
-        }
-        Err(e) => violations.push(format!("[post-promotion] promoted db rejected work: {e}")),
-    }
+    torture::check_accepts_work(follower.db(), cfg, "post-promotion", &mut violations);
 
     let mut fenced = false;
     let mut reconnects = 0;
@@ -490,22 +448,13 @@ fn rejoin_drill(
     new_leader: &mut Follower,
     violations: &mut Vec<String>,
 ) -> Result<(bool, u64, u64)> {
-    parts.disk.crash_restore();
-    parts.store.crash_restore();
-    parts.clock.disarm();
     let mut lossless = rcfg.clone();
     lossless.faults = ChannelFaults::default();
 
     // Drill 1 — fencing. The revived process still believes it leads and
     // ships frames at the old epoch; the promoted follower nacks them and
     // the nack fences it through the health machine.
-    let (old_db, _) = Database::with_parts_recovered(
-        Arc::new(parts.disk.clone()),
-        Box::new(parts.store.clone()),
-        Some(catalog),
-        cfg.pool_pages,
-        Duration::from_secs(2),
-    )?;
+    let (old_db, _) = parts.reboot(catalog, cfg.pool_pages)?;
     let mut old_stream =
         ReplicationStream::new(Arc::clone(&old_db), parts.store.clone(), lossless.clone());
     let ch = ReplChannel::new(ChannelFaults::default(), cfg.seed);
@@ -617,30 +566,8 @@ pub fn run_follower_crash_episode(
     // Catch-up: the reopened follower's Hello renegotiates, the leader
     // resumes from the surviving prefix, and both sides converge
     // byte-identically.
-    link.db.log().flush_all()?;
-    if !link.converge(800)? {
-        violations.push("follower never caught back up after its crash".into());
-    } else {
-        if link.follower.store().durable_bytes() != link.parts.store.durable_bytes() {
-            violations.push("[converged] follower log not byte-identical to the leader's".into());
-        }
-        if link.follower.fingerprint()? != torture::fingerprint(&link.db)? {
-            violations.push("[converged] follower state != leader state".into());
-        }
-    }
-
-    Ok(ReplEpisodeReport {
-        kind: ReplEpisodeKind::FollowerCrash,
-        crash_event,
-        violations,
-        repl_acked_commits: trace.repl_acked_commits,
-        sync_ack_timeouts: trace.sync_ack_timeouts,
-        max_lag_lsns: trace.max_lag_lsns,
-        reconnects: link.stream.reconnects(),
-        snapshot_fallbacks: link.stream.snapshot_fallbacks(),
-        fenced_stale_leader: false,
-        promotion_losers: 0,
-    })
+    link.check_converged(800, "follower never caught back up after its crash", &mut violations)?;
+    Ok(link.report(ReplEpisodeKind::FollowerCrash, crash_event, violations, &trace))
 }
 
 /// Partition/lag storm: a lossy fault plan plus seeded partition windows
@@ -676,33 +603,11 @@ pub fn run_partition_episode(
     ];
     let trace = run_repl_workload(&mut link, &plan)?;
     link.channel.set_partitioned(false);
-    link.db.log().flush_all()?;
-    if !link.converge(2000)? {
-        violations.push("never converged after the partition healed".into());
-    } else {
-        if link.follower.store().durable_bytes() != link.parts.store.durable_bytes() {
-            violations.push("[converged] follower log not byte-identical to the leader's".into());
-        }
-        if link.follower.fingerprint()? != torture::fingerprint(&link.db)? {
-            violations.push("[converged] follower state != leader state".into());
-        }
-    }
+    link.check_converged(2000, "never converged after the partition healed", &mut violations)?;
     if link.channel.stats().partitions == 0 {
         violations.push("partition plan never severed the link".into());
     }
-
-    Ok(ReplEpisodeReport {
-        kind: ReplEpisodeKind::Partition,
-        crash_event: None,
-        violations,
-        repl_acked_commits: trace.repl_acked_commits,
-        sync_ack_timeouts: trace.sync_ack_timeouts,
-        max_lag_lsns: trace.max_lag_lsns,
-        reconnects: link.stream.reconnects(),
-        snapshot_fallbacks: link.stream.snapshot_fallbacks(),
-        fenced_stale_leader: false,
-        promotion_losers: 0,
-    })
+    Ok(link.report(ReplEpisodeKind::Partition, None, violations, &trace))
 }
 
 /// Fault-free follower event horizon: how many follower-clock events the
@@ -750,19 +655,12 @@ pub fn run_replication_sweep(cfg: &TortureConfig, max_points: usize) -> Result<R
 
     // Leader crashes.
     let mut leader_events = HashSet::new();
-    let stride = (report.horizon / leader_n as u64).max(1);
-    let mut offset = 0u64;
-    let mut i = 0usize;
-    while offset < report.horizon && i < leader_n {
+    for (i, offset) in torture::sample_offsets(report.horizon, leader_n).into_iter().enumerate() {
         let rejoin = i % 4 == 3;
         let ep = run_leader_crash_episode(cfg, &rcfg, offset, rejoin)?;
         report.promotions += 1;
-        if let Some(ev) = ep.crash_event {
-            leader_events.insert(ev);
-        }
+        leader_events.extend(ep.crash_event);
         absorb(&mut report, format!("leader@{offset}"), &ep);
-        offset += stride;
-        i += 1;
     }
     report.leader_crash_points = leader_events.len();
 
@@ -773,19 +671,10 @@ pub fn run_replication_sweep(cfg: &TortureConfig, max_points: usize) -> Result<R
     frcfg.faults = ChannelFaults { dup_p: 0.15, reorder_p: 0.15, ..ChannelFaults::default() };
     report.follower_horizon = measure_follower_horizon(cfg, &frcfg)?;
     let mut follower_events = HashSet::new();
-    if report.follower_horizon > 0 {
-        let stride = (report.follower_horizon / follower_n as u64).max(1);
-        let mut offset = 0u64;
-        let mut i = 0usize;
-        while offset < report.follower_horizon && i < follower_n {
-            let ep = run_follower_crash_episode(cfg, &frcfg, offset)?;
-            if let Some(ev) = ep.crash_event {
-                follower_events.insert(ev);
-            }
-            absorb(&mut report, format!("follower@{offset}"), &ep);
-            offset += stride;
-            i += 1;
-        }
+    for offset in torture::sample_offsets(report.follower_horizon, follower_n) {
+        let ep = run_follower_crash_episode(cfg, &frcfg, offset)?;
+        follower_events.extend(ep.crash_event);
+        absorb(&mut report, format!("follower@{offset}"), &ep);
     }
     report.follower_crash_points = follower_events.len();
 
@@ -807,19 +696,14 @@ pub fn run_replication_sweep(cfg: &TortureConfig, max_points: usize) -> Result<R
         .map(|(_, o)| o)
         .collect();
     let mut mid_events = HashSet::new();
-    if !occurrences.is_empty() {
-        let stride = (occurrences.len() / mid_n).max(1);
-        for &off in occurrences.iter().step_by(stride).take(mid_n) {
-            let ep = run_leader_crash_episode(&mid_cfg, &rcfg, off, false)?;
-            report.promotions += 1;
-            if let Some(ev) = ep.crash_event {
-                mid_events.insert(ev);
-            }
-            if ep.violations.is_empty() {
-                report.mid_batch_acked_survived += ep.repl_acked_commits;
-            }
-            absorb(&mut report, format!("mid-batch@{off}"), &ep);
+    for off in torture::sample(&occurrences, mid_n) {
+        let ep = run_leader_crash_episode(&mid_cfg, &rcfg, off, false)?;
+        report.promotions += 1;
+        mid_events.extend(ep.crash_event);
+        if ep.violations.is_empty() {
+            report.mid_batch_acked_survived += ep.repl_acked_commits;
         }
+        absorb(&mut report, format!("mid-batch@{off}"), &ep);
     }
     report.mid_batch_points = mid_events.len();
 
@@ -871,17 +755,7 @@ pub fn run_repl_metrics_check(cfg: &TortureConfig) -> Result<ReplMetricsCheckRep
         s.merge(c);
         Ok(s)
     };
-    let a = run_once()?;
-    let b = run_once()?;
-    let mut violations = Vec::new();
-    for (name, snap) in [("first", &a), ("second", &b)] {
-        if let Err(e) = snap.validate() {
-            violations.push(format!("[{name}] malformed snapshot: {e}"));
-        }
-    }
-    if a != b {
-        violations.push("repl snapshot divergence between identically-seeded runs".into());
-    }
+    let (a, mut violations) = torture::deterministic_snapshot(run_once)?;
     if a.counter_value("repl.leader.frames_shipped").unwrap_or(0) == 0 {
         violations.push("no frames shipped — replication not exercised".into());
     }

@@ -12,13 +12,11 @@
 //! columns move), uses the same generic logical-undo descriptors the view
 //! machinery uses, and feeds the same ghost-cleanup queue.
 
-use crate::catalog::SecondaryIndexDef;
+use crate::catalog::{SecondaryIndexDef, TableDef};
 use crate::db::Database;
-use txview_btree::{LogCtx, OpLog, Tree};
 use txview_common::{Error, Key, Result, Row, Value};
 use txview_lock::{LockMode, LockName};
-use txview_txn::{IsolationLevel, Transaction};
-use txview_wal::record::UndoOp;
+use txview_txn::Transaction;
 
 impl Database {
     /// Create a secondary index on `table` over `cols`, populated from the
@@ -30,60 +28,44 @@ impl Database {
         cols: &[usize],
         unique: bool,
     ) -> Result<()> {
-        let def = {
+        let (def, base) = {
             let mut cat = self.catalog.write();
             let t = cat.table(table)?.clone();
-            for &c in cols {
-                if c >= t.schema.arity() {
-                    return Err(Error::Schema(format!("index column {c} out of range")));
-                }
+            if let Some(c) = cols.iter().find(|&&c| c >= t.schema.arity()) {
+                return Err(Error::Schema(format!("index column {c} out of range")));
             }
-            let index = cat.alloc_index();
-            let tree = Tree::create(self.pool(), self.log(), index)?;
+            let (index, root) = self.create_tree(&mut cat)?;
             let def = SecondaryIndexDef {
                 name: name.to_string(),
                 table: t.id,
                 cols: cols.to_vec(),
                 unique,
                 index,
-                root: tree.root(),
+                root,
             };
             cat.add_index(def.clone())?;
-            self.register_tree(index, tree);
-            def
+            (def, t)
         };
         // Populate from the current base rows.
-        let base = {
-            let cat = self.catalog.read();
-            cat.table_by_id(def.table)?.clone()
-        };
-        let base_tree = self.tree(base.index)?;
-        let (items, _) = base_tree.scan(None, None, false)?;
-        let mut txn = self.begin(IsolationLevel::ReadCommitted);
-        let tree = self.tree(def.index)?;
-        for item in items {
-            let row = Row::from_bytes(&item.value)?;
-            let (key, value) = entry_for(&def, &base.schema, &row);
-            let mut ctx = LogCtx { log: self.log(), txn: txn.id, last_lsn: &mut txn.last_lsn };
-            tree.insert(&key, &value, &mut ctx, &OpLog::Update { undo: UndoOp::None })
-                .map_err(|e| match e {
-                    Error::DuplicateKey(k) => {
-                        Error::Schema(format!("unique index '{name}' violated at {k}"))
-                    }
-                    other => other,
-                })?;
-        }
-        self.txns.commit(&mut txn)?;
+        let (items, _) = self.tree(base.index)?.scan(None, None, false)?;
+        let entries = items.into_iter().map(|item| {
+            Ok(entry_for(&def, &base.schema, &Row::from_bytes(&item.value)?))
+        });
+        self.bulk_load(def.index, entries).map_err(|e| match e {
+            Error::DuplicateKey(k) => {
+                Error::Schema(format!("unique index '{name}' violated at {k}"))
+            }
+            other => other,
+        })?;
         self.checkpoint()?;
-        self.persist_catalog_pub()?;
-        Ok(())
+        self.persist_catalog()
     }
 
     /// Maintain all secondary indexes of `table` for one DML statement.
     pub(crate) fn maintain_secondary(
         &self,
         txn: &mut Transaction,
-        table: &crate::catalog::TableDef,
+        table: &TableDef,
         new: Option<&Row>,
         old: Option<&Row>,
     ) -> Result<()> {
@@ -112,55 +94,26 @@ impl Database {
         &self,
         txn: &mut Transaction,
         def: &SecondaryIndexDef,
-        table: &crate::catalog::TableDef,
+        table: &TableDef,
         row: &Row,
     ) -> Result<()> {
         let (key, value) = entry_for(def, &table.schema, row);
-        let kb = key.as_bytes().to_vec();
         let tree = self.tree(def.index)?;
-        self.locks.acquire(txn.id, LockName::key(def.index, kb.clone()), LockMode::X)?;
+        self.locks.acquire(txn.id, LockName::key(def.index, key.as_bytes()), LockMode::X)?;
         match tree.get(&key)? {
+            // A live entry can only collide on a unique index (the
+            // non-unique key embeds the pk, which the base insert already
+            // proved fresh).
             Some((false, _)) => {
-                // A live entry can only collide on a unique index (the
-                // non-unique key embeds the pk, which the base insert
-                // already proved fresh).
                 Err(Error::DuplicateKey(format!("unique index '{}' at {key:?}", def.name)))
             }
-            Some((true, old_value)) => {
-                // Revive a ghost entry: restore-both-halves undo, exactly
-                // like the base-table revive path.
-                let prev = txn.last_lsn;
-                let undo_val =
-                    UndoOp::IndexUpdate { index: def.index, key: kb.clone(), old_row: old_value };
-                {
-                    let mut ctx =
-                        LogCtx { log: self.log(), txn: txn.id, last_lsn: &mut txn.last_lsn };
-                    tree.update_value(&key, &value, &mut ctx, &OpLog::Update { undo: undo_val.clone() })?;
-                }
-                txn.push_undo(undo_val, prev);
-                let prev = txn.last_lsn;
-                let undo_flag = UndoOp::IndexInsert { index: def.index, key: kb };
-                {
-                    let mut ctx =
-                        LogCtx { log: self.log(), txn: txn.id, last_lsn: &mut txn.last_lsn };
-                    tree.set_ghost(&key, false, &mut ctx, &OpLog::Update { undo: undo_flag.clone() })?;
-                }
-                txn.push_undo(undo_flag, prev);
-                Ok(())
-            }
+            Some((true, old)) => self.put_entry(txn, &tree, def.index, &key, &value, Some(old)),
             None => {
                 // Instant insert-intention gap lock: conflicts with any
                 // serializable reader holding the target range.
                 let gap = self.gap_after(&tree, def.index, &key)?;
                 self.locks.acquire(txn.id, gap.clone(), LockMode::X)?;
-                let prev = txn.last_lsn;
-                let undo = UndoOp::IndexInsert { index: def.index, key: kb };
-                {
-                    let mut ctx =
-                        LogCtx { log: self.log(), txn: txn.id, last_lsn: &mut txn.last_lsn };
-                    tree.insert(&key, &value, &mut ctx, &OpLog::Update { undo: undo.clone() })?;
-                }
-                txn.push_undo(undo, prev);
+                self.put_entry(txn, &tree, def.index, &key, &value, None)?;
                 self.locks.release(txn.id, &gap);
                 Ok(())
             }
@@ -171,31 +124,19 @@ impl Database {
         &self,
         txn: &mut Transaction,
         def: &SecondaryIndexDef,
-        table: &crate::catalog::TableDef,
+        table: &TableDef,
         row: &Row,
     ) -> Result<()> {
         let (key, _) = entry_for(def, &table.schema, row);
-        let kb = key.as_bytes().to_vec();
         let tree = self.tree(def.index)?;
-        self.locks.acquire(txn.id, LockName::key(def.index, kb.clone()), LockMode::X)?;
-        let entry_value = match tree.get(&key)? {
-            Some((false, v)) => v,
-            _ => {
-                return Err(Error::corruption(format!(
-                    "secondary index '{}' missing entry {key:?}",
-                    def.name
-                )))
-            }
-        };
-        let prev = txn.last_lsn;
-        let undo = UndoOp::IndexDelete { index: def.index, key: kb.clone(), row: entry_value };
-        {
-            let mut ctx = LogCtx { log: self.log(), txn: txn.id, last_lsn: &mut txn.last_lsn };
-            tree.set_ghost(&key, true, &mut ctx, &OpLog::Update { undo: undo.clone() })?;
+        self.locks.acquire(txn.id, LockName::key(def.index, key.as_bytes()), LockMode::X)?;
+        match tree.get(&key)? {
+            Some((false, image)) => self.ghost_entry(txn, &tree, def.index, &key, image),
+            _ => Err(Error::corruption(format!(
+                "secondary index '{}' missing entry {key:?}",
+                def.name
+            ))),
         }
-        txn.push_undo(undo, prev);
-        self.enqueue_ghost(def.index, kb);
-        Ok(())
     }
 
     /// Look up base rows through a secondary index: all live rows whose
@@ -220,81 +161,13 @@ impl Database {
         }
         let tree = self.tree(def.index)?;
         let lo = Key::from_values(values);
-        let hi = lo.prefix_upper_bound();
-        let serializable = txn.isolation == IsolationLevel::Serializable;
-        let (items, next_key) = tree.scan(Some(&lo), hi.as_ref(), false)?;
         let mut out = Vec::new();
-        for item in items {
-            let name = LockName::key(def.index, item.key.clone());
-            self.locks.acquire(txn.id, name.clone(), LockMode::S)?;
-            if serializable {
-                // Key-range protection: the gap before each probed entry.
-                self.locks
-                    .acquire(txn.id, LockName::gap(def.index, item.key.clone()), LockMode::S)?;
-            }
-            // Re-read the entry under the lock, then back-probe the base.
-            let ekey = Key::from_bytes(item.key.clone());
-            if let Some((false, pk_bytes)) = tree.get(&ekey)? {
-                let pk_row = Row::from_bytes(&pk_bytes)?;
-                if let Some(row) = self.get_row(txn, &table.name, pk_row.values())? {
-                    out.push(row);
-                }
-            }
-            if !serializable {
-                self.locks.release(txn.id, &name);
-            }
-        }
-        if serializable {
-            // Phantom-protect the probed range.
-            let end = match next_key {
-                Some(k) => LockName::gap(def.index, k),
-                None => LockName::EndGap(def.index),
-            };
-            self.locks.acquire(txn.id, end, LockMode::S)?;
-        }
+        self.locked_scan(txn, &tree, Some(&lo), lo.prefix_upper_bound().as_ref(), false, |txn, pk| {
+            // Back-probe the base row the entry names.
+            out.extend(self.get_row(txn, &table.name, Row::from_bytes(&pk)?.values())?);
+            Ok(())
+        })?;
         Ok(out)
-    }
-
-    /// Verify a secondary index against its base table (quiesced).
-    pub fn verify_index(&self, index_name: &str) -> Result<()> {
-        let def = self.catalog.read().index(index_name)?.clone();
-        let table = {
-            let cat = self.catalog.read();
-            cat.table_by_id(def.table)?.clone()
-        };
-        let base_tree = self.tree(table.index)?;
-        let tree = self.tree(def.index)?;
-        let (base_items, _) = base_tree.scan(None, None, false)?;
-        let mut expected = std::collections::BTreeMap::new();
-        for item in base_items {
-            let row = Row::from_bytes(&item.value)?;
-            let (key, value) = entry_for(&def, &table.schema, &row);
-            if expected.insert(key.as_bytes().to_vec(), value).is_some() {
-                return Err(Error::corruption(format!(
-                    "base rows collide in index '{index_name}'"
-                )));
-            }
-        }
-        let (entries, _) = tree.scan(None, None, false)?;
-        if entries.len() != expected.len() {
-            return Err(Error::corruption(format!(
-                "index '{index_name}' has {} live entries, expected {}",
-                entries.len(),
-                expected.len()
-            )));
-        }
-        for e in entries {
-            match expected.get(&e.key) {
-                Some(v) if *v == e.value => {}
-                _ => {
-                    return Err(Error::corruption(format!(
-                        "index '{index_name}' entry mismatch at {:?}",
-                        Key::from_bytes(e.key)
-                    )))
-                }
-            }
-        }
-        Ok(())
     }
 }
 

@@ -33,7 +33,7 @@ use txview_common::retry::RetryPolicy;
 use txview_common::rng::Rng;
 use txview_common::schema::{Column, Schema};
 use txview_common::value::ValueType;
-use txview_common::{row, Error, Result, Row, Value};
+use txview_common::{row, Error, Lsn, ObjectId, Result, Row, Value};
 use txview_storage::fault::{
     FaultClock, FaultDisk, FaultPoint, FaultSchedule, FaultStatsSnapshot,
 };
@@ -124,7 +124,7 @@ pub struct WorkloadTrace {
     pub attempted: usize,
     /// Transfers `(seq, from, to, amount)` whose commit returned *before*
     /// the crash fired — the durability contract covers exactly these.
-    pub acked_transfers: Vec<(i64, i64, i64, i64)>,
+    pub acked_transfers: Vec<Transfer>,
     /// Commits acknowledged in total (transfers + churn).
     pub acked_commits: usize,
     /// Operations that failed at runtime (injected transient faults,
@@ -179,6 +179,40 @@ pub(crate) struct Parts {
     pub(crate) store: FaultLogStore,
 }
 
+impl Parts {
+    /// Reboot onto what actually reached stable storage: fall back to the
+    /// durable image of disk and log, disarm the clock, and run recovery
+    /// with `catalog`. Drop the database that ran on these parts first.
+    pub(crate) fn reboot(
+        &self,
+        catalog: &[u8],
+        pool_pages: usize,
+    ) -> Result<(Arc<Database>, RecoveryReport)> {
+        self.disk.crash_restore();
+        self.store.crash_restore();
+        self.clock.disarm();
+        Database::with_parts_recovered(
+            Arc::new(self.disk.clone()),
+            Box::new(self.store.clone()),
+            Some(catalog),
+            pool_pages,
+            Duration::from_secs(2),
+        )
+    }
+}
+
+/// Up to `n` crash offsets spread evenly over `[0, horizon)`, starting at 0.
+pub(crate) fn sample_offsets(horizon: u64, n: usize) -> Vec<u64> {
+    let stride = (horizon / n.max(1) as u64).max(1);
+    (0..horizon).step_by(stride as usize).take(n).collect()
+}
+
+/// Up to `n` of `occurrences`, spread evenly, starting with the first.
+pub(crate) fn sample<T: Copy>(occurrences: &[T], n: usize) -> Vec<T> {
+    let offsets = sample_offsets(occurrences.len() as u64, n);
+    offsets.into_iter().map(|i| occurrences[i as usize]).collect()
+}
+
 pub(crate) fn install_probes(db: &Database, clock: &Arc<FaultClock>) {
     let c = Arc::clone(clock);
     db.pool().set_crash_probe(Arc::new(move |p| {
@@ -188,6 +222,32 @@ pub(crate) fn install_probes(db: &Database, clock: &Arc<FaultClock>) {
     db.log().set_crash_probe(Arc::new(move |p| {
         c.tick(FaultPoint::Probe(p));
     }));
+}
+
+/// Create `name(cols...)`, every column INT, keyed on the first.
+fn int_table(db: &Database, name: &str, cols: &[&str]) -> Result<ObjectId> {
+    let cols = cols.iter().map(|&c| Column::new(c, ValueType::Int)).collect();
+    db.create_table(name, Schema::new(cols, vec![0])?)
+}
+
+/// An immediate view of `table` grouped by its column 1.
+fn group_view(
+    db: &Database,
+    name: &str,
+    table: ObjectId,
+    aggs: Vec<AggSpec>,
+    maintenance: MaintenanceMode,
+) -> Result<()> {
+    db.create_indexed_view(ViewSpec {
+        name: name.into(),
+        source: ViewSource::Single { table, group_by: vec![1] },
+        aggs,
+        filter: Predicate::True,
+        maintenance,
+        deferred: false,
+        eager_group_delete: false,
+    })
+    .map(drop)
 }
 
 /// Build the fault-injected database and load the initial state: bank
@@ -213,26 +273,8 @@ pub(crate) fn build(cfg: &TortureConfig) -> Result<(Arc<Database>, Parts)> {
         db.enable_commit_pipeline();
     }
 
-    let accounts = db.create_table(
-        "accounts",
-        Schema::new(
-            vec![
-                Column::new("id", ValueType::Int),
-                Column::new("branch", ValueType::Int),
-                Column::new("balance", ValueType::Int),
-            ],
-            vec![0],
-        )?,
-    )?;
-    db.create_indexed_view(ViewSpec {
-        name: BANK_VIEW.into(),
-        source: ViewSource::Single { table: accounts, group_by: vec![1] },
-        aggs: vec![AggSpec::SumInt { col: 2 }],
-        filter: Predicate::True,
-        maintenance: cfg.mode,
-        deferred: false,
-        eager_group_delete: false,
-    })?;
+    let accounts = int_table(&db, "accounts", &["id", "branch", "balance"])?;
+    group_view(&db, BANK_VIEW, accounts, vec![AggSpec::SumInt { col: 2 }], cfg.mode)?;
     // Derived chain over the bank view. The bank view's stored layout is
     // `[branch | COUNT_BIG | SUM(balance)]`, so group_by [0] + SumInt on
     // column 2 is an identity level; the terminal level rolls everything
@@ -251,67 +293,21 @@ pub(crate) fn build(cfg: &TortureConfig) -> Result<(Arc<Database>, Parts)> {
         )?;
         chain_parent = name.clone();
     }
-    let items = db.create_table(
-        "items",
-        Schema::new(
-            vec![
-                Column::new("id", ValueType::Int),
-                Column::new("grp", ValueType::Int),
-                Column::new("val", ValueType::Int),
-            ],
-            vec![0],
-        )?,
-    )?;
-    db.create_indexed_view(ViewSpec {
-        name: CHURN_VIEW.into(),
-        source: ViewSource::Single { table: items, group_by: vec![1] },
-        aggs: vec![AggSpec::SumInt { col: 2 }],
-        filter: Predicate::True,
-        maintenance: cfg.mode,
-        deferred: false,
-        eager_group_delete: false,
-    })?;
+    let items = int_table(&db, "items", &["id", "grp", "val"])?;
+    group_view(&db, CHURN_VIEW, items, vec![AggSpec::SumInt { col: 2 }], cfg.mode)?;
     if cfg.minmax {
-        let readings = db.create_table(
-            "readings",
-            Schema::new(
-                vec![
-                    Column::new("id", ValueType::Int),
-                    Column::new("grp", ValueType::Int),
-                    Column::new("val", ValueType::Int),
-                ],
-                vec![0],
-            )?,
-        )?;
+        let readings = int_table(&db, "readings", &["id", "grp", "val"])?;
         // MIN/MAX force X-lock maintenance regardless of cfg.mode; AVG and
         // SUM ride along so one row exercises every aggregate kind at once.
-        db.create_indexed_view(ViewSpec {
-            name: MINMAX_VIEW.into(),
-            source: ViewSource::Single { table: readings, group_by: vec![1] },
-            aggs: vec![
-                AggSpec::SumInt { col: 2 },
-                AggSpec::Min { col: 2 },
-                AggSpec::Max { col: 2 },
-                AggSpec::Avg { col: 2, float: false },
-            ],
-            filter: Predicate::True,
-            maintenance: MaintenanceMode::XLock,
-            deferred: false,
-            eager_group_delete: false,
-        })?;
+        let aggs = vec![
+            AggSpec::SumInt { col: 2 },
+            AggSpec::Min { col: 2 },
+            AggSpec::Max { col: 2 },
+            AggSpec::Avg { col: 2, float: false },
+        ];
+        group_view(&db, MINMAX_VIEW, readings, aggs, MaintenanceMode::XLock)?;
     }
-    db.create_table(
-        "ledger",
-        Schema::new(
-            vec![
-                Column::new("seq", ValueType::Int),
-                Column::new("src", ValueType::Int),
-                Column::new("dst", ValueType::Int),
-                Column::new("amount", ValueType::Int),
-            ],
-            vec![0],
-        )?,
-    )?;
+    int_table(&db, "ledger", &["seq", "src", "dst", "amount"])?;
 
     let mut txn = db.begin(IsolationLevel::ReadCommitted);
     for i in 0..cfg.accounts {
@@ -407,11 +403,49 @@ pub(crate) fn do_reading(
     }
 }
 
+/// A bank transfer `(seq, from, to, amount)`.
+pub type Transfer = (i64, i64, i64, i64);
+
+/// How one workload transaction ended.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Outcome {
+    /// Committed at this LSN.
+    Committed(Lsn),
+    /// The deliberate runtime rollback (or its abandonment).
+    RolledBack,
+    /// A statement or the commit failed; rolled back or abandoned.
+    Failed,
+}
+
+/// What the workload loop reports to its observer.
+pub(crate) enum Step {
+    /// Transaction `t` is about to begin.
+    Begin(usize),
+    /// The transaction ended; `acked` = it committed before the crash fired.
+    End { outcome: Outcome, transfer: Option<Transfer>, acked: bool },
+}
+
 /// Run the deterministic single-threaded workload: two transfer
 /// transactions, then one churn transaction, repeating. Injected faults
 /// surface as errors → rollback; commits acknowledged while the clock has
 /// not fired are recorded as the durability contract.
-pub(crate) fn run_workload(db: &Database, cfg: &TortureConfig, clock: &FaultClock) -> WorkloadTrace {
+pub(crate) fn run_workload(
+    db: &Database,
+    cfg: &TortureConfig,
+    clock: &FaultClock,
+) -> Result<WorkloadTrace> {
+    run_workload_observed(db, cfg, clock, |_| Ok(()))
+}
+
+/// [`run_workload`] with `observe` told of every transaction boundary (the
+/// replication harness ships frames there). The observer ticks no fault
+/// clock, so the event horizon is the same as without it.
+pub(crate) fn run_workload_observed(
+    db: &Database,
+    cfg: &TortureConfig,
+    clock: &FaultClock,
+    mut observe: impl FnMut(Step) -> Result<()>,
+) -> Result<WorkloadTrace> {
     let mut rng = Rng::new(cfg.seed ^ 0x9E37_79B9_7F4A_7C15);
     let mut trace = WorkloadTrace::default();
     let mut seq = 0i64;
@@ -422,6 +456,7 @@ pub(crate) fn run_workload(db: &Database, cfg: &TortureConfig, clock: &FaultCloc
         .flat_map(|g| (0..3i64).map(move |k| (g * 3 + k, 10 * (k + 1))))
         .collect();
     for t in 0..cfg.txns {
+        observe(Step::Begin(t))?;
         trace.attempted += 1;
         let mut txn = db.begin(IsolationLevel::ReadCommitted);
         let transfer = if t % 3 == 2 {
@@ -470,36 +505,37 @@ pub(crate) fn run_workload(db: &Database, cfg: &TortureConfig, clock: &FaultCloc
             }
             Ok(())
         });
-        if body.is_ok() && t % 12 == 5 {
+        let outcome = if body.is_ok() && t % 12 == 5 {
             if db.rollback(&mut txn).is_ok() {
                 trace.rolled_back += 1;
             } else {
                 trace.abandoned += 1;
                 std::mem::forget(txn);
             }
-            continue;
-        }
-        match body.and_then(|()| db.commit(&mut txn).map(|_| ())) {
-            Ok(()) => {
-                if !clock.fired() {
-                    trace.acked_commits += 1;
-                    if let Some(tr) = transfer {
-                        trace.acked_transfers.push(tr);
+            Outcome::RolledBack
+        } else {
+            match body.and_then(|()| db.commit(&mut txn)) {
+                Ok(lsn) => Outcome::Committed(lsn),
+                Err(_) => {
+                    if txn.is_active() && db.rollback(&mut txn).is_ok() {
+                        trace.rolled_back += 1;
+                    } else {
+                        // Leave it in-flight: recovery must undo it.
+                        trace.abandoned += 1;
+                        std::mem::forget(txn);
                     }
+                    Outcome::Failed
                 }
             }
-            Err(_) => {
-                if txn.is_active() && db.rollback(&mut txn).is_ok() {
-                    trace.rolled_back += 1;
-                } else {
-                    // Leave it in-flight: recovery must undo it.
-                    trace.abandoned += 1;
-                    std::mem::forget(txn);
-                }
-            }
+        };
+        let acked = matches!(outcome, Outcome::Committed(_)) && !clock.fired();
+        if acked {
+            trace.acked_commits += 1;
+            trace.acked_transfers.extend(transfer);
         }
+        observe(Step::End { outcome, transfer, acked })?;
     }
-    trace
+    Ok(trace)
 }
 
 /// Interrogate the oracle on a recovered database; push violations.
@@ -515,7 +551,7 @@ pub(crate) fn check_oracle(
         views.push(MINMAX_VIEW);
     }
     for view in views {
-        if let Err(e) = db.verify_view(view) {
+        if let Err(e) = db.harness().verify_view(view) {
             violations.push(format!("[{stage}] view '{view}' != recomputation from base: {e}"));
         }
     }
@@ -523,19 +559,19 @@ pub(crate) fn check_oracle(
     // from base AND the one-step fold of its immediate parent's stored
     // rows, and the terminal global row must conserve total money.
     for view in chain_view_names(cfg.chain_depth) {
-        if let Err(e) = db.verify_view(&view) {
+        if let Err(e) = db.harness().verify_view(&view) {
             violations.push(format!(
                 "[{stage}] chain view '{view}' != transitive recomputation: {e}"
             ));
         }
-        if let Err(e) = db.verify_view_from_parent(&view) {
+        if let Err(e) = db.harness().verify_view_from_parent(&view) {
             violations.push(format!(
                 "[{stage}] chain view '{view}' != fold of immediate parent: {e}"
             ));
         }
     }
     if cfg.chain_depth > 0 {
-        match db.dump_view(CHAIN_TOTAL_VIEW) {
+        match db.harness().dump_view(CHAIN_TOTAL_VIEW) {
             Ok(rows) => {
                 let total: i64 =
                     rows.iter().map(|r| r.get(2).as_int().unwrap_or(i64::MIN)).sum();
@@ -551,7 +587,7 @@ pub(crate) fn check_oracle(
             Err(e) => violations.push(format!("[{stage}] '{CHAIN_TOTAL_VIEW}' unreadable: {e}")),
         }
     }
-    let ledger = match db.dump_table("ledger") {
+    let ledger = match db.harness().dump_table("ledger") {
         Ok(rows) => rows,
         Err(e) => {
             violations.push(format!("[{stage}] ledger unreadable: {e}"));
@@ -578,7 +614,7 @@ pub(crate) fn check_oracle(
             ));
         }
     }
-    match db.dump_table("accounts") {
+    match db.harness().dump_table("accounts") {
         Ok(rows) => {
             if rows.len() != cfg.accounts as usize {
                 violations.push(format!(
@@ -602,26 +638,36 @@ pub(crate) fn check_oracle(
     }
 }
 
+/// The recovered (or promoted) database accepts new work, and the bank
+/// view stays right after it.
+pub(crate) fn check_accepts_work(
+    db: &Database,
+    cfg: &TortureConfig,
+    stage: &str,
+    violations: &mut Vec<String>,
+) {
+    let mut txn = db.begin(IsolationLevel::ReadCommitted);
+    let post = do_transfer(db, &mut txn, i64::MAX, 0, cfg.accounts - 1, 1)
+        .and_then(|()| db.commit(&mut txn).map(|_| ()));
+    match post {
+        Ok(()) => {
+            if let Err(e) = db.harness().verify_view(BANK_VIEW) {
+                violations.push(format!("[{stage}] view diverged: {e}"));
+            }
+        }
+        Err(e) => violations.push(format!("[{stage}] db rejected new work: {e}")),
+    }
+}
+
 /// Run one crash episode under `schedule` and interrogate the oracle.
 pub fn run_episode(cfg: &TortureConfig, schedule: &FaultSchedule) -> Result<EpisodeReport> {
     let (db, parts) = build(cfg)?;
     let catalog = db.export_catalog();
     parts.clock.arm(schedule);
-    let trace = run_workload(&db, cfg, &parts.clock);
+    let trace = run_workload(&db, cfg, &parts.clock)?;
     let fault_stats = parts.clock.stats();
     drop(db);
-
-    // Reboot: fall back to what actually reached stable storage.
-    parts.disk.crash_restore();
-    parts.store.crash_restore();
-    parts.clock.disarm();
-    let (db, recovery) = Database::with_parts_recovered(
-        Arc::new(parts.disk.clone()),
-        Box::new(parts.store.clone()),
-        Some(&catalog),
-        cfg.pool_pages,
-        Duration::from_secs(2),
-    )?;
+    let (db, recovery) = parts.reboot(&catalog, cfg.pool_pages)?;
 
     let mut violations = Vec::new();
     check_oracle(&db, cfg, &trace, "recovered", &mut violations);
@@ -647,18 +693,7 @@ pub fn run_episode(cfg: &TortureConfig, schedule: &FaultSchedule) -> Result<Epis
     let ghost_cleanup = db.run_ghost_cleanup()?;
     check_oracle(&db, cfg, &trace, "post-cleanup", &mut violations);
 
-    // The recovered database accepts new work.
-    let mut txn = db.begin(IsolationLevel::ReadCommitted);
-    let post = do_transfer(&db, &mut txn, i64::MAX, 0, cfg.accounts - 1, 1)
-        .and_then(|()| db.commit(&mut txn).map(|_| ()));
-    match post {
-        Ok(()) => {
-            if let Err(e) = db.verify_view(BANK_VIEW) {
-                violations.push(format!("[post-write] view diverged: {e}"));
-            }
-        }
-        Err(e) => violations.push(format!("[post-write] recovered db rejected work: {e}")),
-    }
+    check_accepts_work(&db, cfg, "post-write", &mut violations);
 
     Ok(EpisodeReport {
         schedule: schedule.clone(),
@@ -677,7 +712,7 @@ pub fn run_episode(cfg: &TortureConfig, schedule: &FaultSchedule) -> Result<Epis
 pub fn measure_horizon(cfg: &TortureConfig) -> Result<u64> {
     let (db, parts) = build(cfg)?;
     let before = parts.clock.events();
-    let _ = run_workload(&db, cfg, &parts.clock);
+    run_workload(&db, cfg, &parts.clock)?;
     Ok(parts.clock.events() - before)
 }
 
@@ -690,9 +725,7 @@ pub fn run_sweep(cfg: &TortureConfig, max_points: usize) -> Result<SweepReport> 
     if horizon == 0 || max_points == 0 {
         return Ok(report);
     }
-    let stride = (horizon as usize / max_points.min(horizon as usize)).max(1);
-    let mut offset = 0u64;
-    while offset < horizon && report.episodes < max_points {
+    for offset in sample_offsets(horizon, max_points) {
         let ep = run_episode(cfg, &FaultSchedule::crash_at(offset))?;
         report.episodes += 1;
         report.acked_commits += ep.trace.acked_commits;
@@ -706,7 +739,6 @@ pub fn run_sweep(cfg: &TortureConfig, max_points: usize) -> Result<SweepReport> 
         for v in ep.violations {
             report.violations.push((offset, v));
         }
-        offset += stride as u64;
     }
     report.crash_events.sort_unstable();
     report.crash_events.dedup();
@@ -748,7 +780,7 @@ pub(crate) fn measure_probe_offsets(
         }
         c.tick(FaultPoint::Probe(p));
     }));
-    let _ = run_workload(&db, cfg, &parts.clock);
+    run_workload(&db, cfg, &parts.clock)?;
     let out = hits.lock().iter().map(|&(n, abs)| (n, abs - base)).collect();
     Ok(out)
 }
@@ -767,51 +799,23 @@ pub struct ProbeSweepReport {
     pub acked_commits: usize,
 }
 
-/// Crash exactly at the pipeline's seams: sample up to `per_probe`
-/// occurrences of each probe in [`PIPELINE_PROBES`], run one crash episode
-/// per sampled offset, and assert the full oracle on each. Requires
-/// `cfg.pipeline`; without it the probes never fire and the sweep reports
-/// zero episodes.
-pub fn run_pipeline_probe_sweep(
-    cfg: &TortureConfig,
-    per_probe: usize,
-) -> Result<ProbeSweepReport> {
-    run_probe_sweep(cfg, &PIPELINE_PROBES, per_probe)
-}
-
 /// The cascade flush's mid-chain crash seam: fires between DAG levels
-/// inside one transaction's commit flush (needs `chain_depth >= 2`).
+/// inside one transaction's commit flush (needs `chain_depth >= 2`). A
+/// crash between level *k* and *k*+1 must either replay the whole chain as
+/// redo or undo it entirely, never leave a half-propagated DAG.
 pub const CASCADE_PROBES: [&str; 1] = ["view.cascade.level"];
 
-/// Crash exactly *between cascade levels*: sample up to `per_probe`
-/// occurrences of [`CASCADE_PROBES`], run one crash episode per sampled
-/// offset, and assert the full oracle — a crash between level *k* and
-/// *k*+1 must either replay the whole chain as redo or undo it entirely,
-/// never leave a half-propagated DAG.
-pub fn run_cascade_probe_sweep(
-    cfg: &TortureConfig,
-    per_probe: usize,
-) -> Result<ProbeSweepReport> {
-    run_probe_sweep(cfg, &CASCADE_PROBES, per_probe)
-}
-
 /// The seam the MIN/MAX maintenance path opens: the window between the
-/// recomputer's X-lock grant and the view-row rewrite.
+/// recomputer's X-lock grant and the view-row rewrite (needs `cfg.minmax`).
+/// The recomputed extremum must land atomically with its group row.
 pub const MINMAX_PROBES: [&str; 1] = ["view.minmax.recompute"];
 
-/// Crash exactly inside the MIN/MAX recompute window: sample up to
-/// `per_probe` occurrences of [`MINMAX_PROBES`], run one crash episode per
-/// sampled offset, and assert the full oracle — the recomputed extremum
-/// must land atomically with its group row. Requires `cfg.minmax`; without
-/// it the probe never fires and the sweep reports zero episodes.
-pub fn run_minmax_probe_sweep(
-    cfg: &TortureConfig,
-    per_probe: usize,
-) -> Result<ProbeSweepReport> {
-    run_probe_sweep(cfg, &MINMAX_PROBES, per_probe)
-}
-
-fn run_probe_sweep(
+/// Crash exactly at named seams: sample up to `per_probe` occurrences of
+/// each of `probes` in the fault-free workload, run one crash episode per
+/// sampled offset, and assert the full oracle on each. A probe the
+/// configuration never reaches (say, [`PIPELINE_PROBES`] without
+/// `cfg.pipeline`) gets zero episodes.
+pub fn run_probe_sweep(
     cfg: &TortureConfig,
     probes: &'static [&'static str],
     per_probe: usize,
@@ -821,9 +825,8 @@ fn run_probe_sweep(
     for &name in probes {
         let occurrences: Vec<u64> =
             offsets.iter().filter(|(n, _)| *n == name).map(|&(_, o)| o).collect();
-        let stride = (occurrences.len() / per_probe.max(1)).max(1);
         let mut ran = 0usize;
-        for &offset in occurrences.iter().step_by(stride).take(per_probe) {
+        for offset in sample(&occurrences, per_probe) {
             let ep = run_episode(cfg, &FaultSchedule::crash_at(offset))?;
             report.episodes += 1;
             ran += 1;
@@ -888,11 +891,11 @@ pub struct StormSweepReport {
 /// taken without a config (replication followers, promoted leaders) cover
 /// the chain automatically.
 pub(crate) fn detect_chain_depth(db: &Database) -> usize {
-    if db.view_depth(CHAIN_TOTAL_VIEW).is_err() {
+    if db.harness().view_depth(CHAIN_TOTAL_VIEW).is_err() {
         return 0;
     }
     let mut depth = 1;
-    while db.view_depth(&format!("bank_chain_{depth}")).is_ok() {
+    while db.harness().view_depth(&format!("bank_chain_{depth}")).is_ok() {
         depth += 1;
     }
     depth
@@ -917,13 +920,13 @@ pub(crate) fn fingerprint_with_chain(db: &Database, chain_depth: usize) -> Resul
     };
     for table in ["accounts", "items", "ledger"] {
         out.extend_from_slice(table.as_bytes());
-        frame(&mut out, db.dump_table(table)?);
+        frame(&mut out, db.harness().dump_table(table)?);
     }
     let mut views: Vec<String> = vec![BANK_VIEW.into(), CHURN_VIEW.into()];
     views.extend(chain_view_names(chain_depth));
     for view in &views {
         out.extend_from_slice(view.as_bytes());
-        frame(&mut out, db.dump_view(view)?);
+        frame(&mut out, db.harness().dump_view(view)?);
     }
     Ok(out)
 }
@@ -932,7 +935,7 @@ pub(crate) fn fingerprint_with_chain(db: &Database, chain_depth: usize) -> Resul
 /// fingerprint of the identical workload with no schedule armed.
 pub(crate) fn reference_run(cfg: &TortureConfig) -> Result<(WorkloadTrace, Vec<u8>)> {
     let (db, parts) = build(cfg)?;
-    let trace = run_workload(&db, cfg, &parts.clock);
+    let trace = run_workload(&db, cfg, &parts.clock)?;
     let fp = fingerprint_with_chain(&db, cfg.chain_depth)?;
     Ok((trace, fp))
 }
@@ -959,10 +962,10 @@ fn storm_episode_with_reference(
     // event clock, and the sweep runs hundreds of these.
     db.set_io_retry_policy(RetryPolicy::no_delay(5));
     parts.clock.arm(schedule);
-    let trace = run_workload(&db, cfg, &parts.clock);
+    let trace = run_workload(&db, cfg, &parts.clock)?;
     parts.clock.disarm();
     let fault_stats = parts.clock.stats();
-    let resilience = db.resilience_stats();
+    let resilience = db.stats().resilience;
 
     let mut violations = Vec::new();
     if fault_stats.crash_event.is_some() {
@@ -987,7 +990,7 @@ fn storm_episode_with_reference(
     let mut storm_views: Vec<String> = vec![BANK_VIEW.into(), CHURN_VIEW.into()];
     storm_views.extend(chain_view_names(cfg.chain_depth));
     for view in &storm_views {
-        if let Err(e) = db.verify_view(view) {
+        if let Err(e) = db.harness().verify_view(view) {
             violations.push(format!("view '{view}' != recomputation from base: {e}"));
         }
     }
@@ -1096,7 +1099,7 @@ pub fn run_persistent_episode(cfg: &TortureConfig, outage_event: u64) -> Result<
     }
     // Reads still serve while degraded, and a read-only transaction
     // commits (no-force: nothing to redo, nothing to flush).
-    match db.dump_table("accounts") {
+    match db.harness().dump_table("accounts") {
         Ok(rows) if rows.len() == cfg.accounts as usize => {}
         Ok(rows) => violations.push(format!(
             "degraded read returned {} accounts, expected {}",
@@ -1121,17 +1124,36 @@ pub fn run_persistent_episode(cfg: &TortureConfig, outage_event: u64) -> Result<
         violations.push(format!("post-heal write failed: {e}"));
     }
     for view in [BANK_VIEW, CHURN_VIEW] {
-        if let Err(e) = db.verify_view(view) {
+        if let Err(e) = db.harness().verify_view(view) {
             violations.push(format!("[post-heal] view '{view}' diverged: {e}"));
         }
     }
     Ok(OutageReport {
         fault_stats: parts.clock.stats(),
-        resilience: db.resilience_stats(),
+        resilience: db.stats().resilience,
         commits_before_outage: commits,
         writes_rejected: rejected,
         violations,
     })
+}
+
+/// Take `run_once`'s snapshot twice and check the observability layer's
+/// own contract: both are structurally valid and they are identical.
+pub(crate) fn deterministic_snapshot(
+    run_once: impl Fn() -> Result<txview_common::obs::Snapshot>,
+) -> Result<(txview_common::obs::Snapshot, Vec<String>)> {
+    let a = run_once()?;
+    let b = run_once()?;
+    let mut violations = Vec::new();
+    for (name, snap) in [("first", &a), ("second", &b)] {
+        if let Err(e) = snap.validate() {
+            violations.push(format!("[{name}] malformed snapshot: {e}"));
+        }
+    }
+    if a != b {
+        violations.push("snapshot divergence between identically-seeded runs".into());
+    }
+    Ok((a, violations))
 }
 
 /// Outcome of the metrics determinism/sanity check.
@@ -1152,21 +1174,11 @@ pub struct MetricsCheckReport {
 pub fn run_metrics_check(cfg: &TortureConfig) -> Result<MetricsCheckReport> {
     let run_once = || -> Result<txview_common::obs::Snapshot> {
         let (db, parts) = build(cfg)?;
-        let _ = run_workload(&db, cfg, &parts.clock);
+        run_workload(&db, cfg, &parts.clock)?;
         db.run_ghost_cleanup()?;
         Ok(db.metrics_snapshot())
     };
-    let a = run_once()?;
-    let b = run_once()?;
-    let mut violations = Vec::new();
-    for (name, snap) in [("first", &a), ("second", &b)] {
-        if let Err(e) = snap.validate() {
-            violations.push(format!("[{name}] malformed snapshot: {e}"));
-        }
-    }
-    if a != b {
-        violations.push("snapshot divergence between identically-seeded runs".into());
-    }
+    let (a, mut violations) = deterministic_snapshot(run_once)?;
     // Sanity: the workload must actually have exercised the instrumented
     // paths, or the determinism check proves nothing.
     if a.counter_value("txn.commits").unwrap_or(0) == 0 {
@@ -1332,7 +1344,7 @@ mod tests {
 
     #[test]
     fn pipeline_probe_sweep_covers_all_three_seams() {
-        let report = run_pipeline_probe_sweep(&pipeline_cfg(), 3).unwrap();
+        let report = run_probe_sweep(&pipeline_cfg(), &PIPELINE_PROBES, 3).unwrap();
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert_eq!(report.per_probe.len(), 3);
         for &(name, ran) in &report.per_probe {
@@ -1383,7 +1395,7 @@ mod tests {
 
     #[test]
     fn cascade_probe_sweep_crashes_between_levels() {
-        let report = run_cascade_probe_sweep(&chain_cfg(2), 3).unwrap();
+        let report = run_probe_sweep(&chain_cfg(2), &CASCADE_PROBES, 3).unwrap();
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert_eq!(report.per_probe.len(), 1);
         assert!(
@@ -1416,7 +1428,7 @@ mod tests {
 
     #[test]
     fn minmax_probe_sweep_covers_the_recompute_seam() {
-        let report = run_minmax_probe_sweep(&minmax_cfg(), 3).unwrap();
+        let report = run_probe_sweep(&minmax_cfg(), &MINMAX_PROBES, 3).unwrap();
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert_eq!(report.per_probe.len(), 1);
         for &(name, ran) in &report.per_probe {

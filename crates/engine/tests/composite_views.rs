@@ -58,7 +58,7 @@ fn composite_keys_and_mixed_aggregates() {
     db.insert(&mut txn, "trades", trade(4, "apac", 1, 30, 4.0)).unwrap();
     db.insert(&mut txn, "trades", trade(5, "apac", 1, 0, 99.0)).unwrap(); // filtered out
     db.commit(&mut txn).unwrap();
-    db.verify_view("desk_totals").unwrap();
+    db.harness().verify_view("desk_totals").unwrap();
 
     let mut r = db.begin(IsolationLevel::ReadCommitted);
     let (count, aggs) = db
@@ -116,7 +116,7 @@ fn float_sums_survive_rollback_and_crash_exactly() {
     db.insert(&mut txn, "trades", trade(3, "us", 7, 5, 0.125)).unwrap();
     db.update(&mut txn, "trades", trade(1, "us", 7, 5, 8.5)).unwrap();
     db.rollback(&mut txn).unwrap();
-    db.verify_view("desk_totals").unwrap();
+    db.harness().verify_view("desk_totals").unwrap();
     let mut r = db.begin(IsolationLevel::ReadCommitted);
     let (_, aggs) = db
         .view_aggregates(&mut r, "desk_totals", &[Value::Str("us".into()), Value::Int(7)])
@@ -131,7 +131,7 @@ fn float_sums_survive_rollback_and_crash_exactly() {
     db.log().flush_all().unwrap();
     std::mem::forget(loser);
     db.crash_and_recover(0.5, 21).unwrap();
-    db.verify_view("desk_totals").unwrap();
+    db.harness().verify_view("desk_totals").unwrap();
 }
 
 #[test]
@@ -155,7 +155,7 @@ fn concurrent_writers_on_composite_hot_groups() {
     for h in handles {
         h.join().unwrap();
     }
-    db.verify_view("desk_totals").unwrap();
+    db.harness().verify_view("desk_totals").unwrap();
     let mut r = db.begin(IsolationLevel::ReadCommitted);
     let (count, aggs) = db
         .view_aggregates(&mut r, "desk_totals", &[Value::Str("emea".into()), Value::Int(1)])
@@ -175,7 +175,7 @@ fn update_moving_between_composite_groups() {
     // Move desk AND region.
     db.update(&mut txn, "trades", trade(1, "us", 3, 10, 1.0)).unwrap();
     db.commit(&mut txn).unwrap();
-    db.verify_view("desk_totals").unwrap();
+    db.harness().verify_view("desk_totals").unwrap();
     let mut r = db.begin(IsolationLevel::ReadCommitted);
     assert!(db
         .view_aggregates(&mut r, "desk_totals", &[Value::Str("emea".into()), Value::Int(1)])

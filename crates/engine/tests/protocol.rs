@@ -51,7 +51,7 @@ fn load_accounts(db: &Database, n: i64, branches: i64, balance: i64) {
 fn view_tracks_inserts_updates_deletes() {
     let (db, view) = setup(MaintenanceMode::Escrow);
     load_accounts(&db, 10, 2, 100);
-    db.verify_view(view).unwrap();
+    db.harness().verify_view(view).unwrap();
 
     let mut txn = db.begin(IsolationLevel::ReadCommitted);
     let (count, aggs) = db.view_aggregates(&mut txn, view, &[Value::Int(0)]).unwrap().unwrap();
@@ -64,7 +64,7 @@ fn view_tracks_inserts_updates_deletes() {
     db.delete(&mut txn, "accounts", &[Value::Int(2)]).unwrap();
     db.commit(&mut txn).unwrap();
 
-    db.verify_view(view).unwrap();
+    db.harness().verify_view(view).unwrap();
     let mut txn = db.begin(IsolationLevel::ReadCommitted);
     let (count, aggs) = db.view_aggregates(&mut txn, view, &[Value::Int(0)]).unwrap().unwrap();
     assert_eq!(count, 4);
@@ -80,7 +80,7 @@ fn update_moving_groups_emits_two_deltas() {
     // Move account 0 from branch 0 to branch 1.
     db.update(&mut txn, "accounts", row![0i64, 1i64, 100i64]).unwrap();
     db.commit(&mut txn).unwrap();
-    db.verify_view(view).unwrap();
+    db.harness().verify_view(view).unwrap();
     let mut txn = db.begin(IsolationLevel::ReadCommitted);
     assert_eq!(
         db.view_aggregates(&mut txn, view, &[Value::Int(0)]).unwrap().unwrap(),
@@ -98,7 +98,7 @@ fn rollback_restores_base_and_view() {
     for mode in [MaintenanceMode::Escrow, MaintenanceMode::XLock] {
         let (db, view) = setup(mode);
         load_accounts(&db, 6, 3, 100);
-        let before = db.dump_view(view).unwrap();
+        let before = db.harness().dump_view(view).unwrap();
 
         let mut txn = db.begin(IsolationLevel::ReadCommitted);
         db.insert(&mut txn, "accounts", row![100i64, 0i64, 999i64]).unwrap();
@@ -106,9 +106,9 @@ fn rollback_restores_base_and_view() {
         db.delete(&mut txn, "accounts", &[Value::Int(2)]).unwrap();
         db.rollback(&mut txn).unwrap();
 
-        assert_eq!(db.dump_view(view).unwrap(), before, "mode {mode:?}");
-        db.verify_view(view).unwrap();
-        assert_eq!(db.dump_table("accounts").unwrap().len(), 6);
+        assert_eq!(db.harness().dump_view(view).unwrap(), before, "mode {mode:?}");
+        db.harness().verify_view(view).unwrap();
+        assert_eq!(db.harness().dump_table("accounts").unwrap().len(), 6);
     }
 }
 
@@ -118,11 +118,11 @@ fn savepoint_partial_rollback() {
     load_accounts(&db, 2, 1, 100);
     let mut txn = db.begin(IsolationLevel::ReadCommitted);
     db.insert(&mut txn, "accounts", row![10i64, 0i64, 50i64]).unwrap();
-    let sp = db.savepoint(&txn);
+    let sp = txn.savepoint();
     db.insert(&mut txn, "accounts", row![11i64, 0i64, 70i64]).unwrap();
     db.rollback_to_savepoint(&mut txn, sp).unwrap();
     db.commit(&mut txn).unwrap();
-    db.verify_view(view).unwrap();
+    db.harness().verify_view(view).unwrap();
     let mut txn = db.begin(IsolationLevel::ReadCommitted);
     assert_eq!(
         db.view_aggregates(&mut txn, view, &[Value::Int(0)]).unwrap().unwrap(),
@@ -146,7 +146,7 @@ fn group_come_and_go_anomaly() {
     db.commit(&mut t2).unwrap();
 
     db.rollback(&mut t1).unwrap();
-    db.verify_view(view).unwrap();
+    db.harness().verify_view(view).unwrap();
 
     let mut r = db.begin(IsolationLevel::ReadCommitted);
     assert_eq!(
@@ -169,18 +169,18 @@ fn count_to_zero_hides_group_and_cleanup_removes_it() {
     let mut r = db.begin(IsolationLevel::ReadCommitted);
     assert!(db.view_aggregates(&mut r, view, &[Value::Int(0)]).unwrap().is_none());
     db.commit(&mut r).unwrap();
-    db.verify_view(view).unwrap();
+    db.harness().verify_view(view).unwrap();
 
     // Cleanup physically removes the zero-count view row and the base ghost.
     let report = db.run_ghost_cleanup().unwrap();
     assert!(report.removed >= 2, "view row + base ghost: {report:?}");
-    db.verify_view(view).unwrap();
+    db.harness().verify_view(view).unwrap();
 
     // Re-inserting the group recreates the row.
     let mut txn = db.begin(IsolationLevel::ReadCommitted);
     db.insert(&mut txn, "accounts", row![10i64, 0i64, 5i64]).unwrap();
     db.commit(&mut txn).unwrap();
-    db.verify_view(view).unwrap();
+    db.harness().verify_view(view).unwrap();
 }
 
 #[test]
@@ -204,7 +204,7 @@ fn concurrent_escrow_writers_same_group() {
     for h in threads {
         h.join().unwrap();
     }
-    db.verify_view(view).unwrap();
+    db.harness().verify_view(view).unwrap();
     let mut r = db.begin(IsolationLevel::ReadCommitted);
     assert_eq!(
         db.view_aggregates(&mut r, view, &[Value::Int(0)]).unwrap().unwrap(),
@@ -241,7 +241,7 @@ fn serializable_reader_blocks_escrow_writer() {
     assert_eq!(count2, count);
     db.commit(&mut reader).unwrap();
     assert!(h.join().unwrap(), "writer proceeds after reader commits");
-    db.verify_view(view).unwrap();
+    db.harness().verify_view(view).unwrap();
 }
 
 #[test]
@@ -301,7 +301,7 @@ fn long_snapshot_keeps_its_row_and_releases_the_chain_when_it_ends() {
 
     // The load's own entry folded at the first later publish; the 1,000
     // above the held snapshot cannot.
-    assert_eq!(db.debug_chain(view, &g).unwrap().len(), 1001);
+    assert_eq!(db.harness().debug_chain(view, &g).unwrap().len(), 1001);
     assert_eq!(versions(&db), (1001, 1));
     let seen = db.metrics_snapshot().hist_value("versions.chain_len").unwrap().clone();
     assert!(seen.max_bound() >= 1001, "readers met the long chain: {seen:?}");
@@ -312,12 +312,12 @@ fn long_snapshot_keeps_its_row_and_releases_the_chain_when_it_ends() {
     db.commit(&mut w).unwrap();
     // Base plus the entry just published (its own commit ticket keeps the
     // horizon below it).
-    assert_eq!(db.debug_chain(view, &g).unwrap().len(), 2);
+    assert_eq!(db.harness().debug_chain(view, &g).unwrap().len(), 2);
     assert_eq!(versions(&db), (2, 1001));
     let mut fresh = db.begin(IsolationLevel::Snapshot);
     assert_eq!(db.view_lookup(&mut fresh, view, &g).unwrap().unwrap(), row![0i64, 1003i64, 1201i64]);
     db.commit(&mut fresh).unwrap();
-    db.verify_view(view).unwrap();
+    db.harness().verify_view(view).unwrap();
 }
 
 #[test]
@@ -342,8 +342,8 @@ fn crash_recovery_committed_survives_losers_undone() {
     assert!(report.losers >= 1);
     assert!(report.logical_undos >= 1);
 
-    db.verify_view(view).unwrap();
-    let rows = db.dump_table("accounts").unwrap();
+    db.harness().verify_view(view).unwrap();
+    let rows = db.harness().dump_table("accounts").unwrap();
     let ids: Vec<i64> = rows.iter().map(|r| r.get(0).as_int().unwrap()).collect();
     assert!(ids.contains(&100), "committed insert survives");
     assert!(!ids.contains(&1), "committed delete survives");
@@ -364,9 +364,9 @@ fn crash_recovery_is_idempotent_under_repeated_crashes() {
         db.insert(&mut loser, "accounts", row![id + 500, 0i64, 9i64]).unwrap();
         std::mem::forget(loser);
         db.crash_and_recover(0.3, seed).unwrap();
-        db.verify_view(view).unwrap();
+        db.harness().verify_view(view).unwrap();
     }
-    assert_eq!(db.dump_table("accounts").unwrap().len(), 25);
+    assert_eq!(db.harness().dump_table("accounts").unwrap().len(), 25);
 }
 
 #[test]
@@ -390,7 +390,7 @@ fn xlock_mode_is_correct_just_slower() {
     for h in threads {
         h.join().unwrap();
     }
-    db.verify_view(view).unwrap();
+    db.harness().verify_view(view).unwrap();
     assert_eq!(db.stats().locks.escrow_grants, 0, "no E locks in baseline");
 }
 
@@ -413,7 +413,7 @@ fn min_max_view_maintained_with_recompute_on_delete() {
         db.insert(&mut txn, "accounts", row![id, 0i64, bal]).unwrap();
     }
     db.commit(&mut txn).unwrap();
-    db.verify_view("branch_minmax").unwrap();
+    db.harness().verify_view("branch_minmax").unwrap();
 
     let mut r = db.begin(IsolationLevel::ReadCommitted);
     let (_, aggs) = db.view_aggregates(&mut r, "branch_minmax", &[Value::Int(0)]).unwrap().unwrap();
@@ -424,7 +424,7 @@ fn min_max_view_maintained_with_recompute_on_delete() {
     let mut txn = db.begin(IsolationLevel::ReadCommitted);
     db.delete(&mut txn, "accounts", &[Value::Int(2)]).unwrap();
     db.commit(&mut txn).unwrap();
-    db.verify_view("branch_minmax").unwrap();
+    db.harness().verify_view("branch_minmax").unwrap();
     let mut r = db.begin(IsolationLevel::ReadCommitted);
     let (_, aggs) = db.view_aggregates(&mut r, "branch_minmax", &[Value::Int(0)]).unwrap().unwrap();
     assert_eq!(aggs, vec![Value::Int(50), Value::Int(90)]);
@@ -455,7 +455,7 @@ fn filtered_view_only_counts_qualifying_rows() {
     // Update crosses the filter boundary: row 1 now qualifies.
     db.update(&mut txn, "accounts", row![1i64, 0i64, 120i64]).unwrap();
     db.commit(&mut txn).unwrap();
-    db.verify_view("rich").unwrap();
+    db.harness().verify_view("rich").unwrap();
     let mut r = db.begin(IsolationLevel::ReadCommitted);
     assert_eq!(
         db.view_aggregates(&mut r, "rich", &[Value::Int(0)]).unwrap().unwrap(),
@@ -509,7 +509,7 @@ fn join_view_maintained_through_fact_dml() {
     db.insert(&mut txn, "sales", row![2i64, 1i64, 20i64]).unwrap();
     db.insert(&mut txn, "sales", row![3i64, 2i64, 40i64]).unwrap();
     db.commit(&mut txn).unwrap();
-    db.verify_view("revenue_by_region").unwrap();
+    db.harness().verify_view("revenue_by_region").unwrap();
 
     let mut r = db.begin(IsolationLevel::ReadCommitted);
     assert_eq!(
@@ -542,13 +542,13 @@ fn deferred_view_goes_stale_and_refreshes() {
     })
     .unwrap();
     load_accounts(&db, 10, 2, 100);
-    assert_eq!(db.deferred_staleness("lazy").unwrap(), 10);
+    assert_eq!(db.harness().deferred_staleness("lazy").unwrap(), 10);
     // The view is stale: verify must fail.
-    assert!(db.verify_view("lazy").is_err());
-    let n = db.refresh_deferred_view("lazy").unwrap();
+    assert!(db.harness().verify_view("lazy").is_err());
+    let n = db.harness().refresh_deferred_view("lazy").unwrap();
     assert_eq!(n, 2);
-    assert_eq!(db.deferred_staleness("lazy").unwrap(), 0);
-    db.verify_view("lazy").unwrap();
+    assert_eq!(db.harness().deferred_staleness("lazy").unwrap(), 0);
+    db.harness().verify_view("lazy").unwrap();
 }
 
 #[test]
@@ -569,7 +569,7 @@ fn multiple_views_maintained_in_one_txn() {
     }
     load_accounts(&db, 20, 4, 10);
     for i in 0..4 {
-        db.verify_view(&format!("v{i}")).unwrap();
+        db.harness().verify_view(&format!("v{i}")).unwrap();
     }
 }
 

@@ -59,11 +59,11 @@ fn tiny_buffer_pool_eviction_storm() {
         }
         db.commit(&mut txn).unwrap();
     }
-    db.verify_view("totals").unwrap();
-    assert_eq!(db.dump_table("items").unwrap().len(), 1000);
+    db.harness().verify_view("totals").unwrap();
+    assert_eq!(db.harness().dump_table("items").unwrap().len(), 1000);
     // Crash + recover with the same tiny pool.
     db.crash_and_recover(0.5, 99).unwrap();
-    db.verify_view("totals").unwrap();
+    db.harness().verify_view("totals").unwrap();
 }
 
 #[test]
@@ -120,10 +120,10 @@ fn ghost_cleanup_races_live_writers() {
     for h in handles {
         h.join().unwrap();
     }
-    db.verify_view("totals").unwrap();
+    db.harness().verify_view("totals").unwrap();
     // A final sweep leaves only live state behind.
     db.run_ghost_cleanup().unwrap();
-    db.verify_view("totals").unwrap();
+    db.harness().verify_view("totals").unwrap();
 }
 
 #[test]
@@ -197,7 +197,7 @@ fn cleanup_then_crash_then_cleanup() {
     let first = db.run_ghost_cleanup().unwrap();
     assert!(first.removed > 0);
     db.crash_and_recover(0.7, 5).unwrap();
-    db.verify_view("totals").unwrap();
+    db.harness().verify_view("totals").unwrap();
     // The crash dropped the queue; cleanup must be re-derivable by a scan
     // (the queue is an optimization, not the source of truth) — here we
     // simply verify correctness holds and remaining rows can be re-queued
@@ -208,8 +208,8 @@ fn cleanup_then_crash_then_cleanup() {
     }
     db.commit(&mut txn).unwrap();
     db.run_ghost_cleanup().unwrap();
-    db.verify_view("totals").unwrap();
-    assert!(db.dump_table("items").unwrap().is_empty());
+    db.harness().verify_view("totals").unwrap();
+    assert!(db.harness().dump_table("items").unwrap().is_empty());
 }
 
 #[test]
@@ -262,8 +262,8 @@ fn persistent_outage_degrades_then_probe_heals() {
     db.rollback(&mut w).unwrap();
 
     // Reads still serve, and a read-only transaction commits (no-force).
-    assert_eq!(db.dump_table("items").unwrap().len(), 4);
-    db.verify_view("totals").unwrap();
+    assert_eq!(db.harness().dump_table("items").unwrap().len(), 4);
+    db.harness().verify_view("totals").unwrap();
     let mut r = db.begin(IsolationLevel::ReadCommitted);
     db.commit(&mut r).unwrap();
 
@@ -277,8 +277,8 @@ fn persistent_outage_degrades_then_probe_heals() {
         db.insert(txn, "items", row![102i64, 0i64, 9i64])
     })
     .unwrap();
-    db.verify_view("totals").unwrap();
-    let stats = db.resilience_stats();
+    db.harness().verify_view("totals").unwrap();
+    let stats = db.stats().resilience;
     assert_eq!(stats.health_counters.degradations, 1);
     assert_eq!(stats.health_counters.heals, 1);
     assert!(stats.health_counters.writes_rejected > 0);
@@ -309,7 +309,7 @@ fn fence_is_sticky_until_crash_recovery() {
         db.insert(txn, "items", row![3i64, 1i64, 5i64])
     })
     .unwrap();
-    db.verify_view("totals").unwrap();
+    db.harness().verify_view("totals").unwrap();
 }
 
 #[test]
@@ -328,7 +328,7 @@ fn run_txn_retries_degraded_errors_with_backoff_telemetry() {
         })
         .unwrap_err();
     assert!(matches!(err, Error::Degraded { .. }), "got {err}");
-    let stats = db.resilience_stats();
+    let stats = db.stats().resilience;
     assert_eq!(stats.txn_attempts, 4); // 1 try + 3 retries
     assert_eq!(stats.txn_retries, 3);
     assert!(stats.txn_backoff_micros > 0, "backoff was configured but never slept");
@@ -336,14 +336,15 @@ fn run_txn_retries_degraded_errors_with_backoff_telemetry() {
 
     // After healing, the same loop goes through first try.
     assert!(db.health().heal());
-    let ((), attempts) = db
-        .run_txn_traced(IsolationLevel::ReadCommitted, 3, |txn| {
-            db.insert(txn, "items", row![1i64, 1i64, 1i64])
-        })
-        .unwrap();
+    let mut attempts = 0;
+    db.run_txn(IsolationLevel::ReadCommitted, 3, |txn| {
+        attempts += 1;
+        db.insert(txn, "items", row![1i64, 1i64, 1i64])
+    })
+    .unwrap();
     assert_eq!(attempts, 1);
-    assert_eq!(db.resilience_stats().health, HealthState::Healthy);
-    db.verify_view("totals").unwrap();
+    assert_eq!(db.stats().resilience.health, HealthState::Healthy);
+    db.harness().verify_view("totals").unwrap();
 }
 
 #[test]
@@ -370,8 +371,8 @@ fn many_groups_split_view_tree_under_concurrency() {
     for h in handles {
         h.join().unwrap();
     }
-    db.verify_view("totals").unwrap();
-    assert_eq!(db.dump_view("totals").unwrap().len(), 1600);
+    db.harness().verify_view("totals").unwrap();
+    assert_eq!(db.harness().dump_view("totals").unwrap().len(), 1600);
 }
 
 #[test]
@@ -386,7 +387,7 @@ fn ghost_enqueue_dedups_and_backlog_drains_to_zero() {
     db.delete(&mut txn, "items", &[Value::Int(1)]).unwrap();
     db.commit(&mut txn).unwrap();
     // One base-row ghost (pk 1) + one view-group ghost (group 7).
-    let b1 = db.ghost_backlog();
+    let b1 = db.harness().ghost_backlog();
     assert_eq!(b1, 2, "base row + emptied group queued");
     let mut txn = db.begin(IsolationLevel::ReadCommitted);
     db.insert(&mut txn, "items", row![2i64, 7i64, 5i64]).unwrap();
@@ -394,7 +395,7 @@ fn ghost_enqueue_dedups_and_backlog_drains_to_zero() {
     db.commit(&mut txn).unwrap();
     // The pk-2 base ghost is a new key; the group-7 view ghost is a
     // duplicate and must NOT be queued again (without dedup: b1 + 2).
-    assert_eq!(db.ghost_backlog(), b1 + 1, "re-ghosting the same view key dedups");
+    assert_eq!(db.harness().ghost_backlog(), b1 + 1, "re-ghosting the same view key dedups");
 
     // Heavier churn across many groups, then a sweep: the backlog gauge
     // (both the direct accessor and the metrics snapshot) returns to 0.
@@ -408,19 +409,19 @@ fn ghost_enqueue_dedups_and_backlog_drains_to_zero() {
         db.delete(&mut txn, "items", &[Value::Int(g)]).unwrap();
     }
     db.commit(&mut txn).unwrap();
-    assert!(db.ghost_backlog() >= 80, "40 base rows + 40 emptied groups");
+    assert!(db.harness().ghost_backlog() >= 80, "40 base rows + 40 emptied groups");
     let report = db.run_ghost_cleanup().unwrap();
     assert!(report.removed >= 40);
-    assert_eq!(db.ghost_backlog(), 0, "sweep drains the backlog");
+    assert_eq!(db.harness().ghost_backlog(), 0, "sweep drains the backlog");
     let snap = db.metrics_snapshot();
     assert_eq!(snap.gauge_value("engine.ghost_backlog"), Some(0));
-    db.verify_view("totals").unwrap();
+    db.harness().verify_view("totals").unwrap();
     // After a drain the key may legitimately be queued again.
     let mut txn = db.begin(IsolationLevel::ReadCommitted);
     db.insert(&mut txn, "items", row![3i64, 7i64, 5i64]).unwrap();
     db.delete(&mut txn, "items", &[Value::Int(3)]).unwrap();
     db.commit(&mut txn).unwrap();
-    assert_eq!(db.ghost_backlog(), b1, "post-drain re-ghosting queues fresh work");
+    assert_eq!(db.harness().ghost_backlog(), b1, "post-drain re-ghosting queues fresh work");
 }
 
 #[test]
@@ -449,16 +450,15 @@ fn concurrent_backoff_txns_do_not_serialize() {
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
                 barrier.wait();
-                let mut first = true;
-                let (_, attempts) = db
-                    .run_txn_traced(IsolationLevel::ReadCommitted, 3, |txn| {
-                        if first {
-                            first = false;
-                            return Err(Error::SerializationConflict("induced".into()));
-                        }
-                        db.insert(txn, "items", row![t as i64, t as i64, 1i64])
-                    })
-                    .unwrap();
+                let mut attempts = 0;
+                db.run_txn(IsolationLevel::ReadCommitted, 3, |txn| {
+                    attempts += 1;
+                    if attempts == 1 {
+                        return Err(Error::SerializationConflict("induced".into()));
+                    }
+                    db.insert(txn, "items", row![t as i64, t as i64, 1i64])
+                })
+                .unwrap();
                 attempts
             })
         })
@@ -474,5 +474,5 @@ fn concurrent_backoff_txns_do_not_serialize() {
         wall < 2 * d,
         "backoffs serialized: wall {wall:?} vs per-txn backoff {d:?}"
     );
-    db.verify_view("totals").unwrap();
+    db.harness().verify_view("totals").unwrap();
 }

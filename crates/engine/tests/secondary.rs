@@ -44,7 +44,7 @@ fn index_built_from_existing_rows_and_maintained() {
     let db = setup();
     load(&db);
     db.create_index("by_city", "users", &[2], false).unwrap();
-    db.verify_index("by_city").unwrap();
+    db.harness().verify_index("by_city").unwrap();
 
     let mut txn = db.begin(IsolationLevel::ReadCommitted);
     let rows = db.get_by_index(&mut txn, "by_city", &[Value::Str("berlin".into())]).unwrap();
@@ -57,7 +57,7 @@ fn index_built_from_existing_rows_and_maintained() {
     db.update(&mut txn, "users", row![1i64, "a@x.com", "rome"]).unwrap();
     db.delete(&mut txn, "users", &[Value::Int(3)]).unwrap();
     db.commit(&mut txn).unwrap();
-    db.verify_index("by_city").unwrap();
+    db.harness().verify_index("by_city").unwrap();
 
     let mut txn = db.begin(IsolationLevel::ReadCommitted);
     let berlin = db.get_by_index(&mut txn, "by_city", &[Value::Str("berlin".into())]).unwrap();
@@ -77,7 +77,7 @@ fn unique_index_enforced() {
     let err = db.insert(&mut txn, "users", row![9i64, "a@x.com", "oslo"]).unwrap_err();
     assert!(matches!(err, Error::DuplicateKey(_)));
     db.rollback(&mut txn).unwrap();
-    db.verify_index("by_email").unwrap();
+    db.harness().verify_index("by_email").unwrap();
 
     // Building a unique index over already-duplicate data fails.
     let db2 = setup();
@@ -99,7 +99,7 @@ fn rollback_restores_index_exactly() {
     db.update(&mut txn, "users", row![2i64, "b@x.com", "berlin"]).unwrap();
     db.delete(&mut txn, "users", &[Value::Int(4)]).unwrap();
     db.rollback(&mut txn).unwrap();
-    db.verify_index("by_city").unwrap();
+    db.harness().verify_index("by_city").unwrap();
 
     let mut txn = db.begin(IsolationLevel::ReadCommitted);
     assert_eq!(
@@ -123,13 +123,13 @@ fn delete_reinsert_same_key_in_one_txn() {
     db.delete(&mut txn, "users", &[Value::Int(1)]).unwrap();
     db.insert(&mut txn, "users", row![1i64, "a2@x.com", "berlin"]).unwrap();
     db.commit(&mut txn).unwrap();
-    db.verify_index("by_city").unwrap();
+    db.harness().verify_index("by_city").unwrap();
     // And rolled back.
     let mut txn = db.begin(IsolationLevel::ReadCommitted);
     db.delete(&mut txn, "users", &[Value::Int(2)]).unwrap();
     db.insert(&mut txn, "users", row![2i64, "b2@x.com", "paris"]).unwrap();
     db.rollback(&mut txn).unwrap();
-    db.verify_index("by_city").unwrap();
+    db.harness().verify_index("by_city").unwrap();
     let mut txn = db.begin(IsolationLevel::ReadCommitted);
     let rows = db.get_by_index(&mut txn, "by_city", &[Value::Str("paris".into())]).unwrap();
     assert_eq!(rows[0].get(1), &Value::Str("b@x.com".into()), "original row back");
@@ -151,7 +151,7 @@ fn crash_recovery_covers_indexes() {
     db.log().flush_all().unwrap();
     std::mem::forget(loser);
     db.crash_and_recover(0.5, 7).unwrap();
-    db.verify_index("by_city").unwrap();
+    db.harness().verify_index("by_city").unwrap();
     let mut txn = db.begin(IsolationLevel::ReadCommitted);
     let paris = db.get_by_index(&mut txn, "by_city", &[Value::Str("paris".into())]).unwrap();
     assert_eq!(paris.len(), 2, "committed insert kept, loser undone");
@@ -168,7 +168,7 @@ fn ghost_cleanup_removes_index_ghosts() {
     db.commit(&mut txn).unwrap();
     let report = db.run_ghost_cleanup().unwrap();
     assert!(report.removed >= 2, "base ghost + index-entry ghost: {report:?}");
-    db.verify_index("by_city").unwrap();
+    db.harness().verify_index("by_city").unwrap();
 }
 
 #[test]
@@ -200,5 +200,5 @@ fn serializable_index_probe_blocks_phantoms() {
     assert_eq!(rows.len(), 2, "no phantom for the serializable reader");
     db.commit(&mut reader).unwrap();
     assert!(h.join().unwrap(), "writer proceeds after reader commits");
-    db.verify_index("by_city").unwrap();
+    db.harness().verify_index("by_city").unwrap();
 }

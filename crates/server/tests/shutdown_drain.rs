@@ -237,7 +237,7 @@ fn kill_episode(kill_at: u64) -> (u64, u64, u64) {
         Duration::from_secs(2),
     )
     .expect("recovery");
-    db2.verify_view(VIEW).expect("view consistent after recovery");
+    db2.harness().verify_view(VIEW).expect("view consistent after recovery");
 
     let mut total_attempts = 0;
     let mut total_acks = 0;

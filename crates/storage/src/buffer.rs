@@ -376,18 +376,6 @@ impl BufferPool {
         }
     }
 
-    /// Flush a single page if resident and dirty.
-    pub fn flush_page(&self, pid: PageId) -> Result<()> {
-        let sub = &self.subs[self.sub_of(pid)];
-        let mut st = sub.state.lock();
-        if let Some(&idx) = st.map.get(&pid) {
-            if st.frames[idx].dirty {
-                self.write_frame(sub.base, idx, &mut st)?;
-            }
-        }
-        Ok(())
-    }
-
     /// Flush every dirty resident page (checkpoint helper). Sub-pools are
     /// visited in fixed order; this is fuzzy across sub-pools in exactly the
     /// way a checkpoint is fuzzy across pages — each write individually

@@ -98,11 +98,6 @@ impl<'a> Slotted<'a> {
         self.contiguous_free() + self.garbage()
     }
 
-    /// Largest record insertable into an *empty* area of this payload size.
-    pub fn capacity_for(payload_len: usize) -> usize {
-        payload_len - DIR_START - SLOT_SIZE
-    }
-
     /// Read the record in slot `idx`.
     pub fn get(&self, idx: usize) -> &[u8] {
         debug_assert!(idx < self.count(), "slot {idx} out of {}", self.count());

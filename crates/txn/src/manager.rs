@@ -127,37 +127,11 @@ impl TxnManager {
     /// Commit: force the commit record, release all locks, log End.
     /// Returns the commit LSN (the version stamp for snapshot readers).
     pub fn commit(&self, txn: &mut Transaction) -> Result<Lsn> {
-        self.commit_with(txn, |_| Ok(()))
+        self.commit_with_hooks(txn, |_| Ok(true), |_| Ok(()))
     }
 
-    /// Commit with a hook that runs after the commit record is durable but
-    /// *before* locks are released — the engine stamps multiversion entries
-    /// for snapshot readers there, while the touched rows are still stable.
-    pub fn commit_with(
-        &self,
-        txn: &mut Transaction,
-        pre_release: impl FnOnce(Lsn) -> Result<()>,
-    ) -> Result<Lsn> {
-        self.commit_with_opts(txn, true, pre_release)
-    }
-
-    /// [`TxnManager::commit_with`] with an explicit log-force flag. Passing
-    /// `force = false` skips the group flush of the commit record — sound
-    /// only for transactions that wrote nothing (their commit is a pure
-    /// bookkeeping event with no durability obligation), and what keeps
-    /// read-only transactions committable while the engine is degraded to
-    /// read-only service.
-    pub fn commit_with_opts(
-        &self,
-        txn: &mut Transaction,
-        force: bool,
-        pre_release: impl FnOnce(Lsn) -> Result<()>,
-    ) -> Result<Lsn> {
-        self.commit_with_hooks(txn, |_| Ok(force), pre_release)
-    }
-
-    /// The full commit seam: `pre_append` runs *inside* the transaction,
-    /// after the commit decision but **before the commit record is
+    /// The commit seam the engine uses: `pre_append` runs *inside* the
+    /// transaction, after the commit decision but **before the commit record is
     /// appended** — the engine flushes its cascade queue there, so derived
     /// views are refreshed by ordinary logged maintenance that the commit
     /// record then covers. It returns the log-force flag, computed *after*
@@ -340,7 +314,7 @@ mod tests {
         let (log, _locks, mgr) = setup();
         let mut t = mgr.begin(IsolationLevel::Snapshot);
         let flushed_before = log.flushed_lsn();
-        let commit_lsn = mgr.commit_with_opts(&mut t, false, |_| Ok(())).unwrap();
+        let commit_lsn = mgr.commit_with_hooks(&mut t, |_| Ok(false), |_| Ok(())).unwrap();
         assert_eq!(t.state, TxnState::Committed);
         assert!(commit_lsn > flushed_before);
         assert_eq!(log.flushed_lsn(), flushed_before, "no group flush forced");

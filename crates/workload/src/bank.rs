@@ -276,10 +276,10 @@ impl Bank {
     /// Verify the view against base (quiesced), and every chain level
     /// against both its immediate parent and a transitive recompute.
     pub fn verify(&self) -> Result<()> {
-        self.db.verify_view(VIEW)?;
+        self.db.harness().verify_view(VIEW)?;
         for name in chain_view_names(self.cfg.chain_depth) {
-            self.db.verify_view(&name)?;
-            self.db.verify_view_from_parent(&name)?;
+            self.db.harness().verify_view(&name)?;
+            self.db.harness().verify_view_from_parent(&name)?;
         }
         Ok(())
     }

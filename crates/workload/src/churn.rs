@@ -111,7 +111,7 @@ impl Churn {
 
     /// Verify the view (quiesced).
     pub fn verify(&self) -> Result<()> {
-        self.db.verify_view(VIEW)
+        self.db.harness().verify_view(VIEW)
     }
 }
 
@@ -133,7 +133,7 @@ mod tests {
         let res = run_for(&churn.db, &specs, Duration::from_millis(400));
         assert!(res[0].committed > 0);
         churn.verify().unwrap();
-        assert!(churn.db.ghost_backlog() > 0, "churn queues cleanup work");
+        assert!(churn.db.harness().ghost_backlog() > 0, "churn queues cleanup work");
         let report = churn.db.run_ghost_cleanup().unwrap();
         assert!(report.removed + report.skipped_live + report.skipped_locked > 0);
         churn.verify().unwrap();

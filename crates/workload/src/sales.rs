@@ -13,7 +13,7 @@ use crate::driver::OpFn;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use txview_common::{row, Result, Value};
+use txview_common::{row, Result};
 use txview_engine::{
     AggSpec, Database, IsolationLevel, MaintenanceMode, Predicate, ViewSource, ViewSpec,
 };
@@ -146,24 +146,13 @@ impl Sales {
         })
     }
 
-    /// Aggregate-query operation: read one product's totals from view 0
-    /// (immediate views) — used to measure reader cost vs deferred refresh.
-    pub fn product_query_op(&self) -> Arc<OpFn> {
-        let cfg = self.cfg.clone();
-        Arc::new(move |db, txn, rng, _seq| {
-            let product = rng.below(cfg.n_products as u64) as i64;
-            let _ = db.view_aggregates(txn, "sales_by_product_0", &[Value::Int(product)])?;
-            Ok(())
-        })
-    }
-
     /// Verify every view.
     pub fn verify(&self) -> Result<()> {
         for i in 0..self.cfg.n_views {
-            self.db.verify_view(&format!("sales_by_product_{i}"))?;
+            self.db.harness().verify_view(&format!("sales_by_product_{i}"))?;
         }
         if self.cfg.join_view {
-            self.db.verify_view("revenue_by_region")?;
+            self.db.harness().verify_view("revenue_by_region")?;
         }
         Ok(())
     }
@@ -211,8 +200,8 @@ mod tests {
                 .unwrap();
         }
         sales.db.commit(&mut txn).unwrap();
-        assert_eq!(sales.db.deferred_staleness("sales_by_product_0").unwrap(), 20);
-        sales.db.refresh_deferred_view("sales_by_product_0").unwrap();
+        assert_eq!(sales.db.harness().deferred_staleness("sales_by_product_0").unwrap(), 20);
+        sales.db.harness().refresh_deferred_view("sales_by_product_0").unwrap();
         sales.verify().unwrap();
     }
 }

@@ -60,7 +60,7 @@ fn snapshot_sum_is_always_conserved() {
     // divergence only during the run means a transient read race.
     {
         let db = &bank.db;
-        let physical = db.dump_view(VIEW).unwrap();
+        let physical = db.harness().dump_view(VIEW).unwrap();
         let mut snap = db.begin(IsolationLevel::Snapshot);
         let reconstructed = db.view_scan(&mut snap, VIEW, None, None).unwrap();
         db.commit(&mut snap).unwrap();

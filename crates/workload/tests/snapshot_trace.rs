@@ -79,7 +79,7 @@ fn trace_snapshot_tear() {
             }
             msg.push_str(&format!("first consistent s' = {s_fix:?}\n"));
             let physical: i64 = db
-                .dump_view(VIEW)
+                .harness().dump_view(VIEW)
                 .unwrap()
                 .iter()
                 .map(|r| r.get(2).as_int().unwrap())
@@ -119,7 +119,7 @@ fn trace_snapshot_tear() {
                     }
                 }
                 let mut published: Map<u64, i64> = Map::new();
-                for (l, full, p) in db.debug_chain(VIEW, &[Value::Int(b)]).unwrap() {
+                for (l, full, p) in db.harness().debug_chain(VIEW, &[Value::Int(b)]).unwrap() {
                     if full { continue; }
                     if let Some(pairs) = p {
                         for (pos, d) in pairs {
@@ -142,7 +142,7 @@ fn trace_snapshot_tear() {
                 // Entries at or below the base LSN were folded into the
                 // base; anything newer MUST appear as a published delta.
                 let base_lsn = db
-                    .debug_chain(VIEW, &[Value::Int(b)])
+                    .harness().debug_chain(VIEW, &[Value::Int(b)])
                     .unwrap()
                     .iter()
                     .filter(|(_, full, _)| *full)
@@ -159,7 +159,7 @@ fn trace_snapshot_tear() {
             }
             if let Some(sf) = s_fix {
                 for b in 0..branches {
-                    let chain = db.debug_chain(VIEW, &[Value::Int(b)]).unwrap();
+                    let chain = db.harness().debug_chain(VIEW, &[Value::Int(b)]).unwrap();
                     for (l, full, p) in &chain {
                         if *l >= s.0.saturating_sub(60) && *l <= sf + 60 {
                             msg.push_str(&format!("  branch {b}: lsn {l} full={full} {p:?}\n"));
@@ -168,7 +168,7 @@ fn trace_snapshot_tear() {
                 }
             }
             for b in 0..branches {
-                let chain = db.debug_chain(VIEW, &[Value::Int(b)]).unwrap();
+                let chain = db.harness().debug_chain(VIEW, &[Value::Int(b)]).unwrap();
                 let tail: Vec<String> = chain
                     .iter()
                     .rev()

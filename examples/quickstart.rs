@@ -59,7 +59,7 @@ fn main() -> Result<()> {
     let mut txn = db.begin(IsolationLevel::ReadCommitted);
     db.insert(&mut txn, "accounts", row![99i64, 0i64, 1_000_000i64])?;
     db.rollback(&mut txn)?;
-    db.verify_view("branch_balance")?;
+    db.harness().verify_view("branch_balance")?;
     println!("rollback left the view consistent ✓");
 
     // Crash with an in-flight transaction; ARIES recovery repairs
@@ -72,7 +72,7 @@ fn main() -> Result<()> {
         "recovered: {} redo ops applied, {} loser txn(s), {} logical undo(s)",
         report.redo_applied, report.losers, report.logical_undos
     );
-    db.verify_view("branch_balance")?;
+    db.harness().verify_view("branch_balance")?;
     println!("post-crash view verified against base ✓");
 
     Ok(())

@@ -47,7 +47,7 @@
 //! let mut txn = db.begin(IsolationLevel::ReadCommitted);
 //! db.insert(&mut txn, "accounts", row![1i64, 0i64, 100i64]).unwrap();
 //! db.commit(&mut txn).unwrap();
-//! db.verify_view("branch_balance").unwrap();
+//! db.harness().verify_view("branch_balance").unwrap();
 //! ```
 
 pub use txview_btree as btree;

@@ -131,7 +131,7 @@ fn build_deferred(seed_rows: i64) -> (Arc<Database>, DeferredParts) {
         db.insert(&mut txn, "sales", row![i, i % 4, 10i64]).unwrap();
     }
     db.commit(&mut txn).unwrap();
-    db.refresh_deferred_view(DEFERRED_VIEW).unwrap();
+    db.harness().refresh_deferred_view(DEFERRED_VIEW).unwrap();
     // Batch B: new products, so the refreshed view differs from the stale
     // one in both group count and sums.
     let mut txn = db.begin(IsolationLevel::ReadCommitted);
@@ -148,11 +148,11 @@ fn build_deferred(seed_rows: i64) -> (Arc<Database>, DeferredParts) {
 fn deferred_refresh_episode(offset: u64) -> bool {
     let (db, parts) = build_deferred(12);
     let catalog = db.export_catalog();
-    let stale = db.dump_view(DEFERRED_VIEW).unwrap();
+    let stale = db.harness().dump_view(DEFERRED_VIEW).unwrap();
     assert!(!stale.is_empty(), "pre-refresh view must have contents");
 
     parts.clock.arm(&FaultSchedule::crash_at(offset));
-    let refresh = db.refresh_deferred_view(DEFERRED_VIEW);
+    let refresh = db.harness().refresh_deferred_view(DEFERRED_VIEW);
     let fired = parts.clock.fired();
     drop(db);
 
@@ -169,7 +169,7 @@ fn deferred_refresh_episode(offset: u64) -> bool {
     .unwrap();
     let _ = db.run_ghost_cleanup().unwrap();
 
-    let stored = db.dump_view(DEFERRED_VIEW).unwrap();
+    let stored = db.harness().dump_view(DEFERRED_VIEW).unwrap();
     assert!(
         !stored.is_empty(),
         "crash at offset {offset}: view empty after recovery (refresh not atomic; \
@@ -178,7 +178,7 @@ fn deferred_refresh_episode(offset: u64) -> bool {
     // All-or-nothing: the recovered view is the stale contents (refresh
     // undone) or exactly matches recomputation from base (refresh
     // committed). A partial mix matches neither.
-    let fresh_ok = db.verify_view(DEFERRED_VIEW).is_ok();
+    let fresh_ok = db.harness().verify_view(DEFERRED_VIEW).is_ok();
     let stale_ok = stored == stale;
     assert!(
         fresh_ok || stale_ok,
@@ -221,7 +221,7 @@ fn deferred_refresh_crash_window_is_all_or_nothing() {
 // crashes exactly *between* cascade levels of a commit-time flush — the
 // seam where a naive implementation leaves a half-propagated chain.
 
-use txview_engine::torture::run_cascade_probe_sweep;
+use txview_engine::torture::{run_probe_sweep, CASCADE_PROBES};
 
 #[test]
 fn chained_views_survive_every_crash_point() {
@@ -243,7 +243,7 @@ fn crashes_between_cascade_levels_recover_the_whole_chain() {
     // Depth 4 gives three level seams per flush; the probe sweep strides
     // crash points across every observed `view.cascade.level` offset.
     let cfg = TortureConfig { txns: 12, seed: 7, chain_depth: 4, ..Default::default() };
-    let report = run_cascade_probe_sweep(&cfg, 8).unwrap();
+    let report = run_probe_sweep(&cfg, &CASCADE_PROBES, 8).unwrap();
     assert_eq!(report.per_probe.len(), 1);
     assert!(
         report.per_probe[0].1 >= 3,
@@ -338,7 +338,7 @@ fn follower_replays_cascaded_chains_byte_identically() {
 // recomputer's lock grant and the view-row rewrite; crashes there must
 // recover a view equal to recomputation.
 
-use txview_engine::torture::run_minmax_probe_sweep;
+use txview_engine::torture::MINMAX_PROBES;
 
 fn minmax_cfg() -> TortureConfig {
     TortureConfig { txns: 16, seed: 7, minmax: true, ..Default::default() }
@@ -358,7 +358,7 @@ fn minmax_views_survive_every_crash_point() {
 
 #[test]
 fn crashes_in_the_recompute_window_recover() {
-    let report = run_minmax_probe_sweep(&minmax_cfg(), 8).unwrap();
+    let report = run_probe_sweep(&minmax_cfg(), &MINMAX_PROBES, 8).unwrap();
     assert_eq!(report.per_probe.len(), 1);
     for &(name, ran) in &report.per_probe {
         assert!(ran >= 3, "only {ran} crash episodes landed on probe {name}");

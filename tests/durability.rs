@@ -58,9 +58,9 @@ fn reopen_recovers_committed_state_and_catalog() {
         let (db, report) = Database::open_dir(&dir, 256, Duration::from_secs(5)).unwrap();
         assert!(report.redo_applied > 0, "recovery redid committed work");
         assert_eq!(report.losers, 1, "the in-flight txn was undone");
-        db.verify_view("by_grp").unwrap();
-        db.verify_index("orders_by_grp").unwrap();
-        let rows = db.dump_table("orders").unwrap();
+        db.harness().verify_view("by_grp").unwrap();
+        db.harness().verify_index("orders_by_grp").unwrap();
+        let rows = db.harness().dump_table("orders").unwrap();
         assert_eq!(rows.len(), 50);
         assert!(rows.iter().all(|r| r.get(0).as_int().unwrap() != 999));
 
@@ -68,15 +68,15 @@ fn reopen_recovers_committed_state_and_catalog() {
         let mut txn = db.begin(IsolationLevel::ReadCommitted);
         db.insert(&mut txn, "orders", row![100i64, 2i64, 7i64]).unwrap();
         db.commit(&mut txn).unwrap();
-        db.verify_view("by_grp").unwrap();
+        db.harness().verify_view("by_grp").unwrap();
     }
     {
         // Third open: everything still there, recovery idempotent, and the
         // secondary index answers queries.
         let (db, _) = Database::open_dir(&dir, 256, Duration::from_secs(5)).unwrap();
-        db.verify_view("by_grp").unwrap();
-        db.verify_index("orders_by_grp").unwrap();
-        assert_eq!(db.dump_table("orders").unwrap().len(), 51);
+        db.harness().verify_view("by_grp").unwrap();
+        db.harness().verify_index("orders_by_grp").unwrap();
+        assert_eq!(db.harness().dump_table("orders").unwrap().len(), 51);
         let mut txn = db.begin(IsolationLevel::ReadCommitted);
         let grp2 = db.get_by_index(&mut txn, "orders_by_grp", &[Value::Int(2)]).unwrap();
         assert_eq!(grp2.len(), 11);
@@ -115,8 +115,8 @@ fn reopen_after_heavy_load_with_splits() {
     {
         let (db, report) = Database::open_dir(&dir, 512, Duration::from_secs(5)).unwrap();
         assert_eq!(report.losers, 0);
-        db.verify_view("by_grp").unwrap();
-        assert_eq!(db.dump_table("orders").unwrap().len(), 2000);
+        db.harness().verify_view("by_grp").unwrap();
+        assert_eq!(db.harness().dump_table("orders").unwrap().len(), 2000);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -183,7 +183,7 @@ fn catalog_view_tag_is_reserved_zero() {
     assert_eq!(&written[tag_at..], &[0, 0, 0, 0, 0], "reserved tag, then no indexes");
     {
         let (db, _) = Database::open_dir(&dir, 64, Duration::from_secs(5)).unwrap();
-        db.verify_view("by_grp").unwrap();
+        db.harness().verify_view("by_grp").unwrap();
     }
     for tag in [1u8, 2, 255] {
         let mut bytes = written.clone();

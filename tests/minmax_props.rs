@@ -197,7 +197,7 @@ fn drive(db: &Arc<Database>, ops: &[Op], clock: Option<&FaultClock>) -> StreamOu
                 }
             }
             Op::Savepoint => {
-                sp = Some((db.savepoint(&txn), pending.clone()));
+                sp = Some((txn.savepoint(), pending.clone()));
             }
             Op::Boundary(fate) => {
                 match fate {
@@ -254,7 +254,7 @@ fn model_rows(model: &Model) -> Vec<Row> {
 /// from `model` in plain Rust and compare against what the view answers
 /// (`view_lookup` via `view_aggregates`).
 fn check_against_model(db: &Arc<Database>, model: &Model) {
-    db.verify_view(VIEW).unwrap(); // the engine's own recompute
+    db.harness().verify_view(VIEW).unwrap(); // the engine's own recompute
     let mut txn = db.begin(IsolationLevel::ReadCommitted);
     for g in 0..GROUPS {
         let vals: Vec<i64> =
@@ -301,7 +301,7 @@ proptest! {
         setup(&db);
         let out = drive(&db, &ops, None);
         prop_assert!(out.completed, "fault-free stream hit an engine error");
-        prop_assert_eq!(db.dump_table("readings").unwrap(), model_rows(&out.acked));
+        prop_assert_eq!(db.harness().dump_table("readings").unwrap(), model_rows(&out.acked));
         check_against_model(&db, &out.acked);
     }
 }
@@ -364,7 +364,7 @@ proptest! {
 
         // Which state survived? Acked, always — unless the crash landed
         // inside a commit, which may surface whole or not at all.
-        let base = db.dump_table("readings").unwrap();
+        let base = db.harness().dump_table("readings").unwrap();
         let survivor = if base == model_rows(&out.acked) {
             out.acked.clone()
         } else if let Some(inflight) = &out.inflight {

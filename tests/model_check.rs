@@ -80,9 +80,9 @@ fn expected_view(model: &Model, min_amount: i64) -> HashMap<i64, (i64, i64)> {
 
 fn check_against_model(db: &Database, model: &Model, min_amount: i64) {
     // Engine's own invariant first.
-    db.verify_view("v").unwrap();
+    db.harness().verify_view("v").unwrap();
     // Table contents.
-    let rows = db.dump_table("items").unwrap();
+    let rows = db.harness().dump_table("items").unwrap();
     assert_eq!(rows.len(), model.len(), "table cardinality");
     for r in &rows {
         let id = r.get(0).as_int().unwrap();
@@ -92,7 +92,7 @@ fn check_against_model(db: &Database, model: &Model, min_amount: i64) {
     }
     // View contents.
     let expected = expected_view(model, min_amount);
-    let view_rows = db.dump_view("v").unwrap();
+    let view_rows = db.harness().dump_view("v").unwrap();
     assert_eq!(view_rows.len(), expected.len(), "view cardinality");
     for r in &view_rows {
         let grp = r.get(0).as_int().unwrap();
@@ -157,7 +157,7 @@ fn run_program(mode: MaintenanceMode, min_amount: i64, ops: Vec<Op>) {
             Op::SavepointRoundtrip { id, grp, amount } => {
                 // Do work after a savepoint, then roll it back: must be a
                 // no-op overall.
-                let sp = db.savepoint(&txn);
+                let sp = txn.savepoint();
                 if !pending.contains_key(&id) {
                     db.insert(&mut txn, "items", row![id, grp, amount]).unwrap();
                 }

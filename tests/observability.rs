@@ -156,7 +156,7 @@ fn deferred_staleness_counts_deltas_not_statements() {
     })
     .unwrap();
     let db: &Arc<Database> = &db;
-    let staleness = || db.deferred_staleness("big_sales").unwrap();
+    let staleness = || db.harness().deferred_staleness("big_sales").unwrap();
 
     // Filtered-out row: no view delta, staleness unchanged.
     let mut txn = db.begin(IsolationLevel::ReadCommitted);
@@ -185,7 +185,7 @@ fn deferred_staleness_counts_deltas_not_statements() {
     assert_eq!(db.metrics_snapshot().gauge_value("engine.deferred_pending"), Some(3));
 
     // Refresh drains exactly what it observed.
-    db.refresh_deferred_view("big_sales").unwrap();
+    db.harness().refresh_deferred_view("big_sales").unwrap();
     assert_eq!(staleness(), 0);
-    db.verify_view("big_sales").unwrap();
+    db.harness().verify_view("big_sales").unwrap();
 }

@@ -105,10 +105,10 @@ fn cut_frames(shipped: &[u8]) -> Vec<Frame> {
 /// engine-level `Follower::fingerprint` assumes the torture bank schema).
 fn state_fp(db: &Database) -> Vec<u8> {
     let mut out = Vec::new();
-    for r in db.dump_table("accounts").unwrap() {
+    for r in db.harness().dump_table("accounts").unwrap() {
         out.extend_from_slice(&r.to_bytes());
     }
-    for r in db.dump_view("by_branch").unwrap() {
+    for r in db.harness().dump_view("by_branch").unwrap() {
         out.extend_from_slice(&r.to_bytes());
     }
     out

@@ -145,7 +145,7 @@ fn naive_views(dag: &[Node], model: &HashMap<i64, (i64, i64)>) -> Vec<BTreeMap<i
 }
 
 fn dump(db: &Database, idx: usize) -> BTreeMap<i64, (i64, i64)> {
-    db.dump_view(&view_name(idx))
+    db.harness().dump_view(&view_name(idx))
         .unwrap()
         .iter()
         .map(|r| {
@@ -161,8 +161,8 @@ fn check_all(dag: &[Node], db: &Database, model: &HashMap<i64, (i64, i64)>, labe
     let expected = naive_views(dag, model);
     for idx in 0..=dag.len() {
         let name = view_name(idx);
-        db.verify_view(&name).unwrap_or_else(|e| panic!("[{label}] verify {name}: {e}"));
-        db.verify_view_from_parent(&name)
+        db.harness().verify_view(&name).unwrap_or_else(|e| panic!("[{label}] verify {name}: {e}"));
+        db.harness().verify_view_from_parent(&name)
             .unwrap_or_else(|e| panic!("[{label}] parent-fold {name}: {e}"));
         let got = dump(db, idx);
         assert_eq!(got, expected[idx], "[{label}] {name} diverged from naive recomputation");
@@ -243,12 +243,12 @@ fn run_differential(raw_dag: Vec<(u8, bool)>, ops: Vec<Op>) {
 
     // Coalesced run (the default), with the refresh trace on.
     let db = build_db(&dag);
-    db.enable_cascade_trace();
+    db.harness().enable_cascade_trace();
     let final_model = run_stream(&dag, &db, &ops, "coalesced");
 
     // Exactly-once refresh: each committing transaction touches each dirty
     // (view, group) exactly once.
-    let trace = db.take_cascade_trace();
+    let trace = db.harness().take_cascade_trace();
     let mut seen: HashMap<(u64, u32, Vec<u8>), usize> = HashMap::new();
     for (txn, view, key) in &trace {
         *seen.entry((txn.0, view.0, key.clone())).or_insert(0) += 1;
@@ -264,12 +264,12 @@ fn run_differential(raw_dag: Vec<(u8, bool)>, ops: Vec<Op>) {
     // Same ops, same final bytes, same invariants — only the refresh
     // counts may differ (one per delta instead of one per group).
     let eager = build_db(&dag);
-    eager.set_cascade_eager(true);
+    eager.harness().set_cascade_eager(true);
     let eager_model = run_stream(&dag, &eager, &ops, "eager");
     assert_eq!(final_model, eager_model, "model divergence between runs");
     for idx in 0..=dag.len() {
-        let a = db.dump_view(&view_name(idx)).unwrap();
-        let b = eager.dump_view(&view_name(idx)).unwrap();
+        let a = db.harness().dump_view(&view_name(idx)).unwrap();
+        let b = eager.harness().dump_view(&view_name(idx)).unwrap();
         assert_eq!(
             format!("{a:?}"),
             format!("{b:?}"),
@@ -299,7 +299,7 @@ proptest! {
 fn deep_chain_coalesces_to_one_refresh_per_group() {
     let dag = resolve_dag(&[(0, false), (1, false), (2, true), (0, true)]);
     let db = build_db(&dag);
-    db.enable_cascade_trace();
+    db.harness().enable_cascade_trace();
 
     let mut txn = db.begin(IsolationLevel::ReadCommitted);
     for id in 0..8 {
@@ -307,12 +307,12 @@ fn deep_chain_coalesces_to_one_refresh_per_group() {
     }
     // Savepoint round-trip: queued cascade deltas of the rolled-back span
     // must be retracted, not flushed.
-    let sp = db.savepoint(&txn);
+    let sp = txn.savepoint();
     db.insert(&mut txn, "items", row![100, 3, 1000]).unwrap();
     db.rollback_to_savepoint(&mut txn, sp).unwrap();
     db.commit(&mut txn).unwrap();
 
-    let trace = db.take_cascade_trace();
+    let trace = db.harness().take_cascade_trace();
     let mut per_view_groups: HashMap<u32, Vec<Vec<u8>>> = HashMap::new();
     let mut counts: HashMap<(u64, u32, Vec<u8>), usize> = HashMap::new();
     for (txn, view, key) in &trace {
