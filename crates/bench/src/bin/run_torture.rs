@@ -199,7 +199,7 @@ fn run_metrics(seed: u64, txns: usize) -> usize {
                 r.snapshot.counter_value("repl.leader.frames_shipped").unwrap_or(0),
                 r.snapshot.counter_value("repl.follower.records_applied").unwrap_or(0),
                 r.snapshot.counter_value("repl.follower.acks_sent").unwrap_or(0),
-                r.snapshot.gauge_value("repl.leader.lag_lsns").unwrap_or(-1),
+                r.snapshot.gauge_value("repl.leader.lag_bytes").unwrap_or(-1),
                 r.violations.len(),
             );
             for v in &r.violations {

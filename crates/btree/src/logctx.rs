@@ -92,9 +92,9 @@ mod tests {
         let b = ctx.append(RecordBody::Commit);
         log.flush_all().unwrap();
         let recs = log.read_durable_from(0).unwrap();
-        assert_eq!(recs[0].1.lsn, a);
-        assert_eq!(recs[1].1.prev_lsn, a);
-        assert_eq!(recs[1].1.lsn, b);
+        assert_eq!(recs[0].lsn, a);
+        assert_eq!(recs[1].prev_lsn, a);
+        assert_eq!(recs[1].lsn, b);
         assert_eq!(last, b);
     }
 
@@ -117,9 +117,9 @@ mod tests {
         let recs = log.read_durable_from(0).unwrap();
         assert_eq!(recs.len(), 3);
         assert!(matches!(
-            recs[1].1.body,
+            recs[1].body,
             RecordBody::Update { undo: UndoOp::Page { .. }, .. }
         ));
-        assert!(matches!(recs[2].1.body, RecordBody::Clr { .. }));
+        assert!(matches!(recs[2].body, RecordBody::Clr { .. }));
     }
 }

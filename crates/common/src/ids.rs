@@ -6,7 +6,9 @@
 
 use std::fmt;
 
-/// Log sequence number. Strictly increasing; `Lsn(0)` means "null / none".
+/// Log sequence number: the byte offset at which a record starts in the
+/// log, so LSNs order records as the log does. The log begins with a
+/// header, so `Lsn(0)` never names a record and means "null / none".
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Lsn(pub u64);
 

@@ -36,3 +36,19 @@ pub use ids::{IndexId, Lsn, ObjectId, PageId, SlotId, TxnId, ViewId};
 pub use key::Key;
 pub use row::Row;
 pub use value::Value;
+
+/// Replace the file at `path` with `bytes` so that a crash leaves either
+/// the old contents or the new ones, never a mix: write a sibling
+/// temporary file, force it to disk, rename it over `path`, then force the
+/// directory entry that now names it.
+pub fn write_file_atomic(path: &std::path::Path, bytes: &[u8]) -> std::io::Result<()> {
+    use std::io::Write;
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let mut f = std::fs::File::create(&tmp)?;
+    f.write_all(bytes)?;
+    f.sync_all()?;
+    std::fs::rename(&tmp, path)?;
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    std::fs::File::open(dir.unwrap_or(std::path::Path::new(".")))?.sync_all()
+}

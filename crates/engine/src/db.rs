@@ -273,7 +273,11 @@ impl Database {
         let disk = Arc::new(txview_storage::disk::FileDisk::open(dir.join("data.db"))?);
         let store = Box::new(txview_wal::FileLogStore::open(dir.join("wal.log"))?);
         let catalog_path = dir.join("catalog.bin");
-        let catalog = std::fs::read(&catalog_path).ok();
+        let catalog = match std::fs::read(&catalog_path) {
+            Ok(bytes) => Some(bytes),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+            Err(e) => return Err(e.into()),
+        };
         let (db, report) = Database::with_parts_recovered(
             disk,
             store,

@@ -62,7 +62,7 @@ impl Database {
     pub(crate) fn persist_catalog(&self) -> Result<()> {
         if let Some(path) = self.catalog_path.lock().clone() {
             let bytes = self.catalog.read().encode();
-            std::fs::write(path, bytes)?;
+            txview_common::write_file_atomic(&path, &bytes)?;
         }
         Ok(())
     }

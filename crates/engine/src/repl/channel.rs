@@ -245,10 +245,9 @@ impl ReplChannel {
 mod tests {
     use super::super::frame::Frame;
     use super::*;
-    use txview_common::Lsn;
 
     fn frame(n: u64) -> Message {
-        Message::Frame(Frame::new(1, n, Lsn(n), Lsn(n), vec![n as u8; 4]))
+        Message::Frame(Frame::new(1, n, vec![n as u8; 4]))
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Read-only follower: make shipped frames durable in its own log, replay
-//! them through the same redo path crash recovery uses, and advance a
-//! replay watermark that bounds what its snapshot reads can see.
+//! them through the same redo path crash recovery uses, and advance its
+//! durable length — one number that is both where the next frame must
+//! start and, since an LSN is a byte offset, the bound below which every
+//! record is replayed.
 //!
 //! The follower's whole life is the recovery invariant run incrementally:
 //! frame bytes hit its durable log *before* any page is touched
@@ -34,7 +36,7 @@ pub enum IngestOutcome {
     /// Out of order; buffered until the gap fills (or dropped if the
     /// buffer is full — retransmit recovers it).
     Buffered,
-    /// Entirely at or below the watermark; skipped.
+    /// Entirely below the durable length; skipped.
     Duplicate,
     /// Frame checksum failed (torn in transit); dropped.
     Torn,
@@ -55,15 +57,9 @@ pub struct Follower {
     store: FaultLogStore,
     db: Arc<Database>,
     catalog: Vec<u8>,
-    /// LSN of the last record replayed; reads serve snapshots at or below
-    /// this.
-    watermark: Lsn,
-    /// Byte length of the follower's durable log (== the leader offset the
-    /// next frame must start at).
-    durable_len: u64,
     /// Current replication epoch (leader term) as persisted in the store.
     epoch: u64,
-    /// Out-of-order frames keyed by `first_lsn`, waiting for the gap.
+    /// Out-of-order frames keyed by `start`, waiting for the gap.
     reorder_buf: BTreeMap<u64, Frame>,
     /// Consecutive drains that delivered nothing; triggers a `Hello`.
     idle_drains: u32,
@@ -104,8 +100,6 @@ impl Follower {
             store,
             db,
             catalog,
-            watermark: Lsn::NULL,
-            durable_len: 0,
             epoch: 0,
             reorder_buf: BTreeMap::new(),
             idle_drains: 0,
@@ -152,8 +146,6 @@ impl Follower {
             store,
             db,
             catalog,
-            watermark: Lsn::NULL,
-            durable_len: 0,
             epoch: 0,
             reorder_buf: BTreeMap::new(),
             idle_drains: hello_after,
@@ -192,14 +184,10 @@ impl Follower {
         &self.store
     }
 
-    /// Replay watermark: LSN of the last record applied.
-    pub fn watermark(&self) -> Lsn {
-        self.watermark
-    }
-
-    /// Durable log length in bytes.
+    /// Durable log length in bytes: the leader offset the next frame must
+    /// start at, with every record whose LSN is below it replayed.
     pub fn durable_len(&self) -> u64 {
-        self.durable_len
+        self.store.durable_len()
     }
 
     /// Current replication epoch.
@@ -209,7 +197,7 @@ impl Follower {
 
     /// Committed-state fingerprint of the follower database (the oracle
     /// compares this against the leader's historical state at the same
-    /// watermark).
+    /// durable length).
     pub fn fingerprint(&self) -> Result<Vec<u8>> {
         torture::fingerprint(&self.db)
     }
@@ -245,19 +233,19 @@ impl Follower {
             self.torn_frames.fetch_add(1, Ordering::Relaxed);
             return Ok(IngestOutcome::Torn);
         }
-        if frame.end_lsn <= self.watermark {
+        if frame.end() <= self.durable_len() {
             // Entirely replayed already (duplicate or retransmit overlap).
             self.dup_frames.fetch_add(1, Ordering::Relaxed);
             return Ok(IngestOutcome::Duplicate);
         }
-        if frame.first_lsn.0 != self.watermark.0 + 1 || frame.start_offset != self.durable_len {
+        if frame.start != self.durable_len() {
             // A gap (or an overlap that isn't byte-aligned with our log —
             // same remedy): hold it until retransmit fills the hole.
             if self.reorder_buf.len() >= self.cfg.reorder_buffer {
                 self.buffer_drops.fetch_add(1, Ordering::Relaxed);
             } else {
                 self.buffered_frames.fetch_add(1, Ordering::Relaxed);
-                self.reorder_buf.insert(frame.first_lsn.0, frame);
+                self.reorder_buf.insert(frame.start, frame);
             }
             return Ok(IngestOutcome::Buffered);
         }
@@ -265,15 +253,15 @@ impl Follower {
         // The gap the buffered frames were waiting for may just have
         // closed; drain every now-contiguous frame.
         while let Some((&k, _)) = self.reorder_buf.iter().next() {
-            if k > self.watermark.0 + 1 {
+            if k > self.durable_len() {
                 break;
             }
             let f = self.reorder_buf.remove(&k).expect("key just observed");
-            if f.end_lsn <= self.watermark {
+            if f.end() <= self.durable_len() {
                 self.dup_frames.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            if f.first_lsn.0 != self.watermark.0 + 1 || f.start_offset != self.durable_len {
+            if f.start != self.durable_len() {
                 continue; // overlapping stale buffer entry; retransmit covers it
             }
             self.apply_frame(&f)?;
@@ -285,33 +273,24 @@ impl Follower {
     /// Durability before apply: append+sync the frame bytes into our own
     /// log, then replay each record through the recovery redo path.
     fn apply_frame(&mut self, frame: &Frame) -> Result<()> {
-        self.db.log().append_raw_durable(&frame.payload)?;
-        self.db.log().note_external_advance(frame.end_lsn);
-        let mut off = 0usize;
         let mut applied = 0u64;
-        while let Some((rec, used)) = LogRecord::decode_framed(&frame.payload[off..])? {
-            let rec_offset = frame.start_offset + off as u64;
-            off += used;
-            if self.apply_record(rec_offset, &rec)? {
-                applied += 1;
-            }
+        for rec in self.db.log().append_raw_durable(&frame.payload)? {
+            applied += u64::from(self.apply_record(&rec)?);
         }
-        self.watermark = frame.end_lsn;
-        self.durable_len += frame.payload.len() as u64;
         self.frames_applied.fetch_add(1, Ordering::Relaxed);
         self.apply_records_hist.record(applied.max(1));
         Ok(())
     }
 
     /// Replay one record. Returns whether redo actually modified a page.
-    fn apply_record(&self, rec_offset: u64, rec: &LogRecord) -> Result<bool> {
+    fn apply_record(&self, rec: &LogRecord) -> Result<bool> {
         if let RecordBody::Checkpoint { .. } = rec.body {
             // Mirror the leader's checkpoint discipline: every page that was
             // clean at the leader's checkpoint must be clean here too before
             // the master pointer advances, or a promotion's DPT-gated redo
             // would skip updates that never reached our disk.
             self.db.pool().flush_all()?;
-            self.db.log().set_master_raw(rec_offset, rec.lsn)?;
+            self.db.log().set_master_raw(rec.lsn)?;
             self.checkpoints_mirrored.fetch_add(1, Ordering::Relaxed);
             return Ok(false);
         }
@@ -325,12 +304,12 @@ impl Follower {
     }
 
     /// Full-state fallback: replace log + disk wholesale and rebuild by
-    /// replaying the shipped log from byte zero onto empty pages.
+    /// replaying the shipped log from its first record onto empty pages.
     fn install_snapshot(
         &mut self,
         epoch: u64,
         log_bytes: Vec<u8>,
-        master: (u64, Lsn),
+        master: Lsn,
         catalog: Vec<u8>,
         channel: &ReplChannel,
     ) -> Result<IngestOutcome> {
@@ -339,7 +318,6 @@ impl Follower {
             channel.send_control(Message::StaleEpoch { got: epoch, current: self.epoch });
             return Ok(IngestOutcome::StaleRejected);
         }
-        let durable_len = log_bytes.len() as u64;
         self.store.install_snapshot(log_bytes, master, epoch.max(self.epoch));
         // The old pages carry pageLSNs from a divergent history; redo onto
         // them would wrongly skip records. Start from empty media.
@@ -348,7 +326,6 @@ impl Follower {
         self.catalog = catalog;
         self.reorder_buf.clear();
         self.rebuild()?;
-        self.durable_len = durable_len;
         self.snapshots_installed.fetch_add(1, Ordering::Relaxed);
         self.send_ack(channel);
         Ok(IngestOutcome::SnapshotInstalled)
@@ -370,12 +347,9 @@ impl Follower {
         db.load_catalog(&self.catalog)?;
         db.set_metrics_ticks(self.clock.events_handle());
         self.db = db;
-        self.watermark = Lsn::NULL;
-        for (off, rec) in self.db.log().read_durable_from(0)? {
-            self.apply_record(off, &rec)?;
-            self.watermark = rec.lsn;
+        for rec in self.db.log().read_durable_from(0)? {
+            self.apply_record(&rec)?;
         }
-        self.durable_len = self.store.durable_bytes().len() as u64;
         Ok(())
     }
 
@@ -414,17 +388,12 @@ impl Follower {
         db.set_metrics_ticks(self.clock.events_handle());
         self.db = db;
         self.promoted = true;
-        self.watermark = self.db.log().flushed_lsn();
-        self.durable_len = self.store.durable_bytes().len() as u64;
         Ok(report)
     }
 
     fn send_ack(&mut self, channel: &ReplChannel) {
         self.acks_sent.fetch_add(1, Ordering::Relaxed);
-        channel.send_control(Message::Ack {
-            watermark: self.watermark,
-            durable_len: self.durable_len,
-        });
+        channel.send_control(Message::Ack { durable_len: self.durable_len() });
     }
 
     /// Send a catch-up `Hello` now (also sent automatically after
@@ -433,8 +402,7 @@ impl Follower {
         self.hellos_sent.fetch_add(1, Ordering::Relaxed);
         let bytes = self.store.durable_bytes();
         channel.send_control(Message::Hello {
-            watermark: self.watermark,
-            durable_len: self.durable_len,
+            durable_len: self.durable_len(),
             log_checksum: checksum64(&bytes),
         });
         self.idle_drains = 0;
@@ -461,7 +429,7 @@ impl Follower {
                 None => break,
             }
         }
-        // Progress means the watermark moved. A drain that only saw
+        // Progress means the durable length moved. A drain that only saw
         // duplicates, stale or misaligned frames still counts toward the
         // Hello threshold — after a reboot the leader may be retransmitting
         // from a stale ack point, and only a renegotiation unwedges it.
@@ -497,8 +465,7 @@ impl Follower {
         );
         s.counter("repl.follower.acks_sent", self.acks_sent.load(Ordering::Relaxed));
         s.counter("repl.follower.hellos_sent", self.hellos_sent.load(Ordering::Relaxed));
-        s.gauge("repl.follower.watermark", self.watermark.0 as i64);
-        s.gauge("repl.follower.durable_len", self.durable_len as i64);
+        s.gauge("repl.follower.durable_len", self.durable_len() as i64);
         s.gauge("repl.follower.epoch", self.epoch as i64);
         s.hist("repl.follower.apply_records", self.apply_records_hist.snapshot());
         s.sort();

@@ -6,18 +6,16 @@ use txview_common::Lsn;
 /// One shipped run of consecutive framed log records. `payload` is the
 /// records' durable byte encoding verbatim — the follower appends it
 /// unchanged, which is what keeps its log a byte-identical prefix of the
-/// leader's.
+/// leader's. An LSN is a byte offset, so the run's records sit at
+/// `start..end()` in both logs.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Frame {
     /// Leader term; the follower rejects frames older than its own.
     pub epoch: u64,
-    /// Byte offset of the first record in the leader's log. Equal to the
-    /// follower's durable length when the frame is the next expected one.
-    pub start_offset: u64,
-    /// LSN of the first record in the payload.
-    pub first_lsn: Lsn,
-    /// LSN of the last record in the payload.
-    pub end_lsn: Lsn,
+    /// Byte offset (= LSN) of the first record in the leader's log. Equal
+    /// to the follower's durable length when the frame is the next
+    /// expected one.
+    pub start: u64,
     /// Concatenated framed record encodings.
     pub payload: Vec<u8>,
     /// Checksum over the payload and header fields; a torn frame fails it.
@@ -26,42 +24,28 @@ pub struct Frame {
 
 impl Frame {
     /// Seal a frame over `payload`.
-    pub fn new(
-        epoch: u64,
-        start_offset: u64,
-        first_lsn: Lsn,
-        end_lsn: Lsn,
-        payload: Vec<u8>,
-    ) -> Frame {
-        let checksum = Frame::compute_checksum(epoch, start_offset, first_lsn, end_lsn, &payload);
-        Frame { epoch, start_offset, first_lsn, end_lsn, payload, checksum }
+    pub fn new(epoch: u64, start: u64, payload: Vec<u8>) -> Frame {
+        let checksum = Frame::compute_checksum(epoch, start, &payload);
+        Frame { epoch, start, payload, checksum }
     }
 
-    fn compute_checksum(
-        epoch: u64,
-        start_offset: u64,
-        first_lsn: Lsn,
-        end_lsn: Lsn,
-        payload: &[u8],
-    ) -> u64 {
-        let mut buf = Vec::with_capacity(payload.len() + 32);
+    /// Byte offset just past the last record: the follower's durable
+    /// length once this frame is applied.
+    pub fn end(&self) -> u64 {
+        self.start + self.payload.len() as u64
+    }
+
+    fn compute_checksum(epoch: u64, start: u64, payload: &[u8]) -> u64 {
+        let mut buf = Vec::with_capacity(payload.len() + 16);
         buf.extend_from_slice(&epoch.to_le_bytes());
-        buf.extend_from_slice(&start_offset.to_le_bytes());
-        buf.extend_from_slice(&first_lsn.0.to_le_bytes());
-        buf.extend_from_slice(&end_lsn.0.to_le_bytes());
+        buf.extend_from_slice(&start.to_le_bytes());
         buf.extend_from_slice(payload);
         checksum64(&buf)
     }
 
     /// Does the sealed checksum still match the contents?
     pub fn verify(&self) -> bool {
-        Frame::compute_checksum(
-            self.epoch,
-            self.start_offset,
-            self.first_lsn,
-            self.end_lsn,
-            &self.payload,
-        ) == self.checksum
+        Frame::compute_checksum(self.epoch, self.start, &self.payload) == self.checksum
     }
 }
 
@@ -82,8 +66,8 @@ pub enum Message {
         epoch: u64,
         /// The leader's entire durable log.
         log_bytes: Vec<u8>,
-        /// The leader's persisted master pointer.
-        master: (u64, Lsn),
+        /// The leader's persisted master checkpoint LSN.
+        master: Lsn,
         /// The leader's exported catalog.
         catalog: Vec<u8>,
     },
@@ -91,18 +75,16 @@ pub enum Message {
     /// leader resumes at `durable_len` iff `log_checksum` matches its own
     /// prefix of that length, else it ships a snapshot.
     Hello {
-        /// The follower's replay watermark.
-        watermark: Lsn,
-        /// The follower's durable log length in bytes.
+        /// The follower's durable log length in bytes: every record below
+        /// it is replayed.
         durable_len: u64,
         /// Checksum of the follower's entire durable log.
         log_checksum: u64,
     },
     /// Durability acknowledgement (follower → leader).
     Ack {
-        /// The follower's replay watermark.
-        watermark: Lsn,
-        /// The follower's durable log length in bytes.
+        /// The follower's durable log length in bytes: every record below
+        /// it is replayed.
         durable_len: u64,
     },
     /// The follower saw a frame with a stale epoch (follower → leader):
@@ -121,7 +103,7 @@ mod tests {
 
     #[test]
     fn frame_checksum_catches_payload_corruption() {
-        let mut f = Frame::new(1, 0, Lsn(1), Lsn(3), vec![1, 2, 3, 4]);
+        let mut f = Frame::new(1, 8, vec![1, 2, 3, 4]);
         assert!(f.verify());
         f.payload[2] ^= 0x40;
         assert!(!f.verify());
@@ -129,8 +111,8 @@ mod tests {
 
     #[test]
     fn frame_checksum_covers_header_fields() {
-        let mut f = Frame::new(1, 0, Lsn(1), Lsn(3), vec![1, 2, 3, 4]);
-        f.end_lsn = Lsn(9);
+        let mut f = Frame::new(1, 8, vec![1, 2, 3, 4]);
+        f.start = 9;
         assert!(!f.verify());
     }
 }

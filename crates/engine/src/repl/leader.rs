@@ -10,7 +10,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use txview_common::codec::checksum64;
 use txview_common::obs::{Histogram, Snapshot};
-use txview_common::{Lsn, Result};
+use txview_common::Result;
+use txview_wal::log::LOG_HEADER_LEN;
 use txview_wal::{FaultLogStore, LogStore};
 
 /// The leader's view of one replication stream. Single-threaded by
@@ -23,13 +24,13 @@ pub struct ReplicationStream {
     cfg: ReplConfig,
     /// Byte offset of the next frame to cut.
     cursor: u64,
-    /// Durable byte length the follower has acked.
-    acked_offset: u64,
-    /// Replay watermark the follower has acked.
-    acked_lsn: Lsn,
+    /// Durable byte length the follower has acked: it has replayed every
+    /// record whose LSN is below this. Every log holds the header, so it
+    /// starts there.
+    acked: u64,
     /// Consecutive pumps with neither a send nor ack progress; when it
-    /// reaches `cfg.stall_pumps`, the cursor rewinds to `acked_offset`
-    /// (go-back-N over whatever was lost).
+    /// reaches `cfg.stall_pumps`, the cursor rewinds to `acked` (go-back-N
+    /// over whatever was lost).
     stalled: u32,
     frames_shipped: AtomicU64,
     records_shipped: AtomicU64,
@@ -50,9 +51,8 @@ impl ReplicationStream {
             db,
             store,
             cfg,
-            cursor: 0,
-            acked_offset: 0,
-            acked_lsn: Lsn::NULL,
+            cursor: LOG_HEADER_LEN,
+            acked: LOG_HEADER_LEN,
             stalled: 0,
             frames_shipped: AtomicU64::new(0),
             records_shipped: AtomicU64::new(0),
@@ -67,26 +67,16 @@ impl ReplicationStream {
         }
     }
 
-    /// Highest follower-acked replay watermark. A `Sync`-mode commit is
-    /// client-acked only once this covers its commit LSN.
-    pub fn acked_lsn(&self) -> Lsn {
-        self.acked_lsn
+    /// Follower-acked durable byte length. A `Sync`-mode commit is
+    /// client-acked only once this is past its commit LSN.
+    pub fn acked(&self) -> u64 {
+        self.acked
     }
 
-    /// Follower-acked durable byte length.
-    pub fn acked_offset(&self) -> u64 {
-        self.acked_offset
-    }
-
-    /// Replication lag in LSNs: leader durable watermark minus the
-    /// follower-acked watermark.
-    pub fn lag_lsns(&self) -> u64 {
-        self.db.log().flushed_lsn().0.saturating_sub(self.acked_lsn.0)
-    }
-
-    /// Lag expressed in ship batches of `cfg.max_batch` records.
-    pub fn lag_frames(&self) -> u64 {
-        self.lag_lsns().div_ceil(self.cfg.max_batch.max(1) as u64)
+    /// Replication lag in bytes: the leader's durable log length minus the
+    /// follower-acked length.
+    pub fn lag_bytes(&self) -> u64 {
+        self.store.durable_len().saturating_sub(self.acked)
     }
 
     /// Absorb pending control messages: acks advance the acked prefix,
@@ -100,16 +90,15 @@ impl ReplicationStream {
         }
         for msg in channel.recv_control() {
             match msg {
-                Message::Ack { watermark, durable_len } => {
+                Message::Ack { durable_len } => {
                     self.acks_seen.fetch_add(1, Ordering::Relaxed);
-                    if durable_len > self.acked_offset {
-                        self.acked_offset = durable_len;
-                        self.acked_lsn = watermark;
+                    if durable_len > self.acked {
+                        self.acked = durable_len;
                         self.stalled = 0;
                     }
                 }
-                Message::Hello { watermark, durable_len, log_checksum } => {
-                    self.handle_hello(channel, watermark, durable_len, log_checksum)?;
+                Message::Hello { durable_len, log_checksum } => {
+                    self.handle_hello(channel, durable_len, log_checksum)?;
                 }
                 Message::StaleEpoch { got, current } => {
                     self.stale_epoch_signals.fetch_add(1, Ordering::Relaxed);
@@ -127,28 +116,20 @@ impl ReplicationStream {
     /// Catch-up negotiation: resume from the follower's durable length
     /// when its log is provably a prefix of ours, else fall back to a full
     /// snapshot ship.
-    fn handle_hello(
-        &mut self,
-        channel: &ReplChannel,
-        watermark: Lsn,
-        durable_len: u64,
-        log_checksum: u64,
-    ) -> Result<()> {
+    fn handle_hello(&mut self, ch: &ReplChannel, durable_len: u64, log_checksum: u64) -> Result<()> {
         let our_bytes = self.store.read_from(0)?;
         let is_prefix = durable_len as usize <= our_bytes.len()
             && checksum64(&our_bytes[..durable_len as usize]) == log_checksum;
         if is_prefix {
             self.reconnects.fetch_add(1, Ordering::Relaxed);
-            self.acked_offset = durable_len;
-            self.acked_lsn = watermark;
+            self.acked = durable_len;
             self.cursor = durable_len;
             self.stalled = 0;
         } else {
             self.snapshot_fallbacks.fetch_add(1, Ordering::Relaxed);
             let master = self.store.get_master()?;
             let epoch = self.store.get_epoch()?;
-            let last_lsn = self.db.log().flushed_lsn();
-            channel.send_data(Message::Snapshot {
+            ch.send_data(Message::Snapshot {
                 epoch,
                 log_bytes: our_bytes.clone(),
                 master,
@@ -157,9 +138,7 @@ impl ReplicationStream {
             // The snapshot covers everything durable; treat it as shipped
             // and acked-pending (the follower's ack confirms it).
             self.cursor = our_bytes.len() as u64;
-            self.acked_offset = 0;
-            self.acked_lsn = Lsn::NULL;
-            let _ = last_lsn;
+            self.acked = LOG_HEADER_LEN;
             self.stalled = 0;
         }
         Ok(())
@@ -176,21 +155,19 @@ impl ReplicationStream {
         }
         let mut shipped = 0usize;
         // Flow control: don't run more than window_bytes ahead of the ack.
-        while self.cursor.saturating_sub(self.acked_offset) < self.cfg.window_bytes {
+        while self.cursor.saturating_sub(self.acked) < self.cfg.window_bytes {
             let records = self.db.log().read_durable_from(self.cursor)?;
             if records.is_empty() {
                 break;
             }
             let batch = &records[..records.len().min(self.cfg.max_batch)];
-            let first_lsn = batch[0].1.lsn;
-            let end_lsn = batch[batch.len() - 1].1.lsn;
             let mut payload = Vec::new();
-            for (_, rec) in batch {
+            for rec in batch {
                 payload.extend_from_slice(&rec.encode_framed());
             }
             let epoch = self.store.get_epoch()?;
             let len = payload.len() as u64;
-            let frame = Frame::new(epoch, self.cursor, first_lsn, end_lsn, payload);
+            let frame = Frame::new(epoch, self.cursor, payload);
             self.frames_shipped.fetch_add(1, Ordering::Relaxed);
             self.records_shipped.fetch_add(batch.len() as u64, Ordering::Relaxed);
             self.bytes_shipped.fetch_add(len, Ordering::Relaxed);
@@ -204,10 +181,10 @@ impl ReplicationStream {
             // Nothing shippable: either fully caught up (cursor == acked)
             // or stalled on lost frames/acks. Only the latter warrants a
             // rewind.
-            if self.cursor > self.acked_offset {
+            if self.cursor > self.acked {
                 self.stalled += 1;
                 if self.stalled >= self.cfg.stall_pumps {
-                    self.cursor = self.acked_offset;
+                    self.cursor = self.acked;
                     self.retransmits.fetch_add(1, Ordering::Relaxed);
                     self.stalled = 0;
                 }
@@ -235,8 +212,7 @@ impl ReplicationStream {
             "repl.leader.stale_epoch_signals",
             self.stale_epoch_signals.load(Ordering::Relaxed),
         );
-        s.gauge("repl.leader.lag_lsns", self.lag_lsns() as i64);
-        s.gauge("repl.leader.lag_frames", self.lag_frames() as i64);
+        s.gauge("repl.leader.lag_bytes", self.lag_bytes() as i64);
         s.hist("repl.leader.ship_records", self.ship_records_hist.snapshot());
         s.hist("repl.leader.ship_bytes", self.ship_bytes_hist.snapshot());
         s.sort();

@@ -9,8 +9,9 @@
 //! * the **follower** replays frames through the same
 //!   [`txview_wal::recovery::redo_record`] path crash recovery uses, after
 //!   making the frame bytes durable in its own log (WAL-before-data holds
-//!   on the follower for free), and advances a `replay_watermark` LSN;
-//! * **catch-up** is a `Hello(watermark, durable_len, log_checksum)`
+//!   on the follower for free), and advances its durable length — the
+//!   offset the next frame must start at, every LSN below it replayed;
+//! * **catch-up** is a `Hello(durable_len, log_checksum)`
 //!   negotiation: the leader resumes from the follower's durable length
 //!   when the checksum proves the follower holds a true prefix, and falls
 //!   back to shipping a full snapshot when the logs diverged (an old

@@ -3,9 +3,9 @@
 //!
 //! The oracle, in the ISSUE's terms:
 //!
-//! * **history**: the follower's state at watermark `W` equals an in-order
-//!   replay of the shipped prefix up to `W` (checked against a fault-free
-//!   reference follower);
+//! * **history**: the follower's state at durable length `D` equals an
+//!   in-order replay of the shipped prefix up to `D` (checked against a
+//!   fault-free reference follower);
 //! * **durability**: every commit acknowledged under `Sync` ship mode
 //!   survives leader loss and is served by the promoted follower;
 //! * **promotion exactness**: promotion yields a writable database whose
@@ -13,7 +13,7 @@
 //!   prefix (a fresh `MemDisk` + `MemLogStore` preloaded with the
 //!   follower's durable bytes, master = null so analysis covers it all);
 //! * **idempotence**: duplicated/reordered frames change nothing — redo's
-//!   pageLSN test and the follower's watermark make replays no-ops;
+//!   pageLSN test and the follower's durable length make replays no-ops;
 //! * **convergence**: after a partition heals or a crashed node rejoins,
 //!   leader and follower logs become *byte-identical* and their committed
 //!   states fingerprint-equal.
@@ -39,6 +39,7 @@ use txview_common::rng::Rng;
 use txview_common::{Lsn, Result};
 use txview_storage::fault::FaultSchedule;
 use txview_storage::MemDisk;
+use txview_wal::log::LOG_HEADER;
 use txview_wal::{LogRecord, LogStore, MemLogStore};
 
 /// Which seam an episode tortures.
@@ -68,8 +69,8 @@ pub struct ReplEpisodeReport {
     pub repl_acked_commits: usize,
     /// `Sync` commits that timed out waiting for the follower ack.
     pub sync_ack_timeouts: usize,
-    /// Largest replication lag (in LSNs) observed during the workload.
-    pub max_lag_lsns: u64,
+    /// Largest replication lag (in bytes) observed during the workload.
+    pub max_lag_bytes: u64,
     /// Catch-up negotiations resolved by resuming from a clean prefix.
     pub reconnects: u64,
     /// Catch-up negotiations resolved by a full snapshot ship.
@@ -164,16 +165,16 @@ impl ReplLink {
         Ok(())
     }
 
-    /// Tick until the follower's watermark covers the leader's durable
-    /// LSN, or the budget runs out.
+    /// Tick until the follower holds the leader's last durable record, or
+    /// the budget runs out.
     fn converge(&mut self, budget: usize) -> Result<bool> {
         for _ in 0..budget {
-            if self.follower.watermark() >= self.db.log().flushed_lsn() {
+            if self.follower.durable_len() > self.db.log().flushed_lsn().0 {
                 return Ok(true);
             }
             self.tick()?;
         }
-        Ok(self.follower.watermark() >= self.db.log().flushed_lsn())
+        Ok(self.follower.durable_len() > self.db.log().flushed_lsn().0)
     }
 
     /// Flush the leader and converge within `budget` rounds; then the
@@ -213,7 +214,7 @@ impl ReplLink {
             violations,
             repl_acked_commits: trace.repl_acked_commits,
             sync_ack_timeouts: trace.sync_ack_timeouts,
-            max_lag_lsns: trace.max_lag_lsns,
+            max_lag_bytes: trace.max_lag_bytes,
             reconnects: self.stream.reconnects(),
             snapshot_fallbacks: self.stream.snapshot_fallbacks(),
             fenced_stale_leader: false,
@@ -232,19 +233,19 @@ struct ReplTrace {
     repl_acked: Vec<Transfer>,
     repl_acked_commits: usize,
     sync_ack_timeouts: usize,
-    max_lag_lsns: u64,
+    max_lag_bytes: u64,
 }
 
 /// `Sync`-mode wait: pump the link until the follower has durably acked
 /// `lsn` or the budget runs out.
 fn wait_for_ack(link: &mut ReplLink, lsn: Lsn) -> Result<bool> {
     for _ in 0..link.rcfg.sync_ack_budget {
-        if link.stream.acked_lsn() >= lsn {
+        if link.stream.acked() > lsn.0 {
             return Ok(true);
         }
         link.tick()?;
     }
-    Ok(link.stream.acked_lsn() >= lsn)
+    Ok(link.stream.acked() > lsn.0)
 }
 
 /// The torture workload (same loop, therefore the same leader event horizon
@@ -283,7 +284,7 @@ fn run_repl_workload(link: &mut ReplLink, plan: &[(usize, bool)]) -> Result<Repl
         }
         link.tick()?;
         if !matches!(outcome, Outcome::RolledBack) {
-            trace.max_lag_lsns = trace.max_lag_lsns.max(link.stream.lag_lsns());
+            trace.max_lag_bytes = trace.max_lag_bytes.max(link.stream.lag_bytes());
         }
         Ok(())
     })?;
@@ -292,15 +293,16 @@ fn run_repl_workload(link: &mut ReplLink, plan: &[(usize, bool)]) -> Result<Repl
 
 /// Independent recovery of exactly the shipped prefix: a fresh `MemDisk`
 /// and a `MemLogStore` preloaded with the follower's durable bytes, with a
-/// *null* master so analysis starts at byte zero and the dirty-page table
-/// covers every page. The promoted follower must fingerprint-equal this.
+/// *null* master so analysis starts at the first record and the dirty-page
+/// table covers every page. The promoted follower must fingerprint-equal
+/// this.
 fn reference_recovery_fingerprint(
     shipped: &[u8],
     catalog: &[u8],
     pool_pages: usize,
 ) -> Result<Vec<u8>> {
     let store = MemLogStore::new();
-    store.append(shipped)?;
+    store.append(&shipped[LOG_HEADER.len()..])?;
     let (db, _) = Database::with_parts_recovered(
         Arc::new(MemDisk::new()),
         Box::new(store),
@@ -313,24 +315,25 @@ fn reference_recovery_fingerprint(
 
 /// Fault-free reference follower: ingest the shipped prefix as in-order
 /// single-record frames and fingerprint the result. Implements the history
-/// oracle — "follower state at watermark W equals the leader's historical
-/// state at W" — for W = the prefix's last LSN.
+/// oracle — "follower state at durable length D equals the leader's
+/// historical state at D" — for D = the end of the prefix's last whole
+/// record.
 fn reference_follower_fingerprint(
     catalog: &[u8],
     shipped: &[u8],
     rcfg: &ReplConfig,
-) -> Result<(Vec<u8>, Lsn)> {
+) -> Result<(Vec<u8>, u64)> {
     let mut cfg = rcfg.clone();
     cfg.faults = ChannelFaults::default();
     let mut f = Follower::new(cfg, catalog.to_vec())?;
     let ch = ReplChannel::new(ChannelFaults::default(), 0);
-    let mut off = 0usize;
-    while let Some((rec, used)) = LogRecord::decode_framed(&shipped[off..])? {
-        let frame = Frame::new(0, off as u64, rec.lsn, rec.lsn, shipped[off..off + used].to_vec());
+    let mut off = LOG_HEADER.len();
+    while let Some((_, used)) = LogRecord::decode_framed(&shipped[off..], off as u64)? {
+        let frame = Frame::new(0, off as u64, shipped[off..off + used].to_vec());
         f.ingest(Message::Frame(frame), &ch)?;
         off += used;
     }
-    Ok((f.fingerprint()?, f.watermark()))
+    Ok((f.fingerprint()?, f.durable_len()))
 }
 
 /// Kill the leader at `offset` (relative to the post-build clock, same
@@ -363,7 +366,7 @@ pub fn run_leader_crash_episode(
     }
     let epoch_before = link.follower.epoch();
     let shipped = link.follower.store().durable_bytes();
-    let shipped_watermark = link.follower.watermark();
+    let shipped_len = link.follower.durable_len();
 
     let ReplLink { rcfg: link_rcfg, db, parts, catalog, stream, mut follower, .. } = link;
     drop(stream);
@@ -400,7 +403,7 @@ pub fn run_leader_crash_episode(
             ShipMode::Async => trace
                 .transfers
                 .iter()
-                .filter(|(l, _)| *l <= shipped_watermark)
+                .filter(|(l, _)| l.0 < shipped_len)
                 .map(|&(_, tr)| tr)
                 .collect(),
         },
@@ -427,7 +430,7 @@ pub fn run_leader_crash_episode(
         violations,
         repl_acked_commits: trace.repl_acked_commits,
         sync_ack_timeouts: trace.sync_ack_timeouts,
-        max_lag_lsns: trace.max_lag_lsns,
+        max_lag_bytes: trace.max_lag_bytes,
         reconnects,
         snapshot_fallbacks,
         fenced_stale_leader: fenced,
@@ -496,7 +499,7 @@ fn rejoin_drill(
         new_stream.drain_control(&ch2)?;
         new_stream.pump(&ch2)?;
         rejoined.drain(&ch2)?;
-        if rejoined.watermark() >= target
+        if rejoined.durable_len() > target.0
             && rejoined.store().durable_bytes() == new_leader.store().durable_bytes()
         {
             converged = true;
@@ -545,19 +548,20 @@ pub fn run_follower_crash_episode(
     if fb.len() > lb.len() || fb[..] != lb[..fb.len()] {
         violations.push("[reopen] follower log is not a byte prefix of the leader's".into());
     }
-    // History oracle at the reopened watermark.
+    // History oracle at the reopened durable length.
     match reference_follower_fingerprint(&link.catalog, &fb, rcfg) {
-        Ok((ref_fp, ref_wm)) => {
-            if ref_wm != link.follower.watermark() {
+        Ok((ref_fp, ref_len)) => {
+            if ref_len != link.follower.durable_len() {
                 violations.push(format!(
-                    "[reopen] watermark {:?} != last LSN {:?} of the durable prefix",
-                    link.follower.watermark(),
-                    ref_wm
+                    "[reopen] durable length {} != end {} of the prefix's last record",
+                    link.follower.durable_len(),
+                    ref_len
                 ));
             }
             if ref_fp != link.follower.fingerprint()? {
-                violations
-                    .push("[reopen] state at watermark != in-order replay of the prefix".into());
+                violations.push(
+                    "[reopen] state at durable length != in-order replay of the prefix".into(),
+                );
             }
         }
         Err(e) => violations.push(format!("reference follower replay failed: {e}")),
@@ -765,7 +769,7 @@ pub fn run_repl_metrics_check(cfg: &TortureConfig) -> Result<ReplMetricsCheckRep
     if a.counter_value("repl.follower.acks_sent").unwrap_or(0) == 0 {
         violations.push("no acks sent — the control lane is dead".into());
     }
-    if a.gauge_value("repl.leader.lag_lsns").unwrap_or(-1) != 0 {
+    if a.gauge_value("repl.leader.lag_bytes").unwrap_or(-1) != 0 {
         violations.push("lag gauge non-zero at convergence".into());
     }
     match a.hist_value("repl.leader.ship_records") {
@@ -872,7 +876,7 @@ mod tests {
     fn partition_episode_converges_after_heal() {
         let ep = run_partition_episode(&quick_cfg(), &ReplConfig::default(), 11).unwrap();
         assert!(ep.violations.is_empty(), "{:?}", ep.violations);
-        assert!(ep.max_lag_lsns > 0, "partition never built lag");
+        assert!(ep.max_lag_bytes > 0, "partition never built lag");
     }
 
     #[test]

@@ -303,8 +303,8 @@ mod tests {
         assert_eq!(locks.held_count(t.id), 0);
         assert!(log.flushed_lsn() >= commit_lsn, "commit is durable");
         let recs = log.read_durable_from(0).unwrap();
-        assert!(matches!(recs[0].1.body, RecordBody::Begin { kind: TxnKind::User }));
-        assert!(matches!(recs[1].1.body, RecordBody::Commit));
+        assert!(matches!(recs[0].body, RecordBody::Begin { kind: TxnKind::User }));
+        assert!(matches!(recs[1].body, RecordBody::Commit));
         assert_eq!(t.state, TxnState::Committed);
         assert!(mgr.active_txns().is_empty());
     }
@@ -356,7 +356,7 @@ mod tests {
         log.flush_all().unwrap();
         let recs = log.read_durable_from(0).unwrap();
         assert!(
-            recs.iter().all(|(_, r)| !matches!(r.body, RecordBody::Commit)),
+            recs.iter().all(|r| !matches!(r.body, RecordBody::Commit)),
             "no commit record may exist for a failed pre-append hook"
         );
         let h = Recording(Mutex::new(Vec::new()));
@@ -416,15 +416,15 @@ mod tests {
         assert_eq!(out, 42);
         log.flush_all().unwrap();
         let recs = log.read_durable_from(0).unwrap();
-        assert!(matches!(recs[0].1.body, RecordBody::Begin { kind: TxnKind::System }));
-        assert!(matches!(recs[1].1.body, RecordBody::Commit));
-        assert!(matches!(recs[2].1.body, RecordBody::End));
+        assert!(matches!(recs[0].body, RecordBody::Begin { kind: TxnKind::System }));
+        assert!(matches!(recs[1].body, RecordBody::Commit));
+        assert!(matches!(recs[2].body, RecordBody::End));
     }
 
     /// Byte offset of record `lsn` and the master checkpoint's `scan_from`.
     fn offset_and_scan_from(log: &LogManager, lsn: Lsn) -> (u64, u64) {
-        let at = log.read_durable_from(0).unwrap().into_iter().find(|(_, r)| r.lsn == lsn).unwrap().0;
-        match log.read_record_at(log.master().unwrap().0).unwrap().unwrap().body {
+        let at = lsn.0;
+        match log.read_record_at(log.master().unwrap()).unwrap().unwrap().body {
             RecordBody::Checkpoint { scan_from, .. } => (at, scan_from),
             other => panic!("expected checkpoint, got {other:?}"),
         }

@@ -12,7 +12,7 @@
 //! is what makes group-commit overlap (one fsync absorbing many commits)
 //! measurable on hosts where the in-memory sync would otherwise be free.
 
-use crate::log::LogStore;
+use crate::log::{LogStore, LOG_HEADER};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use txview_common::rng::Rng;
@@ -22,7 +22,7 @@ use txview_storage::fault::{FaultClock, FaultDecision, FaultPoint};
 #[derive(Clone)]
 struct LogState {
     bytes: Vec<u8>,
-    master: (u64, Lsn),
+    master: Lsn,
     epoch: u64,
 }
 
@@ -50,14 +50,15 @@ pub struct FaultLogStore {
 }
 
 impl FaultLogStore {
-    /// New empty store ticking `clock`.
+    /// New store ticking `clock`, holding only the log header (placed
+    /// without a clock event).
     pub fn new(clock: Arc<FaultClock>) -> FaultLogStore {
         FaultLogStore {
             inner: Arc::new(LogShared {
                 clock,
                 live: Mutex::new(LogState {
-                    bytes: Vec::new(),
-                    master: (0, Lsn::NULL),
+                    bytes: LOG_HEADER.to_vec(),
+                    master: Lsn::NULL,
                     epoch: 0,
                 }),
                 frozen: Mutex::new(None),
@@ -110,9 +111,14 @@ impl FaultLogStore {
     /// snapshot-install path on a follower whose log has diverged from the
     /// leader's — resuming frame-by-frame is impossible, so the whole
     /// durable state is shipped and installed atomically.
-    pub fn install_snapshot(&self, bytes: Vec<u8>, master: (u64, Lsn), epoch: u64) {
+    pub fn install_snapshot(&self, bytes: Vec<u8>, master: Lsn, epoch: u64) {
         *self.inner.frozen.lock() = None;
         *self.inner.live.lock() = LogState { bytes, master, epoch };
+    }
+
+    /// Length of the log in bytes, header included.
+    pub fn durable_len(&self) -> u64 {
+        self.inner.live.lock().bytes.len() as u64
     }
 
     /// Raw durable bytes (the whole log), for shipping a snapshot or
@@ -177,7 +183,7 @@ impl LogStore for FaultLogStore {
     }
 
     fn len_bytes(&self) -> Result<u64> {
-        Ok(self.inner.live.lock().bytes.len() as u64)
+        Ok(self.durable_len())
     }
 
     fn read_from(&self, offset: u64) -> Result<Vec<u8>> {
@@ -191,17 +197,17 @@ impl LogStore for FaultLogStore {
         Ok(st.bytes[start..(start + len).min(st.bytes.len())].to_vec())
     }
 
-    fn set_master(&self, offset: u64, lsn: Lsn) -> Result<()> {
+    fn set_master(&self, lsn: Lsn) -> Result<()> {
         let decision = self.inner.clock.tick(FaultPoint::MasterWrite);
         self.maybe_freeze();
         if decision == FaultDecision::TransientError {
             return Err(transient_io_error());
         }
-        self.inner.live.lock().master = (offset, lsn);
+        self.inner.live.lock().master = lsn;
         Ok(())
     }
 
-    fn get_master(&self) -> Result<(u64, Lsn)> {
+    fn get_master(&self) -> Result<Lsn> {
         Ok(self.inner.live.lock().master)
     }
 
@@ -234,9 +240,9 @@ mod tests {
         store.append(b"before").unwrap();
         clock.arm(&FaultSchedule::crash_at(0));
         store.append(b"doomed").unwrap();
-        assert_eq!(store.read_from(0).unwrap(), b"beforedoomed");
+        assert_eq!(store.read_from(8).unwrap(), b"beforedoomed");
         assert!(store.crash_restore());
-        assert_eq!(store.read_from(0).unwrap(), b"before");
+        assert_eq!(store.read_from(8).unwrap(), b"before");
     }
 
     #[test]
@@ -245,19 +251,19 @@ mod tests {
         let store = FaultLogStore::new(Arc::clone(&clock));
         clock.arm(&FaultSchedule { faults: vec![(0, FaultKind::TornWrite)] });
         store.append(b"abcdef").unwrap();
-        assert_eq!(store.read_from(0).unwrap(), b"abc");
+        assert_eq!(store.read_from(8).unwrap(), b"abc");
     }
 
     #[test]
     fn master_pointer_is_frozen_with_bytes() {
         let clock = FaultClock::new();
         let store = FaultLogStore::new(Arc::clone(&clock));
-        store.set_master(1, Lsn(1)).unwrap();
+        store.set_master(Lsn(8)).unwrap();
         clock.arm(&FaultSchedule::crash_at(0));
-        store.set_master(9, Lsn(9)).unwrap();
-        assert_eq!(store.get_master().unwrap(), (9, Lsn(9)));
+        store.set_master(Lsn(90)).unwrap();
+        assert_eq!(store.get_master().unwrap(), Lsn(90));
         assert!(store.crash_restore());
-        assert_eq!(store.get_master().unwrap(), (1, Lsn(1)));
+        assert_eq!(store.get_master().unwrap(), Lsn(8));
     }
 
     #[test]
@@ -277,10 +283,10 @@ mod tests {
         let clock = FaultClock::new();
         let store = FaultLogStore::new(Arc::clone(&clock));
         store.append(b"old").unwrap();
-        store.set_master(1, Lsn(1)).unwrap();
-        store.install_snapshot(b"new-bytes".to_vec(), (7, Lsn(7)), 2);
+        store.set_master(Lsn(8)).unwrap();
+        store.install_snapshot(b"new-bytes".to_vec(), Lsn(70), 2);
         assert_eq!(store.read_from(0).unwrap(), b"new-bytes");
-        assert_eq!(store.get_master().unwrap(), (7, Lsn(7)));
+        assert_eq!(store.get_master().unwrap(), Lsn(70));
         assert_eq!(store.get_epoch().unwrap(), 2);
     }
 

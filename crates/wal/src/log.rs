@@ -1,5 +1,10 @@
-//! The log manager: LSN allocation, buffered append, group flush,
+//! The log manager: LSN assignment, buffered append, group flush,
 //! checkpoints and the master checkpoint pointer.
+//!
+//! An LSN is the byte offset at which its record starts in the log, after
+//! a short header (magic and format version) that keeps offset 0 —
+//! [`Lsn::NULL`] — free. The decoder refuses a record whose stored `lsn`
+//! is not the offset it was read from.
 //!
 //! Records are appended to an in-memory tail and become durable only when
 //! flushed (`flush_to` / `flush_all`). The buffer pool's WAL-before-data
@@ -7,15 +12,14 @@
 //! the commit record's LSN. A simulated crash discards the un-flushed tail,
 //! exactly like a real power failure.
 //!
-//! Under the same mutex that allocates LSNs, the manager also knows every
+//! Under the same mutex that assigns LSNs, the manager also knows every
 //! open bracket (a transaction's Begin without its End, user and system
-//! alike) and where each flushed batch starts in the store. That is what
-//! lets [`LogManager::checkpoint`] name the byte offset restart must read
-//! from, instead of restart reading the log from byte 0.
+//! alike). That is what lets [`LogManager::checkpoint`] name the offset
+//! restart must read from, instead of restart reading the whole log.
 
 use crate::record::{LogRecord, RecordBody};
 use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -24,7 +28,7 @@ use std::sync::Arc;
 use txview_common::codec::Reader;
 use txview_common::obs::{Histogram, ObsClock, Snapshot};
 use txview_common::retry::{RetryCounters, RetryPolicy, RetryStatsSnapshot};
-use txview_common::{Lsn, Result, TxnId};
+use txview_common::{Error, Lsn, Result, TxnId};
 use txview_storage::buffer::BufferPool;
 use txview_storage::fault::CrashProbe;
 
@@ -32,7 +36,23 @@ use txview_storage::fault::CrashProbe;
 /// (B-tree node header). Shared between the WAL redo applier and the B-tree.
 pub const PAYLOAD_HEADER_LEN: usize = 16;
 
-/// Durable byte sink for the log, plus the master checkpoint pointer.
+/// The bytes every log store starts with: magic, then the format version.
+pub const LOG_HEADER: [u8; 8] = [b'T', b'X', b'V', b'L', 1, 0, 0, 0];
+
+/// Length of [`LOG_HEADER`]: the LSN of the first record.
+pub const LOG_HEADER_LEN: u64 = LOG_HEADER.len() as u64;
+
+/// Refuse a store whose first bytes are not [`LOG_HEADER`].
+fn check_header(head: &[u8]) -> Result<()> {
+    match head {
+        h if h == LOG_HEADER => Ok(()),
+        [b'T', b'X', b'V', b'L', v @ ..] => Err(Error::corruption(format!("log version {v:?}"))),
+        _ => Err(Error::corruption("log store does not start with the log header")),
+    }
+}
+
+/// Durable byte sink for the log, plus the master checkpoint pointer. A
+/// new store already holds [`LOG_HEADER`].
 pub trait LogStore: Send + Sync {
     /// Durably append bytes (caller serializes; called under the manager's
     /// lock).
@@ -45,10 +65,10 @@ pub trait LogStore: Send + Sync {
     fn read_from(&self, offset: u64) -> Result<Vec<u8>>;
     /// Read at most `len` durable bytes starting at `offset`.
     fn read_at(&self, offset: u64, len: usize) -> Result<Vec<u8>>;
-    /// Persist the master checkpoint pointer (byte offset, LSN).
-    fn set_master(&self, offset: u64, lsn: Lsn) -> Result<()>;
-    /// Read the master checkpoint pointer.
-    fn get_master(&self) -> Result<(u64, Lsn)>;
+    /// Persist the master checkpoint pointer: the checkpoint record's LSN.
+    fn set_master(&self, lsn: Lsn) -> Result<()>;
+    /// Read the master checkpoint pointer ([`Lsn::NULL`] when none).
+    fn get_master(&self) -> Result<Lsn>;
     /// Persist the replication epoch (term number). A store that predates
     /// replication keeps the default epoch 0, so non-replicated databases
     /// never pay for this.
@@ -62,17 +82,26 @@ pub trait LogStore: Send + Sync {
 }
 
 /// In-memory log store (tests, crash simulation).
-#[derive(Default)]
 pub struct MemLogStore {
     durable: Mutex<Vec<u8>>,
-    master: Mutex<(u64, Lsn)>,
+    master: Mutex<Lsn>,
     epoch: AtomicU64,
 }
 
 impl MemLogStore {
-    /// New empty store.
+    /// New store holding only the log header.
     pub fn new() -> MemLogStore {
-        MemLogStore::default()
+        MemLogStore {
+            durable: Mutex::new(LOG_HEADER.to_vec()),
+            master: Mutex::new(Lsn::NULL),
+            epoch: AtomicU64::new(0),
+        }
+    }
+}
+
+impl Default for MemLogStore {
+    fn default() -> MemLogStore {
+        MemLogStore::new()
     }
 }
 
@@ -101,12 +130,12 @@ impl LogStore for MemLogStore {
         Ok(d[start..(start + len).min(d.len())].to_vec())
     }
 
-    fn set_master(&self, offset: u64, lsn: Lsn) -> Result<()> {
-        *self.master.lock() = (offset, lsn);
+    fn set_master(&self, lsn: Lsn) -> Result<()> {
+        *self.master.lock() = lsn;
         Ok(())
     }
 
-    fn get_master(&self) -> Result<(u64, Lsn)> {
+    fn get_master(&self) -> Result<Lsn> {
         Ok(*self.master.lock())
     }
 
@@ -120,7 +149,8 @@ impl LogStore for MemLogStore {
     }
 }
 
-/// File-backed log store; the master pointer lives in a sibling file.
+/// File-backed log store. The master pointer lives in a sibling file of
+/// exactly 16 bytes: the master LSN, then the replication epoch.
 pub struct FileLogStore {
     file: Mutex<File>,
     master_path: std::path::PathBuf,
@@ -128,17 +158,42 @@ pub struct FileLogStore {
 
 impl FileLogStore {
     /// Open (or create) `path` as the log file; the master pointer is kept
-    /// at `path` + ".master".
+    /// at `path` + ".master". A new, empty file gets the log header.
     pub fn open(path: impl AsRef<Path>) -> Result<FileLogStore> {
         let path = path.as_ref();
-        let file = OpenOptions::new()
+        let mut file = OpenOptions::new()
             .read(true)
             .append(true)
             .create(true)
             .open(path)?;
+        if file.metadata()?.len() == 0 {
+            file.write_all(&LOG_HEADER)?;
+            file.sync_all()?;
+        }
         let mut master_path = path.as_os_str().to_owned();
         master_path.push(".master");
         Ok(FileLogStore { file: Mutex::new(file), master_path: master_path.into() })
+    }
+
+    /// The master file's (LSN, epoch); both zero when there is no file.
+    fn read_master(&self) -> Result<(Lsn, u64)> {
+        let bytes = match std::fs::read(&self.master_path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Lsn::NULL, 0)),
+            Err(e) => return Err(e.into()),
+        };
+        if bytes.len() != 16 {
+            return Err(Error::corruption(format!("master file of {} bytes", bytes.len())));
+        }
+        let word = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().unwrap());
+        Ok((Lsn(word(0)), word(8)))
+    }
+
+    fn write_master(&self, lsn: Lsn, epoch: u64) -> Result<()> {
+        let mut bytes = [0u8; 16];
+        bytes[..8].copy_from_slice(&lsn.0.to_le_bytes());
+        bytes[8..].copy_from_slice(&epoch.to_le_bytes());
+        Ok(txview_common::write_file_atomic(&self.master_path, &bytes)?)
     }
 }
 
@@ -176,46 +231,22 @@ impl LogStore for FileLogStore {
         Ok(buf)
     }
 
-    fn set_master(&self, offset: u64, lsn: Lsn) -> Result<()> {
-        let epoch = self.get_epoch()?;
-        let mut bytes = Vec::with_capacity(24);
-        bytes.extend_from_slice(&offset.to_le_bytes());
-        bytes.extend_from_slice(&lsn.0.to_le_bytes());
-        bytes.extend_from_slice(&epoch.to_le_bytes());
-        std::fs::write(&self.master_path, bytes)?;
-        Ok(())
+    fn set_master(&self, lsn: Lsn) -> Result<()> {
+        let (_, epoch) = self.read_master()?;
+        self.write_master(lsn, epoch)
     }
 
-    fn get_master(&self) -> Result<(u64, Lsn)> {
-        // Accept both the legacy 16-byte (offset, lsn) record and the
-        // 24-byte (offset, lsn, epoch) record introduced with replication.
-        match std::fs::read(&self.master_path) {
-            Ok(bytes) if bytes.len() == 16 || bytes.len() == 24 => {
-                let offset = u64::from_le_bytes(bytes[..8].try_into().unwrap());
-                let lsn = Lsn(u64::from_le_bytes(bytes[8..16].try_into().unwrap()));
-                Ok((offset, lsn))
-            }
-            _ => Ok((0, Lsn::NULL)),
-        }
+    fn get_master(&self) -> Result<Lsn> {
+        Ok(self.read_master()?.0)
     }
 
     fn set_epoch(&self, epoch: u64) -> Result<()> {
-        let (offset, lsn) = self.get_master()?;
-        let mut bytes = Vec::with_capacity(24);
-        bytes.extend_from_slice(&offset.to_le_bytes());
-        bytes.extend_from_slice(&lsn.0.to_le_bytes());
-        bytes.extend_from_slice(&epoch.to_le_bytes());
-        std::fs::write(&self.master_path, bytes)?;
-        Ok(())
+        let (lsn, _) = self.read_master()?;
+        self.write_master(lsn, epoch)
     }
 
     fn get_epoch(&self) -> Result<u64> {
-        match std::fs::read(&self.master_path) {
-            Ok(bytes) if bytes.len() == 24 => {
-                Ok(u64::from_le_bytes(bytes[16..24].try_into().unwrap()))
-            }
-            _ => Ok(0),
-        }
+        Ok(self.read_master()?.1)
     }
 }
 
@@ -227,37 +258,21 @@ struct Pending {
 struct Tail {
     pending: Vec<Pending>,
     pending_bytes: usize,
-    /// Bytes handed to the store so far: where the next batch lands. A
-    /// pending record's offset is therefore `store_len` plus the pending
-    /// bytes queued ahead of it.
+    /// Bytes handed to the store so far.
     store_len: u64,
-    /// Open brackets: transaction → (Begin LSN, Begin byte offset). A
-    /// Begin opens one, an End closes it — user and system transactions
-    /// alike, since both append here.
-    open: HashMap<TxnId, (Lsn, u64)>,
-    /// (first LSN, byte offset) of each batch handed to the store, oldest
-    /// first, pruned below the latest checkpoint's `scan_from`. The first
-    /// entry also stands for every older LSN (see [`Tail::offset_of`]).
-    batches: VecDeque<(Lsn, u64)>,
+    /// Open brackets: transaction → its Begin's LSN. A Begin opens one, an
+    /// End closes it — user and system transactions alike, since both
+    /// append here.
+    open: HashMap<TxnId, Lsn>,
+    /// The latest master checkpoint's `scan_from`: the lowest redo start a
+    /// recLSN can need (see [`LogManager::checkpoint`]).
+    redo_floor: u64,
 }
 
 impl Tail {
-    /// Byte offset of the next record appended.
+    /// LSN (byte offset) of the next record appended.
     fn end(&self) -> u64 {
         self.store_len + self.pending_bytes as u64
-    }
-
-    /// A byte offset at or before record `lsn`: the start of the batch
-    /// that carried it. An LSN older than every kept batch resolves to the
-    /// oldest one. That is safe for the recLSNs a checkpoint resolves: a
-    /// page whose recLSN predates the kept batches was clean (or not
-    /// resident) when the checkpoint that pruned them took its dirty-page
-    /// snapshot — had it been dirty, its recLSN would have held the batch
-    /// back — so every change it carries now was made after that
-    /// checkpoint began, which is at or after the oldest kept batch.
-    fn offset_of(&self, lsn: Lsn) -> u64 {
-        let i = self.batches.partition_point(|&(first, _)| first <= lsn);
-        self.batches[i.saturating_sub(1)].1
     }
 }
 
@@ -269,7 +284,8 @@ pub struct LogManager {
     /// next group-commit batch can form and append while the previous
     /// batch's sync is still in flight (the pipelined handoff seam).
     sync_lock: Mutex<()>,
-    next_lsn: AtomicU64,
+    /// LSN of the newest record appended (flushed or not).
+    last_lsn: AtomicU64,
     flushed_lsn: AtomicU64,
     /// Highest LSN whose bytes reached `store.append` (but are only durable
     /// once synced). Sits between `flushed_lsn` and the pending tail so a
@@ -302,42 +318,40 @@ pub struct WalObs {
 }
 
 impl LogManager {
-    /// Open a manager over `store`, scanning durable records to continue
-    /// the LSN sequence after a restart.
+    /// Open a manager over `store`: the next LSN is the store's length.
+    /// Only the header and the records from the master checkpoint on are
+    /// read; transaction ids continue above the checkpoint's `next_txn` and
+    /// every id after it.
     pub fn open(store: Box<dyn LogStore>) -> Result<LogManager> {
-        let bytes = store.read_from(0)?;
-        let (master_off, master_lsn) = store.get_master()?;
-        let mut max_lsn = 0u64;
-        let mut max_txn = 0u64;
-        // Restart reads from the master checkpoint's `scan_from`, so every
-        // change restart redoes lies at or after it: that is the offset
-        // any older recLSN resolves to from here on.
-        let mut restart = 0u64;
-        let mut off = 0usize;
-        while let Some((rec, used)) = LogRecord::decode_framed(&bytes[off..])? {
-            if off as u64 == master_off && rec.lsn == master_lsn {
-                if let RecordBody::Checkpoint { scan_from, .. } = rec.body {
-                    restart = scan_from;
+        check_header(&store.read_at(0, LOG_HEADER.len())?)?;
+        let master = store.get_master()?;
+        let (from, mut next_txn, mut redo_floor) = (LOG_HEADER_LEN, 1, LOG_HEADER_LEN);
+        let records = scan(store.as_ref(), if master.is_null() { from } else { master.0 })?.0;
+        if !master.is_null() {
+            match records.first() {
+                Some(LogRecord { body: RecordBody::Checkpoint { scan_from, next_txn: n, .. }, .. }) =>
+                {
+                    (next_txn, redo_floor) = (*n, *scan_from);
                 }
+                _ => return Err(Error::corruption("master pointer does not name its checkpoint")),
             }
-            max_lsn = max_lsn.max(rec.lsn.0);
-            max_txn = max_txn.max(rec.txn.0);
-            off += used;
         }
+        let next_txn = records.iter().map(|r| r.txn.0 + 1).fold(next_txn, u64::max);
+        let last = records.last().map_or(0, |r| r.lsn.0);
         Ok(LogManager {
-            store,
             tail: Mutex::new(Tail {
                 pending: Vec::new(),
                 pending_bytes: 0,
-                store_len: bytes.len() as u64,
+                store_len: store.len_bytes()?,
                 open: HashMap::new(),
-                batches: VecDeque::from([(Lsn::NULL, restart)]),
+                redo_floor,
             }),
+            store,
             sync_lock: Mutex::new(()),
-            next_lsn: AtomicU64::new(max_lsn + 1),
-            flushed_lsn: AtomicU64::new(max_lsn),
-            appended_lsn: AtomicU64::new(max_lsn),
-            next_txn: AtomicU64::new(max_txn + 1),
+            last_lsn: AtomicU64::new(last),
+            flushed_lsn: AtomicU64::new(last),
+            appended_lsn: AtomicU64::new(last),
+            next_txn: AtomicU64::new(next_txn),
             appended_records: AtomicU64::new(0),
             appended_bytes: AtomicU64::new(0),
             crash_probe: RwLock::new(None),
@@ -400,11 +414,10 @@ impl LogManager {
 
     /// [`LogManager::append`] body; caller holds the tail mutex.
     fn append_locked(&self, tail: &mut Tail, txn: TxnId, prev_lsn: Lsn, body: RecordBody) -> Lsn {
-        let lsn = Lsn(self.next_lsn.fetch_add(1, Ordering::SeqCst));
+        let lsn = Lsn(tail.end());
         match body {
             RecordBody::Begin { .. } => {
-                let at = tail.end();
-                tail.open.insert(txn, (lsn, at));
+                tail.open.insert(txn, lsn);
             }
             RecordBody::End => {
                 tail.open.remove(&txn);
@@ -417,6 +430,7 @@ impl LogManager {
         self.appended_bytes.fetch_add(bytes.len() as u64, Ordering::Relaxed);
         tail.pending_bytes += bytes.len();
         tail.pending.push(Pending { lsn, bytes });
+        self.last_lsn.store(lsn.0, Ordering::SeqCst);
         lsn
     }
 
@@ -431,10 +445,10 @@ impl LogManager {
         Lsn(self.appended_lsn.load(Ordering::SeqCst))
     }
 
-    /// Highest LSN allocated so far (flushed or not). Used as the snapshot
-    /// point of snapshot-isolation readers.
+    /// LSN of the newest record appended so far (flushed or not). Used as
+    /// the snapshot point of snapshot-isolation readers.
     pub fn last_allocated_lsn(&self) -> Lsn {
-        Lsn(self.next_lsn.load(Ordering::SeqCst).saturating_sub(1))
+        Lsn(self.last_lsn.load(Ordering::SeqCst))
     }
 
     /// Make every record with `lsn <= target` durable. The tail is written
@@ -503,14 +517,12 @@ impl LogManager {
             for p in &tail.pending[..split] {
                 buf.extend_from_slice(&p.bytes);
             }
-            let (first, last) = (tail.pending[0].lsn, tail.pending[split - 1].lsn);
+            let last = tail.pending[split - 1].lsn;
             self.probe("wal.flush_to.pre_append");
             let t0 = self.obs.clock.now();
             policy.run(&self.retry_counters, || self.store.append(&buf))?;
             self.obs.append_us.record(self.obs.clock.now().saturating_sub(t0));
             self.obs.batch_records.record(split as u64);
-            let at = tail.store_len;
-            tail.batches.push_back((first, at));
             tail.store_len += buf.len() as u64;
             tail.pending.drain(..split);
             tail.pending_bytes -= buf.len();
@@ -546,27 +558,29 @@ impl LogManager {
     }
 
     /// Flush the entire tail. The target watermark is taken under the tail
-    /// mutex: `append` allocates LSNs under the same mutex, so the target
+    /// mutex: `append` assigns LSNs under the same mutex, so the target
     /// is exactly "everything buffered when the flush started" and a
     /// pipelined appender racing in cannot extend it mid-flush.
     pub fn flush_all(&self) -> Result<()> {
         let target = {
             let _tail = self.tail.lock();
-            Lsn(self.next_lsn.load(Ordering::SeqCst).saturating_sub(1))
+            self.last_allocated_lsn()
         };
         self.flush_to(target)
     }
 
     /// Take a fuzzy checkpoint of `pool` and make it the master: the
-    /// record names `scan_from`, the byte offset restart reads from, which
-    /// is the earliest of
+    /// record names `scan_from`, the LSN restart reads from, which is the
+    /// earliest of
     ///
     /// * where the checkpoint began — the oldest open bracket's Begin, or
     ///   the log's end when none is open. Taken under the tail mutex, so no
     ///   `begin` can slip between the snapshot and the LSNs after it; undo
     ///   finds every loser's records from here on, and analysis adds the
     ///   page of every record from here on to the DPT itself;
-    /// * the offset of each dirty page's recLSN, where its redo starts.
+    /// * each dirty page's recLSN, where its redo starts — raised to the
+    ///   previous master's `scan_from`: a page clean at that checkpoint's
+    ///   snapshot made all its current changes after that checkpoint began.
     ///
     /// Before the dirty-page snapshot, frames with a null recLSN (no disk
     /// image since allocation) are written back. A null recLSN left in the
@@ -574,46 +588,41 @@ impl LogManager {
     /// began, so every change on it is logged at or after `begin` —
     /// analysis adds such a page itself, and the snapshot leaves it out.
     pub fn checkpoint(&self, pool: &Arc<BufferPool>) -> Result<Lsn> {
-        let (begin, begin_at) = {
+        let begin = {
             let tail = self.tail.lock();
-            let end = (Lsn(self.next_lsn.load(Ordering::SeqCst)), tail.end());
-            tail.open.values().copied().fold(end, std::cmp::min)
+            tail.open.values().copied().min().unwrap_or(Lsn(tail.end()))
         };
         pool.write_back_unanchored()?;
         let mut dirty = pool.dirty_pages();
         dirty.retain(|&(_, rec_lsn)| !rec_lsn.is_null());
-        let oldest_rec_lsn = dirty.iter().map(|&(_, l)| l).min();
-        let (lsn, offset, scan_from) = {
+        let (lsn, scan_from) = {
             let mut tail = self.tail.lock();
-            // `offset_of` is monotone, so the oldest recLSN sets the bound.
-            let scan_from = oldest_rec_lsn.map_or(begin_at, |l| tail.offset_of(l).min(begin_at));
-            let offset = tail.end();
-            let body = RecordBody::Checkpoint { scan_from, begin, dirty };
-            (self.append_locked(&mut tail, TxnId::NONE, Lsn::NULL, body), offset, scan_from)
+            let floor = tail.redo_floor;
+            let scan_from = dirty.iter().map(|&(_, l)| l.0.max(floor)).fold(begin.0, u64::min);
+            let next_txn = self.next_txn.load(Ordering::SeqCst);
+            let body = RecordBody::Checkpoint { scan_from, begin, next_txn, dirty };
+            (self.append_locked(&mut tail, TxnId::NONE, Lsn::NULL, body), scan_from)
         };
         self.flush_to(lsn)?;
-        let policy = *self.retry.lock();
-        policy.run(&self.retry_counters, || self.store.set_master(offset, lsn))?;
-        let mut tail = self.tail.lock();
-        let keep = tail.batches.partition_point(|&(_, at)| at <= scan_from);
-        tail.batches.drain(..keep.saturating_sub(1));
+        self.set_master_raw(lsn)?;
+        self.tail.lock().redo_floor = scan_from;
         Ok(lsn)
     }
 
-    /// Decode the one durable record that starts at byte `offset`, or
-    /// `None` if no whole record does.
-    pub fn read_record_at(&self, offset: u64) -> Result<Option<LogRecord>> {
-        let head = self.store.read_at(offset, 4)?;
+    /// Decode the one durable record whose LSN is `lsn`, or `None` if no
+    /// whole record starts there.
+    pub fn read_record_at(&self, lsn: Lsn) -> Result<Option<LogRecord>> {
+        let head = self.store.read_at(lsn.0, 4)?;
         if head.len() < 4 {
             return Ok(None);
         }
         let len = Reader::new(&head).u32()? as usize;
-        let bytes = self.store.read_at(offset, 12 + len)?;
-        Ok(LogRecord::decode_framed(&bytes)?.map(|(rec, _)| rec))
+        let bytes = self.store.read_at(lsn.0, 12 + len)?;
+        Ok(LogRecord::decode_framed(&bytes, lsn.0)?.map(|(rec, _)| rec))
     }
 
-    /// The persisted master checkpoint pointer (byte offset, LSN).
-    pub fn master(&self) -> Result<(u64, Lsn)> {
+    /// The persisted master checkpoint's LSN ([`Lsn::NULL`] when none).
+    pub fn master(&self) -> Result<Lsn> {
         self.store.get_master()
     }
 
@@ -628,63 +637,58 @@ impl LogManager {
     }
 
     /// Persist the master checkpoint pointer directly (follower replay:
-    /// the follower mirrors the leader's checkpoint at its own byte
-    /// offset after flushing all pages, without appending a new record).
-    pub fn set_master_raw(&self, offset: u64, lsn: Lsn) -> Result<()> {
+    /// the follower mirrors the leader's checkpoint after flushing all
+    /// pages, without appending a new record).
+    pub fn set_master_raw(&self, lsn: Lsn) -> Result<()> {
         let policy = *self.retry.lock();
-        policy.run(&self.retry_counters, || self.store.set_master(offset, lsn))
+        policy.run(&self.retry_counters, || self.store.set_master(lsn))
     }
 
-    /// Durably append pre-encoded record bytes, bypassing the in-memory
-    /// tail, and sync. Follower replay uses this to keep its log a
-    /// byte-identical prefix of the leader's: frames carry the leader's
-    /// framed encoding and must land verbatim (appending through the tail
-    /// would re-frame and could interleave with local records).
-    pub fn append_raw_durable(&self, bytes: &[u8]) -> Result<()> {
+    /// Durably append whole pre-encoded records, bypassing the in-memory
+    /// tail, and sync; returns them decoded. Follower replay uses this to
+    /// keep its log a byte-identical prefix of the leader's, so bytes that
+    /// are not whole records at this log's end are refused before they
+    /// land. The LSN watermarks advance over them, so follower snapshot
+    /// reads (which pin `last_allocated_lsn`) see them as durable.
+    pub fn append_raw_durable(&self, bytes: &[u8]) -> Result<Vec<LogRecord>> {
         let mut tail = self.tail.lock();
+        let (records, used) = decode_run(bytes, tail.store_len)?;
+        if used != bytes.len() {
+            return Err(Error::corruption("raw append ends inside a record"));
+        }
         self.store.append(bytes)?;
         tail.store_len += bytes.len() as u64;
-        self.store.sync()
+        self.store.sync()?;
+        if let Some(last) = records.last() {
+            for w in [&self.last_lsn, &self.appended_lsn, &self.flushed_lsn] {
+                w.fetch_max(last.lsn.0, Ordering::SeqCst);
+            }
+        }
+        Ok(records)
     }
 
-    /// Advance the LSN watermarks to cover records that reached the store
-    /// through [`LogManager::append_raw_durable`] rather than the tail, so
-    /// follower snapshot reads (which pin `last_allocated_lsn`) see the
-    /// ingested prefix as durable.
-    pub fn note_external_advance(&self, lsn: Lsn) {
-        self.next_lsn.fetch_max(lsn.0 + 1, Ordering::SeqCst);
-        self.appended_lsn.fetch_max(lsn.0, Ordering::SeqCst);
-        self.flushed_lsn.fetch_max(lsn.0, Ordering::SeqCst);
-    }
-
-    /// Snapshot of all durable records from byte `offset`, with the byte
-    /// offset of each record. Stops cleanly at a torn tail.
-    pub fn read_durable_from(&self, offset: u64) -> Result<Vec<(u64, LogRecord)>> {
+    /// Snapshot of all durable records from `offset` (an LSN, or 0 for the
+    /// first record). Stops cleanly at a torn tail.
+    pub fn read_durable_from(&self, offset: u64) -> Result<Vec<LogRecord>> {
         Ok(self.scan_durable(offset)?.0)
     }
 
     /// [`LogManager::read_durable_from`], plus how many bytes the store
     /// handed back for it.
-    pub fn scan_durable(&self, offset: u64) -> Result<(Vec<(u64, LogRecord)>, u64)> {
-        let bytes = self.store.read_from(offset)?;
-        let mut out = Vec::new();
-        let mut off = 0usize;
-        while let Some((rec, used)) = LogRecord::decode_framed(&bytes[off..])? {
-            out.push((offset + off as u64, rec));
-            off += used;
-        }
-        Ok((out, bytes.len() as u64))
+    pub fn scan_durable(&self, offset: u64) -> Result<(Vec<LogRecord>, u64)> {
+        scan(self.store.as_ref(), offset)
     }
 
     /// Simulate a crash: the un-flushed tail evaporates, and with it every
-    /// open bracket (restart closes the durable ones). LSN allocation
-    /// continues (recovery reopens with a fresh manager in real use; tests
-    /// may keep using this one).
+    /// open bracket (restart closes the durable ones). As on a reopen, the
+    /// next LSN is the store's length (recovery reopens with a fresh
+    /// manager in real use; tests may keep using this one).
     pub fn simulate_crash(&self) {
         let mut tail = self.tail.lock();
         tail.pending.clear();
         tail.pending_bytes = 0;
         tail.open.clear();
+        self.last_lsn.store(self.appended_lsn.load(Ordering::SeqCst), Ordering::SeqCst);
     }
 
     /// Total records appended since open (durable or not).
@@ -723,6 +727,25 @@ impl LogManager {
     }
 }
 
+/// Decode the durable records from `offset` (raised to the first record's
+/// LSN) to the first torn or missing one, plus the bytes read for them.
+fn scan(store: &dyn LogStore, offset: u64) -> Result<(Vec<LogRecord>, u64)> {
+    let from = offset.max(LOG_HEADER_LEN);
+    let bytes = store.read_from(from)?;
+    Ok((decode_run(&bytes, from)?.0, bytes.len() as u64))
+}
+
+/// Decode the whole records at the front of `bytes`, which start at LSN
+/// `at`, plus how many bytes they span.
+fn decode_run(bytes: &[u8], at: u64) -> Result<(Vec<LogRecord>, usize)> {
+    let (mut out, mut off) = (Vec::new(), 0usize);
+    while let Some((rec, used)) = LogRecord::decode_framed(&bytes[off..], at + off as u64)? {
+        out.push(rec);
+        off += used;
+    }
+    Ok((out, off))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -738,8 +761,7 @@ mod tests {
     }
 
     fn scan_from_of(log: &LogManager) -> u64 {
-        let (offset, _) = log.master().unwrap();
-        match log.read_record_at(offset).unwrap().unwrap().body {
+        match log.read_record_at(log.master().unwrap()).unwrap().unwrap().body {
             RecordBody::Checkpoint { scan_from, .. } => scan_from,
             other => panic!("master names {other:?}"),
         }
@@ -795,7 +817,7 @@ mod tests {
         log.simulate_crash();
         let recs = log.read_durable_from(0).unwrap();
         assert_eq!(recs.len(), 1);
-        assert!(matches!(recs[0].1.body, RecordBody::Begin { .. }));
+        assert!(matches!(recs[0].body, RecordBody::Begin { .. }));
     }
 
     #[test]
@@ -803,14 +825,14 @@ mod tests {
         let log = LogManager::in_memory();
         log.append(TxnId(1), Lsn::NULL, begin_body());
         let ck = log.checkpoint(&pool()).unwrap();
-        let (offset, lsn) = log.master().unwrap();
-        assert_eq!(lsn, ck);
-        let recs = log.read_durable_from(offset).unwrap();
+        assert_eq!(log.master().unwrap(), ck);
+        let recs = log.read_durable_from(ck.0).unwrap();
         assert_eq!(recs.len(), 1);
-        assert!(matches!(recs[0].1.body, RecordBody::Checkpoint { .. }));
-        assert_eq!(log.read_record_at(offset).unwrap().unwrap(), recs[0].1);
-        // Txn 1 is still open: restart must read from its Begin, byte 0.
-        assert_eq!(scan_from_of(&log), 0);
+        assert!(matches!(recs[0].body, RecordBody::Checkpoint { .. }));
+        assert_eq!(log.read_record_at(ck).unwrap().unwrap(), recs[0]);
+        // Txn 1 is still open: restart must read from its Begin, the
+        // first record.
+        assert_eq!(scan_from_of(&log), LOG_HEADER_LEN);
     }
 
     /// `scan_from` follows the oldest open bracket — user or system, both
@@ -823,7 +845,7 @@ mod tests {
         let u = log.append(TxnId(1), Lsn::NULL, begin_body());
         let s = log.append(TxnId(2), Lsn::NULL, RecordBody::Begin { kind: TxnKind::System });
         log.flush_all().unwrap();
-        let offsets: Vec<u64> = log.read_durable_from(0).unwrap().iter().map(|(o, _)| *o).collect();
+        let offsets: Vec<u64> = log.read_durable_from(0).unwrap().iter().map(|r| r.lsn.0).collect();
         log.checkpoint(&p).unwrap();
         assert_eq!(scan_from_of(&log), offsets[0], "user bracket opened first");
         log.append(TxnId(1), u, RecordBody::End);
@@ -848,7 +870,7 @@ mod tests {
         page.write().set_lsn(a);
         drop(page);
         p.flush_all().unwrap();
-        let a_at = log.read_durable_from(0).unwrap()[0].0;
+        let a_at = log.read_durable_from(0).unwrap()[0].lsn.0;
         // Re-dirty the page: its recLSN is `a`, in the first batch.
         let b = log.append(TxnId(2), Lsn::NULL, RecordBody::Commit);
         log.flush_all().unwrap();
@@ -868,11 +890,13 @@ mod tests {
             first_lsn = log.append(TxnId(1), Lsn::NULL, begin_body());
             log.flush_all().unwrap();
             // Copy durable bytes into `store` to model the same file.
-            store.append(&log.read_durable_from(0).unwrap()[0].1.encode_framed()).unwrap();
+            store.append(&log.read_durable_from(0).unwrap()[0].encode_framed()).unwrap();
         }
+        let len = store.len_bytes().unwrap();
         let log2 = LogManager::open(Box::new(store)).unwrap();
         let next = log2.append(TxnId(2), Lsn::NULL, begin_body());
         assert!(next > first_lsn);
+        assert_eq!(next, Lsn(len), "the next LSN is the store length");
     }
 
     #[test]
@@ -892,11 +916,11 @@ mod tests {
             let log = LogManager::open(Box::new(FileLogStore::open(&path).unwrap())).unwrap();
             let recs = log.read_durable_from(0).unwrap();
             assert_eq!(recs.len(), 2);
-            let (off, lsn) = log.master().unwrap();
+            let lsn = log.master().unwrap();
             assert!(lsn > Lsn::NULL);
-            assert_eq!(log.read_durable_from(off).unwrap()[0].1.lsn, lsn);
-            assert_eq!(log.read_record_at(off).unwrap().unwrap().lsn, lsn);
-            assert_eq!(scan_from_of(&log), 0, "txn 1 never ended");
+            assert_eq!(log.read_durable_from(lsn.0).unwrap()[0].lsn, lsn);
+            assert_eq!(log.read_record_at(lsn).unwrap().unwrap().lsn, lsn);
+            assert_eq!(scan_from_of(&log), LOG_HEADER_LEN, "txn 1 never ended");
         }
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(dir.join("test.wal.master"));
@@ -940,8 +964,8 @@ mod tests {
         assert_eq!(log.flushed_lsn(), b);
         let recs = log.read_durable_from(0).unwrap();
         assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0].1.lsn, a);
-        assert_eq!(recs[1].1.lsn, b);
+        assert_eq!(recs[0].lsn, a);
+        assert_eq!(recs[1].lsn, b);
     }
 
     #[test]
@@ -964,7 +988,7 @@ mod tests {
         assert_eq!(log.flushed_lsn(), a);
         let recs = log.read_durable_from(0).unwrap();
         assert_eq!(recs.len(), 1, "sync retry must not duplicate the append");
-        assert_eq!(recs[0].1.lsn, a);
+        assert_eq!(recs[0].lsn, a);
     }
 
     #[test]
@@ -980,7 +1004,7 @@ mod tests {
         // fault it.
         clock.arm(&FaultSchedule { faults: vec![(2, FaultKind::Transient)] });
         let ck = log.checkpoint(&pool()).unwrap();
-        assert_eq!(log.master().unwrap().1, ck);
+        assert_eq!(log.master().unwrap(), ck);
         assert!(log.io_retry_stats().retries >= 1);
     }
 
@@ -1012,7 +1036,7 @@ mod tests {
         assert_eq!(log.flushed_lsn(), b);
         let recs = log.read_durable_from(0).unwrap();
         assert_eq!(recs.len(), 2);
-        assert!(recs[0].1.lsn < recs[1].1.lsn);
+        assert!(recs[0].lsn < recs[1].lsn);
     }
 
     #[test]
@@ -1085,7 +1109,7 @@ mod tests {
         let recs = log.read_durable_from(0).unwrap();
         assert_eq!(recs.len(), 800);
         for w in recs.windows(2) {
-            assert!(w[0].1.lsn < w[1].1.lsn, "log must be LSN-ordered");
+            assert!(w[0].lsn < w[1].lsn, "log must be LSN-ordered");
         }
     }
 }

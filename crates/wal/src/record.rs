@@ -6,8 +6,10 @@
 //! [ total_len:u32 | checksum:u64 | lsn:u64 | prev_lsn:u64 | txn:u64 | body ]
 //! ```
 //!
-//! `prev_lsn` back-chains the records of one transaction (used by rollback
-//! and crash-undo). The checksum covers everything after itself; a torn tail
+//! `lsn` is the byte offset the record sits at in the log; the decoder is
+//! told that offset and refuses a record that stores another. `prev_lsn`
+//! back-chains the records of one transaction (used by rollback and
+//! crash-undo). The checksum covers everything after itself; a torn tail
 //! after a crash is detected and treated as end-of-log.
 
 use txview_common::codec::{checksum64, Reader, Writer};
@@ -347,19 +349,22 @@ pub enum RecordBody {
         /// Where undo continues after this compensation.
         undo_next: Lsn,
     },
-    /// Fuzzy checkpoint: where restart must start reading, and the
-    /// dirty-page table. The active-transaction table is not stored: the
-    /// scan starts at or before every bracket still open, so restart
-    /// rebuilds it from the records themselves.
+    /// Fuzzy checkpoint: where restart must start reading, the next
+    /// transaction id, and the dirty-page table. The active-transaction
+    /// table is not stored: the scan starts at or before every bracket
+    /// still open, so restart rebuilds it from the records themselves.
     Checkpoint {
-        /// Byte offset restart reads the log from: the earliest of the
-        /// oldest open bracket's Begin, the dirty pages' recLSNs and the
-        /// point the checkpoint began.
+        /// LSN restart reads the log from: the earliest of the oldest open
+        /// bracket's Begin, the dirty pages' recLSNs and the point the
+        /// checkpoint began.
         scan_from: u64,
         /// LSN the checkpoint began at. Page records from here on may
         /// postdate the dirty-page snapshot, so analysis adds their pages
         /// to the DPT itself; older ones are covered by `dirty`.
         begin: Lsn,
+        /// Every transaction id allocated before this record is below it;
+        /// restart allocates from here (or above any later record's id).
+        next_txn: u64,
         /// (page, recLSN) of each dirty page at checkpoint.
         dirty: Vec<(PageId, Lsn)>,
     },
@@ -368,7 +373,7 @@ pub enum RecordBody {
 /// A fully decoded log record.
 #[derive(Clone, PartialEq, Debug)]
 pub struct LogRecord {
-    /// This record's LSN.
+    /// This record's LSN: the byte offset it sits at in the log.
     pub lsn: Lsn,
     /// Previous record of the same transaction (back-chain), or null.
     pub prev_lsn: Lsn,
@@ -409,10 +414,10 @@ impl LogRecord {
                 redo.encode(&mut w);
                 w.lsn(*undo_next);
             }
-            RecordBody::Checkpoint { scan_from, begin, dirty } => {
+            RecordBody::Checkpoint { scan_from, begin, next_txn, dirty } => {
                 // Tag 7 was the retired layout that carried an active-
                 // transaction list; it decodes to corruption below.
-                w.u8(8).u64(*scan_from).lsn(*begin);
+                w.u8(8).u64(*scan_from).lsn(*begin).u64(*next_txn);
                 w.u32(dirty.len() as u32);
                 for (p, l) in dirty {
                     w.page(*p).lsn(*l);
@@ -427,9 +432,11 @@ impl LogRecord {
         framed.into_bytes()
     }
 
-    /// Decode one framed record from `buf`, returning it and the bytes
-    /// consumed. Returns `Ok(None)` for a clean end / torn tail.
-    pub fn decode_framed(buf: &[u8]) -> Result<Option<(LogRecord, usize)>> {
+    /// Decode one framed record from `buf`, which starts at LSN `at` in
+    /// the log, returning it and the bytes consumed. Returns `Ok(None)` for
+    /// a clean end / torn tail, and `Corruption` for a whole record that
+    /// stores an LSN other than `at`: it was written somewhere else.
+    pub fn decode_framed(buf: &[u8], at: u64) -> Result<Option<(LogRecord, usize)>> {
         if buf.len() < 12 {
             return Ok(None);
         }
@@ -445,6 +452,9 @@ impl LogRecord {
         }
         let mut r = Reader::new(payload);
         let lsn = r.lsn()?;
+        if lsn.0 != at {
+            return Err(Error::corruption(format!("record at offset {at} stores {lsn:?}")));
+        }
         let prev_lsn = r.lsn()?;
         let txn = r.txn()?;
         let body = match r.u8()? {
@@ -470,12 +480,13 @@ impl LogRecord {
             8 => {
                 let scan_from = r.u64()?;
                 let begin = r.lsn()?;
+                let next_txn = r.u64()?;
                 let nd = r.u32()? as usize;
                 let mut dirty = Vec::with_capacity(nd);
                 for _ in 0..nd {
                     dirty.push((r.page()?, r.lsn()?));
                 }
-                RecordBody::Checkpoint { scan_from, begin, dirty }
+                RecordBody::Checkpoint { scan_from, begin, next_txn, dirty }
             }
             t => return Err(Error::corruption(format!("bad record tag {t}"))),
         };
@@ -489,7 +500,7 @@ mod tests {
 
     fn roundtrip(rec: &LogRecord) {
         let bytes = rec.encode_framed();
-        let (back, used) = LogRecord::decode_framed(&bytes).unwrap().unwrap();
+        let (back, used) = LogRecord::decode_framed(&bytes, rec.lsn.0).unwrap().unwrap();
         assert_eq!(used, bytes.len());
         assert_eq!(&back, rec);
     }
@@ -524,6 +535,7 @@ mod tests {
             RecordBody::Checkpoint {
                 scan_from: 4096,
                 begin: Lsn(40),
+                next_txn: 12,
                 dirty: vec![(PageId(1), Lsn(30)), (PageId(2), Lsn(35))],
             },
         ];
@@ -547,7 +559,7 @@ mod tests {
         };
         let bytes = rec.encode_framed();
         for cut in 0..bytes.len() {
-            assert!(LogRecord::decode_framed(&bytes[..cut]).unwrap().is_none());
+            assert!(LogRecord::decode_framed(&bytes[..cut], 1).unwrap().is_none());
         }
     }
 
@@ -562,7 +574,7 @@ mod tests {
         let mut bytes = rec.encode_framed();
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
-        assert!(LogRecord::decode_framed(&bytes).unwrap().is_none());
+        assert!(LogRecord::decode_framed(&bytes, 1).unwrap().is_none());
     }
 
     /// The retired checkpoint layout (tag 7: an active-transaction list,
@@ -575,7 +587,7 @@ mod tests {
         let payload = w.into_bytes();
         let mut framed = Writer::with_capacity(payload.len() + 12);
         framed.u32(payload.len() as u32).u64(checksum64(&payload)).raw(&payload);
-        let err = LogRecord::decode_framed(&framed.into_bytes()).unwrap_err();
+        let err = LogRecord::decode_framed(&framed.into_bytes(), 9).unwrap_err();
         assert!(matches!(err, Error::Corruption(_)), "got {err:?}");
     }
 

@@ -3,7 +3,7 @@
 //! * **Read** decodes the durable log from the master checkpoint's
 //!   `scan_from` — at or before every bracket still open and every dirty
 //!   page's recLSN (see `LogManager::checkpoint`) — and nothing before it.
-//!   Without a master checkpoint it reads from byte 0.
+//!   Without a master checkpoint it reads the whole log.
 //! * **Analysis** rebuilds the active-transaction table (ATT) from those
 //!   records — a transaction's first record enters it as active — and the
 //!   dirty-page table (DPT): the checkpoint's snapshot, merged at the
@@ -19,7 +19,9 @@
 //!   operations) are delegated to the engine through [`UndoHandler`], which
 //!   re-traverses the index and writes CLRs. CLRs encountered in the log
 //!   jump straight to their `undo_next`, so rollback never regresses. Undo
-//!   finds each record by binary search over the LSN-sorted records read.
+//!   finds each record by binary search over the records read, which are
+//!   LSN-sorted by construction: an LSN is the offset a record was read
+//!   from. An undo chain that leaves them is refused, not followed.
 //!
 //! Note on CLR back-chains: crash-undo CLRs use a null `prev_lsn` (only
 //! `undo_next` drives this algorithm), but *runtime* rollback CLRs are
@@ -53,8 +55,8 @@ pub trait UndoHandler {
 /// What recovery did, for assertions and the E5 experiment.
 #[derive(Debug, Default, Clone)]
 pub struct RecoveryReport {
-    /// Byte offset the log was read from (the master checkpoint's
-    /// `scan_from`, or 0 without one).
+    /// LSN the log was read from (the master checkpoint's `scan_from`, or
+    /// 0 — the first record — without one).
     pub scan_from: u64,
     /// Bytes the read phase took from the log store.
     pub bytes_read: u64,
@@ -135,14 +137,12 @@ pub fn recover(
 
     // ---- Read -----------------------------------------------------------
     let t = Instant::now();
-    let (master_at, master_lsn) = log.master()?;
+    let master_lsn = log.master()?;
     let (scan_from, begin) = if master_lsn.is_null() {
         (0, Lsn::NULL)
     } else {
-        match log.read_record_at(master_at)? {
-            Some(LogRecord { lsn, body: RecordBody::Checkpoint { scan_from, begin, .. }, .. })
-                if lsn == master_lsn =>
-            {
+        match log.read_record_at(master_lsn)? {
+            Some(LogRecord { body: RecordBody::Checkpoint { scan_from, begin, .. }, .. }) => {
                 (scan_from, begin)
             }
             _ => return Err(Error::corruption("master pointer does not name its checkpoint")),
@@ -158,14 +158,8 @@ pub fn recover(
     let t0 = Instant::now();
     let mut att: HashMap<TxnId, Att> = HashMap::new();
     let mut dpt: HashMap<PageId, Lsn> = HashMap::new();
-    let mut prev = Lsn::NULL;
-    for (_, rec) in &records {
+    for rec in &records {
         report.analysis_records += 1;
-        // Undo's binary search needs the LSN order the log is written in.
-        if rec.lsn <= prev {
-            return Err(Error::corruption(format!("log out of LSN order at {:?}", rec.lsn)));
-        }
-        prev = rec.lsn;
         match &rec.body {
             RecordBody::Checkpoint { dirty, .. } => {
                 if rec.lsn == master_lsn {
@@ -196,8 +190,8 @@ pub fn recover(
     // ---- Redo -----------------------------------------------------------
     let t1 = Instant::now();
     if let Some(&redo_from) = dpt.values().min() {
-        let from = records.partition_point(|(_, r)| r.lsn < redo_from);
-        for (_, rec) in &records[from..] {
+        let from = records.partition_point(|r| r.lsn < redo_from);
+        for rec in &records[from..] {
             let page = match &rec.body {
                 RecordBody::Update { page, .. } | RecordBody::Clr { page, .. } => page,
                 _ => continue,
@@ -233,8 +227,8 @@ pub fn recover(
             log.append(txn, Lsn::NULL, RecordBody::End);
             continue;
         }
-        let rec: &LogRecord = match records.binary_search_by_key(&lsn, |(_, r)| r.lsn) {
-            Ok(i) => &records[i].1,
+        let rec: &LogRecord = match records.binary_search_by_key(&lsn, |r| r.lsn) {
+            Ok(i) => &records[i],
             Err(_) => {
                 return Err(Error::corruption(format!("undo chain points at missing {lsn:?}")))
             }
@@ -375,7 +369,7 @@ mod tests {
             let lsn =
                 log.append(TxnId(1), Lsn::NULL, RecordBody::Update { page: pid, redo, undo: UndoOp::None });
             log.flush_to(lsn).unwrap();
-            let (_, rec) = log.read_durable_from(0).unwrap().into_iter().find(|(_, r)| r.lsn == lsn).unwrap();
+            let rec = log.read_record_at(lsn).unwrap().unwrap();
             match redo_record(&pool, &rec) {
                 Err(Error::Corruption(m)) => assert!(m.contains(&format!("bad page type {ty}")), "{m}"),
                 Err(e) => panic!("tag {ty}: expected corruption, got {e}"),
@@ -599,7 +593,7 @@ mod tests {
         let l1 = do_insert(&log, &pool, loser, b, pid, 0, b"k1", u1);
         // Stolen to disk: no dirty page holds the scan back, only the loser.
         pool.flush_all().unwrap();
-        let begin_at = log.read_durable_from(0).unwrap().iter().find(|(_, r)| r.lsn == b).unwrap().0;
+        let begin_at = b.0;
         log.checkpoint(&pool).unwrap();
         let u2 = UndoOp::IndexInsert { index: IndexId(1), key: vec![2] };
         let l2 = do_insert(&log, &pool, loser, l1, pid, 1, b"k2", u2);
@@ -690,10 +684,10 @@ mod tests {
         pool.flush_all().unwrap(); // stolen, so the empty DPT is truthful
         let at = log.durable_len().unwrap();
         let begin = Lsn(log.last_allocated_lsn().0 + 1);
-        let body = RecordBody::Checkpoint { scan_from: at, begin, dirty: vec![] };
+        let body = RecordBody::Checkpoint { scan_from: at, begin, next_txn: 0, dirty: vec![] };
         let ck = log.append(TxnId::NONE, Lsn::NULL, body);
         log.flush_to(ck).unwrap();
-        log.set_master_raw(at, ck).unwrap();
+        log.set_master_raw(ck).unwrap();
         let undo1 = UndoOp::Page { page: pid, op: RedoOp::SlotRemove { idx: 1 } };
         let l2 = do_insert(&log, &pool, sys, l1, pid, 1, b"smo-2", undo1);
         log.flush_to(l2).unwrap();
@@ -759,23 +753,27 @@ mod tests {
         let report = recover(&log, &pool, &NoopHandler).unwrap();
         assert_eq!(report.scan_from, 0);
         assert_eq!(report.records_read, total);
-        assert_eq!(report.bytes_read, durable);
+        assert_eq!(report.bytes_read, durable - crate::log::LOG_HEADER_LEN);
     }
 
     /// A master pointer naming a retired-layout checkpoint (tag 7) is
-    /// refused as corruption.
+    /// refused as corruption — already when the log is opened.
     #[test]
     fn retired_checkpoint_layout_is_refused() {
+        use crate::log::{LogStore, MemLogStore};
         use txview_common::codec::{checksum64, Writer};
-        let (log, pool) = setup();
         let mut w = Writer::with_capacity(32);
-        w.lsn(Lsn(1)).lsn(Lsn::NULL).txn(TxnId::NONE).u8(7).u32(0).u32(0);
+        w.lsn(Lsn(8)).lsn(Lsn::NULL).txn(TxnId::NONE).u8(7).u32(0).u32(0);
         let payload = w.into_bytes();
         let mut framed = Writer::with_capacity(payload.len() + 12);
         framed.u32(payload.len() as u32).u64(checksum64(&payload)).raw(&payload);
-        log.append_raw_durable(&framed.into_bytes()).unwrap();
-        log.set_master_raw(0, Lsn(1)).unwrap();
-        let err = recover(&log, &pool, &NoopHandler).unwrap_err();
-        assert!(matches!(err, Error::Corruption(_)), "got {err:?}");
+        let store = MemLogStore::new();
+        store.append(&framed.into_bytes()).unwrap();
+        store.set_master(Lsn(8)).unwrap();
+        match LogManager::open(Box::new(store)) {
+            Err(Error::Corruption(m)) => assert!(m.contains("tag 7"), "{m}"),
+            Err(e) => panic!("expected corruption, got {e}"),
+            Ok(_) => panic!("a log whose master names a tag-7 record opened"),
+        }
     }
 }

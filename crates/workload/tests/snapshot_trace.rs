@@ -94,7 +94,7 @@ fn trace_snapshot_tear() {
             let records = db.log().read_durable_from(0).unwrap();
             // txn -> commit lsn
             let mut commit_of: Map<u64, u64> = Map::new();
-            for (_, r) in &records {
+            for r in &records {
                 if matches!(r.body, RecordBody::Commit) {
                     commit_of.insert(r.txn.0, r.lsn.0);
                 }
@@ -103,7 +103,7 @@ fn trace_snapshot_tear() {
                 let key = txview_common::Key::from_values(&[Value::Int(b)]);
                 // logged sum-delta per commit lsn (escrow Update records only)
                 let mut logged: Map<u64, i64> = Map::new();
-                for (_, r) in &records {
+                for r in &records {
                     if let RecordBody::Update { undo: UndoOp::Escrow { key: k, deltas, .. }, .. } = &r.body {
                         if k == key.as_bytes() {
                             if let Some(&cl) = commit_of.get(&r.txn.0) {

@@ -197,3 +197,39 @@ fn catalog_view_tag_is_reserved_zero() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The master pointer file is exactly (LSN, epoch). One of any other
+/// length — here a torn 5-byte write — is corruption, not "no checkpoint"
+/// (which would send restart down the wrong path without a word).
+#[test]
+fn short_master_file_is_corruption() {
+    let dir = fresh_dir("shortmaster");
+    {
+        let (db, _) = Database::open_dir(&dir, 64, Duration::from_secs(5)).unwrap();
+        db.create_table("orders", schema()).unwrap();
+        db.checkpoint().unwrap();
+    }
+    std::fs::write(dir.join("wal.log.master"), [1u8, 2, 3, 4, 5]).unwrap();
+    match Database::open_dir(&dir, 64, Duration::from_secs(5)) {
+        Err(Error::Corruption(m)) => assert!(m.contains("master"), "{m}"),
+        Err(e) => panic!("expected corruption, got {e}"),
+        Ok(_) => panic!("a 5-byte master file opened"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Only a missing catalog means "no catalog". A catalog path that cannot
+/// be read (here: a directory stands in its place) is an error, not an
+/// empty database.
+#[test]
+fn unreadable_catalog_is_an_error() {
+    let dir = fresh_dir("catalogdir");
+    {
+        let (db, _) = Database::open_dir(&dir, 64, Duration::from_secs(5)).unwrap();
+        db.create_table("orders", schema()).unwrap();
+    }
+    std::fs::remove_file(dir.join("catalog.bin")).unwrap();
+    std::fs::create_dir(dir.join("catalog.bin")).unwrap();
+    assert!(Database::open_dir(&dir, 64, Duration::from_secs(5)).is_err());
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -19,6 +19,7 @@ use txview_engine::{
     AggSpec, Database, IsolationLevel, MaintenanceMode, Predicate, ViewSource, ViewSpec,
 };
 use txview_storage::fault::{FaultClock, FaultDisk};
+use txview_wal::log::LOG_HEADER;
 use txview_wal::{FaultLogStore, LogRecord, LogStore};
 
 /// Build a small leader (accounts table + escrow sum view), run `txns`
@@ -86,15 +87,9 @@ fn shipped_log(seed: u64, txns: usize) -> (Vec<u8>, Vec<u8>) {
 /// stream's re-encoder would at batch size 1.
 fn cut_frames(shipped: &[u8]) -> Vec<Frame> {
     let mut frames = Vec::new();
-    let mut off = 0usize;
-    while let Some((rec, used)) = LogRecord::decode_framed(&shipped[off..]).unwrap() {
-        frames.push(Frame::new(
-            0,
-            off as u64,
-            rec.lsn,
-            rec.lsn,
-            shipped[off..off + used].to_vec(),
-        ));
+    let mut off = LOG_HEADER.len();
+    while let Some((_, used)) = LogRecord::decode_framed(&shipped[off..], off as u64).unwrap() {
+        frames.push(Frame::new(0, off as u64, shipped[off..off + used].to_vec()));
         off += used;
     }
     assert_eq!(off, shipped.len(), "shipped log must cut into whole frames");
@@ -144,7 +139,7 @@ proptest! {
         // Reference: strict in-order replay of every frame.
         let mut inorder = fresh_follower(&catalog, buffer);
         feed(&mut inorder, &ch, &frames);
-        prop_assert_eq!(inorder.watermark(), frames.last().unwrap().end_lsn);
+        prop_assert_eq!(inorder.durable_len(), frames.last().unwrap().end());
         prop_assert_eq!(inorder.durable_len(), shipped.len() as u64);
         let want = state_fp(inorder.db());
 
@@ -173,7 +168,7 @@ proptest! {
         prop_assert!(f.durable_len() <= shipped.len() as u64);
         // In-order retransmit (go-back-N from offset 0) completes replay.
         feed(&mut f, &ch, &frames);
-        prop_assert_eq!(f.watermark(), inorder.watermark());
+        prop_assert_eq!(f.durable_len(), inorder.durable_len());
         prop_assert_eq!(f.durable_len(), shipped.len() as u64);
         prop_assert_eq!(state_fp(f.db()), want.clone());
         // The follower's own log is byte-identical to the leader's.
