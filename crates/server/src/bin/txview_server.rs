@@ -32,7 +32,6 @@ fn main() {
     let sync_us: u64 = arg_num(&args, "--sync-us", 0);
     let workers: usize = arg_num(&args, "--workers", 4);
     let max_sessions: usize = arg_num(&args, "--max-sessions", 64);
-    let queue_depth: usize = arg_num(&args, "--queue-depth", 128);
     let pipeline = args.iter().any(|a| a == "--pipeline");
     let addr_file = arg_val(&args, "--addr-file");
 
@@ -45,12 +44,7 @@ fn main() {
     })
     .expect("bank setup");
 
-    let cfg = ServerConfig {
-        workers,
-        max_sessions,
-        queue_depth,
-        ..Default::default()
-    };
+    let cfg = ServerConfig { workers, max_sessions, ..Default::default() };
     let server = Server::start(bank.db.clone(), &format!("127.0.0.1:{port}"), cfg)
         .expect("server start");
     let addr = server.local_addr();

@@ -2,11 +2,12 @@
 //!
 //! * [`wire`] — length-prefixed, checksummed frames carrying a compact
 //!   binary request/response protocol with a stable error-code taxonomy.
-//! * [`session`] — per-connection transaction state; one request in
-//!   flight per session keeps the engine's `&mut Transaction` borrow
-//!   discipline intact across a shared worker pool.
-//! * [`server`] — accept/reader/worker threads, admission control wired
-//!   to the engine health machine, bounded-queue backpressure, and the
+//! * [`session`] — per-connection transaction state, owned and executed
+//!   by its connection's thread, which keeps the engine's
+//!   `&mut Transaction` borrow discipline intact.
+//! * [`server`] — an accept thread and one thread per connection that
+//!   executes its own requests under `workers` permits, admission control
+//!   wired to the engine health machine, TCP backpressure, and the
 //!   graceful-drain vs abortive-kill shutdown pair.
 //! * [`client`] — the blocking reference client.
 //! * [`load`] — the open-loop load generator behind E16.

@@ -1,4 +1,5 @@
-//! The TCP server: N connections multiplexed onto a bounded worker pool.
+//! The TCP server: one thread per connection, at most `workers` of them
+//! executing at once.
 //!
 //! ## Threads
 //!
@@ -7,29 +8,30 @@
 //!   [`WireErrorCode::Overloaded`] frame and dropped; a fenced engine
 //!   answers [`WireErrorCode::Fenced`] and drops. Nothing is queued for a
 //!   connection the server cannot serve.
-//! * **one reader per connection** — parses frames off the socket and
-//!   enqueues jobs. A session never has more than one request in flight
-//!   (per-session `in_flight` flag), so responses come back in request
-//!   order and the engine's `&mut Transaction` discipline holds. The job
-//!   queue is **bounded**: a full queue blocks the reader, which stops
-//!   reading its socket, which backpressures the client through TCP —
-//!   offered load beyond capacity turns into queueing delay at the
-//!   client, never unbounded memory here.
-//! * **W workers** — execute requests against the engine and write the
-//!   response frame.
+//! * **one thread per connection** — owns its [`Session`] and executes its
+//!   own requests: read a frame, take one of `workers` execution permits,
+//!   execute, give the permit back, write the reply. Requests on one
+//!   connection run one after another, so replies come back in request
+//!   order and the engine's `&mut Transaction` discipline holds by
+//!   construction. The thread reads its socket again only after replying
+//!   to every frame it has buffered: a client that sends faster than the
+//!   engine serves is backpressured through TCP, never queued here. The
+//!   permit is released *before* the reply write, so a client that stops
+//!   reading stalls only its own thread (for the write timeout), never a
+//!   permit.
 //!
 //! ## Shutdown (the ordering that makes acks honest)
 //!
-//! [`Server::shutdown`] drains: stop accepting → readers stop at a frame
-//! boundary → queued + in-flight requests finish and their responses are
-//! written → idle open transactions are rolled back → **the commit
-//! pipeline drains and the WAL tail is flushed** (`Database::drain_commits`)
-//! → workers stop. Every ack the server ever wrote corresponds to a commit
-//! that was durable before the process let go of the log.
+//! [`Server::shutdown`] drains: stop accepting → each connection thread
+//! finishes its request, writes its reply and stops at a frame boundary,
+//! rolling back an idle open transaction → **the commit pipeline drains and
+//! the WAL tail is flushed** (`Database::drain_commits`). Every ack the
+//! server ever wrote corresponds to a commit that was durable before the
+//! process let go of the log.
 //!
 //! [`Server::kill_now`] is the abortive path for crash drills: it
 //! atomically stops response writes and severs every client socket, and is
-//! safe to call from *inside* a worker (e.g. a WAL crash-probe callback) —
+//! safe to call from *inside* a request (e.g. a WAL crash-probe callback) —
 //! it never joins threads. After a kill, no ack is emitted for any commit
 //! whose durability the crash may retract; callers then freeze the fault
 //! store and check recovery against the set of acks that actually escaped.
@@ -37,10 +39,10 @@
 use crate::session::{Disposition, Session};
 use crate::wire::{self, Request, Response, WireErrorCode};
 use parking_lot::{Condvar, Mutex};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -50,13 +52,12 @@ use txview_engine::{Database, HealthState};
 /// Tuning knobs for [`Server::start`].
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Worker threads executing requests.
+    /// Requests executing at once; a connection thread beyond this waits
+    /// for a permit before it executes.
     pub workers: usize,
     /// Admission cap on concurrent sessions; excess connections are shed
     /// with a retryable `Overloaded` error.
     pub max_sessions: usize,
-    /// Bound on queued (not yet executing) requests across all sessions.
-    pub queue_depth: usize,
     /// Socket read timeout — the cadence at which blocked readers notice
     /// state changes. Smaller = snappier shutdown, more wakeups.
     pub poll_interval: Duration,
@@ -64,20 +65,14 @@ pub struct ServerConfig {
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
-        ServerConfig {
-            workers: 4,
-            max_sessions: 64,
-            queue_depth: 128,
-            poll_interval: Duration::from_millis(25),
-        }
+        ServerConfig { workers: 4, max_sessions: 64, poll_interval: Duration::from_millis(25) }
     }
 }
 
 /// Run-state lattice; transitions only move right.
 const RUNNING: u8 = 0;
 const DRAINING: u8 = 1;
-const STOPPED: u8 = 2;
-const KILLED: u8 = 3;
+const KILLED: u8 = 2;
 
 /// Monotonic counters, snapshotted by [`Server::stats`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -109,51 +104,18 @@ struct Stats {
     protocol_errors: AtomicU64,
 }
 
-struct SessionHandle {
-    id: u64,
-    /// The accept-side socket handle, kept for abortive teardown.
-    stream: TcpStream,
-    /// Clone used by workers to write responses.
-    write: Mutex<TcpStream>,
-    sess: Mutex<Session>,
-    /// True while a request from this session is queued or executing.
-    /// Readers wait on it before enqueueing the next frame (per-session
-    /// ordering); teardown waits on it before rolling back the session.
-    in_flight: Mutex<bool>,
-    in_flight_cv: Condvar,
-    /// Set when the connection must close (client EOF, protocol error,
-    /// fenced disposition).
-    closing: AtomicBool,
-}
-
-impl SessionHandle {
-    fn finish_in_flight(&self, inner: &Inner) {
-        let mut f = self.in_flight.lock();
-        *f = false;
-        self.in_flight_cv.notify_all();
-        drop(f);
-        inner.in_flight_count.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-struct Job {
-    session: Arc<SessionHandle>,
-    payload: Vec<u8>,
-}
-
 struct Inner {
     db: Arc<Database>,
     cfg: ServerConfig,
     state: AtomicU8,
-    queue: Mutex<VecDeque<Job>>,
-    /// Signalled when the queue gains a job or the state changes.
-    queue_cv: Condvar,
-    /// Signalled when the queue loses a job (backpressured readers wait).
-    space_cv: Condvar,
-    sessions: Mutex<HashMap<u64, Arc<SessionHandle>>>,
+    /// Free execution permits, `workers` of them.
+    permits: Mutex<usize>,
+    /// Signalled when a permit comes back or the state changes.
+    permit_cv: Condvar,
+    /// A clone of each live connection's socket, for [`ServerKiller`]'s
+    /// abortive teardown and the `max_sessions` count.
+    sessions: Mutex<HashMap<u64, TcpStream>>,
     next_session: AtomicU64,
-    /// Jobs enqueued but not yet finished (queued + executing).
-    in_flight_count: AtomicU64,
     stats: Stats,
 }
 
@@ -171,12 +133,14 @@ impl Inner {
                 Err(now) => cur = now,
             }
         }
-        self.queue_cv.notify_all();
-        self.space_cv.notify_all();
+        // Under the permit lock: a permit waiter checks the state under the
+        // same lock before it sleeps, so it cannot miss this wake.
+        let _permits = self.permits.lock();
+        self.permit_cv.notify_all();
     }
 }
 
-/// Cloneable abortive-kill handle, safe to invoke from worker context
+/// Cloneable abortive-kill handle, safe to invoke while a request executes
 /// (e.g. inside a WAL crash probe). See [`Server::kill_now`].
 #[derive(Clone)]
 pub struct ServerKiller {
@@ -188,9 +152,8 @@ impl ServerKiller {
     /// every client socket. Never blocks on thread joins.
     pub fn kill_now(&self) {
         self.inner.advance_state(KILLED);
-        let sessions = self.inner.sessions.lock();
-        for sh in sessions.values() {
-            let _ = sh.stream.shutdown(std::net::Shutdown::Both);
+        for stream in self.inner.sessions.lock().values() {
+            let _ = stream.shutdown(std::net::Shutdown::Both);
         }
     }
 }
@@ -199,9 +162,8 @@ impl ServerKiller {
 pub struct Server {
     inner: Arc<Inner>,
     addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
-    readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    /// The accept thread; it returns the connection threads it spawned.
+    accept: Option<JoinHandle<Vec<JoinHandle<()>>>>,
 }
 
 impl Server {
@@ -213,39 +175,22 @@ impl Server {
         let bound = listener.local_addr()?;
         let inner = Arc::new(Inner {
             db,
-            cfg: cfg.clone(),
+            permits: Mutex::new(cfg.workers.max(1)),
+            cfg,
             state: AtomicU8::new(RUNNING),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
-            space_cv: Condvar::new(),
+            permit_cv: Condvar::new(),
             sessions: Mutex::new(HashMap::new()),
             next_session: AtomicU64::new(1),
-            in_flight_count: AtomicU64::new(0),
             stats: Stats::default(),
         });
-        let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-
-        let mut workers = Vec::with_capacity(cfg.workers);
-        for i in 0..cfg.workers.max(1) {
-            let inner = Arc::clone(&inner);
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("txview-worker-{i}"))
-                    .spawn(move || worker_loop(&inner))
-                    .map_err(Error::Io)?,
-            );
-        }
-
         let accept = {
             let inner = Arc::clone(&inner);
-            let readers = Arc::clone(&readers);
             std::thread::Builder::new()
                 .name("txview-accept".into())
-                .spawn(move || accept_loop(listener, &inner, &readers))
+                .spawn(move || accept_loop(listener, &inner))
                 .map_err(Error::Io)?
         };
-
-        Ok(Server { inner, addr: bound, accept: Some(accept), workers, readers })
+        Ok(Server { inner, addr: bound, accept: Some(accept) })
     }
 
     /// The bound address (use with port 0 to discover the ephemeral port).
@@ -275,33 +220,15 @@ impl Server {
     /// Graceful drain, then stop. See the module docs for the ordering.
     pub fn shutdown(mut self) -> Result<ServerStats> {
         self.inner.advance_state(DRAINING);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        // Readers finish their in-flight request, roll back idle open
-        // transactions, and deregister their sessions.
-        for h in self.readers.lock().drain(..) {
-            let _ = h.join();
-        }
-        // Wait for queued work to execute and its responses to be written.
-        while self.inner.in_flight_count.load(Ordering::Acquire) > 0
-            && self.inner.state() != KILLED
-        {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        // The seam this ordering exists for: only after every response is
-        // out and no new commit can arrive does the engine quiesce its
+        // Each connection thread finishes its request, writes its reply,
+        // rolls back an idle open transaction and deregisters.
+        self.join_threads();
+        // The seam this ordering exists for: only after every reply is out
+        // and no new commit can arrive does the engine quiesce its
         // group-commit pipeline and flush the WAL tail.
-        let drained = if self.inner.state() == KILLED {
-            Ok(()) // killed mid-drain: the crash drill owns the log now
-        } else {
-            self.inner.db.drain_commits()
-        };
-        self.inner.advance_state(STOPPED);
-        for h in self.workers.drain(..) {
-            let _ = h.join();
+        if self.inner.state() != KILLED {
+            self.inner.db.drain_commits()?;
         }
-        drained?;
         Ok(self.stats())
     }
 
@@ -311,36 +238,34 @@ impl Server {
     }
 
     /// Join all threads after a [`Server::kill_now`]. Separate from the
-    /// kill itself so a worker-context kill never self-joins.
+    /// kill itself so a kill from inside a request never self-joins.
     pub fn join_after_kill(mut self) -> ServerStats {
         assert_eq!(self.inner.state(), KILLED, "join_after_kill requires kill_now first");
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        for h in self.readers.lock().drain(..) {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+        self.join_threads();
         self.stats()
+    }
+
+    fn join_threads(&mut self) {
+        if let Some(Ok(conns)) = self.accept.take().map(JoinHandle::join) {
+            for h in conns {
+                let _ = h.join();
+            }
+        }
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    inner: &Arc<Inner>,
-    readers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
+fn accept_loop(listener: TcpListener, inner: &Arc<Inner>) -> Vec<JoinHandle<()>> {
+    let mut conns = Vec::new();
     while inner.state() == RUNNING {
         match listener.accept() {
-            Ok((stream, _peer)) => admit(stream, inner, readers),
+            Ok((stream, _peer)) => admit(stream, inner, &mut conns),
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
             }
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
+    conns
 }
 
 /// Write one frame and drop the connection — the shed path never allocates
@@ -351,67 +276,41 @@ fn refuse(mut stream: TcpStream, code: WireErrorCode, msg: &str) {
     let _ = stream.write_all(&wire::encode_frame(&resp.encode()));
 }
 
-fn admit(stream: TcpStream, inner: &Arc<Inner>, readers: &Arc<Mutex<Vec<JoinHandle<()>>>>) {
+fn admit(stream: TcpStream, inner: &Arc<Inner>, conns: &mut Vec<JoinHandle<()>>) {
     if inner.db.health().state() == HealthState::Fenced {
         inner.stats.refused_fenced.fetch_add(1, Ordering::Relaxed);
         refuse(stream, WireErrorCode::Fenced, &inner.db.health().reason());
         return;
     }
-    {
-        let sessions = inner.sessions.lock();
-        if sessions.len() >= inner.cfg.max_sessions {
-            drop(sessions);
-            inner.stats.shed_overloaded.fetch_add(1, Ordering::Relaxed);
-            refuse(
-                stream,
-                WireErrorCode::Overloaded,
-                "session limit reached; retry after backoff",
-            );
-            return;
-        }
+    if inner.sessions.lock().len() >= inner.cfg.max_sessions {
+        inner.stats.shed_overloaded.fetch_add(1, Ordering::Relaxed);
+        refuse(stream, WireErrorCode::Overloaded, "session limit reached; retry after backoff");
+        return;
     }
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(inner.cfg.poll_interval));
-    let write = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let _ = write.set_write_timeout(Some(Duration::from_secs(5)));
+    let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
+    let Ok(registered) = stream.try_clone() else { return };
     let id = inner.next_session.fetch_add(1, Ordering::Relaxed);
-    let sh = Arc::new(SessionHandle {
-        id,
-        stream,
-        write: Mutex::new(write),
-        sess: Mutex::new(Session::new(Arc::clone(&inner.db))),
-        in_flight: Mutex::new(false),
-        in_flight_cv: Condvar::new(),
-        closing: AtomicBool::new(false),
-    });
-    inner.sessions.lock().insert(id, Arc::clone(&sh));
+    inner.sessions.lock().insert(id, registered);
     inner.stats.accepted.fetch_add(1, Ordering::Relaxed);
     let inner2 = Arc::clone(inner);
     let handle = std::thread::Builder::new()
-        .name(format!("txview-reader-{id}"))
-        .spawn(move || reader_loop(&inner2, &sh));
+        .name(format!("txview-conn-{id}"))
+        .spawn(move || serve_connection(&inner2, id, stream));
     match handle {
-        Ok(h) => readers.lock().push(h),
+        Ok(h) => conns.push(h),
         Err(_) => {
             inner.sessions.lock().remove(&id);
         }
     }
 }
 
-fn reader_loop(inner: &Arc<Inner>, sh: &Arc<SessionHandle>) {
-    let mut stream = match sh.stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => {
-            teardown(inner, sh);
-            return;
-        }
-    };
+fn serve_connection(inner: &Inner, id: u64, mut stream: TcpStream) {
+    let mut session = Session::new(Arc::clone(&inner.db));
     let mut buf: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 4096];
-    'outer: while inner.state() == RUNNING && !sh.closing.load(Ordering::Acquire) {
+    'outer: while inner.state() == RUNNING {
         match stream.read(&mut chunk) {
             Ok(0) => break, // client EOF
             Ok(n) => {
@@ -420,7 +319,7 @@ fn reader_loop(inner: &Arc<Inner>, sh: &Arc<SessionHandle>) {
                     match wire::decode_frame(&buf) {
                         Ok(Some((payload, used))) => {
                             buf.drain(..used);
-                            if !dispatch(inner, sh, payload) {
+                            if !execute(inner, &mut session, &mut stream, &payload) {
                                 break 'outer;
                             }
                         }
@@ -433,10 +332,7 @@ fn reader_loop(inner: &Arc<Inner>, sh: &Arc<SessionHandle>) {
                                 code: WireErrorCode::Protocol,
                                 msg: e.to_string(),
                             };
-                            let _ = sh
-                                .write
-                                .lock()
-                                .write_all(&wire::encode_frame(&resp.encode()));
+                            let _ = stream.write_all(&wire::encode_frame(&resp.encode()));
                             break 'outer;
                         }
                     }
@@ -451,101 +347,42 @@ fn reader_loop(inner: &Arc<Inner>, sh: &Arc<SessionHandle>) {
             Err(_) => break,
         }
     }
-    teardown(inner, sh);
+    // After a kill the crash drill owns the engine: leave the open
+    // transaction to recovery.
+    if inner.state() != KILLED {
+        session.abort();
+    }
+    inner.sessions.lock().remove(&id);
+    let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
-/// Enqueue one parsed frame, honouring per-session ordering and the queue
-/// bound. Returns false when the connection should close.
-fn dispatch(inner: &Arc<Inner>, sh: &Arc<SessionHandle>, payload: Vec<u8>) -> bool {
-    // Per-session ordering: wait for the previous request's response.
+/// Execute one frame under a permit and write its reply. Returns false
+/// when the connection should close.
+fn execute(inner: &Inner, session: &mut Session, stream: &mut TcpStream, payload: &[u8]) -> bool {
     {
-        let mut f = sh.in_flight.lock();
-        while *f {
-            sh.in_flight_cv.wait(&mut f);
+        let mut free = inner.permits.lock();
+        while *free == 0 && inner.state() != KILLED {
+            inner.permit_cv.wait(&mut free);
         }
-        if inner.state() >= STOPPED || sh.closing.load(Ordering::Acquire) {
-            return false;
-        }
-        *f = true;
-    }
-    inner.in_flight_count.fetch_add(1, Ordering::AcqRel);
-    // Bounded queue: block (backpressure) while full. The stop re-check
-    // must happen under the queue lock even when there is space: workers
-    // exit only after observing an empty queue under this same lock, so a
-    // push that observes `state < STOPPED` here is guaranteed to be
-    // drained by a worker — never orphaned with `in_flight` stuck true.
-    let mut q = inner.queue.lock();
-    loop {
-        if inner.state() >= STOPPED {
-            drop(q);
-            sh.finish_in_flight(inner);
-            return false;
-        }
-        if q.len() < inner.cfg.queue_depth {
-            break;
-        }
-        inner.space_cv.wait(&mut q);
-    }
-    q.push_back(Job { session: Arc::clone(sh), payload });
-    inner.queue_cv.notify_one();
-    true
-}
-
-/// Connection teardown: wait out any in-flight request, roll back the
-/// session's open transaction, deregister.
-fn teardown(inner: &Arc<Inner>, sh: &Arc<SessionHandle>) {
-    sh.closing.store(true, Ordering::Release);
-    if inner.state() != KILLED {
-        // After a kill, responses are suppressed anyway — skip the wait so
-        // teardown can never park on a request the kill abandoned.
-        let mut f = sh.in_flight.lock();
-        while *f {
-            sh.in_flight_cv.wait(&mut f);
-        }
-    }
-    if inner.state() != KILLED {
-        sh.sess.lock().abort();
-    }
-    inner.sessions.lock().remove(&sh.id);
-    let _ = sh.stream.shutdown(std::net::Shutdown::Both);
-}
-
-fn worker_loop(inner: &Arc<Inner>) {
-    loop {
-        let job = {
-            let mut q = inner.queue.lock();
-            loop {
-                if let Some(j) = q.pop_front() {
-                    break Some(j);
-                }
-                if inner.state() >= STOPPED {
-                    break None;
-                }
-                inner.queue_cv.wait(&mut q);
-            }
-        };
-        let Some(job) = job else { return };
-        inner.space_cv.notify_one();
         if inner.state() == KILLED {
             // Killed: the request is abandoned un-executed and un-acked.
             inner.stats.suppressed_responses.fetch_add(1, Ordering::Relaxed);
-            job.session.finish_in_flight(inner);
-            continue;
+            return false;
         }
-        execute(inner, &job);
-        job.session.finish_in_flight(inner);
+        *free -= 1;
     }
-}
-
-fn execute(inner: &Arc<Inner>, job: &Job) {
     inner.stats.requests.fetch_add(1, Ordering::Relaxed);
-    let (resp, disp) = match Request::decode(&job.payload) {
-        Ok(req) => job.session.sess.lock().execute(req),
+    let (resp, disp) = match Request::decode(payload) {
+        Ok(req) => session.execute(req),
         Err(e) => (
             Response::Err { code: WireErrorCode::Protocol, msg: e.to_string() },
             Disposition::Keep,
         ),
     };
+    // Back before the write: a client that stops reading must not hold a
+    // permit for the write timeout.
+    *inner.permits.lock() += 1;
+    inner.permit_cv.notify_one();
     if matches!(resp, Response::Err { .. }) {
         inner.stats.error_responses.fetch_add(1, Ordering::Relaxed);
     }
@@ -554,12 +391,7 @@ fn execute(inner: &Arc<Inner>, job: &Job) {
     // never reported successful.
     if inner.state() == KILLED {
         inner.stats.suppressed_responses.fetch_add(1, Ordering::Relaxed);
-        return;
+        return false;
     }
-    let frame = wire::encode_frame(&resp.encode());
-    let write_ok = job.session.write.lock().write_all(&frame).is_ok();
-    if !write_ok || disp == Disposition::Close {
-        job.session.closing.store(true, Ordering::Release);
-        let _ = job.session.stream.shutdown(std::net::Shutdown::Both);
-    }
+    stream.write_all(&wire::encode_frame(&resp.encode())).is_ok() && disp == Disposition::Keep
 }

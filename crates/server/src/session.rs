@@ -1,9 +1,9 @@
 //! Per-session request execution.
 //!
-//! A session owns at most one open [`Transaction`]. The server's executor
-//! guarantees at most one request per session is in flight at a time, so
-//! the `&mut` borrow discipline of the engine API holds by construction —
-//! a session is single-threaded even though the worker pool is shared.
+//! A session owns at most one open [`Transaction`]. The server gives each
+//! connection's thread its own session and that thread executes the
+//! connection's requests one after another, so the `&mut` borrow
+//! discipline of the engine API holds by construction.
 //!
 //! Failure handling follows the engine's own convention (see
 //! `Database::run_txn`): any error surfaced while a transaction is open
@@ -57,7 +57,10 @@ impl Session {
         self.txn.is_some()
     }
 
-    /// Roll back the open transaction, if any (connection teardown).
+    /// Roll back the open transaction, if any: at connection teardown, and
+    /// after a failed op inside it (deadlock victims *must* roll back;
+    /// anything else must not keep holding locks behind an error the client
+    /// may never retry).
     pub fn abort(&mut self) {
         if let Some(mut txn) = self.txn.take() {
             if txn.is_active() {
@@ -168,7 +171,7 @@ impl Session {
             match apply(&self.db, txn) {
                 Ok(()) => Response::Ok,
                 Err(e) => {
-                    self.abort_on(&e);
+                    self.abort();
                     Response::from_error(&e)
                 }
             }
@@ -217,7 +220,7 @@ impl Session {
             match body(&self.db, txn) {
                 Ok(resp) => resp,
                 Err(e) => {
-                    self.abort_on(&e);
+                    self.abort();
                     Response::from_error(&e)
                 }
             }
@@ -236,17 +239,6 @@ impl Session {
                     }
                     Response::from_error(&e)
                 }
-            }
-        }
-    }
-
-    /// Engine convention: a failed op inside an open transaction aborts it
-    /// (deadlock victims *must* roll back; anything else must not keep
-    /// holding locks behind an error the client may never retry).
-    fn abort_on(&mut self, _e: &Error) {
-        if let Some(mut txn) = self.txn.take() {
-            if txn.is_active() {
-                let _ = self.db.rollback(&mut txn);
             }
         }
     }

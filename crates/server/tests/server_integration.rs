@@ -1,13 +1,16 @@
 //! End-to-end TCP integration: N concurrent clients against a real
 //! ephemeral-port server, checking the bank invariant *through the wire*,
-//! health degradation surfacing as retryable errors mid-run, and the
-//! admission-control shed path.
+//! health degradation surfacing as retryable errors mid-run, the
+//! admission-control shed path, pipelined requests on one connection, and
+//! a client that stops reading.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use txview_common::{Error, Value};
-use txview_server::{Client, Request, Response, Server, ServerConfig, WireErrorCode};
+use txview_server::{wire, Client, Request, Response, Server, ServerConfig, WireErrorCode};
 use txview_workload::bank::{Bank, BankConfig, VIEW};
 
 fn start_bank_server(accounts: i64, branches: i64, cfg: ServerConfig) -> (Bank, Server) {
@@ -258,4 +261,91 @@ fn overloaded_admission_sheds_with_retryable_error() {
     let stats = server.shutdown().expect("graceful shutdown");
     assert!(stats.shed_overloaded >= 1);
     assert!(stats.accepted >= 2);
+}
+
+#[test]
+fn pipelined_requests_execute_once_and_reply_in_order() {
+    const BRANCHES: i64 = 4;
+    let (bank, server) = start_bank_server(16, BRANCHES, ServerConfig::default());
+    let addr = server.local_addr();
+
+    // Four frames in one write: the server reads them all at once and must
+    // still execute them one after another, in order, each exactly once.
+    let mut frames = Vec::new();
+    for req in [
+        Request::Begin { isolation: 0 },
+        Request::Deposit { account: 5, delta: 7 },
+        Request::Ping,
+        Request::Commit,
+    ] {
+        frames.extend_from_slice(&wire::encode_frame(&req.encode()));
+    }
+    let mut raw = TcpStream::connect(addr).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    raw.write_all(&frames).expect("write pipelined frames");
+
+    let mut replies = Vec::new();
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 4096];
+    while replies.len() < 4 {
+        match wire::decode_frame(&buf).expect("well-formed reply") {
+            Some((payload, used)) => {
+                buf.drain(..used);
+                replies.push(Response::decode(&payload).expect("decodable reply"));
+            }
+            None => {
+                let n = raw.read(&mut chunk).expect("read reply");
+                assert!(n > 0, "server closed after {} replies", replies.len());
+                buf.extend_from_slice(&chunk[..n]);
+            }
+        }
+    }
+    assert_eq!(replies[0], Response::Ok);
+    assert_eq!(replies[1], Response::Ok);
+    assert_eq!(replies[2], Response::Pong);
+    assert!(matches!(replies[3], Response::Committed { .. }), "got {:?}", replies[3]);
+    drop(raw);
+
+    let mut c = Client::connect(addr).expect("connect");
+    assert_eq!(wire_total(&mut c, BRANCHES), bank.total_money() + 7);
+    drop(c);
+    server.shutdown().expect("graceful shutdown");
+    bank.verify().expect("view verifies against base");
+}
+
+#[test]
+fn client_that_stops_reading_does_not_stall_others() {
+    let (_bank, server) =
+        start_bank_server(16, 4, ServerConfig { workers: 1, ..Default::default() });
+    let addr = server.local_addr();
+
+    // A client that floods requests and never reads its replies: the
+    // server's reply writes to it block once the socket buffers fill.
+    let raw = TcpStream::connect(addr).expect("connect");
+    let severer = raw.try_clone().expect("clone");
+    let flood = std::thread::spawn(move || {
+        let frame = wire::encode_frame(&Request::Metrics.encode());
+        let mut raw = raw;
+        for _ in 0..200_000 {
+            if raw.write_all(&frame).is_err() {
+                break; // the server gave up on us
+            }
+        }
+    });
+    std::thread::sleep(Duration::from_millis(1500));
+
+    // With one execution permit, a healthy client is still served at once.
+    let mut c = Client::connect(addr).expect("connect");
+    let start = Instant::now();
+    c.ping().expect("ping beside a non-reading client");
+    let waited = start.elapsed();
+    assert!(waited < Duration::from_millis(500), "ping took {waited:?}");
+    drop(c);
+
+    // Wake the flood thread, then close the socket with replies unread: the
+    // reset frees the server's blocked write without its 5 s timeout.
+    let _ = severer.shutdown(std::net::Shutdown::Both);
+    flood.join().expect("flood thread");
+    drop(severer);
+    server.shutdown().expect("graceful shutdown");
 }
