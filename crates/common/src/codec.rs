@@ -98,12 +98,6 @@ impl Writer {
         self.bytes(v.as_bytes())
     }
 
-    /// Write raw bytes with no length prefix (caller knows the length).
-    pub fn raw(&mut self, v: &[u8]) -> &mut Self {
-        self.buf.extend_from_slice(v);
-        self
-    }
-
     /// Write an [`Lsn`].
     pub fn lsn(&mut self, v: Lsn) -> &mut Self {
         self.u64(v.0)
@@ -205,11 +199,6 @@ impl<'a> Reader<'a> {
             .map_err(|_| Error::corruption("invalid utf-8 in string"))
     }
 
-    /// Read `n` raw bytes (no length prefix).
-    pub fn raw(&mut self, n: usize) -> Result<&'a [u8]> {
-        self.take(n)
-    }
-
     /// Read an [`Lsn`].
     pub fn lsn(&mut self) -> Result<Lsn> {
         Ok(Lsn(self.u64()?))
@@ -224,21 +213,6 @@ impl<'a> Reader<'a> {
     pub fn page(&mut self) -> Result<PageId> {
         Ok(PageId(self.u32()?))
     }
-}
-
-/// Simple 64-bit FNV-1a checksum used by pages and log records.
-///
-/// Not cryptographic — it only needs to detect torn writes and bit rot in
-/// tests and crash simulations.
-pub fn checksum64(data: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -294,14 +268,6 @@ mod tests {
         bytes.truncate(6); // cut into the payload
         let mut r = Reader::new(&bytes);
         assert!(r.bytes().is_err());
-    }
-
-    #[test]
-    fn checksum_detects_flip() {
-        let a = checksum64(b"hello world");
-        let b = checksum64(b"hello worle");
-        assert_ne!(a, b);
-        assert_eq!(a, checksum64(b"hello world"));
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! * [`schema`] — table/view schemas and column metadata,
 //! * [`codec`] — the little hand-written binary reader/writer everything
 //!   on-disk (pages, log records) is serialized with,
+//! * [`frame`] — the one checksummed frame (and the checksum) every byte
+//!   format's integrity rests on,
 //! * [`rng`] — a deterministic xorshift RNG plus a Zipf sampler used by the
 //!   workload generators and property tests,
 //! * [`obs`] — zero-dependency metrics primitives (counters, gauges,
@@ -21,6 +23,7 @@
 
 pub mod codec;
 pub mod error;
+pub mod frame;
 pub mod ids;
 pub mod key;
 pub mod obs;

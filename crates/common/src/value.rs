@@ -24,7 +24,7 @@ pub enum ValueType {
 
 impl ValueType {
     /// Single-byte tag for the codec.
-    fn tag(self) -> u8 {
+    pub fn tag(self) -> u8 {
         match self {
             ValueType::Int => 1,
             ValueType::Float => 2,
@@ -32,7 +32,8 @@ impl ValueType {
         }
     }
 
-    fn from_tag(t: u8) -> Result<ValueType> {
+    /// Inverse of [`ValueType::tag`]; any other byte is corruption.
+    pub fn from_tag(t: u8) -> Result<ValueType> {
         match t {
             1 => Ok(ValueType::Int),
             2 => Ok(ValueType::Float),

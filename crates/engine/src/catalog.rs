@@ -4,9 +4,13 @@
 //! or dropping an indexed view is a schema change, not a runtime event).
 //! Root page ids never change (the B-tree "splits" its root in place), so a
 //! catalog entry fully describes an index forever.
+//!
+//! Encoded (for `catalog.bin` and for a replication snapshot), a catalog
+//! is [`CATALOG_HEADER`] and then one [`frame`] around its body.
 
 use std::collections::HashMap;
 use txview_common::codec::{Reader, Writer};
+use txview_common::frame;
 use txview_common::schema::Schema;
 use txview_common::value::ValueType;
 use txview_common::{Error, IndexId, ObjectId, PageId, Result, Row, Value, ViewId};
@@ -528,22 +532,20 @@ fn decode_agg(r: &mut Reader<'_>) -> Result<AggSpec> {
     })
 }
 
-fn encode_vt(t: ValueType) -> u8 {
-    match t {
-        ValueType::Int => 1,
-        ValueType::Float => 2,
-        ValueType::Str => 3,
+/// A column-position list: a `u16` count, then one `u16` each.
+fn put_cols(w: &mut Writer, cols: &[usize]) {
+    w.u16(cols.len() as u16);
+    for &c in cols {
+        w.u16(c as u16);
     }
 }
 
-fn decode_vt(b: u8) -> Result<ValueType> {
-    Ok(match b {
-        1 => ValueType::Int,
-        2 => ValueType::Float,
-        3 => ValueType::Str,
-        t => return Err(Error::corruption(format!("bad value type {t}"))),
-    })
+fn get_cols(r: &mut Reader<'_>) -> Result<Vec<usize>> {
+    (0..r.u16()?).map(|_| Ok(r.u16()? as usize)).collect()
 }
+
+/// The bytes an encoded catalog starts with: magic, then format version.
+pub const CATALOG_HEADER: [u8; 8] = [b'T', b'X', b'V', b'C', 1, 0, 0, 0];
 
 impl Catalog {
     /// Serialize the full catalog (DDL state) for the sidecar file.
@@ -565,23 +567,14 @@ impl Catalog {
             w.u32(v.id.0).u32(v.object.0).str(&v.name);
             match &v.source {
                 ViewSource::Single { table, group_by } => {
-                    w.u8(0).u32(table.0).u16(group_by.len() as u16);
-                    for &g in group_by {
-                        w.u16(g as u16);
-                    }
+                    put_cols(w.u8(0).u32(table.0), group_by);
                 }
                 ViewSource::Join { fact, fact_fk_col, dim, dim_group_by } => {
                     w.u8(1).u32(fact.0).u16(*fact_fk_col as u16).u32(dim.0);
-                    w.u16(dim_group_by.len() as u16);
-                    for &g in dim_group_by {
-                        w.u16(g as u16);
-                    }
+                    put_cols(&mut w, dim_group_by);
                 }
                 ViewSource::Derived { parent, group_by } => {
-                    w.u8(2).u32(parent.0).u16(group_by.len() as u16);
-                    for &g in group_by {
-                        w.u16(g as u16);
-                    }
+                    put_cols(w.u8(2).u32(parent.0), group_by);
                 }
             }
             w.u16(v.aggs.len() as u16);
@@ -597,7 +590,7 @@ impl Catalog {
             w.u32(v.index.0).page(v.root);
             w.u16(v.group_types.len() as u16);
             for &t in &v.group_types {
-                w.u8(encode_vt(t));
+                w.u8(t.tag());
             }
             // Reserved tag byte, always 0. Tag 1 (an attached hash index)
             // is retired and never reused.
@@ -607,19 +600,17 @@ impl Catalog {
         let mut indexes: Vec<_> = self.indexes.values().collect();
         indexes.sort_by_key(|i| i.index);
         for i in indexes {
-            w.str(&i.name).u32(i.table.0);
-            w.u16(i.cols.len() as u16);
-            for &c in &i.cols {
-                w.u16(c as u16);
-            }
+            put_cols(w.str(&i.name).u32(i.table.0), &i.cols);
             w.bool(i.unique).u32(i.index.0).page(i.root);
         }
-        w.into_bytes()
+        [&CATALOG_HEADER[..], &frame::encode(&w.into_bytes())].concat()
     }
 
-    /// Deserialize a catalog produced by [`Catalog::encode`].
+    /// Deserialize a catalog produced by [`Catalog::encode`]. The bytes
+    /// must be exactly its header and one whole frame.
     pub fn decode(bytes: &[u8]) -> Result<Catalog> {
-        let mut r = Reader::new(bytes);
+        let body = frame::check_header(bytes, &CATALOG_HEADER, "catalog")?;
+        let mut r = Reader::new(frame::decode_exact(body, "catalog")?);
         let mut cat = Catalog::new();
         cat.next_object = r.u32()?;
         cat.next_index = r.u32()?;
@@ -639,35 +630,14 @@ impl Catalog {
             let object = ObjectId(r.u32()?);
             let name = r.str()?.to_owned();
             let source = match r.u8()? {
-                0 => {
-                    let table = ObjectId(r.u32()?);
-                    let n = r.u16()? as usize;
-                    let mut group_by = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        group_by.push(r.u16()? as usize);
-                    }
-                    ViewSource::Single { table, group_by }
-                }
-                1 => {
-                    let fact = ObjectId(r.u32()?);
-                    let fact_fk_col = r.u16()? as usize;
-                    let dim = ObjectId(r.u32()?);
-                    let n = r.u16()? as usize;
-                    let mut dim_group_by = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        dim_group_by.push(r.u16()? as usize);
-                    }
-                    ViewSource::Join { fact, fact_fk_col, dim, dim_group_by }
-                }
-                2 => {
-                    let parent = ViewId(r.u32()?);
-                    let n = r.u16()? as usize;
-                    let mut group_by = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        group_by.push(r.u16()? as usize);
-                    }
-                    ViewSource::Derived { parent, group_by }
-                }
+                0 => ViewSource::Single { table: ObjectId(r.u32()?), group_by: get_cols(&mut r)? },
+                1 => ViewSource::Join {
+                    fact: ObjectId(r.u32()?),
+                    fact_fk_col: r.u16()? as usize,
+                    dim: ObjectId(r.u32()?),
+                    dim_group_by: get_cols(&mut r)?,
+                },
+                2 => ViewSource::Derived { parent: ViewId(r.u32()?), group_by: get_cols(&mut r)? },
                 t => return Err(Error::corruption(format!("bad view source tag {t}"))),
             };
             let na = r.u16()? as usize;
@@ -687,7 +657,7 @@ impl Catalog {
             let ng = r.u16()? as usize;
             let mut group_types = Vec::with_capacity(ng);
             for _ in 0..ng {
-                group_types.push(decode_vt(r.u8()?)?);
+                group_types.push(ValueType::from_tag(r.u8()?)?);
             }
             match r.u8()? {
                 0 => {}
@@ -715,11 +685,7 @@ impl Catalog {
         for _ in 0..ni {
             let name = r.str()?.to_owned();
             let table = ObjectId(r.u32()?);
-            let nc = r.u16()? as usize;
-            let mut cols = Vec::with_capacity(nc);
-            for _ in 0..nc {
-                cols.push(r.u16()? as usize);
-            }
+            let cols = get_cols(&mut r)?;
             let unique = r.bool()?;
             let index = IndexId(r.u32()?);
             let root = r.page()?;

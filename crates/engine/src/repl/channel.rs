@@ -22,7 +22,7 @@ pub struct ChannelFaults {
     pub reorder_p: f64,
     /// Frame held back for a few delivery rounds.
     pub delay_p: f64,
-    /// One payload byte flipped (the frame checksum must catch it).
+    /// One payload byte flipped (the records' checksums must catch it).
     pub torn_p: f64,
 }
 

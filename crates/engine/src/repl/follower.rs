@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use txview_common::codec::checksum64;
+use txview_common::frame::checksum;
 use txview_common::obs::{Histogram, Snapshot};
 use txview_common::{Lsn, Result};
 use txview_storage::fault::{FaultClock, FaultDisk};
@@ -38,7 +38,8 @@ pub enum IngestOutcome {
     Buffered,
     /// Entirely below the durable length; skipped.
     Duplicate,
-    /// Frame checksum failed (torn in transit); dropped.
+    /// The payload is not whole records at `start` (torn in transit);
+    /// dropped.
     Torn,
     /// Stale epoch: the sender has been superseded; nacked.
     StaleRejected,
@@ -93,7 +94,43 @@ impl Follower {
         )?;
         db.load_catalog(&catalog)?;
         db.set_metrics_ticks(clock.events_handle());
-        Ok(Follower {
+        Ok(Follower::assemble(cfg, clock, disk, store, db, catalog))
+    }
+
+    /// Wrap an *existing* durable state (a restarted old leader's clock,
+    /// disk, and log store) as a follower: rebuild by redo-only replay of
+    /// whatever its own log holds, then let the first `Hello` negotiate
+    /// catch-up — resume if that log is still a clean prefix of the new
+    /// leader's, snapshot fallback if it diverged.
+    pub fn from_parts(
+        cfg: ReplConfig,
+        clock: Arc<FaultClock>,
+        disk: FaultDisk,
+        store: FaultLogStore,
+        catalog: Vec<u8>,
+    ) -> Result<Follower> {
+        let db = Database::with_parts(
+            Arc::new(disk.clone()),
+            Box::new(store.clone()),
+            cfg.pool_pages,
+            Duration::from_secs(2),
+        )?;
+        let mut f = Follower::assemble(cfg, clock, disk, store, db, catalog);
+        f.idle_drains = f.cfg.hello_after;
+        f.epoch = f.store.get_epoch()?;
+        f.rebuild()?;
+        Ok(f)
+    }
+
+    fn assemble(
+        cfg: ReplConfig,
+        clock: Arc<FaultClock>,
+        disk: FaultDisk,
+        store: FaultLogStore,
+        db: Arc<Database>,
+        catalog: Vec<u8>,
+    ) -> Follower {
+        Follower {
             cfg,
             clock,
             disk,
@@ -117,56 +154,7 @@ impl Follower {
             acks_sent: AtomicU64::new(0),
             hellos_sent: AtomicU64::new(0),
             apply_records_hist: Histogram::default(),
-        })
-    }
-
-    /// Wrap an *existing* durable state (a restarted old leader's clock,
-    /// disk, and log store) as a follower: rebuild by redo-only replay of
-    /// whatever its own log holds, then let the first `Hello` negotiate
-    /// catch-up — resume if that log is still a clean prefix of the new
-    /// leader's, snapshot fallback if it diverged.
-    pub fn from_parts(
-        cfg: ReplConfig,
-        clock: Arc<FaultClock>,
-        disk: FaultDisk,
-        store: FaultLogStore,
-        catalog: Vec<u8>,
-    ) -> Result<Follower> {
-        let db = Database::with_parts(
-            Arc::new(disk.clone()),
-            Box::new(store.clone()),
-            cfg.pool_pages,
-            Duration::from_secs(2),
-        )?;
-        let hello_after = cfg.hello_after;
-        let mut f = Follower {
-            cfg,
-            clock,
-            disk,
-            store,
-            db,
-            catalog,
-            epoch: 0,
-            reorder_buf: BTreeMap::new(),
-            idle_drains: hello_after,
-            promoted: false,
-            frames_applied: AtomicU64::new(0),
-            records_applied: AtomicU64::new(0),
-            records_skipped: AtomicU64::new(0),
-            dup_frames: AtomicU64::new(0),
-            torn_frames: AtomicU64::new(0),
-            buffered_frames: AtomicU64::new(0),
-            buffer_drops: AtomicU64::new(0),
-            stale_rejects: AtomicU64::new(0),
-            snapshots_installed: AtomicU64::new(0),
-            checkpoints_mirrored: AtomicU64::new(0),
-            acks_sent: AtomicU64::new(0),
-            hellos_sent: AtomicU64::new(0),
-            apply_records_hist: Histogram::default(),
-        };
-        f.epoch = f.store.get_epoch()?;
-        f.rebuild()?;
-        Ok(f)
+        }
     }
 
     /// The follower's database (read-only until promotion).
@@ -229,7 +217,7 @@ impl Follower {
             self.store.set_epoch(frame.epoch)?;
             self.epoch = frame.epoch;
         }
-        if !frame.verify() {
+        if frame.records().is_err() {
             self.torn_frames.fetch_add(1, Ordering::Relaxed);
             return Ok(IngestOutcome::Torn);
         }
@@ -403,7 +391,7 @@ impl Follower {
         let bytes = self.store.durable_bytes();
         channel.send_control(Message::Hello {
             durable_len: self.durable_len(),
-            log_checksum: checksum64(&bytes),
+            log_checksum: checksum(&bytes),
         });
         self.idle_drains = 0;
     }
@@ -470,5 +458,64 @@ impl Follower {
         s.hist("repl.follower.apply_records", self.apply_records_hist.snapshot());
         s.sort();
         s
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::ChannelFaults;
+    use super::*;
+    use txview_common::TxnId;
+    use txview_wal::log::LOG_HEADER_LEN;
+    use txview_wal::TxnKind;
+
+    /// A follower of an empty catalog, its channel, and the frame that
+    /// ships the log's first record.
+    fn follower() -> (Follower, ReplChannel, Frame) {
+        let catalog = Database::new_in_memory(16).export_catalog();
+        let f = Follower::new(ReplConfig::default(), catalog).unwrap();
+        let body = RecordBody::Begin { kind: TxnKind::User };
+        let rec = LogRecord { lsn: Lsn(LOG_HEADER_LEN), prev_lsn: Lsn::NULL, txn: TxnId(1), body };
+        let frame = Frame::new(0, LOG_HEADER_LEN, rec.encode_framed());
+        (f, ReplChannel::new(ChannelFaults::default(), 0), frame)
+    }
+
+    /// `frame` is counted torn, never applied, and leaves the log as it was.
+    fn assert_torn(f: &mut Follower, ch: &ReplChannel, frame: Frame) {
+        let counts =
+            |f: &Follower| [&f.torn_frames, &f.frames_applied].map(|c| c.load(Ordering::Relaxed));
+        let (log, [torn, applied]) = (f.store().durable_bytes(), counts(f));
+        assert_eq!(f.ingest(Message::Frame(frame), ch).unwrap(), IngestOutcome::Torn);
+        assert_eq!((f.store().durable_bytes(), counts(f)), (log, [torn + 1, applied]));
+    }
+
+    #[test]
+    fn frame_with_a_flipped_payload_byte_is_torn() {
+        let (mut f, ch, frame) = follower();
+        for at in 0..frame.payload.len() {
+            let mut torn = frame.clone();
+            torn.payload[at] ^= 0x5A;
+            assert_torn(&mut f, &ch, torn);
+        }
+        assert_eq!(f.ingest(Message::Frame(frame), &ch).unwrap(), IngestOutcome::Applied);
+    }
+
+    #[test]
+    fn frame_whose_start_is_off_by_one_is_torn() {
+        let (mut f, ch, frame) = follower();
+        assert_torn(&mut f, &ch, Frame::new(0, frame.start + 1, frame.payload.clone()));
+        assert_torn(&mut f, &ch, Frame::new(0, frame.start - 1, frame.payload));
+    }
+
+    /// The damage check runs before the duplicate check, as the frame
+    /// checksum did.
+    #[test]
+    fn torn_duplicate_counts_as_torn() {
+        let (mut f, ch, frame) = follower();
+        assert_eq!(f.ingest(Message::Frame(frame.clone()), &ch).unwrap(), IngestOutcome::Applied);
+        let mut torn = frame;
+        torn.payload[20] ^= 0x01;
+        assert_torn(&mut f, &ch, torn);
+        assert_eq!(f.dup_frames.load(Ordering::Relaxed), 0);
     }
 }

@@ -1,13 +1,14 @@
 //! Wire messages for the replication link.
 
-use txview_common::codec::checksum64;
-use txview_common::Lsn;
+use txview_common::{Error, Lsn, Result};
+use txview_wal::LogRecord;
 
 /// One shipped run of consecutive framed log records. `payload` is the
 /// records' durable byte encoding verbatim — the follower appends it
 /// unchanged, which is what keeps its log a byte-identical prefix of the
 /// leader's. An LSN is a byte offset, so the run's records sit at
-/// `start..end()` in both logs.
+/// `start..end()` in both logs. The run has no checksum of its own: each
+/// record's checksum covers its bytes, and its stored LSN covers `start`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Frame {
     /// Leader term; the follower rejects frames older than its own.
@@ -18,15 +19,12 @@ pub struct Frame {
     pub start: u64,
     /// Concatenated framed record encodings.
     pub payload: Vec<u8>,
-    /// Checksum over the payload and header fields; a torn frame fails it.
-    pub checksum: u64,
 }
 
 impl Frame {
-    /// Seal a frame over `payload`.
+    /// A frame over `payload`.
     pub fn new(epoch: u64, start: u64, payload: Vec<u8>) -> Frame {
-        let checksum = Frame::compute_checksum(epoch, start, &payload);
-        Frame { epoch, start, payload, checksum }
+        Frame { epoch, start, payload }
     }
 
     /// Byte offset just past the last record: the follower's durable
@@ -35,17 +33,15 @@ impl Frame {
         self.start + self.payload.len() as u64
     }
 
-    fn compute_checksum(epoch: u64, start: u64, payload: &[u8]) -> u64 {
-        let mut buf = Vec::with_capacity(payload.len() + 16);
-        buf.extend_from_slice(&epoch.to_le_bytes());
-        buf.extend_from_slice(&start.to_le_bytes());
-        buf.extend_from_slice(payload);
-        checksum64(&buf)
-    }
-
-    /// Does the sealed checksum still match the contents?
-    pub fn verify(&self) -> bool {
-        Frame::compute_checksum(self.epoch, self.start, &self.payload) == self.checksum
+    /// The payload's records, decoded at `start`: `Corruption` when one
+    /// fails its checksum (damage in transit) or its stored LSN (a wrong
+    /// `start`), or when the run ends inside a record.
+    pub fn records(&self) -> Result<Vec<LogRecord>> {
+        let (records, used) = LogRecord::decode_run(&self.payload, self.start)?;
+        if used != self.payload.len() {
+            return Err(Error::corruption("replication frame is not whole records"));
+        }
+        Ok(records)
     }
 }
 
@@ -95,24 +91,4 @@ pub enum Message {
         /// The follower's current epoch.
         current: u64,
     },
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn frame_checksum_catches_payload_corruption() {
-        let mut f = Frame::new(1, 8, vec![1, 2, 3, 4]);
-        assert!(f.verify());
-        f.payload[2] ^= 0x40;
-        assert!(!f.verify());
-    }
-
-    #[test]
-    fn frame_checksum_covers_header_fields() {
-        let mut f = Frame::new(1, 8, vec![1, 2, 3, 4]);
-        f.start = 9;
-        assert!(!f.verify());
-    }
 }

@@ -8,7 +8,7 @@ use super::ReplConfig;
 use crate::db::Database;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use txview_common::codec::checksum64;
+use txview_common::frame::checksum;
 use txview_common::obs::{Histogram, Snapshot};
 use txview_common::Result;
 use txview_wal::log::LOG_HEADER_LEN;
@@ -119,7 +119,7 @@ impl ReplicationStream {
     fn handle_hello(&mut self, ch: &ReplChannel, durable_len: u64, log_checksum: u64) -> Result<()> {
         let our_bytes = self.store.read_from(0)?;
         let is_prefix = durable_len as usize <= our_bytes.len()
-            && checksum64(&our_bytes[..durable_len as usize]) == log_checksum;
+            && checksum(&our_bytes[..durable_len as usize]) == log_checksum;
         if is_prefix {
             self.reconnects.fetch_add(1, Ordering::Relaxed);
             self.acked = durable_len;

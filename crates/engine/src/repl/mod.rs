@@ -4,8 +4,9 @@
 //! The design reuses what the engine already proves correct elsewhere:
 //!
 //! * the **leader** streams frames cut from its *durable* log — a frame is
-//!   a checksummed run of consecutive framed log records, so the follower's
-//!   log grows as a byte-identical prefix of the leader's;
+//!   a run of consecutive framed log records, each under its own checksum,
+//!   so the follower's log grows as a byte-identical prefix of the
+//!   leader's;
 //! * the **follower** replays frames through the same
 //!   [`txview_wal::recovery::redo_record`] path crash recovery uses, after
 //!   making the frame bytes durable in its own log (WAL-before-data holds

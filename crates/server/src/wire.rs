@@ -1,16 +1,16 @@
 //! The binary wire protocol.
 //!
-//! Framing mirrors the replication channel (DESIGN §12): every message is
+//! Every message is one [`frame`] (DESIGN §17):
 //!
 //! ```text
-//! [u32 len][payload: len bytes][u64 checksum64(payload)]
+//! [u32 len][u64 checksum(payload)][payload: len bytes]
 //! ```
 //!
 //! little-endian throughout, with `len` capped at [`MAX_FRAME`] so a
 //! garbage prefix cannot make the reader allocate gigabytes. Decoding is
-//! strictly non-panicking: torn, truncated, or corrupted input yields
-//! [`Error::Corruption`], and an incomplete buffer yields `Ok(None)` so a
-//! streaming reader can simply wait for more bytes.
+//! strictly non-panicking: an oversized length or a checksum mismatch
+//! yields [`Error::Corruption`], and an incomplete buffer yields `Ok(None)`
+//! so a streaming reader can simply wait for more bytes.
 //!
 //! Payloads are [`Request`]/[`Response`] messages encoded with the same
 //! hand-rolled codec the storage layer uses (`txview_common::codec`): a
@@ -23,28 +23,18 @@
 //! [`retryability`](WireErrorCode::is_retryable) — never on the message
 //! text, which is explicitly not part of the protocol contract.
 
-use txview_common::codec::{checksum64, Reader, Writer};
+use txview_common::codec::{Reader, Writer};
+use txview_common::frame::{self, Decoded};
 use txview_common::{Error, Result, Value};
 
 /// Hard cap on a frame payload. Large enough for a metrics dump, small
 /// enough that a hostile or corrupt length prefix cannot balloon memory.
 pub const MAX_FRAME: usize = 1 << 20;
 
-/// Bytes of framing overhead around a payload (`u32` len + `u64` checksum).
-pub const FRAME_OVERHEAD: usize = 4 + 8;
-
-// ---------------------------------------------------------------------------
-// framing
-// ---------------------------------------------------------------------------
-
 /// Encode `payload` into a self-delimiting checksummed frame.
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
     assert!(payload.len() <= MAX_FRAME, "frame payload exceeds MAX_FRAME");
-    let mut out = Vec::with_capacity(payload.len() + FRAME_OVERHEAD);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&checksum64(payload).to_le_bytes());
-    out
+    frame::encode(payload)
 }
 
 /// Try to decode one frame from the front of `buf`.
@@ -55,26 +45,11 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
 /// * `Err(Corruption)` — oversized length prefix or checksum mismatch; the
 ///   stream is unrecoverable and the connection must be dropped.
 pub fn decode_frame(buf: &[u8]) -> Result<Option<(Vec<u8>, usize)>> {
-    if buf.len() < 4 {
-        return Ok(None);
+    match frame::decode(buf, MAX_FRAME) {
+        Decoded::Complete(payload, used) => Ok(Some((payload.to_vec(), used))),
+        Decoded::Incomplete => Ok(None),
+        Decoded::Corrupt(why) => Err(Error::corruption(why)),
     }
-    let len = u32::from_le_bytes(buf[..4].try_into().unwrap()) as usize;
-    if len > MAX_FRAME {
-        return Err(Error::corruption(format!("frame length {len} exceeds cap {MAX_FRAME}")));
-    }
-    let total = 4 + len + 8;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    let payload = &buf[4..4 + len];
-    let want = u64::from_le_bytes(buf[4 + len..total].try_into().unwrap());
-    let got = checksum64(payload);
-    if want != got {
-        return Err(Error::corruption(format!(
-            "frame checksum mismatch: stored {want:#x}, computed {got:#x}"
-        )));
-    }
-    Ok(Some((payload.to_vec(), total)))
 }
 
 // ---------------------------------------------------------------------------
@@ -255,37 +230,10 @@ const RESP_AVG: u8 = 5;
 const RESP_METRICS: u8 = 6;
 const RESP_ERR: u8 = 7;
 
-fn put_value(w: &mut Writer, v: &Value) {
-    match v {
-        Value::Null => {
-            w.u8(0);
-        }
-        Value::Int(i) => {
-            w.u8(1).i64(*i);
-        }
-        Value::Float(f) => {
-            w.u8(2).f64(*f);
-        }
-        Value::Str(s) => {
-            w.u8(3).str(s);
-        }
-    }
-}
-
-fn get_value(r: &mut Reader<'_>) -> Result<Value> {
-    Ok(match r.u8()? {
-        0 => Value::Null,
-        1 => Value::Int(r.i64()?),
-        2 => Value::Float(r.f64()?),
-        3 => Value::Str(r.str()?.to_string()),
-        t => return Err(Error::corruption(format!("invalid value tag {t}"))),
-    })
-}
-
 fn put_values(w: &mut Writer, vs: &[Value]) {
     w.u32(vs.len() as u32);
     for v in vs {
-        put_value(w, v);
+        v.encode(w);
     }
 }
 
@@ -298,7 +246,7 @@ fn get_values(r: &mut Reader<'_>) -> Result<Vec<Value>> {
     }
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        out.push(get_value(r)?);
+        out.push(Value::decode(r)?);
     }
     Ok(out)
 }

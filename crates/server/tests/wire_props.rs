@@ -4,10 +4,9 @@
 //! as incomplete) and never panic the decoder.
 
 use proptest::prelude::*;
+use txview_common::frame::HEADER_LEN;
 use txview_common::{Error, Value};
-use txview_server::wire::{
-    decode_frame, encode_frame, Request, Response, WireErrorCode, FRAME_OVERHEAD,
-};
+use txview_server::wire::{decode_frame, encode_frame, Request, Response, WireErrorCode};
 
 /// Build a value list from raw generator bytes (2 bits of type selector
 /// per value keeps the shim strategy simple).
@@ -106,7 +105,7 @@ proptest! {
         prop_assert!(decode_frame(&frame[..cut]).unwrap().is_none());
     }
 
-    /// Flipping any single bit inside the payload or checksum region is
+    /// Flipping any single bit inside the checksum or payload region is
     /// caught by the checksum.
     #[test]
     fn bit_flips_are_rejected(
@@ -118,7 +117,7 @@ proptest! {
     ) {
         let mut frame = encode_frame(&request_from(op, a, b, &[]).encode());
         // Skip the 4-byte length prefix: flipping it changes framing, not
-        // payload integrity (covered by the garbage-prefix test).
+        // payload integrity (format_props flips every bit, prefix included).
         let span = frame.len() - 4;
         let pos = 4 + (pos_seed as usize) % span;
         frame[pos] ^= 1 << bit;
@@ -196,5 +195,5 @@ fn retired_error_code_is_a_protocol_error() {
 #[test]
 fn frame_overhead_is_exactly_len_plus_checksum() {
     let f = encode_frame(b"xyz");
-    assert_eq!(f.len(), 3 + FRAME_OVERHEAD);
+    assert_eq!(f.len(), 3 + HEADER_LEN);
 }

@@ -8,7 +8,7 @@
 //! 2       1     page type
 //! 3       1     flags (unused, reserved)
 //! 4       8     pageLSN (LSN of the last log record applied to this page)
-//! 12      8     checksum (FNV-1a over the page with this field zeroed)
+//! 12      8     checksum (of the bytes before it ^ those after it, rotated)
 //! 20      12    reserved
 //! 32      8160  payload
 //! ```
@@ -16,7 +16,7 @@
 //! The pageLSN is the linchpin of ARIES redo idempotence: redo applies a log
 //! record to a page iff `pageLSN < record.lsn`.
 
-use txview_common::codec::checksum64;
+use txview_common::frame::checksum;
 use txview_common::{Error, Lsn, Result};
 
 /// Page size in bytes. 8 KiB, like the system the paper describes.
@@ -117,8 +117,8 @@ impl Page {
 
     fn compute_checksum(&self) -> u64 {
         // Checksum everything except the checksum field itself.
-        let mut h = checksum64(&self.bytes[..OFF_CHECKSUM]);
-        h ^= checksum64(&self.bytes[OFF_CHECKSUM + 8..]).rotate_left(1);
+        let mut h = checksum(&self.bytes[..OFF_CHECKSUM]);
+        h ^= checksum(&self.bytes[OFF_CHECKSUM + 8..]).rotate_left(1);
         h
     }
 

@@ -25,7 +25,8 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use txview_common::codec::Reader;
+use txview_common::codec::{Reader, Writer};
+use txview_common::frame;
 use txview_common::obs::{Histogram, ObsClock, Snapshot};
 use txview_common::retry::{RetryCounters, RetryPolicy, RetryStatsSnapshot};
 use txview_common::{Error, Lsn, Result, TxnId};
@@ -41,15 +42,6 @@ pub const LOG_HEADER: [u8; 8] = [b'T', b'X', b'V', b'L', 1, 0, 0, 0];
 
 /// Length of [`LOG_HEADER`]: the LSN of the first record.
 pub const LOG_HEADER_LEN: u64 = LOG_HEADER.len() as u64;
-
-/// Refuse a store whose first bytes are not [`LOG_HEADER`].
-fn check_header(head: &[u8]) -> Result<()> {
-    match head {
-        h if h == LOG_HEADER => Ok(()),
-        [b'T', b'X', b'V', b'L', v @ ..] => Err(Error::corruption(format!("log version {v:?}"))),
-        _ => Err(Error::corruption("log store does not start with the log header")),
-    }
-}
 
 /// Durable byte sink for the log, plus the master checkpoint pointer. A
 /// new store already holds [`LOG_HEADER`].
@@ -149,8 +141,9 @@ impl LogStore for MemLogStore {
     }
 }
 
-/// File-backed log store. The master pointer lives in a sibling file of
-/// exactly 16 bytes: the master LSN, then the replication epoch.
+/// File-backed log store. The master pointer lives in a sibling file
+/// holding one [`frame`] around the master LSN, then the replication
+/// epoch.
 pub struct FileLogStore {
     file: Mutex<File>,
     master_path: std::path::PathBuf,
@@ -182,18 +175,18 @@ impl FileLogStore {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Lsn::NULL, 0)),
             Err(e) => return Err(e.into()),
         };
-        if bytes.len() != 16 {
-            return Err(Error::corruption(format!("master file of {} bytes", bytes.len())));
+        let payload = frame::decode_exact(&bytes, "master")?;
+        if payload.len() != 16 {
+            return Err(Error::corruption(format!("master: payload of {} bytes", payload.len())));
         }
-        let word = |i: usize| u64::from_le_bytes(bytes[i..i + 8].try_into().unwrap());
-        Ok((Lsn(word(0)), word(8)))
+        let mut r = Reader::new(payload);
+        Ok((r.lsn()?, r.u64()?))
     }
 
     fn write_master(&self, lsn: Lsn, epoch: u64) -> Result<()> {
-        let mut bytes = [0u8; 16];
-        bytes[..8].copy_from_slice(&lsn.0.to_le_bytes());
-        bytes[8..].copy_from_slice(&epoch.to_le_bytes());
-        Ok(txview_common::write_file_atomic(&self.master_path, &bytes)?)
+        let mut w = Writer::with_capacity(16);
+        w.lsn(lsn).u64(epoch);
+        Ok(txview_common::write_file_atomic(&self.master_path, &frame::encode(&w.into_bytes()))?)
     }
 }
 
@@ -323,7 +316,7 @@ impl LogManager {
     /// read; transaction ids continue above the checkpoint's `next_txn` and
     /// every id after it.
     pub fn open(store: Box<dyn LogStore>) -> Result<LogManager> {
-        check_header(&store.read_at(0, LOG_HEADER.len())?)?;
+        frame::check_header(&store.read_at(0, LOG_HEADER.len())?, &LOG_HEADER, "log")?;
         let master = store.get_master()?;
         let (from, mut next_txn, mut redo_floor) = (LOG_HEADER_LEN, 1, LOG_HEADER_LEN);
         let records = scan(store.as_ref(), if master.is_null() { from } else { master.0 })?.0;
@@ -612,12 +605,10 @@ impl LogManager {
     /// Decode the one durable record whose LSN is `lsn`, or `None` if no
     /// whole record starts there.
     pub fn read_record_at(&self, lsn: Lsn) -> Result<Option<LogRecord>> {
-        let head = self.store.read_at(lsn.0, 4)?;
-        if head.len() < 4 {
+        let Some(span) = frame::span(&self.store.read_at(lsn.0, frame::HEADER_LEN)?) else {
             return Ok(None);
-        }
-        let len = Reader::new(&head).u32()? as usize;
-        let bytes = self.store.read_at(lsn.0, 12 + len)?;
+        };
+        let bytes = self.store.read_at(lsn.0, span)?;
         Ok(LogRecord::decode_framed(&bytes, lsn.0)?.map(|(rec, _)| rec))
     }
 
@@ -652,7 +643,7 @@ impl LogManager {
     /// reads (which pin `last_allocated_lsn`) see them as durable.
     pub fn append_raw_durable(&self, bytes: &[u8]) -> Result<Vec<LogRecord>> {
         let mut tail = self.tail.lock();
-        let (records, used) = decode_run(bytes, tail.store_len)?;
+        let (records, used) = LogRecord::decode_run(bytes, tail.store_len)?;
         if used != bytes.len() {
             return Err(Error::corruption("raw append ends inside a record"));
         }
@@ -732,18 +723,7 @@ impl LogManager {
 fn scan(store: &dyn LogStore, offset: u64) -> Result<(Vec<LogRecord>, u64)> {
     let from = offset.max(LOG_HEADER_LEN);
     let bytes = store.read_from(from)?;
-    Ok((decode_run(&bytes, from)?.0, bytes.len() as u64))
-}
-
-/// Decode the whole records at the front of `bytes`, which start at LSN
-/// `at`, plus how many bytes they span.
-fn decode_run(bytes: &[u8], at: u64) -> Result<(Vec<LogRecord>, usize)> {
-    let (mut out, mut off) = (Vec::new(), 0usize);
-    while let Some((rec, used)) = LogRecord::decode_framed(&bytes[off..], at + off as u64)? {
-        out.push(rec);
-        off += used;
-    }
-    Ok((out, off))
+    Ok((LogRecord::decode_run(&bytes, from)?.0, bytes.len() as u64))
 }
 
 #[cfg(test)]

@@ -1,18 +1,19 @@
 //! Log record types and their binary encoding.
 //!
-//! A record on the wire:
+//! A record is one [`frame`] around
 //!
 //! ```text
-//! [ total_len:u32 | checksum:u64 | lsn:u64 | prev_lsn:u64 | txn:u64 | body ]
+//! [ lsn:u64 | prev_lsn:u64 | txn:u64 | tag:u8 | body ]
 //! ```
 //!
 //! `lsn` is the byte offset the record sits at in the log; the decoder is
 //! told that offset and refuses a record that stores another. `prev_lsn`
 //! back-chains the records of one transaction (used by rollback and
-//! crash-undo). The checksum covers everything after itself; a torn tail
-//! after a crash is detected and treated as end-of-log.
+//! crash-undo). A frame that is short or fails its checksum — a torn tail
+//! after a crash — ends the log.
 
-use txview_common::codec::{checksum64, Reader, Writer};
+use txview_common::codec::{Reader, Writer};
+use txview_common::frame::{self, Decoded};
 use txview_common::{Error, IndexId, Lsn, PageId, Result, TxnId, Value};
 use txview_storage::page::PageType;
 use txview_storage::slotted::Slotted;
@@ -424,12 +425,7 @@ impl LogRecord {
                 }
             }
         }
-        let payload = w.into_bytes();
-        let mut framed = Writer::with_capacity(payload.len() + 12);
-        framed.u32(payload.len() as u32);
-        framed.u64(checksum64(&payload));
-        framed.raw(&payload);
-        framed.into_bytes()
+        frame::encode(&w.into_bytes())
     }
 
     /// Decode one framed record from `buf`, which starts at LSN `at` in
@@ -437,19 +433,9 @@ impl LogRecord {
     /// a clean end / torn tail, and `Corruption` for a whole record that
     /// stores an LSN other than `at`: it was written somewhere else.
     pub fn decode_framed(buf: &[u8], at: u64) -> Result<Option<(LogRecord, usize)>> {
-        if buf.len() < 12 {
+        let Decoded::Complete(payload, used) = frame::decode(buf, usize::MAX) else {
             return Ok(None);
-        }
-        let mut r = Reader::new(buf);
-        let len = r.u32()? as usize;
-        let sum = r.u64()?;
-        if buf.len() < 12 + len {
-            return Ok(None); // torn tail
-        }
-        let payload = &buf[12..12 + len];
-        if checksum64(payload) != sum {
-            return Ok(None); // torn / corrupt tail ends the log
-        }
+        };
         let mut r = Reader::new(payload);
         let lsn = r.lsn()?;
         if lsn.0 != at {
@@ -490,7 +476,18 @@ impl LogRecord {
             }
             t => return Err(Error::corruption(format!("bad record tag {t}"))),
         };
-        Ok(Some((LogRecord { lsn, prev_lsn, txn, body }, 12 + len)))
+        Ok(Some((LogRecord { lsn, prev_lsn, txn, body }, used)))
+    }
+
+    /// Decode the whole records at the front of `bytes`, which start at LSN
+    /// `at`, plus how many bytes they span.
+    pub fn decode_run(bytes: &[u8], at: u64) -> Result<(Vec<LogRecord>, usize)> {
+        let (mut out, mut off) = (Vec::new(), 0usize);
+        while let Some((rec, used)) = LogRecord::decode_framed(&bytes[off..], at + off as u64)? {
+            out.push(rec);
+            off += used;
+        }
+        Ok((out, off))
     }
 }
 
@@ -584,10 +581,7 @@ mod tests {
         let mut w = Writer::with_capacity(64);
         w.lsn(Lsn(9)).lsn(Lsn::NULL).txn(TxnId::NONE);
         w.u8(7).u32(1).txn(TxnId(5)).u8(0).lsn(Lsn(4)).u32(0);
-        let payload = w.into_bytes();
-        let mut framed = Writer::with_capacity(payload.len() + 12);
-        framed.u32(payload.len() as u32).u64(checksum64(&payload)).raw(&payload);
-        let err = LogRecord::decode_framed(&framed.into_bytes(), 9).unwrap_err();
+        let err = LogRecord::decode_framed(&frame::encode(&w.into_bytes()), 9).unwrap_err();
         assert!(matches!(err, Error::Corruption(_)), "got {err:?}");
     }
 

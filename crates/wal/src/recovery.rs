@@ -761,14 +761,11 @@ mod tests {
     #[test]
     fn retired_checkpoint_layout_is_refused() {
         use crate::log::{LogStore, MemLogStore};
-        use txview_common::codec::{checksum64, Writer};
+        use txview_common::codec::Writer;
         let mut w = Writer::with_capacity(32);
         w.lsn(Lsn(8)).lsn(Lsn::NULL).txn(TxnId::NONE).u8(7).u32(0).u32(0);
-        let payload = w.into_bytes();
-        let mut framed = Writer::with_capacity(payload.len() + 12);
-        framed.u32(payload.len() as u32).u64(checksum64(&payload)).raw(&payload);
         let store = MemLogStore::new();
-        store.append(&framed.into_bytes()).unwrap();
+        store.append(&txview_common::frame::encode(&w.into_bytes())).unwrap();
         store.set_master(Lsn(8)).unwrap();
         match LogManager::open(Box::new(store)) {
             Err(Error::Corruption(m)) => assert!(m.contains("tag 7"), "{m}"),

@@ -2,8 +2,11 @@
 //! "restarts" (drop + reopen) with WAL recovery and catalog reload.
 
 use std::time::Duration;
+use txview_repro::common::frame;
+use txview_repro::engine::catalog::{Catalog, CATALOG_HEADER};
 use txview_repro::prelude::*;
 use txview_repro::row;
+use txview_repro::workload::bank::{Bank, BankConfig};
 
 fn fresh_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("txview-{}-{}", tag, std::process::id()));
@@ -185,10 +188,13 @@ fn catalog_view_tag_is_reserved_zero() {
         let (db, _) = Database::open_dir(&dir, 64, Duration::from_secs(5)).unwrap();
         db.harness().verify_view("by_grp").unwrap();
     }
+    // Re-seal each patched body in a good frame, so that the tag itself is
+    // what gets refused, not the frame's checksum.
+    let body_at = CATALOG_HEADER.len() + frame::HEADER_LEN;
     for tag in [1u8, 2, 255] {
-        let mut bytes = written.clone();
-        bytes[tag_at] = tag;
-        std::fs::write(&path, &bytes).unwrap();
+        let mut body = written[body_at..].to_vec();
+        body[tag_at - body_at] = tag;
+        std::fs::write(&path, [&CATALOG_HEADER[..], &frame::encode(&body)].concat()).unwrap();
         match Database::open_dir(&dir, 64, Duration::from_secs(5)) {
             Err(Error::Corruption(m)) => assert!(m.contains(&format!("bad view tag {tag}")), "{m}"),
             Err(e) => panic!("tag {tag}: expected corruption, got {e}"),
@@ -233,3 +239,86 @@ fn unreadable_catalog_is_an_error() {
     assert!(Database::open_dir(&dir, 64, Duration::from_secs(5)).is_err());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Every single-bit flip of an encoded catalog is refused. The catalog is
+/// a bank's: one table, its view, and one view derived from that. A flip
+/// that decoded would silently redefine a view (an aggregate column, a
+/// group-by index, the maintenance mode) after restart.
+#[test]
+fn every_catalog_bit_flip_is_refused() {
+    let cfg = BankConfig { accounts: 16, branches: 4, pool_pages: 64, chain_depth: 1, ..Default::default() };
+    let bytes = Bank::setup(cfg).unwrap().db.export_catalog();
+    let (mut accepted, mut different) = (0, 0);
+    for bit in 0..bytes.len() * 8 {
+        let mut flipped = bytes.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        if let Ok(cat) = Catalog::decode(&flipped) {
+            accepted += 1;
+            different += usize::from(cat.encode() != bytes);
+        }
+    }
+    let flips = bytes.len() * 8;
+    assert_eq!(accepted, 0, "{accepted} of {flips} flips decoded, {different} to another catalog");
+
+    // And on disk: flip the view's maintenance byte (escrow, 0) to X-lock.
+    let dir = fresh_dir("catalogflip");
+    {
+        let (db, _) = Database::open_dir(&dir, 64, Duration::from_secs(5)).unwrap();
+        let t = db.create_table("orders", schema()).unwrap();
+        db.create_indexed_view(ViewSpec {
+            name: "by_grp".into(),
+            source: ViewSource::Single { table: t, group_by: vec![1] },
+            aggs: vec![AggSpec::SumInt { col: 2 }],
+            filter: Predicate::True,
+            maintenance: MaintenanceMode::Escrow,
+            deferred: false,
+            eager_group_delete: false,
+        })
+        .unwrap();
+    }
+    let path = dir.join("catalog.bin");
+    let mut bytes = std::fs::read(&path).unwrap();
+    // From the end: no secondary index (4), the reserved tag (1), one group
+    // type (1 + 2), the view's root and index (4 + 4), two bools (2).
+    let maintenance_at = bytes.len() - 19;
+    assert_eq!(bytes[maintenance_at], 0, "escrow");
+    bytes[maintenance_at] ^= 1;
+    std::fs::write(&path, &bytes).unwrap();
+    match Database::open_dir(&dir, 64, Duration::from_secs(5)) {
+        Err(Error::Corruption(m)) => assert!(m.contains("catalog"), "{m}"),
+        Err(e) => panic!("expected corruption, got {e}"),
+        Ok(_) => panic!("a catalog with a flipped bit opened"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every single-bit flip of the master file makes `open_dir` fail with
+/// `Corruption` naming the master. A flipped epoch that opened would give
+/// a follower another term, since it takes the stored epoch as its own.
+#[test]
+fn every_master_bit_flip_is_refused() {
+    let dir = fresh_dir("masterflips");
+    {
+        let (db, _) = Database::open_dir(&dir, 64, Duration::from_secs(5)).unwrap();
+        db.create_table("orders", schema()).unwrap();
+        db.checkpoint().unwrap();
+    }
+    let path = dir.join("wal.log.master");
+    let master = std::fs::read(&path).unwrap();
+    let mut silent = Vec::new();
+    for bit in 0..master.len() * 8 {
+        let mut flipped = master.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        std::fs::write(&path, &flipped).unwrap();
+        match Database::open_dir(&dir, 64, Duration::from_secs(5)) {
+            Err(Error::Corruption(m)) => assert!(m.contains("master"), "bit {bit}: {m}"),
+            Err(e) => panic!("bit {bit}: expected corruption, got {e}"),
+            Ok(_) => silent.push(bit),
+        }
+    }
+    assert!(silent.is_empty(), "{} of {} flips opened: {silent:?}", silent.len(), master.len() * 8);
+    std::fs::write(&path, &master).unwrap();
+    Database::open_dir(&dir, 64, Duration::from_secs(5)).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
