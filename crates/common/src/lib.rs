@@ -14,8 +14,6 @@
 //!   workload generators and property tests,
 //! * [`obs`] — zero-dependency metrics primitives (counters, gauges,
 //!   log₂ histograms, trace ring) shared by every instrumented layer,
-//! * [`sharded`] — a hash-sharded concurrent map used to break up global
-//!   `Mutex<HashMap>` registries on the write path,
 //! * [`error::Error`] — the workspace-wide error enum.
 //!
 //! The crate is intentionally dependency-free so that on-disk formats are
@@ -31,7 +29,6 @@ pub mod retry;
 pub mod rng;
 pub mod row;
 pub mod schema;
-pub mod sharded;
 pub mod value;
 
 pub use error::{Error, Result};

@@ -19,7 +19,7 @@
 //! * **No dependencies.** `txview-common` stays dependency-free; only
 //!   `std::sync::atomic` and `std::time` are used.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -71,53 +71,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Number of cells in a [`StripedCounter`].
-const STRIPES: usize = 16;
-
-static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
-
-std::thread_local! {
-    /// Each thread gets a stable stripe index at first use; round-robin
-    /// assignment spreads concurrent writers across cache lines.
-    static STRIPE: usize = NEXT_STRIPE.fetch_add(1, Ordering::Relaxed) % STRIPES;
-}
-
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct PaddedU64(AtomicU64);
-
-/// A counter striped across cache-line-padded cells, for call sites hot
-/// enough that 16 threads incrementing one `AtomicU64` would ping-pong
-/// its cache line (buffer-pool fetch, per-delta apply counters). Same
-/// API as [`Counter`]; `get` sums the stripes.
-#[derive(Debug, Default)]
-pub struct StripedCounter {
-    cells: [PaddedU64; STRIPES],
-}
-
-impl StripedCounter {
-    /// New counter at zero.
-    pub fn new() -> StripedCounter {
-        StripedCounter::default()
-    }
-
-    /// Add one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Add `n`.
-    pub fn add(&self, n: u64) {
-        let i = STRIPE.with(|s| *s);
-        self.cells[i].0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value (sum over stripes).
-    pub fn get(&self) -> u64 {
-        self.cells.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
     }
 }
 
@@ -552,27 +505,6 @@ mod tests {
         g.set(3);
         g.add(-5);
         assert_eq!(g.get(), -2);
-    }
-
-    #[test]
-    fn striped_counter_sums_across_threads() {
-        let c = Arc::new(StripedCounter::new());
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let c = Arc::clone(&c);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..1000 {
-                    c.inc();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(c.get(), 8005);
     }
 
     #[test]

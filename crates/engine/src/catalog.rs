@@ -607,7 +607,9 @@ impl Catalog {
     }
 
     /// Deserialize a catalog produced by [`Catalog::encode`]. The bytes
-    /// must be exactly its header and one whole frame.
+    /// must be exactly its header and one whole frame, and the frame's
+    /// body exactly one catalog: an unknown tag or trailing bytes are
+    /// `Corruption`.
     pub fn decode(bytes: &[u8]) -> Result<Catalog> {
         let body = frame::check_header(bytes, &CATALOG_HEADER, "catalog")?;
         let mut r = Reader::new(frame::decode_exact(body, "catalog")?);
@@ -648,7 +650,8 @@ impl Catalog {
             let filter = Predicate::decode(&mut r)?;
             let maintenance = match r.u8()? {
                 0 => MaintenanceMode::Escrow,
-                _ => MaintenanceMode::XLock,
+                1 => MaintenanceMode::XLock,
+                m => return Err(Error::corruption(format!("bad maintenance mode {m}"))),
             };
             let deferred = r.bool()?;
             let eager_group_delete = r.bool()?;
@@ -693,6 +696,9 @@ impl Catalog {
                 name.clone(),
                 SecondaryIndexDef { name, table, cols, unique, index, root },
             );
+        }
+        if !r.is_exhausted() {
+            return Err(Error::corruption(format!("{} bytes after the catalog", r.remaining())));
         }
         Ok(cat)
     }

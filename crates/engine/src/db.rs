@@ -24,9 +24,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use txview_btree::{LogCtx, OpLog, Tree};
-use txview_common::obs::{Histogram, ObsClock, Snapshot, StripedCounter};
+use txview_common::obs::{Counter, Histogram, ObsClock, Snapshot};
 use txview_common::retry::{RetryPolicy, RetryStatsSnapshot};
-use txview_common::sharded::ShardMap;
 use txview_common::{Error, IndexId, Key, Lsn, Result, TxnId, ViewId};
 use txview_lock::{LockManager, LockMode, LockName};
 use txview_storage::buffer::BufferPool;
@@ -94,17 +93,16 @@ pub struct Database {
     pub(crate) versions: VersionStore,
     pub(crate) watermark: CommitWatermark,
     /// View rows touched per transaction (for version publication at
-    /// commit), sharded by txn id: every DML statement records touches
-    /// here, so a single registry mutex would re-serialize the escrow path.
-    pub(crate) touched: ShardMap<TxnId, TouchedRows>,
-    /// Ghost-cleanup work queue, striped by key hash with enqueue dedup.
+    /// commit).
+    pub(crate) touched: Mutex<HashMap<TxnId, TouchedRows>>,
+    /// Ghost-cleanup work queue, FIFO with enqueue dedup.
     pub(crate) ghost_queue: GhostQueue,
     /// View-dependency DAG: base views at depth 0, derived (view-over-view)
     /// children below, cycle-rejected at registration.
     pub(crate) graph: RwLock<ViewGraph>,
     /// Per-transaction coalescing queues of pending derived-view deltas,
     /// drained in dependency order by the commit flush.
-    pub(crate) cascades: ShardMap<TxnId, CascadeQueue>,
+    pub(crate) cascades: Mutex<HashMap<TxnId, CascadeQueue>>,
     /// Ablation: propagate each parent delta to children immediately (one
     /// refresh per DML) instead of coalescing to one per (view, group, txn).
     pub(crate) cascade_eager: AtomicBool,
@@ -140,25 +138,24 @@ pub struct EngineObs {
     /// Time source; switched to a logical tick counter in deterministic runs.
     pub clock: ObsClock,
     /// View deltas applied through the escrow (E-lock, in-place) path.
-    /// Striped: every update in every writer thread lands here.
-    pub escrow_applies: StripedCounter,
+    pub escrow_applies: Counter,
     /// View deltas applied through the X-lock full-rewrite (MIN/MAX) path.
-    pub minmax_rewrites: StripedCounter,
+    pub minmax_rewrites: Counter,
     /// MIN/MAX deletes that retired the stored extremum and recomputed the
     /// group from base (the expensive fallback; non-extremal deletes fold
     /// in place and never touch base).
-    pub minmax_recomputes: StripedCounter,
+    pub minmax_recomputes: Counter,
     /// Invisible group rows materialized by system transactions.
-    pub group_creates: StripedCounter,
+    pub group_creates: Counter,
     /// Ghost rows physically removed by cleanup sweeps.
-    pub ghosts_removed: StripedCounter,
+    pub ghosts_removed: Counter,
     /// Child deltas projected into per-transaction cascade queues.
-    pub cascade_enqueues: StripedCounter,
+    pub cascade_enqueues: Counter,
     /// Enqueues that merged into an existing (view, group) entry — the
     /// work coalescing saved versus eager propagation.
-    pub cascade_coalesce_hits: StripedCounter,
+    pub cascade_coalesce_hits: Counter,
     /// Derived-view refreshes actually applied (flush drains + eager mode).
-    pub cascade_refreshes: StripedCounter,
+    pub cascade_refreshes: Counter,
     /// Coalesced entries drained per commit flush (flushes with work only).
     pub cascade_flush_entries: Histogram,
     /// Deepest DAG level reached per commit flush.
@@ -222,10 +219,10 @@ impl Database {
             trees: RwLock::new(HashMap::new()),
             versions: VersionStore::new(),
             watermark: CommitWatermark::new(),
-            touched: ShardMap::with_default_shards(),
+            touched: Mutex::new(HashMap::new()),
             ghost_queue: GhostQueue::new(),
             graph: RwLock::new(ViewGraph::new()),
-            cascades: ShardMap::with_default_shards(),
+            cascades: Mutex::new(HashMap::new()),
             cascade_eager: AtomicBool::new(false),
             cascade_trace: Mutex::new(None),
             deferred_pending: Mutex::new(HashMap::new()),
@@ -495,8 +492,8 @@ impl Database {
         self.pool.simulate_crash(steal_probability, &mut rng)?;
         self.log.simulate_crash();
         self.versions.clear();
-        self.touched.clear();
-        self.cascades.clear();
+        self.touched.lock().clear();
+        self.cascades.lock().clear();
         self.ghost_queue.clear();
         self.watermark.clear_snapshots();
         self.locks.reset();

@@ -64,7 +64,7 @@ impl Database {
                 // ahead of the Commit, so recovery and replication replay
                 // see them as ordinary redo.
                 self.flush_cascades(txn)?;
-                let touched = self.touched.remove(&txn.id).unwrap_or_default();
+                let touched = self.touched.lock().remove(&txn.id).unwrap_or_default();
                 // Force is computed after the flush so cascade work
                 // upgrades an otherwise no-force commit.
                 let force = txn.undo_len() > 0 || !touched.is_empty();
@@ -85,11 +85,11 @@ impl Database {
 
     /// Roll back completely (logical undo through the engine, CLRs logged).
     pub fn rollback(&self, txn: &mut Transaction) -> Result<()> {
-        self.touched.remove(&txn.id);
+        self.touched.lock().remove(&txn.id);
         // Pending cascade work dies with the transaction: nothing was
         // applied, so there is nothing to undo. (Removed *before* the undo
         // walk so per-op retraction finds an empty queue and no-ops.)
-        self.cascades.remove(&txn.id);
+        self.cascades.lock().remove(&txn.id);
         let result = self.txns.rollback(txn, self);
         if result.is_ok() {
             self.release_snapshot(txn);

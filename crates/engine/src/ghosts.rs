@@ -2,53 +2,33 @@
 //! are unlinked lazily by [`crate::Database::run_ghost_cleanup`], and DML
 //! paths enqueue candidates here at delete/undo time.
 //!
-//! Two properties matter on the hot path:
-//!
-//! * **No global serialization** — the queue is striped by key hash, so
-//!   concurrent deleters touching different groups enqueue without
-//!   contending on one mutex.
-//! * **Dedup at enqueue** — the same `(IndexId, key)` ghosted twice before
-//!   a cleanup sweep runs used to queue double work (and the backlog gauge
-//!   double-counted it). Each stripe keeps a membership set; a key already
-//!   queued is not queued again. Membership is dropped at drain time, so a
-//!   key re-ghosted *after* a sweep picked it up is — correctly — queued
-//!   again, and the cleanup pass re-enqueueing a skipped locked group goes
-//!   through the same dedup.
+//! One mutex guards one FIFO plus its membership set, which gives **dedup
+//! at enqueue**: the same `(IndexId, key)` ghosted twice before a cleanup
+//! sweep runs used to queue double work (and the backlog gauge
+//! double-counted it); a key already queued is not queued again.
+//! Membership is dropped at drain time, so a key re-ghosted *after* a
+//! sweep picked it up is — correctly — queued again, and the cleanup pass
+//! re-enqueueing a skipped locked group goes through the same dedup.
 
 use parking_lot::Mutex;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashSet, VecDeque};
-use std::hash::{Hash, Hasher};
 use txview_common::IndexId;
 
 /// A ghost-cleanup candidate: index and group key.
 pub type GhostKey = (IndexId, Vec<u8>);
 
-/// Stripe count (power of two; selection is a mask).
-const STRIPES: usize = 16;
-
 #[derive(Default)]
-struct Stripe {
-    /// FIFO of pending candidates within this stripe.
+struct Pending {
+    /// FIFO of pending candidates.
     queue: VecDeque<GhostKey>,
     /// Keys currently sitting in `queue` (the dedup membership set).
     queued: HashSet<GhostKey>,
 }
 
-/// Striped, deduplicating queue of ghost-cleanup candidates.
+/// Deduplicating FIFO of ghost-cleanup candidates.
+#[derive(Default)]
 pub struct GhostQueue {
-    stripes: Box<[Mutex<Stripe>]>,
-}
-
-impl Default for GhostQueue {
-    fn default() -> GhostQueue {
-        GhostQueue {
-            stripes: (0..STRIPES)
-                .map(|_| Mutex::new(Stripe::default()))
-                .collect::<Vec<_>>()
-                .into_boxed_slice(),
-        }
-    }
+    pending: Mutex<Pending>,
 }
 
 impl GhostQueue {
@@ -57,42 +37,31 @@ impl GhostQueue {
         GhostQueue::default()
     }
 
-    fn stripe(&self, key: &GhostKey) -> &Mutex<Stripe> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        &self.stripes[(h.finish() as usize) & (STRIPES - 1)]
-    }
-
     /// Enqueue a candidate. Returns `false` (and queues nothing) if the
     /// key is already pending.
     pub fn enqueue(&self, index: IndexId, key: Vec<u8>) -> bool {
         let gk = (index, key);
-        let mut stripe = self.stripe(&gk).lock();
-        if stripe.queued.insert(gk.clone()) {
-            stripe.queue.push_back(gk);
+        let mut p = self.pending.lock();
+        if p.queued.insert(gk.clone()) {
+            p.queue.push_back(gk);
             true
         } else {
             false
         }
     }
 
-    /// Drain every pending candidate, stripe by stripe in fixed order
-    /// (FIFO within a stripe). Drained keys lose their membership, so a
-    /// subsequent ghosting of the same key queues fresh work.
+    /// Drain every pending candidate in FIFO order. Drained keys lose
+    /// their membership, so a subsequent ghosting of the same key queues
+    /// fresh work.
     pub fn drain(&self) -> Vec<GhostKey> {
-        let mut out = Vec::new();
-        for stripe in self.stripes.iter() {
-            let mut s = stripe.lock();
-            s.queued.clear();
-            out.extend(s.queue.drain(..));
-        }
-        out
+        let mut p = self.pending.lock();
+        p.queued.clear();
+        p.queue.drain(..).collect()
     }
 
-    /// Pending candidate count (the `engine.ghost_backlog` gauge). Exact
-    /// whenever no enqueue/drain is mid-flight.
+    /// Pending candidate count (the `engine.ghost_backlog` gauge).
     pub fn len(&self) -> usize {
-        self.stripes.iter().map(|s| s.lock().queue.len()).sum()
+        self.pending.lock().queue.len()
     }
 
     /// True when nothing is pending.
@@ -103,11 +72,9 @@ impl GhostQueue {
     /// Drop everything (crash simulation: the queue is volatile; recovery
     /// re-derives cleanable ghosts from the recovered trees).
     pub fn clear(&self) {
-        for stripe in self.stripes.iter() {
-            let mut s = stripe.lock();
-            s.queue.clear();
-            s.queued.clear();
-        }
+        let mut p = self.pending.lock();
+        p.queue.clear();
+        p.queued.clear();
     }
 }
 
@@ -141,16 +108,15 @@ mod tests {
     }
 
     #[test]
-    fn drain_returns_every_stripe_exactly_once() {
+    fn drain_is_fifo() {
         let q = GhostQueue::new();
-        for i in 0..100u64 {
-            assert!(q.enqueue(IDX, i.to_be_bytes().to_vec()));
+        let keys: Vec<GhostKey> =
+            (0..100u64).rev().map(|i| (IDX, i.to_be_bytes().to_vec())).collect();
+        for (index, key) in keys.iter().cloned() {
+            assert!(q.enqueue(index, key));
         }
         assert_eq!(q.len(), 100);
-        let mut drained = q.drain();
-        drained.sort();
-        drained.dedup();
-        assert_eq!(drained.len(), 100);
+        assert_eq!(q.drain(), keys);
         assert!(q.is_empty());
     }
 

@@ -401,21 +401,19 @@ impl Database {
         kb: &[u8],
         pairs: &[(u16, ValueDelta)],
     ) -> Result<()> {
-        self.touched.with_entry(txn, |rows| {
-            let entry =
-                rows.entry((index, kb.to_vec())).or_insert_with(|| Touch::Additive(Vec::new()));
-            match entry {
-                Touch::Additive(acc) => escrow::merge_pairs(acc, pairs),
-                Touch::Exclusive => Ok(()), // exclusive image already covers it
-            }
-        })
+        let mut touched = self.touched.lock();
+        let entry = (touched.entry(txn).or_default())
+            .entry((index, kb.to_vec()))
+            .or_insert_with(|| Touch::Additive(Vec::new()));
+        match entry {
+            Touch::Additive(acc) => escrow::merge_pairs(acc, pairs),
+            Touch::Exclusive => Ok(()), // exclusive image already covers it
+        }
     }
 
     /// Mark a view row as exclusively rewritten by this transaction.
     fn note_exclusive(&self, txn: TxnId, index: IndexId, kb: &[u8]) {
-        self.touched.with_entry(txn, |rows| {
-            rows.insert((index, kb.to_vec()), Touch::Exclusive);
-        });
+        self.touched.lock().entry(txn).or_default().insert((index, kb.to_vec()), Touch::Exclusive);
     }
 
     /// Publish the committed versions of the view rows transaction `tid`
@@ -520,8 +518,8 @@ impl Database {
                 count: projected.count,
                 aggs: projected.aggs,
             };
-            let outcome =
-                self.cascades.with_entry(txn.id, |q| q.enqueue(depth, child.id, kb, pending))?;
+            let outcome = (self.cascades.lock().entry(txn.id).or_default())
+                .enqueue(depth, child.id, kb, pending)?;
             self.obs.cascade_enqueues.inc();
             if outcome == EnqueueOutcome::Coalesced {
                 self.obs.cascade_coalesce_hits.inc();
@@ -544,7 +542,7 @@ impl Database {
     /// pre-append commit hook, so every cascade log record precedes the
     /// commit record (ordinary redo for recovery and replication).
     pub(crate) fn flush_cascades(&self, txn: &mut Transaction) -> Result<()> {
-        let entries = self.cascades.update(&txn.id, |slot| slot.map(|q| q.len()).unwrap_or(0));
+        let entries = self.cascades.lock().get(&txn.id).map_or(0, |q| q.len());
         if entries == 0 {
             return Ok(());
         }
@@ -559,7 +557,7 @@ impl Database {
             // Pop through the live map entry (not a drained snapshot):
             // applying an entry re-enters `cascade_children`, which must
             // land grandchildren in this same queue.
-            let popped = self.cascades.update(&txn.id, |slot| slot.and_then(|q| q.pop_first()));
+            let popped = self.cascades.lock().get_mut(&txn.id).and_then(|q| q.pop_first());
             let Some((depth, view_id, kb, pending)) = popped else {
                 break;
             };
@@ -578,7 +576,7 @@ impl Database {
             self.note_refresh(txn.id, view_id, kb);
             refreshed += 1;
         }
-        self.cascades.remove(&txn.id);
+        self.cascades.lock().remove(&txn.id);
         self.obs.cascade_flush_entries.record(refreshed);
         if let Some(d) = last_depth {
             self.obs.cascade_flush_depth.record(u64::from(d));
@@ -599,14 +597,11 @@ impl Database {
     ) -> Result<()> {
         let inverse: Vec<(u16, ValueDelta)> =
             deltas.iter().map(|(p, d)| (*p, d.inverse())).collect();
-        self.touched.update(&txn, |slot| -> Result<()> {
-            if let Some(Touch::Additive(acc)) =
-                slot.and_then(|rows| rows.get_mut(&(view.index, key.to_vec())))
-            {
-                escrow::merge_pairs(acc, &inverse)?;
-            }
-            Ok(())
-        })?;
+        if let Some(Touch::Additive(acc)) = (self.touched.lock().get_mut(&txn))
+            .and_then(|rows| rows.get_mut(&(view.index, key.to_vec())))
+        {
+            escrow::merge_pairs(acc, &inverse)?;
+        }
         if !self.graph.read().has_children(view.id) {
             return Ok(());
         }
@@ -645,13 +640,12 @@ impl Database {
                 count: projected.count,
                 aggs: projected.aggs,
             };
-            // `update`, not `with_entry`: recovery undo (and a full
-            // rollback, which drops the queue first) must not materialize
-            // an empty queue as a side effect.
-            self.cascades.update(&txn, |slot| match slot {
-                Some(q) => q.retract(depth, child.id, &kb, &pending),
-                None => Ok(()),
-            })?;
+            // `get_mut`, not `entry`: recovery undo (and a full rollback,
+            // which drops the queue first) must not materialize an empty
+            // queue as a side effect.
+            if let Some(q) = self.cascades.lock().get_mut(&txn) {
+                q.retract(depth, child.id, &kb, &pending)?;
+            }
         }
         Ok(())
     }

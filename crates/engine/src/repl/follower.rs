@@ -86,14 +86,7 @@ impl Follower {
         let clock = FaultClock::new();
         let disk = FaultDisk::new(Arc::clone(&clock));
         let store = FaultLogStore::new(Arc::clone(&clock));
-        let db = Database::with_parts(
-            Arc::new(disk.clone()),
-            Box::new(store.clone()),
-            cfg.pool_pages,
-            Duration::from_secs(2),
-        )?;
-        db.load_catalog(&catalog)?;
-        db.set_metrics_ticks(clock.events_handle());
+        let db = open_db(&cfg, &clock, &disk, &store, &catalog)?;
         Ok(Follower::assemble(cfg, clock, disk, store, db, catalog))
     }
 
@@ -109,16 +102,11 @@ impl Follower {
         store: FaultLogStore,
         catalog: Vec<u8>,
     ) -> Result<Follower> {
-        let db = Database::with_parts(
-            Arc::new(disk.clone()),
-            Box::new(store.clone()),
-            cfg.pool_pages,
-            Duration::from_secs(2),
-        )?;
+        let db = open_db(&cfg, &clock, &disk, &store, &catalog)?;
         let mut f = Follower::assemble(cfg, clock, disk, store, db, catalog);
         f.idle_drains = f.cfg.hello_after;
         f.epoch = f.store.get_epoch()?;
-        f.rebuild()?;
+        f.replay()?;
         Ok(f)
     }
 
@@ -326,15 +314,12 @@ impl Follower {
     /// and diverge our log from the leader's; losers are the *leader's*
     /// business until promotion.
     fn rebuild(&mut self) -> Result<()> {
-        let db = Database::with_parts(
-            Arc::new(self.disk.clone()),
-            Box::new(self.store.clone()),
-            self.cfg.pool_pages,
-            Duration::from_secs(2),
-        )?;
-        db.load_catalog(&self.catalog)?;
-        db.set_metrics_ticks(self.clock.events_handle());
-        self.db = db;
+        self.db = open_db(&self.cfg, &self.clock, &self.disk, &self.store, &self.catalog)?;
+        self.replay()
+    }
+
+    /// Redo-only replay of the whole durable log into the current database.
+    fn replay(&mut self) -> Result<()> {
         for rec in self.db.log().read_durable_from(0)? {
             self.apply_record(&rec)?;
         }
@@ -459,6 +444,26 @@ impl Follower {
         s.sort();
         s
     }
+}
+
+/// Open a follower database over `disk` and `store`: `catalog` loaded and
+/// the metrics clock on the fault clock's event counter.
+fn open_db(
+    cfg: &ReplConfig,
+    clock: &FaultClock,
+    disk: &FaultDisk,
+    store: &FaultLogStore,
+    catalog: &[u8],
+) -> Result<Arc<Database>> {
+    let db = Database::with_parts(
+        Arc::new(disk.clone()),
+        Box::new(store.clone()),
+        cfg.pool_pages,
+        Duration::from_secs(2),
+    )?;
+    db.load_catalog(catalog)?;
+    db.set_metrics_ticks(clock.events_handle());
+    Ok(db)
 }
 
 #[cfg(test)]

@@ -3,10 +3,10 @@
 
 use crate::pipeline::CommitPipeline;
 use crate::txn::{IsolationLevel, Transaction, TxnState};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use txview_common::obs::{Counter, Histogram, ObsClock, Snapshot};
-use txview_common::sharded::ShardMap;
 use txview_common::{Error, Lsn, Result, TxnId};
 use txview_lock::LockManager;
 use txview_wal::record::{RecordBody, TxnKind};
@@ -18,10 +18,9 @@ pub struct TxnManager {
     log: Arc<LogManager>,
     locks: Arc<LockManager>,
     /// Active user transactions (diagnostics: `active_txns`, the
-    /// `txn.active` gauge), sharded by txn id so begin/commit from
-    /// concurrent workers don't serialize on one registry mutex. What a
-    /// checkpoint needs of them, the log manager tracks itself.
-    active: ShardMap<TxnId, ()>,
+    /// `txn.active` gauge). What a checkpoint needs of them, the log
+    /// manager tracks itself.
+    active: Mutex<BTreeSet<TxnId>>,
     /// Optional group-commit pipeline. When installed, forced commits go
     /// through leader-based batching instead of the strict per-commit
     /// `flush_strict`.
@@ -56,7 +55,7 @@ impl TxnManager {
         TxnManager {
             log,
             locks,
-            active: ShardMap::with_default_shards(),
+            active: Mutex::new(BTreeSet::new()),
             pipeline: RwLock::new(None),
             obs: TxnObs::default(),
         }
@@ -84,7 +83,7 @@ impl TxnManager {
         let mut s = Snapshot::default();
         s.counter("txn.commits", self.obs.commits.get());
         s.counter("txn.rollbacks", self.obs.rollbacks.get());
-        s.gauge("txn.active", self.active.len() as i64);
+        s.gauge("txn.active", self.active.lock().len() as i64);
         s.hist("txn.phase.acquire_us", self.obs.acquire_us.snapshot());
         s.hist("txn.phase.maintain_us", self.obs.maintain_us.snapshot());
         s.hist("txn.phase.log_force_us", self.obs.log_force_us.snapshot());
@@ -111,7 +110,7 @@ impl TxnManager {
         let id = self.log.alloc_txn_id();
         let snapshot_lsn = self.log.last_allocated_lsn();
         let last_lsn = self.log.append(id, Lsn::NULL, RecordBody::Begin { kind: TxnKind::User });
-        self.active.insert(id, ());
+        self.active.lock().insert(id);
         Transaction {
             id,
             isolation,
@@ -171,7 +170,7 @@ impl TxnManager {
         txn.last_lsn = self.log.append(txn.id, commit_lsn, RecordBody::End);
         txn.state = TxnState::Committed;
         txn.undo.clear();
-        self.active.remove(&txn.id);
+        self.active.lock().remove(&txn.id);
         self.obs.commits.inc();
         self.obs.acquire_us.record(txn.phase_acquire_us);
         self.obs.maintain_us.record(txn.phase_maintain_us);
@@ -198,7 +197,7 @@ impl TxnManager {
         txn.last_lsn = self.log.append(txn.id, txn.last_lsn, RecordBody::End);
         txn.state = TxnState::Aborted;
         self.locks.release_all(txn.id);
-        self.active.remove(&txn.id);
+        self.active.lock().remove(&txn.id);
         self.obs.rollbacks.inc();
         if let Some(h) = &hook {
             h.observe(txn.id, &txview_lock::SchedEvent::RolledBack);
@@ -252,14 +251,12 @@ impl TxnManager {
     /// Forget all active-transaction bookkeeping (volatile state lost in a
     /// crash; recovery rebuilds what matters from the log).
     pub fn reset_active(&self) {
-        self.active.clear();
+        self.active.lock().clear();
     }
 
     /// Ids of currently active transactions (diagnostics), sorted.
     pub fn active_txns(&self) -> Vec<TxnId> {
-        let mut ids = self.active.keys();
-        ids.sort();
-        ids
+        self.active.lock().iter().copied().collect()
     }
 }
 

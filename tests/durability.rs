@@ -204,6 +204,72 @@ fn catalog_view_tag_is_reserved_zero() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A directory holding one table and one escrow view over it, and the
+/// body of its `catalog.bin` (header and frame header skipped).
+fn one_view_dir(tag: &str) -> (std::path::PathBuf, Vec<u8>) {
+    let dir = fresh_dir(tag);
+    let (db, _) = Database::open_dir(&dir, 64, Duration::from_secs(5)).unwrap();
+    let t = db.create_table("orders", schema()).unwrap();
+    db.create_indexed_view(ViewSpec {
+        name: "by_grp".into(),
+        source: ViewSource::Single { table: t, group_by: vec![1] },
+        aggs: vec![AggSpec::SumInt { col: 2 }],
+        filter: Predicate::True,
+        maintenance: MaintenanceMode::Escrow,
+        deferred: false,
+        eager_group_delete: false,
+    })
+    .unwrap();
+    let written = std::fs::read(dir.join("catalog.bin")).unwrap();
+    let body = written[CATALOG_HEADER.len() + frame::HEADER_LEN..].to_vec();
+    (dir, body)
+}
+
+/// Re-seal `body` in a good frame as the directory's catalog, so that the
+/// decoder, not the checksum, is what must refuse it.
+fn write_sealed_catalog(dir: &std::path::Path, body: &[u8]) {
+    std::fs::write(dir.join("catalog.bin"), [&CATALOG_HEADER[..], &frame::encode(body)].concat())
+        .unwrap();
+}
+
+fn assert_open_refused(dir: &std::path::Path, want: &str) {
+    match Database::open_dir(dir, 64, Duration::from_secs(5)) {
+        Err(Error::Corruption(m)) => assert!(m.contains(want), "{m}"),
+        Err(e) => panic!("expected corruption naming {want:?}, got {e}"),
+        Ok(_) => panic!("a catalog that should name {want:?} opened"),
+    }
+}
+
+/// A view's maintenance byte is 0 (escrow) or 1 (X-lock). Any other value
+/// is corruption, not X-lock.
+#[test]
+fn catalog_maintenance_byte_other_than_0_or_1_is_corruption() {
+    let (dir, body) = one_view_dir("maintbyte");
+    // From the end: no secondary index (4), the reserved tag (1), one group
+    // type (1 + 2), the view's root and index (4 + 4), two bools (2).
+    let maintenance_at = body.len() - 19;
+    assert_eq!(body[maintenance_at], 0, "escrow");
+    for m in [2u8, 3, 255] {
+        let mut patched = body.clone();
+        patched[maintenance_at] = m;
+        write_sealed_catalog(&dir, &patched);
+        assert_open_refused(&dir, &format!("bad maintenance mode {m}"));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The body ends with its last secondary index; bytes after it are
+/// corruption, not ignored.
+#[test]
+fn catalog_bytes_after_the_last_index_are_corruption() {
+    let (dir, body) = one_view_dir("trailing");
+    for extra in [&[0u8][..], &[0, 0, 0, 0], &[7; 9]] {
+        write_sealed_catalog(&dir, &[&body[..], extra].concat());
+        assert_open_refused(&dir, "after the catalog");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The master pointer file is exactly (LSN, epoch). One of any other
 /// length — here a torn 5-byte write — is corruption, not "no checkpoint"
 /// (which would send restart down the wrong path without a word).

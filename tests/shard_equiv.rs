@@ -1,6 +1,6 @@
-//! Differential equivalence battery for the concurrent hot-path structures
-//! (PR 5; version store reworked in PR 12). Each implementation is driven
-//! op-for-op against a single-map, single-threaded reference model over
+//! Differential equivalence battery for the hot-path structures the
+//! version store and the ghost queue implement. Each implementation is
+//! driven op-for-op against a single-threaded reference model over
 //! randomized programs that exercise the interesting interleavings
 //! sequentially:
 //!
@@ -15,21 +15,15 @@
 //!   be observed;
 //! * **range reads** — the one-pass range call must equal per-key reads
 //!   over the chain keys in range, at random bounds and snapshots;
-//! * **registry churn** — interleaved insert/remove/update/with_entry on
-//!   the txn/touched-style [`ShardMap`], with the O(1) length gauge checked
-//!   against the reference after every op;
 //! * **ghost churn** — enqueue/drain/clear with duplicate keys, checking
-//!   dedup decisions, backlog, and drained *sets* (drain order across
-//!   stripes is not part of the contract; set-equality and no-duplicates
-//!   are).
+//!   dedup decisions, backlog, and the drained *sequence* (the queue is
+//!   one FIFO, so drain order is part of the contract).
 //!
-//! Sharding is a pure partitioning of the key space and folding a pure
-//! compaction of history: every one of these properties must hold exactly,
-//! not approximately.
+//! Folding is a pure compaction of history: every one of these properties
+//! must hold exactly, not approximately.
 
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
-use txview_repro::common::sharded::ShardMap;
+use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use txview_repro::common::{IndexId, Lsn};
 use txview_repro::engine::ghosts::GhostQueue;
 use txview_repro::engine::versions::{DeltaPairs, VersionStore};
@@ -295,86 +289,6 @@ proptest! {
     }
 }
 
-// ---- ShardMap vs HashMap -------------------------------------------------
-
-#[derive(Clone, Debug)]
-enum MapOp {
-    Insert(i64, i64),
-    Remove(i64),
-    /// `update`: add to the value if present (touched-registry idiom).
-    Update(i64, i64),
-    /// `with_entry`: or-default then add (note_additive idiom).
-    WithEntry(i64, i64),
-    Clear,
-}
-
-fn arb_map_op() -> impl Strategy<Value = MapOp> {
-    prop_oneof![
-        4 => (0i64..24, -100i64..100).prop_map(|(k, v)| MapOp::Insert(k, v)),
-        3 => (0i64..24).prop_map(MapOp::Remove),
-        3 => (0i64..24, -100i64..100).prop_map(|(k, v)| MapOp::Update(k, v)),
-        3 => (0i64..24, -100i64..100).prop_map(|(k, v)| MapOp::WithEntry(k, v)),
-        1 => Just(MapOp::Clear),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
-
-    /// The sharded registry map agrees with a plain HashMap op-for-op,
-    /// including every return value and the O(1) length gauge.
-    #[test]
-    fn shard_map_matches_hash_map(ops in prop::collection::vec(arb_map_op(), 1..200)) {
-        let sharded: ShardMap<i64, i64> = ShardMap::new(8);
-        let mut reference: HashMap<i64, i64> = HashMap::new();
-        for op in &ops {
-            match *op {
-                MapOp::Insert(k, v) => {
-                    prop_assert_eq!(sharded.insert(k, v), reference.insert(k, v));
-                }
-                MapOp::Remove(k) => {
-                    prop_assert_eq!(sharded.remove(&k), reference.remove(&k));
-                }
-                MapOp::Update(k, v) => {
-                    let got = sharded.update(&k, |slot| {
-                        slot.map(|x| {
-                            *x += v;
-                            *x
-                        })
-                    });
-                    let want = reference.get_mut(&k).map(|x| {
-                        *x += v;
-                        *x
-                    });
-                    prop_assert_eq!(got, want);
-                }
-                MapOp::WithEntry(k, v) => {
-                    let got = sharded.with_entry(k, |x| {
-                        *x += v;
-                        *x
-                    });
-                    let e = reference.entry(k).or_default();
-                    *e += v;
-                    prop_assert_eq!(got, *e);
-                }
-                MapOp::Clear => {
-                    sharded.clear();
-                    reference.clear();
-                }
-            }
-            prop_assert_eq!(sharded.len(), reference.len(), "length gauge drifted");
-            prop_assert_eq!(sharded.is_empty(), reference.is_empty());
-        }
-        let mut got = sharded.snapshot();
-        let mut want: Vec<(i64, i64)> = reference.iter().map(|(k, v)| (*k, *v)).collect();
-        got.sort();
-        want.sort();
-        prop_assert_eq!(got, want, "final contents diverged");
-        let sum = sharded.fold(0i64, |acc, _, v| acc + v);
-        prop_assert_eq!(sum, reference.values().sum::<i64>());
-    }
-}
-
 // ---- GhostQueue vs reference dedup model ---------------------------------
 
 #[derive(Default)]
@@ -418,41 +332,33 @@ fn arb_ghost_op() -> impl Strategy<Value = GhostOp> {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// The striped ghost queue makes the same dedup decisions, reports the
-    /// same backlog, and drains the same key sets as the single-mutex
-    /// reference (drain order across stripes is not part of the contract).
+    /// The ghost queue makes the same dedup decisions, reports the same
+    /// backlog, and drains the same sequence as the reference FIFO.
     #[test]
     fn ghost_queue_matches_reference(ops in prop::collection::vec(arb_ghost_op(), 1..200)) {
-        let striped = GhostQueue::new();
+        let queue = GhostQueue::new();
         let mut reference = RefGhostQueue::default();
         for op in &ops {
             match *op {
                 GhostOp::Enqueue(i, k) => {
                     let (index, key) = (IndexId(i as u32), vec![k]);
                     prop_assert_eq!(
-                        striped.enqueue(index, key.clone()),
+                        queue.enqueue(index, key.clone()),
                         reference.enqueue(index, key),
                         "dedup decision diverged"
                     );
                 }
                 GhostOp::Drain => {
-                    let mut got = striped.drain();
-                    let mut want = reference.drain();
-                    let n = got.len();
-                    got.sort();
-                    got.dedup();
-                    prop_assert_eq!(got.len(), n, "striped drain yielded duplicates");
-                    want.sort();
-                    prop_assert_eq!(got, want, "drained sets diverged");
+                    prop_assert_eq!(queue.drain(), reference.drain(), "drained sequences diverged");
                 }
                 GhostOp::Clear => {
-                    striped.clear();
+                    queue.clear();
                     reference.queue.clear();
                     reference.queued.clear();
                 }
             }
-            prop_assert_eq!(striped.len(), reference.queue.len(), "backlog gauge diverged");
-            prop_assert_eq!(striped.is_empty(), reference.queue.is_empty());
+            prop_assert_eq!(queue.len(), reference.queue.len(), "backlog gauge diverged");
+            prop_assert_eq!(queue.is_empty(), reference.queue.is_empty());
         }
     }
 }
