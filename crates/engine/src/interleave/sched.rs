@@ -11,7 +11,7 @@
 //!
 //! Lock *waits* are cooperative too: [`SchedHook::on_block`] marks the
 //! worker Blocked and releases its turn before the thread enters the real
-//! condvar wait; the releaser's `pump_queue` calls [`SchedHook::on_grant`]
+//! condvar wait; the releaser's queue pump calls [`SchedHook::on_grant`]
 //! (Blocked → Ready) and the woken thread re-requests a turn via
 //! [`SchedHook::on_resume`] before touching shared state. A state where no
 //! worker is Ready or Running while some are Blocked is a *stall* (it

@@ -17,7 +17,8 @@
 //!   hook must mark it blocked and *return* (the thread then enters the
 //!   real condvar wait without holding a scheduling turn).
 //! * [`SchedHook::on_grant`] — called from the *releasing* thread's
-//!   `pump_queue` when a blocked request is granted; must not block.
+//!   queue pump when a blocked request is granted, with the lock table
+//!   held; must not block.
 //! * [`SchedHook::on_resume`] — the formerly blocked thread woke up (grant
 //!   or timeout) and asks for a turn before continuing.
 //! * [`SchedHook::observe`] — record-only events (grants, releases,

@@ -14,7 +14,8 @@
 //! update locks (U), key and gap (key-range) lock names for phantom
 //! protection, FIFO-fair wait queues with conversion priority, a waits-for
 //! cycle detector (requester aborts on cycle), and lock statistics that the
-//! experiment harness reports.
+//! experiment harness reports. All of it lives in one lock table under one
+//! mutex (DESIGN §10).
 
 pub mod hook;
 pub mod manager;
@@ -22,6 +23,6 @@ pub mod mode;
 pub mod name;
 
 pub use hook::{SchedEvent, SchedHook};
-pub use manager::{LockManager, LockStats};
+pub use manager::LockManager;
 pub use mode::LockMode;
 pub use name::LockName;

@@ -1,45 +1,34 @@
-//! The lock manager: sharded lock table, FIFO-fair wait queues with
-//! conversion priority, waits-for deadlock detection, and statistics.
+//! The lock manager: one lock table under one mutex, FIFO-fair wait
+//! queues with conversion priority, waits-for deadlock detection, and
+//! statistics.
 //!
 //! Deadlock policy: detection happens at block time. If enqueueing this
 //! request closes a cycle in the waits-for graph, the *requester* aborts
 //! with [`txview_common::Error::DeadlockVictim`] (immediate
 //! detection, "requester dies"). The E2 experiment counts these.
 //!
-//! Lock ordering inside the manager: shard mutex → waits-for mutex →
-//! registry mutex. Wait cells are only touched outside or after those.
+//! Waiting: a blocked request parks on its own condvar against the table
+//! mutex. Grants happen under that mutex and take the waiter out of its
+//! queue, so a waiter that wakes to find itself dequeued was granted. One
+//! still queued at its deadline leaves the queue and pumps it, so the
+//! waiters it held back are granted rather than stranded behind it.
 
 use crate::hook::{SchedEvent, SchedHook};
 use crate::mode::LockMode;
 use crate::name::LockName;
 use parking_lot::{Condvar, Mutex, RwLock};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use txview_common::obs::{Histogram, ObsClock, Snapshot};
 use txview_common::{Error, Result, TxnId};
-
-const SHARDS: usize = 64;
-
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum WaitState {
-    Waiting,
-    Granted,
-}
-
-struct WaitCell {
-    state: Mutex<WaitState>,
-    cv: Condvar,
-}
 
 struct Waiter {
     txn: TxnId,
     target: LockMode,
     converting: bool,
-    cell: Arc<WaitCell>,
+    /// Notified, under the table mutex, when the waiter leaves the queue.
+    cv: Arc<Condvar>,
 }
 
 #[derive(Default)]
@@ -48,24 +37,20 @@ struct LockHead {
     queue: Vec<Waiter>,
 }
 
-#[derive(Default)]
-struct Shard {
-    table: HashMap<LockName, LockHead>,
-}
+type Held = HashMap<TxnId, Vec<(LockName, u64)>>;
 
-/// Counters exposed to the experiment harness.
+/// All lock state, under the manager's one mutex.
 #[derive(Default)]
-pub struct LockStats {
-    /// Granted requests (including instant grants and conversions).
-    pub acquired: AtomicU64,
-    /// Requests that had to block.
-    pub waited: AtomicU64,
-    /// Requests aborted as deadlock victims.
-    pub deadlocks: AtomicU64,
-    /// Requests aborted by timeout.
-    pub timeouts: AtomicU64,
-    /// Grants of mode E (escrow) — the paper's fast path.
-    pub escrow_grants: AtomicU64,
+struct Table {
+    heads: HashMap<LockName, LockHead>,
+    /// txn → names it holds (with grant time), in acquisition order (for
+    /// release_all). A `Vec` rather than a set so release order — and
+    /// therefore queue pumping and grant order — is deterministic under
+    /// the interleaving explorer's replay.
+    held: Held,
+    /// txn → txns it currently waits for.
+    waits: HashMap<TxnId, HashSet<TxnId>>,
+    stats: LockStatsSnapshot,
 }
 
 /// Latency/depth instrumentation of the lock protocol (the contention
@@ -101,10 +86,11 @@ impl LockObs {
     }
 }
 
-/// A point-in-time copy of [`LockStats`].
+/// The lock counters, as kept in the table and copied out by
+/// [`LockManager::stats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LockStatsSnapshot {
-    /// Granted requests.
+    /// Granted requests (including instant grants and conversions).
     pub acquired: u64,
     /// Requests that blocked before being granted.
     pub waited: u64,
@@ -112,22 +98,14 @@ pub struct LockStatsSnapshot {
     pub deadlocks: u64,
     /// Timeouts.
     pub timeouts: u64,
-    /// Escrow grants.
+    /// Grants of mode E (escrow) — the paper's fast path.
     pub escrow_grants: u64,
 }
 
 /// The lock manager. Shareable via `Arc`.
 pub struct LockManager {
-    shards: Box<[Mutex<Shard>]>,
-    /// txn → names it holds (with grant time), in acquisition order (for
-    /// release_all). A `Vec` rather than a set so release order — and
-    /// therefore queue pumping and grant order — is deterministic under
-    /// the interleaving explorer's replay.
-    registry: Mutex<HashMap<TxnId, Vec<(LockName, u64)>>>,
-    /// txn → txns it currently waits for.
-    waits: Mutex<HashMap<TxnId, HashSet<TxnId>>>,
+    table: Mutex<Table>,
     timeout: Duration,
-    stats: LockStats,
     obs: LockObs,
     /// Scheduler hook for the interleaving explorer; `None` in production.
     hook: RwLock<Option<Arc<dyn SchedHook>>>,
@@ -142,13 +120,9 @@ impl Default for LockManager {
 impl LockManager {
     /// Create a manager with the given lock-wait timeout.
     pub fn new(timeout: Duration) -> LockManager {
-        let shards = (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect::<Vec<_>>();
         LockManager {
-            shards: shards.into_boxed_slice(),
-            registry: Mutex::new(HashMap::new()),
-            waits: Mutex::new(HashMap::new()),
+            table: Mutex::new(Table::default()),
             timeout,
-            stats: LockStats::default(),
             obs: LockObs::default(),
             hook: RwLock::new(None),
         }
@@ -190,28 +164,15 @@ impl LockManager {
         self.hook.read().clone()
     }
 
-    fn shard_for(&self, name: &LockName) -> &Mutex<Shard> {
-        let mut h = DefaultHasher::new();
-        name.hash(&mut h);
-        &self.shards[(h.finish() as usize) % SHARDS]
-    }
-
     /// Statistics snapshot.
     pub fn stats(&self) -> LockStatsSnapshot {
-        LockStatsSnapshot {
-            acquired: self.stats.acquired.load(Ordering::Relaxed),
-            waited: self.stats.waited.load(Ordering::Relaxed),
-            deadlocks: self.stats.deadlocks.load(Ordering::Relaxed),
-            timeouts: self.stats.timeouts.load(Ordering::Relaxed),
-            escrow_grants: self.stats.escrow_grants.load(Ordering::Relaxed),
-        }
+        self.table.lock().stats
     }
 
     /// The mode `txn` currently holds on `name`, if any.
     pub fn held_mode(&self, txn: TxnId, name: &LockName) -> Option<LockMode> {
-        let shard = self.shard_for(name).lock();
-        shard
-            .table
+        let t = self.table.lock();
+        t.heads
             .get(name)
             .and_then(|h| h.holders.iter().find(|(t, _)| *t == txn).map(|(_, m)| *m))
     }
@@ -225,92 +186,72 @@ impl LockManager {
         if let Some(h) = &hook {
             h.yield_point(txn, &SchedEvent::LockRequest { name: name.clone(), mode });
         }
-        /// What the shard-locked section decided; hook calls happen after.
-        enum Outcome {
-            Granted { target: LockMode, converting: bool },
-            Victim,
-            Wait { target: LockMode, converting: bool, cell: Arc<WaitCell> },
+        let now = self.obs.clock.now();
+        let mut t = self.table.lock();
+        let (target, converting, granted) = Self::request(&mut t, txn, &name, mode, now);
+        if granted {
+            drop(t);
+            if let Some(h) = &hook {
+                h.observe(txn, &SchedEvent::LockGranted { name: name.clone(), mode: target, converting });
+            }
+            return Ok(());
         }
-        let outcome = {
-            let mut shard = self.shard_for(&name).lock();
-            let head = shard.table.entry(name.clone()).or_default();
-            let held = head.holders.iter().find(|(t, _)| *t == txn).map(|&(_, m)| m);
-            let covered = held.is_some_and(|h| h.covers(mode));
-            let target = held.map_or(mode, |h| h.sup(mode));
-            let converting = held.is_some() && !covered;
-            if covered {
-                Outcome::Granted { target, converting: false }
-            } else if Self::grantable(head, txn, target, converting, usize::MAX) {
-                Self::set_holder(head, txn, target);
-                self.note_grant(txn, &name, target);
-                Outcome::Granted { target, converting }
-            } else {
-                // Must wait. Enqueue (conversions jump the queue).
-                self.stats.waited.fetch_add(1, Ordering::Relaxed);
-                match target {
-                    LockMode::E => self.obs.queue_depth_e.record(head.queue.len() as u64),
-                    LockMode::X => self.obs.queue_depth_x.record(head.queue.len() as u64),
-                    _ => {}
-                }
-                let cell =
-                    Arc::new(WaitCell { state: Mutex::new(WaitState::Waiting), cv: Condvar::new() });
-                let waiter = Waiter { txn, target, converting, cell: Arc::clone(&cell) };
-                if converting {
-                    head.queue.insert(0, waiter);
-                } else {
-                    head.queue.push(waiter);
-                }
-                // Build waits-for edges and check for a cycle.
-                let blockers = Self::blockers_of(head, txn, target, converting);
-                let mut waits = self.waits.lock();
-                waits.insert(txn, blockers);
-                if Self::has_cycle(&waits, txn) {
-                    waits.remove(&txn);
-                    drop(waits);
-                    head.queue.retain(|w| w.txn != txn);
-                    self.stats.deadlocks.fetch_add(1, Ordering::Relaxed);
-                    Outcome::Victim
-                } else {
-                    Outcome::Wait { target, converting, cell }
-                }
+        // Must wait. Enqueue (conversions jump the queue), then build the
+        // waits-for edges and check for a cycle.
+        let Table { heads, waits, stats, .. } = &mut *t;
+        let head = heads.get_mut(&name).expect("a blocked request has a head");
+        stats.waited += 1;
+        match target {
+            LockMode::E => self.obs.queue_depth_e.record(head.queue.len() as u64),
+            LockMode::X => self.obs.queue_depth_x.record(head.queue.len() as u64),
+            _ => {}
+        }
+        let cv = Arc::new(Condvar::new());
+        let waiter = Waiter { txn, target, converting, cv: Arc::clone(&cv) };
+        if converting {
+            head.queue.insert(0, waiter);
+        } else {
+            head.queue.push(waiter);
+        }
+        waits.insert(txn, Self::blockers_of(head, txn, target, converting));
+        if Self::has_cycle(waits, txn) {
+            waits.remove(&txn);
+            head.queue.retain(|w| w.txn != txn);
+            stats.deadlocks += 1;
+            drop(t);
+            if let Some(h) = &hook {
+                h.observe(txn, &SchedEvent::DeadlockVictim { name: name.clone() });
             }
-        };
+            return Err(Error::DeadlockVictim { txn });
+        }
+        drop(t);
 
-        let (target, converting, cell) = match outcome {
-            Outcome::Granted { target, converting } => {
-                if let Some(h) = &hook {
-                    h.observe(
-                        txn,
-                        &SchedEvent::LockGranted { name: name.clone(), mode: target, converting },
-                    );
-                }
-                return Ok(());
-            }
-            Outcome::Victim => {
-                if let Some(h) = &hook {
-                    h.observe(txn, &SchedEvent::DeadlockVictim { name: name.clone() });
-                }
-                return Err(Error::DeadlockVictim { txn });
-            }
-            Outcome::Wait { target, converting, cell } => (target, converting, cell),
-        };
-
-        // Block outside the shard lock. The hook releases this worker's
-        // scheduling turn *before* the condvar wait (no lost wakeup: a
-        // grant flips the cell state under its mutex first).
+        // The hook releases this worker's scheduling turn without the table
+        // held. A grant made before the re-lock below has already dequeued
+        // the waiter, so the membership check cannot miss it.
         if let Some(h) = &hook {
             h.on_block(txn, &SchedEvent::LockBlocked { name: name.clone(), mode: target, converting });
         }
         let wait_t0 = self.obs.clock.now();
-        let deadline = std::time::Instant::now() + self.timeout;
-        let mut state = cell.state.lock();
-        while *state == WaitState::Waiting {
-            if cell.cv.wait_until(&mut state, deadline).timed_out() {
-                break;
+        let deadline = Instant::now() + self.timeout;
+        let mut t = self.table.lock();
+        let mut timed_out = false;
+        let granted = loop {
+            if !t.heads.get(&name).is_some_and(|h| h.queue.iter().any(|w| w.txn == txn)) {
+                break true; // dequeued by a grant (or by `reset`)
             }
+            if timed_out {
+                break false;
+            }
+            timed_out = cv.wait_until(&mut t, deadline).timed_out();
+        };
+        if !granted {
+            // Leave the queue, and let the waiters this request held back in.
+            self.leave(&mut t, &name, hook.as_deref(), |head| head.queue.retain(|w| w.txn != txn));
+            t.waits.remove(&txn);
+            t.stats.timeouts += 1;
         }
-        let finished = *state == WaitState::Granted;
-        drop(state);
+        drop(t);
         self.obs
             .wait_hist(target)
             .record(self.obs.clock.now().saturating_sub(wait_t0));
@@ -318,25 +259,10 @@ impl LockManager {
         if let Some(h) = &hook {
             h.on_resume(txn);
         }
-        if finished {
-            self.waits.lock().remove(&txn);
+        if granted {
             // Grant bookkeeping (and the grant event) was done by the releaser.
             return Ok(());
         }
-        // Timeout: remove ourselves, unless a grant raced in.
-        {
-            let mut shard = self.shard_for(&name).lock();
-            let state_now = *cell.state.lock();
-            if state_now == WaitState::Granted {
-                self.waits.lock().remove(&txn);
-                return Ok(());
-            }
-            if let Some(head) = shard.table.get_mut(&name) {
-                head.queue.retain(|w| w.txn != txn);
-            }
-            self.waits.lock().remove(&txn);
-        }
-        self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
         if let Some(h) = &hook {
             h.observe(txn, &SchedEvent::LockTimeout { name: name.clone() });
         }
@@ -347,25 +273,29 @@ impl LockManager {
     /// return `Ok(false)` without queueing. Used by ghost cleanup, which
     /// must never wait on user transactions.
     pub fn try_acquire(&self, txn: TxnId, name: LockName, mode: LockMode) -> Result<bool> {
-        let mut shard = self.shard_for(&name).lock();
-        let head = shard.table.entry(name.clone()).or_default();
+        let now = self.obs.clock.now();
+        let (_, _, granted) = Self::request(&mut self.table.lock(), txn, &name, mode, now);
+        Ok(granted)
+    }
+
+    /// The grant prologue of `acquire` and `try_acquire`. `txn`'s request
+    /// for `mode` on `name` targets held ∨ requested, and is granted at
+    /// once if the held mode covers it or the head admits it. Returns
+    /// `(target, converting, granted)`. A declined request leaves its head
+    /// in the table (never empty: something blocks it).
+    fn request(t: &mut Table, txn: TxnId, name: &LockName, mode: LockMode, now: u64) -> (LockMode, bool, bool) {
+        let head = t.heads.entry(name.clone()).or_default();
         let held = head.holders.iter().find(|(t, _)| *t == txn).map(|&(_, m)| m);
-        if let Some(h) = held {
-            if h.covers(mode) {
-                return Ok(true);
-            }
-        }
         let target = held.map_or(mode, |h| h.sup(mode));
+        if held.is_some_and(|h| h.covers(mode)) {
+            return (target, false, true);
+        }
         let converting = held.is_some();
-        if Self::grantable(head, txn, target, converting, usize::MAX) {
-            Self::set_holder(head, txn, target);
-            self.note_grant(txn, &name, target);
-            return Ok(true);
+        if !Self::grantable(head, txn, target, converting, usize::MAX) {
+            return (target, converting, false);
         }
-        if head.holders.is_empty() && head.queue.is_empty() {
-            shard.table.remove(&name);
-        }
-        Ok(false)
+        Self::grant(head, &mut t.held, &mut t.stats, txn, name, target, now);
+        (target, converting, true)
     }
 
     /// True if `txn` may be granted `target` right now. `queue_limit`
@@ -427,105 +357,82 @@ impl LockManager {
         false
     }
 
-    fn set_holder(head: &mut LockHead, txn: TxnId, target: LockMode) {
+    /// Make `txn` a holder of `target` on `head` and book the grant.
+    fn grant(
+        head: &mut LockHead,
+        held: &mut Held,
+        stats: &mut LockStatsSnapshot,
+        txn: TxnId,
+        name: &LockName,
+        target: LockMode,
+        now: u64,
+    ) {
         if let Some(entry) = head.holders.iter_mut().find(|(t, _)| *t == txn) {
             entry.1 = target;
         } else {
             head.holders.push((txn, target));
         }
-    }
-
-    fn note_grant(&self, txn: TxnId, name: &LockName, target: LockMode) {
-        self.stats.acquired.fetch_add(1, Ordering::Relaxed);
+        stats.acquired += 1;
         if target == LockMode::E {
-            self.stats.escrow_grants.fetch_add(1, Ordering::Relaxed);
+            stats.escrow_grants += 1;
         }
-        // Read the clock before taking the registry mutex: this runs on
-        // every grant, and the vDSO call would otherwise stretch the
-        // global critical section.
-        let granted_at = self.obs.clock.now();
-        let mut reg = self.registry.lock();
-        let names = reg.entry(txn).or_default();
+        let names = held.entry(txn).or_default();
         if !names.iter().any(|(n, _)| n == name) {
-            names.push((name.clone(), granted_at));
+            names.push((name.clone(), now));
         }
     }
 
-    /// Grant queued requests that have become compatible; refresh the
-    /// waits-for edges of those still blocked. Call with the shard locked.
-    fn pump_queue(&self, name: &LockName, head: &mut LockHead) {
+    /// `out` takes one transaction out of `name`'s head: as a holder
+    /// (release) or as a waiter (timeout). Then the queue is pumped: the
+    /// waiters that have become compatible are granted in queue order and
+    /// woken, and the waits-for edges of those still blocked are refreshed.
+    /// An empty head is dropped.
+    fn leave(&self, t: &mut Table, name: &LockName, hook: Option<&dyn SchedHook>, out: impl FnOnce(&mut LockHead)) {
+        let Table { heads, held, waits, stats } = t;
+        let Some(head) = heads.get_mut(name) else { return };
+        out(head);
         let mut i = 0;
         while i < head.queue.len() {
             let w = &head.queue[i];
-            if Self::grantable(head, w.txn, w.target, w.converting, i) {
-                let w = head.queue.remove(i);
-                Self::set_holder(head, w.txn, w.target);
-                self.note_grant(w.txn, name, w.target);
-                self.waits.lock().remove(&w.txn);
-                if let Some(h) = self.hook() {
-                    h.on_grant(
-                        w.txn,
-                        &SchedEvent::LockGranted {
-                            name: name.clone(),
-                            mode: w.target,
-                            converting: w.converting,
-                        },
-                    );
-                }
-                let mut st = w.cell.state.lock();
-                *st = WaitState::Granted;
-                w.cell.cv.notify_all();
-            } else {
+            if !Self::grantable(head, w.txn, w.target, w.converting, i) {
                 i += 1;
+                continue;
             }
+            let w = head.queue.remove(i);
+            Self::grant(head, held, stats, w.txn, name, w.target, self.obs.clock.now());
+            waits.remove(&w.txn);
+            if let Some(h) = hook {
+                h.on_grant(
+                    w.txn,
+                    &SchedEvent::LockGranted { name: name.clone(), mode: w.target, converting: w.converting },
+                );
+            }
+            w.cv.notify_one();
         }
-        // Refresh blocker sets of remaining waiters.
-        let mut waits = self.waits.lock();
-        for (i, w) in head.queue.iter().enumerate() {
-            let mut blockers: HashSet<TxnId> = head
-                .holders
-                .iter()
-                .filter(|(t, m)| *t != w.txn && !m.compatible(w.target))
-                .map(|(t, _)| *t)
-                .collect();
-            if !w.converting {
-                for earlier in head.queue.iter().take(i) {
-                    if !earlier.target.compatible(w.target) {
-                        blockers.insert(earlier.txn);
-                    }
-                }
-            }
-            waits.insert(w.txn, blockers);
+        for w in &head.queue {
+            waits.insert(w.txn, Self::blockers_of(head, w.txn, w.target, w.converting));
+        }
+        if head.holders.is_empty() && head.queue.is_empty() {
+            heads.remove(name);
         }
     }
 
     /// Release one lock held by `txn`.
     pub fn release(&self, txn: TxnId, name: &LockName) {
-        if let Some(h) = self.hook() {
+        let hook = self.hook();
+        if let Some(h) = &hook {
             h.observe(txn, &SchedEvent::LockReleased { name: name.clone() });
         }
-        let mut shard = self.shard_for(name).lock();
-        if let Some(head) = shard.table.get_mut(name) {
-            head.holders.retain(|(t, _)| *t != txn);
-            self.pump_queue(name, head);
-            if head.holders.is_empty() && head.queue.is_empty() {
-                shard.table.remove(name);
-            }
-        }
         let now = self.obs.clock.now();
-        let mut released_at = None;
-        if let Some(names) = self.registry.lock().get_mut(&txn) {
-            names.retain(|(n, granted_at)| {
-                if n == name {
-                    released_at = Some(*granted_at);
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        // Record outside the registry mutex.
-        if let Some(granted_at) = released_at {
+        let mut t = self.table.lock();
+        self.leave(&mut t, name, hook.as_deref(), |head| head.holders.retain(|&(holder, _)| holder != txn));
+        let names = t.held.get_mut(&txn);
+        let granted_at = names.and_then(|names| {
+            let i = names.iter().position(|(n, _)| n == name)?;
+            Some(names.remove(i).1)
+        });
+        drop(t);
+        if let Some(granted_at) = granted_at {
             self.obs.hold_us.record(now.saturating_sub(granted_at));
         }
     }
@@ -535,54 +442,42 @@ impl LockManager {
     /// replay identically under the interleaving explorer.
     pub fn release_all(&self, txn: TxnId) {
         let hook = self.hook();
-        let names = self.registry.lock().remove(&txn).unwrap_or_default();
         let now = self.obs.clock.now();
-        for (name, granted_at) in names {
+        let mut t = self.table.lock();
+        for (name, granted_at) in t.held.remove(&txn).unwrap_or_default() {
             self.obs.hold_us.record(now.saturating_sub(granted_at));
             if let Some(h) = &hook {
                 h.observe(txn, &SchedEvent::LockReleased { name: name.clone() });
             }
-            let mut shard = self.shard_for(&name).lock();
-            if let Some(head) = shard.table.get_mut(&name) {
-                head.holders.retain(|(t, _)| *t != txn);
-                self.pump_queue(&name, head);
-                if head.holders.is_empty() && head.queue.is_empty() {
-                    shard.table.remove(&name);
-                }
-            }
+            self.leave(&mut t, &name, hook.as_deref(), |head| head.holders.retain(|&(holder, _)| holder != txn));
         }
-        self.waits.lock().remove(&txn);
+        t.waits.remove(&txn);
     }
 
     /// Discard every lock and wait-queue entry. Locks are volatile state:
     /// a (simulated) crash erases them; recovery runs lock-free and new
     /// transactions start clean. Callers must have quiesced all workers.
     pub fn reset(&self) {
-        for shard in self.shards.iter() {
-            let mut shard = shard.lock();
-            // Wake any stragglers so they error out instead of hanging.
-            for head in shard.table.values_mut() {
-                for w in head.queue.drain(..) {
-                    let mut st = w.cell.state.lock();
-                    *st = WaitState::Granted;
-                    w.cell.cv.notify_all();
-                }
-            }
-            shard.table.clear();
+        let mut t = self.table.lock();
+        // Wake any stragglers: dequeued, they return as granted.
+        for w in t.heads.values().flat_map(|h| &h.queue) {
+            w.cv.notify_one();
         }
-        self.registry.lock().clear();
-        self.waits.lock().clear();
+        t.heads.clear();
+        t.held.clear();
+        t.waits.clear();
     }
 
     /// Number of locks `txn` currently holds (diagnostics).
     pub fn held_count(&self, txn: TxnId) -> usize {
-        self.registry.lock().get(&txn).map_or(0, |s| s.len())
+        self.table.lock().held.get(&txn).map_or(0, Vec::len)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
     use txview_common::IndexId;
 
@@ -592,6 +487,16 @@ mod tests {
 
     fn mgr() -> Arc<LockManager> {
         Arc::new(LockManager::new(Duration::from_millis(500)))
+    }
+
+    /// Poll until `n` requests have queued (a request counts as waited the
+    /// moment it is enqueued, before it parks).
+    fn wait_queued(m: &LockManager, n: u64) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while m.stats().waited < n {
+            assert!(std::time::Instant::now() < deadline, "request {n} never queued");
+            std::thread::yield_now();
+        }
     }
 
     #[test]
@@ -699,26 +604,17 @@ mod tests {
 
     #[test]
     fn fifo_fairness_no_starvation_overtake() {
-        // Poll until `n` requests have queued (a request counts as waited
-        // the moment it is enqueued, before it parks).
-        let queued = |m: &LockManager, n: u64| {
-            let deadline = std::time::Instant::now() + Duration::from_secs(5);
-            while m.stats().waited < n {
-                assert!(std::time::Instant::now() < deadline, "request {n} never queued");
-                std::thread::yield_now();
-            }
-        };
         let m = mgr();
         m.acquire(TxnId(1), key(1), LockMode::S).unwrap();
         // Txn 2 queues for X.
         let m2 = Arc::clone(&m);
         let h2 = std::thread::spawn(move || m2.acquire(TxnId(2), key(1), LockMode::X));
-        queued(&m, 1);
+        wait_queued(&m, 1);
         // Txn 3 requests S: compatible with the holder but must NOT
         // overtake the queued X.
         let m3 = Arc::clone(&m);
         let h3 = std::thread::spawn(move || m3.acquire(TxnId(3), key(1), LockMode::S));
-        queued(&m, 2);
+        wait_queued(&m, 2);
         assert_eq!(m.held_mode(TxnId(3), &key(1)), None, "S must queue behind X");
         m.release_all(TxnId(1));
         h2.join().unwrap().unwrap();
@@ -786,6 +682,68 @@ mod tests {
         // All state is gone: a fresh txn acquires instantly.
         m.acquire(TxnId(9), key(1), LockMode::X).unwrap();
         assert_eq!(m.held_count(TxnId(1)), 0);
+    }
+
+    #[test]
+    fn timed_out_waiter_unblocks_the_compatible_waiter_behind_it() {
+        let m = Arc::new(LockManager::new(Duration::from_millis(300)));
+        m.acquire(TxnId(1), key(1), LockMode::S).unwrap();
+        // Txn 2 queues for X; txn 3 queues for S behind it, compatible with
+        // the only holder but held back by the queued X.
+        let m2 = Arc::clone(&m);
+        let h2 = std::thread::spawn(move || m2.acquire(TxnId(2), key(1), LockMode::X));
+        wait_queued(&m, 1);
+        // Enqueue txn 3 well after txn 2, so txn 2's deadline comes first.
+        std::thread::sleep(Duration::from_millis(100));
+        let m3 = Arc::clone(&m);
+        let h3 = std::thread::spawn(move || m3.acquire(TxnId(3), key(1), LockMode::S));
+        wait_queued(&m, 2);
+        assert!(matches!(h2.join().unwrap(), Err(Error::LockTimeout { txn: TxnId(2), .. })));
+        // Txn 2's timeout pumped the queue: txn 3 shares S with txn 1.
+        h3.join().unwrap().unwrap();
+        assert_eq!(m.held_mode(TxnId(3), &key(1)), Some(LockMode::S));
+        assert_eq!(m.held_mode(TxnId(1), &key(1)), Some(LockMode::S));
+        assert_eq!(m.stats().timeouts, 1);
+    }
+
+    #[test]
+    fn release_grants_the_next_waiter_and_keeps_the_other_locks() {
+        let m = mgr();
+        m.acquire(TxnId(1), key(1), LockMode::X).unwrap();
+        m.acquire(TxnId(1), key(2), LockMode::S).unwrap();
+        m.acquire(TxnId(1), LockName::gap(IndexId(1), vec![2]), LockMode::S).unwrap();
+        let m2 = Arc::clone(&m);
+        let h = std::thread::spawn(move || m2.acquire(TxnId(2), key(1), LockMode::X));
+        wait_queued(&m, 1);
+        m.release(TxnId(1), &key(1));
+        h.join().unwrap().unwrap();
+        assert_eq!(m.held_mode(TxnId(2), &key(1)), Some(LockMode::X));
+        assert_eq!(m.held_mode(TxnId(1), &key(1)), None);
+        assert_eq!(m.held_mode(TxnId(1), &key(2)), Some(LockMode::S));
+        assert_eq!(m.held_count(TxnId(1)), 2);
+        // The released lock is gone from txn 1's list: release_all does not
+        // release it again under txn 2.
+        m.release_all(TxnId(1));
+        assert_eq!(m.held_mode(TxnId(2), &key(1)), Some(LockMode::X));
+    }
+
+    #[test]
+    fn timed_out_request_leaves_no_queue_entry_or_waits_for_edge() {
+        let m = Arc::new(LockManager::new(Duration::from_millis(100)));
+        m.acquire(TxnId(1), key(1), LockMode::X).unwrap();
+        m.acquire(TxnId(2), key(2), LockMode::X).unwrap();
+        let err = m.acquire(TxnId(2), key(1), LockMode::X).unwrap_err();
+        assert!(matches!(err, Error::LockTimeout { txn: TxnId(2), .. }));
+        {
+            let t = m.table.lock();
+            assert!(t.heads[&key(1)].queue.is_empty());
+            assert!(!t.waits.contains_key(&TxnId(2)));
+        }
+        // Txn 1 now waits for txn 2: no cycle, so it times out rather than
+        // dying as a deadlock victim.
+        let err = m.acquire(TxnId(1), key(2), LockMode::X).unwrap_err();
+        assert!(matches!(err, Error::LockTimeout { txn: TxnId(1), .. }));
+        assert_eq!(m.stats().deadlocks, 0);
     }
 
     #[test]
