@@ -447,11 +447,12 @@ pub fn metrics_demo(cfg: &ExpConfig) -> String {
 
 /// E12 — scaling profile of the hot path: the E1 workload, but reporting
 /// each mode's *self-speedup* over its own 1-thread cell next to the
-/// escrow/xlock ratio. The txn/touched/cascade registries, the ghost
-/// queue and the buffer pool are one mutex-guarded instance each: the
-/// sharded versions they replaced came within 4% of them at 4, 8 and 16
-/// threads (DESIGN §10), because escrow's serialization points are the
-/// WAL tail and the hot view rows themselves, not the registries.
+/// escrow/xlock ratio. The ghost queue and the buffer pool are one
+/// mutex-guarded instance each, and per-transaction view state lives in
+/// the transaction: the sharded versions they replaced came within 4% of
+/// them at 4, 8 and 16 threads (DESIGN §10), because escrow's
+/// serialization points are the WAL tail and the hot view rows
+/// themselves, not the registries.
 pub fn e12(cfg: &ExpConfig) -> Table {
     let mut table = Table::new(
         "E12: hot-path scaling — deposit commits/s and speedup vs 1 thread",

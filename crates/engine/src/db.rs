@@ -15,7 +15,6 @@
 use crate::catalog::Catalog;
 use crate::ghosts::GhostQueue;
 use crate::health::{HealthMonitor, HealthState, HealthStatsSnapshot};
-use crate::maintain::TouchedRows;
 use crate::versions::VersionStore;
 use crate::watermark::CommitWatermark;
 use parking_lot::{Mutex, RwLock};
@@ -31,7 +30,7 @@ use txview_lock::{LockManager, LockMode, LockName};
 use txview_storage::buffer::BufferPool;
 use txview_storage::disk::{DiskManager, MemDisk};
 use txview_txn::TxnManager;
-use txview_view::{CascadeQueue, ViewGraph};
+use txview_view::ViewGraph;
 use txview_wal::recovery::{recover, RecoveryReport};
 use txview_wal::{LogManager, MemLogStore};
 
@@ -92,17 +91,11 @@ pub struct Database {
     pub(crate) trees: RwLock<HashMap<IndexId, Arc<Tree>>>,
     pub(crate) versions: VersionStore,
     pub(crate) watermark: CommitWatermark,
-    /// View rows touched per transaction (for version publication at
-    /// commit).
-    pub(crate) touched: Mutex<HashMap<TxnId, TouchedRows>>,
     /// Ghost-cleanup work queue, FIFO with enqueue dedup.
     pub(crate) ghost_queue: GhostQueue,
     /// View-dependency DAG: base views at depth 0, derived (view-over-view)
     /// children below, cycle-rejected at registration.
     pub(crate) graph: RwLock<ViewGraph>,
-    /// Per-transaction coalescing queues of pending derived-view deltas,
-    /// drained in dependency order by the commit flush.
-    pub(crate) cascades: Mutex<HashMap<TxnId, CascadeQueue>>,
     /// Ablation: propagate each parent delta to children immediately (one
     /// refresh per DML) instead of coalescing to one per (view, group, txn).
     pub(crate) cascade_eager: AtomicBool,
@@ -219,10 +212,8 @@ impl Database {
             trees: RwLock::new(HashMap::new()),
             versions: VersionStore::new(),
             watermark: CommitWatermark::new(),
-            touched: Mutex::new(HashMap::new()),
             ghost_queue: GhostQueue::new(),
             graph: RwLock::new(ViewGraph::new()),
-            cascades: Mutex::new(HashMap::new()),
             cascade_eager: AtomicBool::new(false),
             cascade_trace: Mutex::new(None),
             deferred_pending: Mutex::new(HashMap::new()),
@@ -492,8 +483,6 @@ impl Database {
         self.pool.simulate_crash(steal_probability, &mut rng)?;
         self.log.simulate_crash();
         self.versions.clear();
-        self.touched.lock().clear();
-        self.cascades.lock().clear();
         self.ghost_queue.clear();
         self.watermark.clear_snapshots();
         self.locks.reset();

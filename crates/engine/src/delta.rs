@@ -101,7 +101,7 @@ pub fn update_deltas(view: &ViewDef, old: &Row, new: &Row) -> Result<Vec<RowDelt
                     .aggs
                     .iter()
                     .zip(&n.aggs)
-                    .map(|(a, b)| merge_delta(*a, *b))
+                    .map(|(a, b)| a.checked_add(*b))
                     .collect::<Result<Vec<_>>>()?;
                 Ok(vec![RowDelta { group: n.group, count: 0, aggs }])
             } else {
@@ -228,17 +228,6 @@ pub fn fold_derived(
         }
     }
     Ok(out)
-}
-
-fn merge_delta(a: ValueDelta, b: ValueDelta) -> Result<ValueDelta> {
-    match (a, b) {
-        (ValueDelta::Int(x), ValueDelta::Int(y)) => x
-            .checked_add(y)
-            .map(ValueDelta::Int)
-            .ok_or_else(|| Error::invalid("delta overflow")),
-        (ValueDelta::Float(x), ValueDelta::Float(y)) => Ok(ValueDelta::Float(x + y)),
-        _ => Err(Error::corruption("mismatched delta types")),
-    }
 }
 
 #[cfg(test)]

@@ -9,7 +9,6 @@
 use crate::catalog::{TableDef, ViewDef};
 use crate::db::Database;
 use crate::health::HealthState;
-use std::cell::RefCell;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 use txview_btree::{LogCtx, OpLog, Tree};
@@ -51,11 +50,6 @@ impl Database {
             return Err(Error::Fenced { reason: self.health.reason() });
         }
         let ticket = self.watermark.begin_commit(&self.log);
-        let tid = txn.id;
-        // Touched rows move out in the pre-append hook (after the cascade
-        // flush, which itself *adds* touches) and are read back in the
-        // pre-release hook; the RefCell bridges the two closures.
-        let touched_cell = RefCell::new(Default::default());
         let result = self.txns.commit_with_hooks(
             txn,
             |txn| {
@@ -64,16 +58,13 @@ impl Database {
                 // ahead of the Commit, so recovery and replication replay
                 // see them as ordinary redo.
                 self.flush_cascades(txn)?;
-                let touched = self.touched.lock().remove(&txn.id).unwrap_or_default();
                 // Force is computed after the flush so cascade work
                 // upgrades an otherwise no-force commit.
-                let force = txn.undo_len() > 0 || !touched.is_empty();
-                *touched_cell.borrow_mut() = touched;
-                Ok(force)
+                Ok(txn.undo_len() > 0 || !txn.views.touched.is_empty())
             },
-            |commit_lsn| {
+            |txn, commit_lsn| {
                 self.watermark.set_lsn(ticket, commit_lsn);
-                self.publish_versions(tid, touched_cell.take(), commit_lsn)
+                self.publish_versions(txn.id, std::mem::take(&mut txn.views.touched), commit_lsn)
             },
         );
         self.watermark.end_commit(ticket);
@@ -85,11 +76,9 @@ impl Database {
 
     /// Roll back completely (logical undo through the engine, CLRs logged).
     pub fn rollback(&self, txn: &mut Transaction) -> Result<()> {
-        self.touched.lock().remove(&txn.id);
-        // Pending cascade work dies with the transaction: nothing was
-        // applied, so there is nothing to undo. (Removed *before* the undo
-        // walk so per-op retraction finds an empty queue and no-ops.)
-        self.cascades.lock().remove(&txn.id);
+        // What the transaction owed its views dies with it: pending cascade
+        // work was never applied, so there is nothing to undo.
+        txn.views = Default::default();
         let result = self.txns.rollback(txn, self);
         if result.is_ok() {
             self.release_snapshot(txn);
@@ -98,8 +87,10 @@ impl Database {
     }
 
     /// Partial rollback to a savepoint taken with
-    /// [`Transaction::savepoint`].
+    /// [`Transaction::savepoint`]: retract the undone span's escrow deltas
+    /// from what the transaction owes its views, then undo its pages.
     pub fn rollback_to_savepoint(&self, txn: &mut Transaction, sp: usize) -> Result<()> {
+        self.retract_savepoint_span(txn, sp)?;
         self.txns.rollback_to_savepoint(txn, sp, self)
     }
 

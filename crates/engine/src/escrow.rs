@@ -248,13 +248,7 @@ pub fn apply_forward_pairs(region: &mut [u8], n_aggs: usize, pairs: &[(u16, Valu
 pub fn merge_pairs(acc: &mut Vec<(u16, ValueDelta)>, add: &[(u16, ValueDelta)]) -> Result<()> {
     for (pos, d) in add {
         if let Some((_, existing)) = acc.iter_mut().find(|(p, _)| p == pos) {
-            *existing = match (*existing, d) {
-                (ValueDelta::Int(a), ValueDelta::Int(b)) => ValueDelta::Int(
-                    a.checked_add(*b).ok_or_else(|| Error::invalid("delta overflow"))?,
-                ),
-                (ValueDelta::Float(a), ValueDelta::Float(b)) => ValueDelta::Float(a + b),
-                _ => return Err(Error::corruption("mismatched delta types in merge")),
-            };
+            *existing = existing.checked_add(*d)?;
         } else {
             acc.push((*pos, *d));
         }

@@ -32,28 +32,14 @@ use crate::delta::{derived_delta, join_delta, single_table_delta, update_deltas}
 use crate::escrow::{
     self, agg_region_offset, apply_additive, apply_insert_merge, encode_view_row, RowDelta,
 };
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use txview_btree::{LogCtx, OpLog, Tree};
 use txview_common::{Error, IndexId, Key, Lsn, ObjectId, Result, Row, TxnId, Value, ViewId};
 use txview_lock::{LockMode, LockName, SchedEvent};
 use txview_txn::Transaction;
-use txview_view::{EnqueueOutcome, PendingDelta};
+use txview_view::{EnqueueOutcome, PendingDelta, Touch, TouchedRows, TxnViews};
 use txview_wal::record::{UndoOp, ValueDelta};
 use txview_wal::recovery::UndoHandler;
-
-/// How a transaction touched one view row, for version publication.
-pub(crate) enum Touch {
-    /// Net commutative delta accumulated by this transaction.
-    Additive(crate::versions::DeltaPairs),
-    /// The row was modified under an exclusive lock (MIN/MAX rewrite,
-    /// X-lock baseline full paths, eager removal): the physical value at
-    /// commit time is a clean committed image.
-    Exclusive,
-}
-
-/// Per-row touch records of one transaction.
-pub(crate) type TouchedRows = HashMap<(IndexId, Vec<u8>), Touch>;
 
 /// What applying one delta did to its view row.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -213,7 +199,7 @@ impl Database {
         self.safeguard_base_version(view, &tree, &key, &kb)?;
         let applied = if additive {
             self.apply_additive(txn, view, &tree, &key, delta)?;
-            self.note_additive(txn.id, view.index, &kb, &delta.to_undo_pairs())?;
+            note_additive(&mut txn.views.touched, view.index, &kb, &delta.to_undo_pairs())?;
             self.obs.escrow_applies.inc();
             Applied::InPlace
         } else {
@@ -221,7 +207,7 @@ impl Database {
                 Error::invalid(format!("MIN/MAX maintenance of '{}' needs a base table", view.name))
             })?;
             let applied = self.apply_extremum(txn, view, base, &tree, &key, &current, delta)?;
-            self.note_exclusive(txn.id, view.index, &kb);
+            note_exclusive(&mut txn.views.touched, view.index, &kb);
             self.obs.minmax_rewrites.inc();
             applied
         };
@@ -289,7 +275,7 @@ impl Database {
         }
         let undo = UndoOp::IndexDelete { index: view.index, key: kb.clone(), row: value };
         self.logged(txn, undo, |ctx, how| tree.remove_record(key, ctx, how))?;
-        self.note_exclusive(txn.id, view.index, &kb);
+        note_exclusive(&mut txn.views.touched, view.index, &kb);
         Ok(())
     }
 
@@ -391,29 +377,6 @@ impl Database {
             Some((false, value)) if row_visible(view, &value)? => Ok(Some(value)),
             _ => Ok(None),
         })
-    }
-
-    /// Accumulate this transaction's net commutative delta for a view row.
-    fn note_additive(
-        &self,
-        txn: TxnId,
-        index: IndexId,
-        kb: &[u8],
-        pairs: &[(u16, ValueDelta)],
-    ) -> Result<()> {
-        let mut touched = self.touched.lock();
-        let entry = (touched.entry(txn).or_default())
-            .entry((index, kb.to_vec()))
-            .or_insert_with(|| Touch::Additive(Vec::new()));
-        match entry {
-            Touch::Additive(acc) => escrow::merge_pairs(acc, pairs),
-            Touch::Exclusive => Ok(()), // exclusive image already covers it
-        }
-    }
-
-    /// Mark a view row as exclusively rewritten by this transaction.
-    fn note_exclusive(&self, txn: TxnId, index: IndexId, kb: &[u8]) {
-        self.touched.lock().entry(txn).or_default().insert((index, kb.to_vec()), Touch::Exclusive);
     }
 
     /// Publish the committed versions of the view rows transaction `tid`
@@ -518,8 +481,7 @@ impl Database {
                 count: projected.count,
                 aggs: projected.aggs,
             };
-            let outcome = (self.cascades.lock().entry(txn.id).or_default())
-                .enqueue(depth, child.id, kb, pending)?;
+            let outcome = txn.views.cascades.enqueue(depth, child.id, kb, pending)?;
             self.obs.cascade_enqueues.inc();
             if outcome == EnqueueOutcome::Coalesced {
                 self.obs.cascade_coalesce_hits.inc();
@@ -542,7 +504,7 @@ impl Database {
     /// pre-append commit hook, so every cascade log record precedes the
     /// commit record (ordinary redo for recovery and replication).
     pub(crate) fn flush_cascades(&self, txn: &mut Transaction) -> Result<()> {
-        let entries = self.cascades.lock().get(&txn.id).map_or(0, |q| q.len());
+        let entries = txn.views.cascades.len();
         if entries == 0 {
             return Ok(());
         }
@@ -553,14 +515,10 @@ impl Database {
         }
         let mut refreshed = 0u64;
         let mut last_depth: Option<u32> = None;
-        loop {
-            // Pop through the live map entry (not a drained snapshot):
-            // applying an entry re-enters `cascade_children`, which must
-            // land grandchildren in this same queue.
-            let popped = self.cascades.lock().get_mut(&txn.id).and_then(|q| q.pop_first());
-            let Some((depth, view_id, kb, pending)) = popped else {
-                break;
-            };
+        // Pop one entry at a time (not a drained snapshot): applying an
+        // entry re-enters `cascade_children`, which must land grandchildren
+        // in this same queue.
+        while let Some((depth, view_id, kb, pending)) = txn.views.cascades.pop_first() {
             if last_depth.is_some_and(|d| depth > d) {
                 // Named crash point between DAG levels: the torture
                 // probe sweep crashes here to prove mid-cascade atomicity.
@@ -576,7 +534,6 @@ impl Database {
             self.note_refresh(txn.id, view_id, kb);
             refreshed += 1;
         }
-        self.cascades.lock().remove(&txn.id);
         self.obs.cascade_flush_entries.record(refreshed);
         if let Some(d) = last_depth {
             self.obs.cascade_flush_depth.record(u64::from(d));
@@ -584,24 +541,36 @@ impl Database {
         Ok(())
     }
 
-    /// Undo of an escrow delta on `view`'s row `key`: keep the
-    /// version-publication accumulator and the still-queued cascade work in
-    /// step with a partial (savepoint) rollback.
+    /// A savepoint rollback's view bookkeeping: retract the escrow deltas of
+    /// the undone span from the version-publication accumulator and from
+    /// the still-queued cascade work, newest first. It only merges into
+    /// in-memory accumulators, so it runs before the page undo; the undo
+    /// itself ([`UndoHandler`]) then only compensates pages.
+    pub(crate) fn retract_savepoint_span(&self, txn: &mut Transaction, sp: usize) -> Result<()> {
+        let (undo, views) = txn.undo_since(sp);
+        for entry in undo.iter().rev() {
+            if let UndoOp::Escrow { index, key, deltas } = &entry.op {
+                self.retract_escrow(views, *index, key, deltas)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Retract one escrow delta on view row `key` of `index` from `views`.
     fn retract_escrow(
         &self,
-        txn: TxnId,
-        view: &ViewDef,
+        views: &mut TxnViews,
+        index: IndexId,
         key: &[u8],
-        group: Vec<Value>,
         deltas: &[(u16, ValueDelta)],
     ) -> Result<()> {
         let inverse: Vec<(u16, ValueDelta)> =
             deltas.iter().map(|(p, d)| (*p, d.inverse())).collect();
-        if let Some(Touch::Additive(acc)) = (self.touched.lock().get_mut(&txn))
-            .and_then(|rows| rows.get_mut(&(view.index, key.to_vec())))
-        {
+        if let Some(Touch::Additive(acc)) = views.touched.get_mut(&(index, key.to_vec())) {
             escrow::merge_pairs(acc, &inverse)?;
         }
+        let view = (self.catalog.read().views().find(|v| v.index == index).cloned())
+            .ok_or_else(|| Error::NotFound(format!("view for index {}", index.0)))?;
         if !self.graph.read().has_children(view.id) {
             return Ok(());
         }
@@ -611,7 +580,7 @@ impl Database {
         // a complete forward delta: pos 0 is COUNT_BIG, pos 1.. the
         // aggregates.
         let mut fwd = RowDelta {
-            group,
+            group: Key::from_bytes(key.to_vec()).decode_values()?,
             count: 0,
             aggs: view
                 .aggs
@@ -633,19 +602,14 @@ impl Database {
                 *slot = *d;
             }
         }
-        for (child, depth, projected) in self.child_deltas(view, &fwd.inverse())? {
+        for (child, depth, projected) in self.child_deltas(&view, &fwd.inverse())? {
             let kb = projected.key().as_bytes().to_vec();
             let pending = PendingDelta {
                 group: projected.group,
                 count: projected.count,
                 aggs: projected.aggs,
             };
-            // `get_mut`, not `entry`: recovery undo (and a full rollback,
-            // which drops the queue first) must not materialize an empty
-            // queue as a side effect.
-            if let Some(q) = self.cascades.lock().get_mut(&txn) {
-                q.retract(depth, child.id, &kb, &pending)?;
-            }
+            views.cascades.retract(depth, child.id, &kb, &pending)?;
         }
         Ok(())
     }
@@ -686,14 +650,10 @@ impl UndoHandler for Database {
             }
             UndoOp::Escrow { deltas, .. } => {
                 let group = k.decode_values()?;
-                let view = self
-                    .catalog
-                    .read()
-                    .views()
-                    .find(|v| v.index == index)
-                    .cloned()
-                    .ok_or_else(|| Error::NotFound(format!("view for index {}", index.0)))?;
-                let n_aggs = view.aggs.len();
+                let n_aggs = (self.catalog.read().views().find(|v| v.index == index))
+                    .ok_or_else(|| Error::NotFound(format!("view for index {}", index.0)))?
+                    .aggs
+                    .len();
                 let mut new_count = 0i64;
                 let patch = |old: &[u8]| {
                     let out = escrow::apply_undo_pairs(old, n_aggs, deltas)?;
@@ -704,12 +664,29 @@ impl UndoHandler for Database {
                 if new_count == 0 {
                     self.enqueue_ghost(index, key.clone());
                 }
-                self.retract_escrow(txn, &view, key, group, deltas)?;
             }
             UndoOp::None | UndoOp::Page { .. } => {}
         }
         Ok(())
     }
+}
+
+/// Accumulate a transaction's net commutative delta for a view row.
+fn note_additive(
+    touched: &mut TouchedRows,
+    index: IndexId,
+    kb: &[u8],
+    pairs: &[(u16, ValueDelta)],
+) -> Result<()> {
+    match touched.entry((index, kb.to_vec())).or_insert_with(|| Touch::Additive(Vec::new())) {
+        Touch::Additive(acc) => escrow::merge_pairs(acc, pairs),
+        Touch::Exclusive => Ok(()), // exclusive image already covers it
+    }
+}
+
+/// Mark a view row as exclusively rewritten by a transaction.
+fn note_exclusive(touched: &mut TouchedRows, index: IndexId, kb: &[u8]) {
+    touched.insert((index, kb.to_vec()), Touch::Exclusive);
 }
 
 /// The version-store materializer for the row of `view` with key `kb`:

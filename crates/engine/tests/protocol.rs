@@ -132,6 +132,30 @@ fn savepoint_partial_rollback() {
     assert!(db.get_row(&mut db.begin(IsolationLevel::ReadCommitted), "accounts", &[Value::Int(11)]).unwrap().is_none());
 }
 
+/// The version a commit publishes for a view row is the transaction's net
+/// escrow delta, accumulated in memory. A savepoint rollback must retract
+/// the undone span from that accumulator, or a Snapshot reader sees work
+/// that was rolled back even though the stored row is right.
+#[test]
+fn savepoint_rollback_is_absent_from_the_published_version() {
+    let (db, view) = setup(MaintenanceMode::Escrow);
+    load_accounts(&db, 2, 1, 100);
+    let mut txn = db.begin(IsolationLevel::ReadCommitted);
+    db.insert(&mut txn, "accounts", row![10i64, 0i64, 50i64]).unwrap();
+    let sp = txn.savepoint();
+    db.insert(&mut txn, "accounts", row![11i64, 0i64, 70i64]).unwrap();
+    db.update(&mut txn, "accounts", row![1i64, 0i64, 1000i64]).unwrap();
+    db.rollback_to_savepoint(&mut txn, sp).unwrap();
+    db.commit(&mut txn).unwrap();
+    db.harness().verify_view(view).unwrap();
+    let mut snap = db.begin(IsolationLevel::Snapshot);
+    assert_eq!(
+        db.view_aggregates(&mut snap, view, &[Value::Int(0)]).unwrap().unwrap(),
+        (3, vec![Value::Int(250)])
+    );
+    db.commit(&mut snap).unwrap();
+}
+
 #[test]
 fn group_come_and_go_anomaly() {
     // T1 creates a group; T2 increments it; T1 rolls back. The group row

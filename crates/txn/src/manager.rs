@@ -3,8 +3,8 @@
 
 use crate::pipeline::CommitPipeline;
 use crate::txn::{IsolationLevel, Transaction, TxnState};
-use parking_lot::{Mutex, RwLock};
-use std::collections::BTreeSet;
+use parking_lot::RwLock;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use txview_common::obs::{Counter, Histogram, ObsClock, Snapshot};
 use txview_common::{Error, Lsn, Result, TxnId};
@@ -17,10 +17,9 @@ use txview_wal::LogManager;
 pub struct TxnManager {
     log: Arc<LogManager>,
     locks: Arc<LockManager>,
-    /// Active user transactions (diagnostics: `active_txns`, the
-    /// `txn.active` gauge). What a checkpoint needs of them, the log
-    /// manager tracks itself.
-    active: Mutex<BTreeSet<TxnId>>,
+    /// Number of active user transactions (the `txn.active` gauge). What
+    /// a checkpoint needs of them, the log manager tracks itself.
+    active: AtomicU64,
     /// Optional group-commit pipeline. When installed, forced commits go
     /// through leader-based batching instead of the strict per-commit
     /// `flush_strict`.
@@ -55,7 +54,7 @@ impl TxnManager {
         TxnManager {
             log,
             locks,
-            active: Mutex::new(BTreeSet::new()),
+            active: AtomicU64::new(0),
             pipeline: RwLock::new(None),
             obs: TxnObs::default(),
         }
@@ -83,7 +82,7 @@ impl TxnManager {
         let mut s = Snapshot::default();
         s.counter("txn.commits", self.obs.commits.get());
         s.counter("txn.rollbacks", self.obs.rollbacks.get());
-        s.gauge("txn.active", self.active.lock().len() as i64);
+        s.gauge("txn.active", self.active_count() as i64);
         s.hist("txn.phase.acquire_us", self.obs.acquire_us.snapshot());
         s.hist("txn.phase.maintain_us", self.obs.maintain_us.snapshot());
         s.hist("txn.phase.log_force_us", self.obs.log_force_us.snapshot());
@@ -110,7 +109,7 @@ impl TxnManager {
         let id = self.log.alloc_txn_id();
         let snapshot_lsn = self.log.last_allocated_lsn();
         let last_lsn = self.log.append(id, Lsn::NULL, RecordBody::Begin { kind: TxnKind::User });
-        self.active.lock().insert(id);
+        self.active.fetch_add(1, Ordering::Relaxed);
         Transaction {
             id,
             isolation,
@@ -120,13 +119,14 @@ impl TxnManager {
             undo: Vec::new(),
             phase_acquire_us: 0,
             phase_maintain_us: 0,
+            views: Default::default(),
         }
     }
 
     /// Commit: force the commit record, release all locks, log End.
     /// Returns the commit LSN (the version stamp for snapshot readers).
     pub fn commit(&self, txn: &mut Transaction) -> Result<Lsn> {
-        self.commit_with_hooks(txn, |_| Ok(true), |_| Ok(()))
+        self.commit_with_hooks(txn, |_| Ok(true), |_, _| Ok(()))
     }
 
     /// The commit seam the engine uses: `pre_append` runs *inside* the
@@ -137,12 +137,12 @@ impl TxnManager {
     /// its own work so a cascade flush upgrades a would-be no-force commit.
     /// On error the transaction is left Active for the caller to roll back
     /// — nothing has been appended yet. Then: append → wait/flush →
-    /// `pre_release` → release.
+    /// `pre_release` (given the transaction and its commit LSN) → release.
     pub fn commit_with_hooks(
         &self,
         txn: &mut Transaction,
         pre_append: impl FnOnce(&mut Transaction) -> Result<bool>,
-        pre_release: impl FnOnce(Lsn) -> Result<()>,
+        pre_release: impl FnOnce(&mut Transaction, Lsn) -> Result<()>,
     ) -> Result<Lsn> {
         if txn.state != TxnState::Active {
             return Err(Error::invalid(format!("commit of finished {}", txn.id)));
@@ -165,12 +165,12 @@ impl TxnManager {
             }
             self.obs.log_force_us.record(self.obs.clock.now().saturating_sub(force_t0));
         }
-        pre_release(commit_lsn)?;
+        pre_release(txn, commit_lsn)?;
         self.locks.release_all(txn.id);
         txn.last_lsn = self.log.append(txn.id, commit_lsn, RecordBody::End);
         txn.state = TxnState::Committed;
         txn.undo.clear();
-        self.active.lock().remove(&txn.id);
+        self.active.fetch_sub(1, Ordering::Relaxed);
         self.obs.commits.inc();
         self.obs.acquire_us.record(txn.phase_acquire_us);
         self.obs.maintain_us.record(txn.phase_maintain_us);
@@ -197,7 +197,7 @@ impl TxnManager {
         txn.last_lsn = self.log.append(txn.id, txn.last_lsn, RecordBody::End);
         txn.state = TxnState::Aborted;
         self.locks.release_all(txn.id);
-        self.active.lock().remove(&txn.id);
+        self.active.fetch_sub(1, Ordering::Relaxed);
         self.obs.rollbacks.inc();
         if let Some(h) = &hook {
             h.observe(txn.id, &txview_lock::SchedEvent::RolledBack);
@@ -251,12 +251,12 @@ impl TxnManager {
     /// Forget all active-transaction bookkeeping (volatile state lost in a
     /// crash; recovery rebuilds what matters from the log).
     pub fn reset_active(&self) {
-        self.active.lock().clear();
+        self.active.store(0, Ordering::Relaxed);
     }
 
-    /// Ids of currently active transactions (diagnostics), sorted.
-    pub fn active_txns(&self) -> Vec<TxnId> {
-        self.active.lock().iter().copied().collect()
+    /// Number of currently active user transactions (diagnostics).
+    pub fn active_count(&self) -> u64 {
+        self.active.load(Ordering::Relaxed)
     }
 }
 
@@ -303,7 +303,7 @@ mod tests {
         assert!(matches!(recs[0].body, RecordBody::Begin { kind: TxnKind::User }));
         assert!(matches!(recs[1].body, RecordBody::Commit));
         assert_eq!(t.state, TxnState::Committed);
-        assert!(mgr.active_txns().is_empty());
+        assert_eq!(mgr.active_count(), 0);
     }
 
     #[test]
@@ -311,7 +311,7 @@ mod tests {
         let (log, _locks, mgr) = setup();
         let mut t = mgr.begin(IsolationLevel::Snapshot);
         let flushed_before = log.flushed_lsn();
-        let commit_lsn = mgr.commit_with_hooks(&mut t, |_| Ok(false), |_| Ok(())).unwrap();
+        let commit_lsn = mgr.commit_with_hooks(&mut t, |_| Ok(false), |_, _| Ok(())).unwrap();
         assert_eq!(t.state, TxnState::Committed);
         assert!(commit_lsn > flushed_before);
         assert_eq!(log.flushed_lsn(), flushed_before, "no group flush forced");
@@ -330,7 +330,7 @@ mod tests {
                     seen.set(log.last_allocated_lsn());
                     Ok(true)
                 },
-                |_| Ok(()),
+                |_, _| Ok(()),
             )
             .unwrap();
         assert!(
@@ -346,7 +346,7 @@ mod tests {
         let (log, _locks, mgr) = setup();
         let mut t = mgr.begin(IsolationLevel::ReadCommitted);
         let err = mgr
-            .commit_with_hooks(&mut t, |_| Err(Error::invalid("flush failed")), |_| Ok(()))
+            .commit_with_hooks(&mut t, |_| Err(Error::invalid("flush failed")), |_, _| Ok(()))
             .unwrap_err();
         assert!(format!("{err}").contains("flush failed"));
         assert!(t.is_active(), "caller still owns the rollback");
@@ -458,7 +458,7 @@ mod tests {
                 Ok(begin)
             })
             .unwrap();
-        assert!(mgr.active_txns().is_empty());
+        assert_eq!(mgr.active_count(), 0);
         let (begin_at, scan_from) = offset_and_scan_from(&log, begin);
         assert_eq!(scan_from, begin_at);
     }

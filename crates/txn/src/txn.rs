@@ -1,6 +1,7 @@
 //! Per-transaction state.
 
 use txview_common::{Lsn, TxnId};
+use txview_view::TxnViews;
 use txview_wal::record::UndoOp;
 
 /// Isolation level of a user transaction.
@@ -70,6 +71,9 @@ pub struct Transaction {
     pub phase_acquire_us: u64,
     /// Accumulated view-maintenance time (µs or ticks), same protocol.
     pub phase_maintain_us: u64,
+    /// What this transaction owes its views (touched rows, pending
+    /// cascade work), settled once at commit.
+    pub views: TxnViews,
 }
 
 impl Transaction {
@@ -93,6 +97,12 @@ impl Transaction {
         self.undo.len()
     }
 
+    /// The undo entries a rollback to `savepoint` would compensate (oldest
+    /// first), beside the view state they may have to be retracted from.
+    pub fn undo_since(&mut self, savepoint: usize) -> (&[UndoEntry], &mut TxnViews) {
+        (self.undo.get(savepoint..).unwrap_or_default(), &mut self.views)
+    }
+
     /// True iff still active.
     pub fn is_active(&self) -> bool {
         self.state == TxnState::Active
@@ -113,6 +123,7 @@ mod tests {
             undo: Vec::new(),
             phase_acquire_us: 0,
             phase_maintain_us: 0,
+            views: TxnViews::default(),
         }
     }
 

@@ -17,7 +17,11 @@
 //!   mutations to any node enqueue dirty `(view, group)` entries that merge
 //!   commutatively (dedup per transaction), and commit drains them in
 //!   ascending depth order so each entry is refreshed exactly once after
-//!   every producer above it has flushed.
+//!   every producer above it has flushed;
+//! * [`queue::TxnViews`] — everything one transaction owes its views: that
+//!   queue plus the view rows it touched (for version publication at
+//!   commit). It is a field of the transaction itself, so the engine keeps
+//!   no per-transaction registry.
 //!
 //! The engine owns the flush itself (it is ordinary escrow maintenance,
 //! logged with the same `Escrow` undo records as base-driven deltas, so
@@ -29,4 +33,4 @@ pub mod graph;
 pub mod queue;
 
 pub use graph::ViewGraph;
-pub use queue::{CascadeQueue, EnqueueOutcome, PendingDelta};
+pub use queue::{CascadeQueue, EnqueueOutcome, PendingDelta, Touch, TouchedRows, TxnViews};

@@ -1,4 +1,5 @@
-//! The per-transaction coalescing cascade queue.
+//! What one transaction owes its views, settled once at its commit: the
+//! view rows it touched and its coalescing cascade queue ([`TxnViews`]).
 //!
 //! Every delta a transaction applies to a view with children projects one
 //! pending delta per child and enqueues it here, keyed by
@@ -15,9 +16,37 @@
 //! producer of that view sits at a strictly smaller depth and has already
 //! flushed — which is what makes the flush exactly-once per (view, group).
 
-use std::collections::BTreeMap;
-use txview_common::{Error, Result, Value, ViewId};
+use std::collections::{BTreeMap, HashMap};
+use txview_common::{Error, IndexId, Result, Value, ViewId};
 use txview_wal::record::ValueDelta;
+
+/// How a transaction touched one view row, for version publication.
+#[derive(Debug)]
+pub enum Touch {
+    /// Net commutative delta accumulated by this transaction, as
+    /// `(position, delta)` pairs (position 0 is COUNT_BIG).
+    Additive(Vec<(u16, ValueDelta)>),
+    /// The row was modified under an exclusive lock (MIN/MAX rewrite,
+    /// X-lock baseline full paths, eager removal): the physical value at
+    /// commit time is a clean committed image.
+    Exclusive,
+}
+
+/// Per-row touch records of one transaction, keyed by (view index, key).
+pub type TouchedRows = HashMap<(IndexId, Vec<u8>), Touch>;
+
+/// Everything one transaction owes its views. It lives in the transaction
+/// itself: commit drains `cascades` and publishes `touched`, a rollback
+/// drops both, and a savepoint rollback retracts the escrow deltas it
+/// undoes from both.
+#[derive(Debug, Default)]
+pub struct TxnViews {
+    /// View rows touched (for version publication at commit).
+    pub touched: TouchedRows,
+    /// Pending derived-view deltas, drained in dependency order by the
+    /// commit flush.
+    pub cascades: CascadeQueue,
+}
 
 /// Queue key: ascending-depth drain order, deterministic within a level.
 type QueueKey = (u32, ViewId, Vec<u8>);
@@ -53,14 +82,7 @@ impl PendingDelta {
             return Err(Error::corruption("cascade delta arity mismatch"));
         }
         for (a, b) in self.aggs.iter_mut().zip(&other.aggs) {
-            *a = match (&a, b) {
-                (ValueDelta::Int(x), ValueDelta::Int(y)) => ValueDelta::Int(
-                    x.checked_add(*y)
-                        .ok_or_else(|| Error::invalid("cascade agg delta overflow"))?,
-                ),
-                (ValueDelta::Float(x), ValueDelta::Float(y)) => ValueDelta::Float(x + y),
-                _ => return Err(Error::corruption("cascade delta type mismatch")),
-            };
+            *a = a.checked_add(*b)?;
         }
         Ok(())
     }

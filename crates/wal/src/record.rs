@@ -36,6 +36,19 @@ impl ValueDelta {
         }
     }
 
+    /// `self + other`: the one delta addition of escrow accumulators and
+    /// cascade coalescing. Refuses integer overflow and mixed types.
+    pub fn checked_add(self, other: ValueDelta) -> Result<ValueDelta> {
+        match (self, other) {
+            (ValueDelta::Int(x), ValueDelta::Int(y)) => x
+                .checked_add(y)
+                .map(ValueDelta::Int)
+                .ok_or_else(|| Error::invalid("delta overflow")),
+            (ValueDelta::Float(x), ValueDelta::Float(y)) => Ok(ValueDelta::Float(x + y)),
+            _ => Err(Error::corruption("mismatched delta types")),
+        }
+    }
+
     /// Apply to a [`Value`] (NULL is treated as zero, per SUM semantics).
     pub fn apply_to(self, v: &Value) -> Result<Value> {
         match self {
