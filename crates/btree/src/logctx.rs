@@ -54,6 +54,16 @@ impl LogCtx<'_> {
         lsn
     }
 
+    /// Close a system transaction: append its Commit, or nothing when it
+    /// logged nothing (a transaction's first record opens its bracket, so
+    /// there is none to close). Returns the Commit's LSN, or null.
+    pub fn commit(&mut self) -> Lsn {
+        if self.last_lsn.is_null() {
+            return Lsn::NULL;
+        }
+        self.append(RecordBody::Commit)
+    }
+
     /// Log one physical page operation according to `how`; returns the LSN
     /// to stamp on the page (null when unlogged).
     pub fn log_op(&mut self, page: PageId, redo: RedoOp, inverse: RedoOp, how: &OpLog) -> Lsn {
@@ -81,20 +91,22 @@ impl LogCtx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use txview_wal::record::TxnKind;
 
     #[test]
     fn append_chains_prev_lsn() {
         let log = LogManager::in_memory();
         let mut last = Lsn::NULL;
         let mut ctx = LogCtx { log: &log, txn: TxnId(1), last_lsn: &mut last };
-        let a = ctx.append(RecordBody::Begin { kind: TxnKind::User });
-        let b = ctx.append(RecordBody::Commit);
+        assert!(ctx.commit().is_null(), "nothing logged: no Commit either");
+        let a = ctx.append(RecordBody::Abort);
+        let b = ctx.commit();
         log.flush_all().unwrap();
         let recs = log.read_durable_from(0).unwrap();
+        assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].lsn, a);
         assert_eq!(recs[1].prev_lsn, a);
         assert_eq!(recs[1].lsn, b);
+        assert_eq!(recs[1].body, RecordBody::Commit);
         assert_eq!(last, b);
     }
 

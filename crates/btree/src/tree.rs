@@ -13,7 +13,7 @@ use txview_common::{Error, IndexId, Key, Lsn, PageId, Result};
 use txview_storage::buffer::{BufferPool, PinnedPage};
 use txview_storage::page::PageType;
 use txview_wal::log::PAYLOAD_HEADER_LEN;
-use txview_wal::record::{RecordBody, RedoOp, TxnKind, UndoOp};
+use txview_wal::record::{RecordBody, RedoOp, UndoOp, ValueDelta};
 use txview_wal::LogManager;
 
 /// Maximum encoded key size accepted by the tree. Interior nodes reserve
@@ -49,7 +49,6 @@ impl Tree {
         let sys = log.alloc_txn_id();
         let mut last = Lsn::NULL;
         let mut ctx = LogCtx { log, txn: sys, last_lsn: &mut last };
-        ctx.append(RecordBody::Begin { kind: TxnKind::System });
         {
             let mut g = page.write();
             let fmt = RedoOp::FormatPage {
@@ -66,8 +65,7 @@ impl Tree {
             let _ = lsn;
             g.set_lsn(lsn2);
         }
-        let commit = ctx.append(RecordBody::Commit);
-        ctx.append(RecordBody::End);
+        let commit = ctx.commit();
         log.flush_to(commit)?;
         Ok(Tree { index_id, root, pool: Arc::clone(pool), latch: RwLock::new(()) })
     }
@@ -240,45 +238,61 @@ impl Tree {
         }
     }
 
-    /// Read-modify-write of the tail of a record's value starting at
-    /// `region_off` (escrow apply). `f` receives the current region bytes
-    /// and must return replacement bytes of the SAME length; everything
-    /// happens under one leaf latch, so concurrent escrow transactions
-    /// serialize physically while remaining concurrent logically.
-    pub fn modify_value_region<F>(
+    /// Overwrite `bytes.len()` bytes of `key`'s value at value offset
+    /// `off` (a same-length update's changed range, or its undo); returns
+    /// the bytes it replaced. The record keeps its length, so this never
+    /// splits.
+    pub fn patch_value(
         &self,
         key: &Key,
-        region_off: usize,
-        f: F,
+        off: usize,
+        bytes: &[u8],
         ctx: &mut LogCtx<'_>,
         how: &OpLog,
-    ) -> Result<()>
-    where
-        F: FnOnce(&[u8]) -> Result<Vec<u8>>,
-    {
+    ) -> Result<Vec<u8>> {
         let _t = self.latch.read();
         let leaf = self.find_leaf(key.as_bytes())?;
         let mut g = leaf.write();
         let idx = node::leaf_search(&g, key.as_bytes())
             .map_err(|_| Error::NotFound(format!("{key:?} in index {}", self.index_id.0)))?;
-        let rec = node::slots(&g).get(idx);
-        let rec_off = node::leaf_value_offset(key.len()) + region_off;
-        if rec_off > rec.len() {
-            return Err(Error::corruption("value region beyond record"));
-        }
-        let old_region = rec[rec_off..].to_vec();
-        let new_region = f(&old_region)?;
-        if new_region.len() != old_region.len() {
-            return Err(Error::invalid(format!(
-                "escrow patch must preserve length ({} -> {})",
-                old_region.len(),
-                new_region.len()
-            )));
-        }
-        let redo = RedoOp::SlotPatch { idx: idx as u16, off: rec_off as u16, bytes: new_region };
-        let inverse = RedoOp::SlotPatch { idx: idx as u16, off: rec_off as u16, bytes: old_region };
+        let rec_off = node::leaf_value_offset(key.len()) + off;
+        let old = (node::slots(&g).get(idx).get(rec_off..rec_off + bytes.len()))
+            .ok_or_else(|| Error::corruption("value patch beyond record"))?
+            .to_vec();
+        let redo = RedoOp::SlotPatch { idx: idx as u16, off: rec_off as u16, bytes: bytes.to_vec() };
+        let inverse = RedoOp::SlotPatch { idx: idx as u16, off: rec_off as u16, bytes: old.clone() };
         Self::apply_logged(&leaf, &mut g, redo, inverse, ctx, how)?;
-        Ok(())
+        Ok(old)
+    }
+
+    /// Add `(position, delta)` pairs to the fixed-width values of `key`'s
+    /// value from value offset `region_off` on (escrow apply and its undo;
+    /// see [`txview_wal::record::add_deltas`]); returns the value's bytes
+    /// from `region_off` on, after the add. The change is logged as the
+    /// deltas themselves, under one leaf latch, so concurrent escrow
+    /// transactions serialize physically while remaining concurrent
+    /// logically. A mistyped or out-of-range pair fails before any byte
+    /// changes or anything is logged.
+    pub fn add_to_value(
+        &self,
+        key: &Key,
+        region_off: usize,
+        deltas: &[(u16, ValueDelta)],
+        ctx: &mut LogCtx<'_>,
+        how: &OpLog,
+    ) -> Result<Vec<u8>> {
+        let _t = self.latch.read();
+        let leaf = self.find_leaf(key.as_bytes())?;
+        let mut g = leaf.write();
+        let idx = node::leaf_search(&g, key.as_bytes())
+            .map_err(|_| Error::NotFound(format!("{key:?} in index {}", self.index_id.0)))?;
+        let rec_off = node::leaf_value_offset(key.len()) + region_off;
+        let (idx16, off16) = (idx as u16, rec_off as u16);
+        let redo = RedoOp::SlotAdd { idx: idx16, off: off16, deltas: deltas.to_vec() };
+        let inverse_deltas = deltas.iter().map(|&(p, d)| (p, d.inverse())).collect();
+        let inverse = RedoOp::SlotAdd { idx: idx16, off: off16, deltas: inverse_deltas };
+        Self::apply_logged(&leaf, &mut g, redo, inverse, ctx, how)?;
+        Ok(node::slots(&g).get(idx)[rec_off..].to_vec())
     }
 
     /// Physically remove a record (ghost cleanup; caller holds the
@@ -528,8 +542,6 @@ impl Tree {
         let sys = log.alloc_txn_id();
         let mut last = Lsn::NULL;
         let mut ctx = LogCtx { log, txn: sys, last_lsn: &mut last };
-        ctx.append(RecordBody::Begin { kind: TxnKind::System });
-        let mut did_work = false;
 
         // Top-down: split any node on the path that might not have room.
         let mut parent: Option<(PinnedPage, usize)> = None;
@@ -541,7 +553,6 @@ impl Tree {
             };
             let reserve = if lvl == 0 { needed } else { SEP_RESERVE };
             if free < reserve {
-                did_work = true;
                 if page.id() == self.root {
                     self.pushdown_root(&page, &mut ctx)?;
                     // Restart descent from the (now interior) root.
@@ -568,15 +579,9 @@ impl Tree {
             page = self.pool.fetch(child)?;
         }
 
-        if did_work {
-            let commit = ctx.append(RecordBody::Commit);
-            ctx.append(RecordBody::End);
-            let _ = commit;
-        } else {
-            // Nothing split (another thread got here first): empty txn.
-            ctx.append(RecordBody::Commit);
-            ctx.append(RecordBody::End);
-        }
+        // Nothing split (another thread got here first): nothing was
+        // logged, so nothing is committed either.
+        ctx.commit();
         Ok(())
     }
 
@@ -873,27 +878,58 @@ mod tests {
     }
 
     #[test]
-    fn modify_value_region_patches_in_place() {
+    fn patch_value_overwrites_a_range_in_place() {
         let (log, _pool, tree) = setup();
         user_insert(&tree, &log, &k(7), b"AAAABBBB");
         let txn = log.alloc_txn_id();
         let mut last = Lsn::NULL;
         let mut ctx = LogCtx { log: &log, txn, last_lsn: &mut last };
-        tree.modify_value_region(
-            &k(7),
-            4,
-            |old| {
-                assert_eq!(old, b"BBBB");
-                Ok(b"CCCC".to_vec())
-            },
-            &mut ctx,
-            &OpLog::Update { undo: UndoOp::None },
-        )
-        .unwrap();
-        assert_eq!(tree.get(&k(7)).unwrap(), Some((false, b"AAAACCCC".to_vec())));
-        // Length changes are rejected.
-        let err = tree.modify_value_region(&k(7), 4, |_| Ok(vec![1]), &mut ctx, &OpLog::None);
-        assert!(err.is_err());
+        let how = OpLog::Update { undo: UndoOp::None };
+        assert_eq!(tree.patch_value(&k(7), 4, b"CC", &mut ctx, &how).unwrap(), b"BB");
+        assert_eq!(tree.get(&k(7)).unwrap(), Some((false, b"AAAACCBB".to_vec())));
+        // A range past the record is refused, and nothing is logged.
+        let before = *ctx.last_lsn;
+        assert!(tree.patch_value(&k(7), 7, b"DD", &mut ctx, &how).is_err());
+        assert_eq!(*ctx.last_lsn, before);
+    }
+
+    #[test]
+    fn add_to_value_adds_typed_deltas_in_place() {
+        use txview_common::codec::Writer;
+        use txview_common::Value;
+        let fixed = |vals: &[Value]| {
+            let mut w = Writer::new();
+            vals.iter().for_each(|v| v.encode(&mut w));
+            w.into_bytes()
+        };
+        let (log, _pool, tree) = setup();
+        let value = [b"G".to_vec(), fixed(&[Value::Int(2), Value::Int(40)])].concat();
+        user_insert(&tree, &log, &k(7), &value);
+        let txn = log.alloc_txn_id();
+        let mut last = Lsn::NULL;
+        let mut ctx = LogCtx { log: &log, txn, last_lsn: &mut last };
+        let how = OpLog::Update { undo: UndoOp::None };
+        let deltas = [(0, ValueDelta::Int(1)), (1, ValueDelta::Int(-5))];
+        let region = tree.add_to_value(&k(7), 1, &deltas, &mut ctx, &how).unwrap();
+        assert_eq!(region, fixed(&[Value::Int(3), Value::Int(35)]));
+        let want = [b"G".to_vec(), region].concat();
+        assert_eq!(tree.get(&k(7)).unwrap(), Some((false, want.clone())));
+        // A mistyped delta changes nothing and logs nothing.
+        let before = *ctx.last_lsn;
+        assert!(tree.add_to_value(&k(7), 1, &[(1, ValueDelta::Float(1.0))], &mut ctx, &how).is_err());
+        assert_eq!(*ctx.last_lsn, before);
+        assert_eq!(tree.get(&k(7)).unwrap(), Some((false, want)));
+    }
+
+    /// A split that finds room already (another thread split first) is a
+    /// system transaction that logged nothing: it appends nothing.
+    #[test]
+    fn split_with_room_appends_nothing() {
+        let (log, _pool, tree) = setup();
+        user_insert(&tree, &log, &k(1), b"x");
+        let before = (log.appended_records(), log.appended_bytes());
+        tree.split_for(k(2).as_bytes(), 16, &log).unwrap();
+        assert_eq!((log.appended_records(), log.appended_bytes()), before);
     }
 
     #[test]

@@ -162,7 +162,7 @@ fn committed_splits_survive_crash_that_loses_the_user_txn() {
     use txview_common::{Result as TxResult, TxnId};
     use txview_storage::disk::DiskManager;
     use txview_storage::fault::{FaultClock, FaultDisk, FaultPoint, FaultSchedule};
-    use txview_wal::{recover, FaultLogStore, RecordBody, TxnKind, UndoHandler};
+    use txview_wal::{recover, FaultLogStore, RecordBody, UndoHandler};
 
     const INDEX: IndexId = IndexId(9);
 
@@ -208,7 +208,7 @@ fn committed_splits_survive_crash_that_loses_the_user_txn() {
 
         // Committed transaction: 300-byte values force leaf splits.
         let txn_a = log.alloc_txn_id();
-        let mut last = log.append(txn_a, Lsn::NULL, RecordBody::Begin { kind: TxnKind::User });
+        let mut last = Lsn::NULL;
         insert_range(&tree, &log, txn_a, &mut last, 0..80);
         log.append(txn_a, last, RecordBody::Commit);
         log.flush_all().unwrap();
@@ -217,7 +217,7 @@ fn committed_splits_survive_crash_that_loses_the_user_txn() {
         // Loser transaction: more splits, records made durable mid-flight
         // (and some dirty pages stolen to disk), but never committed.
         let txn_b = log.alloc_txn_id();
-        let mut last = log.append(txn_b, Lsn::NULL, RecordBody::Begin { kind: TxnKind::User });
+        let mut last = Lsn::NULL;
         insert_range(&tree, &log, txn_b, &mut last, 1000..1040);
         log.flush_all().unwrap();
         pool.flush_all().unwrap();

@@ -6,8 +6,11 @@
 //! avoids pulling a serialization framework into the storage layer.
 //!
 //! Conventions:
-//! * integers are little-endian fixed width,
-//! * byte strings are a `u32` length followed by the bytes,
+//! * integers are little-endian fixed width, except where a format asks
+//!   for a [`Writer::varint`] (LEB128: seven bits a byte, low group first,
+//!   at most ten bytes; signed values zigzag-mapped first),
+//! * byte strings are a `u32` length followed by the bytes (or a varint
+//!   length, [`Writer::var_bytes`]),
 //! * decoding never panics — malformed input yields [`Error::Corruption`].
 
 use crate::error::{Error, Result};
@@ -89,6 +92,29 @@ impl Writer {
     /// Write a length-prefixed byte string.
     pub fn bytes(&mut self, v: &[u8]) -> &mut Self {
         self.u32(v.len() as u32);
+        self.buf.extend_from_slice(v);
+        self
+    }
+
+    /// Write `v` as a LEB128 varint: one byte for values below 128.
+    pub fn varint(&mut self, mut v: u64) -> &mut Self {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+        self
+    }
+
+    /// Write `v` zigzag-mapped as a varint: small magnitudes of either
+    /// sign take one byte.
+    pub fn zigzag(&mut self, v: i64) -> &mut Self {
+        self.varint(((v << 1) ^ (v >> 63)) as u64)
+    }
+
+    /// Write a byte string with a varint length.
+    pub fn var_bytes(&mut self, v: &[u8]) -> &mut Self {
+        self.varint(v.len() as u64);
         self.buf.extend_from_slice(v);
         self
     }
@@ -193,6 +219,32 @@ impl<'a> Reader<'a> {
         self.take(len)
     }
 
+    /// Read a LEB128 varint. More than ten bytes, a tenth byte over 1 (a
+    /// value past `u64::MAX`) and a padded encoding (a last byte of 0
+    /// after the first) are corruption: every value has one encoding.
+    pub fn varint(&mut self) -> Result<u64> {
+        match varint_prefix(&self.buf[self.pos..]) {
+            Some(Ok((v, used))) => {
+                self.pos += used;
+                Ok(v)
+            }
+            Some(Err(why)) => Err(Error::corruption(why)),
+            None => Err(Error::corruption("codec underrun: varint cut short")),
+        }
+    }
+
+    /// Read a zigzag-mapped varint.
+    pub fn zigzag(&mut self) -> Result<i64> {
+        let v = self.varint()?;
+        Ok((v >> 1) as i64 ^ -((v & 1) as i64))
+    }
+
+    /// Read a byte string with a varint length.
+    pub fn var_bytes(&mut self) -> Result<&'a [u8]> {
+        let len = self.varint()?;
+        self.take(usize::try_from(len).unwrap_or(usize::MAX))
+    }
+
     /// Read a length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<&'a str> {
         std::str::from_utf8(self.bytes()?)
@@ -213,6 +265,29 @@ impl<'a> Reader<'a> {
     pub fn page(&mut self) -> Result<PageId> {
         Ok(PageId(self.u32()?))
     }
+}
+
+/// Decode the LEB128 varint at the front of `buf`: `None` while `buf`
+/// ends inside it, `Err` for an overlong, padded or over-`u64` encoding,
+/// else the value and the bytes it spans.
+pub fn varint_prefix(buf: &[u8]) -> Option<std::result::Result<(u64, usize), &'static str>> {
+    let mut v = 0u64;
+    for (i, &b) in buf.iter().enumerate() {
+        if i == 9 && b & 0x80 != 0 {
+            return Some(Err("varint longer than ten bytes"));
+        }
+        if i == 9 && b > 1 {
+            return Some(Err("varint over u64"));
+        }
+        v |= u64::from(b & 0x7F) << (7 * i);
+        if b & 0x80 == 0 {
+            if b == 0 && i > 0 {
+                return Some(Err("padded varint"));
+            }
+            return Some(Ok((v, i + 1)));
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -268,6 +343,60 @@ mod tests {
         bytes.truncate(6); // cut into the payload
         let mut r = Reader::new(&bytes);
         assert!(r.bytes().is_err());
+    }
+
+    #[test]
+    fn varints_roundtrip_at_their_edges() {
+        let us = [0u64, 1, 127, 128, 16_383, 16_384, u64::from(u32::MAX), u64::MAX];
+        let is = [0i64, -1, 1, -64, 64, i64::MIN, i64::MAX];
+        let mut w = Writer::new();
+        for &u in &us {
+            w.varint(u);
+        }
+        for &i in &is {
+            w.zigzag(i);
+        }
+        w.var_bytes(b"xyz");
+        let bytes = w.into_bytes();
+        assert_eq!(bytes[0], 0, "zero is one byte");
+        let mut r = Reader::new(&bytes);
+        for &u in &us {
+            assert_eq!(r.varint().unwrap(), u);
+        }
+        for &i in &is {
+            assert_eq!(r.zigzag().unwrap(), i);
+        }
+        assert_eq!(r.var_bytes().unwrap(), b"xyz");
+        assert!(r.is_exhausted());
+        let mut w = Writer::new();
+        w.zigzag(-1).zigzag(63).zigzag(-64);
+        assert_eq!(w.len(), 3, "small magnitudes of either sign take one byte");
+    }
+
+    #[test]
+    fn malformed_varints_are_corruption() {
+        let over = [0xFFu8, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02];
+        let long = [0x80u8; 11];
+        for (bad, why) in [
+            (&over[..], "over u64"),
+            (&long[..], "longer than ten"),
+            (&[0x80, 0x00][..], "padded"),
+            (&[0x80][..], "cut short"),
+            (&[][..], "cut short"),
+        ] {
+            match Reader::new(bad).varint() {
+                Err(Error::Corruption(m)) => assert!(m.contains(why), "{bad:?}: {m}"),
+                other => panic!("{bad:?}: {other:?}"),
+            }
+        }
+        assert_eq!(varint_prefix(&[0x80, 0x80]), None, "a prefix may still complete");
+        let max = [0xFFu8, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01];
+        assert_eq!(Reader::new(&max).varint().unwrap(), u64::MAX);
+        let mut w = Writer::new();
+        w.varint(u64::MAX);
+        assert_eq!(w.into_bytes(), max);
+        // A byte string whose varint length exceeds what is left.
+        assert!(Reader::new(&[0x05, 1, 2]).var_bytes().is_err());
     }
 
     #[test]

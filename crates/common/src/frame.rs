@@ -4,9 +4,12 @@
 //! [ len:u32 | checksum:u64 | payload: len bytes ]
 //! ```
 //!
-//! little-endian, the checksum over the payload alone. WAL records, wire
-//! messages, the master file and the catalog are each one frame; the log
-//! and the catalog also lead with a magic + version [`check_header`].
+//! little-endian, the checksum over the payload alone. Wire messages, the
+//! master file and the catalog are each one frame. A WAL record is one
+//! *varint frame*, the same but with a LEB128 `len`
+//! ([`encode_var`] / [`decode_var`]), which saves three bytes on the
+//! small records that make up most of the log. The log and the catalog
+//! also lead with a magic + version [`check_header`].
 //! Pages keep [`checksum`] in a fixed header slot, and a replication frame
 //! carries already-framed records with no checksum of its own.
 //!
@@ -14,6 +17,7 @@
 //! format decides what [`Decoded::Incomplete`] and [`Decoded::Corrupt`]
 //! mean for it.
 
+use crate::codec::varint_prefix;
 use crate::error::{Error, Result};
 
 /// Bytes of frame header before the payload: `len` + `checksum`.
@@ -56,7 +60,7 @@ pub fn encode(payload: &[u8]) -> Vec<u8> {
 
 /// How many bytes the frame at the front of `buf` spans, by its length
 /// field; `None` until `buf` holds that field.
-pub fn span(buf: &[u8]) -> Option<usize> {
+fn span(buf: &[u8]) -> Option<usize> {
     Some(HEADER_LEN + u32::from_le_bytes(buf.get(..4)?.try_into().unwrap()) as usize)
 }
 
@@ -76,6 +80,46 @@ pub fn decode(buf: &[u8], max_len: usize) -> Decoded<'_> {
         return Decoded::Corrupt("frame checksum mismatch");
     }
     Decoded::Complete(payload, end)
+}
+
+/// Frame `payload` with a varint length (the log's frame).
+pub fn encode_var(payload: &[u8]) -> Vec<u8> {
+    let mut w = crate::codec::Writer::with_capacity(5 + 8 + payload.len());
+    w.varint(payload.len() as u64).u64(checksum(payload));
+    let mut out = w.into_bytes();
+    out.extend_from_slice(payload);
+    out
+}
+
+/// How many bytes the varint frame at the front of `buf` spans, by its
+/// length field; `None` until `buf` holds that field, and also for a
+/// malformed field or a length over `max_len` (which [`decode_var`]
+/// reports as corrupt).
+pub fn span_var(buf: &[u8], max_len: usize) -> Option<usize> {
+    let (len, used) = varint_prefix(buf)?.ok()?;
+    let len = usize::try_from(len).ok().filter(|&l| l <= max_len)?;
+    Some(used + 8 + len)
+}
+
+/// [`decode`] for a varint frame. A length field cut short is
+/// `Incomplete`; an overlong, padded or over-`u64` one is `Corrupt`.
+pub fn decode_var(buf: &[u8], max_len: usize) -> Decoded<'_> {
+    let (len, used) = match varint_prefix(buf) {
+        None => return Decoded::Incomplete,
+        Some(Err(why)) => return Decoded::Corrupt(why),
+        Some(Ok(field)) => field,
+    };
+    let Some(len) = usize::try_from(len).ok().filter(|&l| l <= max_len) else {
+        return Decoded::Corrupt("frame length over its cap");
+    };
+    let (Some(sum), Some(payload)) = (buf.get(used..used + 8), buf.get(used + 8..used + 8 + len))
+    else {
+        return Decoded::Incomplete;
+    };
+    if checksum(payload) != u64::from_le_bytes(sum.try_into().unwrap()) {
+        return Decoded::Corrupt("frame checksum mismatch");
+    }
+    Decoded::Complete(payload, used + 8 + len)
 }
 
 /// The payload of `buf` when it is exactly one frame: a file's whole
@@ -106,6 +150,23 @@ pub fn check_header<'a>(buf: &'a [u8], header: &[u8; 8], what: &str) -> Result<&
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn var_frame_roundtrips_and_refuses_damage() {
+        let bytes = encode_var(b"payload");
+        assert_eq!(bytes.len(), 1 + 8 + 7);
+        assert_eq!(span_var(&bytes[..1], 64), Some(bytes.len()));
+        assert_eq!(decode_var(&bytes, 64), Decoded::Complete(b"payload", bytes.len()));
+        for cut in 0..bytes.len() {
+            assert_eq!(decode_var(&bytes[..cut], 64), Decoded::Incomplete, "cut at {cut}");
+        }
+        assert!(matches!(decode_var(&bytes, 6), Decoded::Corrupt(_)), "over the cap");
+        assert_eq!(span_var(&bytes, 6), None);
+        let mut flipped = bytes.clone();
+        flipped[5] ^= 1;
+        assert!(matches!(decode_var(&flipped, 64), Decoded::Corrupt(_)));
+        assert!(matches!(decode_var(&[0x80, 0x00], 64), Decoded::Corrupt(_)), "padded length");
+    }
 
     #[test]
     fn checksum_detects_flip() {

@@ -167,8 +167,7 @@ impl Database {
     ) -> Result<()> {
         let kb = key.as_bytes().to_vec();
         if let Some(old_row) = ghost {
-            let undo = UndoOp::IndexUpdate { index, key: kb.clone(), old_row };
-            self.logged(txn, undo, |ctx, how| tree.update_value(key, value, ctx, how))?;
+            self.rewrite_entry(txn, tree, index, key, &old_row, value)?;
             let undo = UndoOp::IndexInsert { index, key: kb };
             self.logged(txn, undo, |ctx, how| tree.set_ghost(key, false, ctx, how))?;
         } else {
@@ -176,6 +175,36 @@ impl Database {
             self.logged(txn, undo, |ctx, how| tree.insert(key, value, ctx, how))?;
         }
         Ok(())
+    }
+
+    /// Replace the value `old` of entry `key` with `new` in one logged
+    /// write. When the length is unchanged only the changed byte range is
+    /// logged — redo a slot patch, undo the old bytes at the same offset —
+    /// and when no byte changed, nothing is. Otherwise the whole value is
+    /// logged, with the whole old value as its undo.
+    pub(crate) fn rewrite_entry(
+        &self,
+        txn: &mut Transaction,
+        tree: &Tree,
+        index: IndexId,
+        key: &Key,
+        old: &[u8],
+        new: &[u8],
+    ) -> Result<()> {
+        let kb = key.as_bytes().to_vec();
+        if old.len() != new.len() {
+            let undo = UndoOp::IndexUpdate { index, key: kb, old_row: old.to_vec() };
+            return self.logged(txn, undo, |ctx, how| tree.update_value(key, new, ctx, how)).map(drop);
+        }
+        let differs = |(a, b): (&u8, &u8)| a != b;
+        let Some(first) = old.iter().zip(new).position(differs) else {
+            return Ok(());
+        };
+        let end = old.len() - old.iter().rev().zip(new.iter().rev()).position(differs).unwrap_or(0);
+        let off = u16::try_from(first).map_err(|_| Error::invalid("value offset over 64 KiB"))?;
+        let undo = UndoOp::IndexPatch { index, key: kb, off, old: old[first..end].to_vec() };
+        self.logged(txn, undo, |ctx, how| tree.patch_value(key, first, &new[first..end], ctx, how))
+            .map(drop)
     }
 
     /// Logically delete the live entry `key` (its bytes are `image`): ghost
@@ -300,13 +329,7 @@ impl Database {
         let tree = self.tree(def.index)?;
         let old_row = self.lock_live_row(txn, def, &tree, &key)?;
         let new_row = new(&old_row)?;
-        let undo = UndoOp::IndexUpdate {
-            index: def.index,
-            key: key.as_bytes().to_vec(),
-            old_row: old_row.to_bytes(),
-        };
-        let bytes = new_row.to_bytes();
-        self.logged(txn, undo, |ctx, how| tree.update_value(&key, &bytes, ctx, how))?;
+        self.rewrite_entry(txn, &tree, def.index, &key, &old_row.to_bytes(), &new_row.to_bytes())?;
         self.maintain_phased(txn, def, views, Some(&new_row), Some(&old_row))
     }
 

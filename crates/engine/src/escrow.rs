@@ -21,7 +21,7 @@
 use crate::catalog::{AggSpec, ViewDef};
 use txview_common::codec::{Reader, Writer};
 use txview_common::{Error, Key, Result, Row, Value};
-use txview_wal::record::ValueDelta;
+use txview_wal::record::{add_deltas, ValueDelta, FIXED_VALUE_BYTES};
 
 /// A maintenance delta for one view row: how DML on the base table changes
 /// one group's aggregates.
@@ -62,21 +62,19 @@ impl RowDelta {
             })
     }
 
-    /// Flatten into the `(region position, delta)` pairs stored in
-    /// [`txview_wal::record::UndoOp::Escrow`]: position 0 is the count,
-    /// positions 1.. are the aggregates.
+    /// Flatten into the `(region position, delta)` pairs an escrow change
+    /// logs once for redo and undo ([`txview_wal::record::RedoOp::SlotAdd`],
+    /// [`txview_wal::record::UndoOp::Escrow`]): position 0 is the count,
+    /// positions 1.. are the aggregates. Zero deltas change nothing and are
+    /// left out.
     pub fn to_undo_pairs(&self) -> Vec<(u16, ValueDelta)> {
-        let mut out = Vec::with_capacity(1 + self.aggs.len());
-        out.push((0u16, ValueDelta::Int(self.count)));
-        for (i, d) in self.aggs.iter().enumerate() {
-            out.push(((i + 1) as u16, *d));
-        }
-        out
+        let all = std::iter::once(ValueDelta::Int(self.count)).chain(self.aggs.iter().copied());
+        (0u16..).zip(all).filter(|(_, d)| !d.is_zero()).collect()
     }
 }
 
 /// Encoded byte length of one fixed-width aggregate value (tag + 8).
-pub const AGG_VALUE_BYTES: usize = 9;
+pub const AGG_VALUE_BYTES: usize = FIXED_VALUE_BYTES;
 
 /// Byte offset of the aggregate region within an encoded view row whose
 /// group values are `group`: the row header (arity) plus the group values.
@@ -114,6 +112,14 @@ pub fn encode_view_row(group: &[Value], count: i64, aggs: &[Value]) -> Result<Ve
     Ok(row.to_bytes())
 }
 
+/// COUNT_BIG of an aggregate region: its first fixed-width value.
+pub fn region_count(region: &[u8]) -> Result<i64> {
+    match Value::decode(&mut Reader::new(region))? {
+        Value::Int(c) => Ok(c),
+        other => Err(Error::corruption(format!("count column is {other:?}"))),
+    }
+}
+
 /// Decode the aggregate region bytes into `(count, aggregates)`.
 pub fn decode_agg_region(region: &[u8], n_aggs: usize) -> Result<(i64, Vec<Value>)> {
     if region.len() != agg_region_len(n_aggs) {
@@ -123,11 +129,8 @@ pub fn decode_agg_region(region: &[u8], n_aggs: usize) -> Result<(i64, Vec<Value
             agg_region_len(n_aggs)
         )));
     }
-    let mut r = Reader::new(region);
-    let count = match Value::decode(&mut r)? {
-        Value::Int(c) => c,
-        other => return Err(Error::corruption(format!("count column is {other:?}"))),
-    };
+    let count = region_count(region)?;
+    let mut r = Reader::new(&region[AGG_VALUE_BYTES..]);
     let mut aggs = Vec::with_capacity(n_aggs);
     for _ in 0..n_aggs {
         aggs.push(Value::decode(&mut r)?);
@@ -145,85 +148,11 @@ pub fn encode_agg_region(count: i64, aggs: &[Value]) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Apply `d` to a stored aggregate value, rejecting any type-changing
-/// coercion: an `Int` delta may only reach an `Int` aggregate and a
-/// `Float` delta a `Float` aggregate. The permissive alternative —
-/// delegating straight to [`ValueDelta::apply_to`] — silently *promotes*
-/// `Int + Float` to `Float`, mutating the stored type of the aggregate
-/// column mid-flight; every escrow apply path routes through this check
-/// instead so a mistyped delta is an error, not a corruption.
-pub fn apply_delta_checked(d: ValueDelta, v: &Value) -> Result<Value> {
-    match (d, v) {
-        (ValueDelta::Int(_), Value::Int(_)) | (ValueDelta::Float(_), Value::Float(_)) => {
-            d.apply_to(v)
-        }
-        (d, v) => Err(Error::type_mismatch(
-            format!("{} delta for stored aggregate {v:?}", stored_kind(v)),
-            format!("{d:?}"),
-        )),
-    }
-}
-
-fn stored_kind(v: &Value) -> &'static str {
-    match v {
-        Value::Int(_) => "Int",
-        Value::Float(_) => "Float",
-        _ => "numeric",
-    }
-}
-
-/// Apply an *additive* delta to a region: count += delta.count and each
-/// SUM aggregate gets its delta added. Used by forward escrow maintenance
-/// and (with the inverse delta) by logical undo. MIN/MAX columns must not
-/// reach this path.
-pub fn apply_additive(region: &[u8], view: &ViewDef, delta: &RowDelta) -> Result<Vec<u8>> {
-    let (count, mut aggs) = decode_agg_region(region, view.aggs.len())?;
-    let new_count = count.checked_add(delta.count).ok_or_else(|| {
-        Error::invalid("COUNT_BIG overflow")
-    })?;
-    for (i, (spec, d)) in view.aggs.iter().zip(&delta.aggs).enumerate() {
-        if !spec.is_escrow_capable() {
-            return Err(Error::invalid(
-                "additive apply on non-commutative aggregate (MIN/MAX)",
-            ));
-        }
-        aggs[i] = apply_delta_checked(*d, &aggs[i])?;
-    }
-    Ok(encode_agg_region(new_count, &aggs))
-}
-
-/// Apply inverse escrow pairs (from an `UndoOp::Escrow`) to a region.
-/// `pairs` are the *forward* pairs as logged; this applies their inverses.
-pub fn apply_undo_pairs(region: &[u8], n_aggs: usize, pairs: &[(u16, ValueDelta)]) -> Result<Vec<u8>> {
-    let (mut count, mut aggs) = decode_agg_region(region, n_aggs)?;
-    for (pos, d) in pairs {
-        let inv = d.inverse();
-        if *pos == 0 {
-            match inv {
-                ValueDelta::Int(dc) => {
-                    count = count
-                        .checked_add(dc)
-                        .ok_or_else(|| Error::invalid("COUNT_BIG overflow in undo"))?;
-                }
-                ValueDelta::Float(_) => {
-                    return Err(Error::corruption("float delta on COUNT_BIG"));
-                }
-            }
-        } else {
-            let i = (*pos - 1) as usize;
-            if i >= aggs.len() {
-                return Err(Error::corruption("escrow undo position out of range"));
-            }
-            aggs[i] = apply_delta_checked(inv, &aggs[i])?;
-        }
-    }
-    Ok(encode_agg_region(count, &aggs))
-}
-
 /// Apply *forward* escrow pairs (as logged / as published to the version
-/// store) to a region, in place: every slot is fixed-width and
-/// [`apply_delta_checked`] keeps its type, so each pair rewrites only its
-/// own nine bytes. On error the region is left partly patched.
+/// store) to a region, in place, through the same typed addition redo
+/// uses ([`add_deltas`]): every slot is fixed-width and keeps its type, so
+/// each pair rewrites only its own nine bytes. On error the region is left
+/// as it was.
 pub fn apply_forward_pairs(region: &mut [u8], n_aggs: usize, pairs: &[(u16, ValueDelta)]) -> Result<()> {
     if region.len() != agg_region_len(n_aggs) {
         return Err(Error::corruption(format!(
@@ -232,15 +161,7 @@ pub fn apply_forward_pairs(region: &mut [u8], n_aggs: usize, pairs: &[(u16, Valu
             agg_region_len(n_aggs)
         )));
     }
-    for (pos, d) in pairs {
-        let slot = region
-            .chunks_exact_mut(AGG_VALUE_BYTES)
-            .nth(*pos as usize)
-            .ok_or_else(|| Error::corruption("escrow position out of range"))?;
-        let stored = Value::decode(&mut Reader::new(slot))?;
-        apply_delta_checked(*d, &stored)?.encode_fixed(slot)?;
-    }
-    Ok(())
+    add_deltas(region, pairs)
 }
 
 /// Merge two sets of forward pairs (a transaction touching the same view
@@ -267,7 +188,7 @@ pub fn apply_insert_merge(region: &[u8], view: &ViewDef, delta: &RowDelta) -> Re
     for (i, (spec, d)) in view.aggs.iter().zip(&delta.aggs).enumerate() {
         match spec {
             AggSpec::SumInt { .. } | AggSpec::SumFloat { .. } | AggSpec::Avg { .. } => {
-                aggs[i] = apply_delta_checked(*d, &aggs[i])?;
+                aggs[i] = d.apply_checked(&aggs[i])?;
             }
             AggSpec::Min { .. } => {
                 let v = delta_value(d);
@@ -341,7 +262,7 @@ pub fn apply_delete_keep_extrema(
         .ok_or_else(|| Error::invalid("COUNT_BIG overflow"))?;
     for (i, (spec, d)) in view.aggs.iter().zip(&delta.aggs).enumerate() {
         if spec.is_escrow_capable() {
-            aggs[i] = apply_delta_checked(*d, &aggs[i])?;
+            aggs[i] = d.apply_checked(&aggs[i])?;
         }
     }
     Ok(encode_agg_region(new_count, &aggs))
@@ -423,47 +344,50 @@ mod tests {
         assert_eq!(row_bytes.len() - off, agg_region_len(2));
     }
 
+    /// Forward pairs, then their inverses (what an escrow undo adds),
+    /// restore the region exactly.
     #[test]
     fn additive_apply_and_inverse_cancel() {
-        let v = sum_view();
         let region = encode_agg_region(2, &[Value::Int(100), Value::Float(1.5)]);
         let delta = RowDelta {
             group: vec![Value::Int(1)],
             count: 1,
             aggs: vec![ValueDelta::Int(40), ValueDelta::Float(0.25)],
         };
-        let after = apply_additive(&region, &v, &delta).unwrap();
+        let mut after = region.clone();
+        apply_forward_pairs(&mut after, 2, &delta.to_undo_pairs()).unwrap();
         let (c, a) = decode_agg_region(&after, 2).unwrap();
         assert_eq!(c, 3);
         assert_eq!(a, vec![Value::Int(140), Value::Float(1.75)]);
-        // Undo via the logged pairs restores exactly.
-        let restored = apply_undo_pairs(&after, 2, &delta.to_undo_pairs()).unwrap();
-        assert_eq!(restored, region);
+        assert_eq!(region_count(&after).unwrap(), 3);
+        apply_forward_pairs(&mut after, 2, &delta.inverse().to_undo_pairs()).unwrap();
+        assert_eq!(after, region);
     }
 
     #[test]
     fn additive_apply_preserves_length_always() {
-        let v = sum_view();
-        let region = encode_agg_region(0, &[Value::Int(0), Value::Float(0.0)]);
+        let mut region = encode_agg_region(0, &[Value::Int(0), Value::Float(0.0)]);
         let delta = RowDelta {
             group: vec![Value::Int(1)],
             count: -5,
             aggs: vec![ValueDelta::Int(i64::MIN / 2), ValueDelta::Float(-1e300)],
         };
-        let after = apply_additive(&region, &v, &delta).unwrap();
-        assert_eq!(after.len(), region.len());
+        apply_forward_pairs(&mut region, 2, &delta.to_undo_pairs()).unwrap();
+        assert_eq!(region.len(), agg_region_len(2));
+        assert_eq!(region_count(&region).unwrap(), -5);
     }
 
     #[test]
     fn count_overflow_checked() {
-        let v = sum_view();
-        let region = encode_agg_region(i64::MAX, &[Value::Int(0), Value::Float(0.0)]);
+        let mut region = encode_agg_region(i64::MAX, &[Value::Int(0), Value::Float(0.0)]);
         let delta = RowDelta {
             group: vec![],
             count: 1,
             aggs: vec![ValueDelta::Int(0), ValueDelta::Float(0.0)],
         };
-        assert!(apply_additive(&region, &v, &delta).is_err());
+        let before = region.clone();
+        assert!(apply_forward_pairs(&mut region, 2, &delta.to_undo_pairs()).is_err());
+        assert_eq!(region, before);
     }
 
     #[test]
@@ -482,14 +406,6 @@ mod tests {
         let (c, a) = decode_agg_region(&after, 2).unwrap();
         assert_eq!(c, 3);
         assert_eq!(a, vec![Value::Int(30), Value::Int(90)]);
-    }
-
-    #[test]
-    fn min_max_rejected_on_additive_path() {
-        let v = view(vec![AggSpec::Min { col: 2 }]);
-        let region = encode_agg_region(1, &[Value::Int(5)]);
-        let delta = RowDelta { group: vec![], count: 1, aggs: vec![ValueDelta::Int(1)] };
-        assert!(apply_additive(&region, &v, &delta).is_err());
     }
 
     #[test]
@@ -534,29 +450,25 @@ mod tests {
 
     #[test]
     fn additive_apply_rejects_mistyped_deltas() {
-        let v = sum_view();
         let region = encode_agg_region(1, &[Value::Int(10), Value::Float(1.0)]);
-        // Float delta on the SUM(int) column.
-        let d1 = RowDelta {
-            group: vec![],
-            count: 1,
-            aggs: vec![ValueDelta::Float(0.5), ValueDelta::Float(0.0)],
-        };
-        assert!(matches!(apply_additive(&region, &v, &d1), Err(Error::TypeMismatch { .. })));
-        // Int delta on the SUM(float) column.
-        let d2 = RowDelta {
-            group: vec![],
-            count: 1,
-            aggs: vec![ValueDelta::Int(1), ValueDelta::Int(1)],
-        };
-        assert!(matches!(apply_additive(&region, &v, &d2), Err(Error::TypeMismatch { .. })));
-        // The region is untouched semantics: a well-typed delta still works.
+        // Float delta on the SUM(int) column, Int delta on the SUM(float).
+        for aggs in [
+            vec![ValueDelta::Float(0.5), ValueDelta::Float(0.5)],
+            vec![ValueDelta::Int(1), ValueDelta::Int(1)],
+        ] {
+            let d = RowDelta { group: vec![], count: 1, aggs };
+            let mut r = region.clone();
+            let got = apply_forward_pairs(&mut r, 2, &d.to_undo_pairs());
+            assert!(matches!(got, Err(Error::TypeMismatch { .. })), "{got:?}");
+            assert_eq!(r, region, "a refused delta changes nothing");
+        }
+        // A well-typed delta still works.
         let ok = RowDelta {
             group: vec![],
             count: 1,
             aggs: vec![ValueDelta::Int(1), ValueDelta::Float(0.5)],
         };
-        assert!(apply_additive(&region, &v, &ok).is_ok());
+        assert!(apply_forward_pairs(&mut region.clone(), 2, &ok.to_undo_pairs()).is_ok());
     }
 
     #[test]
@@ -577,20 +489,19 @@ mod tests {
     #[test]
     fn forward_and_undo_pairs_reject_mistyped_deltas() {
         let region = encode_agg_region(1, &[Value::Int(10)]);
-        // Position 1 holds an Int aggregate; a Float pair must not coerce it.
+        // Position 1 holds an Int aggregate; a Float pair must not coerce
+        // it, nor its inverse (what an escrow undo adds).
         let bad = vec![(1u16, ValueDelta::Float(0.5))];
-        assert!(matches!(
-            apply_forward_pairs(&mut region.clone(), 1, &bad),
-            Err(Error::TypeMismatch { .. })
-        ));
-        assert!(matches!(
-            apply_undo_pairs(&region, 1, &bad),
-            Err(Error::TypeMismatch { .. })
-        ));
-        // Float on COUNT_BIG stays rejected (pre-existing guard).
+        let inverse = vec![(1u16, ValueDelta::Float(-0.5))];
+        for pairs in [&bad, &inverse] {
+            assert!(matches!(
+                apply_forward_pairs(&mut region.clone(), 1, pairs),
+                Err(Error::TypeMismatch { .. })
+            ));
+        }
+        // Float on COUNT_BIG stays rejected.
         let bad_count = vec![(0u16, ValueDelta::Float(1.0))];
         assert!(apply_forward_pairs(&mut region.clone(), 1, &bad_count).is_err());
-        assert!(apply_undo_pairs(&region, 1, &bad_count).is_err());
         // Int pair on a Float aggregate rejected symmetrically.
         let fregion = encode_agg_region(1, &[Value::Float(1.5)]);
         let bad_f = vec![(1u16, ValueDelta::Int(2))];
@@ -627,7 +538,8 @@ mod tests {
         };
         assert_eq!(initial_aggs(&v, &delta).unwrap(), vec![Value::Int(8), Value::Float(0.5)]);
         let region = encode_agg_region(2, &[Value::Int(10), Value::Float(1.0)]);
-        let after = apply_additive(&region, &v, &delta).unwrap();
+        let mut after = region.clone();
+        apply_forward_pairs(&mut after, 2, &delta.to_undo_pairs()).unwrap();
         let (c, a) = decode_agg_region(&after, 2).unwrap();
         assert_eq!(c, 3);
         assert_eq!(a, vec![Value::Int(18), Value::Float(1.5)]);
@@ -638,7 +550,10 @@ mod tests {
             aggs: vec![ValueDelta::Float(0.5), ValueDelta::Float(0.5)],
         };
         assert!(matches!(initial_aggs(&v, &bad), Err(Error::TypeMismatch { .. })));
-        assert!(matches!(apply_additive(&region, &v, &bad), Err(Error::TypeMismatch { .. })));
+        assert!(matches!(
+            apply_forward_pairs(&mut region.clone(), 2, &bad.to_undo_pairs()),
+            Err(Error::TypeMismatch { .. })
+        ));
     }
 
     #[test]
@@ -676,17 +591,21 @@ mod tests {
         assert_eq!(a, vec![Value::Int(10), Value::Int(100)]);
     }
 
+    /// Position 0 is COUNT_BIG, then the aggregates; zero deltas are left
+    /// out, so a balance update that keeps the row count logs one pair.
     #[test]
     fn undo_pairs_layout() {
         let delta = RowDelta {
             group: vec![],
             count: -1,
-            aggs: vec![ValueDelta::Int(-7)],
+            aggs: vec![ValueDelta::Int(-7), ValueDelta::Float(0.0)],
         };
         assert_eq!(
             delta.to_undo_pairs(),
             vec![(0, ValueDelta::Int(-1)), (1, ValueDelta::Int(-7))]
         );
+        let update = RowDelta { group: vec![], count: 0, aggs: vec![ValueDelta::Int(0), ValueDelta::Float(2.5)] };
+        assert_eq!(update.to_undo_pairs(), vec![(2, ValueDelta::Float(2.5))]);
     }
 
     #[test]

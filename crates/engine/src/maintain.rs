@@ -29,9 +29,7 @@
 use crate::catalog::{AggSpec, TableDef, ViewDef, ViewSource};
 use crate::db::Database;
 use crate::delta::{derived_delta, join_delta, single_table_delta, update_deltas};
-use crate::escrow::{
-    self, agg_region_offset, apply_additive, apply_insert_merge, encode_view_row, RowDelta,
-};
+use crate::escrow::{self, agg_region_offset, apply_insert_merge, encode_view_row, RowDelta};
 use std::sync::atomic::Ordering;
 use txview_btree::{LogCtx, OpLog, Tree};
 use txview_common::{Error, IndexId, Key, Lsn, ObjectId, Result, Row, TxnId, Value, ViewId};
@@ -198,8 +196,8 @@ impl Database {
         };
         self.safeguard_base_version(view, &tree, &key, &kb)?;
         let applied = if additive {
-            self.apply_additive(txn, view, &tree, &key, delta)?;
-            note_additive(&mut txn.views.touched, view.index, &kb, &delta.to_undo_pairs())?;
+            let pairs = self.apply_additive(txn, view, &tree, &key, delta)?;
+            note_additive(&mut txn.views.touched, view.index, &kb, &pairs)?;
             self.obs.escrow_applies.inc();
             Applied::InPlace
         } else {
@@ -221,7 +219,9 @@ impl Database {
         Ok(applied)
     }
 
-    /// Escrow-capable path: in-place commutative region patch.
+    /// Escrow-capable path: add the delta's pairs to the row in place,
+    /// logged as the pairs themselves (redo adds them, undo their
+    /// inverses). Returns the pairs.
     fn apply_additive(
         &self,
         txn: &mut Transaction,
@@ -229,30 +229,21 @@ impl Database {
         tree: &Tree,
         key: &Key,
         delta: &RowDelta,
-    ) -> Result<()> {
+    ) -> Result<Vec<(u16, ValueDelta)>> {
         let region_off = agg_region_offset(&delta.group);
-        let undo = UndoOp::Escrow {
-            index: view.index,
-            key: key.as_bytes().to_vec(),
-            deltas: delta.to_undo_pairs(),
-        };
-        let mut new_count = 0i64;
-        self.logged(txn, undo, |ctx, how| {
-            let patch = |old: &[u8]| {
-                let out = apply_additive(old, view, delta)?;
-                new_count = escrow::decode_agg_region(&out, view.aggs.len())?.0;
-                Ok(out)
-            };
-            tree.modify_value_region(key, region_off, patch, ctx, how)
-        })?;
-        if new_count == 0 {
+        let pairs = delta.to_undo_pairs();
+        let undo =
+            UndoOp::Escrow { index: view.index, key: key.as_bytes().to_vec(), deltas: pairs.clone() };
+        let region =
+            self.logged(txn, undo, |ctx, how| tree.add_to_value(key, region_off, &pairs, ctx, how))?;
+        if escrow::region_count(&region)? == 0 {
             if view.eager_group_delete {
                 self.eager_delete_group(txn, view, tree, key)?;
             } else {
                 self.enqueue_ghost(view.index, key.as_bytes().to_vec());
             }
         }
-        Ok(())
+        Ok(pairs)
     }
 
     /// E7 ablation: delete an emptied group row inside the user transaction.
@@ -326,12 +317,7 @@ impl Database {
             out[region_off..].copy_from_slice(&merged);
             out
         };
-        let undo = UndoOp::IndexUpdate {
-            index: view.index,
-            key: key.as_bytes().to_vec(),
-            old_row: current.to_vec(),
-        };
-        self.logged(txn, undo, |ctx, how| tree.update_value(key, &new_value, ctx, how))?;
+        self.rewrite_entry(txn, tree, view.index, key, current, &new_value)?;
         if escrow::decode_agg_region(&new_value[region_off..], view.aggs.len())?.0 == 0 {
             self.enqueue_ghost(view.index, key.as_bytes().to_vec());
         }
@@ -624,6 +610,7 @@ impl UndoHandler for Database {
             UndoOp::IndexInsert { index, key }
             | UndoOp::IndexDelete { index, key, .. }
             | UndoOp::IndexUpdate { index, key, .. }
+            | UndoOp::IndexPatch { index, key, .. }
             | UndoOp::Escrow { index, key, .. } => (*index, key),
             UndoOp::None | UndoOp::Page { .. } => return Ok(()),
         };
@@ -648,20 +635,14 @@ impl UndoHandler for Database {
             UndoOp::IndexUpdate { old_row, .. } => {
                 tree.update_value(&k, old_row, &mut ctx, &how)?;
             }
+            UndoOp::IndexPatch { off, old, .. } => {
+                tree.patch_value(&k, *off as usize, old, &mut ctx, &how)?;
+            }
             UndoOp::Escrow { deltas, .. } => {
-                let group = k.decode_values()?;
-                let n_aggs = (self.catalog.read().views().find(|v| v.index == index))
-                    .ok_or_else(|| Error::NotFound(format!("view for index {}", index.0)))?
-                    .aggs
-                    .len();
-                let mut new_count = 0i64;
-                let patch = |old: &[u8]| {
-                    let out = escrow::apply_undo_pairs(old, n_aggs, deltas)?;
-                    new_count = escrow::decode_agg_region(&out, n_aggs)?.0;
-                    Ok(out)
-                };
-                tree.modify_value_region(&k, agg_region_offset(&group), patch, &mut ctx, &how)?;
-                if new_count == 0 {
+                let off = agg_region_offset(&k.decode_values()?);
+                let inverse: Vec<_> = deltas.iter().map(|&(p, d)| (p, d.inverse())).collect();
+                let region = tree.add_to_value(&k, off, &inverse, &mut ctx, &how)?;
+                if escrow::region_count(&region)? == 0 {
                     self.enqueue_ghost(index, key.clone());
                 }
             }

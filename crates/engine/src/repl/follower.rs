@@ -26,7 +26,7 @@ use txview_common::obs::{Histogram, Snapshot};
 use txview_common::{Lsn, Result};
 use txview_storage::fault::{FaultClock, FaultDisk};
 use txview_wal::recovery::{redo_record, RecoveryReport};
-use txview_wal::{FaultLogStore, LogRecord, LogStore, RecordBody};
+use txview_wal::{FaultLogStore, LogRecord, LogStore, RecordBody, RecordRun};
 
 /// What the follower did with one ingested message.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,7 +61,7 @@ pub struct Follower {
     /// Current replication epoch (leader term) as persisted in the store.
     epoch: u64,
     /// Out-of-order frames keyed by `start`, waiting for the gap.
-    reorder_buf: BTreeMap<u64, Frame>,
+    reorder_buf: BTreeMap<u64, RecordRun>,
     /// Consecutive drains that delivered nothing; triggers a `Hello`.
     idle_drains: u32,
     promoted: bool,
@@ -205,27 +205,29 @@ impl Follower {
             self.store.set_epoch(frame.epoch)?;
             self.epoch = frame.epoch;
         }
-        if frame.records().is_err() {
+        // Decoded once: the run carries its records on to the append and
+        // the replay.
+        let Ok(run) = frame.into_run() else {
             self.torn_frames.fetch_add(1, Ordering::Relaxed);
             return Ok(IngestOutcome::Torn);
-        }
-        if frame.end() <= self.durable_len() {
+        };
+        if run.end() <= self.durable_len() {
             // Entirely replayed already (duplicate or retransmit overlap).
             self.dup_frames.fetch_add(1, Ordering::Relaxed);
             return Ok(IngestOutcome::Duplicate);
         }
-        if frame.start != self.durable_len() {
+        if run.start() != self.durable_len() {
             // A gap (or an overlap that isn't byte-aligned with our log —
             // same remedy): hold it until retransmit fills the hole.
             if self.reorder_buf.len() >= self.cfg.reorder_buffer {
                 self.buffer_drops.fetch_add(1, Ordering::Relaxed);
             } else {
                 self.buffered_frames.fetch_add(1, Ordering::Relaxed);
-                self.reorder_buf.insert(frame.start, frame);
+                self.reorder_buf.insert(run.start(), run);
             }
             return Ok(IngestOutcome::Buffered);
         }
-        self.apply_frame(&frame)?;
+        self.apply_run(&run)?;
         // The gap the buffered frames were waiting for may just have
         // closed; drain every now-contiguous frame.
         while let Some((&k, _)) = self.reorder_buf.iter().next() {
@@ -237,21 +239,22 @@ impl Follower {
                 self.dup_frames.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            if f.start != self.durable_len() {
+            if f.start() != self.durable_len() {
                 continue; // overlapping stale buffer entry; retransmit covers it
             }
-            self.apply_frame(&f)?;
+            self.apply_run(&f)?;
         }
         self.send_ack(channel);
         Ok(IngestOutcome::Applied)
     }
 
-    /// Durability before apply: append+sync the frame bytes into our own
-    /// log, then replay each record through the recovery redo path.
-    fn apply_frame(&mut self, frame: &Frame) -> Result<()> {
+    /// Durability before apply: append+sync a frame's record run into our
+    /// own log, then replay each record through the recovery redo path.
+    fn apply_run(&mut self, run: &RecordRun) -> Result<()> {
+        self.db.log().append_raw_durable(run)?;
         let mut applied = 0u64;
-        for rec in self.db.log().append_raw_durable(&frame.payload)? {
-            applied += u64::from(self.apply_record(&rec)?);
+        for rec in run.records() {
+            applied += u64::from(self.apply_record(rec)?);
         }
         self.frames_applied.fetch_add(1, Ordering::Relaxed);
         self.apply_records_hist.record(applied.max(1));
@@ -472,14 +475,13 @@ mod tests {
     use super::*;
     use txview_common::TxnId;
     use txview_wal::log::LOG_HEADER_LEN;
-    use txview_wal::TxnKind;
 
     /// A follower of an empty catalog, its channel, and the frame that
     /// ships the log's first record.
     fn follower() -> (Follower, ReplChannel, Frame) {
         let catalog = Database::new_in_memory(16).export_catalog();
         let f = Follower::new(ReplConfig::default(), catalog).unwrap();
-        let body = RecordBody::Begin { kind: TxnKind::User };
+        let body = RecordBody::Commit;
         let rec = LogRecord { lsn: Lsn(LOG_HEADER_LEN), prev_lsn: Lsn::NULL, txn: TxnId(1), body };
         let frame = Frame::new(0, LOG_HEADER_LEN, rec.encode_framed());
         (f, ReplChannel::new(ChannelFaults::default(), 0), frame)
@@ -519,7 +521,8 @@ mod tests {
         let (mut f, ch, frame) = follower();
         assert_eq!(f.ingest(Message::Frame(frame.clone()), &ch).unwrap(), IngestOutcome::Applied);
         let mut torn = frame;
-        torn.payload[20] ^= 0x01;
+        let last = torn.payload.len() - 1;
+        torn.payload[last] ^= 0x01;
         assert_torn(&mut f, &ch, torn);
         assert_eq!(f.dup_frames.load(Ordering::Relaxed), 0);
     }

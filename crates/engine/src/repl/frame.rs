@@ -1,7 +1,7 @@
 //! Wire messages for the replication link.
 
-use txview_common::{Error, Lsn, Result};
-use txview_wal::LogRecord;
+use txview_common::{Lsn, Result};
+use txview_wal::RecordRun;
 
 /// One shipped run of consecutive framed log records. `payload` is the
 /// records' durable byte encoding verbatim — the follower appends it
@@ -33,15 +33,12 @@ impl Frame {
         self.start + self.payload.len() as u64
     }
 
-    /// The payload's records, decoded at `start`: `Corruption` when one
-    /// fails its checksum (damage in transit) or its stored LSN (a wrong
-    /// `start`), or when the run ends inside a record.
-    pub fn records(&self) -> Result<Vec<LogRecord>> {
-        let (records, used) = LogRecord::decode_run(&self.payload, self.start)?;
-        if used != self.payload.len() {
-            return Err(Error::corruption("replication frame is not whole records"));
-        }
-        Ok(records)
+    /// The payload's records, decoded once at `start`, with the bytes they
+    /// came from: `Corruption` when one fails its checksum (damage in
+    /// transit) or its stored LSN (a wrong `start`), or when the run ends
+    /// inside a record.
+    pub fn into_run(self) -> Result<RecordRun> {
+        RecordRun::decode(self.payload, self.start)
     }
 }
 

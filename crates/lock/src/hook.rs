@@ -77,10 +77,11 @@ pub enum SchedEvent {
     },
     /// Commit processing is about to start (before the commit record).
     CommitStart,
-    /// Commit finished: locks released, End logged. `commit_lsn` is the
-    /// version stamp snapshot readers compare against.
+    /// Commit finished: locks released. `commit_lsn` is the version stamp
+    /// snapshot readers compare against.
     Committed {
-        /// The commit record's LSN.
+        /// The commit record's LSN (for a transaction that logged nothing,
+        /// the log's end: where its Commit would have gone).
         commit_lsn: u64,
     },
     /// Rollback processing is about to start (before the Abort record).

@@ -11,20 +11,26 @@
 //!   replication frame cut on a record boundary is the shorter run of
 //!   records: a prefix of the leader's log, so safe to apply;
 //! * garbage, alone or in front of a valid encoding, never panics;
-//! * retired layouts are refused: WAL tag 7, wire code 6, catalog view tag
-//!   1 (an attached hash index), the headerless catalog and the 16-byte
-//!   master.
+//! * retired layouts are refused: WAL tags 1 (Begin) and 7, wire code 6,
+//!   catalog view tag 1 (an attached hash index), the headerless catalog
+//!   and the 16-byte master.
+//!
+//! The log gets one more, exhaustive check of its own (log format version
+//! 2): every truncation and every single-byte substitution of an encoded
+//! record run is a torn tail or `Corruption` — never another record, never
+//! a panic — and malformed varints in every varint field, under a valid
+//! checksum, are refused too.
 
 use proptest::prelude::*;
 use std::path::PathBuf;
 use txview_common::codec::Writer;
-use txview_common::{frame, Lsn, PageId, TxnId, Value};
+use txview_common::{frame, Error, IndexId, Lsn, PageId, TxnId, Value};
 use txview_engine::catalog::{Catalog, CATALOG_HEADER};
 use txview_engine::repl::Frame;
 use txview_server::wire::{decode_frame, encode_frame, Request, Response, WireErrorCode};
 use txview_storage::page::{Page, PageType, PAGE_SIZE};
 use txview_wal::log::LOG_HEADER_LEN;
-use txview_wal::record::{RedoOp, TxnKind, UndoOp, ValueDelta};
+use txview_wal::record::{RedoOp, UndoOp, ValueDelta};
 use txview_wal::{FileLogStore, LogRecord, LogStore, RecordBody};
 use txview_workload::bank::{Bank, BankConfig};
 
@@ -86,10 +92,16 @@ const FORMATS: [Format; 7] = [
             Ok(None) => Seen::Incomplete,
         },
         retired: || {
-            let mut w = Writer::new();
-            w.lsn(Lsn(LOG_HEADER_LEN)).lsn(Lsn::NULL).txn(TxnId::NONE);
-            w.u8(7).u32(1).txn(TxnId(5)).u8(0).lsn(Lsn(4)).u32(0);
-            vec![frame::encode(&w.into_bytes())]
+            let head = |tag: u8| {
+                let mut w = Writer::new();
+                w.lsn(Lsn(LOG_HEADER_LEN)).varint(0).varint(5).u8(tag);
+                w
+            };
+            let mut checkpoint = head(7);
+            checkpoint.u32(1).txn(TxnId(5)).u8(0).lsn(Lsn(4)).u32(0);
+            let mut begin = head(1);
+            begin.u8(0);
+            [checkpoint, begin].map(|w| frame::encode_var(&w.into_bytes())).to_vec()
         },
     },
     Format {
@@ -103,8 +115,8 @@ const FORMATS: [Format; 7] = [
             }
             payload
         },
-        decode: |b| match Frame::new(1, LOG_HEADER_LEN, b.to_vec()).records() {
-            Ok(recs) => Seen::Value(recs.iter().flat_map(|r| r.encode_framed()).collect()),
+        decode: |b| match Frame::new(1, LOG_HEADER_LEN, b.to_vec()).into_run() {
+            Ok(run) => Seen::Value(run.records().iter().flat_map(|r| r.encode_framed()).collect()),
             Err(_) => Seen::Refused,
         },
         retired: Vec::new,
@@ -215,17 +227,33 @@ fn response(seed: u64) -> Response {
 /// A log record stored at `at`, its body chosen by `seed`.
 fn record(seed: u64, at: u64) -> LogRecord {
     let page = PageId(seed as u32 % 64);
-    let body = match seed % 4 {
-        0 => RecordBody::Begin { kind: TxnKind::User },
+    let deltas = vec![(1, ValueDelta::Int(seed as i64)), (2, ValueDelta::Float(seed as f64 / 3.0))];
+    let body = match seed % 6 {
+        0 => RecordBody::Update {
+            page,
+            redo: RedoOp::SlotAdd { idx: 1, off: 11, deltas: deltas.clone() },
+            undo: UndoOp::Escrow { index: IndexId(3), key: vec![1, 2], deltas },
+        },
         1 => RecordBody::Commit,
         2 => RecordBody::Update {
             page,
             redo: RedoOp::SlotPatch { idx: 1, off: 4, bytes: seed.to_le_bytes().to_vec() },
-            undo: UndoOp::Escrow {
-                index: txview_common::IndexId(3),
+            undo: UndoOp::IndexPatch {
+                index: IndexId(3),
                 key: vec![1, 2],
-                deltas: vec![(2, ValueDelta::Int(seed as i64))],
+                off: (seed % 300) as u16,
+                old: vec![seed as u8; 8],
             },
+        },
+        3 => RecordBody::Clr {
+            page,
+            redo: RedoOp::SlotAdd { idx: 2, off: 30, deltas: vec![(0, ValueDelta::Int(-1))] },
+            undo_next: Lsn(seed % at),
+        },
+        4 => RecordBody::Update {
+            page,
+            redo: RedoOp::SlotInsert { idx: 0, bytes: vec![seed as u8; 20] },
+            undo: UndoOp::Page { page, op: RedoOp::SlotRemove { idx: 0 } },
         },
         _ => RecordBody::Checkpoint {
             scan_from: LOG_HEADER_LEN,
@@ -289,6 +317,94 @@ proptest! {
             let _ = (f.decode)(&garbage);
             let _ = (f.decode)(&[&garbage[..], &sample[..]].concat());
         }
+    }
+}
+
+/// A run of encoded records starting at `LOG_HEADER_LEN`: the records and
+/// where each one ends in the run.
+fn wal_run(seed: u64, n: u64) -> (Vec<LogRecord>, Vec<u8>, Vec<usize>) {
+    let (mut recs, mut bytes, mut ends) = (Vec::new(), Vec::new(), Vec::new());
+    for i in 0..n {
+        let rec = record(seed.wrapping_add(i), LOG_HEADER_LEN + bytes.len() as u64);
+        bytes.extend(rec.encode_framed());
+        ends.push(bytes.len());
+        recs.push(rec);
+    }
+    (recs, bytes, ends)
+}
+
+/// What the log makes of a damaged run: `Corruption`, or the records of
+/// the run up to the damage, ended as a torn tail.
+fn check_damaged_run(recs: &[LogRecord], ends: &[usize], damaged: &[u8], at: usize, what: &str) {
+    match LogRecord::decode_run(damaged, LOG_HEADER_LEN) {
+        Err(Error::Corruption(_)) => {}
+        Err(e) => panic!("{what} at {at}: {e}"),
+        Ok((got, used)) => {
+            let k = got.len();
+            assert!(ends.get(k).is_some_and(|&e| at < e), "{what} at {at}: {k} records decoded past it");
+            assert_eq!(got, recs[..k], "{what} at {at}: a record decoded differently");
+            assert_eq!(used, if k == 0 { 0 } else { ends[k - 1] }, "{what} at {at}");
+        }
+    }
+}
+
+/// Every truncation and every substitution of one byte, by each of its
+/// 255 other values, of an encoded v2 record run.
+#[test]
+fn wal_runs_refuse_every_truncation_and_byte_substitution() {
+    for seed in [0u64, 7, 1 << 40, u64::MAX - 5] {
+        let (recs, bytes, ends) = wal_run(seed, 6);
+        assert_eq!(LogRecord::decode_run(&bytes, LOG_HEADER_LEN).unwrap(), (recs.clone(), bytes.len()));
+        for cut in 0..bytes.len() {
+            check_damaged_run(&recs, &ends, &bytes[..cut], cut, "truncation");
+        }
+        let mut damaged = bytes.clone();
+        for at in 0..bytes.len() {
+            for v in (0..=255u8).filter(|&v| v != bytes[at]) {
+                damaged[at] = v;
+                check_damaged_run(&recs, &ends, &damaged, at, "substitution");
+            }
+            damaged[at] = bytes[at];
+        }
+    }
+}
+
+/// Malformed varints in every varint field — header and body — under a
+/// checksum that holds are `Corruption`; in the frame's length field they
+/// end the log as a torn tail. Neither panics.
+#[test]
+fn wal_malformed_varints_are_refused() {
+    const OVER_U64: [u8; 10] = [0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x02];
+    const TOO_LONG: [u8; 11] = [0x80; 11];
+    const PADDED: [u8; 2] = [0x85, 0x00];
+    let at = LOG_HEADER_LEN;
+    // (tag and fixed fields before the varint under test, fields after it)
+    let mut fields: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+    let lsn = at.to_le_bytes().to_vec();
+    fields.push((lsn.clone(), vec![5, 2]));
+    fields.push(([lsn.clone(), vec![0]].concat(), vec![2]));
+    let head = [lsn, vec![0, 5]].concat();
+    fields.push(([head.clone(), vec![5]].concat(), vec![4, 0, 0]));
+    fields.push(([head.clone(), vec![5, 1, 4]].concat(), vec![0]));
+    fields.push(([head.clone(), vec![5, 1, 6]].concat(), vec![0, 0, 0]));
+    fields.push(([head.clone(), vec![5, 1, 6, 0, 0, 0, 2]].concat(), vec![1, 9]));
+    fields.push(([head.clone(), vec![9, 1, 0, 0, 3, 1, 7]].concat(), vec![]));
+    fields.push(([head.clone(), vec![9, 1, 0, 0, 3, 1, 7, 1]].concat(), vec![2]));
+    fields.push(([head.clone(), vec![9, 1, 0, 0, 3, 1, 7, 1, 2]].concat(), vec![]));
+    fields.push(([head, vec![6, 1, 4, 0]].concat(), vec![]));
+    for (before, after) in &fields {
+        for bad in [&OVER_U64[..], &TOO_LONG[..], &PADDED[..]] {
+            let payload = [&before[..], bad, &after[..]].concat();
+            match LogRecord::decode_framed(&frame::encode_var(&payload), at) {
+                Err(Error::Corruption(_)) => {}
+                other => panic!("{bad:?} after {before:?}: {other:?}"),
+            }
+        }
+    }
+    let body = record(1, at).encode_framed();
+    for bad in [&OVER_U64[..], &TOO_LONG[..], &PADDED[..]] {
+        let framed = [bad, &body[1..]].concat();
+        assert!(LogRecord::decode_framed(&framed, at).unwrap().is_none(), "length {bad:?}");
     }
 }
 

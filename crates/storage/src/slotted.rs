@@ -17,6 +17,10 @@ const OFF_NSLOTS: usize = 0;
 const OFF_HEAP_START: usize = 2;
 const OFF_GARBAGE: usize = 4;
 const DIR_START: usize = 6;
+
+/// Bytes of area header before the slot directory: the least a formatted
+/// slotted area can hold.
+pub const AREA_HEADER_LEN: usize = DIR_START;
 const SLOT_SIZE: usize = 4;
 
 /// A view over a page payload interpreted as a slotted record area.
@@ -111,6 +115,17 @@ impl<'a> Slotted<'a> {
         debug_assert!(idx < self.count());
         let (off, len) = self.slot(idx);
         &mut self.buf[off..off + len]
+    }
+
+    /// [`Slotted::get_mut`] for bytes that may be damaged (log redo):
+    /// `None` when `idx` is not a live slot or its directory entry points
+    /// outside the payload.
+    pub fn try_get_mut(&mut self, idx: usize) -> Option<&mut [u8]> {
+        if idx >= self.count() || self.dir_end() > self.buf.len() {
+            return None;
+        }
+        let (off, len) = self.slot(idx);
+        self.buf.get_mut(off..off + len)
     }
 
     /// Insert `data` as a new slot at position `idx`, shifting the directory.

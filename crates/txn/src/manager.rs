@@ -9,7 +9,7 @@ use std::sync::Arc;
 use txview_common::obs::{Counter, Histogram, ObsClock, Snapshot};
 use txview_common::{Error, Lsn, Result, TxnId};
 use txview_lock::LockManager;
-use txview_wal::record::{RecordBody, TxnKind};
+use txview_wal::record::RecordBody;
 use txview_wal::recovery::UndoHandler;
 use txview_wal::LogManager;
 
@@ -44,7 +44,7 @@ pub struct TxnObs {
     pub maintain_us: Histogram,
     /// Commit-record group-flush latency (the log-force wait).
     pub log_force_us: Histogram,
-    /// Whole commit protocol: append → force → stamp → release → End.
+    /// Whole commit protocol: append → force → stamp → release.
     pub commit_us: Histogram,
 }
 
@@ -104,16 +104,16 @@ impl TxnManager {
         &self.locks
     }
 
-    /// Begin a user transaction at the given isolation level.
+    /// Begin a user transaction at the given isolation level. Nothing is
+    /// logged: the transaction's first page record opens its bracket.
     pub fn begin(&self, isolation: IsolationLevel) -> Transaction {
         let id = self.log.alloc_txn_id();
         let snapshot_lsn = self.log.last_allocated_lsn();
-        let last_lsn = self.log.append(id, Lsn::NULL, RecordBody::Begin { kind: TxnKind::User });
         self.active.fetch_add(1, Ordering::Relaxed);
         Transaction {
             id,
             isolation,
-            last_lsn,
+            last_lsn: Lsn::NULL,
             snapshot_lsn,
             state: TxnState::Active,
             undo: Vec::new(),
@@ -123,8 +123,8 @@ impl TxnManager {
         }
     }
 
-    /// Commit: force the commit record, release all locks, log End.
-    /// Returns the commit LSN (the version stamp for snapshot readers).
+    /// Commit: force the commit record, release all locks. Returns the
+    /// commit LSN (the version stamp for snapshot readers).
     pub fn commit(&self, txn: &mut Transaction) -> Result<Lsn> {
         self.commit_with_hooks(txn, |_| Ok(true), |_, _| Ok(()))
     }
@@ -138,6 +138,13 @@ impl TxnManager {
     /// On error the transaction is left Active for the caller to roll back
     /// — nothing has been appended yet. Then: append → wait/flush →
     /// `pre_release` (given the transaction and its commit LSN) → release.
+    /// The Commit record closes the transaction's bracket; no End follows.
+    ///
+    /// A transaction that logged nothing (a reader, or a writer whose
+    /// changes were all no-ops) appends nothing and forces nothing: it
+    /// commits at [`LogManager::end_lsn`], the LSN its Commit would have
+    /// taken. Its hook events and `pre_release` run exactly as for any
+    /// other commit.
     pub fn commit_with_hooks(
         &self,
         txn: &mut Transaction,
@@ -153,8 +160,12 @@ impl TxnManager {
         }
         let force = pre_append(txn)?;
         let commit_t0 = self.obs.clock.now();
-        let commit_lsn = self.log.append(txn.id, txn.last_lsn, RecordBody::Commit);
-        if force {
+        let logged = !txn.last_lsn.is_null();
+        let commit_lsn = match logged {
+            true => self.log.append(txn.id, txn.last_lsn, RecordBody::Commit),
+            false => self.log.end_lsn(),
+        };
+        if force && logged {
             let force_t0 = self.obs.clock.now();
             match self.pipeline() {
                 Some(p) => p.commit_wait(txn.id, commit_lsn, hook.as_ref())?,
@@ -167,7 +178,6 @@ impl TxnManager {
         }
         pre_release(txn, commit_lsn)?;
         self.locks.release_all(txn.id);
-        txn.last_lsn = self.log.append(txn.id, commit_lsn, RecordBody::End);
         txn.state = TxnState::Committed;
         txn.undo.clear();
         self.active.fetch_sub(1, Ordering::Relaxed);
@@ -183,7 +193,9 @@ impl TxnManager {
 
     /// Roll the transaction back completely. Logical undo actions are
     /// executed by `handler` (the engine), which writes CLRs through the
-    /// normal code paths; locks are released at the end.
+    /// normal code paths between an Abort and the End that closes the
+    /// bracket; locks are released at the end. A transaction that logged
+    /// nothing has nothing to undo and appends nothing.
     pub fn rollback(&self, txn: &mut Transaction, handler: &dyn UndoHandler) -> Result<()> {
         if txn.state != TxnState::Active {
             return Err(Error::invalid(format!("rollback of finished {}", txn.id)));
@@ -192,9 +204,11 @@ impl TxnManager {
         if let Some(h) = &hook {
             h.yield_point(txn.id, &txview_lock::SchedEvent::RollbackStart);
         }
-        txn.last_lsn = self.log.append(txn.id, txn.last_lsn, RecordBody::Abort);
-        self.rollback_to(txn, 0, handler)?;
-        txn.last_lsn = self.log.append(txn.id, txn.last_lsn, RecordBody::End);
+        if !txn.last_lsn.is_null() {
+            txn.last_lsn = self.log.append(txn.id, txn.last_lsn, RecordBody::Abort);
+            self.rollback_to(txn, 0, handler)?;
+            txn.last_lsn = self.log.append(txn.id, txn.last_lsn, RecordBody::End);
+        }
         txn.state = TxnState::Aborted;
         self.locks.release_all(txn.id);
         self.active.fetch_sub(1, Ordering::Relaxed);
@@ -232,19 +246,22 @@ impl TxnManager {
     }
 
     /// Run `body` inside a system transaction (nested top action): its log
-    /// records commit independently of any user transaction. On error the
-    /// system transaction's page operations are *not* rolled back here —
-    /// callers must only fail before making changes (the B-tree upholds
-    /// this) — so an error simply abandons the bracket.
+    /// records commit independently of any user transaction, with a Commit
+    /// that closes the bracket its first record opened — or with nothing,
+    /// when it logged nothing. On error the system transaction's page
+    /// operations are *not* rolled back here — callers must only fail
+    /// before making changes (the B-tree upholds this) — so an error
+    /// simply abandons the bracket, if one was opened.
     pub fn system<R>(
         &self,
         body: impl FnOnce(TxnId, &mut Lsn) -> Result<R>,
     ) -> Result<R> {
         let id = self.log.alloc_txn_id();
-        let mut last = self.log.append(id, Lsn::NULL, RecordBody::Begin { kind: TxnKind::System });
+        let mut last = Lsn::NULL;
         let out = body(id, &mut last)?;
-        let commit = self.log.append(id, last, RecordBody::Commit);
-        self.log.append(id, commit, RecordBody::End);
+        if !last.is_null() {
+            self.log.append(id, last, RecordBody::Commit);
+        }
         Ok(out)
     }
 
@@ -265,11 +282,12 @@ mod tests {
     use super::*;
     use parking_lot::Mutex;
     use std::time::Duration;
-    use txview_common::IndexId;
+    use crate::txn::Transaction;
+    use txview_common::{IndexId, PageId};
     use txview_lock::{LockMode, LockName};
     use txview_storage::buffer::BufferPool;
     use txview_storage::disk::MemDisk;
-    use txview_wal::record::UndoOp;
+    use txview_wal::record::{RedoOp, UndoOp};
 
     struct Recording(Mutex<Vec<UndoOp>>);
     impl UndoHandler for Recording {
@@ -290,26 +308,64 @@ mod tests {
         UndoOp::IndexInsert { index: IndexId(1), key: vec![n] }
     }
 
+    /// Log one page record for `t` with undo `key_undo(n)`, as the
+    /// engine's write path does.
+    fn write(log: &LogManager, t: &mut Transaction, n: u8) {
+        let prev = t.last_lsn;
+        let body =
+            RecordBody::Update { page: PageId(1), redo: RedoOp::SlotRemove { idx: 0 }, undo: key_undo(n) };
+        t.last_lsn = log.append(t.id, prev, body);
+        t.push_undo(key_undo(n), prev);
+    }
+
     #[test]
     fn begin_commit_writes_records_and_releases_locks() {
         let (log, locks, mgr) = setup();
         let mut t = mgr.begin(IsolationLevel::ReadCommitted);
         locks.acquire(t.id, LockName::key(IndexId(1), vec![1]), LockMode::X).unwrap();
         assert_eq!(locks.held_count(t.id), 1);
+        write(&log, &mut t, 1);
         let commit_lsn = mgr.commit(&mut t).unwrap();
         assert_eq!(locks.held_count(t.id), 0);
         assert!(log.flushed_lsn() >= commit_lsn, "commit is durable");
         let recs = log.read_durable_from(0).unwrap();
-        assert!(matches!(recs[0].body, RecordBody::Begin { kind: TxnKind::User }));
+        assert!(matches!(recs[0].body, RecordBody::Update { .. }), "no Begin record");
         assert!(matches!(recs[1].body, RecordBody::Commit));
+        assert_eq!(recs.len(), 2, "no End after Commit");
         assert_eq!(t.state, TxnState::Committed);
         assert_eq!(mgr.active_count(), 0);
+    }
+
+    /// A transaction that logged nothing appends nothing when it commits or
+    /// rolls back, forces nothing, and commits at the log's end.
+    #[test]
+    fn logless_commit_and_rollback_append_nothing() {
+        let (log, locks, mgr) = setup();
+        let mut w = mgr.begin(IsolationLevel::ReadCommitted);
+        write(&log, &mut w, 1);
+        let end = Lsn(log.last_allocated_lsn().0 + 1);
+        let mut r = mgr.begin(IsolationLevel::Serializable);
+        locks.acquire(r.id, LockName::key(IndexId(1), vec![2]), LockMode::S).unwrap();
+        let stamp = std::cell::Cell::new(Lsn::NULL);
+        let lsn = mgr.commit_with_hooks(&mut r, |_| Ok(true), |_, l| Ok(stamp.set(l))).unwrap();
+        assert_eq!((lsn, stamp.get()), (log.end_lsn(), lsn), "pre_release sees the commit LSN");
+        assert!(lsn >= end);
+        assert_eq!((r.state, locks.held_count(r.id)), (TxnState::Committed, 0));
+        assert_eq!(log.flushed_lsn(), Lsn::NULL, "nothing forced");
+        let mut r2 = mgr.begin(IsolationLevel::ReadCommitted);
+        mgr.rollback(&mut r2, &Recording(Mutex::new(Vec::new()))).unwrap();
+        assert_eq!(r2.state, TxnState::Aborted);
+        assert_eq!(log.appended_records(), 1, "only the writer's page record");
+        assert_eq!(mgr.active_count(), 1);
+        mgr.commit(&mut w).unwrap();
+        assert_eq!(log.appended_records(), 2);
     }
 
     #[test]
     fn no_force_commit_skips_the_log_flush() {
         let (log, _locks, mgr) = setup();
         let mut t = mgr.begin(IsolationLevel::Snapshot);
+        write(&log, &mut t, 1);
         let flushed_before = log.flushed_lsn();
         let commit_lsn = mgr.commit_with_hooks(&mut t, |_| Ok(false), |_, _| Ok(())).unwrap();
         assert_eq!(t.state, TxnState::Committed);
@@ -321,6 +377,7 @@ mod tests {
     fn pre_append_hook_runs_before_the_commit_record() {
         let (log, _locks, mgr) = setup();
         let mut t = mgr.begin(IsolationLevel::ReadCommitted);
+        write(&log, &mut t, 1);
         let seen = std::cell::Cell::new(Lsn::NULL);
         let commit_lsn = mgr
             .commit_with_hooks(
@@ -370,27 +427,30 @@ mod tests {
 
     #[test]
     fn rollback_undoes_in_reverse_and_releases_locks() {
-        let (_log, locks, mgr) = setup();
+        let (log, locks, mgr) = setup();
         let mut t = mgr.begin(IsolationLevel::ReadCommitted);
         locks.acquire(t.id, LockName::key(IndexId(1), vec![9]), LockMode::E).unwrap();
-        t.push_undo(key_undo(1), Lsn(10));
-        t.push_undo(key_undo(2), Lsn(11));
+        write(&log, &mut t, 1);
+        write(&log, &mut t, 2);
         let h = Recording(Mutex::new(Vec::new()));
         mgr.rollback(&mut t, &h).unwrap();
         let calls = h.0.into_inner();
         assert_eq!(calls, vec![key_undo(2), key_undo(1)]);
         assert_eq!(t.state, TxnState::Aborted);
         assert_eq!(locks.held_count(t.id), 0);
+        log.flush_all().unwrap();
+        let tags: Vec<_> = log.read_durable_from(0).unwrap().into_iter().map(|r| r.body).collect();
+        assert!(matches!(tags[..], [RecordBody::Update { .. }, _, RecordBody::Abort, RecordBody::End]));
     }
 
     #[test]
     fn savepoint_rolls_back_suffix_only() {
-        let (_log, _locks, mgr) = setup();
+        let (log, _locks, mgr) = setup();
         let mut t = mgr.begin(IsolationLevel::ReadCommitted);
-        t.push_undo(key_undo(1), Lsn(10));
+        write(&log, &mut t, 1);
         let sp = t.savepoint();
-        t.push_undo(key_undo(2), Lsn(11));
-        t.push_undo(key_undo(3), Lsn(12));
+        write(&log, &mut t, 2);
+        write(&log, &mut t, 3);
         let h = Recording(Mutex::new(Vec::new()));
         mgr.rollback_to_savepoint(&mut t, sp, &h).unwrap();
         assert_eq!(h.0.lock().as_slice(), &[key_undo(3), key_undo(2)]);
@@ -407,15 +467,19 @@ mod tests {
         let (log, _locks, mgr) = setup();
         let out = mgr.system(|id, last| {
             assert!(!id.is_none());
-            assert!(!last.is_null());
+            assert!(last.is_null(), "no Begin record");
+            let body = RecordBody::Update { page: PageId(1), redo: RedoOp::SlotRemove { idx: 0 }, undo: UndoOp::None };
+            *last = log.append(id, *last, body);
             Ok(42)
         }).unwrap();
         assert_eq!(out, 42);
+        // A system transaction that logs nothing appends nothing.
+        assert_eq!(mgr.system(|_, _| Ok(7)).unwrap(), 7);
         log.flush_all().unwrap();
         let recs = log.read_durable_from(0).unwrap();
-        assert!(matches!(recs[0].body, RecordBody::Begin { kind: TxnKind::System }));
+        assert!(matches!(recs[0].body, RecordBody::Update { .. }));
         assert!(matches!(recs[1].body, RecordBody::Commit));
-        assert!(matches!(recs[2].body, RecordBody::End));
+        assert_eq!(recs.len(), 2, "no End after Commit");
     }
 
     /// Byte offset of record `lsn` and the master checkpoint's `scan_from`.
@@ -428,31 +492,51 @@ mod tests {
     }
 
     /// A checkpoint covers the transactions open when it is taken: restart
-    /// reads from the oldest one's Begin.
+    /// reads from the oldest one's first record.
     #[test]
     fn checkpoint_records_active_transactions() {
         let (log, _locks, mgr) = setup();
         let pool = BufferPool::new(Arc::new(MemDisk::new()), 4);
         let mut t0 = mgr.begin(IsolationLevel::ReadCommitted);
+        write(&log, &mut t0, 0);
         mgr.commit(&mut t0).unwrap();
-        let t1 = mgr.begin(IsolationLevel::Serializable);
-        let _t2 = mgr.begin(IsolationLevel::Serializable);
+        let mut t1 = mgr.begin(IsolationLevel::Serializable);
+        let mut t2 = mgr.begin(IsolationLevel::Serializable);
+        write(&log, &mut t1, 1);
+        write(&log, &mut t2, 2);
+        write(&log, &mut t1, 3);
         log.checkpoint(&pool).unwrap();
-        let (begin_at, scan_from) = offset_and_scan_from(&log, t1.last_lsn);
+        let t1_first = log.read_durable_from(0).unwrap()[2].lsn;
+        let (begin_at, scan_from) = offset_and_scan_from(&log, t1_first);
         assert!(begin_at > 0, "t0 precedes t1");
         assert_eq!(scan_from, begin_at);
     }
 
-    /// System transactions never enter the user registry, yet a checkpoint
-    /// taken inside one still reads from its Begin.
     #[test]
-    fn checkpoint_inside_a_system_transaction_scans_from_its_begin() {
+    fn checkpoint_ignores_a_transaction_that_logged_nothing() {
+        let (log, _locks, mgr) = setup();
+        let pool = BufferPool::new(Arc::new(MemDisk::new()), 4);
+        let _reader = mgr.begin(IsolationLevel::Serializable);
+        let mut t1 = mgr.begin(IsolationLevel::Serializable);
+        write(&log, &mut t1, 1);
+        log.checkpoint(&pool).unwrap();
+        let (begin_at, scan_from) = offset_and_scan_from(&log, t1.last_lsn);
+        assert_eq!(scan_from, begin_at, "the reader holds nothing back");
+    }
+
+    /// System transactions never enter the user registry, yet a checkpoint
+    /// taken inside one still reads from its first record.
+    #[test]
+    fn checkpoint_inside_a_system_transaction_scans_from_its_first_record() {
         let (log, _locks, mgr) = setup();
         let pool = BufferPool::new(Arc::new(MemDisk::new()), 4);
         let mut t0 = mgr.begin(IsolationLevel::ReadCommitted);
+        write(&log, &mut t0, 0);
         mgr.commit(&mut t0).unwrap();
         let begin = mgr
-            .system(|_, last| {
+            .system(|id, last| {
+                let body = RecordBody::Update { page: PageId(1), redo: RedoOp::SlotRemove { idx: 0 }, undo: UndoOp::None };
+                *last = log.append(id, *last, body);
                 let begin = *last;
                 log.checkpoint(&pool)?;
                 Ok(begin)
@@ -467,6 +551,7 @@ mod tests {
     fn obs_snapshot_tracks_commit_phases() {
         let (_log, _locks, mgr) = setup();
         let mut t = mgr.begin(IsolationLevel::ReadCommitted);
+        write(mgr.log(), &mut t, 1);
         t.phase_acquire_us = 7;
         t.phase_maintain_us = 11;
         mgr.commit(&mut t).unwrap();
@@ -491,6 +576,7 @@ mod tests {
         let (log, _locks, mgr) = setup();
         mgr.enable_pipeline();
         let mut t = mgr.begin(IsolationLevel::ReadCommitted);
+        write(&log, &mut t, 1);
         let commit_lsn = mgr.commit(&mut t).unwrap();
         assert!(log.flushed_lsn() >= commit_lsn, "pipelined commit is durable");
         let s = mgr.obs_snapshot();
@@ -505,6 +591,7 @@ mod tests {
         let before = t1.snapshot_lsn;
         // Other activity advances the log.
         let mut t2 = mgr.begin(IsolationLevel::ReadCommitted);
+        write(&log, &mut t2, 1);
         mgr.commit(&mut t2).unwrap();
         let t3 = mgr.begin(IsolationLevel::Snapshot);
         assert!(t3.snapshot_lsn > before);

@@ -48,7 +48,6 @@ struct RunResult {
 
 fn body_kind(body: &RecordBody) -> &'static str {
     match body {
-        RecordBody::Begin { .. } => "begin",
         RecordBody::Commit => "commit",
         RecordBody::Abort => "abort",
         RecordBody::End => "end",

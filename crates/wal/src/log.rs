@@ -4,7 +4,9 @@
 //! An LSN is the byte offset at which its record starts in the log, after
 //! a short header (magic and format version) that keeps offset 0 —
 //! [`Lsn::NULL`] — free. The decoder refuses a record whose stored `lsn`
-//! is not the offset it was read from.
+//! is not the offset it was read from. The record layout is in
+//! [`crate::record`]; this is format version 2, and `open` refuses any
+//! other version, version 1 included, with no migration.
 //!
 //! Records are appended to an in-memory tail and become durable only when
 //! flushed (`flush_to` / `flush_all`). The buffer pool's WAL-before-data
@@ -13,11 +15,14 @@
 //! exactly like a real power failure.
 //!
 //! Under the same mutex that assigns LSNs, the manager also knows every
-//! open bracket (a transaction's Begin without its End, user and system
-//! alike). That is what lets [`LogManager::checkpoint`] name the offset
-//! restart must read from, instead of restart reading the whole log.
+//! open bracket, user and system transactions alike: a transaction's first
+//! record (the one with a null `prev_lsn`) opens its bracket; Commit, or
+//! End after a rollback, closes it. There is no Begin record, so a
+//! transaction that logs nothing has no bracket. That is what lets
+//! [`LogManager::checkpoint`] name the offset restart must read from,
+//! instead of restart reading the whole log.
 
-use crate::record::{LogRecord, RecordBody};
+use crate::record::{LogRecord, RecordBody, RecordRun, MAX_RECORD_LEN};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -38,7 +43,7 @@ use txview_storage::fault::CrashProbe;
 pub const PAYLOAD_HEADER_LEN: usize = 16;
 
 /// The bytes every log store starts with: magic, then the format version.
-pub const LOG_HEADER: [u8; 8] = [b'T', b'X', b'V', b'L', 1, 0, 0, 0];
+pub const LOG_HEADER: [u8; 8] = [b'T', b'X', b'V', b'L', 2, 0, 0, 0];
 
 /// Length of [`LOG_HEADER`]: the LSN of the first record.
 pub const LOG_HEADER_LEN: u64 = LOG_HEADER.len() as u64;
@@ -253,9 +258,9 @@ struct Tail {
     pending_bytes: usize,
     /// Bytes handed to the store so far.
     store_len: u64,
-    /// Open brackets: transaction → its Begin's LSN. A Begin opens one, an
-    /// End closes it — user and system transactions alike, since both
-    /// append here.
+    /// Open brackets: transaction → the LSN of its first record. The first
+    /// record opens one, Commit or End closes it — user and system
+    /// transactions alike, since both append here.
     open: HashMap<TxnId, Lsn>,
     /// The latest master checkpoint's `scan_from`: the lowest redo start a
     /// recLSN can need (see [`LogManager::checkpoint`]).
@@ -408,14 +413,10 @@ impl LogManager {
     /// [`LogManager::append`] body; caller holds the tail mutex.
     fn append_locked(&self, tail: &mut Tail, txn: TxnId, prev_lsn: Lsn, body: RecordBody) -> Lsn {
         let lsn = Lsn(tail.end());
-        match body {
-            RecordBody::Begin { .. } => {
-                tail.open.insert(txn, lsn);
-            }
-            RecordBody::End => {
-                tail.open.remove(&txn);
-            }
-            _ => {}
+        if matches!(body, RecordBody::Commit | RecordBody::End) {
+            tail.open.remove(&txn);
+        } else if prev_lsn.is_null() && txn != TxnId::NONE {
+            tail.open.entry(txn).or_insert(lsn);
         }
         let rec = LogRecord { lsn, prev_lsn, txn, body };
         let bytes = rec.encode_framed();
@@ -442,6 +443,13 @@ impl LogManager {
     /// the snapshot point of snapshot-isolation readers.
     pub fn last_allocated_lsn(&self) -> Lsn {
         Lsn(self.last_lsn.load(Ordering::SeqCst))
+    }
+
+    /// The log's end: the LSN the next record appended takes. A
+    /// transaction that logged nothing commits here, at the LSN its Commit
+    /// would have taken, and appends nothing.
+    pub fn end_lsn(&self) -> Lsn {
+        Lsn(self.tail.lock().end())
     }
 
     /// Make every record with `lsn <= target` durable. The tail is written
@@ -566,9 +574,10 @@ impl LogManager {
     /// record names `scan_from`, the LSN restart reads from, which is the
     /// earliest of
     ///
-    /// * where the checkpoint began — the oldest open bracket's Begin, or
-    ///   the log's end when none is open. Taken under the tail mutex, so no
-    ///   `begin` can slip between the snapshot and the LSNs after it; undo
+    /// * where the checkpoint began — the oldest open bracket's first
+    ///   record, or the log's end when none is open. Taken under the tail
+    ///   mutex, so no bracket can open between the snapshot and the LSNs
+    ///   after it; undo
     ///   finds every loser's records from here on, and analysis adds the
     ///   page of every record from here on to the DPT itself;
     /// * each dirty page's recLSN, where its redo starts — raised to the
@@ -605,7 +614,7 @@ impl LogManager {
     /// Decode the one durable record whose LSN is `lsn`, or `None` if no
     /// whole record starts there.
     pub fn read_record_at(&self, lsn: Lsn) -> Result<Option<LogRecord>> {
-        let Some(span) = frame::span(&self.store.read_at(lsn.0, frame::HEADER_LEN)?) else {
+        let Some(span) = frame::span_var(&self.store.read_at(lsn.0, 10)?, MAX_RECORD_LEN) else {
             return Ok(None);
         };
         let bytes = self.store.read_at(lsn.0, span)?;
@@ -635,27 +644,31 @@ impl LogManager {
         policy.run(&self.retry_counters, || self.store.set_master(lsn))
     }
 
-    /// Durably append whole pre-encoded records, bypassing the in-memory
-    /// tail, and sync; returns them decoded. Follower replay uses this to
-    /// keep its log a byte-identical prefix of the leader's, so bytes that
-    /// are not whole records at this log's end are refused before they
-    /// land. The LSN watermarks advance over them, so follower snapshot
-    /// reads (which pin `last_allocated_lsn`) see them as durable.
-    pub fn append_raw_durable(&self, bytes: &[u8]) -> Result<Vec<LogRecord>> {
+    /// Durably append a run of whole records, bypassing the in-memory
+    /// tail, and sync. Follower replay uses this to keep its log a
+    /// byte-identical prefix of the leader's: the run was decoded once, at
+    /// the LSN it claims, so a run that does not start at this log's end is
+    /// refused before it lands. The LSN watermarks advance over it, so
+    /// follower snapshot reads (which pin `last_allocated_lsn`) see it as
+    /// durable.
+    pub fn append_raw_durable(&self, run: &RecordRun) -> Result<()> {
         let mut tail = self.tail.lock();
-        let (records, used) = LogRecord::decode_run(bytes, tail.store_len)?;
-        if used != bytes.len() {
-            return Err(Error::corruption("raw append ends inside a record"));
+        if run.start() != tail.store_len {
+            return Err(Error::corruption(format!(
+                "raw append at {} does not start at the log's end {}",
+                run.start(),
+                tail.store_len
+            )));
         }
-        self.store.append(bytes)?;
-        tail.store_len += bytes.len() as u64;
+        self.store.append(run.bytes())?;
+        tail.store_len = run.end();
         self.store.sync()?;
-        if let Some(last) = records.last() {
+        if let Some(last) = run.records().last() {
             for w in [&self.last_lsn, &self.appended_lsn, &self.flushed_lsn] {
                 w.fetch_max(last.lsn.0, Ordering::SeqCst);
             }
         }
-        Ok(records)
+        Ok(())
     }
 
     /// Snapshot of all durable records from `offset` (an LSN, or 0 for the
@@ -729,11 +742,13 @@ fn scan(store: &dyn LogStore, offset: u64) -> Result<(Vec<LogRecord>, u64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::TxnKind;
-    use txview_common::Error;
+    use crate::record::{RedoOp, UndoOp};
+    use txview_common::{Error, PageId};
 
-    fn begin_body() -> RecordBody {
-        RecordBody::Begin { kind: TxnKind::User }
+    /// A page record: as a transaction's first record, it opens the
+    /// transaction's bracket.
+    fn first_body() -> RecordBody {
+        RecordBody::Update { page: PageId(1), redo: RedoOp::SlotRemove { idx: 0 }, undo: UndoOp::None }
     }
 
     fn pool() -> Arc<BufferPool> {
@@ -750,7 +765,7 @@ mod tests {
     #[test]
     fn append_assigns_increasing_lsns() {
         let log = LogManager::in_memory();
-        let a = log.append(TxnId(1), Lsn::NULL, begin_body());
+        let a = log.append(TxnId(1), Lsn::NULL, first_body());
         let b = log.append(TxnId(1), a, RecordBody::Commit);
         assert!(b > a);
         assert_eq!(log.appended_records(), 2);
@@ -759,7 +774,7 @@ mod tests {
     #[test]
     fn obs_snapshot_tracks_flush_phases_and_batch_size() {
         let log = LogManager::in_memory();
-        let a = log.append(TxnId(1), Lsn::NULL, begin_body());
+        let a = log.append(TxnId(1), Lsn::NULL, first_body());
         let b = log.append(TxnId(1), a, RecordBody::Commit);
         log.flush_to(b).unwrap();
         let s = log.obs_snapshot();
@@ -778,7 +793,7 @@ mod tests {
     #[test]
     fn flush_to_makes_prefix_durable() {
         let log = LogManager::in_memory();
-        let a = log.append(TxnId(1), Lsn::NULL, begin_body());
+        let a = log.append(TxnId(1), Lsn::NULL, first_body());
         let b = log.append(TxnId(1), a, RecordBody::Commit);
         log.flush_to(a).unwrap();
         assert_eq!(log.flushed_lsn(), a);
@@ -791,47 +806,53 @@ mod tests {
     #[test]
     fn crash_drops_unflushed_tail() {
         let log = LogManager::in_memory();
-        let a = log.append(TxnId(1), Lsn::NULL, begin_body());
+        let a = log.append(TxnId(1), Lsn::NULL, first_body());
         log.flush_to(a).unwrap();
         let _b = log.append(TxnId(1), a, RecordBody::Commit);
         log.simulate_crash();
         let recs = log.read_durable_from(0).unwrap();
         assert_eq!(recs.len(), 1);
-        assert!(matches!(recs[0].body, RecordBody::Begin { .. }));
+        assert_eq!(recs[0].body, first_body());
     }
 
     #[test]
     fn checkpoint_sets_master_and_is_durable() {
         let log = LogManager::in_memory();
-        log.append(TxnId(1), Lsn::NULL, begin_body());
+        log.append(TxnId(1), Lsn::NULL, first_body());
         let ck = log.checkpoint(&pool()).unwrap();
         assert_eq!(log.master().unwrap(), ck);
         let recs = log.read_durable_from(ck.0).unwrap();
         assert_eq!(recs.len(), 1);
         assert!(matches!(recs[0].body, RecordBody::Checkpoint { .. }));
         assert_eq!(log.read_record_at(ck).unwrap().unwrap(), recs[0]);
-        // Txn 1 is still open: restart must read from its Begin, the
-        // first record.
+        // Txn 1 is still open: restart must read from its first record.
         assert_eq!(scan_from_of(&log), LOG_HEADER_LEN);
     }
 
-    /// `scan_from` follows the oldest open bracket — user or system, both
-    /// append their Begin here — and falls back to the checkpoint itself
-    /// once every bracket has ended.
+    /// `scan_from` follows the oldest open bracket — a transaction's first
+    /// record opens it, a later record does not move it, and Commit or End
+    /// closes it — and falls back to the checkpoint itself once every
+    /// bracket is closed.
     #[test]
     fn scan_from_tracks_the_oldest_open_bracket() {
         let log = LogManager::in_memory();
         let p = pool();
-        let u = log.append(TxnId(1), Lsn::NULL, begin_body());
-        let s = log.append(TxnId(2), Lsn::NULL, RecordBody::Begin { kind: TxnKind::System });
+        let u = log.append(TxnId(1), Lsn::NULL, first_body());
+        let s = log.append(TxnId(2), Lsn::NULL, first_body());
+        let r = log.append(TxnId(3), Lsn::NULL, first_body());
+        let u = log.append(TxnId(1), u, first_body());
         log.flush_all().unwrap();
         let offsets: Vec<u64> = log.read_durable_from(0).unwrap().iter().map(|r| r.lsn.0).collect();
         log.checkpoint(&p).unwrap();
-        assert_eq!(scan_from_of(&log), offsets[0], "user bracket opened first");
-        log.append(TxnId(1), u, RecordBody::End);
+        assert_eq!(scan_from_of(&log), offsets[0], "txn 1's first record opened its bracket");
+        log.append(TxnId(1), u, RecordBody::Commit);
         log.checkpoint(&p).unwrap();
-        assert_eq!(scan_from_of(&log), offsets[1], "the system bracket is still open");
-        log.append(TxnId(2), s, RecordBody::End);
+        assert_eq!(scan_from_of(&log), offsets[1], "Commit closed txn 1; txn 2 is still open");
+        let a = log.append(TxnId(2), s, RecordBody::Abort);
+        log.append(TxnId(2), a, RecordBody::End);
+        log.checkpoint(&p).unwrap();
+        assert_eq!(scan_from_of(&log), offsets[2], "Abort kept txn 2 open until its End");
+        log.append(TxnId(3), r, RecordBody::Commit);
         log.checkpoint(&p).unwrap();
         assert_eq!(scan_from_of(&log), log.master().unwrap().0, "nothing open: the checkpoint");
     }
@@ -867,14 +888,14 @@ mod tests {
         {
             // Scope one manager's lifetime over the shared store bytes.
             let log = LogManager::open(Box::new(MemLogStore::new())).unwrap();
-            first_lsn = log.append(TxnId(1), Lsn::NULL, begin_body());
+            first_lsn = log.append(TxnId(1), Lsn::NULL, first_body());
             log.flush_all().unwrap();
             // Copy durable bytes into `store` to model the same file.
             store.append(&log.read_durable_from(0).unwrap()[0].encode_framed()).unwrap();
         }
         let len = store.len_bytes().unwrap();
         let log2 = LogManager::open(Box::new(store)).unwrap();
-        let next = log2.append(TxnId(2), Lsn::NULL, begin_body());
+        let next = log2.append(TxnId(2), Lsn::NULL, first_body());
         assert!(next > first_lsn);
         assert_eq!(next, Lsn(len), "the next LSN is the store length");
     }
@@ -888,7 +909,7 @@ mod tests {
         let _ = std::fs::remove_file(dir.join("test.wal.master"));
         {
             let log = LogManager::open(Box::new(FileLogStore::open(&path).unwrap())).unwrap();
-            let a = log.append(TxnId(1), Lsn::NULL, begin_body());
+            let a = log.append(TxnId(1), Lsn::NULL, first_body());
             log.checkpoint(&pool()).unwrap();
             log.flush_to(a).unwrap();
         }
@@ -913,7 +934,7 @@ mod tests {
         let clock = FaultClock::new();
         let log = LogManager::open(Box::new(FaultLogStore::new(Arc::clone(&clock)))).unwrap();
         log.set_retry_policy(RetryPolicy::no_delay(5));
-        let a = log.append(TxnId(1), Lsn::NULL, RecordBody::Begin { kind: TxnKind::User });
+        let a = log.append(TxnId(1), Lsn::NULL, first_body());
         clock.arm(&FaultSchedule { faults: vec![(0, FaultKind::Transient)] });
         log.flush_to(a).unwrap();
         assert_eq!(log.flushed_lsn(), a);
@@ -930,7 +951,7 @@ mod tests {
         let clock = FaultClock::new();
         let log = LogManager::open(Box::new(FaultLogStore::new(Arc::clone(&clock)))).unwrap();
         log.set_retry_policy(RetryPolicy::no_delay(1)); // no retry: faults surface
-        let a = log.append(TxnId(1), Lsn::NULL, RecordBody::Begin { kind: TxnKind::User });
+        let a = log.append(TxnId(1), Lsn::NULL, first_body());
         let b = log.append(TxnId(1), a, RecordBody::Commit);
         clock.arm(&FaultSchedule { faults: vec![(0, FaultKind::Transient)] });
         // The group flush fails as a whole: nothing acked, nothing durable.
@@ -956,7 +977,7 @@ mod tests {
         let store = FaultLogStore::new(Arc::clone(&clock));
         let log = LogManager::open(Box::new(store)).unwrap();
         log.set_retry_policy(RetryPolicy::no_delay(1));
-        let a = log.append(TxnId(1), Lsn::NULL, RecordBody::Begin { kind: TxnKind::User });
+        let a = log.append(TxnId(1), Lsn::NULL, first_body());
         // Event 0 is the append (succeeds), event 1 the sync (fails).
         clock.arm(&FaultSchedule { faults: vec![(1, FaultKind::Transient)] });
         assert!(matches!(log.flush_to(a), Err(Error::IoTransient(_))));
@@ -978,8 +999,8 @@ mod tests {
         let clock = FaultClock::new();
         let log = LogManager::open(Box::new(FaultLogStore::new(Arc::clone(&clock)))).unwrap();
         log.set_retry_policy(RetryPolicy::no_delay(5));
-        log.append(TxnId(1), Lsn::NULL, RecordBody::Begin { kind: TxnKind::User });
-        // Checkpoint path: one flush carries the Begin and the checkpoint
+        log.append(TxnId(1), Lsn::NULL, first_body());
+        // Checkpoint path: one flush carries the page record and the checkpoint
         // record (append=0, sync=1), then the master write at event 2 —
         // fault it.
         clock.arm(&FaultSchedule { faults: vec![(2, FaultKind::Transient)] });
@@ -991,7 +1012,7 @@ mod tests {
     #[test]
     fn append_upto_is_not_durable_until_sync_appended() {
         let log = LogManager::in_memory();
-        let a = log.append(TxnId(1), Lsn::NULL, begin_body());
+        let a = log.append(TxnId(1), Lsn::NULL, first_body());
         let b = log.append(TxnId(1), a, RecordBody::Commit);
         log.append_upto(b).unwrap();
         assert_eq!(log.appended_lsn(), b, "phase 1 advances the appended watermark");
@@ -1026,7 +1047,7 @@ mod tests {
         let clock = FaultClock::new();
         let log = LogManager::open(Box::new(FaultLogStore::new(Arc::clone(&clock)))).unwrap();
         log.set_retry_policy(RetryPolicy::no_delay(1));
-        let a = log.append(TxnId(1), Lsn::NULL, begin_body());
+        let a = log.append(TxnId(1), Lsn::NULL, first_body());
         log.append_upto(a).unwrap();
         // The next I/O event after the already-performed append is the sync.
         clock.arm(&FaultSchedule { faults: vec![(0, FaultKind::Transient)] });

@@ -5,7 +5,9 @@
 //!   page's recLSN (see `LogManager::checkpoint`) — and nothing before it.
 //!   Without a master checkpoint it reads the whole log.
 //! * **Analysis** rebuilds the active-transaction table (ATT) from those
-//!   records — a transaction's first record enters it as active — and the
+//!   records — a transaction's first record enters it as active (there is
+//!   no Begin record), Commit makes it a winner, End closes a rolled-back
+//!   one — and the
 //!   dirty-page table (DPT): the checkpoint's snapshot, merged at the
 //!   checkpoint record, plus the page of every record from the
 //!   checkpoint's begin LSN on.
@@ -175,8 +177,8 @@ pub fn recover(
             }
             _ => {}
         }
-        // A transaction's first record enters it into the ATT as active —
-        // also when its Begin precedes the records read.
+        // A transaction's first record read enters it into the ATT as
+        // active.
         let a = att.entry(rec.txn).or_insert(Att { status: TxnStatus::Active, last_lsn: rec.lsn });
         match rec.body {
             RecordBody::Commit => a.status = TxnStatus::Committed,
@@ -224,6 +226,7 @@ pub fn recover(
     }
     while let Some((lsn, txn)) = heap.pop() {
         if lsn.is_null() {
+            // The chain ran past the loser's first record: fully undone.
             log.append(txn, Lsn::NULL, RecordBody::End);
             continue;
         }
@@ -267,9 +270,6 @@ pub fn recover(
             RecordBody::Clr { undo_next, .. } => {
                 heap.push((*undo_next, txn));
             }
-            RecordBody::Begin { .. } => {
-                log.append(txn, lsn, RecordBody::End);
-            }
             RecordBody::Abort | RecordBody::Commit | RecordBody::End => {
                 heap.push((rec.prev_lsn, txn));
             }
@@ -286,7 +286,7 @@ pub fn recover(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{RedoOp, TxnKind};
+    use crate::record::RedoOp;
     use parking_lot::Mutex;
     use txview_common::IndexId;
     use txview_storage::disk::MemDisk;
@@ -383,8 +383,7 @@ mod tests {
     fn committed_work_is_redone_after_total_buffer_loss() {
         let (log, pool) = setup();
         let txn = TxnId(1);
-        let b = log.append(txn, Lsn::NULL, RecordBody::Begin { kind: TxnKind::User });
-        let (pid, l1) = format_page(&log, &pool, txn, b);
+        let (pid, l1) = format_page(&log, &pool, txn, Lsn::NULL);
         let l2 = do_insert(&log, &pool, txn, l1, pid, 0, b"hello", UndoOp::IndexInsert { index: IndexId(1), key: vec![1] });
         let c = log.append(txn, l2, RecordBody::Commit);
         log.flush_to(c).unwrap();
@@ -405,8 +404,7 @@ mod tests {
     fn loser_logical_ops_are_delegated_in_reverse_order() {
         let (log, pool) = setup();
         let txn = TxnId(1);
-        let b = log.append(txn, Lsn::NULL, RecordBody::Begin { kind: TxnKind::User });
-        let (pid, l1) = format_page(&log, &pool, txn, b);
+        let (pid, l1) = format_page(&log, &pool, txn, Lsn::NULL);
         let u1 = UndoOp::IndexInsert { index: IndexId(1), key: vec![1] };
         let u2 = UndoOp::IndexInsert { index: IndexId(1), key: vec![2] };
         let l2 = do_insert(&log, &pool, txn, l1, pid, 0, b"k1", u1.clone());
@@ -431,8 +429,7 @@ mod tests {
     fn physical_undo_restores_system_txn_pages() {
         let (log, pool) = setup();
         let txn = TxnId(9);
-        let b = log.append(txn, Lsn::NULL, RecordBody::Begin { kind: TxnKind::System });
-        let (pid, l1) = format_page(&log, &pool, txn, b);
+        let (pid, l1) = format_page(&log, &pool, txn, Lsn::NULL);
         // Insert with a physical inverse (system transactions do this).
         let inverse = RedoOp::SlotRemove { idx: 0 };
         let l2 = do_insert(
@@ -459,8 +456,7 @@ mod tests {
     fn redo_is_idempotent_under_double_recovery() {
         let (log, pool) = setup();
         let txn = TxnId(1);
-        let b = log.append(txn, Lsn::NULL, RecordBody::Begin { kind: TxnKind::User });
-        let (pid, l1) = format_page(&log, &pool, txn, b);
+        let (pid, l1) = format_page(&log, &pool, txn, Lsn::NULL);
         let l2 = do_insert(&log, &pool, txn, l1, pid, 0, b"once", UndoOp::None);
         let c = log.append(txn, l2, RecordBody::Commit);
         log.flush_to(c).unwrap();
@@ -479,8 +475,7 @@ mod tests {
     fn clr_skips_already_undone_work() {
         let (log, pool) = setup();
         let txn = TxnId(1);
-        let b = log.append(txn, Lsn::NULL, RecordBody::Begin { kind: TxnKind::User });
-        let (pid, l1) = format_page(&log, &pool, txn, b);
+        let (pid, l1) = format_page(&log, &pool, txn, Lsn::NULL);
         let u1 = UndoOp::IndexInsert { index: IndexId(1), key: vec![1] };
         let l2 = do_insert(&log, &pool, txn, l1, pid, 0, b"k1", u1);
         let u2 = UndoOp::IndexInsert { index: IndexId(1), key: vec![2] };
@@ -510,16 +505,14 @@ mod tests {
         let (log, pool) = setup();
         // Txn 1 commits before the checkpoint.
         let t1 = TxnId(1);
-        let b1 = log.append(t1, Lsn::NULL, RecordBody::Begin { kind: TxnKind::User });
-        let (pid, l1) = format_page(&log, &pool, t1, b1);
+        let (pid, l1) = format_page(&log, &pool, t1, Lsn::NULL);
         let l2 = do_insert(&log, &pool, t1, l1, pid, 0, b"pre", UndoOp::None);
-        let c1 = log.append(t1, l2, RecordBody::Commit);
-        log.append(t1, c1, RecordBody::End);
+        log.append(t1, l2, RecordBody::Commit);
         pool.flush_all().unwrap();
         log.checkpoint(&pool).unwrap();
         // Txn 2 after the checkpoint, unfinished.
         let t2 = TxnId(2);
-        let b2 = log.append(t2, Lsn::NULL, RecordBody::Begin { kind: TxnKind::User });
+        let b2 = Lsn::NULL;
         let l3 = do_insert(&log, &pool, t2, b2, pid, 1, b"post", UndoOp::Page { page: pid, op: RedoOp::SlotRemove { idx: 1 } });
         log.flush_to(l3).unwrap();
 
@@ -544,10 +537,8 @@ mod tests {
     /// A committed page to work on, written back so the crash keeps it.
     fn committed_page(log: &LogManager, pool: &Arc<BufferPool>) -> PageId {
         let t = log.alloc_txn_id();
-        let b = log.append(t, Lsn::NULL, RecordBody::Begin { kind: TxnKind::User });
-        let (pid, l) = format_page(log, pool, t, b);
-        let c = log.append(t, l, RecordBody::Commit);
-        log.append(t, c, RecordBody::End);
+        let (pid, l) = format_page(log, pool, t, Lsn::NULL);
+        log.append(t, l, RecordBody::Commit);
         pool.flush_all().unwrap();
         pid
     }
@@ -566,7 +557,7 @@ mod tests {
         let (log, pool) = setup();
         let pid = committed_page(&log, &pool);
         let sys = log.alloc_txn_id();
-        let b = log.append(sys, Lsn::NULL, RecordBody::Begin { kind: TxnKind::System });
+        let b = Lsn::NULL;
         let undo0 = UndoOp::Page { page: pid, op: RedoOp::SlotRemove { idx: 0 } };
         let l1 = do_insert(&log, &pool, sys, b, pid, 0, b"smo-1", undo0);
         log.checkpoint(&pool).unwrap();
@@ -582,18 +573,17 @@ mod tests {
     }
 
     /// A loser that began before the checkpoint and is still open when it
-    /// is taken holds the scan back to its Begin.
+    /// is taken holds the scan back to its first record.
     #[test]
-    fn loser_open_at_checkpoint_starts_the_scan_at_its_begin() {
+    fn loser_open_at_checkpoint_starts_the_scan_at_its_first_record() {
         let (log, pool) = setup();
         let pid = committed_page(&log, &pool);
         let loser = TxnId(50);
-        let b = log.append(loser, Lsn::NULL, RecordBody::Begin { kind: TxnKind::User });
         let u1 = UndoOp::IndexInsert { index: IndexId(1), key: vec![1] };
-        let l1 = do_insert(&log, &pool, loser, b, pid, 0, b"k1", u1);
+        let l1 = do_insert(&log, &pool, loser, Lsn::NULL, pid, 0, b"k1", u1);
         // Stolen to disk: no dirty page holds the scan back, only the loser.
         pool.flush_all().unwrap();
-        let begin_at = b.0;
+        let begin_at = l1.0;
         log.checkpoint(&pool).unwrap();
         let u2 = UndoOp::IndexInsert { index: IndexId(1), key: vec![2] };
         let l2 = do_insert(&log, &pool, loser, l1, pid, 1, b"k2", u2);
@@ -610,25 +600,27 @@ mod tests {
         assert_eq!(report.logical_undos, 2, "pre- and post-checkpoint work undone");
     }
 
-    /// A Begin appended (not yet flushed) just before the checkpoint, the
-    /// transaction's updates after it, then a crash: the updates are undone.
+    /// A transaction's first record appended (not yet flushed) just before
+    /// the checkpoint, its next one after it, then a crash: both are
+    /// undone.
     #[test]
-    fn begin_just_before_checkpoint_then_updates_are_undone() {
+    fn first_record_just_before_checkpoint_then_updates_are_undone() {
         let (log, pool) = setup();
         let pid = committed_page(&log, &pool);
         let loser = TxnId(60);
-        let b = log.append(loser, Lsn::NULL, RecordBody::Begin { kind: TxnKind::User });
+        let undo0 = UndoOp::Page { page: pid, op: RedoOp::SlotRemove { idx: 0 } };
+        let l0 = do_insert(&log, &pool, loser, Lsn::NULL, pid, 0, b"early", undo0);
         log.checkpoint(&pool).unwrap();
-        let l1 = do_insert(&log, &pool, loser, b, pid, 0, b"late", UndoOp::Page {
+        let l1 = do_insert(&log, &pool, loser, l0, pid, 1, b"late", UndoOp::Page {
             page: pid,
-            op: RedoOp::SlotRemove { idx: 0 },
+            op: RedoOp::SlotRemove { idx: 1 },
         });
         log.flush_to(l1).unwrap();
         crash(&log, &pool);
 
         let report = recover(&log, &pool, &NoopHandler).unwrap();
         assert_eq!(report.losers, 1);
-        assert_eq!(report.physical_undos, 1);
+        assert_eq!(report.physical_undos, 2);
         assert_eq!(slot_count(&pool, pid), 0);
     }
 
@@ -650,12 +642,10 @@ mod tests {
                 return;
             }
             let t = l2.alloc_txn_id();
-            let b = l2.append(t, Lsn::NULL, RecordBody::Begin { kind: TxnKind::User });
-            let (pid, l) = format_page(&l2, &p2, t, b);
+            let (pid, l) = format_page(&l2, &p2, t, Lsn::NULL);
             *m2.lock() = Some(pid);
             let l = do_insert(&l2, &p2, t, l, pid, 0, b"mid", UndoOp::None);
-            let c = l2.append(t, l, RecordBody::Commit);
-            l2.append(t, c, RecordBody::End);
+            l2.append(t, l, RecordBody::Commit);
         }));
         let ck = log.checkpoint(&pool).unwrap();
         let pid = mid.lock().expect("probe ran inside the checkpoint");
@@ -670,7 +660,7 @@ mod tests {
 
     /// A master checkpoint that does not cover an open bracket (hand-built
     /// here: `scan_from` at the checkpoint itself) leaves the bracket's
-    /// Begin unread. Its later record still enters it into the ATT, so the
+    /// first record unread. Its later record still enters it into the ATT, so the
     /// undo chain runs into the unread part and restart refuses the log —
     /// instead of redoing the operation and never undoing it.
     #[test]
@@ -678,7 +668,7 @@ mod tests {
         let (log, pool) = setup();
         let pid = committed_page(&log, &pool);
         let sys = log.alloc_txn_id();
-        let b = log.append(sys, Lsn::NULL, RecordBody::Begin { kind: TxnKind::System });
+        let b = Lsn::NULL;
         let undo0 = UndoOp::Page { page: pid, op: RedoOp::SlotRemove { idx: 0 } };
         let l1 = do_insert(&log, &pool, sys, b, pid, 0, b"smo-1", undo0);
         pool.flush_all().unwrap(); // stolen, so the empty DPT is truthful
@@ -717,16 +707,14 @@ mod tests {
         let pid = {
             let (log, pool) = boot();
             let t = log.alloc_txn_id();
-            let b = log.append(t, Lsn::NULL, RecordBody::Begin { kind: TxnKind::User });
-            let (pid, l) = format_page(&log, &pool, t, b);
+            let (pid, l) = format_page(&log, &pool, t, Lsn::NULL);
             let l = do_insert(&log, &pool, t, l, pid, 0, b"a", UndoOp::None);
             log.append(t, l, RecordBody::Commit);
             pool.flush_all().unwrap(); // the disk holds [a]
             let t = log.alloc_txn_id();
-            let b = log.append(t, Lsn::NULL, RecordBody::Begin { kind: TxnKind::User });
+            let b = Lsn::NULL;
             let l = do_insert(&log, &pool, t, b, pid, 1, b"b", UndoOp::None);
-            let c = log.append(t, l, RecordBody::Commit);
-            log.append(t, c, RecordBody::End);
+            log.append(t, l, RecordBody::Commit);
             log.checkpoint(&pool).unwrap();
             pid // crash: [a, b] never reaches the disk
         };
@@ -763,9 +751,9 @@ mod tests {
         use crate::log::{LogStore, MemLogStore};
         use txview_common::codec::Writer;
         let mut w = Writer::with_capacity(32);
-        w.lsn(Lsn(8)).lsn(Lsn::NULL).txn(TxnId::NONE).u8(7).u32(0).u32(0);
+        w.lsn(Lsn(8)).varint(0).varint(0).u8(7).u32(0).u32(0);
         let store = MemLogStore::new();
-        store.append(&txview_common::frame::encode(&w.into_bytes())).unwrap();
+        store.append(&txview_common::frame::encode_var(&w.into_bytes())).unwrap();
         store.set_master(Lsn(8)).unwrap();
         match LogManager::open(Box::new(store)) {
             Err(Error::Corruption(m)) => assert!(m.contains("tag 7"), "{m}"),

@@ -4,16 +4,17 @@
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use std::sync::Arc;
-use txview_common::{Error, Lsn, Result, TxnId};
+use txview_common::{Error, Lsn, PageId, Result, TxnId};
 use txview_storage::buffer::BufferPool;
 use txview_storage::disk::MemDisk;
 use txview_storage::fault::FaultClock;
 use txview_wal::log::LOG_HEADER;
-use txview_wal::record::{LogRecord, RecordBody, TxnKind};
+use txview_wal::record::{LogRecord, RecordBody, RecordRun, RedoOp, UndoOp};
 use txview_wal::{FaultLogStore, LogManager, LogStore, MemLogStore};
 
+/// A page record: a transaction's first one opens its bracket.
 fn begin_body() -> RecordBody {
-    RecordBody::Begin { kind: TxnKind::User }
+    RecordBody::Update { page: PageId(1), redo: RedoOp::SlotRemove { idx: 0 }, undo: UndoOp::None }
 }
 
 fn pool() -> Arc<BufferPool> {
@@ -68,11 +69,10 @@ impl LogStore for Shared {
     }
 }
 
-/// One finished transaction: Begin, Commit, End.
+/// One finished transaction: a page record, then Commit.
 fn committed(log: &LogManager, txn: TxnId) {
     let b = log.append(txn, Lsn::NULL, begin_body());
-    let c = log.append(txn, b, RecordBody::Commit);
-    log.append(txn, c, RecordBody::End);
+    log.append(txn, b, RecordBody::Commit);
 }
 
 /// Reopening reads the header and the log from the master checkpoint
@@ -82,11 +82,11 @@ fn open_reads_nothing_below_the_master_checkpoint() {
     let (store, reads) = (Arc::new(MemLogStore::new()), Arc::new(Mutex::new(Vec::new())));
     let master = {
         let log = LogManager::open(Shared::new(&store, &reads)).unwrap();
-        for t in 1..=20 {
+        for t in 1..=40 {
             committed(&log, TxnId(t));
         }
         let ck = log.checkpoint(&pool()).unwrap();
-        log.append(TxnId(21), Lsn::NULL, begin_body());
+        log.append(TxnId(41), Lsn::NULL, begin_body());
         log.flush_all().unwrap();
         ck
     };
@@ -99,7 +99,7 @@ fn open_reads_nothing_below_the_master_checkpoint() {
         let header = off == 0 && n <= LOG_HEADER.len();
         assert!(header || off >= master.0, "open read {n} bytes at {off}, below {master:?}");
     }
-    assert_eq!(log.alloc_txn_id(), TxnId(22));
+    assert_eq!(log.alloc_txn_id(), TxnId(42));
 }
 
 /// Ids restart above every id in the durable log, including ids that
@@ -155,7 +155,9 @@ fn record_copied_to_another_offset_is_corruption() {
     let bytes = log.read_record_at(a).unwrap().unwrap().encode_framed();
     let copy = Lsn(log.durable_len().unwrap());
     let corrupt = |r: Result<()>| matches!(r, Err(Error::Corruption(_)));
-    assert!(corrupt(log.append_raw_durable(&bytes).map(drop)), "refused before it lands");
+    let append_at = |at: u64| RecordRun::decode(bytes.clone(), at).and_then(|run| log.append_raw_durable(&run));
+    assert!(corrupt(append_at(copy.0)), "refused before it lands");
+    assert!(corrupt(append_at(a.0)), "a run that does not start at the log's end is refused");
     assert_eq!(log.durable_len().unwrap(), copy.0);
     // Copied behind the manager's back, it is refused where it is read.
     store.append(&bytes).unwrap();
@@ -163,14 +165,19 @@ fn record_copied_to_another_offset_is_corruption() {
     assert!(corrupt(log.read_durable_from(0).map(drop)));
 }
 
-/// A store whose header carries another format version, or no header
+/// A store whose header carries another format version — version 1, the
+/// retired layout with Begin records, or one never assigned — or no header
 /// at all, is refused at open.
 #[test]
 fn foreign_log_header_is_refused_at_open() {
-    let mut other = LOG_HEADER;
-    other[4] = 2;
+    let version = |v: u8| {
+        let mut head = LOG_HEADER;
+        head[4] = v;
+        head.to_vec()
+    };
+    assert_eq!(LOG_HEADER[4], 2);
     let record = LogRecord { lsn: Lsn(8), prev_lsn: Lsn::NULL, txn: TxnId(1), body: begin_body() };
-    for (head, want) in [(other.to_vec(), "version"), (Vec::new(), "header")] {
+    for (head, want) in [(version(1), "version"), (version(3), "version"), (Vec::new(), "header")] {
         let store = FaultLogStore::new(FaultClock::new());
         store.install_snapshot([head, record.encode_framed()].concat(), Lsn::NULL, 0);
         match LogManager::open(Box::new(store)) {
@@ -210,7 +217,6 @@ proptest! {
                 2 => {
                     if let Some((t, last)) = open.pop() {
                         let c = log.append(t, last, RecordBody::Commit);
-                        log.append(t, c, RecordBody::End);
                         log.flush_to(c).unwrap();
                         tail_empty = false;
                     }

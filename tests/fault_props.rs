@@ -17,7 +17,7 @@ use txview_storage::fault::{FaultClock, FaultDisk, FaultKind, FaultSchedule};
 use txview_storage::slotted::Slotted;
 use txview_storage::{DiskManager, Page, PageType, PAGE_PAYLOAD_SIZE};
 use txview_wal::log::PAYLOAD_HEADER_LEN;
-use txview_wal::{recover, LogManager, RecordBody, RedoOp, TxnKind, UndoHandler, UndoOp};
+use txview_wal::{recover, LogManager, RecordBody, RedoOp, UndoHandler, UndoOp};
 
 const INDEX: IndexId = IndexId(3);
 
@@ -98,15 +98,13 @@ impl Rig {
         let tree = Tree::create(&pool, &log, INDEX).unwrap();
         let (page, pinned) = pool.new_page(PageType::BTreeLeaf).unwrap();
         let sys = log.alloc_txn_id();
-        let b = log.append(sys, Lsn::NULL, RecordBody::Begin { kind: TxnKind::System });
         let fmt = RedoOp::FormatPage { ty: 2, header_len: PAYLOAD_HEADER_LEN as u16 };
         let mut g = pinned.write();
         fmt.apply(g.payload_mut(), PAYLOAD_HEADER_LEN).unwrap();
-        let u = log.append(sys, b, RecordBody::Update { page, redo: fmt, undo: UndoOp::None });
+        let u = log.append(sys, Lsn::NULL, RecordBody::Update { page, redo: fmt, undo: UndoOp::None });
         g.set_lsn(u);
         drop(g);
-        let c = log.append(sys, u, RecordBody::Commit);
-        log.append(sys, c, RecordBody::End);
+        log.append(sys, u, RecordBody::Commit);
         log.flush_all().unwrap();
         Rig { log, pool, tree, page }
     }
@@ -148,7 +146,7 @@ proptest! {
             match *step {
                 Step::User { n, ck, commit } => {
                     let txn = log.alloc_txn_id();
-                    let mut last = log.append(txn, Lsn::NULL, RecordBody::Begin { kind: TxnKind::User });
+                    let mut last = Lsn::NULL;
                     for i in 0..n {
                         if i == ck {
                             log.checkpoint(pool).unwrap();
@@ -160,15 +158,15 @@ proptest! {
                         keys.insert(next, commit);
                         next += 1;
                     }
-                    if commit {
+                    // A transaction that logged nothing commits nothing.
+                    if commit && !last.is_null() {
                         let c = log.append(txn, last, RecordBody::Commit);
                         log.flush_to(c).unwrap();
-                        log.append(txn, c, RecordBody::End);
                     }
                 }
                 Step::System { n, ck, commit } => {
                     let sys = log.alloc_txn_id();
-                    let mut last = log.append(sys, Lsn::NULL, RecordBody::Begin { kind: TxnKind::System });
+                    let mut last = Lsn::NULL;
                     let mut mine = Vec::new();
                     for i in 0..n {
                         if i == ck {
@@ -178,10 +176,11 @@ proptest! {
                         rig.append_slot(sys, &mut last, bytes.clone());
                         mine.push(bytes);
                     }
-                    if commit {
+                    if commit && !last.is_null() {
                         let c = log.append(sys, last, RecordBody::Commit);
                         log.flush_to(c).unwrap();
-                        log.append(sys, c, RecordBody::End);
+                    }
+                    if commit {
                         slots.extend(mine);
                     }
                 }
