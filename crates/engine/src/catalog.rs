@@ -8,7 +8,7 @@
 //! Encoded (for `catalog.bin` and for a replication snapshot), a catalog
 //! is [`CATALOG_HEADER`] and then one [`frame`] around its body.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use txview_common::codec::{Reader, Writer};
 use txview_common::frame;
 use txview_common::schema::Schema;
@@ -308,12 +308,16 @@ impl ViewDef {
     }
 }
 
-/// The catalog: name → definition maps plus id allocation.
-#[derive(Default)]
+/// The catalog: every definition keyed by its id (so iteration is in
+/// ascending id order, which is creation order), plus id allocation. Names
+/// are unique per kind and found by a scan (a catalog holds a handful of
+/// definitions); ids are unique too, and an object or index id names one
+/// definition of any kind.
+#[derive(Clone, Default)]
 pub struct Catalog {
-    tables: HashMap<String, TableDef>,
-    views: HashMap<String, ViewDef>,
-    indexes: HashMap<String, SecondaryIndexDef>,
+    pub(crate) tables: BTreeMap<ObjectId, TableDef>,
+    pub(crate) views: BTreeMap<ViewId, ViewDef>,
+    pub(crate) indexes: BTreeMap<IndexId, SecondaryIndexDef>,
     next_object: u32,
     next_index: u32,
     next_view: u32,
@@ -343,118 +347,101 @@ impl Catalog {
         ViewId(self.next_view)
     }
 
+    /// Refuse an object id or index id some definition already has.
+    fn check_fresh(&self, object: Option<ObjectId>, index: IndexId) -> Result<()> {
+        if let Some(o) = object {
+            if self.tables.contains_key(&o) || self.views.values().any(|v| v.object == o) {
+                return Err(Error::Schema(format!("object id {} exists", o.0)));
+            }
+        }
+        let mut taken =
+            self.tables.values().map(|t| t.index).chain(self.views.values().map(|v| v.index));
+        if self.indexes.contains_key(&index) || taken.any(|i| i == index) {
+            return Err(Error::Schema(format!("index id {} exists", index.0)));
+        }
+        Ok(())
+    }
+
     /// Register a table.
     pub fn add_table(&mut self, def: TableDef) -> Result<()> {
-        if self.tables.contains_key(&def.name) {
+        if self.table(&def.name).is_ok() {
             return Err(Error::Schema(format!("table '{}' exists", def.name)));
         }
-        self.tables.insert(def.name.clone(), def);
+        self.check_fresh(Some(def.id), def.index)?;
+        self.tables.insert(def.id, def);
         Ok(())
     }
 
     /// Register a view.
     pub fn add_view(&mut self, def: ViewDef) -> Result<()> {
-        if self.views.contains_key(&def.name) {
+        if self.view(&def.name).is_ok() {
             return Err(Error::Schema(format!("view '{}' exists", def.name)));
         }
-        self.views.insert(def.name.clone(), def);
+        if self.views.contains_key(&def.id) {
+            return Err(Error::Schema(format!("view id {} exists", def.id.0)));
+        }
+        self.check_fresh(Some(def.object), def.index)?;
+        self.views.insert(def.id, def);
+        Ok(())
+    }
+
+    /// Register a secondary index.
+    pub fn add_index(&mut self, def: SecondaryIndexDef) -> Result<()> {
+        if self.index(&def.name).is_ok() {
+            return Err(Error::Schema(format!("index '{}' exists", def.name)));
+        }
+        self.check_fresh(None, def.index)?;
+        self.indexes.insert(def.index, def);
         Ok(())
     }
 
     /// Look up a table by name.
     pub fn table(&self, name: &str) -> Result<&TableDef> {
         self.tables
-            .get(name)
+            .values()
+            .find(|t| t.name == name)
             .ok_or_else(|| Error::Schema(format!("unknown table '{name}'")))
     }
 
     /// Look up a table by id.
     pub fn table_by_id(&self, id: ObjectId) -> Result<&TableDef> {
-        self.tables
-            .values()
-            .find(|t| t.id == id)
-            .ok_or_else(|| Error::Schema(format!("unknown table id {id:?}")))
+        self.tables.get(&id).ok_or_else(|| Error::Schema(format!("unknown table id {id:?}")))
     }
 
     /// Look up a view by name.
     pub fn view(&self, name: &str) -> Result<&ViewDef> {
         self.views
-            .get(name)
+            .values()
+            .find(|v| v.name == name)
             .ok_or_else(|| Error::Schema(format!("unknown view '{name}'")))
     }
 
-    /// Register a secondary index.
-    pub fn add_index(&mut self, def: SecondaryIndexDef) -> Result<()> {
-        if self.indexes.contains_key(&def.name) {
-            return Err(Error::Schema(format!("index '{}' exists", def.name)));
-        }
-        self.indexes.insert(def.name.clone(), def);
-        Ok(())
+    /// Look up a view by id.
+    pub fn view_by_id(&self, id: ViewId) -> Result<&ViewDef> {
+        self.views.get(&id).ok_or_else(|| Error::Schema(format!("unknown view id {id:?}")))
     }
 
     /// Look up a secondary index by name.
     pub fn index(&self, name: &str) -> Result<&SecondaryIndexDef> {
         self.indexes
-            .get(name)
+            .values()
+            .find(|i| i.name == name)
             .ok_or_else(|| Error::Schema(format!("unknown index '{name}'")))
     }
 
-    /// Secondary indexes of one table.
-    pub fn indexes_on(&self, table: ObjectId) -> Vec<&SecondaryIndexDef> {
-        self.indexes.values().filter(|i| i.table == table).collect()
-    }
-
-    /// All secondary indexes (diagnostics).
-    pub fn indexes(&self) -> impl Iterator<Item = &SecondaryIndexDef> {
-        self.indexes.values()
-    }
-
-    /// All views whose maintenance is driven by DML on `table` (single-table
-    /// views on it, plus join views whose *fact* side is it).
-    pub fn views_on(&self, table: ObjectId) -> Vec<&ViewDef> {
-        self.views
-            .values()
-            .filter(|v| match &v.source {
-                ViewSource::Single { table: t, .. } => *t == table,
-                ViewSource::Join { fact, .. } => *fact == table,
-                ViewSource::Derived { .. } => false,
-            })
-            .collect()
-    }
-
-    /// Look up a view by id.
-    pub fn view_by_id(&self, id: ViewId) -> Result<&ViewDef> {
-        self.views
-            .values()
-            .find(|v| v.id == id)
-            .ok_or_else(|| Error::Schema(format!("unknown view id {id:?}")))
-    }
-
-    /// All derived views whose parent is `parent` (the DAG's child edges).
-    pub fn views_deriving(&self, parent: ViewId) -> Vec<&ViewDef> {
-        self.views
-            .values()
-            .filter(|v| matches!(&v.source, ViewSource::Derived { parent: p, .. } if *p == parent))
-            .collect()
-    }
-
-    /// All join views that use `table` as their dimension side (their fact
-    /// maintenance probes it; its own DML is therefore restricted).
-    pub fn views_with_dim(&self, table: ObjectId) -> Vec<&ViewDef> {
-        self.views
-            .values()
-            .filter(|v| matches!(&v.source, ViewSource::Join { dim, .. } if *dim == table))
-            .collect()
-    }
-
-    /// All tables (diagnostics).
+    /// All tables, in ascending id order.
     pub fn tables(&self) -> impl Iterator<Item = &TableDef> {
         self.tables.values()
     }
 
-    /// All views (diagnostics).
+    /// All views, in ascending id order.
     pub fn views(&self) -> impl Iterator<Item = &ViewDef> {
         self.views.values()
+    }
+
+    /// All secondary indexes, in ascending index id order.
+    pub fn indexes(&self) -> impl Iterator<Item = &SecondaryIndexDef> {
+        self.indexes.values()
     }
 }
 
@@ -553,17 +540,13 @@ impl Catalog {
         let mut w = Writer::with_capacity(256);
         w.u32(self.next_object).u32(self.next_index).u32(self.next_view);
         w.u32(self.tables.len() as u32);
-        let mut tables: Vec<_> = self.tables.values().collect();
-        tables.sort_by_key(|t| t.id);
-        for t in tables {
+        for t in self.tables.values() {
             w.u32(t.id.0).str(&t.name);
             t.schema.encode(&mut w);
             w.u32(t.index.0).page(t.root);
         }
         w.u32(self.views.len() as u32);
-        let mut views: Vec<_> = self.views.values().collect();
-        views.sort_by_key(|v| v.id);
-        for v in views {
+        for v in self.views.values() {
             w.u32(v.id.0).u32(v.object.0).str(&v.name);
             match &v.source {
                 ViewSource::Single { table, group_by } => {
@@ -597,9 +580,7 @@ impl Catalog {
             w.u8(0);
         }
         w.u32(self.indexes.len() as u32);
-        let mut indexes: Vec<_> = self.indexes.values().collect();
-        indexes.sort_by_key(|i| i.index);
-        for i in indexes {
+        for i in self.indexes.values() {
             put_cols(w.str(&i.name).u32(i.table.0), &i.cols);
             w.bool(i.unique).u32(i.index.0).page(i.root);
         }
@@ -608,9 +589,11 @@ impl Catalog {
 
     /// Deserialize a catalog produced by [`Catalog::encode`]. The bytes
     /// must be exactly its header and one whole frame, and the frame's
-    /// body exactly one catalog: an unknown tag or trailing bytes are
-    /// `Corruption`.
+    /// body exactly one catalog: an unknown tag, trailing bytes, or a
+    /// definition `add_table` / `add_view` / `add_index` refuses (a
+    /// duplicate name or id) are `Corruption`.
     pub fn decode(bytes: &[u8]) -> Result<Catalog> {
+        let refused = |e: Error| Error::corruption(format!("catalog: {e}"));
         let body = frame::check_header(bytes, &CATALOG_HEADER, "catalog")?;
         let mut r = Reader::new(frame::decode_exact(body, "catalog")?);
         let mut cat = Catalog::new();
@@ -624,7 +607,7 @@ impl Catalog {
             let schema = Schema::decode(&mut r)?;
             let index = IndexId(r.u32()?);
             let root = r.page()?;
-            cat.tables.insert(name.clone(), TableDef { id, name, schema, index, root });
+            cat.add_table(TableDef { id, name, schema, index, root }).map_err(refused)?;
         }
         let nv = r.u32()? as usize;
         for _ in 0..nv {
@@ -666,23 +649,21 @@ impl Catalog {
                 0 => {}
                 t => return Err(Error::corruption(format!("bad view tag {t}"))),
             }
-            cat.views.insert(
-                name.clone(),
-                ViewDef {
-                    id,
-                    object,
-                    name,
-                    source,
-                    aggs,
-                    filter,
-                    maintenance,
-                    deferred,
-                    eager_group_delete,
-                    index,
-                    root,
-                    group_types,
-                },
-            );
+            cat.add_view(ViewDef {
+                id,
+                object,
+                name,
+                source,
+                aggs,
+                filter,
+                maintenance,
+                deferred,
+                eager_group_delete,
+                index,
+                root,
+                group_types,
+            })
+            .map_err(refused)?;
         }
         let ni = r.u32()? as usize;
         for _ in 0..ni {
@@ -692,10 +673,8 @@ impl Catalog {
             let unique = r.bool()?;
             let index = IndexId(r.u32()?);
             let root = r.page()?;
-            cat.indexes.insert(
-                name.clone(),
-                SecondaryIndexDef { name, table, cols, unique, index, root },
-            );
+            cat.add_index(SecondaryIndexDef { name, table, cols, unique, index, root })
+                .map_err(refused)?;
         }
         if !r.is_exhausted() {
             return Err(Error::corruption(format!("{} bytes after the catalog", r.remaining())));
@@ -705,7 +684,7 @@ impl Catalog {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use txview_common::row;
     use txview_common::schema::Column;
@@ -756,124 +735,73 @@ mod tests {
         assert_eq!(AggSpec::Min { col: 2 }.stored_type(&s).unwrap(), ValueType::Int);
     }
 
-    #[test]
-    fn catalog_registration_and_lookup() {
-        let mut c = Catalog::new();
-        let id = c.alloc_object();
-        let index = c.alloc_index();
-        c.add_table(TableDef {
-            id,
-            name: "t".into(),
-            schema: base_schema(),
-            index,
-            root: PageId(1),
-        })
-        .unwrap();
-        assert_eq!(c.table("t").unwrap().id, id);
-        assert!(c.table("nope").is_err());
-        let dup_id = c.alloc_object();
-        assert!(c
-            .add_table(TableDef {
-                id: dup_id,
-                name: "t".into(),
-                schema: base_schema(),
-                index: IndexId(9),
-                root: PageId(2),
-            })
-            .is_err());
+    /// Table `id` over `(id, grp, amount)`, its rows in index `index`.
+    pub(crate) fn table(id: u32, name: &str, index: u32) -> TableDef {
+        let (id, index) = (ObjectId(id), IndexId(index));
+        TableDef { id, name: name.into(), schema: base_schema(), index, root: PageId(1) }
     }
 
-    #[test]
-    fn views_on_filters_by_source() {
-        let mut c = Catalog::new();
-        let t1 = c.alloc_object();
-        let t2 = c.alloc_object();
-        let mk = |c: &mut Catalog, name: &str, source: ViewSource| ViewDef {
-            id: c.alloc_view(),
-            object: c.alloc_object(),
+    /// An escrow `SUM(amount)` view grouped on one INT column.
+    pub(crate) fn view(id: u32, object: u32, name: &str, source: ViewSource, index: u32) -> ViewDef {
+        ViewDef {
+            id: ViewId(id),
+            object: ObjectId(object),
             name: name.into(),
             source,
-            aggs: vec![],
+            aggs: vec![AggSpec::SumInt { col: 2 }],
             filter: Predicate::True,
             maintenance: MaintenanceMode::Escrow,
             deferred: false,
             eager_group_delete: false,
-            index: c.alloc_index(),
+            index: IndexId(index),
             root: PageId(1),
             group_types: vec![ValueType::Int],
-        };
-        let v1 = mk(&mut c, "v1", ViewSource::Single { table: t1, group_by: vec![1] });
-        let v2 = mk(
-            &mut c,
-            "v2",
-            ViewSource::Join { fact: t1, fact_fk_col: 1, dim: t2, dim_group_by: vec![1] },
-        );
-        c.add_view(v1).unwrap();
-        c.add_view(v2).unwrap();
-        assert_eq!(c.views_on(t1).len(), 2);
-        assert_eq!(c.views_on(t2).len(), 0);
-        assert_eq!(c.views_with_dim(t2).len(), 1);
+        }
+    }
+
+    #[test]
+    fn catalog_registration_and_lookup() {
+        let mut c = Catalog::new();
+        c.add_table(table(1, "t", 1)).unwrap();
+        assert_eq!(c.table("t").unwrap().id, ObjectId(1));
+        assert_eq!(c.table_by_id(ObjectId(1)).unwrap().name, "t");
+        assert!(c.table("nope").is_err());
+        assert!(c.add_table(table(2, "t", 9)).is_err());
+    }
+
+    #[test]
+    fn a_taken_name_or_id_is_refused() {
+        let mut c = Catalog::new();
+        c.add_table(table(1, "t", 1)).unwrap();
+        let single = || ViewSource::Single { table: ObjectId(1), group_by: vec![1] };
+        c.add_view(view(1, 2, "v", single(), 2)).unwrap();
+        // A name, a view id, a view's and a table's object id, index ids.
+        for (id, object, name, index) in [
+            (2, 3, "v", 3),
+            (1, 3, "w", 3),
+            (2, 2, "w", 3),
+            (2, 1, "w", 3),
+            (2, 3, "w", 1),
+            (2, 3, "w", 2),
+        ] {
+            let def = view(id, object, name, single(), index);
+            assert!(matches!(c.add_view(def.clone()), Err(Error::Schema(_))), "{def:?}");
+        }
+        assert_eq!(c.views().count(), 1);
     }
 
     #[test]
     fn derived_views_roundtrip_and_resolve() {
         let mut c = Catalog::new();
-        let t1 = c.alloc_object();
-        let index = c.alloc_index();
-        c.add_table(TableDef {
-            id: t1,
-            name: "t".into(),
-            schema: base_schema(),
-            index,
-            root: PageId(1),
-        })
-        .unwrap();
-        let parent = ViewDef {
-            id: c.alloc_view(),
-            object: c.alloc_object(),
-            name: "v".into(),
-            source: ViewSource::Single { table: t1, group_by: vec![1] },
-            aggs: vec![AggSpec::SumInt { col: 2 }],
-            filter: Predicate::True,
-            maintenance: MaintenanceMode::Escrow,
-            deferred: false,
-            eager_group_delete: false,
-            index: c.alloc_index(),
-            root: PageId(2),
-            group_types: vec![ValueType::Int],
-        };
-        let pid = parent.id;
-        let child = ViewDef {
-            id: c.alloc_view(),
-            object: c.alloc_object(),
-            name: "rollup".into(),
-            source: ViewSource::Derived { parent: pid, group_by: vec![] },
-            aggs: vec![AggSpec::SumInt { col: 2 }],
-            filter: Predicate::True,
-            maintenance: MaintenanceMode::Escrow,
-            deferred: false,
-            eager_group_delete: false,
-            index: c.alloc_index(),
-            root: PageId(3),
-            group_types: vec![ValueType::Int],
-        };
-        let cid = child.id;
-        c.add_view(parent).unwrap();
-        c.add_view(child).unwrap();
-        // Derived views are not maintained by base DML.
-        assert_eq!(c.views_on(t1).len(), 1);
-        assert_eq!(c.views_deriving(pid).len(), 1);
-        assert_eq!(c.views_deriving(cid).len(), 0);
-        assert_eq!(c.view_by_id(cid).unwrap().name, "rollup");
+        c.add_table(table(1, "t", 1)).unwrap();
+        let single = ViewSource::Single { table: ObjectId(1), group_by: vec![1] };
+        c.add_view(view(1, 2, "v", single, 2)).unwrap();
+        let rollup = ViewSource::Derived { parent: ViewId(1), group_by: vec![] };
+        c.add_view(view(2, 3, "rollup", rollup.clone(), 3)).unwrap();
+        assert_eq!(c.view_by_id(ViewId(2)).unwrap().name, "rollup");
         // Persistence: tag-2 sources survive the sidecar roundtrip.
         let decoded = Catalog::decode(&c.encode()).unwrap();
-        match &decoded.view("rollup").unwrap().source {
-            ViewSource::Derived { parent, group_by } => {
-                assert_eq!(*parent, pid);
-                assert!(group_by.is_empty());
-            }
-            other => panic!("expected Derived source, got {other:?}"),
-        }
-        assert_eq!(decoded.views_deriving(pid).len(), 1);
+        assert_eq!(decoded.view("rollup").unwrap().source, rollup);
+        assert_eq!(decoded.encode(), c.encode());
     }
 }

@@ -4,7 +4,8 @@
 //!
 //! The rest of `Database` lives beside this file, one concern each:
 //!
-//! * [`crate::ddl`] — catalog, tables, indexed and derived views;
+//! * [`crate::ddl`] — catalog, tables, indexed and derived views, each
+//!   change published as a new schema snapshot ([`crate::schema`]);
 //! * [`crate::dml`] — transactions and the one logged write path;
 //! * [`crate::maintain`] — immediate view maintenance (the paper's
 //!   protocol), version publication, and logical undo;
@@ -12,9 +13,9 @@
 //! * [`crate::harness`] — verification oracles and ablation switches for
 //!   tests, torture and experiments.
 
-use crate::catalog::Catalog;
 use crate::ghosts::GhostQueue;
 use crate::health::{HealthMonitor, HealthState, HealthStatsSnapshot};
+use crate::schema::SchemaSnapshot;
 use crate::versions::VersionStore;
 use crate::watermark::CommitWatermark;
 use parking_lot::{Mutex, RwLock};
@@ -22,7 +23,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use txview_btree::{LogCtx, OpLog, Tree};
+use txview_btree::{LogCtx, OpLog};
 use txview_common::obs::{Counter, Histogram, ObsClock, Snapshot};
 use txview_common::retry::{RetryPolicy, RetryStatsSnapshot};
 use txview_common::{Error, IndexId, Key, Lsn, Result, TxnId, ViewId};
@@ -30,7 +31,6 @@ use txview_lock::{LockManager, LockMode, LockName};
 use txview_storage::buffer::BufferPool;
 use txview_storage::disk::{DiskManager, MemDisk};
 use txview_txn::TxnManager;
-use txview_view::ViewGraph;
 use txview_wal::recovery::{recover, RecoveryReport};
 use txview_wal::{LogManager, MemLogStore};
 
@@ -87,15 +87,13 @@ pub struct Database {
     pub(crate) log: Arc<LogManager>,
     pub(crate) locks: Arc<LockManager>,
     pub(crate) txns: TxnManager,
-    pub(crate) catalog: RwLock<Catalog>,
-    pub(crate) trees: RwLock<HashMap<IndexId, Arc<Tree>>>,
+    /// The published schema: catalog, open trees and view graph. DDL
+    /// replaces the `Arc`; a statement clones it once and reads through it.
+    pub(crate) schema: RwLock<Arc<SchemaSnapshot>>,
     pub(crate) versions: VersionStore,
     pub(crate) watermark: CommitWatermark,
     /// Ghost-cleanup work queue, FIFO with enqueue dedup.
     pub(crate) ghost_queue: GhostQueue,
-    /// View-dependency DAG: base views at depth 0, derived (view-over-view)
-    /// children below, cycle-rejected at registration.
-    pub(crate) graph: RwLock<ViewGraph>,
     /// Ablation: propagate each parent delta to children immediately (one
     /// refresh per DML) instead of coalescing to one per (view, group, txn).
     pub(crate) cascade_eager: AtomicBool,
@@ -208,12 +206,10 @@ impl Database {
             log,
             locks,
             txns,
-            catalog: RwLock::new(Catalog::new()),
-            trees: RwLock::new(HashMap::new()),
+            schema: RwLock::new(Arc::default()),
             versions: VersionStore::new(),
             watermark: CommitWatermark::new(),
             ghost_queue: GhostQueue::new(),
-            graph: RwLock::new(ViewGraph::new()),
             cascade_eager: AtomicBool::new(false),
             cascade_trace: Mutex::new(None),
             deferred_pending: Mutex::new(HashMap::new()),
@@ -310,12 +306,10 @@ impl Database {
         }
     }
 
-    pub(crate) fn tree(&self, index: IndexId) -> Result<Arc<Tree>> {
-        self.trees
-            .read()
-            .get(&index)
-            .cloned()
-            .ok_or_else(|| Error::NotFound(format!("index {}", index.0)))
+    /// The published schema snapshot. The lock is held only to clone the
+    /// `Arc`, never across a statement.
+    pub(crate) fn schema(&self) -> Arc<SchemaSnapshot> {
+        Arc::clone(&self.schema.read())
     }
 
     // ---- observability ---------------------------------------------------
@@ -338,11 +332,9 @@ impl Database {
             self.deferred_pending.lock().values().map(|&v| v as i64).sum(),
         );
         // Cascade (derived-view DAG) surface.
-        {
-            let g = self.graph.read();
-            s.gauge("view.graph.views", g.len() as i64);
-            s.gauge("view.graph.max_depth", g.max_depth() as i64);
-        }
+        let schema = self.schema();
+        s.gauge("view.graph.views", schema.catalog.views().count() as i64);
+        s.gauge("view.graph.max_depth", i64::from(schema.max_depth()));
         s.counter("view.graph.enqueues", self.obs.cascade_enqueues.get());
         s.counter("view.graph.coalesce_hits", self.obs.cascade_coalesce_hits.get());
         s.counter("view.graph.refreshes", self.obs.cascade_refreshes.get());
@@ -507,9 +499,10 @@ impl Database {
         // duplicates already.
         let work = self.ghost_queue.drain();
         let mut report = GhostCleanupReport::default();
+        let schema = self.schema();
         for (index, kb) in work {
             let key = Key::from_bytes(kb.clone());
-            let tree = self.tree(index)?;
+            let tree = schema.tree(index)?;
             let cleaner = self.log.alloc_txn_id();
             let name = LockName::key(index, kb.clone());
             if !self.locks.try_acquire(cleaner, name.clone(), LockMode::X)? {
@@ -522,7 +515,7 @@ impl Database {
                 Some((true, _)) => true, // base-table ghost
                 Some((false, value)) => {
                     // A view row is removable when its count settled at 0.
-                    match self.catalog.read().views().find(|v| v.index == index) {
+                    match schema.view_at(index) {
                         Some(view) => !crate::maintain::row_visible(view, &value)?,
                         None => false,
                     }

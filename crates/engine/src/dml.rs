@@ -6,9 +6,10 @@
 //! the operation's log record carries its logical undo descriptor, and the
 //! same descriptor is pushed on the transaction's undo list.
 
-use crate::catalog::{TableDef, ViewDef};
+use crate::catalog::TableDef;
 use crate::db::Database;
 use crate::health::HealthState;
+use crate::schema::SchemaSnapshot;
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 use txview_btree::{LogCtx, OpLog, Tree};
@@ -242,10 +243,11 @@ impl Database {
     }
 
     fn insert_inner(&self, txn: &mut Transaction, table: &str, row: Row) -> Result<()> {
-        let (def, views) = self.table_and_views(table)?;
+        let s = self.schema();
+        let def = s.writable_table(table)?;
         def.schema.validate(&row)?;
         let key = Key::from_values(&def.schema.pk_values(&row));
-        let tree = self.tree(def.index)?;
+        let tree = s.tree(def.index)?;
         self.acquire_phased(txn, LockName::Object(def.id), LockMode::IX)?;
         self.acquire_phased(txn, LockName::key(def.index, key.as_bytes()), LockMode::X)?;
         let ghost = match tree.get(&key)? {
@@ -255,11 +257,11 @@ impl Database {
         };
         // Instant-duration gap lock: no serializable reader may have the
         // target range locked.
-        let gap = self.gap_after(&tree, def.index, &key)?;
+        let gap = self.gap_after(tree, def.index, &key)?;
         self.acquire_phased(txn, gap.clone(), LockMode::X)?;
-        self.put_entry(txn, &tree, def.index, &key, &row.to_bytes(), ghost)?;
+        self.put_entry(txn, tree, def.index, &key, &row.to_bytes(), ghost)?;
         self.locks.release(txn.id, &gap);
-        self.maintain_phased(txn, &def, &views, Some(&row), None)
+        self.maintain_phased(txn, &s, def, Some(&row), None)
     }
 
     /// Delete a row by primary key (logical delete: ghost + cleanup later).
@@ -270,21 +272,23 @@ impl Database {
     }
 
     fn delete_inner(&self, txn: &mut Transaction, table: &str, pk: &[Value]) -> Result<()> {
-        let (def, views) = self.table_and_views(table)?;
+        let s = self.schema();
+        let def = s.writable_table(table)?;
         let key = Key::from_values(pk);
-        let tree = self.tree(def.index)?;
-        let row = self.lock_live_row(txn, &def, &tree, &key)?;
-        self.ghost_entry(txn, &tree, def.index, &key, row.to_bytes())?;
-        self.maintain_phased(txn, &def, &views, None, Some(&row))
+        let tree = s.tree(def.index)?;
+        let row = self.lock_live_row(txn, def, tree, &key)?;
+        self.ghost_entry(txn, tree, def.index, &key, row.to_bytes())?;
+        self.maintain_phased(txn, &s, def, None, Some(&row))
     }
 
     /// Update a row in place (primary key must be unchanged).
     pub fn update(&self, txn: &mut Transaction, table: &str, new_row: Row) -> Result<()> {
         self.health.check_writable()?;
-        let result = self.table_and_views(table).and_then(|(def, views)| {
+        let s = self.schema();
+        let result = s.writable_table(table).and_then(|def| {
             def.schema.validate(&new_row)?;
             let pk = def.schema.pk_values(&new_row);
-            self.rewrite(txn, &def, &views, &pk, |_| Ok(new_row))
+            self.rewrite(txn, &s, def, &pk, |_| Ok(new_row))
         });
         self.note_write_result(result, "update")
     }
@@ -302,8 +306,9 @@ impl Database {
         f: impl FnOnce(&Row) -> Row,
     ) -> Result<()> {
         self.health.check_writable()?;
-        let result = self.table_and_views(table).and_then(|(def, views)| {
-            self.rewrite(txn, &def, &views, pk, |old| {
+        let s = self.schema();
+        let result = s.writable_table(table).and_then(|def| {
+            self.rewrite(txn, &s, def, pk, |old| {
                 let new_row = f(old);
                 if def.schema.pk_values(&new_row) != pk {
                     return Err(Error::invalid("update_with must not change the primary key"));
@@ -320,17 +325,17 @@ impl Database {
     fn rewrite(
         &self,
         txn: &mut Transaction,
+        s: &SchemaSnapshot,
         def: &TableDef,
-        views: &[ViewDef],
         pk: &[Value],
         new: impl FnOnce(&Row) -> Result<Row>,
     ) -> Result<()> {
         let key = Key::from_values(pk);
-        let tree = self.tree(def.index)?;
-        let old_row = self.lock_live_row(txn, def, &tree, &key)?;
+        let tree = s.tree(def.index)?;
+        let old_row = self.lock_live_row(txn, def, tree, &key)?;
         let new_row = new(&old_row)?;
-        self.rewrite_entry(txn, &tree, def.index, &key, &old_row.to_bytes(), &new_row.to_bytes())?;
-        self.maintain_phased(txn, def, views, Some(&new_row), Some(&old_row))
+        self.rewrite_entry(txn, tree, def.index, &key, &old_row.to_bytes(), &new_row.to_bytes())?;
+        self.maintain_phased(txn, s, def, Some(&new_row), Some(&old_row))
     }
 
     /// IX on the table, X on the key, then the live row under the key.
@@ -349,20 +354,6 @@ impl Database {
         }
     }
 
-    fn table_and_views(&self, table: &str) -> Result<(TableDef, Vec<ViewDef>)> {
-        let cat = self.catalog.read();
-        let def = cat.table(table)?.clone();
-        if !cat.views_with_dim(def.id).is_empty() {
-            // Keeping dim-side DML simple: the join-delta probe assumes a
-            // stable dimension (see DESIGN.md).
-            return Err(Error::invalid(format!(
-                "table '{table}' is the dimension of a join view; its DML is frozen"
-            )));
-        }
-        let views = cat.views_on(def.id).into_iter().cloned().collect();
-        Ok((def, views))
-    }
-
     /// Acquire a base-table lock, charging the wait to the transaction's
     /// *acquire* phase. View-side locks taken inside `maintain` are charged
     /// to the *maintain* phase instead (they are part of maintenance cost).
@@ -377,15 +368,15 @@ impl Database {
     fn maintain_phased(
         &self,
         txn: &mut Transaction,
+        s: &SchemaSnapshot,
         def: &TableDef,
-        views: &[ViewDef],
         new: Option<&Row>,
         old: Option<&Row>,
     ) -> Result<()> {
         let t0 = self.obs.clock.now();
         let out = self
-            .maintain_secondary(txn, def, new, old)
-            .and_then(|()| self.maintain(txn, def, views, new, old));
+            .maintain_secondary(txn, s, def, new, old)
+            .and_then(|()| self.maintain(txn, s, def, new, old));
         txn.phase_maintain_us += self.obs.clock.now().saturating_sub(t0);
         out
     }

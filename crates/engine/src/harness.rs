@@ -11,6 +11,7 @@ use crate::db::{CascadeTrace, Database};
 use crate::delta::{fold_derived, row_contribution};
 use crate::escrow::{self, apply_insert_merge, encode_view_row, initial_aggs, RowDelta};
 use crate::maintain::visible_row;
+use crate::schema::SchemaSnapshot;
 use crate::secondary::entry_for;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -37,32 +38,30 @@ impl Database {
     /// Compute a view's contents from its base table(s) by direct scans
     /// (no locks — callers quiesce or hold object locks). A derived view
     /// recomputes transitively down to base.
-    pub(crate) fn compute_view_from_base(&self, view: &ViewDef) -> Result<Groups> {
+    pub(crate) fn compute_view_from_base(
+        &self,
+        s: &SchemaSnapshot,
+        view: &ViewDef,
+    ) -> Result<Groups> {
         let mut out = Groups::new();
         match &view.source {
             ViewSource::Derived { parent, .. } => {
-                // Clone the parent def and release the catalog guard before
-                // recursing: parking_lot read locks are not recursive under
-                // a waiting writer.
-                let p = self.catalog.read().view_by_id(*parent)?.clone();
-                let parent_rows = self.compute_view_from_base(&p)?;
-                return fold_derived(view, &p, &parent_rows);
+                let p = s.catalog.view_by_id(*parent)?;
+                let parent_rows = self.compute_view_from_base(s, p)?;
+                return fold_derived(view, p, &parent_rows);
             }
             ViewSource::Single { table, group_by } => {
-                let t = self.catalog.read().table_by_id(*table)?.clone();
-                for item in self.tree(t.index)?.scan(None, None, false)?.0 {
+                let t = s.catalog.table_by_id(*table)?;
+                for item in s.tree(t.index)?.scan(None, None, false)?.0 {
                     let row = Row::from_bytes(&item.value)?;
                     let group = group_by.iter().map(|&c| row.get(c).clone()).collect();
                     fold_row(view, &mut out, group, &row)?;
                 }
             }
             ViewSource::Join { fact, dim, fact_fk_col, dim_group_by } => {
-                let (f, d) = {
-                    let cat = self.catalog.read();
-                    (cat.table_by_id(*fact)?.index, cat.table_by_id(*dim)?.index)
-                };
-                let dtree = self.tree(d)?;
-                for item in self.tree(f)?.scan(None, None, false)?.0 {
+                let dtree = s.tree(s.catalog.table_by_id(*dim)?.index)?;
+                let ftree = s.tree(s.catalog.table_by_id(*fact)?.index)?;
+                for item in ftree.scan(None, None, false)?.0 {
                     let row = Row::from_bytes(&item.value)?;
                     let dkey = Key::from_values(std::slice::from_ref(row.get(*fact_fk_col)));
                     if let Some((false, dval)) = dtree.get(&dkey)? {
@@ -84,6 +83,7 @@ impl Database {
     /// views at DDL, so this path can never see them.
     pub(crate) fn compute_group_from_base(
         &self,
+        s: &SchemaSnapshot,
         view: &ViewDef,
         base: &crate::catalog::TableDef,
         group: &[Value],
@@ -92,7 +92,7 @@ impl Database {
             return Err(Error::invalid("group recompute on a non-single-table view"));
         };
         let mut acc = Groups::new();
-        for item in self.tree(base.index)?.scan(None, None, false)?.0 {
+        for item in s.tree(base.index)?.scan(None, None, false)?.0 {
             let row = Row::from_bytes(&item.value)?;
             if group_by.iter().zip(group).all(|(&c, g)| row.get(c) == g) {
                 fold_row(view, &mut acc, group.to_vec(), &row)?;
@@ -103,10 +103,10 @@ impl Database {
 
     /// A view's stored visible rows as [`Groups`]; a negative COUNT_BIG is
     /// corruption.
-    fn stored_groups(&self, view: &ViewDef) -> Result<Groups> {
+    fn stored_groups(&self, s: &SchemaSnapshot, view: &ViewDef) -> Result<Groups> {
         let ngroup = view.group_types.len();
         let mut out = Groups::new();
-        for item in self.tree(view.index)?.scan(None, None, false)?.0 {
+        for item in s.tree(view.index)?.scan(None, None, false)?.0 {
             let row = Row::from_bytes(&item.value)?;
             let group: Vec<Value> = row.values()[..ngroup].to_vec();
             let count = row.get(ngroup).as_int()?;
@@ -146,17 +146,14 @@ fn fold_row(view: &ViewDef, acc: &mut Groups, group: Vec<Value>, row: &Row) -> R
 }
 
 impl Harness<'_> {
-    fn view(&self, name: &str) -> Result<ViewDef> {
-        Ok(self.db.catalog.read().view(name)?.clone())
-    }
-
     /// Verify that a view's stored rows exactly match a recomputation from
     /// base (the correctness spine of every experiment). For derived views
     /// this recomputes *transitively* down to the base tables.
     pub fn verify_view(&self, view_name: &str) -> Result<()> {
-        let view = self.view(view_name)?;
-        let expected = self.db.compute_view_from_base(&view)?;
-        self.check_view_against(&view, &expected)
+        let s = self.db.schema();
+        let view = s.catalog.view(view_name)?;
+        let expected = self.db.compute_view_from_base(&s, view)?;
+        self.check_view_against(&s, view, &expected)
     }
 
     /// Verify a derived view against its **immediate parent's stored
@@ -165,19 +162,25 @@ impl Harness<'_> {
     /// pins blame to a single propagation step when a chain diverges.
     /// Non-derived views fall back to the transitive check.
     pub fn verify_view_from_parent(&self, view_name: &str) -> Result<()> {
-        let view = self.view(view_name)?;
+        let s = self.db.schema();
+        let view = s.catalog.view(view_name)?;
         let ViewSource::Derived { parent, .. } = &view.source else {
             return self.verify_view(view_name);
         };
-        let p = self.db.catalog.read().view_by_id(*parent)?.clone();
-        let expected = fold_derived(&view, &p, &self.db.stored_groups(&p)?)?;
-        self.check_view_against(&view, &expected)
+        let p = s.catalog.view_by_id(*parent)?;
+        let expected = fold_derived(view, p, &self.db.stored_groups(&s, p)?)?;
+        self.check_view_against(&s, view, &expected)
     }
 
     /// Compare a view's stored rows against an expected recomputation.
-    fn check_view_against(&self, view: &ViewDef, expected: &Groups) -> Result<()> {
+    fn check_view_against(
+        &self,
+        s: &SchemaSnapshot,
+        view: &ViewDef,
+        expected: &Groups,
+    ) -> Result<()> {
         let name = &view.name;
-        let stored = self.db.stored_groups(view)?;
+        let stored = self.db.stored_groups(s, view)?;
         for (group, (count, aggs)) in &stored {
             match expected.get(group) {
                 Some((ec, ea)) if ec == count && ea == aggs => {}
@@ -205,23 +208,20 @@ impl Harness<'_> {
 
     /// Verify a secondary index against its base table.
     pub fn verify_index(&self, index_name: &str) -> Result<()> {
-        let (def, table) = {
-            let cat = self.db.catalog.read();
-            let def = cat.index(index_name)?.clone();
-            let table = cat.table_by_id(def.table)?.clone();
-            (def, table)
-        };
+        let s = self.db.schema();
+        let def = s.catalog.index(index_name)?;
+        let table = s.catalog.table_by_id(def.table)?;
         let mut expected = std::collections::BTreeMap::new();
-        for item in self.db.tree(table.index)?.scan(None, None, false)?.0 {
+        for item in s.tree(table.index)?.scan(None, None, false)?.0 {
             let row = Row::from_bytes(&item.value)?;
-            let (key, value) = entry_for(&def, &table.schema, &row);
+            let (key, value) = entry_for(def, &table.schema, &row);
             if expected.insert(key.as_bytes().to_vec(), value).is_some() {
                 return Err(Error::corruption(format!(
                     "base rows collide in index '{index_name}'"
                 )));
             }
         }
-        let (entries, _) = self.db.tree(def.index)?.scan(None, None, false)?;
+        let (entries, _) = s.tree(def.index)?.scan(None, None, false)?;
         if entries.len() != expected.len() {
             return Err(Error::corruption(format!(
                 "index '{index_name}' has {} live entries, expected {}",
@@ -242,18 +242,19 @@ impl Harness<'_> {
 
     /// Lock-free view dump: all visible rows in key order.
     pub fn dump_view(&self, view_name: &str) -> Result<Vec<Row>> {
-        let view = self.view(view_name)?;
+        let s = self.db.schema();
+        let view = s.catalog.view(view_name)?;
         let mut out = Vec::new();
-        for item in self.db.tree(view.index)?.scan(None, None, false)?.0 {
-            out.extend(visible_row(&view, &item.value)?);
+        for item in s.tree(view.index)?.scan(None, None, false)?.0 {
+            out.extend(visible_row(view, &item.value)?);
         }
         Ok(out)
     }
 
     /// Lock-free table dump: all live rows in key order.
     pub fn dump_table(&self, table: &str) -> Result<Vec<Row>> {
-        let index = self.db.catalog.read().table(table)?.index;
-        let (items, _) = self.db.tree(index)?.scan(None, None, false)?;
+        let s = self.db.schema();
+        let (items, _) = s.tree(s.catalog.table(table)?.index)?.scan(None, None, false)?;
         items.into_iter().map(|i| Row::from_bytes(&i.value)).collect()
     }
 
@@ -264,18 +265,14 @@ impl Harness<'_> {
         view_name: &str,
         group: &[Value],
     ) -> Result<Vec<(u64, bool, Option<crate::versions::DeltaPairs>)>> {
-        let view = self.view(view_name)?;
-        Ok(self.db.versions.debug_chain(view.index, Key::from_values(group).as_bytes()))
+        let index = self.db.schema().catalog.view(view_name)?.index;
+        Ok(self.db.versions.debug_chain(index, Key::from_values(group).as_bytes()))
     }
 
-    /// Registered depth of a view in the dependency DAG (0 = base view).
+    /// Depth of a view in the dependency graph (0 = base view).
     pub fn view_depth(&self, view_name: &str) -> Result<u32> {
-        let id = self.view(view_name)?.id;
-        self.db
-            .graph
-            .read()
-            .depth(id)
-            .ok_or_else(|| Error::NotFound(format!("view '{view_name}' not in the graph")))
+        let s = self.db.schema();
+        Ok(s.depth(s.catalog.view(view_name)?.id))
     }
 
     /// Number of entries waiting for ghost cleanup.
@@ -304,7 +301,7 @@ impl Harness<'_> {
 
     /// Pending (unapplied) delta count of a deferred view.
     pub fn deferred_staleness(&self, view_name: &str) -> Result<u64> {
-        let id = self.view(view_name)?.id;
+        let id = self.db.schema().catalog.view(view_name)?.id;
         Ok(*self.db.deferred_pending.lock().get(&id).unwrap_or(&0))
     }
 
@@ -318,11 +315,12 @@ impl Harness<'_> {
     /// increments that land during the rebuild are kept.
     pub fn refresh_deferred_view(&self, view_name: &str) -> Result<usize> {
         let db = self.db;
-        let view = self.view(view_name)?;
+        let s = db.schema();
+        let view = s.catalog.view(view_name)?;
         let index = view.index;
-        let tree = db.tree(index)?;
+        let tree = s.tree(index)?;
         let pre_refresh = *db.deferred_pending.lock().get(&view.id).unwrap_or(&0);
-        let rows = db.compute_view_from_base(&view)?;
+        let rows = db.compute_view_from_base(&s, view)?;
         let n = rows.len();
         let mut txn = db.begin(IsolationLevel::ReadCommitted);
         let result = (|| -> Result<()> {
@@ -334,7 +332,7 @@ impl Harness<'_> {
             for (group, (count, aggs)) in rows {
                 let key = Key::from_values(&group);
                 let bytes = encode_view_row(&group, count, &aggs)?;
-                db.put_entry(&mut txn, &tree, index, &key, &bytes, None)?;
+                db.put_entry(&mut txn, tree, index, &key, &bytes, None)?;
             }
             Ok(())
         })();

@@ -39,6 +39,7 @@ pub mod interleave;
 pub mod maintain;
 pub mod read;
 pub mod repl;
+pub(crate) mod schema;
 pub mod secondary;
 pub mod torture;
 pub mod versions;

@@ -30,6 +30,7 @@ use crate::catalog::{AggSpec, TableDef, ViewDef, ViewSource};
 use crate::db::Database;
 use crate::delta::{derived_delta, join_delta, single_table_delta, update_deltas};
 use crate::escrow::{self, agg_region_offset, apply_insert_merge, encode_view_row, RowDelta};
+use crate::schema::SchemaSnapshot;
 use std::sync::atomic::Ordering;
 use txview_btree::{LogCtx, OpLog, Tree};
 use txview_common::{Error, IndexId, Key, Lsn, ObjectId, Result, Row, TxnId, Value, ViewId};
@@ -50,17 +51,17 @@ enum Applied {
 }
 
 impl Database {
-    /// Maintain all `views` for a DML that inserted `new` and/or removed
-    /// `old` (update = both).
+    /// Maintain the views of table `base` for a DML that inserted `new`
+    /// and/or removed `old` (update = both), in ascending view id order.
     pub(crate) fn maintain(
         &self,
         txn: &mut Transaction,
+        s: &SchemaSnapshot,
         base: &TableDef,
-        views: &[ViewDef],
         new: Option<&Row>,
         old: Option<&Row>,
     ) -> Result<()> {
-        for view in views {
+        for view in s.views_on(base.id) {
             let deltas: Vec<RowDelta> = match &view.source {
                 ViewSource::Single { .. } => match (old, new) {
                     (Some(o), Some(n)) => update_deltas(view, o, n)?,
@@ -73,7 +74,7 @@ impl Database {
                     for (row, sign) in [(old, -1i64), (new, 1i64)] {
                         if let Some(r) = row {
                             if let Some(group) =
-                                self.probe_dim_group(txn, *dim, *fact_fk_col, dim_group_by, r)?
+                                self.probe_dim_group(txn, s, *dim, *fact_fk_col, dim_group_by, r)?
                             {
                                 out.extend(join_delta(view, r, group, sign)?);
                             }
@@ -81,14 +82,8 @@ impl Database {
                     }
                     out
                 }
-                ViewSource::Derived { .. } => {
-                    // `views_on` never returns derived views; they are
-                    // maintained only through the cascade queue.
-                    return Err(Error::invalid(format!(
-                        "derived view '{}' cannot be maintained by base DML",
-                        view.name
-                    )));
-                }
+                // Never listed: the cascade queue maintains derived views.
+                ViewSource::Derived { .. } => continue,
             };
             if view.deferred {
                 // Staleness = unapplied view-row deltas, not DML statements:
@@ -108,7 +103,7 @@ impl Database {
             let paired_update =
                 deltas.len() == 2 && deltas[0].group == deltas[1].group && deltas[0].count < 0;
             for (i, delta) in deltas.iter().enumerate() {
-                let applied = self.apply(txn, view, Some(base), delta)?;
+                let applied = self.apply(txn, s, view, Some(base), delta)?;
                 if applied == Applied::Recomputed && paired_update && i == 0 {
                     break;
                 }
@@ -122,16 +117,17 @@ impl Database {
     fn probe_dim_group(
         &self,
         txn: &mut Transaction,
+        s: &SchemaSnapshot,
         dim: ObjectId,
         fact_fk_col: usize,
         dim_group_by: &[usize],
         fact_row: &Row,
     ) -> Result<Option<Vec<Value>>> {
-        let d = self.catalog.read().table_by_id(dim)?.clone();
+        let d = s.catalog.table_by_id(dim)?;
         let key = Key::from_values(std::slice::from_ref(fact_row.get(fact_fk_col)));
         let name = LockName::key(d.index, key.as_bytes());
         self.locks.acquire(txn.id, name.clone(), LockMode::S)?;
-        let out = match self.tree(d.index)?.get(&key)? {
+        let out = match s.tree(d.index)?.get(&key)? {
             Some((false, value)) => {
                 let row = Row::from_bytes(&value)?;
                 Some(dim_group_by.iter().map(|&c| row.get(c).clone()).collect())
@@ -149,6 +145,7 @@ impl Database {
     fn apply(
         &self,
         txn: &mut Transaction,
+        s: &SchemaSnapshot,
         view: &ViewDef,
         base: Option<&TableDef>,
         delta: &RowDelta,
@@ -158,7 +155,7 @@ impl Database {
         }
         let key = delta.key();
         let kb = key.as_bytes().to_vec();
-        let tree = self.tree(view.index)?;
+        let tree = s.tree(view.index)?;
         self.locks.acquire(txn.id, LockName::Object(view.object), LockMode::IX)?;
         let additive = view.aggs.iter().all(AggSpec::is_escrow_capable);
 
@@ -178,10 +175,10 @@ impl Database {
                 // releases immediately — the user transaction then only ever
                 // needs an E lock, so concurrent transactions can pile onto
                 // a group one of them just created.
-                self.ensure_group_row(view, &tree, &key, &delta.group)?;
+                self.ensure_group_row(view, tree, &key, &delta.group)?;
                 self.versions.ensure_base(view.index, &kb, None);
                 if pending_gap.is_none() {
-                    let gap = self.gap_after(&tree, view.index, &key)?;
+                    let gap = self.gap_after(tree, view.index, &key)?;
                     self.locks.acquire(txn.id, gap.clone(), LockMode::X)?;
                     pending_gap = Some(gap);
                 }
@@ -194,9 +191,9 @@ impl Database {
                 break value;
             }
         };
-        self.safeguard_base_version(view, &tree, &key, &kb)?;
+        self.safeguard_base_version(view, tree, &key, &kb)?;
         let applied = if additive {
-            let pairs = self.apply_additive(txn, view, &tree, &key, delta)?;
+            let pairs = self.apply_additive(txn, view, tree, &key, delta)?;
             note_additive(&mut txn.views.touched, view.index, &kb, &pairs)?;
             self.obs.escrow_applies.inc();
             Applied::InPlace
@@ -204,7 +201,7 @@ impl Database {
             let base = base.ok_or_else(|| {
                 Error::invalid(format!("MIN/MAX maintenance of '{}' needs a base table", view.name))
             })?;
-            let applied = self.apply_extremum(txn, view, base, &tree, &key, &current, delta)?;
+            let applied = self.apply_extremum(txn, s, view, base, tree, &key, &current, delta)?;
             note_exclusive(&mut txn.views.touched, view.index, &kb);
             self.obs.minmax_rewrites.inc();
             applied
@@ -215,7 +212,7 @@ impl Database {
         // Propagate to children. (MIN/MAX views cannot have children —
         // derived DDL requires an all-SUM parent — so a recomputed group
         // never skips a child.)
-        self.cascade_children(txn, view, delta)?;
+        self.cascade_children(txn, s, view, delta)?;
         Ok(applied)
     }
 
@@ -276,6 +273,7 @@ impl Database {
     fn apply_extremum(
         &self,
         txn: &mut Transaction,
+        s: &SchemaSnapshot,
         view: &ViewDef,
         base: &TableDef,
         tree: &Tree,
@@ -301,7 +299,7 @@ impl Database {
             self.obs.minmax_recomputes.inc();
             applied = Applied::Recomputed;
             let (count, aggs) = self
-                .compute_group_from_base(view, base, &delta.group)?
+                .compute_group_from_base(s, view, base, &delta.group)?
                 .unwrap_or_else(|| (0, escrow::zero_aggs(view)));
             encode_view_row(&delta.group, count, &aggs)?
         } else {
@@ -382,31 +380,21 @@ impl Database {
         if let Some(h) = self.locks.hook() {
             h.yield_point(tid, &SchedEvent::VersionPublish);
         }
-        let cat = self.catalog.read();
+        let s = self.schema();
         // One horizon for the whole commit: it only ever rises, so an
         // earlier reading folds less, never too much.
         let horizon = self.watermark.fold_horizon(&self.log);
-        // Each touched view is looked up once, not once per row.
-        let mut views: Vec<&ViewDef> = Vec::new();
         for ((index, kb), touch) in touched {
-            let view = match views.iter().find(|v| v.index == index) {
-                Some(view) => *view,
-                None => {
-                    let view = cat
-                        .views()
-                        .find(|v| v.index == index)
-                        .ok_or_else(|| Error::NotFound(format!("view for index {}", index.0)))?;
-                    views.push(view);
-                    view
-                }
-            };
+            let view = s
+                .view_at(index)
+                .ok_or_else(|| Error::NotFound(format!("view for index {}", index.0)))?;
             let mat = |image, pairs: &[_]| materialize_view_row(view, &kb, image, pairs);
             match touch {
                 Touch::Additive(pairs) => {
                     self.versions.publish_delta(index, &kb, commit_lsn, pairs, horizon, &mat)?;
                 }
                 Touch::Exclusive => {
-                    let value = match self.tree(index)?.get(&Key::from_bytes(kb.clone()))? {
+                    let value = match s.tree(index)?.get(&Key::from_bytes(kb.clone()))? {
                         Some((false, v)) => Some(v),
                         _ => None,
                     };
@@ -419,31 +407,6 @@ impl Database {
 
     // ---- cascades ----------------------------------------------------------
 
-    /// `delta` of `view` projected onto each derived child, with the
-    /// child's DAG depth; projections that change nothing are skipped.
-    fn child_deltas(
-        &self,
-        view: &ViewDef,
-        delta: &RowDelta,
-    ) -> Result<Vec<(ViewDef, u32, RowDelta)>> {
-        let children = self.graph.read().children(view.id).to_vec();
-        let mut out = Vec::with_capacity(children.len());
-        for child_id in children {
-            let child = self.catalog.read().view_by_id(child_id)?.clone();
-            let projected = derived_delta(&child, view, delta)?;
-            if projected.is_noop() {
-                continue;
-            }
-            let depth = self
-                .graph
-                .read()
-                .depth(child_id)
-                .ok_or_else(|| Error::NotFound(format!("view {} not in graph", child_id.0)))?;
-            out.push((child, depth, projected));
-        }
-        Ok(out)
-    }
-
     /// Project an applied delta onto the view's children. Coalesced mode
     /// enqueues into the transaction's cascade queue (merged per
     /// `(view, group)`, drained at commit); eager mode recurses through
@@ -451,14 +414,16 @@ impl Database {
     fn cascade_children(
         &self,
         txn: &mut Transaction,
+        s: &SchemaSnapshot,
         view: &ViewDef,
         delta: &RowDelta,
     ) -> Result<()> {
         let eager = self.cascade_eager.load(Ordering::Relaxed);
-        for (child, depth, projected) in self.child_deltas(view, delta)? {
+        for projection in child_deltas(s, view, delta) {
+            let (child, depth, projected) = projection?;
             let kb = projected.key().as_bytes().to_vec();
             if eager {
-                self.apply(txn, &child, None, &projected)?;
+                self.apply(txn, s, child, None, &projected)?;
                 self.note_refresh(txn.id, child.id, kb);
                 continue;
             }
@@ -499,6 +464,7 @@ impl Database {
         if let Some(h) = self.locks.hook() {
             h.yield_point(txn.id, &SchedEvent::CascadeFlush { entries: entries as u64 });
         }
+        let s = self.schema();
         let mut refreshed = 0u64;
         let mut last_depth: Option<u32> = None;
         // Pop one entry at a time (not a drained snapshot): applying an
@@ -514,9 +480,9 @@ impl Database {
             if pending.is_noop() {
                 continue; // retracted down to nothing by a savepoint undo
             }
-            let view = self.catalog.read().view_by_id(view_id)?.clone();
+            let view = s.catalog.view_by_id(view_id)?;
             let delta = RowDelta { group: pending.group, count: pending.count, aggs: pending.aggs };
-            self.apply(txn, &view, None, &delta)?;
+            self.apply(txn, &s, view, None, &delta)?;
             self.note_refresh(txn.id, view_id, kb);
             refreshed += 1;
         }
@@ -533,72 +499,84 @@ impl Database {
     /// in-memory accumulators, so it runs before the page undo; the undo
     /// itself ([`UndoHandler`]) then only compensates pages.
     pub(crate) fn retract_savepoint_span(&self, txn: &mut Transaction, sp: usize) -> Result<()> {
+        let s = self.schema();
         let (undo, views) = txn.undo_since(sp);
         for entry in undo.iter().rev() {
             if let UndoOp::Escrow { index, key, deltas } = &entry.op {
-                self.retract_escrow(views, *index, key, deltas)?;
+                retract_escrow(&s, views, *index, key, deltas)?;
             }
         }
         Ok(())
     }
+}
 
-    /// Retract one escrow delta on view row `key` of `index` from `views`.
-    fn retract_escrow(
-        &self,
-        views: &mut TxnViews,
-        index: IndexId,
-        key: &[u8],
-        deltas: &[(u16, ValueDelta)],
-    ) -> Result<()> {
-        let inverse: Vec<(u16, ValueDelta)> =
-            deltas.iter().map(|(p, d)| (*p, d.inverse())).collect();
-        if let Some(Touch::Additive(acc)) = views.touched.get_mut(&(index, key.to_vec())) {
-            escrow::merge_pairs(acc, &inverse)?;
-        }
-        let view = (self.catalog.read().views().find(|v| v.index == index).cloned())
-            .ok_or_else(|| Error::NotFound(format!("view for index {}", index.0)))?;
-        if !self.graph.read().has_children(view.id) {
-            return Ok(());
-        }
-        // Retract the delta's projection from still-queued child entries,
-        // so the later commit flush applies only surviving work. Views with
-        // children are all-SUM by DDL validation, so the undo pairs rebuild
-        // a complete forward delta: pos 0 is COUNT_BIG, pos 1.. the
-        // aggregates.
-        let mut fwd = RowDelta {
-            group: Key::from_bytes(key.to_vec()).decode_values()?,
-            count: 0,
-            aggs: view
-                .aggs
-                .iter()
-                .map(|a| match a {
-                    AggSpec::SumFloat { .. } | AggSpec::Avg { float: true, .. } => {
-                        ValueDelta::Float(0.0)
-                    }
-                    _ => ValueDelta::Int(0),
-                })
-                .collect(),
-        };
-        for (pos, d) in deltas {
-            if *pos == 0 {
-                if let ValueDelta::Int(c) = d {
-                    fwd.count = *c;
-                }
-            } else if let Some(slot) = fwd.aggs.get_mut(*pos as usize - 1) {
-                *slot = *d;
-            }
-        }
-        for (child, depth, projected) in self.child_deltas(&view, &fwd.inverse())? {
-            let kb = projected.key().as_bytes().to_vec();
-            let pending = PendingDelta {
-                group: projected.group,
-                count: projected.count,
-                aggs: projected.aggs,
-            };
-            views.cascades.retract(depth, child.id, &kb, &pending)?;
-        }
-        Ok(())
+/// Retract one escrow delta on view row `key` of `index` from `views`.
+fn retract_escrow(
+    s: &SchemaSnapshot,
+    views: &mut TxnViews,
+    index: IndexId,
+    key: &[u8],
+    deltas: &[(u16, ValueDelta)],
+) -> Result<()> {
+    let inverse: Vec<(u16, ValueDelta)> = deltas.iter().map(|(p, d)| (*p, d.inverse())).collect();
+    if let Some(Touch::Additive(acc)) = views.touched.get_mut(&(index, key.to_vec())) {
+        escrow::merge_pairs(acc, &inverse)?;
     }
+    let view =
+        s.view_at(index).ok_or_else(|| Error::NotFound(format!("view for index {}", index.0)))?;
+    if s.children(view.id).next().is_none() {
+        return Ok(());
+    }
+    // Retract the delta's projection from still-queued child entries, so
+    // the later commit flush applies only surviving work. Views with
+    // children are all-SUM by DDL validation, so the undo pairs rebuild a
+    // complete forward delta: pos 0 is COUNT_BIG, pos 1.. the aggregates.
+    let mut fwd = RowDelta {
+        group: Key::from_bytes(key.to_vec()).decode_values()?,
+        count: 0,
+        aggs: view
+            .aggs
+            .iter()
+            .map(|a| match a {
+                AggSpec::SumFloat { .. } | AggSpec::Avg { float: true, .. } => {
+                    ValueDelta::Float(0.0)
+                }
+                _ => ValueDelta::Int(0),
+            })
+            .collect(),
+    };
+    for (pos, d) in deltas {
+        if *pos == 0 {
+            if let ValueDelta::Int(c) = d {
+                fwd.count = *c;
+            }
+        } else if let Some(slot) = fwd.aggs.get_mut(*pos as usize - 1) {
+            *slot = *d;
+        }
+    }
+    let retracted = fwd.inverse();
+    for projection in child_deltas(s, view, &retracted) {
+        let (child, depth, projected) = projection?;
+        let kb = projected.key().as_bytes().to_vec();
+        let pending =
+            PendingDelta { group: projected.group, count: projected.count, aggs: projected.aggs };
+        views.cascades.retract(depth, child.id, &kb, &pending)?;
+    }
+    Ok(())
+}
+
+/// `delta` of `view` projected onto each derived child, with the child's
+/// depth; projections that change nothing are skipped.
+fn child_deltas<'s>(
+    s: &'s SchemaSnapshot,
+    view: &'s ViewDef,
+    delta: &'s RowDelta,
+) -> impl Iterator<Item = Result<(&'s ViewDef, u32, RowDelta)>> + 's {
+    let depth = s.depth(view.id) + 1;
+    s.children(view.id).filter_map(move |child| match derived_delta(child, view, delta) {
+        Ok(projected) if projected.is_noop() => None,
+        projected => Some(projected.map(|p| (child, depth, p))),
+    })
 }
 
 impl UndoHandler for Database {
@@ -614,7 +592,8 @@ impl UndoHandler for Database {
             | UndoOp::Escrow { index, key, .. } => (*index, key),
             UndoOp::None | UndoOp::Page { .. } => return Ok(()),
         };
-        let tree = self.tree(index)?;
+        let schema = self.schema();
+        let tree = schema.tree(index)?;
         let k = Key::from_bytes(key.clone());
         let mut ctx = LogCtx { log: &self.log, txn, last_lsn: chain };
         match op {

@@ -26,17 +26,18 @@ impl Database {
         view_name: &str,
         group: &[Value],
     ) -> Result<Option<Row>> {
-        let view = self.catalog.read().view(view_name)?.clone();
+        let s = self.schema();
+        let view = s.catalog.view(view_name)?;
         let key = Key::from_values(group);
+        let tree = s.tree(view.index)?;
         if txn.isolation == IsolationLevel::Snapshot {
-            return self.snapshot_view_row(&view, key.as_bytes(), txn.snapshot_lsn);
+            return self.snapshot_view_row(view, tree, key.as_bytes(), txn.snapshot_lsn);
         }
 
-        let tree = self.tree(view.index)?;
         let name = LockName::key(view.index, key.as_bytes());
         self.locks.acquire(txn.id, name.clone(), LockMode::S)?;
         let out = match tree.get(&key)? {
-            Some((false, bytes)) => visible_row(&view, &bytes)?,
+            Some((false, bytes)) => visible_row(view, &bytes)?,
             _ => None,
         };
         match txn.isolation {
@@ -47,7 +48,7 @@ impl Database {
                 // Phantom protection for a missing/invisible group: lock the
                 // gap the group would occupy.
                 if out.is_none() {
-                    let gap = self.gap_after(&tree, view.index, &key)?;
+                    let gap = self.gap_after(tree, view.index, &key)?;
                     self.locks.acquire(txn.id, gap, LockMode::S)?;
                 }
             }
@@ -65,20 +66,21 @@ impl Database {
         lo: Option<&[Value]>,
         hi_exclusive: Option<&[Value]>,
     ) -> Result<Vec<Row>> {
-        let view = self.catalog.read().view(view_name)?.clone();
+        let s = self.schema();
+        let view = s.catalog.view(view_name)?;
         let lo_key = lo.map(Key::from_values);
         let hi_key = hi_exclusive.map(Key::from_values);
 
-        let tree = self.tree(view.index)?;
+        let tree = s.tree(view.index)?;
         if txn.isolation == IsolationLevel::Snapshot {
             let (lo, hi) = (lo_key.as_ref(), hi_key.as_ref());
             let (items, _) = tree.scan(lo, hi, false)?;
-            return self.resolve_scanned(&view, items, lo, hi, txn.snapshot_lsn);
+            return self.resolve_scanned(view, items, lo, hi, txn.snapshot_lsn);
         }
 
         let mut out = Vec::new();
-        self.locked_scan(txn, &tree, lo_key.as_ref(), hi_key.as_ref(), true, |_, bytes| {
-            out.extend(visible_row(&view, &bytes)?);
+        self.locked_scan(txn, tree, lo_key.as_ref(), hi_key.as_ref(), true, |_, bytes| {
+            out.extend(visible_row(view, &bytes)?);
             Ok(())
         })?;
         Ok(out)
@@ -130,9 +132,10 @@ impl Database {
     /// versioned in this reproduction; snapshot reads of base rows degrade
     /// to read-committed.
     pub fn get_row(&self, txn: &mut Transaction, table: &str, pk: &[Value]) -> Result<Option<Row>> {
-        let def = self.catalog.read().table(table)?.clone();
+        let s = self.schema();
+        let def = s.catalog.table(table)?;
         let key = Key::from_values(pk);
-        let tree = self.tree(def.index)?;
+        let tree = s.tree(def.index)?;
         let name = LockName::key(def.index, key.as_bytes());
         self.locks.acquire(txn.id, name.clone(), LockMode::S)?;
         let out = match tree.get(&key)? {
@@ -153,18 +156,11 @@ impl Database {
         view_name: &str,
         group: &[Value],
     ) -> Result<Option<(i64, Vec<Value>)>> {
-        let view = self.catalog.read().view(view_name)?.clone();
-        match self.view_lookup(txn, view_name, group)? {
-            None => Ok(None),
-            Some(row) => {
-                let ngroup = view.group_types.len();
-                let count = row.get(ngroup).as_int()?;
-                let aggs = (0..view.aggs.len())
-                    .map(|i| row.get(ngroup + 1 + i).clone())
-                    .collect();
-                Ok(Some((count, aggs)))
-            }
-        }
+        let ngroup = self.schema().catalog.view(view_name)?.group_types.len();
+        let Some(row) = self.view_lookup(txn, view_name, group)? else {
+            return Ok(None);
+        };
+        Ok(Some((row.get(ngroup).as_int()?, row.values()[ngroup + 1..].to_vec())))
     }
 
     /// Derived AVG of a SUM-backed aggregate, following the paper's rule:
@@ -176,8 +172,8 @@ impl Database {
     ///
     /// Returns `Value::Null` when the group is empty or invisible — SQL
     /// semantics: the average over zero rows is NULL, not 0 and not an
-    /// absent row (a serializable reader still gap-locks the miss through
-    /// `view_aggregates`, so the NULL is stable).
+    /// absent row (a serializable reader still gap-locks the miss, so the
+    /// NULL is stable).
     pub fn view_avg(
         &self,
         txn: &mut Transaction,
@@ -185,7 +181,8 @@ impl Database {
         group: &[Value],
         agg_idx: usize,
     ) -> Result<Value> {
-        let view = self.catalog.read().view(view_name)?.clone();
+        let s = self.schema();
+        let view = s.catalog.view(view_name)?;
         if agg_idx >= view.aggs.len() {
             return Err(Error::Schema(format!(
                 "view '{view_name}' has {} aggregates",
@@ -195,18 +192,27 @@ impl Database {
         if !view.aggs[agg_idx].is_escrow_capable() {
             return Err(Error::Schema("AVG derives only from SUM aggregates".into()));
         }
-        match self.view_aggregates(txn, view_name, group)? {
-            Some((count, aggs)) if count > 0 => {
-                Ok(Value::Float(aggs[agg_idx].as_float()? / count as f64))
+        // A visible row counts at least one base row.
+        let ngroup = view.group_types.len();
+        match self.view_lookup(txn, view_name, group)? {
+            Some(row) => {
+                let count = row.get(ngroup).as_int()?;
+                Ok(Value::Float(row.get(ngroup + 1 + agg_idx).as_float()? / count as f64))
             }
-            _ => Ok(Value::Null),
+            None => Ok(Value::Null),
         }
     }
 
     /// Snapshot read of one view row at snapshot LSN `s`: reconstruct from
     /// the version chain, or read directly when the row was never modified.
     /// Returns the row iff the group is visible at `s`.
-    fn snapshot_view_row(&self, view: &ViewDef, kb: &[u8], s: Lsn) -> Result<Option<Row>> {
+    fn snapshot_view_row(
+        &self,
+        view: &ViewDef,
+        tree: &Tree,
+        kb: &[u8],
+        s: Lsn,
+    ) -> Result<Option<Row>> {
         let mat = |image, pairs: &[_]| materialize_view_row(view, kb, image, pairs);
         let image = match self.versions.read_at(view.index, kb, s, &mat)? {
             Some(image) => image,
@@ -216,7 +222,7 @@ impl Database {
                 // our check and the read. Ask again afterwards; a chain
                 // that appeared means the bytes we read may carry an
                 // uncommitted delta, so the chain decides.
-                let phys = match self.tree(view.index)?.get(&Key::from_bytes(kb.to_vec()))? {
+                let phys = match tree.get(&Key::from_bytes(kb.to_vec()))? {
                     Some((false, v)) => Some(v),
                     _ => None,
                 };
@@ -304,7 +310,8 @@ mod tests {
             eager_group_delete: false,
         })
         .unwrap();
-        let view = db.catalog.read().view("by_branch").unwrap().clone();
+        let schema = db.schema();
+        let view = schema.catalog.view("by_branch").unwrap();
         let as_loaded: Vec<Row> = (0..4i64).map(|b| row![b, 1i64, 100 * b]).collect();
         let chained = |branch: i64| {
             db.versions.has_chain(view.index, Key::from_values(&[Value::Int(branch)]).as_bytes())
@@ -315,7 +322,7 @@ mod tests {
         // delta to the row, uncommitted — the scan will read dirty bytes.
         let mut early = db.begin(IsolationLevel::ReadCommitted);
         db.insert(&mut early, "accounts", row![10i64, 1i64, 5i64]).unwrap();
-        let (items, _) = db.tree(view.index).unwrap().scan(None, None, false).unwrap();
+        let (items, _) = schema.tree(view.index).unwrap().scan(None, None, false).unwrap();
         assert_eq!(Row::from_bytes(&items[1].value).unwrap(), row![1i64, 2i64, 105i64]);
         // After the scan, before the directory is consulted: a writer
         // seeds branch 2's chain, changes the row and commits past the
@@ -324,7 +331,7 @@ mod tests {
         db.insert(&mut late, "accounts", row![11i64, 2i64, 7i64]).unwrap();
         db.commit(&mut late).unwrap();
 
-        let rows = db.resolve_scanned(&view, items, None, None, reader.snapshot_lsn).unwrap();
+        let rows = db.resolve_scanned(view, items, None, None, reader.snapshot_lsn).unwrap();
         assert_eq!(rows, as_loaded, "neither the in-flight 5 nor the later 7");
         assert!(chained(1) && chained(2), "both writers' rows resolved through their chains");
         assert!(!chained(0) && !chained(3), "the untouched rows came from the scan items");

@@ -14,6 +14,8 @@
 
 use crate::catalog::{SecondaryIndexDef, TableDef};
 use crate::db::Database;
+use crate::schema::SchemaSnapshot;
+use txview_btree::Tree;
 use txview_common::{Error, Key, Result, Row, Value};
 use txview_lock::{LockMode, LockName};
 use txview_txn::Transaction;
@@ -28,28 +30,31 @@ impl Database {
         cols: &[usize],
         unique: bool,
     ) -> Result<()> {
-        let (def, base) = {
-            let mut cat = self.catalog.write();
-            let t = cat.table(table)?.clone();
+        let index = self.change_schema(|cat| {
+            let t = cat.table(table)?;
             if let Some(c) = cols.iter().find(|&&c| c >= t.schema.arity()) {
                 return Err(Error::Schema(format!("index column {c} out of range")));
             }
-            let (index, root) = self.create_tree(&mut cat)?;
-            let def = SecondaryIndexDef {
+            let table = t.id;
+            let (index, root) = self.create_tree(cat)?;
+            let cols = cols.to_vec();
+            cat.add_index(SecondaryIndexDef {
                 name: name.to_string(),
-                table: t.id,
-                cols: cols.to_vec(),
+                table,
+                cols,
                 unique,
                 index,
                 root,
-            };
-            cat.add_index(def.clone())?;
-            (def, t)
-        };
+            })?;
+            Ok(index)
+        })?;
         // Populate from the current base rows.
-        let (items, _) = self.tree(base.index)?.scan(None, None, false)?;
+        let s = self.schema();
+        let def = &s.catalog.indexes[&index];
+        let base = s.catalog.table_by_id(def.table)?;
+        let (items, _) = s.tree(base.index)?.scan(None, None, false)?;
         let entries = items.into_iter().map(|item| {
-            Ok(entry_for(&def, &base.schema, &Row::from_bytes(&item.value)?))
+            Ok(entry_for(def, &base.schema, &Row::from_bytes(&item.value)?))
         });
         self.bulk_load(def.index, entries).map_err(|e| match e {
             Error::DuplicateKey(k) => {
@@ -65,23 +70,21 @@ impl Database {
     pub(crate) fn maintain_secondary(
         &self,
         txn: &mut Transaction,
+        s: &SchemaSnapshot,
         table: &TableDef,
         new: Option<&Row>,
         old: Option<&Row>,
     ) -> Result<()> {
-        let defs: Vec<SecondaryIndexDef> = {
-            let cat = self.catalog.read();
-            cat.indexes_on(table.id).into_iter().cloned().collect()
-        };
-        for def in &defs {
+        for def in s.indexes_on(table.id) {
+            let tree = s.tree(def.index)?;
             match (old, new) {
-                (None, Some(n)) => self.secondary_insert(txn, def, table, n)?,
-                (Some(o), None) => self.secondary_delete(txn, def, table, o)?,
+                (None, Some(n)) => self.secondary_insert(txn, def, tree, table, n)?,
+                (Some(o), None) => self.secondary_delete(txn, def, tree, table, o)?,
                 (Some(o), Some(n)) => {
                     let moved = def.cols.iter().any(|&c| o.get(c) != n.get(c));
                     if moved {
-                        self.secondary_delete(txn, def, table, o)?;
-                        self.secondary_insert(txn, def, table, n)?;
+                        self.secondary_delete(txn, def, tree, table, o)?;
+                        self.secondary_insert(txn, def, tree, table, n)?;
                     }
                 }
                 (None, None) => {}
@@ -94,11 +97,11 @@ impl Database {
         &self,
         txn: &mut Transaction,
         def: &SecondaryIndexDef,
+        tree: &Tree,
         table: &TableDef,
         row: &Row,
     ) -> Result<()> {
         let (key, value) = entry_for(def, &table.schema, row);
-        let tree = self.tree(def.index)?;
         self.locks.acquire(txn.id, LockName::key(def.index, key.as_bytes()), LockMode::X)?;
         match tree.get(&key)? {
             // A live entry can only collide on a unique index (the
@@ -107,13 +110,13 @@ impl Database {
             Some((false, _)) => {
                 Err(Error::DuplicateKey(format!("unique index '{}' at {key:?}", def.name)))
             }
-            Some((true, old)) => self.put_entry(txn, &tree, def.index, &key, &value, Some(old)),
+            Some((true, old)) => self.put_entry(txn, tree, def.index, &key, &value, Some(old)),
             None => {
                 // Instant insert-intention gap lock: conflicts with any
                 // serializable reader holding the target range.
-                let gap = self.gap_after(&tree, def.index, &key)?;
+                let gap = self.gap_after(tree, def.index, &key)?;
                 self.locks.acquire(txn.id, gap.clone(), LockMode::X)?;
-                self.put_entry(txn, &tree, def.index, &key, &value, None)?;
+                self.put_entry(txn, tree, def.index, &key, &value, None)?;
                 self.locks.release(txn.id, &gap);
                 Ok(())
             }
@@ -124,14 +127,14 @@ impl Database {
         &self,
         txn: &mut Transaction,
         def: &SecondaryIndexDef,
+        tree: &Tree,
         table: &TableDef,
         row: &Row,
     ) -> Result<()> {
         let (key, _) = entry_for(def, &table.schema, row);
-        let tree = self.tree(def.index)?;
         self.locks.acquire(txn.id, LockName::key(def.index, key.as_bytes()), LockMode::X)?;
         match tree.get(&key)? {
-            Some((false, image)) => self.ghost_entry(txn, &tree, def.index, &key, image),
+            Some((false, image)) => self.ghost_entry(txn, tree, def.index, &key, image),
             _ => Err(Error::corruption(format!(
                 "secondary index '{}' missing entry {key:?}",
                 def.name
@@ -148,21 +151,19 @@ impl Database {
         index_name: &str,
         values: &[Value],
     ) -> Result<Vec<Row>> {
-        let def = self.catalog.read().index(index_name)?.clone();
-        let table = {
-            let cat = self.catalog.read();
-            cat.table_by_id(def.table)?.clone()
-        };
+        let s = self.schema();
+        let def = s.catalog.index(index_name)?;
+        let table = s.catalog.table_by_id(def.table)?;
         if values.len() != def.cols.len() {
             return Err(Error::Schema(format!(
                 "index '{index_name}' expects {} values",
                 def.cols.len()
             )));
         }
-        let tree = self.tree(def.index)?;
+        let tree = s.tree(def.index)?;
         let lo = Key::from_values(values);
         let mut out = Vec::new();
-        self.locked_scan(txn, &tree, Some(&lo), lo.prefix_upper_bound().as_ref(), false, |txn, pk| {
+        self.locked_scan(txn, tree, Some(&lo), lo.prefix_upper_bound().as_ref(), false, |txn, pk| {
             // Back-probe the base row the entry names.
             out.extend(self.get_row(txn, &table.name, Row::from_bytes(&pk)?.values())?);
             Ok(())

@@ -187,3 +187,42 @@ fn update_moving_between_composite_groups() {
         .is_some());
     db.commit(&mut r).unwrap();
 }
+
+/// Eight views on one table: an insert logs their escrow records in
+/// ascending view-index order, on every database built the same way. A
+/// table's views are maintained in creation order, so their E locks are
+/// taken, and their records logged, in one order on every run.
+#[test]
+fn a_tables_views_are_maintained_in_creation_order() {
+    use txview_wal::{record::UndoOp, RecordBody};
+    let run = || {
+        let db = setup();
+        let t = ViewSource::Single { table: txview_common::ObjectId(1), group_by: vec![2] };
+        for i in 0..7 {
+            db.create_indexed_view(ViewSpec {
+                name: format!("by_desk_{i}"),
+                source: t.clone(),
+                aggs: vec![AggSpec::SumInt { col: 3 }],
+                filter: Predicate::True,
+                maintenance: MaintenanceMode::Escrow,
+                deferred: false,
+                eager_group_delete: false,
+            })
+            .unwrap();
+        }
+        let from = db.log().end_lsn();
+        let mut txn = db.begin(IsolationLevel::ReadCommitted);
+        db.insert(&mut txn, "trades", trade(1, "emea", 1, 100, 10.5)).unwrap();
+        db.commit(&mut txn).unwrap();
+        let records = db.log().read_durable_from(from.0).unwrap();
+        let escrow = records.into_iter().filter_map(|r| match r.body {
+            RecordBody::Update { undo: UndoOp::Escrow { index, .. }, .. } => Some(index.0),
+            _ => None,
+        });
+        escrow.collect::<Vec<u32>>()
+    };
+    let first = run();
+    assert_eq!(first.len(), 8, "{first:?}");
+    assert!(first.windows(2).all(|w| w[0] < w[1]), "{first:?}");
+    assert_eq!(run(), first);
+}

@@ -13,7 +13,9 @@
 //! * garbage, alone or in front of a valid encoding, never panics;
 //! * retired layouts are refused: WAL tags 1 (Begin) and 7, wire code 6,
 //!   catalog view tag 1 (an attached hash index), the headerless catalog
-//!   and the 16-byte master.
+//!   and the 16-byte master;
+//! * a catalog that names two views alike or gives two definitions one id
+//!   is refused, though every byte of it is well formed.
 //!
 //! The log gets one more, exhaustive check of its own (log format version
 //! 2): every truncation and every single-byte substitution of an encoded
@@ -24,9 +26,14 @@
 use proptest::prelude::*;
 use std::path::PathBuf;
 use txview_common::codec::Writer;
-use txview_common::{frame, Error, IndexId, Lsn, PageId, TxnId, Value};
+use txview_common::schema::{Column, Schema};
+use txview_common::value::ValueType;
+use txview_common::{frame, Error, IndexId, Lsn, ObjectId, PageId, TxnId, Value, ViewId};
 use txview_engine::catalog::{Catalog, CATALOG_HEADER};
 use txview_engine::repl::Frame;
+use txview_engine::{
+    AggSpec, MaintenanceMode, Predicate, SecondaryIndexDef, TableDef, ViewDef, ViewSource,
+};
 use txview_server::wire::{decode_frame, encode_frame, Request, Response, WireErrorCode};
 use txview_storage::page::{Page, PageType, PAGE_SIZE};
 use txview_wal::log::LOG_HEADER_LEN;
@@ -414,5 +421,66 @@ fn retired_layouts_are_refused() {
         for (i, bytes) in (f.retired)().iter().enumerate() {
             assert_eq!((f.decode)(bytes), Seen::Refused, "{}: retired layout {i}", f.name);
         }
+    }
+}
+
+/// A catalog whose second view takes the first view's name, or whose
+/// definitions share an id, is `Corruption`: decoding it would drop a
+/// definition or open two definitions over one tree. Each sample is a
+/// valid catalog (a table, views `va` and `vb`, a secondary index; every
+/// id a distinct 4-byte pattern) with one field overwritten, re-sealed.
+#[test]
+fn catalog_duplicates_are_refused() {
+    let id = |n: u32| 0x5A5A_0000 | n;
+    let mut cat = Catalog::new();
+    let schema = Schema::new(
+        vec![Column::new("id", ValueType::Int), Column::new("grp", ValueType::Int)],
+        vec![0],
+    )
+    .unwrap();
+    let (t, root) = (ObjectId(id(1)), PageId(1));
+    cat.add_table(TableDef { id: t, name: "t".into(), schema, index: IndexId(id(2)), root })
+        .unwrap();
+    for (n, name) in [(0x10, "va"), (0x20, "vb")] {
+        cat.add_view(ViewDef {
+            id: ViewId(id(n)),
+            object: ObjectId(id(n + 1)),
+            name: name.into(),
+            source: ViewSource::Single { table: t, group_by: vec![1] },
+            aggs: vec![AggSpec::SumInt { col: 1 }],
+            filter: Predicate::True,
+            maintenance: MaintenanceMode::Escrow,
+            deferred: false,
+            eager_group_delete: false,
+            index: IndexId(id(n + 2)),
+            root,
+            group_types: vec![ValueType::Int],
+        })
+        .unwrap();
+    }
+    let index = IndexId(id(0x30));
+    let def =
+        SecondaryIndexDef { name: "i".into(), table: t, cols: vec![1], unique: false, index, root };
+    cat.add_index(def).unwrap();
+    let good = cat.encode();
+    assert!(Catalog::decode(&good).is_ok());
+    let body = frame::decode_exact(&good[CATALOG_HEADER.len()..], "catalog").unwrap();
+    let le = |n: u32| id(n).to_le_bytes().to_vec();
+    for (what, from, to) in [
+        ("a view's name", b"vb".to_vec(), b"va".to_vec()),
+        ("a view id", le(0x20), le(0x10)),
+        ("a view's object id", le(0x21), le(0x11)),
+        ("a table's object id", le(0x21), le(1)),
+        ("a view's index id", le(0x22), le(0x12)),
+        ("a table's index id", le(0x22), le(2)),
+        ("a view's index id, on a secondary index", le(0x30), le(0x12)),
+    ] {
+        let at: Vec<usize> = (0..body.len()).filter(|&i| body[i..].starts_with(&from)).collect();
+        assert_eq!(at.len(), 1, "{what}: the field is found once");
+        let mut patched = body.to_vec();
+        patched[at[0]..at[0] + to.len()].copy_from_slice(&to);
+        let sealed = [&CATALOG_HEADER[..], &frame::encode(&patched)].concat();
+        let decoded = Catalog::decode(&sealed).map(|cat| cat.views().count());
+        assert!(matches!(decoded, Err(Error::Corruption(_))), "{what} taken twice: {decoded:?}");
     }
 }
