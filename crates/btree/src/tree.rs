@@ -265,18 +265,18 @@ impl Tree {
         Ok(old)
     }
 
-    /// Add `(position, delta)` pairs to the fixed-width values of `key`'s
-    /// value from value offset `region_off` on (escrow apply and its undo;
-    /// see [`txview_wal::record::add_deltas`]); returns the value's bytes
-    /// from `region_off` on, after the add. The change is logged as the
-    /// deltas themselves, under one leaf latch, so concurrent escrow
-    /// transactions serialize physically while remaining concurrent
-    /// logically. A mistyped or out-of-range pair fails before any byte
-    /// changes or anything is logged.
+    /// Add `(position, delta)` pairs to the fixed-width values of the
+    /// region that is the last `region_len` bytes of `key`'s value (escrow
+    /// apply and its undo; see [`txview_wal::record::add_deltas`]); returns
+    /// the region after the add. The change is logged as the deltas
+    /// themselves, under one leaf latch, so concurrent escrow transactions
+    /// serialize physically while remaining concurrent logically. A
+    /// mistyped or out-of-range pair fails before any byte changes or
+    /// anything is logged.
     pub fn add_to_value(
         &self,
         key: &Key,
-        region_off: usize,
+        region_len: usize,
         deltas: &[(u16, ValueDelta)],
         ctx: &mut LogCtx<'_>,
         how: &OpLog,
@@ -286,7 +286,9 @@ impl Tree {
         let mut g = leaf.write();
         let idx = node::leaf_search(&g, key.as_bytes())
             .map_err(|_| Error::NotFound(format!("{key:?} in index {}", self.index_id.0)))?;
-        let rec_off = node::leaf_value_offset(key.len()) + region_off;
+        let rec_off = (node::slots(&g).get(idx).len().checked_sub(region_len))
+            .filter(|&off| off >= node::leaf_value_offset(key.len()))
+            .ok_or_else(|| Error::corruption("value shorter than its region"))?;
         let (idx16, off16) = (idx as u16, rec_off as u16);
         let redo = RedoOp::SlotAdd { idx: idx16, off: off16, deltas: deltas.to_vec() };
         let inverse_deltas = deltas.iter().map(|&(p, d)| (p, d.inverse())).collect();
@@ -910,13 +912,14 @@ mod tests {
         let mut ctx = LogCtx { log: &log, txn, last_lsn: &mut last };
         let how = OpLog::Update { undo: UndoOp::None };
         let deltas = [(0, ValueDelta::Int(1)), (1, ValueDelta::Int(-5))];
-        let region = tree.add_to_value(&k(7), 1, &deltas, &mut ctx, &how).unwrap();
+        let region = tree.add_to_value(&k(7), 18, &deltas, &mut ctx, &how).unwrap();
         assert_eq!(region, fixed(&[Value::Int(3), Value::Int(35)]));
         let want = [b"G".to_vec(), region].concat();
         assert_eq!(tree.get(&k(7)).unwrap(), Some((false, want.clone())));
         // A mistyped delta changes nothing and logs nothing.
         let before = *ctx.last_lsn;
-        assert!(tree.add_to_value(&k(7), 1, &[(1, ValueDelta::Float(1.0))], &mut ctx, &how).is_err());
+        assert!(tree.add_to_value(&k(7), 18, &[(1, ValueDelta::Float(1.0))], &mut ctx, &how).is_err());
+        assert!(tree.add_to_value(&k(7), 20, &deltas, &mut ctx, &how).is_err(), "region past the value");
         assert_eq!(*ctx.last_lsn, before);
         assert_eq!(tree.get(&k(7)).unwrap(), Some((false, want)));
     }

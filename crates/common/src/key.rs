@@ -60,6 +60,11 @@ impl Key {
         &self.0
     }
 
+    /// The encoded bytes, by value.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.0
+    }
+
     /// Wrap pre-encoded bytes (trusted — used when reading keys back off a
     /// page that this module wrote).
     pub fn from_bytes(bytes: Vec<u8>) -> Key {

@@ -8,8 +8,9 @@
 //! the dimension table, done by the caller).
 
 use crate::catalog::{AggSpec, ViewDef, ViewSource};
-use crate::escrow::RowDelta;
+use crate::escrow::zero_aggs;
 use txview_common::{Error, Result, Row, Value};
+use txview_view::RowDelta;
 use txview_wal::record::ValueDelta;
 
 /// The aggregate contributions of one qualifying row, with `sign` +1 for
@@ -23,45 +24,48 @@ pub fn row_contribution(view: &ViewDef, row: &Row, sign: i64) -> Result<Option<V
     }
     let mut out = Vec::with_capacity(view.aggs.len());
     for spec in &view.aggs {
-        let v = row.get(spec.col());
-        if v.is_null() {
-            return Err(Error::Schema(format!(
-                "NULL in aggregated column {} (view '{}')",
-                spec.col(),
-                view.name
-            )));
-        }
-        let d = match spec {
-            AggSpec::SumInt { .. } | AggSpec::Avg { float: false, .. } => {
-                ValueDelta::Int(v.as_int()? * sign)
-            }
-            AggSpec::SumFloat { .. } | AggSpec::Avg { float: true, .. } => {
-                ValueDelta::Float(v.as_float()? * sign as f64)
-            }
-            AggSpec::Min { .. } | AggSpec::Max { .. } => match v {
-                Value::Int(i) => ValueDelta::Int(*i),
-                Value::Float(f) => ValueDelta::Float(*f),
-                other => {
-                    return Err(Error::Schema(format!("MIN/MAX over {other:?} unsupported")))
-                }
-            },
-        };
-        out.push(d);
+        out.push(contribution(view, spec, row, sign)?);
     }
     Ok(Some(out))
 }
 
+/// One aggregate's contribution of `row` (see [`row_contribution`]).
+fn contribution(view: &ViewDef, spec: &AggSpec, row: &Row, sign: i64) -> Result<ValueDelta> {
+    let v = row.get(spec.col());
+    if v.is_null() {
+        return Err(Error::Schema(format!(
+            "NULL in aggregated column {} (view '{}')",
+            spec.col(),
+            view.name
+        )));
+    }
+    Ok(match spec {
+        AggSpec::SumInt { .. } | AggSpec::Avg { float: false, .. } => {
+            ValueDelta::Int(v.as_int()? * sign)
+        }
+        AggSpec::SumFloat { .. } | AggSpec::Avg { float: true, .. } => {
+            ValueDelta::Float(v.as_float()? * sign as f64)
+        }
+        AggSpec::Min { .. } | AggSpec::Max { .. } => match v {
+            Value::Int(i) => ValueDelta::Int(*i),
+            Value::Float(f) => ValueDelta::Float(*f),
+            other => return Err(Error::Schema(format!("MIN/MAX over {other:?} unsupported"))),
+        },
+    })
+}
+
+/// The group-by columns of a single-table view.
+fn single_group_by(view: &ViewDef) -> Result<&[usize]> {
+    match &view.source {
+        ViewSource::Single { group_by, .. } => Ok(group_by),
+        ViewSource::Join { .. } => Err(Error::invalid("single_table_delta on a join view")),
+        ViewSource::Derived { .. } => Err(Error::invalid("single_table_delta on a derived view")),
+    }
+}
+
 /// Delta of a single-table view for an inserted (+1) or deleted (−1) row.
 pub fn single_table_delta(view: &ViewDef, row: &Row, sign: i64) -> Result<Option<RowDelta>> {
-    let group_by = match &view.source {
-        ViewSource::Single { group_by, .. } => group_by,
-        ViewSource::Join { .. } => {
-            return Err(Error::invalid("single_table_delta on a join view"))
-        }
-        ViewSource::Derived { .. } => {
-            return Err(Error::invalid("single_table_delta on a derived view"))
-        }
-    };
+    let group_by = single_group_by(view)?;
     Ok(row_contribution(view, row, sign)?.map(|aggs| RowDelta {
         group: group_by.iter().map(|&c| row.get(c).clone()).collect(),
         count: sign,
@@ -82,33 +86,28 @@ pub fn join_delta(
 
 /// Deltas of a single-table view for an update `old → new`.
 ///
-/// If the group is unchanged and both rows qualify, the two contributions
-/// are merged into one delta with count 0 (the common fast path: only the
-/// aggregated columns moved). Otherwise a −1 delta for the old row and a
-/// +1 delta for the new row are emitted. MIN/MAX views never merge (the
-/// departing value may have been the extremum).
+/// If the group is unchanged, both rows qualify and every aggregate is
+/// additive, the update is one delta with count 0 (the common fast path:
+/// only the aggregated columns moved). Otherwise a −1 delta for the old row
+/// and a +1 delta for the new row are emitted. MIN/MAX views never merge
+/// (the departing value may have been the extremum).
 pub fn update_deltas(view: &ViewDef, old: &Row, new: &Row) -> Result<Vec<RowDelta>> {
-    let d_old = single_table_delta(view, old, -1)?;
-    let d_new = single_table_delta(view, new, 1)?;
-    let mergeable = view.aggs.iter().all(AggSpec::is_escrow_capable);
-    match (d_old, d_new) {
-        (None, None) => Ok(vec![]),
-        (Some(o), None) => Ok(vec![o]),
-        (None, Some(n)) => Ok(vec![n]),
-        (Some(o), Some(n)) => {
-            if mergeable && o.group == n.group {
-                let aggs = o
-                    .aggs
-                    .iter()
-                    .zip(&n.aggs)
-                    .map(|(a, b)| a.checked_add(*b))
-                    .collect::<Result<Vec<_>>>()?;
-                Ok(vec![RowDelta { group: n.group, count: 0, aggs }])
-            } else {
-                Ok(vec![o, n])
-            }
-        }
+    let group_by = single_group_by(view)?;
+    let one_delta = view.aggs.iter().all(AggSpec::is_escrow_capable)
+        && view.filter.eval(old)
+        && view.filter.eval(new)
+        && group_by.iter().all(|&c| old.get(c) == new.get(c));
+    if !one_delta {
+        let d_old = single_table_delta(view, old, -1)?;
+        return Ok(d_old.into_iter().chain(single_table_delta(view, new, 1)?).collect());
     }
+    let mut aggs = Vec::with_capacity(view.aggs.len());
+    for spec in &view.aggs {
+        let departing = contribution(view, spec, old, -1)?;
+        aggs.push(departing.checked_add(contribution(view, spec, new, 1)?)?);
+    }
+    let group = group_by.iter().map(|&c| new.get(c).clone()).collect();
+    Ok(vec![RowDelta { group, count: 0, aggs }])
 }
 
 /// The group values of a derived-view row for a given parent group.
@@ -209,19 +208,7 @@ pub fn fold_derived(
             .collect::<Result<Vec<_>>>()?;
         let d = RowDelta { group: pgroup.clone(), count: *pcount, aggs };
         let cd = derived_delta(child, parent, &d)?;
-        let entry = out.entry(cd.group.clone()).or_insert_with(|| {
-            let zeros = child
-                .aggs
-                .iter()
-                .map(|a| match a {
-                    AggSpec::SumFloat { .. } | AggSpec::Avg { float: true, .. } => {
-                        Value::Float(0.0)
-                    }
-                    _ => Value::Int(0),
-                })
-                .collect();
-            (0i64, zeros)
-        });
+        let entry = out.entry(cd.group.clone()).or_insert_with(|| (0, zero_aggs(child)));
         entry.0 += cd.count;
         for (slot, dv) in entry.1.iter_mut().zip(&cd.aggs) {
             *slot = dv.apply_to(slot)?;
@@ -279,40 +266,47 @@ mod tests {
         assert!(single_table_delta(&v, &row![1i64, 7i64, 2000i64], 1).unwrap().is_some());
     }
 
-    #[test]
-    fn update_same_group_merges_to_count_zero() {
-        let v = sum_view(Predicate::True);
-        let ds = update_deltas(&v, &row![1i64, 7i64, 100i64], &row![1i64, 7i64, 130i64]).unwrap();
-        assert_eq!(ds.len(), 1);
-        assert_eq!(ds[0].count, 0);
-        assert_eq!(ds[0].aggs, vec![ValueDelta::Int(30)]);
+    /// The two-deltas-then-zip formulation `update_deltas` replaced: the
+    /// reference its one-delta fast path must agree with.
+    fn two_delta_update(view: &ViewDef, old: &Row, new: &Row) -> Result<Vec<RowDelta>> {
+        let d_old = single_table_delta(view, old, -1)?;
+        let d_new = single_table_delta(view, new, 1)?;
+        let additive = view.aggs.iter().all(AggSpec::is_escrow_capable);
+        Ok(match (d_old, d_new) {
+            (Some(o), Some(n)) if additive && o.group == n.group => {
+                let zipped = o.aggs.iter().zip(&n.aggs);
+                let aggs = zipped.map(|(a, b)| a.checked_add(*b)).collect::<Result<_>>()?;
+                vec![RowDelta { group: n.group, count: 0, aggs }]
+            }
+            (o, n) => o.into_iter().chain(n).collect(),
+        })
     }
 
     #[test]
-    fn update_group_move_emits_two_deltas() {
-        let v = sum_view(Predicate::True);
-        let ds = update_deltas(&v, &row![1i64, 7i64, 100i64], &row![1i64, 8i64, 100i64]).unwrap();
-        assert_eq!(ds.len(), 2);
-        assert_eq!(ds[0].group, vec![Value::Int(7)]);
-        assert_eq!(ds[0].count, -1);
-        assert_eq!(ds[1].group, vec![Value::Int(8)]);
-        assert_eq!(ds[1].count, 1);
-    }
-
-    #[test]
-    fn update_into_filter_emits_insert_only() {
-        let v = sum_view(Predicate::Cmp { col: 2, op: CmpOp::Ge, value: Value::Int(150) });
-        let ds = update_deltas(&v, &row![1i64, 7i64, 100i64], &row![1i64, 7i64, 200i64]).unwrap();
-        assert_eq!(ds.len(), 1);
-        assert_eq!(ds[0].count, 1);
-    }
-
-    #[test]
-    fn min_max_view_never_merges_updates() {
-        let mut v = sum_view(Predicate::True);
-        v.aggs = vec![AggSpec::Min { col: 2 }];
-        let ds = update_deltas(&v, &row![1i64, 7i64, 100i64], &row![1i64, 7i64, 130i64]).unwrap();
-        assert_eq!(ds.len(), 2, "MIN views need delete+insert handling");
+    fn update_deltas_match_the_two_delta_reference() {
+        let ge150 = Predicate::Cmp { col: 2, op: CmpOp::Ge, value: Value::Int(150) };
+        let mut float_view = sum_view(Predicate::True);
+        float_view.aggs = vec![AggSpec::SumFloat { col: 3 }, AggSpec::Avg { col: 2, float: false }];
+        let mut minmax = sum_view(Predicate::True);
+        minmax.aggs = vec![AggSpec::Min { col: 2 }, AggSpec::Max { col: 2 }];
+        let r = |g: i64, amt: i64| row![1i64, g, amt, amt as f64 / 4.0];
+        #[rustfmt::skip]
+        let cases: [(&str, ViewDef, Row, Row, usize); 9] = [
+            ("same group", sum_view(Predicate::True), r(7, 100), r(7, 130), 1),
+            ("same group, float and avg", float_view.clone(), r(7, 100), r(7, 130), 1),
+            ("same group, no change", sum_view(Predicate::True), r(7, 100), r(7, 100), 1),
+            ("moved group", sum_view(Predicate::True), r(7, 100), r(8, 130), 2),
+            ("moved group, float", float_view, r(7, 100), r(8, 100), 2),
+            ("filter in", sum_view(ge150.clone()), r(7, 100), r(7, 200), 1),
+            ("filter out", sum_view(ge150.clone()), r(7, 200), r(7, 100), 1),
+            ("filtered both", sum_view(ge150), r(7, 100), r(7, 120), 0),
+            ("min/max same group", minmax, r(7, 100), r(7, 130), 2),
+        ];
+        for (name, view, old, new, n) in cases {
+            let got = update_deltas(&view, &old, &new).unwrap();
+            assert_eq!(got, two_delta_update(&view, &old, &new).unwrap(), "{name}");
+            assert_eq!(got.len(), n, "{name}");
+        }
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! where every aggregate column (including the count) is stored as a
 //! *fixed-width* INT or FLOAT value — 9 encoded bytes each — so escrow
 //! increments can be applied as same-length in-place patches of the record's
-//! trailing "aggregate region". The region's byte offset depends only on the
-//! group values, which never change for a given row.
+//! trailing "aggregate region". The region is found one way: as the row's
+//! tail, its last [`agg_region_len`] bytes, so no apply re-encodes the
+//! group values to locate it.
 //!
 //! `COUNT_BIG(*)` doubles as the row's existence flag: a view row is
 //! *visible* iff its count is positive. Decrement-to-zero therefore "ghosts"
@@ -20,76 +21,25 @@
 
 use crate::catalog::{AggSpec, ViewDef};
 use txview_common::codec::{Reader, Writer};
-use txview_common::{Error, Key, Result, Row, Value};
+use txview_common::{Error, Result, Row, Value};
+use txview_view::RowDelta;
 use txview_wal::record::{add_deltas, ValueDelta, FIXED_VALUE_BYTES};
-
-/// A maintenance delta for one view row: how DML on the base table changes
-/// one group's aggregates.
-#[derive(Clone, PartialEq, Debug)]
-pub struct RowDelta {
-    /// The group-by values (the view key).
-    pub group: Vec<Value>,
-    /// COUNT_BIG delta (+1 per qualifying inserted row, −1 per delete).
-    pub count: i64,
-    /// Per-aggregate deltas, aligned with `ViewDef::aggs`. For MIN/MAX these
-    /// carry the *contributing value* instead of an additive delta.
-    pub aggs: Vec<ValueDelta>,
-}
-
-impl RowDelta {
-    /// The view key for this delta.
-    pub fn key(&self) -> Key {
-        Key::from_values(&self.group)
-    }
-
-    /// The inverse delta (rollback).
-    pub fn inverse(&self) -> RowDelta {
-        RowDelta {
-            group: self.group.clone(),
-            count: -self.count,
-            aggs: self.aggs.iter().map(|d| d.inverse()).collect(),
-        }
-    }
-
-    /// True when applying this delta changes nothing: zero count delta and
-    /// every aggregate delta exactly zero. Used both to skip no-op applies
-    /// and to keep deferred-staleness accounting honest.
-    pub fn is_noop(&self) -> bool {
-        self.count == 0
-            && self.aggs.iter().all(|d| match d {
-                ValueDelta::Int(v) => *v == 0,
-                ValueDelta::Float(v) => *v == 0.0,
-            })
-    }
-
-    /// Flatten into the `(region position, delta)` pairs an escrow change
-    /// logs once for redo and undo ([`txview_wal::record::RedoOp::SlotAdd`],
-    /// [`txview_wal::record::UndoOp::Escrow`]): position 0 is the count,
-    /// positions 1.. are the aggregates. Zero deltas change nothing and are
-    /// left out.
-    pub fn to_undo_pairs(&self) -> Vec<(u16, ValueDelta)> {
-        let all = std::iter::once(ValueDelta::Int(self.count)).chain(self.aggs.iter().copied());
-        (0u16..).zip(all).filter(|(_, d)| !d.is_zero()).collect()
-    }
-}
 
 /// Encoded byte length of one fixed-width aggregate value (tag + 8).
 pub const AGG_VALUE_BYTES: usize = FIXED_VALUE_BYTES;
-
-/// Byte offset of the aggregate region within an encoded view row whose
-/// group values are `group`: the row header (arity) plus the group values.
-pub fn agg_region_offset(group: &[Value]) -> usize {
-    let mut w = Writer::new();
-    for v in group {
-        v.encode(&mut w);
-    }
-    2 + w.len()
-}
 
 /// Byte length of the aggregate region for a view with `n_aggs` user
 /// aggregates (count included).
 pub fn agg_region_len(n_aggs: usize) -> usize {
     (1 + n_aggs) * AGG_VALUE_BYTES
+}
+
+/// Byte offset of the aggregate region within an encoded view row of
+/// `row_len` bytes: the region is the row's tail.
+pub fn agg_region_start(row_len: usize, n_aggs: usize) -> Result<usize> {
+    row_len
+        .checked_sub(agg_region_len(n_aggs))
+        .ok_or_else(|| Error::corruption("view row shorter than its aggregate region"))
 }
 
 /// Encode a full view row (group values + count + aggregates).
@@ -207,17 +157,23 @@ pub fn apply_insert_merge(region: &[u8], view: &ViewDef, delta: &RowDelta) -> Re
     Ok(encode_agg_region(new_count, &aggs))
 }
 
+/// The zero delta of each of `view`'s aggregates: the one definition of a
+/// view's neutral aggregates, which also fixes each slot's type.
+pub fn zero_deltas(view: &ViewDef) -> Vec<ValueDelta> {
+    view.aggs
+        .iter()
+        .map(|spec| match spec {
+            AggSpec::SumFloat { .. } | AggSpec::Avg { float: true, .. } => ValueDelta::Float(0.0),
+            _ => ValueDelta::Int(0),
+        })
+        .collect()
+}
+
 /// Neutral aggregate values for a freshly materialized (invisible,
 /// COUNT_BIG = 0) group row. MIN/MAX placeholders are overwritten by the
 /// first merge (count 0 ⇒ take the contributed value unconditionally).
 pub fn zero_aggs(view: &ViewDef) -> Vec<Value> {
-    view.aggs
-        .iter()
-        .map(|spec| match spec {
-            AggSpec::SumFloat { .. } | AggSpec::Avg { float: true, .. } => Value::Float(0.0),
-            _ => Value::Int(0),
-        })
-        .collect()
+    zero_deltas(view).iter().map(delta_value).collect()
 }
 
 /// Decide whether a single-row delete (`delta.count < 0`) retires a stored
@@ -333,15 +289,27 @@ mod tests {
         view(vec![AggSpec::SumInt { col: 2 }, AggSpec::SumFloat { col: 3 }])
     }
 
+    /// The region is the row's tail: it starts after the arity header and
+    /// the encoded group values, whatever their type and number.
     #[test]
-    fn region_offset_matches_row_encoding() {
-        let group = vec![Value::Int(7), Value::Str("g".into())];
-        let row_bytes = encode_view_row(&group, 3, &[Value::Int(10), Value::Float(0.5)]).unwrap();
-        let off = agg_region_offset(&group);
-        let (count, aggs) = decode_agg_region(&row_bytes[off..], 2).unwrap();
-        assert_eq!(count, 3);
-        assert_eq!(aggs, vec![Value::Int(10), Value::Float(0.5)]);
-        assert_eq!(row_bytes.len() - off, agg_region_len(2));
+    fn tail_rule_finds_the_region_after_the_group() {
+        let groups = [
+            vec![Value::Int(7)],
+            vec![Value::Float(-2.5)],
+            vec![Value::Str("west".into())],
+            vec![Value::Int(7), Value::Str("g".into()), Value::Float(0.5)],
+            vec![Value::Int(0)], // the global rollup's synthetic group
+        ];
+        for group in groups {
+            let mut w = Writer::new();
+            group.iter().for_each(|v| v.encode(&mut w));
+            let row = encode_view_row(&group, 3, &[Value::Int(10), Value::Float(0.5)]).unwrap();
+            let off = agg_region_start(row.len(), 2).unwrap();
+            assert_eq!(off, 2 + w.len(), "{group:?}");
+            let region = decode_agg_region(&row[off..], 2).unwrap();
+            assert_eq!(region, (3, vec![Value::Int(10), Value::Float(0.5)]));
+        }
+        assert!(agg_region_start(AGG_VALUE_BYTES, 1).is_err(), "row shorter than its region");
     }
 
     /// Forward pairs, then their inverses (what an escrow undo adds),
@@ -589,23 +557,6 @@ mod tests {
         let (c, a) = decode_agg_region(&after, 2).unwrap();
         assert_eq!(c, 2);
         assert_eq!(a, vec![Value::Int(10), Value::Int(100)]);
-    }
-
-    /// Position 0 is COUNT_BIG, then the aggregates; zero deltas are left
-    /// out, so a balance update that keeps the row count logs one pair.
-    #[test]
-    fn undo_pairs_layout() {
-        let delta = RowDelta {
-            group: vec![],
-            count: -1,
-            aggs: vec![ValueDelta::Int(-7), ValueDelta::Float(0.0)],
-        };
-        assert_eq!(
-            delta.to_undo_pairs(),
-            vec![(0, ValueDelta::Int(-1)), (1, ValueDelta::Int(-7))]
-        );
-        let update = RowDelta { group: vec![], count: 0, aggs: vec![ValueDelta::Int(0), ValueDelta::Float(2.5)] };
-        assert_eq!(update.to_undo_pairs(), vec![(2, ValueDelta::Float(2.5))]);
     }
 
     #[test]

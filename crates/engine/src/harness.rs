@@ -9,7 +9,7 @@
 use crate::catalog::{ViewDef, ViewSource};
 use crate::db::{CascadeTrace, Database};
 use crate::delta::{fold_derived, row_contribution};
-use crate::escrow::{self, apply_insert_merge, encode_view_row, initial_aggs, RowDelta};
+use crate::escrow::{self, apply_insert_merge, encode_view_row, initial_aggs};
 use crate::maintain::visible_row;
 use crate::schema::SchemaSnapshot;
 use crate::secondary::entry_for;
@@ -18,6 +18,7 @@ use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use txview_common::{Error, Key, Result, Row, Value};
 use txview_txn::IsolationLevel;
+use txview_view::RowDelta;
 use txview_wal::record::UndoOp;
 
 /// A view's contents as `group → (COUNT_BIG, aggregates)`.

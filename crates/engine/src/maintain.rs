@@ -29,14 +29,14 @@
 use crate::catalog::{AggSpec, TableDef, ViewDef, ViewSource};
 use crate::db::Database;
 use crate::delta::{derived_delta, join_delta, single_table_delta, update_deltas};
-use crate::escrow::{self, agg_region_offset, apply_insert_merge, encode_view_row, RowDelta};
+use crate::escrow::{self, apply_insert_merge, encode_view_row};
 use crate::schema::SchemaSnapshot;
 use std::sync::atomic::Ordering;
 use txview_btree::{LogCtx, OpLog, Tree};
 use txview_common::{Error, IndexId, Key, Lsn, ObjectId, Result, Row, TxnId, Value, ViewId};
 use txview_lock::{LockMode, LockName, SchedEvent};
 use txview_txn::Transaction;
-use txview_view::{EnqueueOutcome, PendingDelta, Touch, TouchedRows, TxnViews};
+use txview_view::{EnqueueOutcome, RowDelta, Touch, TouchedRows, TxnViews};
 use txview_wal::record::{UndoOp, ValueDelta};
 use txview_wal::recovery::UndoHandler;
 
@@ -103,7 +103,7 @@ impl Database {
             let paired_update =
                 deltas.len() == 2 && deltas[0].group == deltas[1].group && deltas[0].count < 0;
             for (i, delta) in deltas.iter().enumerate() {
-                let applied = self.apply(txn, s, view, Some(base), delta)?;
+                let applied = self.apply(txn, s, view, Some(base), &delta.key(), delta)?;
                 if applied == Applied::Recomputed && paired_update && i == 0 {
                     break;
                 }
@@ -138,8 +138,9 @@ impl Database {
         Ok(out)
     }
 
-    /// Apply one [`RowDelta`] to a view — the heart of the protocol. `base`
-    /// is `None` for derived views (cascade applies): they are all-SUM by
+    /// Apply one [`RowDelta`] to the view row `key` (the delta's group,
+    /// encoded once by the caller) — the heart of the protocol. `base` is
+    /// `None` for derived views (cascade applies): they are all-SUM by
     /// construction, so the MIN/MAX recompute that needs the base table is
     /// unreachable.
     fn apply(
@@ -148,13 +149,13 @@ impl Database {
         s: &SchemaSnapshot,
         view: &ViewDef,
         base: Option<&TableDef>,
+        key: &Key,
         delta: &RowDelta,
     ) -> Result<Applied> {
         if delta.is_noop() {
             return Ok(Applied::InPlace);
         }
-        let key = delta.key();
-        let kb = key.as_bytes().to_vec();
+        let kb = key.as_bytes();
         let tree = s.tree(view.index)?;
         self.locks.acquire(txn.id, LockName::Object(view.object), LockMode::IX)?;
         let additive = view.aggs.iter().all(AggSpec::is_escrow_capable);
@@ -163,7 +164,7 @@ impl Database {
         // (insert-intention: conflicts with serializable range readers).
         let mut pending_gap: Option<LockName> = None;
         let current = loop {
-            if tree.get(&key)?.is_none() {
+            if tree.get(key)?.is_none() {
                 if delta.count < 0 {
                     return Err(Error::corruption(format!(
                         "negative delta for missing group {key:?} in view '{}'",
@@ -175,34 +176,34 @@ impl Database {
                 // releases immediately — the user transaction then only ever
                 // needs an E lock, so concurrent transactions can pile onto
                 // a group one of them just created.
-                self.ensure_group_row(view, tree, &key, &delta.group)?;
-                self.versions.ensure_base(view.index, &kb, None);
+                self.ensure_group_row(view, tree, key, &delta.group)?;
+                self.versions.ensure_base(view.index, kb, None);
                 if pending_gap.is_none() {
-                    let gap = self.gap_after(tree, view.index, &key)?;
+                    let gap = self.gap_after(tree, view.index, key)?;
                     self.locks.acquire(txn.id, gap.clone(), LockMode::X)?;
                     pending_gap = Some(gap);
                 }
                 continue;
             }
             let mode = if view.is_escrow() && additive { LockMode::E } else { LockMode::X };
-            self.locks.acquire(txn.id, LockName::key(view.index, kb.clone()), mode)?;
+            self.locks.acquire(txn.id, LockName::key(view.index, kb), mode)?;
             // Re-check under the lock (ghost cleanup may have removed it).
-            if let Some((_, value)) = tree.get(&key)? {
+            if let Some((_, value)) = tree.get(key)? {
                 break value;
             }
         };
-        self.safeguard_base_version(view, tree, &key, &kb)?;
+        self.safeguard_base_version(view, tree, key)?;
         let applied = if additive {
-            let pairs = self.apply_additive(txn, view, tree, &key, delta)?;
-            note_additive(&mut txn.views.touched, view.index, &kb, &pairs)?;
+            let pairs = self.apply_additive(txn, view, tree, key, delta)?;
+            note_additive(&mut txn.views.touched, view.index, kb, &pairs)?;
             self.obs.escrow_applies.inc();
             Applied::InPlace
         } else {
             let base = base.ok_or_else(|| {
                 Error::invalid(format!("MIN/MAX maintenance of '{}' needs a base table", view.name))
             })?;
-            let applied = self.apply_extremum(txn, s, view, base, tree, &key, &current, delta)?;
-            note_exclusive(&mut txn.views.touched, view.index, &kb);
+            let applied = self.apply_extremum(txn, s, view, base, tree, key, &current, delta)?;
+            note_exclusive(&mut txn.views.touched, view.index, kb);
             self.obs.minmax_rewrites.inc();
             applied
         };
@@ -227,12 +228,12 @@ impl Database {
         key: &Key,
         delta: &RowDelta,
     ) -> Result<Vec<(u16, ValueDelta)>> {
-        let region_off = agg_region_offset(&delta.group);
+        let region_len = escrow::agg_region_len(view.aggs.len());
         let pairs = delta.to_undo_pairs();
         let undo =
             UndoOp::Escrow { index: view.index, key: key.as_bytes().to_vec(), deltas: pairs.clone() };
         let region =
-            self.logged(txn, undo, |ctx, how| tree.add_to_value(key, region_off, &pairs, ctx, how))?;
+            self.logged(txn, undo, |ctx, how| tree.add_to_value(key, region_len, &pairs, ctx, how))?;
         if escrow::region_count(&region)? == 0 {
             if view.eager_group_delete {
                 self.eager_delete_group(txn, view, tree, key)?;
@@ -281,7 +282,7 @@ impl Database {
         current: &[u8],
         delta: &RowDelta,
     ) -> Result<Applied> {
-        let region_off = agg_region_offset(&delta.group);
+        let region_off = escrow::agg_region_start(current.len(), view.aggs.len())?;
         let mut applied = Applied::InPlace;
         let region = &current[region_off..];
         let new_value = if delta.count < 0 && escrow::delete_retires_extremum(region, view, delta)?
@@ -350,14 +351,8 @@ impl Database {
     /// The read happens inside the version store's critical section: a
     /// concurrent escrow holder that raced past its own safeguard cannot
     /// have modified the row yet, so the captured image is committed-clean.
-    fn safeguard_base_version(
-        &self,
-        view: &ViewDef,
-        tree: &Tree,
-        key: &Key,
-        kb: &[u8],
-    ) -> Result<()> {
-        self.versions.ensure_base_with(view.index, kb, || match tree.get(key)? {
+    fn safeguard_base_version(&self, view: &ViewDef, tree: &Tree, key: &Key) -> Result<()> {
+        self.versions.ensure_base_with(view.index, key.as_bytes(), || match tree.get(key)? {
             Some((false, value)) if row_visible(view, &value)? => Ok(Some(value)),
             _ => Ok(None),
         })
@@ -385,9 +380,7 @@ impl Database {
         // earlier reading folds less, never too much.
         let horizon = self.watermark.fold_horizon(&self.log);
         for ((index, kb), touch) in touched {
-            let view = s
-                .view_at(index)
-                .ok_or_else(|| Error::NotFound(format!("view for index {}", index.0)))?;
+            let view = view_of(&s, index)?;
             let mat = |image, pairs: &[_]| materialize_view_row(view, &kb, image, pairs);
             match touch {
                 Touch::Additive(pairs) => {
@@ -421,18 +414,13 @@ impl Database {
         let eager = self.cascade_eager.load(Ordering::Relaxed);
         for projection in child_deltas(s, view, delta) {
             let (child, depth, projected) = projection?;
-            let kb = projected.key().as_bytes().to_vec();
+            let key = projected.key();
             if eager {
-                self.apply(txn, s, child, None, &projected)?;
-                self.note_refresh(txn.id, child.id, kb);
+                self.apply(txn, s, child, None, &key, &projected)?;
+                self.note_refresh(txn.id, child.id, key.as_bytes());
                 continue;
             }
-            let pending = PendingDelta {
-                group: projected.group,
-                count: projected.count,
-                aggs: projected.aggs,
-            };
-            let outcome = txn.views.cascades.enqueue(depth, child.id, kb, pending)?;
+            let outcome = txn.views.cascades.enqueue(depth, child.id, key.into_bytes(), projected)?;
             self.obs.cascade_enqueues.inc();
             if outcome == EnqueueOutcome::Coalesced {
                 self.obs.cascade_coalesce_hits.inc();
@@ -442,10 +430,10 @@ impl Database {
     }
 
     /// Count one applied cascade refresh (and trace it, when armed).
-    fn note_refresh(&self, txn: TxnId, view: ViewId, kb: Vec<u8>) {
+    fn note_refresh(&self, txn: TxnId, view: ViewId, kb: &[u8]) {
         self.obs.cascade_refreshes.inc();
         if let Some(trace) = self.cascade_trace.lock().as_mut() {
-            trace.push((txn, view, kb));
+            trace.push((txn, view, kb.to_vec()));
         }
     }
 
@@ -470,20 +458,20 @@ impl Database {
         // Pop one entry at a time (not a drained snapshot): applying an
         // entry re-enters `cascade_children`, which must land grandchildren
         // in this same queue.
-        while let Some((depth, view_id, kb, pending)) = txn.views.cascades.pop_first() {
+        while let Some((depth, view_id, kb, delta)) = txn.views.cascades.pop_first() {
             if last_depth.is_some_and(|d| depth > d) {
                 // Named crash point between DAG levels: the torture
                 // probe sweep crashes here to prove mid-cascade atomicity.
                 self.log.probe_point("view.cascade.level");
             }
             last_depth = Some(depth);
-            if pending.is_noop() {
+            if delta.is_noop() {
                 continue; // retracted down to nothing by a savepoint undo
             }
             let view = s.catalog.view_by_id(view_id)?;
-            let delta = RowDelta { group: pending.group, count: pending.count, aggs: pending.aggs };
-            self.apply(txn, &s, view, None, &delta)?;
-            self.note_refresh(txn.id, view_id, kb);
+            let key = Key::from_bytes(kb);
+            self.apply(txn, &s, view, None, &key, &delta)?;
+            self.note_refresh(txn.id, view_id, key.as_bytes());
             refreshed += 1;
         }
         self.obs.cascade_flush_entries.record(refreshed);
@@ -522,47 +510,26 @@ fn retract_escrow(
     if let Some(Touch::Additive(acc)) = views.touched.get_mut(&(index, key.to_vec())) {
         escrow::merge_pairs(acc, &inverse)?;
     }
-    let view =
-        s.view_at(index).ok_or_else(|| Error::NotFound(format!("view for index {}", index.0)))?;
+    let view = view_of(s, index)?;
     if s.children(view.id).next().is_none() {
         return Ok(());
     }
     // Retract the delta's projection from still-queued child entries, so
     // the later commit flush applies only surviving work. Views with
     // children are all-SUM by DDL validation, so the undo pairs rebuild a
-    // complete forward delta: pos 0 is COUNT_BIG, pos 1.. the aggregates.
-    let mut fwd = RowDelta {
-        group: Key::from_bytes(key.to_vec()).decode_values()?,
-        count: 0,
-        aggs: view
-            .aggs
-            .iter()
-            .map(|a| match a {
-                AggSpec::SumFloat { .. } | AggSpec::Avg { float: true, .. } => {
-                    ValueDelta::Float(0.0)
-                }
-                _ => ValueDelta::Int(0),
-            })
-            .collect(),
-    };
-    for (pos, d) in deltas {
-        if *pos == 0 {
-            if let ValueDelta::Int(c) = d {
-                fwd.count = *c;
-            }
-        } else if let Some(slot) = fwd.aggs.get_mut(*pos as usize - 1) {
-            *slot = *d;
-        }
-    }
-    let retracted = fwd.inverse();
+    // complete forward delta.
+    let group = Key::from_bytes(key.to_vec()).decode_values()?;
+    let retracted = RowDelta::from_pairs(group, escrow::zero_deltas(view), deltas)?.inverse();
     for projection in child_deltas(s, view, &retracted) {
         let (child, depth, projected) = projection?;
-        let kb = projected.key().as_bytes().to_vec();
-        let pending =
-            PendingDelta { group: projected.group, count: projected.count, aggs: projected.aggs };
-        views.cascades.retract(depth, child.id, &kb, &pending)?;
+        views.cascades.retract(depth, child.id, projected.key().as_bytes(), &projected)?;
     }
     Ok(())
+}
+
+/// The view stored in index `index`.
+fn view_of(s: &SchemaSnapshot, index: IndexId) -> Result<&ViewDef> {
+    s.view_at(index).ok_or_else(|| Error::NotFound(format!("view for index {}", index.0)))
 }
 
 /// `delta` of `view` projected onto each derived child, with the child's
@@ -618,9 +585,9 @@ impl UndoHandler for Database {
                 tree.patch_value(&k, *off as usize, old, &mut ctx, &how)?;
             }
             UndoOp::Escrow { deltas, .. } => {
-                let off = agg_region_offset(&k.decode_values()?);
+                let region_len = escrow::agg_region_len(view_of(&schema, index)?.aggs.len());
                 let inverse: Vec<_> = deltas.iter().map(|&(p, d)| (p, d.inverse())).collect();
-                let region = tree.add_to_value(&k, off, &inverse, &mut ctx, &how)?;
+                let region = tree.add_to_value(&k, region_len, &inverse, &mut ctx, &how)?;
                 if escrow::region_count(&region)? == 0 {
                     self.enqueue_ghost(index, key.clone());
                 }
@@ -667,10 +634,7 @@ pub(crate) fn materialize_view_row(
             encode_view_row(&group, 0, &escrow::zero_aggs(view))?
         }
     };
-    let off = value
-        .len()
-        .checked_sub(escrow::agg_region_len(view.aggs.len()))
-        .ok_or_else(|| Error::corruption("view row shorter than its aggregate region"))?;
+    let off = escrow::agg_region_start(value.len(), view.aggs.len())?;
     escrow::apply_forward_pairs(&mut value[off..], view.aggs.len(), pairs)?;
     Ok(Some(value))
 }

@@ -156,6 +156,57 @@ fn savepoint_rollback_is_absent_from_the_published_version() {
     db.commit(&mut snap).unwrap();
 }
 
+/// A savepoint rollback rebuilds each undone escrow delta from its logged
+/// pairs, which leave zero slots out, and retracts its projection from the
+/// queued cascade entries. The rebuilt delta must give a left-out slot the
+/// parent aggregate's type (here a FLOAT sum), or the retraction refuses to
+/// merge into the child's queued entry.
+#[test]
+fn savepoint_retracts_a_float_cascade() {
+    let db = Database::new_in_memory(512);
+    let schema = Schema::new(
+        vec![
+            Column::new("id", ValueType::Int),
+            Column::new("grp", ValueType::Int),
+            Column::new("amt", ValueType::Int),
+            Column::new("w", ValueType::Float),
+        ],
+        vec![0],
+    )
+    .unwrap();
+    let t = db.create_table("items", schema).unwrap();
+    db.create_indexed_view(ViewSpec {
+        name: "by_grp".into(),
+        source: ViewSource::Single { table: t, group_by: vec![1] },
+        aggs: vec![AggSpec::SumInt { col: 2 }, AggSpec::SumFloat { col: 3 }],
+        filter: Predicate::True,
+        maintenance: MaintenanceMode::Escrow,
+        deferred: false,
+        eager_group_delete: false,
+    })
+    .unwrap();
+    // Layout of `by_grp`: [grp, COUNT_BIG, SUM(amt), SUM(w)].
+    let rollup = vec![AggSpec::SumInt { col: 1 }, AggSpec::SumInt { col: 2 }, AggSpec::SumFloat { col: 3 }];
+    db.create_derived_view("total", "by_grp", vec![], rollup, MaintenanceMode::Escrow).unwrap();
+
+    let mut txn = db.begin(IsolationLevel::ReadCommitted);
+    db.insert(&mut txn, "items", row![1i64, 0i64, 10i64, 1.5f64]).unwrap();
+    let sp = txn.savepoint();
+    db.insert(&mut txn, "items", row![2i64, 0i64, 20i64, 0.0f64]).unwrap();
+    db.update(&mut txn, "items", row![1i64, 0i64, 10i64, 2.5f64]).unwrap();
+    db.rollback_to_savepoint(&mut txn, sp).unwrap();
+    db.commit(&mut txn).unwrap();
+
+    db.harness().verify_view("by_grp").unwrap();
+    db.harness().verify_view("total").unwrap();
+    let mut r = db.begin(IsolationLevel::ReadCommitted);
+    assert_eq!(
+        db.view_aggregates(&mut r, "total", &[Value::Int(0)]).unwrap().unwrap(),
+        (1, vec![Value::Int(1), Value::Int(10), Value::Float(1.5)])
+    );
+    db.commit(&mut r).unwrap();
+}
+
 #[test]
 fn group_come_and_go_anomaly() {
     // T1 creates a group; T2 increments it; T1 rolls back. The group row

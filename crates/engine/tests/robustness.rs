@@ -426,12 +426,14 @@ fn ghost_enqueue_dedups_and_backlog_drains_to_zero() {
 
 #[test]
 fn concurrent_backoff_txns_do_not_serialize() {
-    use std::sync::Barrier;
+    use std::sync::{Condvar, Mutex};
     use std::time::Instant;
     // Each transaction copies the backoff policy at entry, so one thread
     // sleeping its backoff must not hold anything another thread's retry
-    // loop needs. Two threads that each back off ~d concurrently should
-    // finish in ~d wall time, not ~2d.
+    // loop needs. Each thread's retry waits until the other thread has
+    // reached its retry too: if backoffs serialized, the first retry would
+    // wait forever for the second. Host speed only moves how long the
+    // rendezvous takes, never whether it happens.
     let db = setup_with_pool(256);
     let policy = RetryPolicy {
         max_attempts: 2,
@@ -442,20 +444,30 @@ fn concurrent_backoff_txns_do_not_serialize() {
     let d = Duration::from_micros(policy.delay_micros(1));
     assert!(d >= Duration::from_millis(100), "jitter floor is half the cap");
     db.set_txn_backoff(policy);
-    let barrier = Arc::new(Barrier::new(2));
-    let start = Instant::now();
+    let retries = Arc::new((Mutex::new(0usize), Condvar::new()));
     let handles: Vec<_> = (0..2)
         .map(|t| {
             let db = Arc::clone(&db);
-            let barrier = Arc::clone(&barrier);
+            let retries = Arc::clone(&retries);
             std::thread::spawn(move || {
-                barrier.wait();
-                let mut attempts = 0;
+                let (mut attempts, mut failed_at) = (0, None);
                 db.run_txn(IsolationLevel::ReadCommitted, 3, |txn| {
                     attempts += 1;
-                    if attempts == 1 {
+                    let Some(failed) = failed_at else {
+                        failed_at = Some(Instant::now());
                         return Err(Error::SerializationConflict("induced".into()));
-                    }
+                    };
+                    let gap = failed.elapsed();
+                    assert!(gap >= d, "thread {t} retried after {gap:?}, before its backoff {d:?}");
+                    let (count, cv) = &*retries;
+                    let mut n = count.lock().unwrap();
+                    *n += 1;
+                    cv.notify_all();
+                    let (n, wait) = cv
+                        .wait_timeout_while(n, Duration::from_secs(10), |n| *n < 2)
+                        .unwrap();
+                    assert!(!wait.timed_out(), "thread {t}: the other retry never came ({} of 2)", *n);
+                    drop(n);
                     db.insert(txn, "items", row![t as i64, t as i64, 1i64])
                 })
                 .unwrap();
@@ -466,13 +478,5 @@ fn concurrent_backoff_txns_do_not_serialize() {
     for h in handles {
         assert_eq!(h.join().unwrap(), 2, "exactly one induced retry each");
     }
-    let wall = start.elapsed();
-    // Both threads slept the same deterministic backoff d. Serialized
-    // backoffs would take >= 2d; concurrent ones ~d plus scheduling slack.
-    assert!(wall >= d, "each thread really backed off ({wall:?} < {d:?})");
-    assert!(
-        wall < 2 * d,
-        "backoffs serialized: wall {wall:?} vs per-txn backoff {d:?}"
-    );
     db.harness().verify_view("totals").unwrap();
 }

@@ -6,8 +6,13 @@
 //! Real deployments stack views on views (company → user → post → feed),
 //! where correctness hinges on applying **exactly one coalesced refresh per
 //! (view, group) per transaction, in dependency order, at commit**. This
-//! crate holds what one transaction owes its views:
+//! crate holds the delta algebra and what one transaction owes its views:
 //!
+//! * [`queue::RowDelta`] — the one in-memory view-row delta, from the
+//!   statement that computes it to the commit that flushes it: one
+//!   addition (`merge`), one inverse, one zero test, and the sparse
+//!   `(position, delta)` pairs that are its log form (`to_undo_pairs`,
+//!   read back by `from_pairs`);
 //! * [`queue::CascadeQueue`] — the per-transaction coalescing queue: delta
 //!   mutations to any view enqueue dirty `(view, group)` entries keyed by
 //!   the view's depth, which merge commutatively (dedup per transaction),
@@ -30,4 +35,6 @@
 
 pub mod queue;
 
-pub use queue::{CascadeQueue, EnqueueOutcome, PendingDelta, Touch, TouchedRows, TxnViews};
+pub use queue::{
+    CascadeQueue, EnqueueOutcome, PendingDelta, RowDelta, Touch, TouchedRows, TxnViews,
+};

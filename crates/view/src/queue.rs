@@ -2,10 +2,10 @@
 //! view rows it touched and its coalescing cascade queue ([`TxnViews`]).
 //!
 //! Every delta a transaction applies to a view with children projects one
-//! pending delta per child and enqueues it here, keyed by
+//! [`RowDelta`] per child and enqueues it here, keyed by
 //! `(depth, view, group-key bytes)`. A second delta for the same key
-//! **merges** into the existing entry (commutative addition — the same
-//! algebra escrow maintenance runs on the stored rows), so however many
+//! **merges** into the existing entry ([`RowDelta::merge`], the same
+//! addition escrow maintenance runs on the stored rows), so however many
 //! base mutations a transaction makes, each dirty `(view, group)` carries
 //! exactly one net delta at commit.
 //!
@@ -17,7 +17,7 @@
 //! flushed — which is what makes the flush exactly-once per (view, group).
 
 use std::collections::{BTreeMap, HashMap};
-use txview_common::{Error, IndexId, Result, Value, ViewId};
+use txview_common::{Error, IndexId, Key, Result, Value, ViewId};
 use txview_wal::record::ValueDelta;
 
 /// How a transaction touched one view row, for version publication.
@@ -51,40 +51,99 @@ pub struct TxnViews {
 /// Queue key: ascending-depth drain order, deterministic within a level.
 type QueueKey = (u32, ViewId, Vec<u8>);
 
-/// The net pending delta of one dirty (view, group) entry.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PendingDelta {
-    /// Decoded group values (what the key bytes encode).
+/// The one in-memory view-row delta: how a statement, a cascade or a
+/// savepoint retraction changes one group's row. Deltas form one algebra:
+/// [`RowDelta::merge`] is the addition, [`RowDelta::inverse`] the negation
+/// and [`RowDelta::is_noop`] the zero test. The sparse `(position, delta)`
+/// pairs of [`RowDelta::to_undo_pairs`] are its log and version-store form
+/// only, and [`RowDelta::from_pairs`] reads them back.
+#[derive(Clone, PartialEq, Debug)]
+pub struct RowDelta {
+    /// The group-by values (what the view key encodes).
     pub group: Vec<Value>,
-    /// Net COUNT_BIG delta.
+    /// COUNT_BIG delta (+1 per qualifying inserted row, −1 per delete).
     pub count: i64,
-    /// Net aggregate deltas, one per view aggregate column.
+    /// Per-aggregate deltas, one per view aggregate column. For MIN/MAX
+    /// these carry the *contributing value* instead of an additive delta.
     pub aggs: Vec<ValueDelta>,
 }
 
-impl PendingDelta {
-    /// True when the entry nets out to nothing (flush skips it).
-    pub fn is_noop(&self) -> bool {
-        self.count == 0
-            && self.aggs.iter().all(|d| match d {
-                ValueDelta::Int(i) => *i == 0,
-                ValueDelta::Float(f) => *f == 0.0,
-            })
+/// The name the `benchmark/` queue probe builds its entries with.
+pub type PendingDelta = RowDelta;
+
+impl RowDelta {
+    /// The view key for this delta.
+    pub fn key(&self) -> Key {
+        Key::from_values(&self.group)
     }
 
-    /// Merge `other` into `self` (commutative addition, type-strict).
-    fn merge(&mut self, other: &PendingDelta) -> Result<()> {
+    /// The inverse delta (rollback, savepoint retraction).
+    pub fn inverse(&self) -> RowDelta {
+        RowDelta {
+            group: self.group.clone(),
+            count: -self.count,
+            aggs: self.aggs.iter().map(|d| d.inverse()).collect(),
+        }
+    }
+
+    /// True when applying this delta changes nothing: zero count delta and
+    /// every aggregate delta zero.
+    pub fn is_noop(&self) -> bool {
+        self.count == 0 && self.aggs.iter().all(|d| d.is_zero())
+    }
+
+    /// Add `other` into `self` (commutative, type-strict, overflow-checked).
+    pub fn merge(&mut self, other: &RowDelta) -> Result<()> {
+        if self.aggs.len() != other.aggs.len() {
+            return Err(Error::corruption("row delta arity mismatch"));
+        }
         self.count = self
             .count
             .checked_add(other.count)
-            .ok_or_else(|| Error::invalid("cascade count delta overflow"))?;
-        if self.aggs.len() != other.aggs.len() {
-            return Err(Error::corruption("cascade delta arity mismatch"));
-        }
+            .ok_or_else(|| Error::invalid("row delta count overflow"))?;
         for (a, b) in self.aggs.iter_mut().zip(&other.aggs) {
             *a = a.checked_add(*b)?;
         }
         Ok(())
+    }
+
+    /// Flatten into the `(region position, delta)` pairs an escrow change
+    /// logs once for redo and undo: position 0 is the count, positions 1..
+    /// the aggregates. Zero deltas change nothing and are left out.
+    pub fn to_undo_pairs(&self) -> Vec<(u16, ValueDelta)> {
+        let all = std::iter::once(ValueDelta::Int(self.count)).chain(self.aggs.iter().copied());
+        (0u16..).zip(all).filter(|(_, d)| !d.is_zero()).collect()
+    }
+
+    /// The inverse of [`RowDelta::to_undo_pairs`]: the delta of `group`
+    /// whose aggregates start at `zero` (the view's zero aggregates, which
+    /// fix each slot's type) and add `pairs`. A pair of the wrong type or
+    /// outside the region is refused.
+    pub fn from_pairs(
+        group: Vec<Value>,
+        zero: Vec<ValueDelta>,
+        pairs: &[(u16, ValueDelta)],
+    ) -> Result<RowDelta> {
+        let mut delta = RowDelta { group, count: 0, aggs: zero };
+        for &(pos, d) in pairs {
+            match (pos, d) {
+                (0, ValueDelta::Int(c)) => {
+                    delta.count = delta
+                        .count
+                        .checked_add(c)
+                        .ok_or_else(|| Error::invalid("row delta count overflow"))?;
+                }
+                (0, _) => return Err(Error::corruption("COUNT_BIG delta is not an Int")),
+                (p, d) => {
+                    let slot = delta
+                        .aggs
+                        .get_mut(p as usize - 1)
+                        .ok_or_else(|| Error::corruption("escrow position out of range"))?;
+                    *slot = slot.checked_add(d)?;
+                }
+            }
+        }
+        Ok(delta)
     }
 }
 
@@ -100,7 +159,7 @@ pub enum EnqueueOutcome {
 /// One transaction's pending cascade work.
 #[derive(Default, Debug)]
 pub struct CascadeQueue {
-    entries: BTreeMap<QueueKey, PendingDelta>,
+    entries: BTreeMap<QueueKey, RowDelta>,
 }
 
 impl CascadeQueue {
@@ -109,14 +168,14 @@ impl CascadeQueue {
         CascadeQueue::default()
     }
 
-    /// Enqueue (or coalesce) a pending delta for `(view, group)` at `depth`.
+    /// Enqueue (or merge) a delta for `(view, group)` at `depth`.
     /// `key_bytes` is the view row's encoded key — the dedup identity.
     pub fn enqueue(
         &mut self,
         depth: u32,
         view: ViewId,
         key_bytes: Vec<u8>,
-        delta: PendingDelta,
+        delta: RowDelta,
     ) -> Result<EnqueueOutcome> {
         match self.entries.entry((depth, view, key_bytes)) {
             std::collections::btree_map::Entry::Occupied(mut e) => {
@@ -139,7 +198,7 @@ impl CascadeQueue {
         depth: u32,
         view: ViewId,
         key_bytes: &[u8],
-        inverse: &PendingDelta,
+        inverse: &RowDelta,
     ) -> Result<()> {
         if let Some(e) = self.entries.get_mut(&(depth, view, key_bytes.to_vec())) {
             e.merge(inverse)?;
@@ -149,7 +208,7 @@ impl CascadeQueue {
 
     /// Pop the shallowest pending entry (depth, then view id, then key) —
     /// the drain order of the commit flush.
-    pub fn pop_first(&mut self) -> Option<(u32, ViewId, Vec<u8>, PendingDelta)> {
+    pub fn pop_first(&mut self) -> Option<(u32, ViewId, Vec<u8>, RowDelta)> {
         let key = self.entries.keys().next().cloned()?;
         let delta = self.entries.remove(&key)?;
         Some((key.0, key.1, key.2, delta))
@@ -164,24 +223,14 @@ impl CascadeQueue {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Deepest pending level (None when empty).
-    pub fn max_depth(&self) -> Option<u32> {
-        self.entries.keys().next_back().map(|k| k.0)
-    }
-
-    /// Drop everything (rollback, crash).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn delta(count: i64, agg: i64) -> PendingDelta {
-        PendingDelta { group: vec![Value::Int(1)], count, aggs: vec![ValueDelta::Int(agg)] }
+    fn delta(count: i64, agg: i64) -> RowDelta {
+        RowDelta { group: vec![Value::Int(1)], count, aggs: vec![ValueDelta::Int(agg)] }
     }
 
     #[test]
@@ -215,7 +264,6 @@ mod tests {
         q.enqueue(1, ViewId(5), vec![7], delta(1, 2)).unwrap();
         q.enqueue(1, ViewId(5), vec![3], delta(1, 3)).unwrap();
         q.enqueue(1, ViewId(4), vec![9], delta(1, 4)).unwrap();
-        assert_eq!(q.max_depth(), Some(2));
         let mut order = Vec::new();
         while let Some((d, v, k, _)) = q.pop_first() {
             order.push((d, v, k));
@@ -260,20 +308,11 @@ mod tests {
     fn type_mismatch_is_an_error() {
         let mut q = CascadeQueue::new();
         q.enqueue(1, ViewId(2), vec![1], delta(1, 1)).unwrap();
-        let bad = PendingDelta {
+        let bad = RowDelta {
             group: vec![Value::Int(1)],
             count: 1,
             aggs: vec![ValueDelta::Float(1.0)],
         };
         assert!(q.enqueue(1, ViewId(2), vec![1], bad).is_err());
-    }
-
-    #[test]
-    fn clear_empties_the_queue() {
-        let mut q = CascadeQueue::new();
-        q.enqueue(1, ViewId(2), vec![1], delta(1, 1)).unwrap();
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.max_depth(), None);
     }
 }
