@@ -118,6 +118,15 @@ impl Tree {
         }
     }
 
+    /// Whether `key` has a record, ghost or live, as [`Tree::get`] would
+    /// find it — without copying the value.
+    pub fn contains(&self, key: &Key) -> Result<bool> {
+        let _t = self.latch.read();
+        let leaf = self.find_leaf(key.as_bytes())?;
+        let g = leaf.read();
+        Ok(node::leaf_search(&g, key.as_bytes()).is_ok())
+    }
+
     /// Apply a slotted redo op to a latched page and log it.
     fn apply_logged(
         page: &PinnedPage,

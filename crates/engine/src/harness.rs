@@ -1,8 +1,12 @@
 //! The harness's handle on the engine: verification oracles, quiesced
-//! dumps, and the ablation baselines the experiments compare against.
-//! None of it is part of the transactional surface; it is reached through
-//! [`Database::harness`] so tests, torture and experiments share one
-//! definition of "the view is right".
+//! dumps, the committed-state fingerprint, and the ablation baselines the
+//! experiments compare against. None of it is part of the transactional
+//! surface; it is reached through [`Database::harness`] so tests, torture
+//! and experiments share one definition of "the view is right".
+//!
+//! Beside it sits [`FaultParts`], the one crash scaffold: the fault clock,
+//! disk and log store a crash test opens a database over, probes, and
+//! reboots onto the durable image.
 //!
 //! Everything here assumes a quiesced database (no concurrent DML).
 
@@ -16,10 +20,15 @@ use crate::secondary::entry_for;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::Duration;
 use txview_common::{Error, Key, Result, Row, Value};
+use txview_storage::fault::{FaultClock, FaultDisk, FaultPoint};
 use txview_txn::IsolationLevel;
 use txview_view::RowDelta;
 use txview_wal::record::UndoOp;
+use txview_wal::recovery::RecoveryReport;
+use txview_wal::FaultLogStore;
 
 /// A view's contents as `group → (COUNT_BIG, aggregates)`.
 pub(crate) type Groups = HashMap<Vec<Value>, (i64, Vec<Value>)>;
@@ -259,6 +268,39 @@ impl Harness<'_> {
         items.into_iter().map(|i| Row::from_bytes(&i.value)).collect()
     }
 
+    /// Byte-exact fingerprint of the committed state: every table's live
+    /// rows, then every view's visible rows, of the catalog in id order.
+    /// Each object contributes its name and row count, then its rows in key
+    /// order, each length-framed. Fingerprints are compared, never stored.
+    pub fn fingerprint(&self) -> Result<Vec<u8>> {
+        fn put(out: &mut Vec<u8>, bytes: &[u8]) {
+            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+            out.extend_from_slice(bytes);
+        }
+        let s = self.db.schema();
+        let mut out = Vec::new();
+        for t in s.catalog.tables() {
+            let (items, _) = s.tree(t.index)?.scan(None, None, false)?;
+            put(&mut out, t.name.as_bytes());
+            out.extend_from_slice(&(items.len() as u32).to_le_bytes());
+            for item in items {
+                put(&mut out, &item.value);
+            }
+        }
+        for v in s.catalog.views() {
+            let mut rows = Vec::new();
+            for item in s.tree(v.index)?.scan(None, None, false)?.0 {
+                rows.extend(visible_row(v, &item.value)?);
+            }
+            put(&mut out, v.name.as_bytes());
+            out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+            for r in rows {
+                put(&mut out, &r.to_bytes());
+            }
+        }
+        Ok(out)
+    }
+
     /// The version chain of a view row.
     #[allow(clippy::type_complexity)]
     pub fn debug_chain(
@@ -348,5 +390,94 @@ impl Harness<'_> {
         let slot = pending.entry(view.id).or_insert(0);
         *slot = slot.saturating_sub(pre_refresh);
         Ok(n)
+    }
+}
+
+/// The durable media of a fault-injected database: one [`FaultClock`] and
+/// the [`FaultDisk`] and [`FaultLogStore`] that tick it. Cloning yields
+/// handles to the same media, which outlive every database opened over
+/// them — that is what lets a crash test drop a database and reboot onto
+/// what reached stable storage.
+#[derive(Clone)]
+pub struct FaultParts {
+    /// The clock every durable operation ticks; crash schedules arm here.
+    pub clock: Arc<FaultClock>,
+    /// The page store.
+    pub disk: FaultDisk,
+    /// The log store.
+    pub store: FaultLogStore,
+}
+
+impl Default for FaultParts {
+    fn default() -> Self {
+        FaultParts::new()
+    }
+}
+
+impl FaultParts {
+    /// Fresh empty media on a fresh clock.
+    pub fn new() -> FaultParts {
+        let clock = FaultClock::new();
+        let disk = FaultDisk::new(Arc::clone(&clock));
+        let store = FaultLogStore::new(Arc::clone(&clock));
+        FaultParts { clock, disk, store }
+    }
+
+    /// Open a database over the media, its metrics clocked by the fault
+    /// clock's event counter so identically-seeded runs record identical
+    /// snapshots.
+    pub fn open(&self, pool_pages: usize) -> Result<Arc<Database>> {
+        let db = Database::with_parts(
+            Arc::new(self.disk.clone()),
+            Box::new(self.store.clone()),
+            pool_pages,
+            Duration::from_secs(2),
+        )?;
+        db.set_metrics_ticks(self.clock.events_handle());
+        Ok(db)
+    }
+
+    /// Make the pool's and the log's crash probes tick the clock, so a
+    /// schedule can land a crash between "WAL flushed" and "page written"
+    /// and on every other named seam.
+    pub fn install_probes(&self, db: &Database) {
+        let c = Arc::clone(&self.clock);
+        db.pool().set_crash_probe(Arc::new(move |p| {
+            c.tick(FaultPoint::Probe(p));
+        }));
+        let c = Arc::clone(&self.clock);
+        db.log().set_crash_probe(Arc::new(move |p| {
+            c.tick(FaultPoint::Probe(p));
+        }));
+    }
+
+    /// Fall back to what reached stable storage: disk and log drop the
+    /// writes a fired crash doomed, and the clock disarms. Returns whether
+    /// the log store held a frozen crash image (a no-op otherwise).
+    pub fn restore_durable(&self) -> bool {
+        self.disk.crash_restore();
+        let frozen = self.store.crash_restore();
+        self.clock.disarm();
+        frozen
+    }
+
+    /// Reboot onto the durable image: [`FaultParts::restore_durable`], then
+    /// open with `catalog` through ARIES recovery. Drop the database that
+    /// ran on these media first.
+    pub fn reboot(
+        &self,
+        catalog: &[u8],
+        pool_pages: usize,
+    ) -> Result<(Arc<Database>, RecoveryReport)> {
+        self.restore_durable();
+        let (db, report) = Database::with_parts_recovered(
+            Arc::new(self.disk.clone()),
+            Box::new(self.store.clone()),
+            Some(catalog),
+            pool_pages,
+            Duration::from_secs(2),
+        )?;
+        db.set_metrics_ticks(self.clock.events_handle());
+        Ok((db, report))
     }
 }

@@ -50,6 +50,6 @@ pub use catalog::{
     ViewSpec,
 };
 pub use db::{Database, DbStats, GhostCleanupReport, ResilienceStats};
-pub use harness::Harness;
+pub use harness::{FaultParts, Harness};
 pub use health::{HealthMonitor, HealthState, HealthStatsSnapshot};
 pub use txview_txn::{IsolationLevel, Transaction};

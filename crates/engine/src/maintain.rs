@@ -163,8 +163,8 @@ impl Database {
         // Gap lock taken when this transaction materializes a new group row
         // (insert-intention: conflicts with serializable range readers).
         let mut pending_gap: Option<LockName> = None;
-        let current = loop {
-            if tree.get(key)?.is_none() {
+        loop {
+            if !tree.contains(key)? {
                 if delta.count < 0 {
                     return Err(Error::corruption(format!(
                         "negative delta for missing group {key:?} in view '{}'",
@@ -188,10 +188,10 @@ impl Database {
             let mode = if view.is_escrow() && additive { LockMode::E } else { LockMode::X };
             self.locks.acquire(txn.id, LockName::key(view.index, kb), mode)?;
             // Re-check under the lock (ghost cleanup may have removed it).
-            if let Some((_, value)) = tree.get(key)? {
-                break value;
+            if tree.contains(key)? {
+                break;
             }
-        };
+        }
         self.safeguard_base_version(view, tree, key)?;
         let applied = if additive {
             let pairs = self.apply_additive(txn, view, tree, key, delta)?;
@@ -201,6 +201,10 @@ impl Database {
         } else {
             let base = base.ok_or_else(|| {
                 Error::invalid(format!("MIN/MAX maintenance of '{}' needs a base table", view.name))
+            })?;
+            // The X lock taken above keeps ghost cleanup off the row.
+            let (_, current) = tree.get(key)?.ok_or_else(|| {
+                Error::corruption(format!("view '{}' lost group {key:?} under X", view.name))
             })?;
             let applied = self.apply_extremum(txn, s, view, base, tree, key, &current, delta)?;
             note_exclusive(&mut txn.views.touched, view.index, kb);

@@ -16,15 +16,14 @@ use super::channel::ReplChannel;
 use super::frame::{Frame, Message};
 use super::ReplConfig;
 use crate::db::Database;
-use crate::torture;
+use crate::harness::FaultParts;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 use txview_common::frame::checksum;
 use txview_common::obs::{Histogram, Snapshot};
 use txview_common::{Lsn, Result};
-use txview_storage::fault::{FaultClock, FaultDisk};
+use txview_storage::fault::FaultClock;
 use txview_wal::recovery::{redo_record, RecoveryReport};
 use txview_wal::{FaultLogStore, LogRecord, LogStore, RecordBody, RecordRun};
 
@@ -49,13 +48,12 @@ pub enum IngestOutcome {
     Ignored,
 }
 
-/// One read-only follower: its own fault-injected disk + log store +
-/// database, fed exclusively by the replication channel.
+/// One read-only follower: its own fault-injected media and database, fed
+/// exclusively by the replication channel. It installs no crash probes:
+/// its clock ticks only on disk and log operations.
 pub struct Follower {
     cfg: ReplConfig,
-    clock: Arc<FaultClock>,
-    disk: FaultDisk,
-    store: FaultLogStore,
+    parts: FaultParts,
     db: Arc<Database>,
     catalog: Vec<u8>,
     /// Current replication epoch (leader term) as persisted in the store.
@@ -83,46 +81,29 @@ pub struct Follower {
 impl Follower {
     /// Fresh empty follower for a leader whose DDL state is `catalog`.
     pub fn new(cfg: ReplConfig, catalog: Vec<u8>) -> Result<Follower> {
-        let clock = FaultClock::new();
-        let disk = FaultDisk::new(Arc::clone(&clock));
-        let store = FaultLogStore::new(Arc::clone(&clock));
-        let db = open_db(&cfg, &clock, &disk, &store, &catalog)?;
-        Ok(Follower::assemble(cfg, clock, disk, store, db, catalog))
+        Follower::open(cfg, FaultParts::new(), catalog)
     }
 
-    /// Wrap an *existing* durable state (a restarted old leader's clock,
-    /// disk, and log store) as a follower: rebuild by redo-only replay of
-    /// whatever its own log holds, then let the first `Hello` negotiate
-    /// catch-up — resume if that log is still a clean prefix of the new
-    /// leader's, snapshot fallback if it diverged.
-    pub fn from_parts(
-        cfg: ReplConfig,
-        clock: Arc<FaultClock>,
-        disk: FaultDisk,
-        store: FaultLogStore,
-        catalog: Vec<u8>,
-    ) -> Result<Follower> {
-        let db = open_db(&cfg, &clock, &disk, &store, &catalog)?;
-        let mut f = Follower::assemble(cfg, clock, disk, store, db, catalog);
+    /// Wrap an *existing* durable state (a restarted old leader's media)
+    /// as a follower: rebuild by redo-only replay of whatever its own log
+    /// holds, then let the first `Hello` negotiate catch-up — resume if
+    /// that log is still a clean prefix of the new leader's, snapshot
+    /// fallback if it diverged.
+    pub fn from_parts(cfg: ReplConfig, parts: FaultParts, catalog: Vec<u8>) -> Result<Follower> {
+        let mut f = Follower::open(cfg, parts, catalog)?;
         f.idle_drains = f.cfg.hello_after;
-        f.epoch = f.store.get_epoch()?;
+        f.epoch = f.parts.store.get_epoch()?;
         f.replay()?;
         Ok(f)
     }
 
-    fn assemble(
-        cfg: ReplConfig,
-        clock: Arc<FaultClock>,
-        disk: FaultDisk,
-        store: FaultLogStore,
-        db: Arc<Database>,
-        catalog: Vec<u8>,
-    ) -> Follower {
-        Follower {
+    /// A follower over `parts` with `catalog` loaded, nothing replayed.
+    fn open(cfg: ReplConfig, parts: FaultParts, catalog: Vec<u8>) -> Result<Follower> {
+        let db = parts.open(cfg.pool_pages)?;
+        db.load_catalog(&catalog)?;
+        Ok(Follower {
             cfg,
-            clock,
-            disk,
-            store,
+            parts,
             db,
             catalog,
             epoch: 0,
@@ -142,7 +123,7 @@ impl Follower {
             acks_sent: AtomicU64::new(0),
             hellos_sent: AtomicU64::new(0),
             apply_records_hist: Histogram::default(),
-        }
+        })
     }
 
     /// The follower's database (read-only until promotion).
@@ -152,30 +133,23 @@ impl Follower {
 
     /// The follower's fault clock (the harness arms crash schedules here).
     pub fn clock(&self) -> &Arc<FaultClock> {
-        &self.clock
+        &self.parts.clock
     }
 
     /// The follower's log store (the harness checks byte convergence here).
     pub fn store(&self) -> &FaultLogStore {
-        &self.store
+        &self.parts.store
     }
 
     /// Durable log length in bytes: the leader offset the next frame must
     /// start at, with every record whose LSN is below it replayed.
     pub fn durable_len(&self) -> u64 {
-        self.store.durable_len()
+        self.parts.store.durable_len()
     }
 
     /// Current replication epoch.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Committed-state fingerprint of the follower database (the oracle
-    /// compares this against the leader's historical state at the same
-    /// durable length).
-    pub fn fingerprint(&self) -> Result<Vec<u8>> {
-        torture::fingerprint(&self.db)
     }
 
     /// Ingest one message from the data lane.
@@ -202,7 +176,7 @@ impl Follower {
             return Ok(IngestOutcome::StaleRejected);
         }
         if frame.epoch > self.epoch {
-            self.store.set_epoch(frame.epoch)?;
+            self.parts.store.set_epoch(frame.epoch)?;
             self.epoch = frame.epoch;
         }
         // Decoded once: the run carries its records on to the append and
@@ -297,10 +271,10 @@ impl Follower {
             channel.send_control(Message::StaleEpoch { got: epoch, current: self.epoch });
             return Ok(IngestOutcome::StaleRejected);
         }
-        self.store.install_snapshot(log_bytes, master, epoch.max(self.epoch));
+        self.parts.store.install_snapshot(log_bytes, master, epoch.max(self.epoch));
         // The old pages carry pageLSNs from a divergent history; redo onto
         // them would wrongly skip records. Start from empty media.
-        self.disk.reset();
+        self.parts.disk.reset();
         self.epoch = epoch.max(self.epoch);
         self.catalog = catalog;
         self.reorder_buf.clear();
@@ -317,7 +291,8 @@ impl Follower {
     /// and diverge our log from the leader's; losers are the *leader's*
     /// business until promotion.
     fn rebuild(&mut self) -> Result<()> {
-        self.db = open_db(&self.cfg, &self.clock, &self.disk, &self.store, &self.catalog)?;
+        self.db = self.parts.open(self.cfg.pool_pages)?;
+        self.db.load_catalog(&self.catalog)?;
         self.replay()
     }
 
@@ -334,11 +309,9 @@ impl Follower {
     /// surviving durable prefix. The next drain's `Hello` renegotiates
     /// catch-up from whatever survived.
     pub fn reopen(&mut self) -> Result<()> {
-        self.store.crash_restore();
-        self.disk.crash_restore();
-        self.clock.disarm();
+        self.parts.restore_durable();
         self.reorder_buf.clear();
-        self.epoch = self.store.get_epoch()?;
+        self.epoch = self.parts.store.get_epoch()?;
         self.rebuild()?;
         // Ask for catch-up immediately rather than waiting out the idle
         // counter.
@@ -351,17 +324,10 @@ impl Follower {
     /// ARIES crash recovery over the shipped prefix. Winners stay, losers
     /// are undone with CLRs, and the database comes back writable.
     pub fn promote(&mut self) -> Result<RecoveryReport> {
-        let epoch = self.store.get_epoch()? + 1;
-        self.store.set_epoch(epoch)?;
+        let epoch = self.parts.store.get_epoch()? + 1;
+        self.parts.store.set_epoch(epoch)?;
         self.epoch = epoch;
-        let (db, report) = Database::with_parts_recovered(
-            Arc::new(self.disk.clone()),
-            Box::new(self.store.clone()),
-            Some(&self.catalog),
-            self.cfg.pool_pages,
-            Duration::from_secs(2),
-        )?;
-        db.set_metrics_ticks(self.clock.events_handle());
+        let (db, report) = self.parts.reboot(&self.catalog, self.cfg.pool_pages)?;
         self.db = db;
         self.promoted = true;
         Ok(report)
@@ -376,7 +342,7 @@ impl Follower {
     /// `cfg.hello_after` empty drains).
     pub fn send_hello(&mut self, channel: &ReplChannel) {
         self.hellos_sent.fetch_add(1, Ordering::Relaxed);
-        let bytes = self.store.durable_bytes();
+        let bytes = self.parts.store.durable_bytes();
         channel.send_control(Message::Hello {
             durable_len: self.durable_len(),
             log_checksum: checksum(&bytes),
@@ -391,7 +357,7 @@ impl Follower {
     pub fn drain(&mut self, channel: &ReplChannel) -> Result<usize> {
         let mut processed = 0usize;
         let mut advanced = false;
-        while !self.clock.fired() {
+        while !self.parts.clock.fired() {
             match channel.recv_data() {
                 Some(msg) => {
                     match self.ingest(msg, channel)? {
@@ -413,7 +379,7 @@ impl Follower {
             self.idle_drains = 0;
         } else {
             self.idle_drains += 1;
-            if self.idle_drains >= self.cfg.hello_after && !self.clock.fired() {
+            if self.idle_drains >= self.cfg.hello_after && !self.parts.clock.fired() {
                 self.send_hello(channel);
             }
         }
@@ -447,26 +413,6 @@ impl Follower {
         s.sort();
         s
     }
-}
-
-/// Open a follower database over `disk` and `store`: `catalog` loaded and
-/// the metrics clock on the fault clock's event counter.
-fn open_db(
-    cfg: &ReplConfig,
-    clock: &FaultClock,
-    disk: &FaultDisk,
-    store: &FaultLogStore,
-    catalog: &[u8],
-) -> Result<Arc<Database>> {
-    let db = Database::with_parts(
-        Arc::new(disk.clone()),
-        Box::new(store.clone()),
-        cfg.pool_pages,
-        Duration::from_secs(2),
-    )?;
-    db.load_catalog(catalog)?;
-    db.set_metrics_ticks(clock.events_handle());
-    Ok(db)
 }
 
 #[cfg(test)]

@@ -38,9 +38,8 @@ pub use frame::{Frame, Message};
 pub use leader::ReplicationStream;
 pub use torture::{
     measure_follower_horizon, run_follower_crash_episode, run_leader_crash_episode,
-    run_partition_episode,
-    run_repl_metrics_check, run_replication_sweep, ReplEpisodeKind, ReplEpisodeReport,
-    ReplMetricsCheckReport, ReplSweepReport,
+    run_partition_episode, run_repl_metrics_check, run_replication_sweep, ReplEpisodeKind,
+    ReplEpisodeReport, ReplSweepReport,
 };
 
 /// When is a leader commit acknowledged to its client?

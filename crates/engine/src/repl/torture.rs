@@ -29,8 +29,11 @@ use super::frame::{Frame, Message};
 use super::leader::ReplicationStream;
 use super::{ReplConfig, ShipMode};
 use crate::db::Database;
+use crate::harness::FaultParts;
 use crate::health::HealthState;
-use crate::torture::{self, Outcome, Step, TortureConfig, Transfer, WorkloadTrace};
+use crate::torture::{
+    self, MetricsCheckReport, Outcome, Step, TortureConfig, Transfer, WorkloadTrace,
+};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
@@ -128,7 +131,7 @@ struct ReplLink {
     cfg: TortureConfig,
     rcfg: ReplConfig,
     db: Arc<Database>,
-    parts: torture::Parts,
+    parts: FaultParts,
     catalog: Vec<u8>,
     stream: ReplicationStream,
     channel: ReplChannel,
@@ -194,7 +197,7 @@ impl ReplLink {
         if self.follower.store().durable_bytes() != self.parts.store.durable_bytes() {
             violations.push("[converged] follower log not byte-identical to the leader's".into());
         }
-        if self.follower.fingerprint()? != torture::fingerprint(&self.db)? {
+        if self.follower.db().harness().fingerprint()? != self.db.harness().fingerprint()? {
             violations.push("[converged] follower state != leader state".into());
         }
         Ok(())
@@ -255,7 +258,7 @@ fn wait_for_ack(link: &mut ReplLink, lsn: Lsn) -> Result<bool> {
 fn run_repl_workload(link: &mut ReplLink, plan: &[(usize, bool)]) -> Result<ReplTrace> {
     let (cfg, db, clock) = (link.cfg.clone(), Arc::clone(&link.db), Arc::clone(&link.parts.clock));
     let mut trace = ReplTrace::default();
-    trace.base = torture::run_workload_observed(&db, &cfg, &clock, |step| {
+    trace.base = torture::run_workload(&db, &cfg, &clock, |step| {
         let (outcome, transfer, acked) = match step {
             Step::Begin(t) => {
                 for &(_, on) in plan.iter().filter(|(at, _)| *at == t) {
@@ -310,7 +313,7 @@ fn reference_recovery_fingerprint(
         pool_pages,
         Duration::from_secs(2),
     )?;
-    torture::fingerprint(&db)
+    db.harness().fingerprint()
 }
 
 /// Fault-free reference follower: ingest the shipped prefix as in-order
@@ -333,7 +336,7 @@ fn reference_follower_fingerprint(
         f.ingest(Message::Frame(frame), &ch)?;
         off += used;
     }
-    Ok((f.fingerprint()?, f.durable_len()))
+    Ok((f.db().harness().fingerprint()?, f.durable_len()))
 }
 
 /// Kill the leader at `offset` (relative to the post-build clock, same
@@ -384,7 +387,7 @@ pub fn run_leader_crash_episode(
     // prefix — nothing more (no resurrections), nothing less (no losses).
     match reference_recovery_fingerprint(&shipped, &catalog, cfg.pool_pages) {
         Ok(ref_fp) => {
-            if ref_fp != follower.fingerprint()? {
+            if ref_fp != follower.db().harness().fingerprint()? {
                 violations.push(
                     "promotion: state != independent recovery of the shipped prefix".into(),
                 );
@@ -446,7 +449,7 @@ pub fn run_leader_crash_episode(
 fn rejoin_drill(
     cfg: &TortureConfig,
     rcfg: &ReplConfig,
-    parts: torture::Parts,
+    parts: FaultParts,
     catalog: &[u8],
     new_leader: &mut Follower,
     violations: &mut Vec<String>,
@@ -478,13 +481,7 @@ fn rejoin_drill(
     // Drill 2 — rejoin as follower. Catch-up negotiation decides resume vs
     // snapshot; either way the rejoined node must converge byte-identically
     // and adopt the new epoch.
-    let mut rejoined = Follower::from_parts(
-        lossless.clone(),
-        Arc::clone(&parts.clock),
-        parts.disk.clone(),
-        parts.store.clone(),
-        catalog.to_vec(),
-    )?;
+    let mut rejoined = Follower::from_parts(lossless.clone(), parts, catalog.to_vec())?;
     new_leader.db().log().flush_all()?;
     let mut new_stream = ReplicationStream::new(
         Arc::clone(new_leader.db()),
@@ -509,7 +506,7 @@ fn rejoin_drill(
     if !converged {
         violations.push("rejoined old leader never converged with the new leader".into());
     } else {
-        if rejoined.fingerprint()? != new_leader.fingerprint()? {
+        if rejoined.db().harness().fingerprint()? != new_leader.db().harness().fingerprint()? {
             violations.push("rejoined old leader state != new leader state".into());
         }
         if rejoined.epoch() != new_leader.epoch() {
@@ -558,7 +555,7 @@ pub fn run_follower_crash_episode(
                     ref_len
                 ));
             }
-            if ref_fp != link.follower.fingerprint()? {
+            if ref_fp != link.follower.db().harness().fingerprint()? {
                 violations.push(
                     "[reopen] state at durable length != in-order replay of the prefix".into(),
                 );
@@ -718,20 +715,12 @@ pub fn run_replication_sweep(cfg: &TortureConfig, max_points: usize) -> Result<R
     Ok(report)
 }
 
-/// Outcome of the replication metrics determinism/sanity check.
-#[derive(Clone, Debug)]
-pub struct ReplMetricsCheckReport {
-    /// Merged `repl.*` snapshot of the first run.
-    pub snapshot: Snapshot,
-    /// Violations; empty = metrics are well-formed and deterministic.
-    pub violations: Vec<String>,
-}
-
 /// Run the fault-free replicated workload twice with identical seeds and
 /// assert the merged `repl.*` snapshot (leader stream + follower + channel)
 /// is structurally valid, byte-identical across runs, and reflects real
-/// activity — lag gauges must read zero at convergence.
-pub fn run_repl_metrics_check(cfg: &TortureConfig) -> Result<ReplMetricsCheckReport> {
+/// activity — lag gauges must read zero at convergence. The report's
+/// snapshot is the merged `repl.*` snapshot of the first run.
+pub fn run_repl_metrics_check(cfg: &TortureConfig) -> Result<MetricsCheckReport> {
     let rcfg = ReplConfig::default();
     let run_once = || -> Result<Snapshot> {
         let mut link = ReplLink::new(cfg, &rcfg, cfg.seed)?;
@@ -780,7 +769,7 @@ pub fn run_repl_metrics_check(cfg: &TortureConfig) -> Result<ReplMetricsCheckRep
         Some(h) if h.count() > 0 => {}
         _ => violations.push("apply-records histogram empty".into()),
     }
-    Ok(ReplMetricsCheckReport { snapshot: a, violations })
+    Ok(MetricsCheckReport { snapshot: a, violations })
 }
 
 #[cfg(test)]
@@ -808,8 +797,8 @@ mod tests {
             "logs not byte-identical after convergence"
         );
         assert_eq!(
-            link.follower.fingerprint().unwrap(),
-            torture::fingerprint(&link.db).unwrap()
+            link.follower.db().harness().fingerprint().unwrap(),
+            link.db.harness().fingerprint().unwrap()
         );
     }
 
@@ -832,8 +821,8 @@ mod tests {
             "logs not byte-identical after convergence"
         );
         assert_eq!(
-            link.follower.fingerprint().unwrap(),
-            torture::fingerprint(&link.db).unwrap()
+            link.follower.db().harness().fingerprint().unwrap(),
+            link.db.harness().fingerprint().unwrap()
         );
     }
 

@@ -1,8 +1,8 @@
 //! Crash-torture harness: deterministic fault-injection episodes with a
 //! recovery oracle.
 //!
-//! One **episode** builds a database over a [`FaultDisk`] + [`FaultLogStore`]
-//! sharing a [`FaultClock`], runs a mixed committed/uncommitted workload
+//! One **episode** builds a database over [`FaultParts`] (a fault disk and
+//! log store sharing one fault clock), runs a mixed committed/uncommitted workload
 //! (a ledger-audited bank plus group-churn, in either escrow or X-lock
 //! maintenance mode), lets the armed fault schedule crash it at a chosen
 //! event, reboots onto the frozen durable image through ARIES recovery,
@@ -25,21 +25,18 @@
 
 use crate::catalog::{AggSpec, MaintenanceMode, Predicate, ViewSource, ViewSpec};
 use crate::db::{Database, GhostCleanupReport, ResilienceStats};
+use crate::harness::FaultParts;
 use crate::health::HealthState;
 use std::collections::HashSet;
 use std::sync::Arc;
-use std::time::Duration;
 use txview_common::retry::RetryPolicy;
 use txview_common::rng::Rng;
 use txview_common::schema::{Column, Schema};
 use txview_common::value::ValueType;
 use txview_common::{row, Error, Lsn, ObjectId, Result, Row, Value};
-use txview_storage::fault::{
-    FaultClock, FaultDisk, FaultPoint, FaultSchedule, FaultStatsSnapshot,
-};
+use txview_storage::fault::{FaultClock, FaultPoint, FaultSchedule, FaultStatsSnapshot};
 use txview_txn::IsolationLevel;
 use txview_wal::recovery::RecoveryReport;
-use txview_wal::FaultLogStore;
 
 /// Bank view name (mirrors the workload crate's bank).
 pub const BANK_VIEW: &str = "branch_balance";
@@ -156,13 +153,18 @@ pub struct EpisodeReport {
     pub violations: Vec<String>,
 }
 
-/// Outcome of a crash-point sweep.
+/// Outcome of a crash sweep: one crash episode per chosen offset, evenly
+/// strided over the horizon ([`run_sweep`]) or sampled from the
+/// occurrences of named probes ([`run_probe_sweep`]).
 #[derive(Clone, Debug, Default)]
 pub struct SweepReport {
-    /// Fault-free event horizon of the workload window.
+    /// Fault-free event horizon of the workload window ([`run_sweep`]
+    /// only).
     pub horizon: u64,
     /// Episodes run.
     pub episodes: usize,
+    /// Episodes run per probe name ([`run_probe_sweep`] only).
+    pub per_probe: Vec<(&'static str, usize)>,
     /// Distinct absolute crash events exercised.
     pub crash_events: Vec<u64>,
     /// All violations, tagged with the crash offset that produced them.
@@ -171,34 +173,6 @@ pub struct SweepReport {
     pub acked_commits: usize,
     /// Total transactions recovery undid across episodes.
     pub losers_undone: u64,
-}
-
-pub(crate) struct Parts {
-    pub(crate) clock: Arc<FaultClock>,
-    pub(crate) disk: FaultDisk,
-    pub(crate) store: FaultLogStore,
-}
-
-impl Parts {
-    /// Reboot onto what actually reached stable storage: fall back to the
-    /// durable image of disk and log, disarm the clock, and run recovery
-    /// with `catalog`. Drop the database that ran on these parts first.
-    pub(crate) fn reboot(
-        &self,
-        catalog: &[u8],
-        pool_pages: usize,
-    ) -> Result<(Arc<Database>, RecoveryReport)> {
-        self.disk.crash_restore();
-        self.store.crash_restore();
-        self.clock.disarm();
-        Database::with_parts_recovered(
-            Arc::new(self.disk.clone()),
-            Box::new(self.store.clone()),
-            Some(catalog),
-            pool_pages,
-            Duration::from_secs(2),
-        )
-    }
 }
 
 /// Up to `n` crash offsets spread evenly over `[0, horizon)`, starting at 0.
@@ -211,17 +185,6 @@ pub(crate) fn sample_offsets(horizon: u64, n: usize) -> Vec<u64> {
 pub(crate) fn sample<T: Copy>(occurrences: &[T], n: usize) -> Vec<T> {
     let offsets = sample_offsets(occurrences.len() as u64, n);
     offsets.into_iter().map(|i| occurrences[i as usize]).collect()
-}
-
-pub(crate) fn install_probes(db: &Database, clock: &Arc<FaultClock>) {
-    let c = Arc::clone(clock);
-    db.pool().set_crash_probe(Arc::new(move |p| {
-        c.tick(FaultPoint::Probe(p));
-    }));
-    let c = Arc::clone(clock);
-    db.log().set_crash_probe(Arc::new(move |p| {
-        c.tick(FaultPoint::Probe(p));
-    }));
 }
 
 /// Create `name(cols...)`, every column INT, keyed on the first.
@@ -253,22 +216,12 @@ fn group_view(
 /// Build the fault-injected database and load the initial state: bank
 /// accounts, pre-populated even churn groups, an empty ledger, and a
 /// checkpoint so every episode starts from the same durable image.
-pub(crate) fn build(cfg: &TortureConfig) -> Result<(Arc<Database>, Parts)> {
-    let clock = FaultClock::new();
-    let disk = FaultDisk::new(Arc::clone(&clock));
-    let store = FaultLogStore::new(Arc::clone(&clock));
-    let db = Database::with_parts(
-        Arc::new(disk.clone()),
-        Box::new(store.clone()),
-        cfg.pool_pages,
-        Duration::from_secs(2),
-    )?;
-    install_probes(&db, &clock);
-    // Metrics run on the fault clock's event counter: recorded "durations"
-    // are event-count deltas, so identically-seeded episodes produce
-    // identical snapshots. Wired before any DDL/load so no sample ever
-    // comes from wall time.
-    db.set_metrics_ticks(clock.events_handle());
+pub(crate) fn build(cfg: &TortureConfig) -> Result<(Arc<Database>, FaultParts)> {
+    let parts = FaultParts::new();
+    // Metrics run on the fault clock's event counter from the open on, so
+    // no sample of the DDL, the load or the workload comes from wall time.
+    let db = parts.open(cfg.pool_pages)?;
+    parts.install_probes(&db);
     if cfg.pipeline {
         db.enable_commit_pipeline();
     }
@@ -327,7 +280,7 @@ pub(crate) fn build(cfg: &TortureConfig) -> Result<(Arc<Database>, Parts)> {
     }
     db.commit(&mut txn)?;
     db.checkpoint()?;
-    Ok((db, Parts { clock, disk, store }))
+    Ok((db, parts))
 }
 
 pub(crate) fn add_int(r: &Row, col: usize, d: i64) -> Row {
@@ -428,19 +381,11 @@ pub(crate) enum Step {
 /// Run the deterministic single-threaded workload: two transfer
 /// transactions, then one churn transaction, repeating. Injected faults
 /// surface as errors → rollback; commits acknowledged while the clock has
-/// not fired are recorded as the durability contract.
+/// not fired are recorded as the durability contract. `observe` is told of
+/// every transaction boundary (the replication harness ships frames
+/// there); it ticks no fault clock, so the event horizon does not depend
+/// on it.
 pub(crate) fn run_workload(
-    db: &Database,
-    cfg: &TortureConfig,
-    clock: &FaultClock,
-) -> Result<WorkloadTrace> {
-    run_workload_observed(db, cfg, clock, |_| Ok(()))
-}
-
-/// [`run_workload`] with `observe` told of every transaction boundary (the
-/// replication harness ships frames there). The observer ticks no fault
-/// clock, so the event horizon is the same as without it.
-pub(crate) fn run_workload_observed(
     db: &Database,
     cfg: &TortureConfig,
     clock: &FaultClock,
@@ -538,33 +483,26 @@ pub(crate) fn run_workload_observed(
     Ok(trace)
 }
 
-/// Interrogate the oracle on a recovered database; push violations.
-pub(crate) fn check_oracle(
-    db: &Database,
-    cfg: &TortureConfig,
-    trace: &WorkloadTrace,
-    stage: &str,
-    violations: &mut Vec<String>,
-) {
-    let mut views = vec![BANK_VIEW, CHURN_VIEW];
+/// The view oracle every episode kind shares: each view `build` registers
+/// for `cfg` (the bank, churn and stats views, then the chain shallowest
+/// first) equals its recomputation from base. A chain level must also
+/// equal the one-step fold of its immediate parent's stored rows, and the
+/// terminal global row must conserve total money.
+fn check_views(db: &Database, cfg: &TortureConfig, stage: &str, violations: &mut Vec<String>) {
+    let mut views = vec![BANK_VIEW.to_string(), CHURN_VIEW.to_string()];
     if cfg.minmax {
-        views.push(MINMAX_VIEW);
+        views.push(MINMAX_VIEW.into());
     }
-    for view in views {
+    let chain = chain_view_names(cfg.chain_depth);
+    views.extend(chain.iter().cloned());
+    for view in &views {
         if let Err(e) = db.harness().verify_view(view) {
             violations.push(format!("[{stage}] view '{view}' != recomputation from base: {e}"));
         }
-    }
-    // Chain oracle: each level must equal both the transitive recomputation
-    // from base AND the one-step fold of its immediate parent's stored
-    // rows, and the terminal global row must conserve total money.
-    for view in chain_view_names(cfg.chain_depth) {
-        if let Err(e) = db.harness().verify_view(&view) {
-            violations.push(format!(
-                "[{stage}] chain view '{view}' != transitive recomputation: {e}"
-            ));
+        if !chain.contains(view) {
+            continue;
         }
-        if let Err(e) = db.harness().verify_view_from_parent(&view) {
+        if let Err(e) = db.harness().verify_view_from_parent(view) {
             violations.push(format!(
                 "[{stage}] chain view '{view}' != fold of immediate parent: {e}"
             ));
@@ -587,6 +525,17 @@ pub(crate) fn check_oracle(
             Err(e) => violations.push(format!("[{stage}] '{CHAIN_TOTAL_VIEW}' unreadable: {e}")),
         }
     }
+}
+
+/// Interrogate the oracle on a recovered database; push violations.
+pub(crate) fn check_oracle(
+    db: &Database,
+    cfg: &TortureConfig,
+    trace: &WorkloadTrace,
+    stage: &str,
+    violations: &mut Vec<String>,
+) {
+    check_views(db, cfg, stage, violations);
     let ledger = match db.harness().dump_table("ledger") {
         Ok(rows) => rows,
         Err(e) => {
@@ -664,7 +613,7 @@ pub fn run_episode(cfg: &TortureConfig, schedule: &FaultSchedule) -> Result<Epis
     let (db, parts) = build(cfg)?;
     let catalog = db.export_catalog();
     parts.clock.arm(schedule);
-    let trace = run_workload(&db, cfg, &parts.clock)?;
+    let trace = run_workload(&db, cfg, &parts.clock, |_| Ok(()))?;
     let fault_stats = parts.clock.stats();
     drop(db);
     let (db, recovery) = parts.reboot(&catalog, cfg.pool_pages)?;
@@ -712,8 +661,32 @@ pub fn run_episode(cfg: &TortureConfig, schedule: &FaultSchedule) -> Result<Epis
 pub fn measure_horizon(cfg: &TortureConfig) -> Result<u64> {
     let (db, parts) = build(cfg)?;
     let before = parts.clock.events();
-    run_workload(&db, cfg, &parts.clock)?;
+    run_workload(&db, cfg, &parts.clock, |_| Ok(()))?;
     Ok(parts.clock.events() - before)
+}
+
+/// Run one crash episode at each of `offsets` and fold it into `report`;
+/// `seam` names where the crashes were meant to land.
+fn crash_at_each(
+    cfg: &TortureConfig,
+    offsets: &[u64],
+    seam: &str,
+    report: &mut SweepReport,
+) -> Result<()> {
+    for &offset in offsets {
+        let ep = run_episode(cfg, &FaultSchedule::crash_at(offset))?;
+        report.episodes += 1;
+        report.acked_commits += ep.trace.acked_commits;
+        report.losers_undone += ep.recovery.losers;
+        match ep.crash_event {
+            Some(ev) => report.crash_events.push(ev),
+            None => report.violations.push((offset, format!("crash scheduled {seam} never fired"))),
+        }
+        report.violations.extend(ep.violations.into_iter().map(|v| (offset, v)));
+    }
+    report.crash_events.sort_unstable();
+    report.crash_events.dedup();
+    Ok(())
 }
 
 /// Sweep crash points over the workload window: up to `max_points`
@@ -722,26 +695,10 @@ pub fn measure_horizon(cfg: &TortureConfig) -> Result<u64> {
 pub fn run_sweep(cfg: &TortureConfig, max_points: usize) -> Result<SweepReport> {
     let horizon = measure_horizon(cfg)?;
     let mut report = SweepReport { horizon, ..Default::default() };
-    if horizon == 0 || max_points == 0 {
-        return Ok(report);
+    if horizon > 0 && max_points > 0 {
+        let offsets = sample_offsets(horizon, max_points);
+        crash_at_each(cfg, &offsets, "inside the workload", &mut report)?;
     }
-    for offset in sample_offsets(horizon, max_points) {
-        let ep = run_episode(cfg, &FaultSchedule::crash_at(offset))?;
-        report.episodes += 1;
-        report.acked_commits += ep.trace.acked_commits;
-        report.losers_undone += ep.recovery.losers;
-        match ep.crash_event {
-            Some(ev) => report.crash_events.push(ev),
-            None => report
-                .violations
-                .push((offset, "scheduled crash never fired inside the workload".into())),
-        }
-        for v in ep.violations {
-            report.violations.push((offset, v));
-        }
-    }
-    report.crash_events.sort_unstable();
-    report.crash_events.dedup();
     Ok(report)
 }
 
@@ -780,23 +737,9 @@ pub(crate) fn measure_probe_offsets(
         }
         c.tick(FaultPoint::Probe(p));
     }));
-    run_workload(&db, cfg, &parts.clock)?;
+    run_workload(&db, cfg, &parts.clock, |_| Ok(()))?;
     let out = hits.lock().iter().map(|&(n, abs)| (n, abs - base)).collect();
     Ok(out)
-}
-
-/// Outcome of a pipeline-seam sweep: one crash episode per sampled
-/// occurrence of each pipeline probe.
-#[derive(Clone, Debug, Default)]
-pub struct ProbeSweepReport {
-    /// Episodes run per probe name.
-    pub per_probe: Vec<(&'static str, usize)>,
-    /// Episodes run in total.
-    pub episodes: usize,
-    /// Violations, tagged with the crash offset that produced them.
-    pub violations: Vec<(u64, String)>,
-    /// Total acknowledged commits across episodes.
-    pub acked_commits: usize,
 }
 
 /// The cascade flush's mid-chain crash seam: fires between DAG levels
@@ -819,28 +762,15 @@ pub fn run_probe_sweep(
     cfg: &TortureConfig,
     probes: &'static [&'static str],
     per_probe: usize,
-) -> Result<ProbeSweepReport> {
+) -> Result<SweepReport> {
     let offsets = measure_probe_offsets(cfg, probes)?;
-    let mut report = ProbeSweepReport::default();
+    let mut report = SweepReport::default();
     for &name in probes {
         let occurrences: Vec<u64> =
             offsets.iter().filter(|(n, _)| *n == name).map(|&(_, o)| o).collect();
-        let mut ran = 0usize;
-        for offset in sample(&occurrences, per_probe) {
-            let ep = run_episode(cfg, &FaultSchedule::crash_at(offset))?;
-            report.episodes += 1;
-            ran += 1;
-            report.acked_commits += ep.trace.acked_commits;
-            if ep.crash_event.is_none() {
-                report
-                    .violations
-                    .push((offset, format!("crash scheduled at {name} never fired")));
-            }
-            for v in ep.violations {
-                report.violations.push((offset, v));
-            }
-        }
-        report.per_probe.push((name, ran));
+        let sampled = sample(&occurrences, per_probe);
+        crash_at_each(cfg, &sampled, &format!("at {name}"), &mut report)?;
+        report.per_probe.push((name, sampled.len()));
     }
     Ok(report)
 }
@@ -886,58 +816,12 @@ pub struct StormSweepReport {
     pub violations: Vec<(u64, String)>,
 }
 
-/// Chain depth inferred from the catalog: how many of the views `build`
-/// registers for a chained config actually exist in `db`. Lets fingerprints
-/// taken without a config (replication followers, promoted leaders) cover
-/// the chain automatically.
-pub(crate) fn detect_chain_depth(db: &Database) -> usize {
-    if db.harness().view_depth(CHAIN_TOTAL_VIEW).is_err() {
-        return 0;
-    }
-    let mut depth = 1;
-    while db.harness().view_depth(&format!("bank_chain_{depth}")).is_ok() {
-        depth += 1;
-    }
-    depth
-}
-
-/// Byte-exact fingerprint of the committed state: every base-table row and
-/// every visible view row (chain views included), length-framed, in key
-/// order.
-pub(crate) fn fingerprint(db: &Database) -> Result<Vec<u8>> {
-    fingerprint_with_chain(db, detect_chain_depth(db))
-}
-
-/// [`fingerprint`] extended with the derived chain views of `chain_depth`.
-pub(crate) fn fingerprint_with_chain(db: &Database, chain_depth: usize) -> Result<Vec<u8>> {
-    let mut out = Vec::new();
-    let frame = |out: &mut Vec<u8>, rows: Vec<Row>| {
-        for r in rows {
-            let b = r.to_bytes();
-            out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-            out.extend_from_slice(&b);
-        }
-    };
-    for table in ["accounts", "items", "ledger"] {
-        out.extend_from_slice(table.as_bytes());
-        frame(&mut out, db.harness().dump_table(table)?);
-    }
-    let mut views: Vec<String> = vec![BANK_VIEW.into(), CHURN_VIEW.into()];
-    views.extend(chain_view_names(chain_depth));
-    for view in &views {
-        out.extend_from_slice(view.as_bytes());
-        frame(&mut out, db.harness().dump_view(view)?);
-    }
-    Ok(out)
-}
-
 /// The fault-free reference of a config: the trace and committed-state
 /// fingerprint of the identical workload with no schedule armed.
 pub(crate) fn reference_run(cfg: &TortureConfig) -> Result<(WorkloadTrace, Vec<u8>)> {
     let (db, parts) = build(cfg)?;
-    let trace = run_workload(&db, cfg, &parts.clock)?;
-    let fp = fingerprint_with_chain(&db, cfg.chain_depth)?;
-    Ok((trace, fp))
+    let trace = run_workload(&db, cfg, &parts.clock, |_| Ok(()))?;
+    Ok((trace, db.harness().fingerprint()?))
 }
 
 /// Run one transient-storm episode and assert the absorption oracle:
@@ -962,7 +846,7 @@ fn storm_episode_with_reference(
     // event clock, and the sweep runs hundreds of these.
     db.set_io_retry_policy(RetryPolicy::no_delay(5));
     parts.clock.arm(schedule);
-    let trace = run_workload(&db, cfg, &parts.clock)?;
+    let trace = run_workload(&db, cfg, &parts.clock, |_| Ok(()))?;
     parts.clock.disarm();
     let fault_stats = parts.clock.stats();
     let resilience = db.stats().resilience;
@@ -987,14 +871,8 @@ fn storm_episode_with_reference(
     if trace.acked_transfers != ref_trace.acked_transfers {
         violations.push("acked transfer set diverged from the fault-free run".into());
     }
-    let mut storm_views: Vec<String> = vec![BANK_VIEW.into(), CHURN_VIEW.into()];
-    storm_views.extend(chain_view_names(cfg.chain_depth));
-    for view in &storm_views {
-        if let Err(e) = db.harness().verify_view(view) {
-            violations.push(format!("view '{view}' != recomputation from base: {e}"));
-        }
-    }
-    if fingerprint_with_chain(&db, cfg.chain_depth)? != ref_fp {
+    check_views(&db, cfg, "storm", &mut violations);
+    if db.harness().fingerprint()? != ref_fp {
         violations.push("committed state not byte-identical to the fault-free run".into());
     }
     Ok(StormReport {
@@ -1123,11 +1001,7 @@ pub fn run_persistent_episode(cfg: &TortureConfig, outage_event: u64) -> Result<
     if let Err(e) = post {
         violations.push(format!("post-heal write failed: {e}"));
     }
-    for view in [BANK_VIEW, CHURN_VIEW] {
-        if let Err(e) = db.harness().verify_view(view) {
-            violations.push(format!("[post-heal] view '{view}' diverged: {e}"));
-        }
-    }
+    check_views(&db, cfg, "post-heal", &mut violations);
     Ok(OutageReport {
         fault_stats: parts.clock.stats(),
         resilience: db.stats().resilience,
@@ -1174,7 +1048,7 @@ pub struct MetricsCheckReport {
 pub fn run_metrics_check(cfg: &TortureConfig) -> Result<MetricsCheckReport> {
     let run_once = || -> Result<txview_common::obs::Snapshot> {
         let (db, parts) = build(cfg)?;
-        run_workload(&db, cfg, &parts.clock)?;
+        run_workload(&db, cfg, &parts.clock, |_| Ok(()))?;
         db.run_ghost_cleanup()?;
         Ok(db.metrics_snapshot())
     };
@@ -1451,6 +1325,27 @@ mod tests {
             measure_probe_offsets(&TortureConfig { minmax: false, ..minmax_cfg() }, &MINMAX_PROBES)
                 .unwrap();
         assert!(off.is_empty(), "gated probes fired with minmax off: {off:?}");
+    }
+
+    #[test]
+    fn fingerprint_covers_the_readings_table_and_stats_view() {
+        // Two worlds built and run from one seed fingerprint equal; moving
+        // one `readings` row (the table the bank-schema fingerprint used
+        // to skip, and with it `reading_stats`) changes the fingerprint.
+        let cfg = minmax_cfg();
+        let world = || {
+            let (db, parts) = build(&cfg).unwrap();
+            run_workload(&db, &cfg, &parts.clock, |_| Ok(())).unwrap();
+            db
+        };
+        let (a, b) = (world(), world());
+        let fp = a.harness().fingerprint().unwrap();
+        assert_eq!(fp, b.harness().fingerprint().unwrap());
+        let r = b.harness().dump_table("readings").unwrap().swap_remove(0);
+        let mut txn = b.begin(IsolationLevel::ReadCommitted);
+        b.update(&mut txn, "readings", add_int(&r, 2, 1)).unwrap();
+        b.commit(&mut txn).unwrap();
+        assert_ne!(fp, b.harness().fingerprint().unwrap());
     }
 
     #[test]

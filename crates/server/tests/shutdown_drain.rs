@@ -23,10 +23,10 @@ use txview_common::schema::{Column, Schema};
 use txview_common::value::ValueType;
 use txview_common::{row, Value};
 use txview_engine::catalog::{AggSpec, MaintenanceMode, Predicate, ViewSource, ViewSpec};
-use txview_engine::{Database, IsolationLevel};
+use txview_engine::{Database, FaultParts, IsolationLevel};
 use txview_server::{Client, Server, ServerConfig};
-use txview_storage::fault::{FaultClock, FaultDisk, FaultPoint, FaultSchedule};
-use txview_wal::{FaultLogStore, LogStore};
+use txview_storage::fault::{FaultPoint, FaultSchedule};
+use txview_wal::LogStore;
 use txview_workload::bank::{Bank, BankConfig, VIEW};
 
 const KILL_PROBE: &str = "wal.pipeline.post_append_pre_wake";
@@ -122,17 +122,9 @@ fn kill_episode(kill_at: u64) -> (u64, u64, u64) {
     const MAX_ATTEMPTS: u64 = 20_000;
     const POOL_PAGES: usize = 256;
 
-    let clock = FaultClock::new();
-    let disk = FaultDisk::new(Arc::clone(&clock));
-    let store = FaultLogStore::new(Arc::clone(&clock));
-    store.set_sync_latency(40, 10, 7); // widen the append→wake window
-    let db = Database::with_parts(
-        Arc::new(disk.clone()),
-        Box::new(store.clone()),
-        POOL_PAGES,
-        Duration::from_secs(2),
-    )
-    .expect("with_parts");
+    let parts = FaultParts::new();
+    parts.store.set_sync_latency(40, 10, 7); // widen the append→wake window
+    let db = parts.open(POOL_PAGES).expect("open");
     db.enable_commit_pipeline();
 
     let accounts = db
@@ -180,7 +172,7 @@ fn kill_episode(kill_at: u64) -> (u64, u64, u64) {
     {
         let hits = Arc::clone(&hits);
         let killer = server.killer();
-        let clock = Arc::clone(&clock);
+        let clock = Arc::clone(&parts.clock);
         db.log().set_crash_probe(Arc::new(move |p| {
             if p == KILL_PROBE {
                 let n = hits.fetch_add(1, Ordering::AcqRel) + 1;
@@ -221,22 +213,13 @@ fn kill_episode(kill_at: u64) -> (u64, u64, u64) {
 
     // Force one more store op so the doomed clock's freeze is captured even
     // if the pipeline went idle the instant the probe fired.
-    let _ = LogStore::sync(&store);
+    let _ = LogStore::sync(&parts.store);
 
     // Crash: discard live state, keep the frozen image, recover over it.
     let catalog = db.export_catalog();
     drop(db);
-    assert!(store.crash_restore(), "fault store never froze a crash image");
-    disk.crash_restore();
-    clock.disarm();
-    let (db2, _report) = Database::with_parts_recovered(
-        Arc::new(disk.clone()),
-        Box::new(store.clone()),
-        Some(&catalog),
-        POOL_PAGES,
-        Duration::from_secs(2),
-    )
-    .expect("recovery");
+    assert!(parts.restore_durable(), "fault store never froze a crash image");
+    let (db2, _report) = parts.reboot(&catalog, POOL_PAGES).expect("recovery");
     db2.harness().verify_view(VIEW).expect("view consistent after recovery");
 
     let mut total_attempts = 0;

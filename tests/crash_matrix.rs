@@ -5,16 +5,14 @@
 //! ghosts cleanable).
 
 use std::sync::Arc;
-use std::time::Duration;
-use txview_engine::torture::{run_episode, run_sweep, TortureConfig};
-use txview_engine::{
-    AggSpec, Database, IsolationLevel, MaintenanceMode, Predicate, ViewSource, ViewSpec,
-};
-use txview_storage::fault::{FaultClock, FaultDisk, FaultPoint, FaultSchedule};
 use txview_common::row;
 use txview_common::schema::{Column, Schema};
 use txview_common::value::ValueType;
-use txview_wal::FaultLogStore;
+use txview_engine::torture::{run_episode, run_sweep, TortureConfig};
+use txview_engine::{
+    AggSpec, Database, FaultParts, IsolationLevel, MaintenanceMode, Predicate, ViewSource, ViewSpec,
+};
+use txview_storage::fault::FaultSchedule;
 
 fn cfg(mode: MaintenanceMode) -> TortureConfig {
     TortureConfig { mode, txns: 12, seed: 7, ..Default::default() }
@@ -69,36 +67,15 @@ fn crash_points_inside_the_steal_window_are_covered() {
 // a separate system transaction first, so a crash between the two left an
 // empty-yet-"fresh" view.)
 
-struct DeferredParts {
-    clock: Arc<FaultClock>,
-    disk: FaultDisk,
-    store: FaultLogStore,
-}
-
 const DEFERRED_VIEW: &str = "sales_by_product";
 
 /// Fault-injected db with a populated-but-stale deferred view: batch A is
 /// refreshed into the view, batch B is pending. Checkpointed so every
 /// episode starts from the same durable image.
-fn build_deferred(seed_rows: i64) -> (Arc<Database>, DeferredParts) {
-    let clock = FaultClock::new();
-    let disk = FaultDisk::new(Arc::clone(&clock));
-    let store = FaultLogStore::new(Arc::clone(&clock));
-    let db = Database::with_parts(
-        Arc::new(disk.clone()),
-        Box::new(store.clone()),
-        256,
-        Duration::from_secs(2),
-    )
-    .unwrap();
-    let c = Arc::clone(&clock);
-    db.pool().set_crash_probe(Arc::new(move |p| {
-        c.tick(FaultPoint::Probe(p));
-    }));
-    let c = Arc::clone(&clock);
-    db.log().set_crash_probe(Arc::new(move |p| {
-        c.tick(FaultPoint::Probe(p));
-    }));
+fn build_deferred(seed_rows: i64) -> (Arc<Database>, FaultParts) {
+    let parts = FaultParts::new();
+    let db = parts.open(256).unwrap();
+    parts.install_probes(&db);
 
     let sales = db
         .create_table(
@@ -140,7 +117,7 @@ fn build_deferred(seed_rows: i64) -> (Arc<Database>, DeferredParts) {
     }
     db.commit(&mut txn).unwrap();
     db.checkpoint().unwrap();
-    (db, DeferredParts { clock, disk, store })
+    (db, parts)
 }
 
 /// One crash episode at `offset` events into the refresh. Returns whether
@@ -156,17 +133,7 @@ fn deferred_refresh_episode(offset: u64) -> bool {
     let fired = parts.clock.fired();
     drop(db);
 
-    parts.disk.crash_restore();
-    parts.store.crash_restore();
-    parts.clock.disarm();
-    let (db, _recovery) = Database::with_parts_recovered(
-        Arc::new(parts.disk.clone()),
-        Box::new(parts.store.clone()),
-        Some(&catalog),
-        256,
-        Duration::from_secs(2),
-    )
-    .unwrap();
+    let (db, _recovery) = parts.reboot(&catalog, 256).unwrap();
     let _ = db.run_ghost_cleanup().unwrap();
 
     let stored = db.harness().dump_view(DEFERRED_VIEW).unwrap();

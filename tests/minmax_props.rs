@@ -13,15 +13,13 @@
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Duration;
 use txview_common::schema::{Column, Schema};
 use txview_common::value::ValueType;
 use txview_common::{row, Row, Value};
 use txview_engine::{
-    AggSpec, Database, IsolationLevel, MaintenanceMode, Predicate, ViewSource, ViewSpec,
+    AggSpec, Database, FaultParts, IsolationLevel, MaintenanceMode, Predicate, ViewSource, ViewSpec,
 };
-use txview_storage::fault::{FaultClock, FaultDisk, FaultPoint, FaultSchedule};
-use txview_wal::FaultLogStore;
+use txview_storage::fault::{FaultClock, FaultSchedule};
 
 const VIEW: &str = "reading_stats";
 const GROUPS: i64 = 4;
@@ -321,45 +319,20 @@ proptest! {
         ops in prop::collection::vec(arb_op(), 1..80),
         offset in 0u64..160,
     ) {
-        let clock = FaultClock::new();
-        let disk = FaultDisk::new(Arc::clone(&clock));
-        let store = FaultLogStore::new(Arc::clone(&clock));
-        let db = Database::with_parts(
-            Arc::new(disk.clone()),
-            Box::new(store.clone()),
-            256,
-            Duration::from_secs(2),
-        )
-        .unwrap();
-        let c = Arc::clone(&clock);
-        db.pool().set_crash_probe(Arc::new(move |p| {
-            c.tick(FaultPoint::Probe(p));
-        }));
-        let c = Arc::clone(&clock);
-        db.log().set_crash_probe(Arc::new(move |p| {
-            c.tick(FaultPoint::Probe(p));
-        }));
+        let parts = FaultParts::new();
+        let db = parts.open(256).unwrap();
+        parts.install_probes(&db);
         setup(&db);
         db.checkpoint().unwrap();
         let catalog = db.export_catalog();
 
-        clock.arm(&FaultSchedule::crash_at(offset));
-        let out = drive(&db, &ops, Some(&clock));
-        let fired = clock.fired();
+        parts.clock.arm(&FaultSchedule::crash_at(offset));
+        let out = drive(&db, &ops, Some(&parts.clock));
+        let fired = parts.clock.fired();
         prop_assert!(fired || out.completed, "stream stopped without a crash");
         drop(db);
 
-        disk.crash_restore();
-        store.crash_restore();
-        clock.disarm();
-        let (db, _recovery) = Database::with_parts_recovered(
-            Arc::new(disk.clone()),
-            Box::new(store.clone()),
-            Some(&catalog),
-            256,
-            Duration::from_secs(2),
-        )
-        .unwrap();
+        let (db, _recovery) = parts.reboot(&catalog, 256).unwrap();
         let _ = db.run_ghost_cleanup().unwrap();
 
         // Which state survived? Acked, always — unless the crash landed

@@ -8,34 +8,23 @@
 //! across the wire).
 
 use proptest::prelude::*;
-use std::sync::Arc;
-use std::time::Duration;
 use txview_common::rng::Rng;
 use txview_common::row;
 use txview_common::schema::{Column, Schema};
 use txview_common::value::ValueType;
 use txview_engine::repl::{ChannelFaults, Follower, Frame, Message, ReplChannel, ReplConfig};
 use txview_engine::{
-    AggSpec, Database, IsolationLevel, MaintenanceMode, Predicate, ViewSource, ViewSpec,
+    AggSpec, FaultParts, IsolationLevel, MaintenanceMode, Predicate, ViewSource, ViewSpec,
 };
-use txview_storage::fault::{FaultClock, FaultDisk};
 use txview_wal::log::LOG_HEADER;
-use txview_wal::{FaultLogStore, LogRecord, LogStore};
+use txview_wal::{LogRecord, LogStore};
 
 /// Build a small leader (accounts table + escrow sum view), run `txns`
 /// committed/aborted transactions, and return its catalog plus the durable
 /// framed log bytes — the exact bytes the replication stream ships.
 fn shipped_log(seed: u64, txns: usize) -> (Vec<u8>, Vec<u8>) {
-    let clock = FaultClock::new();
-    let disk = FaultDisk::new(Arc::clone(&clock));
-    let store = FaultLogStore::new(Arc::clone(&clock));
-    let db = Database::with_parts(
-        Arc::new(disk),
-        Box::new(store.clone()),
-        64,
-        Duration::from_secs(2),
-    )
-    .unwrap();
+    let parts = FaultParts::new();
+    let db = parts.open(64).unwrap();
     db.create_table(
         "accounts",
         Schema::new(
@@ -79,7 +68,7 @@ fn shipped_log(seed: u64, txns: usize) -> (Vec<u8>, Vec<u8>) {
     }
     db.log().flush_all().unwrap();
     let catalog = db.export_catalog();
-    let shipped = store.read_from(0).unwrap();
+    let shipped = parts.store.read_from(0).unwrap();
     (catalog, shipped)
 }
 
@@ -94,19 +83,6 @@ fn cut_frames(shipped: &[u8]) -> Vec<Frame> {
     }
     assert_eq!(off, shipped.len(), "shipped log must cut into whole frames");
     frames
-}
-
-/// Generic committed-state fingerprint over this test's schema (the
-/// engine-level `Follower::fingerprint` assumes the torture bank schema).
-fn state_fp(db: &Database) -> Vec<u8> {
-    let mut out = Vec::new();
-    for r in db.harness().dump_table("accounts").unwrap() {
-        out.extend_from_slice(&r.to_bytes());
-    }
-    for r in db.harness().dump_view("by_branch").unwrap() {
-        out.extend_from_slice(&r.to_bytes());
-    }
-    out
 }
 
 fn fresh_follower(catalog: &[u8], buffer: usize) -> Follower {
@@ -141,7 +117,7 @@ proptest! {
         feed(&mut inorder, &ch, &frames);
         prop_assert_eq!(inorder.durable_len(), frames.last().unwrap().end());
         prop_assert_eq!(inorder.durable_len(), shipped.len() as u64);
-        let want = state_fp(inorder.db());
+        let want = inorder.db().harness().fingerprint().unwrap();
 
         // Perturbed: keep ~70% of frames, duplicate ~30% of the kept ones,
         // then shuffle the whole multiset. This is an arbitrary lossy
@@ -170,13 +146,13 @@ proptest! {
         feed(&mut f, &ch, &frames);
         prop_assert_eq!(f.durable_len(), inorder.durable_len());
         prop_assert_eq!(f.durable_len(), shipped.len() as u64);
-        prop_assert_eq!(state_fp(f.db()), want.clone());
+        prop_assert_eq!(f.db().harness().fingerprint().unwrap(), want.clone());
         // The follower's own log is byte-identical to the leader's.
         prop_assert_eq!(f.store().read_from(0).unwrap(), shipped.clone());
 
         // Redo idempotence across the wire: a full second replay of the
         // log must change nothing.
         feed(&mut f, &ch, &frames);
-        prop_assert_eq!(state_fp(f.db()), want);
+        prop_assert_eq!(f.db().harness().fingerprint().unwrap(), want);
     }
 }
