@@ -9,7 +9,9 @@
 //! * [`OpLog::Clr`] — the operation *is* an undo step; it is logged as a
 //!   redo-only compensation record chaining `undo_next`;
 //! * [`OpLog::System`] — part of a system transaction; the tree supplies a
-//!   *physical* inverse so an in-flight crash can back it out;
+//!   *physical* inverse so an in-flight crash can back it out. Only this
+//!   variant logs an inverse, so only it makes the tree build one, from
+//!   the page before the change;
 //! * [`OpLog::None`] — unlogged (catalog bootstrap before the log exists).
 
 use txview_common::{Lsn, PageId, TxnId};
@@ -65,8 +67,10 @@ impl LogCtx<'_> {
     }
 
     /// Log one physical page operation according to `how`; returns the LSN
-    /// to stamp on the page (null when unlogged).
-    pub fn log_op(&mut self, page: PageId, redo: RedoOp, inverse: RedoOp, how: &OpLog) -> Lsn {
+    /// to stamp on the page (null when unlogged). `inverse` is the op's
+    /// physical inverse: only [`OpLog::System`] logs one, and it must
+    /// bring it.
+    pub fn log_op(&mut self, page: PageId, redo: RedoOp, inverse: Option<RedoOp>, how: &OpLog) -> Lsn {
         match how {
             OpLog::Update { undo } => self.append(RecordBody::Update {
                 page,
@@ -81,7 +85,7 @@ impl LogCtx<'_> {
             OpLog::System => self.append(RecordBody::Update {
                 page,
                 redo,
-                undo: UndoOp::Page { page, op: inverse },
+                undo: UndoOp::Page { page, op: inverse.expect("a system operation logs its inverse") },
             }),
             OpLog::None => Lsn::NULL,
         }
@@ -117,13 +121,13 @@ mod tests {
         let mut ctx = LogCtx { log: &log, txn: TxnId(1), last_lsn: &mut last };
         let redo = RedoOp::SlotRemove { idx: 0 };
         let inv = RedoOp::SlotInsert { idx: 0, bytes: vec![1] };
-        let l1 = ctx.log_op(PageId(1), redo.clone(), inv.clone(), &OpLog::Update { undo: UndoOp::None });
+        let l1 = ctx.log_op(PageId(1), redo.clone(), None, &OpLog::Update { undo: UndoOp::None });
         assert!(!l1.is_null());
-        let l2 = ctx.log_op(PageId(1), redo.clone(), inv.clone(), &OpLog::System);
+        let l2 = ctx.log_op(PageId(1), redo.clone(), Some(inv), &OpLog::System);
         assert!(l2 > l1);
-        let l3 = ctx.log_op(PageId(1), redo.clone(), inv.clone(), &OpLog::Clr { undo_next: l1 });
+        let l3 = ctx.log_op(PageId(1), redo.clone(), None, &OpLog::Clr { undo_next: l1 });
         assert!(l3 > l2);
-        let l4 = ctx.log_op(PageId(1), redo, inv, &OpLog::None);
+        let l4 = ctx.log_op(PageId(1), redo, None, &OpLog::None);
         assert!(l4.is_null());
         log.flush_all().unwrap();
         let recs = log.read_durable_from(0).unwrap();

@@ -10,8 +10,8 @@ use crate::node;
 use parking_lot::RwLock;
 use std::sync::Arc;
 use txview_common::{Error, IndexId, Key, Lsn, PageId, Result};
-use txview_storage::buffer::{BufferPool, PinnedPage};
-use txview_storage::page::PageType;
+use txview_storage::buffer::{BufferPool, PageWriteGuard, PinnedPage};
+use txview_storage::page::{Page, PageType};
 use txview_wal::log::PAYLOAD_HEADER_LEN;
 use txview_wal::record::{RecordBody, RedoOp, UndoOp, ValueDelta};
 use txview_wal::LogManager;
@@ -127,21 +127,41 @@ impl Tree {
         Ok(node::leaf_search(&g, key.as_bytes()).is_ok())
     }
 
-    /// Apply a slotted redo op to a latched page and log it.
+    /// Apply a slotted redo op to a latched page and log it. `inverse`
+    /// builds the op's physical inverse from the page before the change;
+    /// only a system operation logs one, so only it calls `inverse`.
     fn apply_logged(
         page: &PinnedPage,
-        guard: &mut txview_storage::buffer::PageWriteGuard<'_>,
+        guard: &mut PageWriteGuard<'_>,
         redo: RedoOp,
-        inverse: RedoOp,
+        inverse: impl FnOnce(&Page) -> RedoOp,
         ctx: &mut LogCtx<'_>,
         how: &OpLog,
     ) -> Result<()> {
+        let inverse = matches!(how, OpLog::System).then(|| inverse(guard));
         redo.apply(guard.payload_mut(), PAYLOAD_HEADER_LEN)?;
         let lsn = ctx.log_op(page.id(), redo, inverse, how);
         if !lsn.is_null() {
             guard.set_lsn(lsn);
         }
         Ok(())
+    }
+
+    /// The locate-for-write step of every mutator of an existing record:
+    /// under the shared tree latch, descend to `key`'s leaf, latch it for
+    /// write and find `key`'s slot (`NotFound` when it has no record), then
+    /// run `write` on the leaf and the slot.
+    fn with_record<R>(
+        &self,
+        key: &Key,
+        write: impl FnOnce(&PinnedPage, &mut PageWriteGuard<'_>, usize) -> Result<R>,
+    ) -> Result<R> {
+        let _t = self.latch.read();
+        let leaf = self.find_leaf(key.as_bytes())?;
+        let mut g = leaf.write();
+        let idx = node::leaf_search(&g, key.as_bytes())
+            .map_err(|_| Error::NotFound(format!("{key:?} in index {}", self.index_id.0)))?;
+        write(&leaf, &mut g, idx)
     }
 
     /// Insert `key → value`. Fails with [`Error::DuplicateKey`] if a live
@@ -158,28 +178,20 @@ impl Tree {
                 let mut g = leaf.write();
                 match node::leaf_search(&g, key.as_bytes()) {
                     Ok(idx) => {
-                        let old = node::slots(&g).get(idx).to_vec();
-                        let dec = node::decode_leaf(&old)?;
-                        if !dec.ghost {
+                        let old = node::slots(&g).get(idx);
+                        if !node::decode_leaf(old)?.ghost {
                             return Err(Error::DuplicateKey(format!("{key:?}")));
                         }
-                        // Revive the ghost with the new value.
-                        let grow = rec.len().saturating_sub(old.len());
-                        if node::slots(&g).free_space() < grow {
-                            // fall through to split
-                        } else {
-                            let redo = RedoOp::SlotUpdate { idx: idx as u16, bytes: rec.clone() };
-                            let inverse = RedoOp::SlotUpdate { idx: idx as u16, bytes: old };
-                            Self::apply_logged(&leaf, &mut g, redo, inverse, ctx, how)?;
-                            return Ok(());
+                        // Revive the ghost with the new value, unless it
+                        // grows past the leaf's free space.
+                        if node::slots(&g).free_space() >= rec.len().saturating_sub(old.len()) {
+                            let redo = RedoOp::SlotUpdate { idx: idx as u16, bytes: rec };
+                            return Self::apply_logged(&leaf, &mut g, redo, restore(idx), ctx, how);
                         }
                     }
                     Err(pos) => {
                         if node::slots(&g).free_space() >= rec.len() + 8 {
-                            let redo = RedoOp::SlotInsert { idx: pos as u16, bytes: rec.clone() };
-                            let inverse = RedoOp::SlotRemove { idx: pos as u16 };
-                            Self::apply_logged(&leaf, &mut g, redo, inverse, ctx, how)?;
-                            return Ok(());
+                            return Self::insert_slot(&leaf, &mut g, pos, rec, ctx, how);
                         }
                     }
                 }
@@ -189,68 +201,46 @@ impl Tree {
         }
     }
 
-    /// Set or clear the ghost flag of an existing record; returns its value
-    /// bytes (callers build undo descriptors and view deltas from them).
-    pub fn set_ghost(&self, key: &Key, ghost: bool, ctx: &mut LogCtx<'_>, how: &OpLog) -> Result<Vec<u8>> {
-        let _t = self.latch.read();
-        let leaf = self.find_leaf(key.as_bytes())?;
-        let mut g = leaf.write();
-        let idx = node::leaf_search(&g, key.as_bytes())
-            .map_err(|_| Error::NotFound(format!("{key:?} in index {}", self.index_id.0)))?;
-        let old_rec = node::slots(&g).get(idx).to_vec();
-        let dec = node::decode_leaf(&old_rec)?;
-        let value = dec.value.to_vec();
-        let was = dec.ghost;
-        if was == ghost {
-            return Ok(value);
-        }
-        let redo = RedoOp::SlotPatch {
-            idx: idx as u16,
-            off: node::GHOST_FLAG_OFFSET as u16,
-            bytes: vec![ghost as u8],
-        };
-        let inverse = RedoOp::SlotPatch {
-            idx: idx as u16,
-            off: node::GHOST_FLAG_OFFSET as u16,
-            bytes: vec![was as u8],
-        };
-        Self::apply_logged(&leaf, &mut g, redo, inverse, ctx, how)?;
-        Ok(value)
+    /// Set or clear the ghost flag of an existing record.
+    pub fn set_ghost(&self, key: &Key, ghost: bool, ctx: &mut LogCtx<'_>, how: &OpLog) -> Result<()> {
+        self.with_record(key, |leaf, g, idx| {
+            if node::decode_leaf(node::slots(g).get(idx))?.ghost == ghost {
+                return Ok(());
+            }
+            let flag = move |on: bool| RedoOp::SlotPatch {
+                idx: idx as u16,
+                off: node::GHOST_FLAG_OFFSET as u16,
+                bytes: vec![on as u8],
+            };
+            Self::apply_logged(leaf, g, flag(ghost), move |_| flag(!ghost), ctx, how)
+        })
     }
 
-    /// Replace the value of an existing record (live or ghost); returns the
-    /// old value bytes.
-    pub fn update_value(&self, key: &Key, new_value: &[u8], ctx: &mut LogCtx<'_>, how: &OpLog) -> Result<Vec<u8>> {
+    /// Replace the value of an existing record (live or ghost).
+    pub fn update_value(&self, key: &Key, new_value: &[u8], ctx: &mut LogCtx<'_>, how: &OpLog) -> Result<()> {
         loop {
-            {
-                let _t = self.latch.read();
-                let leaf = self.find_leaf(key.as_bytes())?;
-                let mut g = leaf.write();
-                let idx = node::leaf_search(&g, key.as_bytes())
-                    .map_err(|_| Error::NotFound(format!("{key:?} in index {}", self.index_id.0)))?;
-                let old_rec = node::slots(&g).get(idx).to_vec();
-                let dec = node::decode_leaf(&old_rec)?;
-                let new_rec = node::encode_leaf(dec.ghost, key, new_value);
+            let updated = self.with_record(key, |leaf, g, idx| {
+                let old = node::slots(g).get(idx);
+                let new_rec = node::encode_leaf(node::decode_leaf(old)?.ghost, key, new_value);
                 if new_rec.len() > node::MAX_RECORD_BYTES {
                     return Err(Error::RecordTooLarge { size: new_rec.len(), max: node::MAX_RECORD_BYTES });
                 }
-                let old_value = dec.value.to_vec();
-                let grow = new_rec.len().saturating_sub(old_rec.len());
-                if node::slots(&g).free_space() >= grow {
-                    let redo = RedoOp::SlotUpdate { idx: idx as u16, bytes: new_rec };
-                    let inverse = RedoOp::SlotUpdate { idx: idx as u16, bytes: old_rec };
-                    Self::apply_logged(&leaf, &mut g, redo, inverse, ctx, how)?;
-                    return Ok(old_value);
+                if node::slots(g).free_space() < new_rec.len().saturating_sub(old.len()) {
+                    return Ok(false);
                 }
+                let redo = RedoOp::SlotUpdate { idx: idx as u16, bytes: new_rec };
+                Self::apply_logged(leaf, g, redo, restore(idx), ctx, how).map(|()| true)
+            })?;
+            if updated {
+                return Ok(());
             }
             self.split_for(key.as_bytes(), new_value.len() + key.len() + 16, ctx.log)?;
         }
     }
 
     /// Overwrite `bytes.len()` bytes of `key`'s value at value offset
-    /// `off` (a same-length update's changed range, or its undo); returns
-    /// the bytes it replaced. The record keeps its length, so this never
-    /// splits.
+    /// `off` (a same-length update's changed range, or its undo). The
+    /// record keeps its length, so this never splits.
     pub fn patch_value(
         &self,
         key: &Key,
@@ -258,67 +248,78 @@ impl Tree {
         bytes: &[u8],
         ctx: &mut LogCtx<'_>,
         how: &OpLog,
-    ) -> Result<Vec<u8>> {
-        let _t = self.latch.read();
-        let leaf = self.find_leaf(key.as_bytes())?;
-        let mut g = leaf.write();
-        let idx = node::leaf_search(&g, key.as_bytes())
-            .map_err(|_| Error::NotFound(format!("{key:?} in index {}", self.index_id.0)))?;
-        let rec_off = node::leaf_value_offset(key.len()) + off;
-        let old = (node::slots(&g).get(idx).get(rec_off..rec_off + bytes.len()))
-            .ok_or_else(|| Error::corruption("value patch beyond record"))?
-            .to_vec();
-        let redo = RedoOp::SlotPatch { idx: idx as u16, off: rec_off as u16, bytes: bytes.to_vec() };
-        let inverse = RedoOp::SlotPatch { idx: idx as u16, off: rec_off as u16, bytes: old.clone() };
-        Self::apply_logged(&leaf, &mut g, redo, inverse, ctx, how)?;
-        Ok(old)
+    ) -> Result<()> {
+        self.with_record(key, |leaf, g, idx| {
+            let start = node::leaf_value_offset(key.len()) + off;
+            let end = start + bytes.len();
+            if node::slots(g).get(idx).len() < end {
+                return Err(Error::corruption("value patch beyond record"));
+            }
+            let (idx16, off16) = (idx as u16, start as u16);
+            let patch = move |bytes: &[u8]| RedoOp::SlotPatch { idx: idx16, off: off16, bytes: bytes.to_vec() };
+            let inverse = move |p: &Page| patch(&node::slots(p).get(idx)[start..end]);
+            Self::apply_logged(leaf, g, patch(bytes), inverse, ctx, how)
+        })
     }
 
     /// Add `(position, delta)` pairs to the fixed-width values of the
     /// region that is the last `region_len` bytes of `key`'s value (escrow
-    /// apply and its undo; see [`txview_wal::record::add_deltas`]); returns
-    /// the region after the add. The change is logged as the deltas
-    /// themselves, under one leaf latch, so concurrent escrow transactions
-    /// serialize physically while remaining concurrent logically. A
-    /// mistyped or out-of-range pair fails before any byte changes or
-    /// anything is logged.
-    pub fn add_to_value(
+    /// apply and its undo; see [`txview_wal::record::add_deltas`]), and
+    /// return what `read` makes of the region after the add. The change is
+    /// logged as the deltas themselves, under one leaf latch, so concurrent
+    /// escrow transactions serialize physically while remaining concurrent
+    /// logically. A mistyped or out-of-range pair fails before any byte
+    /// changes or anything is logged.
+    pub fn add_to_value<R>(
         &self,
         key: &Key,
         region_len: usize,
         deltas: &[(u16, ValueDelta)],
         ctx: &mut LogCtx<'_>,
         how: &OpLog,
-    ) -> Result<Vec<u8>> {
-        let _t = self.latch.read();
-        let leaf = self.find_leaf(key.as_bytes())?;
-        let mut g = leaf.write();
-        let idx = node::leaf_search(&g, key.as_bytes())
-            .map_err(|_| Error::NotFound(format!("{key:?} in index {}", self.index_id.0)))?;
-        let rec_off = (node::slots(&g).get(idx).len().checked_sub(region_len))
-            .filter(|&off| off >= node::leaf_value_offset(key.len()))
-            .ok_or_else(|| Error::corruption("value shorter than its region"))?;
-        let (idx16, off16) = (idx as u16, rec_off as u16);
-        let redo = RedoOp::SlotAdd { idx: idx16, off: off16, deltas: deltas.to_vec() };
-        let inverse_deltas = deltas.iter().map(|&(p, d)| (p, d.inverse())).collect();
-        let inverse = RedoOp::SlotAdd { idx: idx16, off: off16, deltas: inverse_deltas };
-        Self::apply_logged(&leaf, &mut g, redo, inverse, ctx, how)?;
-        Ok(node::slots(&g).get(idx)[rec_off..].to_vec())
+        read: impl FnOnce(&[u8]) -> Result<R>,
+    ) -> Result<R> {
+        self.with_record(key, |leaf, g, idx| {
+            let rec_off = (node::slots(g).get(idx).len().checked_sub(region_len))
+                .filter(|&off| off >= node::leaf_value_offset(key.len()))
+                .ok_or_else(|| Error::corruption("value shorter than its region"))?;
+            let add = move |deltas| RedoOp::SlotAdd { idx: idx as u16, off: rec_off as u16, deltas };
+            let inverse = move |_: &Page| add(deltas.iter().map(|&(p, d)| (p, d.inverse())).collect());
+            Self::apply_logged(leaf, g, add(deltas.to_vec()), inverse, ctx, how)?;
+            read(&node::slots(g).get(idx)[rec_off..])
+        })
     }
 
     /// Physically remove a record (ghost cleanup; caller holds the
     /// appropriate transaction locks and runs inside a system transaction).
     pub fn remove_record(&self, key: &Key, ctx: &mut LogCtx<'_>, how: &OpLog) -> Result<()> {
-        let _t = self.latch.read();
-        let leaf = self.find_leaf(key.as_bytes())?;
-        let mut g = leaf.write();
-        let idx = node::leaf_search(&g, key.as_bytes())
-            .map_err(|_| Error::NotFound(format!("{key:?} in index {}", self.index_id.0)))?;
-        let old_rec = node::slots(&g).get(idx).to_vec();
-        let redo = RedoOp::SlotRemove { idx: idx as u16 };
-        let inverse = RedoOp::SlotInsert { idx: idx as u16, bytes: old_rec };
-        Self::apply_logged(&leaf, &mut g, redo, inverse, ctx, how)?;
-        Ok(())
+        self.with_record(key, |leaf, g, idx| Self::remove_slot(leaf, g, idx, ctx, how))
+    }
+
+    /// Insert `bytes` as slot `idx` of a latched page, logged.
+    fn insert_slot(
+        page: &PinnedPage,
+        guard: &mut PageWriteGuard<'_>,
+        idx: usize,
+        bytes: Vec<u8>,
+        ctx: &mut LogCtx<'_>,
+        how: &OpLog,
+    ) -> Result<()> {
+        let (idx, inverse) = (idx as u16, move |_: &Page| RedoOp::SlotRemove { idx: idx as u16 });
+        Self::apply_logged(page, guard, RedoOp::SlotInsert { idx, bytes }, inverse, ctx, how)
+    }
+
+    /// Remove slot `idx` of a latched page, logged.
+    fn remove_slot(
+        page: &PinnedPage,
+        guard: &mut PageWriteGuard<'_>,
+        idx: usize,
+        ctx: &mut LogCtx<'_>,
+        how: &OpLog,
+    ) -> Result<()> {
+        let bytes = move |p: &Page| node::slots(p).get(idx).to_vec();
+        let inverse = move |p: &Page| RedoOp::SlotInsert { idx: idx as u16, bytes: bytes(p) };
+        Self::apply_logged(page, guard, RedoOp::SlotRemove { idx: idx as u16 }, inverse, ctx, how)
     }
 
     /// Range scan over `[lo, hi_exclusive)` (whole tree if `None`).
@@ -399,22 +400,6 @@ impl Tree {
             }
             leaf = self.pool.fetch(next_pid)?;
         }
-    }
-
-    /// Keys of up to `limit` ghost records (ghost-cleanup work list).
-    pub fn collect_ghosts(&self, limit: usize) -> Result<Vec<Vec<u8>>> {
-        let (items, _) = self.scan(None, None, true)?;
-        Ok(items
-            .into_iter()
-            .filter(|i| i.ghost)
-            .take(limit)
-            .map(|i| i.key)
-            .collect())
-    }
-
-    /// Number of live (non-ghost) records.
-    pub fn live_count(&self) -> Result<usize> {
-        Ok(self.scan(None, None, false)?.0.len())
     }
 
     /// Scan backwards: all items in `[lo, hi_exclusive)` in DESCENDING key
@@ -613,31 +598,17 @@ impl Tree {
         {
             let mut lg = left.write();
             for (i, rec) in records[..split].iter().enumerate() {
-                Self::apply_logged(
-                    &left,
-                    &mut lg,
-                    RedoOp::SlotInsert { idx: i as u16, bytes: rec.clone() },
-                    RedoOp::SlotRemove { idx: i as u16 },
-                    ctx,
-                    &OpLog::System,
-                )?;
+                Self::insert_slot(&left, &mut lg, i, rec.clone(), ctx, &OpLog::System)?;
             }
             if lvl == 0 {
                 let (redo, inverse) = node::right_sibling_patch(&lg, right_pid);
-                Self::apply_logged(&left, &mut lg, redo, inverse, ctx, &OpLog::System)?;
+                Self::apply_logged(&left, &mut lg, redo, |_| inverse, ctx, &OpLog::System)?;
             }
         }
         {
             let mut rg = right.write();
             for (i, rec) in records[split..].iter().enumerate() {
-                Self::apply_logged(
-                    &right,
-                    &mut rg,
-                    RedoOp::SlotInsert { idx: i as u16, bytes: rec.clone() },
-                    RedoOp::SlotRemove { idx: i as u16 },
-                    ctx,
-                    &OpLog::System,
-                )?;
+                Self::insert_slot(&right, &mut rg, i, rec.clone(), ctx, &OpLog::System)?;
             }
             // Root had no right sibling; the new right child inherits NULL.
         }
@@ -653,33 +624,12 @@ impl Tree {
         {
             let mut g = root.write();
             for i in (0..n).rev() {
-                Self::apply_logged(
-                    root,
-                    &mut g,
-                    RedoOp::SlotRemove { idx: i as u16 },
-                    RedoOp::SlotInsert { idx: i as u16, bytes: records[i].clone() },
-                    ctx,
-                    &OpLog::System,
-                )?;
+                Self::remove_slot(root, &mut g, i, ctx, &OpLog::System)?;
             }
             let (redo, inverse) = node::level_patch(&g, lvl + 1);
-            Self::apply_logged(root, &mut g, redo, inverse, ctx, &OpLog::System)?;
-            Self::apply_logged(
-                root,
-                &mut g,
-                RedoOp::SlotInsert { idx: 0, bytes: node::encode_interior(&[], left_pid) },
-                RedoOp::SlotRemove { idx: 0 },
-                ctx,
-                &OpLog::System,
-            )?;
-            Self::apply_logged(
-                root,
-                &mut g,
-                RedoOp::SlotInsert { idx: 1, bytes: node::encode_interior(&sep, right_pid) },
-                RedoOp::SlotRemove { idx: 1 },
-                ctx,
-                &OpLog::System,
-            )?;
+            Self::apply_logged(root, &mut g, redo, |_| inverse, ctx, &OpLog::System)?;
+            Self::insert_slot(root, &mut g, 0, node::encode_interior(&[], left_pid), ctx, &OpLog::System)?;
+            Self::insert_slot(root, &mut g, 1, node::encode_interior(&sep, right_pid), ctx, &OpLog::System)?;
         }
         Ok(())
     }
@@ -701,36 +651,22 @@ impl Tree {
         {
             let mut ng = new_page.write();
             for (i, rec) in records[split..].iter().enumerate() {
-                Self::apply_logged(
-                    &new_page,
-                    &mut ng,
-                    RedoOp::SlotInsert { idx: i as u16, bytes: rec.clone() },
-                    RedoOp::SlotRemove { idx: i as u16 },
-                    ctx,
-                    &OpLog::System,
-                )?;
+                Self::insert_slot(&new_page, &mut ng, i, rec.clone(), ctx, &OpLog::System)?;
             }
             if lvl == 0 {
                 let (redo, inverse) = node::right_sibling_patch(&ng, old_right);
-                Self::apply_logged(&new_page, &mut ng, redo, inverse, ctx, &OpLog::System)?;
+                Self::apply_logged(&new_page, &mut ng, redo, |_| inverse, ctx, &OpLog::System)?;
             }
         }
         // Remove the upper half from the old node; relink siblings.
         {
             let mut g = page.write();
             for i in (split..n).rev() {
-                Self::apply_logged(
-                    page,
-                    &mut g,
-                    RedoOp::SlotRemove { idx: i as u16 },
-                    RedoOp::SlotInsert { idx: i as u16, bytes: records[i].clone() },
-                    ctx,
-                    &OpLog::System,
-                )?;
+                Self::remove_slot(page, &mut g, i, ctx, &OpLog::System)?;
             }
             if lvl == 0 {
                 let (redo, inverse) = node::right_sibling_patch(&g, new_pid);
-                Self::apply_logged(page, &mut g, redo, inverse, ctx, &OpLog::System)?;
+                Self::apply_logged(page, &mut g, redo, |_| inverse, ctx, &OpLog::System)?;
             }
         }
         // Insert the separator into the parent after the old child's entry.
@@ -741,17 +677,8 @@ impl Tree {
         };
         {
             let mut pg = parent.write();
-            Self::apply_logged(
-                parent,
-                &mut pg,
-                RedoOp::SlotInsert {
-                    idx: (pidx + 1) as u16,
-                    bytes: node::encode_interior(&sep, new_pid),
-                },
-                RedoOp::SlotRemove { idx: (pidx + 1) as u16 },
-                ctx,
-                &OpLog::System,
-            )?;
+            let sep = node::encode_interior(&sep, new_pid);
+            Self::insert_slot(parent, &mut pg, pidx + 1, sep, ctx, &OpLog::System)?;
         }
         Ok(())
     }
@@ -764,19 +691,19 @@ impl Tree {
         let fmt = RedoOp::FormatPage { ty: ty.to_u8(), header_len: PAYLOAD_HEADER_LEN as u16 };
         fmt.apply(g.payload_mut(), PAYLOAD_HEADER_LEN)?;
         node::init_header(&mut g, lvl, PageId::NULL);
-        let lsn = ctx.log_op(
-            pid,
-            fmt,
-            RedoOp::FormatPage { ty: PageType::Free.to_u8(), header_len: PAYLOAD_HEADER_LEN as u16 },
-            &OpLog::System,
-        );
+        let free = RedoOp::FormatPage { ty: PageType::Free.to_u8(), header_len: PAYLOAD_HEADER_LEN as u16 };
+        ctx.log_op(pid, fmt, Some(free), &OpLog::System);
         let hdr = RedoOp::Patch { off: 0, bytes: g.payload()[..PAYLOAD_HEADER_LEN].to_vec() };
-        let lsn2 = ctx.log_op(pid, hdr.clone(), hdr, &OpLog::System);
-        let _ = lsn;
-        g.set_lsn(lsn2);
+        let lsn = ctx.log_op(pid, hdr.clone(), Some(hdr), &OpLog::System);
+        g.set_lsn(lsn);
         drop(g);
         Ok((pid, page))
     }
+}
+
+/// The inverse that rewrites slot `idx` as it is before a change.
+fn restore(idx: usize) -> impl FnOnce(&Page) -> RedoOp {
+    move |p| RedoOp::SlotUpdate { idx: idx as u16, bytes: node::slots(p).get(idx).to_vec() }
 }
 
 #[cfg(test)]
@@ -814,7 +741,7 @@ mod tests {
         }
         assert_eq!(tree.get(&k(3)).unwrap(), Some((false, b"v3".to_vec())));
         assert_eq!(tree.get(&k(4)).unwrap(), None);
-        assert_eq!(tree.live_count().unwrap(), 4);
+        assert_eq!(tree.scan(None, None, false).unwrap().0.len(), 4);
         assert_eq!(tree.depth().unwrap(), 1);
     }
 
@@ -831,8 +758,7 @@ mod tests {
             Err(Error::DuplicateKey(_))
         ));
         // Ghost it, then re-insert revives with the new value.
-        let old = tree.set_ghost(&k(1), true, &mut ctx, &how).unwrap();
-        assert_eq!(old, b"a");
+        tree.set_ghost(&k(1), true, &mut ctx, &how).unwrap();
         assert_eq!(tree.get(&k(1)).unwrap(), Some((true, b"a".to_vec())));
         tree.insert(&k(1), b"b", &mut ctx, &how).unwrap();
         assert_eq!(tree.get(&k(1)).unwrap(), Some((false, b"b".to_vec())));
@@ -896,7 +822,7 @@ mod tests {
         let mut last = Lsn::NULL;
         let mut ctx = LogCtx { log: &log, txn, last_lsn: &mut last };
         let how = OpLog::Update { undo: UndoOp::None };
-        assert_eq!(tree.patch_value(&k(7), 4, b"CC", &mut ctx, &how).unwrap(), b"BB");
+        tree.patch_value(&k(7), 4, b"CC", &mut ctx, &how).unwrap();
         assert_eq!(tree.get(&k(7)).unwrap(), Some((false, b"AAAACCBB".to_vec())));
         // A range past the record is refused, and nothing is logged.
         let before = *ctx.last_lsn;
@@ -921,14 +847,16 @@ mod tests {
         let mut ctx = LogCtx { log: &log, txn, last_lsn: &mut last };
         let how = OpLog::Update { undo: UndoOp::None };
         let deltas = [(0, ValueDelta::Int(1)), (1, ValueDelta::Int(-5))];
-        let region = tree.add_to_value(&k(7), 18, &deltas, &mut ctx, &how).unwrap();
+        let region = tree.add_to_value(&k(7), 18, &deltas, &mut ctx, &how, |r| Ok(r.to_vec())).unwrap();
         assert_eq!(region, fixed(&[Value::Int(3), Value::Int(35)]));
         let want = [b"G".to_vec(), region].concat();
         assert_eq!(tree.get(&k(7)).unwrap(), Some((false, want.clone())));
         // A mistyped delta changes nothing and logs nothing.
         let before = *ctx.last_lsn;
-        assert!(tree.add_to_value(&k(7), 18, &[(1, ValueDelta::Float(1.0))], &mut ctx, &how).is_err());
-        assert!(tree.add_to_value(&k(7), 20, &deltas, &mut ctx, &how).is_err(), "region past the value");
+        let mistyped = [(1, ValueDelta::Float(1.0))];
+        assert!(tree.add_to_value(&k(7), 18, &mistyped, &mut ctx, &how, |_| Ok(())).is_err());
+        let past = tree.add_to_value(&k(7), 20, &deltas, &mut ctx, &how, |_| Ok(()));
+        assert!(past.is_err(), "region past the value");
         assert_eq!(*ctx.last_lsn, before);
         assert_eq!(tree.get(&k(7)).unwrap(), Some((false, want)));
     }
@@ -953,11 +881,11 @@ mod tests {
         let mut last = Lsn::NULL;
         let mut ctx = LogCtx { log: &log, txn, last_lsn: &mut last };
         tree.set_ghost(&k(1), true, &mut ctx, &OpLog::None).unwrap();
-        assert_eq!(tree.collect_ghosts(10).unwrap().len(), 1);
+        assert_eq!(tree.scan(None, None, true).unwrap().0.iter().filter(|i| i.ghost).count(), 1);
         tree.remove_record(&k(1), &mut ctx, &OpLog::None).unwrap();
         assert_eq!(tree.get(&k(1)).unwrap(), None);
-        assert_eq!(tree.collect_ghosts(10).unwrap().len(), 0);
-        assert_eq!(tree.live_count().unwrap(), 1);
+        assert_eq!(tree.scan(None, None, true).unwrap().0.iter().filter(|i| i.ghost).count(), 0);
+        assert_eq!(tree.scan(None, None, false).unwrap().0.len(), 1);
     }
 
     #[test]
@@ -1001,7 +929,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(tree.live_count().unwrap(), 2000);
+        assert_eq!(tree.scan(None, None, false).unwrap().0.len(), 2000);
         // All keys present and ordered.
         let (items, _) = tree.scan(None, None, false).unwrap();
         for w in items.windows(2) {

@@ -75,9 +75,9 @@ proptest! {
                 TreeOp::Ghost { k } => {
                     let key = Key::from_values(&[Value::Int(*k)]);
                     let res = tree.set_ghost(&key, true, &mut ctx, &how);
-                    if let Some((_, v)) = model.get(k) {
-                        prop_assert_eq!(res.unwrap(), v.clone());
-                        let v = v.clone();
+                    if let Some((_, v)) = model.get(k).cloned() {
+                        res.unwrap();
+                        prop_assert_eq!(tree.get(&key).unwrap(), Some((true, v.clone())));
                         model.insert(*k, (true, v));
                     } else {
                         prop_assert!(res.is_err());

@@ -33,6 +33,12 @@ impl Writer {
         Writer { buf: Vec::with_capacity(cap) }
     }
 
+    /// New empty writer over `buf`'s allocation.
+    pub fn reuse(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        Writer { buf }
+    }
+
     /// Consume the writer, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -97,12 +103,8 @@ impl Writer {
     }
 
     /// Write `v` as a LEB128 varint: one byte for values below 128.
-    pub fn varint(&mut self, mut v: u64) -> &mut Self {
-        while v >= 0x80 {
-            self.buf.push(v as u8 | 0x80);
-            v >>= 7;
-        }
-        self.buf.push(v as u8);
+    pub fn varint(&mut self, v: u64) -> &mut Self {
+        put_varint(&mut self.buf, v);
         self
     }
 
@@ -265,6 +267,15 @@ impl<'a> Reader<'a> {
     pub fn page(&mut self) -> Result<PageId> {
         Ok(PageId(self.u32()?))
     }
+}
+
+/// Append `v` to `buf` as a LEB128 varint ([`Writer::varint`]).
+pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        buf.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    buf.push(v as u8);
 }
 
 /// Decode the LEB128 varint at the front of `buf`: `None` while `buf`

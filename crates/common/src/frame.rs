@@ -7,7 +7,8 @@
 //! little-endian, the checksum over the payload alone. Wire messages, the
 //! master file and the catalog are each one frame. A WAL record is one
 //! *varint frame*, the same but with a LEB128 `len`
-//! ([`encode_var`] / [`decode_var`]), which saves three bytes on the
+//! ([`encode_var`] / [`decode_var`]; [`encode_var_into`] appends one to a
+//! buffer), which saves three bytes on the
 //! small records that make up most of the log. The log and the catalog
 //! also lead with a magic + version [`check_header`].
 //! Pages keep [`checksum`] in a fixed header slot, and a replication frame
@@ -17,7 +18,7 @@
 //! format decides what [`Decoded::Incomplete`] and [`Decoded::Corrupt`]
 //! mean for it.
 
-use crate::codec::varint_prefix;
+use crate::codec::{put_varint, varint_prefix};
 use crate::error::{Error, Result};
 
 /// Bytes of frame header before the payload: `len` + `checksum`.
@@ -84,11 +85,18 @@ pub fn decode(buf: &[u8], max_len: usize) -> Decoded<'_> {
 
 /// Frame `payload` with a varint length (the log's frame).
 pub fn encode_var(payload: &[u8]) -> Vec<u8> {
-    let mut w = crate::codec::Writer::with_capacity(5 + 8 + payload.len());
-    w.varint(payload.len() as u64).u64(checksum(payload));
-    let mut out = w.into_bytes();
-    out.extend_from_slice(payload);
+    let mut out = Vec::new();
+    encode_var_into(&mut out, payload);
     out
+}
+
+/// [`encode_var`], appended to `out`: how the log frames each record
+/// straight into its tail buffer.
+pub fn encode_var_into(out: &mut Vec<u8>, payload: &[u8]) {
+    out.reserve(5 + 8 + payload.len());
+    put_varint(out, payload.len() as u64);
+    out.extend_from_slice(&checksum(payload).to_le_bytes());
+    out.extend_from_slice(payload);
 }
 
 /// How many bytes the varint frame at the front of `buf` spans, by its

@@ -195,7 +195,7 @@ impl Database {
         let kb = key.as_bytes().to_vec();
         if old.len() != new.len() {
             let undo = UndoOp::IndexUpdate { index, key: kb, old_row: old.to_vec() };
-            return self.logged(txn, undo, |ctx, how| tree.update_value(key, new, ctx, how)).map(drop);
+            return self.logged(txn, undo, |ctx, how| tree.update_value(key, new, ctx, how));
         }
         let differs = |(a, b): (&u8, &u8)| a != b;
         let Some(first) = old.iter().zip(new).position(differs) else {
@@ -205,7 +205,6 @@ impl Database {
         let off = u16::try_from(first).map_err(|_| Error::invalid("value offset over 64 KiB"))?;
         let undo = UndoOp::IndexPatch { index, key: kb, off, old: old[first..end].to_vec() };
         self.logged(txn, undo, |ctx, how| tree.patch_value(key, first, &new[first..end], ctx, how))
-            .map(drop)
     }
 
     /// Logically delete the live entry `key` (its bytes are `image`): ghost

@@ -35,6 +35,7 @@ use std::sync::atomic::Ordering;
 use txview_btree::{LogCtx, OpLog, Tree};
 use txview_common::{Error, IndexId, Key, Lsn, ObjectId, Result, Row, TxnId, Value, ViewId};
 use txview_lock::{LockMode, LockName, SchedEvent};
+use txview_txn::txn::UndoEntry;
 use txview_txn::Transaction;
 use txview_view::{EnqueueOutcome, RowDelta, Touch, TouchedRows, TxnViews};
 use txview_wal::record::{UndoOp, ValueDelta};
@@ -194,8 +195,7 @@ impl Database {
         }
         self.safeguard_base_version(view, tree, key)?;
         let applied = if additive {
-            let pairs = self.apply_additive(txn, view, tree, key, delta)?;
-            note_additive(&mut txn.views.touched, view.index, kb, &pairs)?;
+            self.apply_additive(txn, view, tree, key, delta)?;
             self.obs.escrow_applies.inc();
             Applied::InPlace
         } else {
@@ -223,7 +223,7 @@ impl Database {
 
     /// Escrow-capable path: add the delta's pairs to the row in place,
     /// logged as the pairs themselves (redo adds them, undo their
-    /// inverses). Returns the pairs.
+    /// inverses), and fold the same pairs into the row's touch record.
     fn apply_additive(
         &self,
         txn: &mut Transaction,
@@ -231,21 +231,29 @@ impl Database {
         tree: &Tree,
         key: &Key,
         delta: &RowDelta,
-    ) -> Result<Vec<(u16, ValueDelta)>> {
+    ) -> Result<()> {
         let region_len = escrow::agg_region_len(view.aggs.len());
-        let pairs = delta.to_undo_pairs();
         let undo =
-            UndoOp::Escrow { index: view.index, key: key.as_bytes().to_vec(), deltas: pairs.clone() };
-        let region =
-            self.logged(txn, undo, |ctx, how| tree.add_to_value(key, region_len, &pairs, ctx, how))?;
-        if escrow::region_count(&region)? == 0 {
+            UndoOp::Escrow { index: view.index, key: key.as_bytes().to_vec(), deltas: delta.to_undo_pairs() };
+        let sp = txn.savepoint();
+        let count = self.logged(txn, undo, |ctx, how| {
+            let OpLog::Update { undo: UndoOp::Escrow { deltas, .. } } = how else {
+                unreachable!("`logged` logs the undo it is given")
+            };
+            tree.add_to_value(key, region_len, deltas, ctx, how, escrow::region_count)
+        })?;
+        // The pairs now live in the undo entry `logged` pushed.
+        if let ([UndoEntry { op: UndoOp::Escrow { deltas, .. }, .. }], views) = txn.undo_since(sp) {
+            note_additive(&mut views.touched, view.index, key.as_bytes(), deltas)?;
+        }
+        if count == 0 {
             if view.eager_group_delete {
                 self.eager_delete_group(txn, view, tree, key)?;
             } else {
                 self.enqueue_ghost(view.index, key.as_bytes().to_vec());
             }
         }
-        Ok(pairs)
+        Ok(())
     }
 
     /// E7 ablation: delete an emptied group row inside the user transaction.
@@ -383,19 +391,21 @@ impl Database {
         // One horizon for the whole commit: it only ever rises, so an
         // earlier reading folds less, never too much.
         let horizon = self.watermark.fold_horizon(&self.log);
-        for ((index, kb), touch) in touched {
+        for (index, rows) in touched {
             let view = view_of(&s, index)?;
-            let mat = |image, pairs: &[_]| materialize_view_row(view, &kb, image, pairs);
-            match touch {
-                Touch::Additive(pairs) => {
-                    self.versions.publish_delta(index, &kb, commit_lsn, pairs, horizon, &mat)?;
-                }
-                Touch::Exclusive => {
-                    let value = match s.tree(index)?.get(&Key::from_bytes(kb.clone()))? {
-                        Some((false, v)) => Some(v),
-                        _ => None,
-                    };
-                    self.versions.publish_full(index, &kb, commit_lsn, value, horizon, &mat)?;
+            for (kb, touch) in rows {
+                let mat = |image, pairs: &[_]| materialize_view_row(view, &kb, image, pairs);
+                match touch {
+                    Touch::Additive(pairs) => {
+                        self.versions.publish_delta(index, &kb, commit_lsn, pairs, horizon, &mat)?;
+                    }
+                    Touch::Exclusive => {
+                        let value = match s.tree(index)?.get(&Key::from_bytes(kb.clone()))? {
+                            Some((false, v)) => Some(v),
+                            _ => None,
+                        };
+                        self.versions.publish_full(index, &kb, commit_lsn, value, horizon, &mat)?;
+                    }
                 }
             }
         }
@@ -511,7 +521,7 @@ fn retract_escrow(
     deltas: &[(u16, ValueDelta)],
 ) -> Result<()> {
     let inverse: Vec<(u16, ValueDelta)> = deltas.iter().map(|(p, d)| (*p, d.inverse())).collect();
-    if let Some(Touch::Additive(acc)) = views.touched.get_mut(&(index, key.to_vec())) {
+    if let Some(Touch::Additive(acc)) = views.touched.get_mut(&index).and_then(|r| r.get_mut(key)) {
         escrow::merge_pairs(acc, &inverse)?;
     }
     let view = view_of(s, index)?;
@@ -591,8 +601,7 @@ impl UndoHandler for Database {
             UndoOp::Escrow { deltas, .. } => {
                 let region_len = escrow::agg_region_len(view_of(&schema, index)?.aggs.len());
                 let inverse: Vec<_> = deltas.iter().map(|&(p, d)| (p, d.inverse())).collect();
-                let region = tree.add_to_value(&k, region_len, &inverse, &mut ctx, &how)?;
-                if escrow::region_count(&region)? == 0 {
+                if tree.add_to_value(&k, region_len, &inverse, &mut ctx, &how, escrow::region_count)? == 0 {
                     self.enqueue_ghost(index, key.clone());
                 }
             }
@@ -609,15 +618,20 @@ fn note_additive(
     kb: &[u8],
     pairs: &[(u16, ValueDelta)],
 ) -> Result<()> {
-    match touched.entry((index, kb.to_vec())).or_insert_with(|| Touch::Additive(Vec::new())) {
-        Touch::Additive(acc) => escrow::merge_pairs(acc, pairs),
-        Touch::Exclusive => Ok(()), // exclusive image already covers it
+    let rows = touched.entry(index).or_default();
+    match rows.get_mut(kb) {
+        Some(Touch::Additive(acc)) => escrow::merge_pairs(acc, pairs),
+        Some(Touch::Exclusive) => Ok(()), // exclusive image already covers it
+        None => {
+            rows.insert(kb.to_vec(), Touch::Additive(pairs.to_vec()));
+            Ok(())
+        }
     }
 }
 
 /// Mark a view row as exclusively rewritten by a transaction.
 fn note_exclusive(touched: &mut TouchedRows, index: IndexId, kb: &[u8]) {
-    touched.insert((index, kb.to_vec()), Touch::Exclusive);
+    touched.entry(index).or_default().insert(kb.to_vec(), Touch::Exclusive);
 }
 
 /// The version-store materializer for the row of `view` with key `kb`:

@@ -12,6 +12,7 @@ use txview_common::frame::checksum;
 use txview_common::obs::{Histogram, Snapshot};
 use txview_common::Result;
 use txview_wal::log::LOG_HEADER_LEN;
+use txview_wal::record::LogRecord;
 use txview_wal::{FaultLogStore, LogStore};
 
 /// The leader's view of one replication stream. Single-threaded by
@@ -149,29 +150,35 @@ impl ReplicationStream {
     /// `cfg.stall_pumps` pumps without progress. Returns how many frames
     /// were shipped this pump. Does nothing once this leader's fault clock
     /// has fired (a dead leader ships nothing).
+    /// The log is read once per pump; a frame is the stored bytes of up to
+    /// `cfg.max_batch` whole records, each decoded once (which checks its
+    /// checksum and stored LSN), never re-encoded.
     pub fn pump(&mut self, channel: &ReplChannel) -> Result<usize> {
         if self.store.clock().fired() {
             return Ok(0);
         }
         let mut shipped = 0usize;
+        let (from, bytes) = (self.cursor, self.store.read_from(self.cursor)?);
         // Flow control: don't run more than window_bytes ahead of the ack.
         while self.cursor.saturating_sub(self.acked) < self.cfg.window_bytes {
-            let records = self.db.log().read_durable_from(self.cursor)?;
-            if records.is_empty() {
+            let rest = &bytes[(self.cursor - from) as usize..];
+            let (mut records, mut used) = (0usize, 0usize);
+            while records < self.cfg.max_batch {
+                let Some((_, len)) = LogRecord::decode_framed(&rest[used..], self.cursor + used as u64)? else {
+                    break;
+                };
+                (records, used) = (records + 1, used + len);
+            }
+            if records == 0 {
                 break;
             }
-            let batch = &records[..records.len().min(self.cfg.max_batch)];
-            let mut payload = Vec::new();
-            for rec in batch {
-                payload.extend_from_slice(&rec.encode_framed());
-            }
             let epoch = self.store.get_epoch()?;
-            let len = payload.len() as u64;
-            let frame = Frame::new(epoch, self.cursor, payload);
+            let len = used as u64;
+            let frame = Frame::new(epoch, self.cursor, rest[..used].to_vec());
             self.frames_shipped.fetch_add(1, Ordering::Relaxed);
-            self.records_shipped.fetch_add(batch.len() as u64, Ordering::Relaxed);
+            self.records_shipped.fetch_add(records as u64, Ordering::Relaxed);
             self.bytes_shipped.fetch_add(len, Ordering::Relaxed);
-            self.ship_records_hist.record(batch.len() as u64);
+            self.ship_records_hist.record(records as u64);
             self.ship_bytes_hist.record(len);
             channel.send_data(Message::Frame(frame));
             self.cursor += len;

@@ -32,8 +32,9 @@ pub enum Touch {
     Exclusive,
 }
 
-/// Per-row touch records of one transaction, keyed by (view index, key).
-pub type TouchedRows = HashMap<(IndexId, Vec<u8>), Touch>;
+/// Per-row touch records of one transaction, by view index, then by key:
+/// a row already touched is found by its borrowed key bytes.
+pub type TouchedRows = HashMap<IndexId, HashMap<Vec<u8>, Touch>>;
 
 /// Everything one transaction owes its views. It lives in the transaction
 /// itself: commit drains `cascades` and publishes `touched`, a rollback

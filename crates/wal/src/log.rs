@@ -24,7 +24,7 @@
 
 use crate::record::{LogRecord, RecordBody, RecordRun, MAX_RECORD_LEN};
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
@@ -248,14 +248,21 @@ impl LogStore for FileLogStore {
     }
 }
 
-struct Pending {
-    lsn: Lsn,
-    bytes: Vec<u8>,
-}
-
+/// The records appended but not yet handed to the store, framed back to
+/// back in one buffer.
 struct Tail {
-    pending: Vec<Pending>,
-    pending_bytes: usize,
+    /// Framed records; those from `head` on are pending.
+    buf: Vec<u8>,
+    /// Bytes at the front of `buf` that a flush already handed to the
+    /// store. They are dropped only once they are at least as many as the
+    /// pending bytes behind them, so compacting moves no more bytes than
+    /// flushes have cut, where shifting the rest down at every cut inside
+    /// the tail would move it again and again.
+    head: usize,
+    /// The LSN of each pending record, oldest first.
+    starts: VecDeque<u64>,
+    /// Where the next record's payload is built before it is framed.
+    scratch: Vec<u8>,
     /// Bytes handed to the store so far.
     store_len: u64,
     /// Open brackets: transaction → the LSN of its first record. The first
@@ -268,9 +275,14 @@ struct Tail {
 }
 
 impl Tail {
+    /// The pending bytes.
+    fn pending(&self) -> &[u8] {
+        &self.buf[self.head..]
+    }
+
     /// LSN (byte offset) of the next record appended.
     fn end(&self) -> u64 {
-        self.store_len + self.pending_bytes as u64
+        self.store_len + self.pending().len() as u64
     }
 }
 
@@ -338,8 +350,10 @@ impl LogManager {
         let last = records.last().map_or(0, |r| r.lsn.0);
         Ok(LogManager {
             tail: Mutex::new(Tail {
-                pending: Vec::new(),
-                pending_bytes: 0,
+                buf: Vec::new(),
+                head: 0,
+                starts: VecDeque::new(),
+                scratch: Vec::new(),
                 store_len: store.len_bytes()?,
                 open: HashMap::new(),
                 redo_floor,
@@ -418,12 +432,12 @@ impl LogManager {
         } else if prev_lsn.is_null() && txn != TxnId::NONE {
             tail.open.entry(txn).or_insert(lsn);
         }
-        let rec = LogRecord { lsn, prev_lsn, txn, body };
-        let bytes = rec.encode_framed();
+        let Tail { buf, starts, scratch, .. } = &mut *tail;
+        let before = buf.len();
+        LogRecord { lsn, prev_lsn, txn, body }.encode_framed_into(scratch, buf);
+        starts.push_back(lsn.0);
         self.appended_records.fetch_add(1, Ordering::Relaxed);
-        self.appended_bytes.fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        tail.pending_bytes += bytes.len();
-        tail.pending.push(Pending { lsn, bytes });
+        self.appended_bytes.fetch_add((buf.len() - before) as u64, Ordering::Relaxed);
         self.last_lsn.store(lsn.0, Ordering::SeqCst);
         lsn
     }
@@ -508,26 +522,28 @@ impl LogManager {
         }
         let mut tail = self.tail.lock();
         let policy = *self.retry.lock();
-        let split = tail
-            .pending
-            .iter()
-            .position(|p| p.lsn > target)
-            .unwrap_or(tail.pending.len());
+        let split = tail.starts.partition_point(|&lsn| lsn <= target.0);
         if split > 0 {
-            let mut buf = Vec::with_capacity(tail.pending_bytes);
-            for p in &tail.pending[..split] {
-                buf.extend_from_slice(&p.bytes);
-            }
-            let last = tail.pending[split - 1].lsn;
+            // A record's cut point is its LSN's offset into the pending bytes.
+            let cut = match tail.starts.get(split) {
+                Some(&next) => (next - tail.store_len) as usize,
+                None => tail.pending().len(),
+            };
+            let last = tail.starts[split - 1];
             self.probe("wal.flush_to.pre_append");
             let t0 = self.obs.clock.now();
-            policy.run(&self.retry_counters, || self.store.append(&buf))?;
+            let bytes = &tail.pending()[..cut];
+            policy.run(&self.retry_counters, || self.store.append(bytes))?;
             self.obs.append_us.record(self.obs.clock.now().saturating_sub(t0));
             self.obs.batch_records.record(split as u64);
-            tail.store_len += buf.len() as u64;
-            tail.pending.drain(..split);
-            tail.pending_bytes -= buf.len();
-            self.appended_lsn.fetch_max(last.0, Ordering::SeqCst);
+            tail.starts.drain(..split);
+            tail.store_len += cut as u64;
+            tail.head += cut;
+            if tail.head >= tail.buf.len() - tail.head {
+                let head = std::mem::take(&mut tail.head);
+                tail.buf.drain(..head);
+            }
+            self.appended_lsn.fetch_max(last, Ordering::SeqCst);
         }
         Ok(())
     }
@@ -689,8 +705,9 @@ impl LogManager {
     /// manager in real use; tests may keep using this one).
     pub fn simulate_crash(&self) {
         let mut tail = self.tail.lock();
-        tail.pending.clear();
-        tail.pending_bytes = 0;
+        tail.buf.clear();
+        tail.head = 0;
+        tail.starts.clear();
         tail.open.clear();
         self.last_lsn.store(self.appended_lsn.load(Ordering::SeqCst), Ordering::SeqCst);
     }

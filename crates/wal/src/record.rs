@@ -584,7 +584,15 @@ fn read_back(r: &mut Reader<'_>, from: u64) -> Result<Lsn> {
 impl LogRecord {
     /// Encode including framing (varint length + checksum).
     pub fn encode_framed(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(64);
+        let mut out = Vec::new();
+        self.encode_framed_into(&mut Vec::with_capacity(64), &mut out);
+        out
+    }
+
+    /// [`LogRecord::encode_framed`], appended to `out`. The payload is
+    /// built in `scratch`, whose allocation the next record reuses.
+    pub fn encode_framed_into(&self, scratch: &mut Vec<u8>, out: &mut Vec<u8>) {
+        let mut w = Writer::reuse(std::mem::take(scratch));
         w.lsn(self.lsn).varint(back(self.lsn, self.prev_lsn)).varint(self.txn.0);
         match &self.body {
             RecordBody::Commit => {
@@ -626,7 +634,8 @@ impl LogRecord {
                 }
             }
         }
-        frame::encode_var(&w.into_bytes())
+        *scratch = w.into_bytes();
+        frame::encode_var_into(out, scratch);
     }
 
     /// Decode one framed record from `buf`, which starts at LSN `at` in

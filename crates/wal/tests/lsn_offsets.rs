@@ -255,3 +255,39 @@ proptest! {
     }
 }
 
+/// A flush cuts the tail at a record's LSN: `flush_to` of an LSN inside
+/// the tail hands the store exactly the records up to it, records
+/// appended later queue behind the rest, and `flush_all` hands over
+/// everything left. The store ends up holding each record's own frame
+/// once, in LSN order.
+#[test]
+fn flush_to_mid_tail_appends_exactly_that_prefix() {
+    let store = FaultLogStore::new(FaultClock::new());
+    let log = LogManager::open(Box::new(store.clone())).unwrap();
+    let mut lsns = Vec::new();
+    let mut append = |n: u64| {
+        for _ in 0..n {
+            let txn = TxnId(lsns.len() as u64 + 1);
+            lsns.push(log.append(txn, Lsn::NULL, begin_body()));
+        }
+        lsns.clone()
+    };
+    let framed = |lsns: &[Lsn]| -> Vec<u8> {
+        let recs = lsns.iter().zip(1..).map(|(&lsn, t)| {
+            LogRecord { lsn, prev_lsn: Lsn::NULL, txn: TxnId(t), body: begin_body() }
+        });
+        LOG_HEADER.iter().copied().chain(recs.flat_map(|r| r.encode_framed())).collect()
+    };
+    let lsns = append(6);
+    log.flush_to(lsns[1]).unwrap();
+    assert_eq!(store.durable_bytes(), framed(&lsns[..2]));
+    assert_eq!(store.durable_len(), lsns[2].0, "cut at the next record's LSN");
+    let lsns = append(2);
+    log.flush_to(lsns[4]).unwrap();
+    assert_eq!(store.durable_bytes(), framed(&lsns[..5]));
+    log.flush_all().unwrap();
+    assert_eq!(store.durable_bytes(), framed(&lsns));
+    assert_eq!(store.durable_len(), log.end_lsn().0);
+    let batches = log.obs_snapshot().hist_value("wal.batch_records").unwrap().count();
+    assert_eq!(batches, 3, "one store append per flush");
+}
