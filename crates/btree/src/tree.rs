@@ -402,21 +402,6 @@ impl Tree {
         }
     }
 
-    /// Scan backwards: all items in `[lo, hi_exclusive)` in DESCENDING key
-    /// order. Leaves have no left-sibling pointers, so this collects the
-    /// forward scan and reverses — acceptable for the report-style queries
-    /// that want "top groups last" semantics.
-    pub fn scan_desc(
-        &self,
-        lo: Option<&Key>,
-        hi_exclusive: Option<&Key>,
-        include_ghosts: bool,
-    ) -> Result<Vec<ScanItem>> {
-        let (mut items, _) = self.scan(lo, hi_exclusive, include_ghosts)?;
-        items.reverse();
-        Ok(items)
-    }
-
     /// Structural invariant checker (tests, crash-recovery audits):
     ///
     /// * every node's keys are strictly sorted;

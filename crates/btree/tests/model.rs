@@ -141,12 +141,6 @@ proptest! {
                 None => prop_assert_eq!(got, None),
             }
         }
-
-        // Descending scan is the reverse of ascending.
-        let desc = tree.scan_desc(None, None, true).unwrap();
-        let mut fwd = all;
-        fwd.reverse();
-        prop_assert_eq!(desc, fwd);
     }
 }
 

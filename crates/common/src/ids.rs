@@ -103,7 +103,7 @@ pub struct SlotId(pub u16);
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct ObjectId(pub u32);
 
-/// Identifier of a physical index (clustered or secondary or view index).
+/// Identifier of a physical index (a table's clustered index or a view index).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct IndexId(pub u32);
 

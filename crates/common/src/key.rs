@@ -89,21 +89,6 @@ impl Key {
         b.push(0);
         Key(b)
     }
-
-    /// The smallest key greater than every key extending this one as a
-    /// prefix (increment-with-carry). `None` means "no upper bound" (the
-    /// prefix is all `0xFF`); scan to the end of the index instead.
-    pub fn prefix_upper_bound(&self) -> Option<Key> {
-        let mut b = self.0.clone();
-        while let Some(last) = b.last_mut() {
-            if *last < 0xFF {
-                *last += 1;
-                return Some(Key(b));
-            }
-            b.pop();
-        }
-        None
-    }
 }
 
 fn encode_component(v: &Value, out: &mut Vec<u8>) {

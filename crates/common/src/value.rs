@@ -198,27 +198,6 @@ impl Value {
             (a, b) => Float(a.as_float()? + b.as_float()?),
         })
     }
-
-    /// Numeric negation (used to build inverse escrow deltas).
-    pub fn numeric_neg(&self) -> Result<Value> {
-        match self {
-            Value::Null => Ok(Value::Null),
-            Value::Int(v) => Ok(Value::Int(v.checked_neg().ok_or_else(|| {
-                Error::invalid("integer overflow in negation")
-            })?)),
-            Value::Float(v) => Ok(Value::Float(-v)),
-            other => Err(Error::Schema(format!("cannot negate {other:?}"))),
-        }
-    }
-
-    /// True iff this value is numerically zero (NULL is not zero).
-    pub fn is_numeric_zero(&self) -> bool {
-        match self {
-            Value::Int(0) => true,
-            Value::Float(v) => *v == 0.0,
-            _ => false,
-        }
-    }
 }
 
 impl PartialEq for Value {
@@ -362,15 +341,6 @@ mod tests {
     #[test]
     fn numeric_add_overflow_checked() {
         assert!(Value::Int(i64::MAX).numeric_add(&Value::Int(1)).is_err());
-    }
-
-    #[test]
-    fn negation_and_zero() {
-        assert_eq!(Value::Int(5).numeric_neg().unwrap(), Value::Int(-5));
-        assert!(Value::Int(0).is_numeric_zero());
-        assert!(Value::Float(0.0).is_numeric_zero());
-        assert!(!Value::Null.is_numeric_zero());
-        assert!(Value::Str("x".into()).numeric_neg().is_err());
     }
 
     #[test]

@@ -249,28 +249,6 @@ pub struct TableDef {
     pub root: PageId,
 }
 
-/// A secondary index on a base table.
-///
-/// Non-unique entries are keyed by `(indexed columns..., pk columns...)` so
-/// duplicates stay distinct; unique entries are keyed by the indexed
-/// columns alone. Entry values hold the encoded primary-key values for the
-/// back-probe into the clustered index.
-#[derive(Clone, Debug)]
-pub struct SecondaryIndexDef {
-    /// Index name (unique).
-    pub name: String,
-    /// The base table.
-    pub table: ObjectId,
-    /// Indexed column positions, in key order.
-    pub cols: Vec<usize>,
-    /// Enforce uniqueness of the indexed columns.
-    pub unique: bool,
-    /// The index's B-tree.
-    pub index: IndexId,
-    /// Root page.
-    pub root: PageId,
-}
-
 /// An indexed view in the catalog.
 #[derive(Clone, Debug)]
 pub struct ViewDef {
@@ -308,16 +286,15 @@ impl ViewDef {
     }
 }
 
-/// The catalog: every definition keyed by its id (so iteration is in
+/// The catalog: every table and view keyed by its id (so iteration is in
 /// ascending id order, which is creation order), plus id allocation. Names
 /// are unique per kind and found by a scan (a catalog holds a handful of
 /// definitions); ids are unique too, and an object or index id names one
-/// definition of any kind.
+/// table or view.
 #[derive(Clone, Default)]
 pub struct Catalog {
     pub(crate) tables: BTreeMap<ObjectId, TableDef>,
     pub(crate) views: BTreeMap<ViewId, ViewDef>,
-    pub(crate) indexes: BTreeMap<IndexId, SecondaryIndexDef>,
     next_object: u32,
     next_index: u32,
     next_view: u32,
@@ -348,15 +325,13 @@ impl Catalog {
     }
 
     /// Refuse an object id or index id some definition already has.
-    fn check_fresh(&self, object: Option<ObjectId>, index: IndexId) -> Result<()> {
-        if let Some(o) = object {
-            if self.tables.contains_key(&o) || self.views.values().any(|v| v.object == o) {
-                return Err(Error::Schema(format!("object id {} exists", o.0)));
-            }
+    fn check_fresh(&self, object: ObjectId, index: IndexId) -> Result<()> {
+        if self.tables.contains_key(&object) || self.views.values().any(|v| v.object == object) {
+            return Err(Error::Schema(format!("object id {} exists", object.0)));
         }
         let mut taken =
             self.tables.values().map(|t| t.index).chain(self.views.values().map(|v| v.index));
-        if self.indexes.contains_key(&index) || taken.any(|i| i == index) {
+        if taken.any(|i| i == index) {
             return Err(Error::Schema(format!("index id {} exists", index.0)));
         }
         Ok(())
@@ -367,7 +342,7 @@ impl Catalog {
         if self.table(&def.name).is_ok() {
             return Err(Error::Schema(format!("table '{}' exists", def.name)));
         }
-        self.check_fresh(Some(def.id), def.index)?;
+        self.check_fresh(def.id, def.index)?;
         self.tables.insert(def.id, def);
         Ok(())
     }
@@ -380,18 +355,8 @@ impl Catalog {
         if self.views.contains_key(&def.id) {
             return Err(Error::Schema(format!("view id {} exists", def.id.0)));
         }
-        self.check_fresh(Some(def.object), def.index)?;
+        self.check_fresh(def.object, def.index)?;
         self.views.insert(def.id, def);
-        Ok(())
-    }
-
-    /// Register a secondary index.
-    pub fn add_index(&mut self, def: SecondaryIndexDef) -> Result<()> {
-        if self.index(&def.name).is_ok() {
-            return Err(Error::Schema(format!("index '{}' exists", def.name)));
-        }
-        self.check_fresh(None, def.index)?;
-        self.indexes.insert(def.index, def);
         Ok(())
     }
 
@@ -421,14 +386,6 @@ impl Catalog {
         self.views.get(&id).ok_or_else(|| Error::Schema(format!("unknown view id {id:?}")))
     }
 
-    /// Look up a secondary index by name.
-    pub fn index(&self, name: &str) -> Result<&SecondaryIndexDef> {
-        self.indexes
-            .values()
-            .find(|i| i.name == name)
-            .ok_or_else(|| Error::Schema(format!("unknown index '{name}'")))
-    }
-
     /// All tables, in ascending id order.
     pub fn tables(&self) -> impl Iterator<Item = &TableDef> {
         self.tables.values()
@@ -437,11 +394,6 @@ impl Catalog {
     /// All views, in ascending id order.
     pub fn views(&self) -> impl Iterator<Item = &ViewDef> {
         self.views.values()
-    }
-
-    /// All secondary indexes, in ascending index id order.
-    pub fn indexes(&self) -> impl Iterator<Item = &SecondaryIndexDef> {
-        self.indexes.values()
     }
 }
 
@@ -532,7 +484,7 @@ fn get_cols(r: &mut Reader<'_>) -> Result<Vec<usize>> {
 }
 
 /// The bytes an encoded catalog starts with: magic, then format version.
-pub const CATALOG_HEADER: [u8; 8] = [b'T', b'X', b'V', b'C', 1, 0, 0, 0];
+pub const CATALOG_HEADER: [u8; 8] = [b'T', b'X', b'V', b'C', 2, 0, 0, 0];
 
 impl Catalog {
     /// Serialize the full catalog (DDL state) for the sidecar file.
@@ -575,14 +527,6 @@ impl Catalog {
             for &t in &v.group_types {
                 w.u8(t.tag());
             }
-            // Reserved tag byte, always 0. Tag 1 (an attached hash index)
-            // is retired and never reused.
-            w.u8(0);
-        }
-        w.u32(self.indexes.len() as u32);
-        for i in self.indexes.values() {
-            put_cols(w.str(&i.name).u32(i.table.0), &i.cols);
-            w.bool(i.unique).u32(i.index.0).page(i.root);
         }
         [&CATALOG_HEADER[..], &frame::encode(&w.into_bytes())].concat()
     }
@@ -590,8 +534,10 @@ impl Catalog {
     /// Deserialize a catalog produced by [`Catalog::encode`]. The bytes
     /// must be exactly its header and one whole frame, and the frame's
     /// body exactly one catalog: an unknown tag, trailing bytes, or a
-    /// definition `add_table` / `add_view` / `add_index` refuses (a
-    /// duplicate name or id) are `Corruption`.
+    /// definition `add_table` / `add_view` refuses (a duplicate name or
+    /// id) are `Corruption`. So is a catalog of another format version,
+    /// an older one included: version 1 carried secondary indexes and a
+    /// per-view tag byte, and is not migrated.
     pub fn decode(bytes: &[u8]) -> Result<Catalog> {
         let refused = |e: Error| Error::corruption(format!("catalog: {e}"));
         let body = frame::check_header(bytes, &CATALOG_HEADER, "catalog")?;
@@ -645,10 +591,6 @@ impl Catalog {
             for _ in 0..ng {
                 group_types.push(ValueType::from_tag(r.u8()?)?);
             }
-            match r.u8()? {
-                0 => {}
-                t => return Err(Error::corruption(format!("bad view tag {t}"))),
-            }
             cat.add_view(ViewDef {
                 id,
                 object,
@@ -664,17 +606,6 @@ impl Catalog {
                 group_types,
             })
             .map_err(refused)?;
-        }
-        let ni = r.u32()? as usize;
-        for _ in 0..ni {
-            let name = r.str()?.to_owned();
-            let table = ObjectId(r.u32()?);
-            let cols = get_cols(&mut r)?;
-            let unique = r.bool()?;
-            let index = IndexId(r.u32()?);
-            let root = r.page()?;
-            cat.add_index(SecondaryIndexDef { name, table, cols, unique, index, root })
-                .map_err(refused)?;
         }
         if !r.is_exhausted() {
             return Err(Error::corruption(format!("{} bytes after the catalog", r.remaining())));

@@ -9,7 +9,7 @@
 //! * [`crate::dml`] — transactions and the one logged write path;
 //! * [`crate::maintain`] — immediate view maintenance (the paper's
 //!   protocol), version publication, and logical undo;
-//! * [`crate::read`] / [`crate::secondary`] — readers and secondary indexes;
+//! * [`crate::read`] — view and base-row readers;
 //! * [`crate::harness`] — verification oracles and ablation switches for
 //!   tests, torture and experiments.
 

@@ -67,29 +67,6 @@ impl Database {
         Ok((index, tree.root()))
     }
 
-    /// Load `rows` into the fresh tree of `index` in one transaction. The
-    /// records carry no undo: a crash before the DDL's closing checkpoint
-    /// loses the DDL as a whole.
-    pub(crate) fn bulk_load(
-        &self,
-        index: IndexId,
-        rows: impl IntoIterator<Item = Result<(Key, Vec<u8>)>>,
-    ) -> Result<()> {
-        let mut rows = rows.into_iter().peekable();
-        if rows.peek().is_none() {
-            return Ok(());
-        }
-        let schema = self.schema();
-        let tree = schema.tree(index)?;
-        let mut txn = self.begin(IsolationLevel::ReadCommitted);
-        for row in rows {
-            let (key, bytes) = row?;
-            self.logged(&mut txn, UndoOp::None, |ctx, how| tree.insert(&key, &bytes, ctx, how))?;
-        }
-        self.txns.commit(&mut txn)?;
-        Ok(())
-    }
-
     /// Create a table with a clustered index on its primary key.
     pub fn create_table(&self, name: &str, schema: Schema) -> Result<ObjectId> {
         if schema.pk().is_empty() {
@@ -279,17 +256,25 @@ impl Database {
 
     /// The common tail of view DDL, once the view is published: populate it
     /// from base (a derived view too: a stale parent can never seed a fresh
-    /// child), checkpoint, persist.
+    /// child) in one transaction, checkpoint, persist. The load's records
+    /// carry no undo: a crash before the checkpoint loses the DDL as a
+    /// whole.
     fn populate_view(&self, id: ViewId) -> Result<ViewId> {
         let schema = self.schema();
         let def = schema.catalog.view_by_id(id)?;
         let rows = self.compute_view_from_base(&schema, def)?;
-        self.bulk_load(
-            def.index,
-            rows.into_iter().map(|(group, (count, aggs))| {
-                Ok((Key::from_values(&group), encode_view_row(&group, count, &aggs)?))
-            }),
-        )?;
+        if !rows.is_empty() {
+            let tree = schema.tree(def.index)?;
+            let mut txn = self.begin(IsolationLevel::ReadCommitted);
+            for (group, (count, aggs)) in rows {
+                let key = Key::from_values(&group);
+                let bytes = encode_view_row(&group, count, &aggs)?;
+                self.logged(&mut txn, UndoOp::None, |ctx, how| {
+                    tree.insert(&key, &bytes, ctx, how)
+                })?;
+            }
+            self.txns.commit(&mut txn)?;
+        }
         self.checkpoint()?;
         self.persist_catalog()?;
         Ok(id)

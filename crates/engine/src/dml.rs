@@ -1,8 +1,8 @@
 //! Transactions and DML: begin/commit/rollback, and insert, delete and
 //! update of base rows through one logged write path.
 //!
-//! Every undoable page change a user transaction makes — base rows,
-//! secondary-index entries, view rows — goes through `Database::logged`:
+//! Every undoable page change a user transaction makes — base rows and
+//! view rows — goes through `Database::logged`:
 //! the operation's log record carries its logical undo descriptor, and the
 //! same descriptor is pushed on the transaction's undo list.
 
@@ -363,7 +363,7 @@ impl Database {
         out
     }
 
-    /// Run both maintenance passes, charging them to the *maintain* phase.
+    /// Maintain the table's views, charging it to the *maintain* phase.
     fn maintain_phased(
         &self,
         txn: &mut Transaction,
@@ -373,9 +373,7 @@ impl Database {
         old: Option<&Row>,
     ) -> Result<()> {
         let t0 = self.obs.clock.now();
-        let out = self
-            .maintain_secondary(txn, s, def, new, old)
-            .and_then(|()| self.maintain(txn, s, def, new, old));
+        let out = self.maintain(txn, s, def, new, old);
         txn.phase_maintain_us += self.obs.clock.now().saturating_sub(t0);
         out
     }

@@ -16,7 +16,6 @@ use crate::delta::{fold_derived, row_contribution};
 use crate::escrow::{self, apply_insert_merge, encode_view_row, initial_aggs};
 use crate::maintain::visible_row;
 use crate::schema::SchemaSnapshot;
-use crate::secondary::entry_for;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -216,40 +215,6 @@ impl Harness<'_> {
         Ok(())
     }
 
-    /// Verify a secondary index against its base table.
-    pub fn verify_index(&self, index_name: &str) -> Result<()> {
-        let s = self.db.schema();
-        let def = s.catalog.index(index_name)?;
-        let table = s.catalog.table_by_id(def.table)?;
-        let mut expected = std::collections::BTreeMap::new();
-        for item in s.tree(table.index)?.scan(None, None, false)?.0 {
-            let row = Row::from_bytes(&item.value)?;
-            let (key, value) = entry_for(def, &table.schema, &row);
-            if expected.insert(key.as_bytes().to_vec(), value).is_some() {
-                return Err(Error::corruption(format!(
-                    "base rows collide in index '{index_name}'"
-                )));
-            }
-        }
-        let (entries, _) = s.tree(def.index)?.scan(None, None, false)?;
-        if entries.len() != expected.len() {
-            return Err(Error::corruption(format!(
-                "index '{index_name}' has {} live entries, expected {}",
-                entries.len(),
-                expected.len()
-            )));
-        }
-        for e in entries {
-            if expected.get(&e.key) != Some(&e.value) {
-                return Err(Error::corruption(format!(
-                    "index '{index_name}' entry mismatch at {:?}",
-                    Key::from_bytes(e.key)
-                )));
-            }
-        }
-        Ok(())
-    }
-
     /// Lock-free view dump: all visible rows in key order.
     pub fn dump_view(&self, view_name: &str) -> Result<Vec<Row>> {
         let s = self.db.schema();
@@ -310,12 +275,6 @@ impl Harness<'_> {
     ) -> Result<Vec<(u64, bool, Option<crate::versions::DeltaPairs>)>> {
         let index = self.db.schema().catalog.view(view_name)?.index;
         Ok(self.db.versions.debug_chain(index, Key::from_values(group).as_bytes()))
-    }
-
-    /// Depth of a view in the dependency graph (0 = base view).
-    pub fn view_depth(&self, view_name: &str) -> Result<u32> {
-        let s = self.db.schema();
-        Ok(s.depth(s.catalog.view(view_name)?.id))
     }
 
     /// Number of entries waiting for ghost cleanup.

@@ -7,14 +7,16 @@
 //!
 //! Public surface:
 //!
-//! * [`db::Database`] — tables (clustered B-trees), indexed-view DDL
-//!   ([`ddl`]), DML with immediate view maintenance ([`dml`],
-//!   [`maintain`]), commit/rollback, crash + recovery, ghost cleanup;
+//! * [`db::Database`] — tables (each a clustered B-tree, its only
+//!   index), indexed-view DDL ([`ddl`]), DML with immediate view
+//!   maintenance ([`dml`], [`maintain`]), commit/rollback, crash +
+//!   recovery, ghost cleanup;
 //! * [`harness`] — verification oracles and ablation switches, reached
 //!   through [`db::Database::harness`];
-//! * [`catalog`] — table / view definitions ([`catalog::ViewSpec`]), the
-//!   aggregate list ([`catalog::AggSpec`]), filters, join views, and the
-//!   maintenance-mode switch (escrow vs the X-lock baseline);
+//! * [`catalog`] — table and view definitions, the only two kinds it
+//!   holds ([`catalog::ViewSpec`]), the aggregate list
+//!   ([`catalog::AggSpec`]), filters, join views, the maintenance-mode
+//!   switch (escrow vs the X-lock baseline), and its byte format;
 //! * [`escrow`] — the commutative-delta machinery: view-row layout, the
 //!   aggregate region, delta application, and inverse deltas for undo;
 //! * [`read`] — view readers at the three isolation levels (short S locks,
@@ -40,14 +42,12 @@ pub mod maintain;
 pub mod read;
 pub mod repl;
 pub(crate) mod schema;
-pub mod secondary;
 pub mod torture;
 pub mod versions;
 pub mod watermark;
 
 pub use catalog::{
-    AggSpec, CmpOp, MaintenanceMode, Predicate, SecondaryIndexDef, TableDef, ViewDef, ViewSource,
-    ViewSpec,
+    AggSpec, CmpOp, MaintenanceMode, Predicate, TableDef, ViewDef, ViewSource, ViewSpec,
 };
 pub use db::{Database, DbStats, GhostCleanupReport, ResilienceStats};
 pub use harness::{FaultParts, Harness};

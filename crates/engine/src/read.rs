@@ -79,18 +79,18 @@ impl Database {
         }
 
         let mut out = Vec::new();
-        self.locked_scan(txn, tree, lo_key.as_ref(), hi_key.as_ref(), true, |_, bytes| {
+        self.locked_scan(txn, tree, lo_key.as_ref(), hi_key.as_ref(), |bytes| {
             out.extend(visible_row(view, &bytes)?);
             Ok(())
         })?;
         Ok(out)
     }
 
-    /// Locking range scan of `tree` over `[lo, hi)`: enumerate the keys
-    /// (ghosts too with `ghosts`), then S-lock each one and hand its live
-    /// value, re-read under the lock and so settled, to `visit`. Below
-    /// Serializable each lock is released at once; Serializable also locks
-    /// the gap before each key and the one past the range, so the range is
+    /// Locking range scan of `tree` over `[lo, hi)`: enumerate the keys,
+    /// ghosts too, then S-lock each one and hand its live value, re-read
+    /// under the lock and so settled, to `visit`. Below Serializable each
+    /// lock is released at once; Serializable also locks the gap before
+    /// each key and the one past the range, so the range is
     /// phantom-protected until commit.
     pub(crate) fn locked_scan(
         &self,
@@ -98,11 +98,10 @@ impl Database {
         tree: &Tree,
         lo: Option<&Key>,
         hi: Option<&Key>,
-        ghosts: bool,
-        mut visit: impl FnMut(&mut Transaction, Vec<u8>) -> Result<()>,
+        mut visit: impl FnMut(Vec<u8>) -> Result<()>,
     ) -> Result<()> {
         let index = tree.index_id();
-        let (items, next_key) = tree.scan(lo, hi, ghosts)?;
+        let (items, next_key) = tree.scan(lo, hi, true)?;
         let serializable = txn.isolation == IsolationLevel::Serializable;
         for item in items {
             let name = LockName::key(index, item.key.clone());
@@ -111,7 +110,7 @@ impl Database {
                 self.locks.acquire(txn.id, LockName::gap(index, item.key.clone()), LockMode::S)?;
             }
             if let Some((false, bytes)) = tree.get(&Key::from_bytes(item.key))? {
-                visit(txn, bytes)?;
+                visit(bytes)?;
             }
             if !serializable {
                 self.locks.release(txn.id, &name);

@@ -10,9 +10,9 @@
 //! Beside the catalog the snapshot holds what is derived from it:
 //!
 //! * the open B-tree of every index;
-//! * per table, the views its DML maintains and its secondary indexes, in
-//!   ascending id order, so maintenance takes its locks and logs its
-//!   records in the same order on every run;
+//! * per table, the views its DML maintains, in ascending id order, so
+//!   maintenance takes its locks and logs its records in the same order on
+//!   every run;
 //! * per view, its derived children in ascending id order and its depth in
 //!   the view dependency graph. A derived view has exactly one parent
 //!   (`ViewSource::Derived { parent }`), and that parent has a smaller id,
@@ -20,7 +20,7 @@
 //!   view its parent's depth plus one, and ascending depth is a
 //!   topological order (the cascade queue drains by it).
 
-use crate::catalog::{Catalog, SecondaryIndexDef, TableDef, ViewDef, ViewSource};
+use crate::catalog::{Catalog, TableDef, ViewDef, ViewSource};
 use std::collections::HashMap;
 use std::sync::Arc;
 use txview_btree::Tree;
@@ -32,8 +32,6 @@ use txview_storage::buffer::BufferPool;
 struct TableLinks {
     /// Its single-table views and the join views it is the fact side of.
     views: Vec<ViewId>,
-    /// Its secondary indexes.
-    indexes: Vec<IndexId>,
     /// It is the dimension of a join view, so its DML is refused.
     dim: bool,
 }
@@ -67,9 +65,8 @@ impl SchemaSnapshot {
         prev: Option<&SchemaSnapshot>,
     ) -> Result<SchemaSnapshot> {
         let mut trees = HashMap::new();
-        let roots = catalog.tables().map(|t| (t.index, t.root));
-        let roots = roots.chain(catalog.views().map(|v| (v.index, v.root)));
-        for (index, root) in roots.chain(catalog.indexes().map(|i| (i.index, i.root))) {
+        let tables = catalog.tables().map(|t| (t.index, t.root));
+        for (index, root) in tables.chain(catalog.views().map(|v| (v.index, v.root))) {
             let tree = match prev.and_then(|p| p.trees.get(&index)) {
                 Some(tree) if tree.root() == root => Arc::clone(tree),
                 _ => Arc::new(Tree::open(pool, index, root)),
@@ -77,9 +74,6 @@ impl SchemaSnapshot {
             trees.insert(index, tree);
         }
         let mut tables: HashMap<ObjectId, TableLinks> = HashMap::new();
-        for i in catalog.indexes() {
-            tables.entry(i.table).or_default().indexes.push(i.index);
-        }
         let mut view_at = HashMap::new();
         let mut views: HashMap<ViewId, ViewLinks> = HashMap::new();
         // Ascending id: a parent is linked before its children.
@@ -139,12 +133,6 @@ impl SchemaSnapshot {
         ids.iter().map(|id| &self.catalog.views[id])
     }
 
-    /// The secondary indexes of `table`, in ascending index id order.
-    pub(crate) fn indexes_on(&self, table: ObjectId) -> impl Iterator<Item = &SecondaryIndexDef> {
-        let ids = self.tables.get(&table).map_or(&[][..], |t| &t.indexes);
-        ids.iter().map(|id| &self.catalog.indexes[id])
-    }
-
     /// The view whose rows `index` holds, if it is a view index.
     pub(crate) fn view_at(&self, index: IndexId) -> Option<&ViewDef> {
         self.view_at.get(&index).map(|id| &self.catalog.views[id])
@@ -171,7 +159,6 @@ impl SchemaSnapshot {
 mod tests {
     use super::*;
     use crate::catalog::tests::{table, view};
-    use txview_common::PageId;
     use txview_storage::disk::MemDisk;
 
     fn pool() -> Arc<BufferPool> {
@@ -215,7 +202,7 @@ mod tests {
     }
 
     #[test]
-    fn views_and_indexes_of_a_table_come_in_id_order() {
+    fn views_of_a_table_come_in_id_order() {
         let join = ViewSource::Join {
             fact: ObjectId(1),
             fact_fk_col: 1,
@@ -225,25 +212,10 @@ mod tests {
         let mut c = catalog(&[8, 3, 4, 7, 5, 6, 9, 2].map(|id| (id, single())));
         c.add_view(view(1, 101, "join", join, 101)).unwrap();
         c.add_table(table(2, "d", 2)).unwrap();
-        for (name, index) in [("b", 11), ("a", 10)] {
-            let def = SecondaryIndexDef {
-                name: name.into(),
-                table: ObjectId(1),
-                cols: vec![1],
-                unique: false,
-                index: IndexId(index),
-                root: PageId(1),
-            };
-            c.add_index(def).unwrap();
-        }
         let s = SchemaSnapshot::build(c, &pool(), None).unwrap();
         let ids: Vec<u32> = s.views_on(ObjectId(1)).map(|v| v.id.0).collect();
         assert_eq!(ids, (1..=9).collect::<Vec<_>>());
-        assert_eq!(
-            s.indexes_on(ObjectId(1)).map(|i| i.name.as_str()).collect::<Vec<_>>(),
-            ["a", "b"]
-        );
-        assert_eq!(s.views_on(ObjectId(2)).count() + s.indexes_on(ObjectId(2)).count(), 0);
+        assert_eq!(s.views_on(ObjectId(2)).count(), 0);
         assert!(s.writable_table("t").is_ok());
         assert!(matches!(s.writable_table("d"), Err(Error::InvalidOperation(_))));
         assert_eq!(s.view_at(IndexId(101)).map(|v| v.name.as_str()), Some("join"));

@@ -113,6 +113,36 @@ fn rollback_restores_base_and_view() {
 }
 
 #[test]
+fn delete_then_reinsert_revives_the_base_ghost() {
+    let (db, view) = setup(MaintenanceMode::Escrow);
+    load_accounts(&db, 4, 2, 100);
+    let get = |id: i64| {
+        let mut r = db.begin(IsolationLevel::ReadCommitted);
+        let row = db.get_row(&mut r, "accounts", &[Value::Int(id)]).unwrap();
+        db.commit(&mut r).unwrap();
+        row
+    };
+
+    // The insert finds the key's ghost and revives it with the new row.
+    let mut txn = db.begin(IsolationLevel::ReadCommitted);
+    db.delete(&mut txn, "accounts", &[Value::Int(1)]).unwrap();
+    db.insert(&mut txn, "accounts", row![1i64, 0i64, 7i64]).unwrap();
+    db.commit(&mut txn).unwrap();
+    assert_eq!(get(1), Some(row![1i64, 0i64, 7i64]));
+    db.harness().verify_view(view).unwrap();
+
+    // Rolled back, the revival restores the old image as well as the
+    // ghost flag, and the delete's undo then brings the original row back.
+    let mut txn = db.begin(IsolationLevel::ReadCommitted);
+    db.delete(&mut txn, "accounts", &[Value::Int(2)]).unwrap();
+    db.insert(&mut txn, "accounts", row![2i64, 1i64, 9i64]).unwrap();
+    db.rollback(&mut txn).unwrap();
+    assert_eq!(get(2), Some(row![2i64, 0i64, 100i64]), "original row back");
+    db.harness().verify_view(view).unwrap();
+    assert_eq!(db.harness().dump_table("accounts").unwrap().len(), 4);
+}
+
+#[test]
 fn savepoint_partial_rollback() {
     let (db, view) = setup(MaintenanceMode::Escrow);
     load_accounts(&db, 2, 1, 100);

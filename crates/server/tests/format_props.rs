@@ -12,8 +12,8 @@
 //!   records: a prefix of the leader's log, so safe to apply;
 //! * garbage, alone or in front of a valid encoding, never panics;
 //! * retired layouts are refused: WAL tags 1 (Begin) and 7, wire code 6,
-//!   catalog view tag 1 (an attached hash index), the headerless catalog
-//!   and the 16-byte master;
+//!   catalog format 1 (secondary indexes), the headerless catalog and the
+//!   16-byte master;
 //! * a catalog that names two views alike or gives two definitions one id
 //!   is refused, though every byte of it is well formed.
 //!
@@ -31,9 +31,7 @@ use txview_common::value::ValueType;
 use txview_common::{frame, Error, IndexId, Lsn, ObjectId, PageId, TxnId, Value, ViewId};
 use txview_engine::catalog::{Catalog, CATALOG_HEADER};
 use txview_engine::repl::Frame;
-use txview_engine::{
-    AggSpec, MaintenanceMode, Predicate, SecondaryIndexDef, TableDef, ViewDef, ViewSource,
-};
+use txview_engine::{AggSpec, MaintenanceMode, Predicate, TableDef, ViewDef, ViewSource};
 use txview_server::wire::{decode_frame, encode_frame, Request, Response, WireErrorCode};
 use txview_storage::page::{Page, PageType, PAGE_SIZE};
 use txview_wal::log::LOG_HEADER_LEN;
@@ -182,13 +180,13 @@ const FORMATS: [Format; 7] = [
             let cfg = BankConfig { accounts: 8, pool_pages: 32, ..Default::default() };
             let good = Bank::setup(cfg).unwrap().db.export_catalog();
             let body = frame::decode_exact(&good[CATALOG_HEADER.len()..], "catalog").unwrap();
-            // The last view's reserved tag sits before the 4-byte count of
-            // secondary indexes (none here).
-            let mut tagged = body.to_vec();
-            let tag_at = tagged.len() - 5;
-            tagged[tag_at] = 1;
-            let sealed = [&CATALOG_HEADER[..], &frame::encode(&tagged)].concat();
-            vec![sealed, frame::encode(body), body.to_vec()]
+            // Well-formed format 1: the one view's reserved tag byte, then a
+            // count of no secondary indexes, under a version-1 header.
+            let v1_body = [body, &[0], &0u32.to_le_bytes()].concat();
+            let mut v1_header = CATALOG_HEADER;
+            v1_header[4] = 1;
+            let v1 = [&v1_header[..], &frame::encode(&v1_body)].concat();
+            vec![v1, frame::encode(body), body.to_vec()]
         },
     },
 ];
@@ -427,8 +425,8 @@ fn retired_layouts_are_refused() {
 /// A catalog whose second view takes the first view's name, or whose
 /// definitions share an id, is `Corruption`: decoding it would drop a
 /// definition or open two definitions over one tree. Each sample is a
-/// valid catalog (a table, views `va` and `vb`, a secondary index; every
-/// id a distinct 4-byte pattern) with one field overwritten, re-sealed.
+/// valid catalog (a table and views `va` and `vb`; every id a distinct
+/// 4-byte pattern) with one field overwritten, re-sealed.
 #[test]
 fn catalog_duplicates_are_refused() {
     let id = |n: u32| 0x5A5A_0000 | n;
@@ -458,10 +456,6 @@ fn catalog_duplicates_are_refused() {
         })
         .unwrap();
     }
-    let index = IndexId(id(0x30));
-    let def =
-        SecondaryIndexDef { name: "i".into(), table: t, cols: vec![1], unique: false, index, root };
-    cat.add_index(def).unwrap();
     let good = cat.encode();
     assert!(Catalog::decode(&good).is_ok());
     let body = frame::decode_exact(&good[CATALOG_HEADER.len()..], "catalog").unwrap();
@@ -473,7 +467,6 @@ fn catalog_duplicates_are_refused() {
         ("a table's object id", le(0x21), le(1)),
         ("a view's index id", le(0x22), le(0x12)),
         ("a table's index id", le(0x22), le(2)),
-        ("a view's index id, on a secondary index", le(0x30), le(0x12)),
     ] {
         let at: Vec<usize> = (0..body.len()).filter(|&i| body[i..].starts_with(&from)).collect();
         assert_eq!(at.len(), 1, "{what}: the field is found once");

@@ -120,21 +120,32 @@ fn stored_kind(v: &Value) -> &'static str {
 /// Add `(position, delta)` pairs to a region of fixed-width values, in
 /// place: position `p` is the value at bytes `9p..9p + 9`. Every pair is
 /// checked ([`ValueDelta::apply_checked`], and the position must lie inside
-/// `region`) before any byte is written, so an error leaves the region as
-/// it was. Redo of [`RedoOp::SlotAdd`] and the version store's
-/// materializer both add through here.
+/// `region` and appear once) before any byte is written, so an error leaves
+/// the region as it was. Redo of [`RedoOp::SlotAdd`] and the version
+/// store's materializer both add through here.
+///
+/// Each call adds the first pair into a 9-byte buffer on its own stack
+/// frame, checks (and adds) the rest, and only then writes its sum: the
+/// sums are all computed, once each and without allocating, before the
+/// first write. Positions are distinct, so no write changes what another
+/// pair reads, and in range, so the depth is at most one more than the
+/// region's value count.
 pub fn add_deltas(region: &mut [u8], pairs: &[(u16, ValueDelta)]) -> Result<()> {
-    let end = pairs.iter().map(|&(p, _)| (p as usize + 1) * FIXED_VALUE_BYTES).max().unwrap_or(0);
-    let Some(target) = region.get_mut(..end) else {
-        return Err(Error::corruption("escrow position out of range"));
+    let Some((&(pos, d), rest)) = pairs.split_first() else {
+        return Ok(());
     };
-    let mut work = target.to_vec();
-    for &(pos, d) in pairs {
-        let slot = &mut work[pos as usize * FIXED_VALUE_BYTES..][..FIXED_VALUE_BYTES];
-        let stored = Value::decode(&mut Reader::new(slot))?;
-        d.apply_checked(&stored)?.encode_fixed(slot)?;
+    if rest.iter().any(|&(p, _)| p == pos) {
+        return Err(Error::corruption(format!("escrow position {pos} repeated")));
     }
-    target.copy_from_slice(&work);
+    let at = pos as usize * FIXED_VALUE_BYTES;
+    let slot = region
+        .get(at..)
+        .and_then(|r| r.get(..FIXED_VALUE_BYTES))
+        .ok_or_else(|| Error::corruption("escrow position out of range"))?;
+    let mut sum = [0; FIXED_VALUE_BYTES];
+    d.apply_checked(&Value::decode(&mut Reader::new(slot))?)?.encode_fixed(&mut sum)?;
+    add_deltas(region, rest)?;
+    region[at..][..FIXED_VALUE_BYTES].copy_from_slice(&sum);
     Ok(())
 }
 
@@ -959,6 +970,11 @@ mod tests {
             assert!(add_deltas(&mut region, &bad).is_err(), "{bad:?}");
             assert_eq!(region, before, "{bad:?} wrote before failing");
         }
+        // No writer repeats a position, so a repeat is a damaged record.
+        let repeated = [(0, ValueDelta::Int(1)), (2, ValueDelta::Int(-1)), (0, ValueDelta::Int(1))];
+        let err = add_deltas(&mut region, &repeated).unwrap_err();
+        assert!(matches!(err, Error::Corruption(_)), "{err:?}");
+        assert_eq!(region, before, "a repeated position wrote before failing");
         let err = add_deltas(&mut region, &[(1, ValueDelta::Int(1))]).unwrap_err();
         assert!(matches!(err, Error::TypeMismatch { .. }), "{err:?}");
     }

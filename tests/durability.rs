@@ -42,7 +42,6 @@ fn reopen_recovers_committed_state_and_catalog() {
             eager_group_delete: false,
         })
         .unwrap();
-        db.create_index("orders_by_grp", "orders", &[1], false).unwrap();
         let mut txn = db.begin(IsolationLevel::ReadCommitted);
         for i in 0..50i64 {
             db.insert(&mut txn, "orders", row![i, i % 5, 10i64]).unwrap();
@@ -62,7 +61,6 @@ fn reopen_recovers_committed_state_and_catalog() {
         assert!(report.redo_applied > 0, "recovery redid committed work");
         assert_eq!(report.losers, 1, "the in-flight txn was undone");
         db.harness().verify_view("by_grp").unwrap();
-        db.harness().verify_index("orders_by_grp").unwrap();
         let rows = db.harness().dump_table("orders").unwrap();
         assert_eq!(rows.len(), 50);
         assert!(rows.iter().all(|r| r.get(0).as_int().unwrap() != 999));
@@ -74,16 +72,10 @@ fn reopen_recovers_committed_state_and_catalog() {
         db.harness().verify_view("by_grp").unwrap();
     }
     {
-        // Third open: everything still there, recovery idempotent, and the
-        // secondary index answers queries.
+        // Third open: everything still there, recovery idempotent.
         let (db, _) = Database::open_dir(&dir, 256, Duration::from_secs(5)).unwrap();
         db.harness().verify_view("by_grp").unwrap();
-        db.harness().verify_index("orders_by_grp").unwrap();
         assert_eq!(db.harness().dump_table("orders").unwrap().len(), 51);
-        let mut txn = db.begin(IsolationLevel::ReadCommitted);
-        let grp2 = db.get_by_index(&mut txn, "orders_by_grp", &[Value::Int(2)]).unwrap();
-        assert_eq!(grp2.len(), 11);
-        db.commit(&mut txn).unwrap();
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -156,54 +148,6 @@ fn checkpoint_shrinks_recovery_work() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Every view in the catalog sidecar carries one reserved tag byte, always
-/// 0. Tag 1 once attached a hash index; that structure is gone and the tag
-/// is never reused, so a catalog carrying any nonzero tag is refused as
-/// corruption by the catalog decoder. A catalog with the byte at 0 — the
-/// layout every catalog without a hash index was written in — still opens.
-#[test]
-fn catalog_view_tag_is_reserved_zero() {
-    let dir = fresh_dir("viewtag");
-    {
-        let (db, _) = Database::open_dir(&dir, 64, Duration::from_secs(5)).unwrap();
-        let t = db.create_table("orders", schema()).unwrap();
-        db.create_indexed_view(ViewSpec {
-            name: "by_grp".into(),
-            source: ViewSource::Single { table: t, group_by: vec![1] },
-            aggs: vec![AggSpec::SumInt { col: 2 }],
-            filter: Predicate::True,
-            maintenance: MaintenanceMode::Escrow,
-            deferred: false,
-            eager_group_delete: false,
-        })
-        .unwrap();
-    }
-    let path = dir.join("catalog.bin");
-    let written = std::fs::read(&path).unwrap();
-    // The last view's tag byte sits just before the secondary-index count
-    // (a 4-byte zero: this catalog has no secondary index).
-    let tag_at = written.len() - 5;
-    assert_eq!(&written[tag_at..], &[0, 0, 0, 0, 0], "reserved tag, then no indexes");
-    {
-        let (db, _) = Database::open_dir(&dir, 64, Duration::from_secs(5)).unwrap();
-        db.harness().verify_view("by_grp").unwrap();
-    }
-    // Re-seal each patched body in a good frame, so that the tag itself is
-    // what gets refused, not the frame's checksum.
-    let body_at = CATALOG_HEADER.len() + frame::HEADER_LEN;
-    for tag in [1u8, 2, 255] {
-        let mut body = written[body_at..].to_vec();
-        body[tag_at - body_at] = tag;
-        std::fs::write(&path, [&CATALOG_HEADER[..], &frame::encode(&body)].concat()).unwrap();
-        match Database::open_dir(&dir, 64, Duration::from_secs(5)) {
-            Err(Error::Corruption(m)) => assert!(m.contains(&format!("bad view tag {tag}")), "{m}"),
-            Err(e) => panic!("tag {tag}: expected corruption, got {e}"),
-            Ok(_) => panic!("tag {tag}: a catalog with a nonzero view tag opened"),
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// A directory holding one table and one escrow view over it, and the
 /// body of its `catalog.bin` (header and frame header skipped).
 fn one_view_dir(tag: &str) -> (std::path::PathBuf, Vec<u8>) {
@@ -240,14 +184,36 @@ fn assert_open_refused(dir: &std::path::Path, want: &str) {
     }
 }
 
+/// Catalog format 1 differed from format 2 only in what secondary indexes
+/// and the retired hash index needed: a reserved tag byte (always 0) after
+/// each view and a trailing index section. A well-formed format-1 catalog
+/// is refused at open by its version, not migrated; its body in the
+/// format-2 header is refused too, by the bytes format 2 does not have.
+#[test]
+fn v1_catalog_is_refused_at_open() {
+    let (dir, body) = one_view_dir("catalogv1");
+    Database::open_dir(&dir, 64, Duration::from_secs(5)).unwrap();
+    // The one view's tag byte, then no secondary index.
+    let v1_body = [&body[..], &[0], &0u32.to_le_bytes()].concat();
+    let mut v1_header = CATALOG_HEADER;
+    v1_header[4] = 1;
+    let v1 = [&v1_header[..], &frame::encode(&v1_body)].concat();
+    std::fs::write(dir.join("catalog.bin"), &v1).unwrap();
+    assert_open_refused(&dir, "catalog version [1, 0, 0, 0]");
+    assert!(matches!(Catalog::decode(&v1), Err(Error::Corruption(_))));
+    write_sealed_catalog(&dir, &v1_body);
+    assert_open_refused(&dir, "after the catalog");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A view's maintenance byte is 0 (escrow) or 1 (X-lock). Any other value
 /// is corruption, not X-lock.
 #[test]
 fn catalog_maintenance_byte_other_than_0_or_1_is_corruption() {
     let (dir, body) = one_view_dir("maintbyte");
-    // From the end: no secondary index (4), the reserved tag (1), one group
-    // type (1 + 2), the view's root and index (4 + 4), two bools (2).
-    let maintenance_at = body.len() - 19;
+    // From the end: one group type (1 + 2), the view's root and index
+    // (4 + 4), two bools (2).
+    let maintenance_at = body.len() - 14;
     assert_eq!(body[maintenance_at], 0, "escrow");
     for m in [2u8, 3, 255] {
         let mut patched = body.clone();
@@ -258,8 +224,8 @@ fn catalog_maintenance_byte_other_than_0_or_1_is_corruption() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The body ends with its last secondary index; bytes after it are
-/// corruption, not ignored.
+/// The body ends with its last view index; bytes after it are corruption,
+/// not ignored.
 #[test]
 fn catalog_bytes_after_the_last_index_are_corruption() {
     let (dir, body) = one_view_dir("trailing");
@@ -344,9 +310,9 @@ fn every_catalog_bit_flip_is_refused() {
     }
     let path = dir.join("catalog.bin");
     let mut bytes = std::fs::read(&path).unwrap();
-    // From the end: no secondary index (4), the reserved tag (1), one group
-    // type (1 + 2), the view's root and index (4 + 4), two bools (2).
-    let maintenance_at = bytes.len() - 19;
+    // From the end: one group type (1 + 2), the view's root and index
+    // (4 + 4), two bools (2).
+    let maintenance_at = bytes.len() - 14;
     assert_eq!(bytes[maintenance_at], 0, "escrow");
     bytes[maintenance_at] ^= 1;
     std::fs::write(&path, &bytes).unwrap();
